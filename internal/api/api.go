@@ -111,10 +111,10 @@ type BatchQuery struct {
 	K      int     `json:"k,omitempty"`
 	// UILo, UIHi and State apply to kind "state" only: the departure
 	// interval at the segment's first edge and the relayed partial
-	// state (empty for a first segment).
+	// state (empty for a first segment; see StateResult.State).
 	UILo  float64 `json:"ui_lo,omitempty"`
 	UIHi  float64 `json:"ui_hi,omitempty"`
-	State string  `json:"state,omitempty"`
+	State []byte  `json:"state,omitempty"`
 }
 
 // BatchRequest is a /v1/batch body.
@@ -150,16 +150,17 @@ type StateRequest struct {
 	Method string  `json:"method,omitempty"`
 	UILo   float64 `json:"ui_lo"`
 	UIHi   float64 `json:"ui_hi"`
-	State  string  `json:"state,omitempty"`
+	State  []byte  `json:"state,omitempty"`
 }
 
 // StateResult is a segment evaluation's outcome: the encoded
-// accumulator-only state after the segment's last factor, the
+// accumulator-only state after the segment's last factor (binary
+// pstate-v2, which encoding/json carries as a base64 string), the
 // departure interval past its last edge, and the segment's
 // decomposition shape (Factors sum and MaxRank max across segments
 // reproduce the whole-path decomposition's cardinality and max rank).
 type StateResult struct {
-	State   string  `json:"state"`
+	State   []byte  `json:"state"`
 	UILo    float64 `json:"ui_lo"`
 	UIHi    float64 `json:"ui_hi"`
 	Factors int     `json:"factors"`

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 
@@ -23,11 +21,6 @@ import (
 // sequence of whole-path evaluation operation for operation, which is
 // what makes sharded answers byte-identical to single-process ones.
 
-// partialStateVersion tags the partial-state wire format. States cross
-// process boundaries, so the version fails loudly on mismatch instead
-// of misparsing.
-const partialStateVersion = "pstate-v1"
-
 // ChainState is an exported handle on one chain evaluation state — the
 // running joint of Equation 2 — so it can cross a process boundary
 // between shards. Relay states are accumulator-only (no open edges);
@@ -44,46 +37,6 @@ func (s *ChainState) AccOnly() bool { return len(s.cs.open) == 0 }
 // Open returns the query positions of the state's open dimensions.
 func (s *ChainState) Open() []int {
 	return append([]int(nil), s.cs.open...)
-}
-
-// Encode serializes the state with the same lossless %g encoding the
-// synopsis store uses: every float parses back to the identical
-// float64, so a decoded state resumes evaluation bit-exactly.
-func (s *ChainState) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := fmt.Fprintln(&buf, partialStateVersion); err != nil {
-		return nil, err
-	}
-	if err := writeChainState(&buf, "s", s.cs); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeChainState parses an Encode dump. pathLen bounds the open
-// positions (relay states have none; pass the segment length). The
-// input is untrusted wire data: every index and probability is
-// validated, normalization is checked, and malformed input returns a
-// descriptive error — never a panic.
-func DecodeChainState(data []byte, pathLen int) (*ChainState, error) {
-	if pathLen < 1 {
-		pathLen = 1
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	rd := &hybridReader{sc: sc}
-	line, ok := rd.next()
-	if !ok {
-		return nil, fmt.Errorf("core: empty partial state")
-	}
-	if line != partialStateVersion {
-		return nil, fmt.Errorf("core: unsupported partial state %q (this build reads %s)", line, partialStateVersion)
-	}
-	cs, err := readChainState(rd, "s", pathLen)
-	if err != nil {
-		return nil, fmt.Errorf("core: partial state: %w", err)
-	}
-	return &ChainState{cs: cs}, nil
 }
 
 // Finalize flattens an accumulator-only state into the final cost

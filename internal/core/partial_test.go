@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/hist"
 )
 
 // partitionedFixture builds the Table 1 model and filters it so no
@@ -51,8 +52,8 @@ func TestChainStateEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	if !bytes.HasPrefix(enc, []byte(partialStateVersion+"\n")) {
-		t.Fatalf("encoding lacks version header: %q", enc[:min(len(enc), 40)])
+	if !bytes.HasPrefix(enc, []byte{'P', 'S', 'T', 2}) {
+		t.Fatalf("encoding lacks magic and version: %q", enc[:min(len(enc), 40)])
 	}
 	dec, err := DecodeChainState(enc, len(seg))
 	if err != nil {
@@ -204,31 +205,45 @@ func TestEvaluateSegmentRejections(t *testing.T) {
 }
 
 func TestDecodeChainStateRejectsGarbage(t *testing.T) {
-	h := partitionedFixture(t)
-	res, err := h.EvaluateSegment(nil, nil, SegmentInput{
-		Path: graph.Path{0, 1, 2}, Depart: 8 * 3600.0,
-		UI: TimeInterval{Lo: 8 * 3600.0, Hi: 8 * 3600.0},
-	})
-	if err != nil {
-		t.Fatalf("EvaluateSegment: %v", err)
+	good, goodV1 := relayStateFixture(t)
+	flip := func(off int, b byte) []byte {
+		out := bytes.Clone(good)
+		out[off] = b
+		return out
 	}
-	good, err := res.State.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-
+	// good is a one-dimension, two-boundary, one-cell state: header 5
+	// bytes, boundary count at 5, boundaries at 7, cell count at 23,
+	// the cell's index at 27 and its probability at 29.
 	cases := map[string][]byte{
-		"empty":         nil,
-		"wrong version": []byte("pstate-v9\ns 0\n"),
-		"no state":      []byte(partialStateVersion + "\n"),
-		"truncated":     good[:len(good)-len(good)/3],
-		"binary":        {0x00, 0xff, 0x13, 0x37},
-		"html":          []byte("<html><body>502 Bad Gateway</body></html>"),
+		"empty":             nil,
+		"v1 wrong version":  []byte("pstate-v9\ns 0\n"),
+		"v1 no state":       []byte(stateV1Version + "\n"),
+		"v1 truncated":      goodV1[:len(goodV1)-len(goodV1)/3],
+		"binary":            {0x00, 0xff, 0x13, 0x37},
+		"html":              []byte("<html><body>502 Bad Gateway</body></html>"),
+		"magic only":        []byte(stateMagic),
+		"v2 wrong version":  flip(3, 9),
+		"v2 header only":    good[:stateHeader],
+		"v2 truncated":      good[:len(good)-3],
+		"v2 trailing bytes": append(bytes.Clone(good), 0),
+		"v2 open dims":      flip(4, hist.MaxDims),
+		"v2 one boundary":   flip(5, 1),
+		"v2 bounds overrun": flip(6, 0xff),
+		"v2 nan boundary":   append(append(bytes.Clone(good[:7]), 1, 0, 0, 0, 0, 0, 0xf8, 0x7f), good[15:]...),
+		"v2 equal bounds":   append(append(bytes.Clone(good[:15]), good[7:15]...), good[23:]...),
+		"v2 zero cells":     flip(23, 0),
+		"v2 cells overrun":  flip(26, 0xff),
+		"v2 index range":    flip(27, 1),
+		"v2 negative mass":  flip(36, 0xbf),
+		"v2 unnormalized":   flip(35, 0xe0), // probability 0.5
 	}
 	for name, data := range cases {
 		if _, err := DecodeChainState(data, 3); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+	if _, err := DecodeChainState(good, 3); err != nil {
+		t.Fatalf("the unmodified state no longer decodes: %v", err)
 	}
 }
 
@@ -271,40 +286,27 @@ func TestFilterVariablesStableAndExact(t *testing.T) {
 	}
 }
 
-// FuzzPartialState feeds arbitrary bytes to the partial-state decoder:
-// it must reject or accept, never panic, and anything it accepts must
-// re-encode to a decodable state.
-func FuzzPartialState(f *testing.F) {
-	h := partitionedFixture(f)
+// relayStateFixture returns the partitioned fixture's one relay state
+// in both wire formats: the binary pstate-v2 this build writes and the
+// text pstate-v1 the previous release wrote.
+func relayStateFixture(t testing.TB) (v2, v1 []byte) {
+	t.Helper()
+	h := partitionedFixture(t)
 	res, err := h.EvaluateSegment(nil, nil, SegmentInput{
 		Path: graph.Path{0, 1, 2}, Depart: 8 * 3600.0,
 		UI: TimeInterval{Lo: 8 * 3600.0, Hi: 8 * 3600.0},
 	})
 	if err != nil {
-		f.Fatalf("EvaluateSegment: %v", err)
+		t.Fatalf("EvaluateSegment: %v", err)
 	}
-	good, err := res.State.Encode()
-	if err != nil {
-		f.Fatalf("Encode: %v", err)
+	if v2, err = res.State.Encode(); err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
-	f.Add(good)
-	f.Add([]byte(partialStateVersion + "\ns 0\n"))
-	f.Add([]byte(partialStateVersion + "\ns 2 0 1\n"))
-	f.Add([]byte("pstate-v9\n"))
-	f.Add([]byte("<html>oops</html>"))
-	f.Add([]byte{0x00, 0xff})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := DecodeChainState(data, 8)
-		if err != nil {
-			return
-		}
-		enc, err := st.Encode()
-		if err != nil {
-			t.Fatalf("accepted state failed to encode: %v", err)
-		}
-		if _, err := DecodeChainState(enc, 8); err != nil {
-			t.Fatalf("re-encoded state failed to decode: %v", err)
-		}
-	})
+	if v1, err = EncodeStateV1(res.State); err != nil {
+		t.Fatalf("EncodeStateV1: %v", err)
+	}
+	if len(v2) != 37 {
+		t.Fatalf("fixture state is %d bytes, not the 37 of one dimension, two boundaries and one cell", len(v2))
+	}
+	return v2, v1
 }

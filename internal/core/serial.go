@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hist"
+	"repro/internal/textio"
 )
 
 // serialVersion tags the model file format.
@@ -113,8 +114,7 @@ func ReadHybrid(r io.Reader, g *graph.Graph) (*HybridGraph, error) {
 // synopsis — return a nil store; files carrying an unknown synopsis
 // version or a corrupt section fail with a descriptive error.
 func ReadHybridSynopsis(r io.Reader, g *graph.Graph) (*HybridGraph, *SynopsisStore, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc := textio.NewScanner(r, 0)
 	rd := &hybridReader{sc: sc}
 
 	if line, ok := rd.next(); !ok || line != serialVersion {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -113,5 +115,35 @@ func TestModelRoundTripDetectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadHybrid(strings.NewReader(text[:idx]), g); err == nil {
 		t.Fatal("truncated model accepted")
+	}
+}
+
+// TestReadHybridLineLengthCap: the loader's scanner starts small and
+// grows, and must still accept what the fixed 1 MiB buffer accepted —
+// a line just under the cap loads, one over it fails as before.
+func TestReadHybridLineLengthCap(t *testing.T) {
+	g, data, params := table1Fixture(t)
+	h, err := Build(g, data, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := h.WriteModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Fields are whitespace-separated, so padding a record keeps its
+	// meaning and makes its line as long as wanted.
+	padded := func(n int) string {
+		return strings.Replace(buf.String(), "var ", "var "+strings.Repeat(" ", n), 1)
+	}
+	h2, err := ReadHybrid(strings.NewReader(padded(900<<10)), g)
+	if err != nil {
+		t.Fatalf("model with a 900 KiB line: %v", err)
+	}
+	if got, want := h2.Stats().TotalVariables(), h.Stats().TotalVariables(); got != want {
+		t.Fatalf("model with a 900 KiB line loaded %d variables, want %d", got, want)
+	}
+	if _, err := ReadHybrid(strings.NewReader(padded(1<<20)), g); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("model with a line over 1 MiB: %v, want bufio.ErrTooLong", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/graph"
+	"repro/internal/textio"
 )
 
 // WriteCollection serializes matched trajectories as line-oriented
@@ -54,8 +55,7 @@ func WriteRaw(w io.Writer, raw []*Trajectory) error {
 // structurally (≥ 2 records, strictly increasing time); road-network
 // consistency is the map matcher's job.
 func ReadRaw(r io.Reader) ([]*Trajectory, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc := textio.NewScanner(r, 0)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("gps: empty raw-trace file")
 	}
@@ -122,8 +122,7 @@ func ReadRaw(r io.Reader) ([]*Trajectory, error) {
 // ReadCollection parses the format written by WriteCollection and
 // validates every trajectory against the graph.
 func ReadCollection(r io.Reader, g *graph.Graph) (*Collection, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc := textio.NewScanner(r, 0)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("gps: empty collection file")
 	}

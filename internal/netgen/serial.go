@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/graph"
+	"repro/internal/textio"
 )
 
 // WriteGraph serializes g as line-oriented text: one "V lat lon" line
@@ -34,8 +35,7 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 // ReadGraph parses the format written by WriteGraph.
 func ReadGraph(r io.Reader) (*graph.Graph, error) {
 	b := graph.NewBuilder()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc := textio.NewScanner(r, 0)
 	line := 0
 	nVertices := 0
 	for sc.Scan() {

@@ -1,11 +1,17 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
+
+	pathcost "repro"
 )
 
 // TestBatchSmoke answers a mixed batch — distribution, route, topk
@@ -193,4 +199,134 @@ func TestBatchConcurrentClients(t *testing.T) {
 	if stats.Memo == nil || stats.Memo.Entries == 0 {
 		t.Fatalf("stats should report the enabled memo with entries: %+v", stats.Memo)
 	}
+}
+
+// TestBatchEntryPanicIsThatEntrys500 pins what a panicking evaluation
+// does to a batch. A one-entry batch runs on the handler's goroutine
+// and an N-entry batch on a goroutine per entry; either way the entry
+// answers 500 inside a 200 envelope, its MaxInFlight slot is released
+// by the eval helper's defer, sibling entries are untouched, and the
+// server keeps serving (on a spawned goroutine an escaped panic would
+// have ended the process). The panic is injected by serving a private
+// system whose epoch has lost its model.
+func TestBatchEntryPanicIsThatEntrys500(t *testing.T) {
+	broken, err := pathcost.Synthesize(pathcost.SynthesizeConfig{Preset: "test", Trips: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken.CurrentEpoch().Hybrid = nil
+	log.SetOutput(io.Discard) // the recovered panics' stack traces
+	defer log.SetOutput(os.Stderr)
+
+	srv := New(broken, Config{MaxInFlight: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	depart := 8 * 3600.0
+	state := batchQuery{Kind: "state", Path: []int64{0}, Depart: depart, UILo: depart, UIHi: depart}
+
+	for _, queries := range [][]batchQuery{
+		{state},
+		{state, {Kind: "teleport"}, state},
+	} {
+		var resp batchResponse
+		if code := postJSON(t, ts.URL+"/v1/batch", batchRequest{Queries: queries}, &resp); code != http.StatusOK {
+			t.Fatalf("%d-entry batch = %d, want the 200 envelope", len(queries), code)
+		}
+		if len(resp.Results) != len(queries) {
+			t.Fatalf("%d results for %d queries", len(resp.Results), len(queries))
+		}
+		for i, r := range resp.Results {
+			want := http.StatusInternalServerError
+			if queries[i].Kind == "teleport" {
+				want = http.StatusBadRequest
+			}
+			if r.Status != want || r.Error == "" || r.State != nil {
+				t.Errorf("%d-entry batch, entry %d = %+v, want a bare %d", len(queries), i, r, want)
+			}
+		}
+		if n := len(srv.sem); n != 0 {
+			t.Fatalf("%d-entry batch leaked %d evaluation slot(s)", len(queries), n)
+		}
+	}
+}
+
+// TestBatchInlineAndFannedOutConcurrently mixes one-entry batches
+// (evaluated on the handler's goroutine) with N-entry batches (one
+// goroutine per entry) from many clients at once; run under -race
+// -count=10 it is the check that the two paths share nothing they
+// should not. Every answer must equal the sequential one.
+func TestBatchInlineAndFannedOutConcurrently(t *testing.T) {
+	sys := testSystem(t)
+	srv := New(sys, Config{MaxInFlight: 3})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	path, depart := densePath(t, sys)
+	src, dst, budget := routePair(t, sys)
+	cut := len(path) / 2
+	entries := []batchQuery{
+		{Kind: "state", Path: path[:cut], Depart: depart, UILo: depart, UIHi: depart},
+		{Kind: "distribution", Path: path, Depart: depart, Budget: 3600},
+		{Kind: "route", Source: src, Dest: dst, Depart: depart, Budget: budget},
+		{Kind: "teleport"},
+	}
+	// The sequential reference, one entry at a time.
+	want := make([]string, len(entries))
+	for i, q := range entries {
+		var resp batchResponse
+		if code := postJSON(t, ts.URL+"/v1/batch", batchRequest{Queries: []batchQuery{q}}, &resp); code != http.StatusOK {
+			t.Fatalf("reference entry %d = %d", i, code)
+		}
+		want[i] = entryFingerprint(resp.Results[0])
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				// Odd clients send one-entry batches, even ones all four.
+				idx := []int{(c + round) % len(entries)}
+				if c%2 == 0 {
+					idx = []int{0, 1, 2, 3}
+				}
+				req := batchRequest{}
+				for _, i := range idx {
+					req.Queries = append(req.Queries, entries[i])
+				}
+				var resp batchResponse
+				if code := postJSON(t, ts.URL+"/v1/batch", req, &resp); code != http.StatusOK || len(resp.Results) != len(idx) {
+					t.Errorf("client %d round %d: batch = %d with %d results", c, round, code, len(resp.Results))
+					return
+				}
+				for j, i := range idx {
+					if got := entryFingerprint(resp.Results[j]); got != want[i] {
+						t.Errorf("client %d round %d entry %d:\n%s\nwant\n%s", c, round, i, got, want[i])
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := len(srv.sem); n != 0 {
+		t.Fatalf("%d evaluation slot(s) still held after the last answer", n)
+	}
+}
+
+// entryFingerprint renders a batch result with its wall-clock fields
+// zeroed, for equality checks.
+func entryFingerprint(r batchResult) string {
+	if r.Distribution != nil {
+		d := *r.Distribution
+		d.EvalUS = 0
+		r.Distribution = &d
+	}
+	if r.Route != nil {
+		rt := *r.Route
+		rt.EvalUS = 0
+		r.Route = &rt
+	}
+	b, _ := json.Marshal(r)
+	return string(b)
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -644,18 +646,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if sys.Planner() != nil {
 		handled = s.planBatchDistributions(ctx, sys, req.Queries, results)
 	}
-	var wg sync.WaitGroup
+	pending, last := 0, 0
 	for i := range req.Queries {
-		if handled != nil && handled[i] {
-			continue
+		if handled == nil || !handled[i] {
+			pending++
+			last = i
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = s.evalBatchEntry(ctx, sys, &req.Queries[i])
-		}(i)
 	}
-	wg.Wait()
+	if pending == 1 {
+		// One entry left (every relay leg of the sharded tier is such a
+		// batch): nothing to run beside it, so it runs here, on a stack
+		// that is already grown, not on a fresh goroutine's.
+		results[last] = s.evalBatchEntry(ctx, sys, &req.Queries[last])
+	} else {
+		var wg sync.WaitGroup
+		for i := range req.Queries {
+			if handled != nil && handled[i] {
+				continue
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i] = s.evalBatchEntry(ctx, sys, &req.Queries[i])
+			}(i)
+		}
+		wg.Wait()
+	}
 	if r.Context().Err() != nil {
 		return // client gone; entries already accounted their shed work
 	}
@@ -717,13 +733,24 @@ func (s *Server) planBatchDistributions(ctx context.Context, sys *pathcost.Syste
 	return handled
 }
 
-// evalBatchEntry dispatches one batch entry by kind.
-func (s *Server) evalBatchEntry(ctx context.Context, sys *pathcost.System, q *batchQuery) batchResult {
+// evalBatchEntry dispatches one batch entry by kind. A panicking
+// evaluation is that entry's 500 and nothing more: the eval helpers
+// release their MaxInFlight slot by defer, and the panic stops here —
+// whether the entry runs on the handler's goroutine or on its own,
+// where an escaped panic would end the process — so sibling entries
+// and the batch envelope are unaffected.
+func (s *Server) evalBatchEntry(ctx context.Context, sys *pathcost.System, q *batchQuery) (out batchResult) {
 	kind := strings.ToLower(strings.TrimSpace(q.Kind))
 	if kind == "" {
 		kind = "distribution"
 	}
-	out := batchResult{Kind: kind}
+	out = batchResult{Kind: kind}
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("server: panic evaluating batch entry of kind %q: %v\n%s", kind, r, debug.Stack())
+			out = batchResult{Kind: kind, Status: http.StatusInternalServerError, Error: "internal error during computation"}
+		}
+	}()
 	switch kind {
 	case "distribution":
 		resp, status, msg := s.evalDistribution(ctx, sys, &distributionRequest{
@@ -899,8 +926,8 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *state
 		return nil, http.StatusBadRequest, err.Error()
 	}
 	var st *pathcost.ChainState
-	if req.State != "" {
-		st, err = pathcost.DecodeChainState([]byte(req.State), len(p))
+	if len(req.State) != 0 {
+		st, err = pathcost.DecodeChainState(req.State, len(p))
 		if err != nil {
 			return nil, http.StatusBadRequest, err.Error()
 		}
@@ -929,7 +956,7 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *state
 		return nil, http.StatusInternalServerError, "internal error encoding partial state"
 	}
 	return &stateResult{
-		State:   string(enc),
+		State:   enc,
 		UILo:    res.UI.Lo,
 		UIHi:    res.UI.Hi,
 		Factors: res.Factors,

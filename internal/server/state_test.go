@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -36,7 +37,7 @@ func TestStateEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("first segment = %d", code)
 	}
-	if first.State == "" || !strings.HasPrefix(first.State, "pstate-v1\n") {
+	if !bytes.HasPrefix(first.State, []byte("PST\x02")) {
 		t.Fatalf("first segment state malformed: %q", first.State)
 	}
 	if first.Factors <= 0 || first.MaxRank <= 0 || first.UIHi < first.UILo {
@@ -51,7 +52,7 @@ func TestStateEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("continuation = %d", code)
 	}
-	if cont.State == "" || cont.Factors <= 0 {
+	if len(cont.State) == 0 || cont.Factors <= 0 {
 		t.Fatalf("continuation malformed: %+v", cont)
 	}
 
@@ -67,7 +68,7 @@ func TestStateEndpoint(t *testing.T) {
 	if br.Status != http.StatusOK || br.State == nil {
 		t.Fatalf("batch state entry = %+v", br)
 	}
-	if br.State.State != first.State || br.State.Factors != first.Factors {
+	if !bytes.Equal(br.State.State, first.State) || br.State.Factors != first.Factors {
 		t.Fatalf("batch state diverged from /v1/state:\n%+v\nvs\n%+v", br.State, first)
 	}
 }
@@ -89,7 +90,7 @@ func TestStateEndpointRejections(t *testing.T) {
 		{"inverted ui", stateRequest{Path: path, Depart: depart, UILo: depart + 60, UIHi: depart},
 			"inverted departure interval"},
 		{"garbage state", stateRequest{Path: path, Depart: depart, UILo: depart, UIHi: depart,
-			State: "not a pstate dump"}, "unsupported partial state"},
+			State: []byte("not a pstate dump")}, "unsupported partial state"},
 		{"first not point", stateRequest{Path: path, Depart: depart, UILo: depart, UIHi: depart + 60},
 			"point interval"},
 	}

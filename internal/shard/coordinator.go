@@ -363,7 +363,7 @@ type pendingQuery struct {
 	method pathcost.Method
 	// relay progress
 	seg     int
-	state   string
+	state   []byte
 	uiLo    float64
 	uiHi    float64
 	factors int
@@ -416,15 +416,23 @@ func (c *Coordinator) process(ctx context.Context, queries []api.BatchQuery) []a
 		if len(perShard) == 0 {
 			break
 		}
-		var wg sync.WaitGroup
-		for region, ps := range perShard {
-			wg.Add(1)
-			go func(region int, ps []*pendingQuery) {
-				defer wg.Done()
+		if len(perShard) == 1 {
+			// One shard to wait for (every leg of a relayed query is such
+			// a wave): nothing to overlap, so no goroutine to start.
+			for region, ps := range perShard {
 				c.runWave(ctx, region, ps)
-			}(region, ps)
+			}
+		} else {
+			var wg sync.WaitGroup
+			for region, ps := range perShard {
+				wg.Add(1)
+				go func(region int, ps []*pendingQuery) {
+					defer wg.Done()
+					c.runWave(ctx, region, ps)
+				}(region, ps)
+			}
+			wg.Wait()
 		}
-		wg.Wait()
 		firstWave = false
 		if ctx.Err() != nil {
 			break
@@ -558,6 +566,12 @@ func (c *Coordinator) applyResult(p *pendingQuery, res *api.BatchResult, region 
 		p.fail(http.StatusBadGateway, fmt.Sprintf("shard %d answered a state entry without a state", region))
 		return
 	}
+	if len(res.State.State) == 0 {
+		// Forwarding it would read as "first segment" to the next shard
+		// and silently restart the chain there.
+		p.fail(http.StatusBadGateway, fmt.Sprintf("shard %d answered a state entry with an empty state", region))
+		return
+	}
 	p.state = res.State.State
 	p.uiLo, p.uiHi = res.State.UILo, res.State.UIHi
 	p.factors += res.State.Factors
@@ -572,7 +586,7 @@ func (c *Coordinator) applyResult(p *pendingQuery, res *api.BatchResult, region 
 	// Evaluate's tail does — flatten the accumulator-only state to
 	// MaxResultBuckets — and shape it through the same payload builder
 	// the single-process server uses.
-	cs, err := pathcost.DecodeChainState([]byte(p.state), len(p.segs[len(p.segs)-1].Path))
+	cs, err := pathcost.DecodeChainState(p.state, len(p.segs[len(p.segs)-1].Path))
 	if err == nil && !cs.AccOnly() {
 		err = errors.New("state has open dimensions")
 	}
@@ -632,10 +646,12 @@ func (c *Coordinator) shardBatch(ctx context.Context, ss *shardState, breq *api.
 			return legResult{rs: rs, err: err}
 		}
 		defer hresp.Body.Close()
-		raw, err := io.ReadAll(io.LimitReader(hresp.Body, 64<<20))
-		if err != nil {
+		buf := respBufs.Get().(*bytes.Buffer)
+		defer putRespBuf(buf)
+		if _, err := buf.ReadFrom(io.LimitReader(hresp.Body, 64<<20)); err != nil {
 			return legResult{rs: rs, err: err}
 		}
+		raw := buf.Bytes() // decoded below into copies; nothing keeps raw
 		if hresp.StatusCode != http.StatusOK {
 			return legResult{rs: rs, err: fmt.Errorf("shard answered %d: %s", hresp.StatusCode, firstLine(raw))}
 		}
@@ -695,6 +711,20 @@ func (c *Coordinator) shardBatch(ctx context.Context, ss *shardState, breq *api.
 		}
 	}
 	return nil, lastErr
+}
+
+// respBufs recycles the buffers shard responses are read into: a
+// relay leg's answer is a few hundred bytes, and reading it should not
+// cost an allocation that outlives the leg.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putRespBuf returns a response buffer to the pool unless one large
+// answer grew it past what the pool should keep alive.
+func putRespBuf(b *bytes.Buffer) {
+	if b.Cap() <= 64<<10 {
+		b.Reset()
+		respBufs.Put(b)
+	}
 }
 
 func firstLine(b []byte) string {

@@ -156,3 +156,28 @@ func TestCoordinatorBudgetHeaderTightens(t *testing.T) {
 		t.Fatalf("generous budget: status %d, want 200", status)
 	}
 }
+
+// TestCoordinatorDeadlineInOneShardWave: a one-shard wave runs on the
+// composing goroutine itself, and a deadline that dies while its leg
+// is still out must map exactly as it does for a fanned-out wave — the
+// caller's 504, not a 503 blaming a shard that was merely slow.
+func TestCoordinatorDeadlineInOneShardWave(t *testing.T) {
+	ft := newFaultTransport()
+	f := startFleet(t, 2, func(cfg *Config) {
+		cfg.Transport = ft
+		cfg.DefaultTimeout = 60 * time.Millisecond
+		cfg.HedgeAfter = 10 * time.Millisecond
+		cfg.Timeout = 2 * time.Second
+	})
+	sys := testSystem(t)
+	p := crossRegionPath(t, f, sys)
+	first := f.part.SegmentPath(sys.Graph, p)[0].Region
+	ft.set(f.shardTS[first].URL, "hang")
+
+	status, body := postRaw(t, f.coordTS.URL+"/v1/distribution", map[string]any{
+		"path": edgeIDs(p), "depart": 8 * 3600.0,
+	})
+	if status != http.StatusGatewayTimeout || !strings.Contains(string(body), "deadline") {
+		t.Fatalf("relay behind a hung shard: status %d (%s), want the deadline's 504", status, body)
+	}
+}

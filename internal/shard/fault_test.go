@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,8 +17,10 @@ import (
 
 // faultTransport injects failures per shard host: "kill" refuses the
 // connection, "hang" blocks until the request context dies, "garbage"
-// answers 200 with an undecodable body. "hang-once"/"kill-once" fault
-// only the first call to the host, so the hedged second leg succeeds.
+// answers 200 with an undecodable body, "empty-state" lets the shard
+// answer and then blanks the state of every state entry ("state": "").
+// "hang-once"/"kill-once" fault only the first call to the host, so the
+// hedged second leg succeeds.
 type faultTransport struct {
 	mu    sync.Mutex
 	modes map[string]string // host -> mode
@@ -65,8 +68,36 @@ func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			Body:    io.NopCloser(strings.NewReader("<html>not json</html>")),
 			Request: req,
 		}, nil
+	case mode == "empty-state":
+		return blankStates(http.DefaultTransport.RoundTrip(req))
 	}
 	return http.DefaultTransport.RoundTrip(req)
+}
+
+// blankStates rewrites a shard's batch answer so that every state
+// entry carries an empty state, everything else as the shard sent it.
+func blankStates(resp *http.Response, err error) (*http.Response, error) {
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var bresp api.BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&bresp); err != nil {
+		return nil, err
+	}
+	for i := range bresp.Results {
+		if st := bresp.Results[i].State; st != nil {
+			st.State = []byte{}
+		}
+	}
+	body, err := json.Marshal(bresp)
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	resp.ContentLength = int64(len(body))
+	resp.Header.Del("Content-Length")
+	return resp, nil
 }
 
 // faultFleet boots a 3-way fleet with an injectable transport and fast
@@ -240,5 +271,33 @@ func TestCrossRegionQueryFailsCleanlyWhenRelayShardDies(t *testing.T) {
 		api.DistributionRequest{Path: edgeIDs(p), Depart: 8 * 3600})
 	if code != http.StatusOK {
 		t.Fatalf("relay after recovery = %d, want 200", code)
+	}
+}
+
+// TestEmptyRelayedStateFailsTheEntry: a shard that answers a state
+// entry 200 with an empty state must cost that entry a 502. Forwarded,
+// the empty state would read as "first segment" to the next shard,
+// which would restart the chain there — a wrong distribution whenever
+// the departure interval still happens to be a point.
+func TestEmptyRelayedStateFailsTheEntry(t *testing.T) {
+	sys := testSystem(t)
+	f, ft := faultFleet(t)
+	p := crossRegionPath(t, f, sys)
+	victim := f.part.SegmentPath(sys.Graph, p)[0].Region
+	queries, _ := regionQueries(t, f)
+	queries = append(queries, api.BatchQuery{Kind: "distribution", Path: edgeIDs(p), Depart: 8 * 3600})
+
+	ft.set(f.shardTS[victim].URL, "empty-state")
+	defer ft.set(f.shardTS[victim].URL, "")
+	results := postBatch(t, f.coordTS.URL, queries)
+	relayed := results[len(results)-1]
+	if relayed.Status != http.StatusBadGateway || relayed.Distribution != nil ||
+		!strings.Contains(relayed.Error, fmt.Sprintf("shard %d answered a state entry with an empty state", victim)) {
+		t.Errorf("relayed entry = %d (%s), want a 502 naming shard %d's empty state", relayed.Status, relayed.Error, victim)
+	}
+	for i, res := range results[:len(results)-1] {
+		if res.Status != http.StatusOK {
+			t.Errorf("sibling entry %d poisoned: %d (%s)", i, res.Status, res.Error)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	pathcost "repro"
+	"repro/internal/textio"
 )
 
 // partitionVersion tags the partition file format. The file crosses
@@ -172,8 +173,7 @@ func (p *Partition) Write(w io.Writer) error {
 // road network it will serve. The input may come from operators'
 // hands, so every count and region index is checked.
 func ReadPartition(r io.Reader, g *pathcost.Graph) (*Partition, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc := textio.NewScanner(r, 0)
 	next := func() (string, bool) {
 		for sc.Scan() {
 			line := strings.TrimSpace(sc.Text())

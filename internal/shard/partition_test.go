@@ -190,3 +190,33 @@ func TestSplitModelPartitionsVariables(t *testing.T) {
 		t.Errorf("loaded shard model has %d variables, want %d", got, want)
 	}
 }
+
+// TestReadPartitionLineLengthCap: the partition reader's scanner starts
+// small and grows, and must still accept what the fixed 1 MiB buffer
+// accepted — a line just under the cap loads, one over it fails as
+// before (the scan stops there, which the reader reports as a
+// truncated file).
+func TestReadPartitionLineLengthCap(t *testing.T) {
+	sys := testSystem(t)
+	part, err := NewPartition(sys.Graph, 3, sys.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := part.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	padded := func(n int) string {
+		return strings.Replace(buf.String(), "region ", "region "+strings.Repeat(" ", n), 1)
+	}
+	got, err := ReadPartition(strings.NewReader(padded(900<<10)), sys.Graph)
+	if err != nil {
+		t.Fatalf("partition with a 900 KiB line: %v", err)
+	}
+	if !reflect.DeepEqual(got.Vertex, part.Vertex) {
+		t.Fatal("partition with a 900 KiB line changed the region assignment")
+	}
+	if _, err := ReadPartition(strings.NewReader(padded(1<<20)), sys.Graph); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("partition with a line over 1 MiB: %v, want the truncated-file error", err)
+	}
+}

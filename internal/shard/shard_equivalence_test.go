@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"testing"
 
 	"repro/internal/api"
@@ -347,4 +348,87 @@ func TestProbeObservesShardDeath(t *testing.T) {
 	if rs.probes.Load() != 2 || rs.probeFailures.Load() != 1 {
 		t.Fatalf("probe counters = %d/%d, want 2/1", rs.probes.Load(), rs.probeFailures.Load())
 	}
+}
+
+// TestCoordinatorInlineAndFannedOutWavesConcurrently drives both
+// shapes of both fan-outs at once — one-shard waves (run on the
+// composing goroutine) beside multi-shard ones, which reach the shards
+// as one-entry batches (evaluated on the handler's goroutine) beside
+// N-entry ones — from several clients, and holds every answer to the
+// union model's. Run under -race -count=10.
+func TestCoordinatorInlineAndFannedOutWavesConcurrently(t *testing.T) {
+	sys := testSystem(t)
+	f := startFleet(t, 3, nil)
+	depart := 8 * 3600.0
+	paths := queryPaths(t, sys, 12, 41)
+	crossing := crossRegionPath(t, f, sys)
+
+	var queries []api.BatchQuery
+	regions := map[int]bool{}
+	for _, p := range append(paths, crossing) {
+		queries = append(queries, api.BatchQuery{Kind: "distribution", Path: edgeIDs(p), Depart: depart})
+		regions[f.part.SegmentPath(sys.Graph, p)[0].Region] = true
+	}
+	if len(regions) < 2 {
+		t.Fatal("every path starts in one region: the batch's first wave would not fan out")
+	}
+	want := make([][]byte, len(queries)) // nil where the union answers non-200
+	for i, q := range queries {
+		code, body := postRaw(t, f.unionTS.URL+"/v1/distribution",
+			api.DistributionRequest{Path: q.Path, Depart: depart})
+		if code == http.StatusOK {
+			want[i] = normalize(t, "distribution", body)
+		}
+	}
+	check := func(i int, status int, d *api.DistributionResponse) {
+		if (status == http.StatusOK) != (want[i] != nil) {
+			t.Errorf("query %d: coordinator status %d, union answered 200: %v", i, status, want[i] != nil)
+			return
+		}
+		if status != http.StatusOK {
+			return
+		}
+		d.EvalUS = 0
+		if got, _ := json.Marshal(d); !bytes.Equal(got, want[i]) {
+			t.Errorf("query %d diverged from the union model:\n%s\nvs\n%s", i, got, want[i])
+		}
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < 6; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				if c%2 == 0 {
+					// All entries in one batch: multi-shard waves, N-entry
+					// shard batches.
+					code, body := postRaw(t, f.coordTS.URL+"/v1/batch", api.BatchRequest{Queries: queries})
+					var resp api.BatchResponse
+					if err := json.Unmarshal(body, &resp); code != http.StatusOK || err != nil || len(resp.Results) != len(queries) {
+						t.Errorf("client %d: batch = %d (%v)", c, code, err)
+						return
+					}
+					for i, r := range resp.Results {
+						check(i, r.Status, r.Distribution)
+					}
+					continue
+				}
+				// One query per request: one-shard waves, one-entry batches.
+				for i := (c + round) % 3; i < len(queries); i += 3 {
+					code, body := postRaw(t, f.coordTS.URL+"/v1/distribution",
+						api.DistributionRequest{Path: queries[i].Path, Depart: depart})
+					var d api.DistributionResponse
+					if code == http.StatusOK {
+						if err := json.Unmarshal(body, &d); err != nil {
+							t.Errorf("client %d query %d: %v", c, i, err)
+							continue
+						}
+					}
+					check(i, code, &d)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }
