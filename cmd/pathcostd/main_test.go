@@ -153,6 +153,14 @@ func TestRunSIGHUPPublishesEpoch(t *testing.T) {
 // statsEpoch polls /v1/stats for the served epoch sequence.
 func statsEpoch(t *testing.T, base string) uint64 {
 	t.Helper()
+	seq, _ := statsEpochBlock(t, base)
+	return seq
+}
+
+// statsEpochBlock polls /v1/stats for the served epoch sequence and
+// the count of completed publishes.
+func statsEpochBlock(t *testing.T, base string) (seq, publishes uint64) {
+	t.Helper()
 	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +168,8 @@ func statsEpoch(t *testing.T, base string) uint64 {
 	defer resp.Body.Close()
 	var st struct {
 		Epoch *struct {
-			Seq uint64 `json:"seq"`
+			Seq       uint64 `json:"seq"`
+			Publishes uint64 `json:"publishes"`
 		} `json:"epoch"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -169,7 +178,7 @@ func statsEpoch(t *testing.T, base string) uint64 {
 	if st.Epoch == nil {
 		t.Fatal("stats missing epoch block")
 	}
-	return st.Epoch.Seq
+	return st.Epoch.Seq, st.Epoch.Publishes
 }
 
 // TestRunRejectsBadFlags covers the option validation path without

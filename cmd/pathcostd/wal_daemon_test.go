@@ -201,15 +201,20 @@ func TestRunWALRecoveryAndCheckpoint(t *testing.T) {
 		t.Fatal("reboot replayed nothing: staged count 0")
 	}
 	h.hup <- syscall.SIGHUP
+	// epoch.seq moves when the new epoch becomes visible, BEFORE the
+	// checkpoint is written and the WAL truncated; epoch.publishes is
+	// bumped only after both returned, so it is the field to wait on
+	// before looking at their effects.
 	deadline := time.Now().Add(30 * time.Second)
+	var seq, publishes uint64
 	for time.Now().Before(deadline) {
-		if statsEpoch(t, h.base) >= 2 {
+		if seq, publishes = statsEpochBlock(t, h.base); publishes >= 1 {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if seq := statsEpoch(t, h.base); seq < 2 {
-		t.Fatalf("epoch never advanced after replayed publish: %d", seq)
+	if publishes < 1 || seq < 2 {
+		t.Fatalf("the replayed publish never completed: epoch %d, publishes %d", seq, publishes)
 	}
 	if _, err := os.Stat(opt.walCheckpoint); err != nil {
 		t.Fatalf("checkpoint file missing after publish: %v", err)

@@ -15,7 +15,10 @@ import (
 //
 // Field order and tags are load-bearing: encoding/json emits fields in
 // declaration order, and the sharded serving tier promises responses
-// byte-identical to a single process. Do not reorder.
+// byte-identical to a single process. Do not reorder. encode.go writes
+// DistributionResponse, Bucket, BatchResponse and BatchResult by hand in
+// the same order: a field added here is added there
+// (TestEncoderCoversEveryField fails until it is).
 
 // Error is the uniform error body.
 type Error struct {

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Path is a sequence of adjacent edges connecting distinct vertices
@@ -38,30 +38,33 @@ func (p Path) Clone() Path {
 
 // String renders the path as "<e1,e2,...>".
 func (p Path) String() string {
-	var sb strings.Builder
-	sb.WriteByte('<')
-	for i, e := range p {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "e%d", e)
-	}
-	sb.WriteByte('>')
-	return sb.String()
+	var buf [keyStackBytes]byte
+	return string(append(p.appendIDs(append(buf[:0], '<'), "e"), '>'))
 }
 
 // Key returns a compact string key usable as a map key for the path.
 // Unlike String it has no decorative punctuation.
 func (p Path) Key() string {
-	var sb strings.Builder
+	var buf [keyStackBytes]byte
+	return string(p.appendIDs(buf[:0], ""))
+}
+
+// appendIDs appends the comma-separated edge ids, each after prefix.
+func (p Path) appendIDs(b []byte, prefix string) []byte {
 	for i, e := range p {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&sb, "%d", e)
+		b = strconv.AppendInt(append(b, prefix...), int64(e), 10)
 	}
-	return sb.String()
+	return b
 }
+
+// keyStackBytes sizes the stack buffer Key and String render into, so
+// that the returned string is their only allocation: room for 64 edges
+// of 3-digit ids or 36 of 6-digit ones. A longer key spills to the
+// heap and stays correct.
+const keyStackBytes = 256
 
 // IndexOfSubPath returns the index in p at which sub starts as a
 // contiguous edge subsequence, or -1 if sub is not a sub-path of p.
@@ -165,27 +168,51 @@ func (g *Graph) ValidPath(p Path) bool {
 	if len(p) == 0 {
 		return false
 	}
-	seen := make(map[VertexID]struct{}, len(p)+1)
+	// Served paths are short, so the visited vertices live in a stack
+	// array scanned linearly; only a longer path pays for a map.
+	var (
+		stack [validPathStackEdges + 1]VertexID
+		seen  = stack[:0]
+		far   map[VertexID]struct{}
+	)
+	if len(p) > validPathStackEdges {
+		far = make(map[VertexID]struct{}, len(p)+1)
+	}
+	visit := func(v VertexID) (dup bool) {
+		if far != nil {
+			_, dup = far[v]
+			far[v] = struct{}{}
+			return dup
+		}
+		for _, u := range seen {
+			if u == v {
+				return true
+			}
+		}
+		seen = append(seen, v)
+		return false
+	}
 	for i, id := range p {
 		if id < 0 || int(id) >= len(g.edges) {
 			return false
 		}
 		e := g.edges[id]
 		if i == 0 {
-			seen[e.From] = struct{}{}
-		} else {
-			prev := g.edges[p[i-1]]
-			if prev.To != e.From {
-				return false
-			}
-		}
-		if _, dup := seen[e.To]; dup {
+			visit(e.From)
+		} else if g.edges[p[i-1]].To != e.From {
 			return false
 		}
-		seen[e.To] = struct{}{}
+		if visit(e.To) {
+			return false
+		}
 	}
 	return true
 }
+
+// validPathStackEdges is the longest path whose visited set ValidPath
+// keeps on the stack: a linear scan of ≤ 65 vertices is cheaper than
+// allocating and hashing into a map.
+const validPathStackEdges = 64
 
 // PathLengthM returns the total length of p in meters.
 func (g *Graph) PathLengthM(p Path) float64 {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -83,6 +82,7 @@ type Server struct {
 	sem   chan struct{}
 	cfg   Config
 	mux   *http.ServeMux
+	wire  api.Wire // request reading and answer writing, shared with the coordinator
 	start time.Time
 
 	// pipeline, when ingestion is enabled, map-matches /v1/ingest
@@ -122,6 +122,7 @@ func New(sys *pathcost.System, cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 	}
+	s.wire = api.Wire{Served: &s.served, Rejected: &s.rejected}
 	s.sys.Store(sys)
 	if cfg.EnableIngest {
 		s.rebuildPipeline(sys)
@@ -295,31 +296,8 @@ func (s *Server) shedIfOverloaded(w http.ResponseWriter) bool {
 	}
 	s.shed.Add(1)
 	w.Header().Set("Retry-After", "1")
-	s.writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
+	s.wire.Error(w, http.StatusTooManyRequests, "server overloaded, retry later")
 	return true
-}
-
-// requestContext derives the evaluation context for one query
-// request: the tighter of Config.DefaultTimeout and the caller's
-// api.BudgetHeader header, layered on the request's own context so a
-// client disconnect still cancels immediately. ok = false means the
-// header was garbage and a 400 was already written. The returned
-// cancel must always be called.
-func (s *Server) requestContext(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
-	budget, hasBudget, err := api.ParseBudget(r.Header.Get(api.BudgetHeader))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return nil, nil, false
-	}
-	timeout := s.cfg.DefaultTimeout
-	if hasBudget && (timeout <= 0 || budget < timeout) {
-		timeout = budget
-	}
-	if timeout <= 0 {
-		return r.Context(), func() {}, true
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	return ctx, cancel, true
 }
 
 // timeoutOutcome maps an evaluation that died with its context to the
@@ -528,10 +506,10 @@ func checkDepart(depart float64) error { return api.CheckDepart(depart) }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		s.wire.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	s.writeJSONUncounted(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.wire.WriteUncounted(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleDistribution(w http.ResponseWriter, r *http.Request) {
@@ -539,10 +517,10 @@ func (s *Server) handleDistribution(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req distributionRequest
-	if !s.readRequest(w, r, &req) {
+	if !s.wire.Read(w, r, &req, api.MaxQueryBody) {
 		return
 	}
-	ctx, cancel, ok := s.requestContext(w, r)
+	ctx, cancel, ok := s.wire.Context(w, r, s.cfg.DefaultTimeout)
 	if !ok {
 		return
 	}
@@ -556,10 +534,10 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req routeRequest
-	if !s.readRequest(w, r, &req) {
+	if !s.wire.Read(w, r, &req, api.MaxQueryBody) {
 		return
 	}
-	ctx, cancel, ok := s.requestContext(w, r)
+	ctx, cancel, ok := s.wire.Context(w, r, s.cfg.DefaultTimeout)
 	if !ok {
 		return
 	}
@@ -573,10 +551,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req topkRequest
-	if !s.readRequest(w, r, &req) {
+	if !s.wire.Read(w, r, &req, api.MaxQueryBody) {
 		return
 	}
-	ctx, cancel, ok := s.requestContext(w, r)
+	ctx, cancel, ok := s.wire.Context(w, r, s.cfg.DefaultTimeout)
 	if !ok {
 		return
 	}
@@ -595,10 +573,10 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req stateRequest
-	if !s.readRequest(w, r, &req) {
+	if !s.wire.Read(w, r, &req, api.MaxQueryBody) {
 		return
 	}
-	ctx, cancel, ok := s.requestContext(w, r)
+	ctx, cancel, ok := s.wire.Context(w, r, s.cfg.DefaultTimeout)
 	if !ok {
 		return
 	}
@@ -623,20 +601,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if !s.readRequest(w, r, &req) {
+	if !s.wire.Read(w, r, &req, api.MaxQueryBody) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		s.writeError(w, http.StatusBadRequest, "batch must contain at least one query")
+		s.wire.Error(w, http.StatusBadRequest, "batch must contain at least one query")
 		return
 	}
 	if len(req.Queries) > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusBadRequest,
+		s.wire.Error(w, http.StatusBadRequest,
 			fmt.Sprintf("batch has %d queries, cap is %d", len(req.Queries), s.cfg.MaxBatch))
 		return
 	}
 	sys := s.System()
-	ctx, cancel, ok := s.requestContext(w, r)
+	ctx, cancel, ok := s.wire.Context(w, r, s.cfg.DefaultTimeout)
 	if !ok {
 		return
 	}
@@ -678,7 +656,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// An expired server deadline is different from a vanished client:
 	// the caller is still listening, and every entry the deadline
 	// caught already carries its own 504.
-	s.writeJSON(w, http.StatusOK, batchResponse{Results: results})
+	s.wire.Write(w, http.StatusOK, batchResponse{Results: results})
 }
 
 // planBatchDistributions answers every distribution-kind entry of a
@@ -973,21 +951,21 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *state
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	p := s.pipeline.Load()
 	if p == nil {
-		s.writeError(w, http.StatusNotFound, "ingestion is disabled on this server")
+		s.wire.Error(w, http.StatusNotFound, "ingestion is disabled on this server")
 		return
 	}
 	var req ingestRequest
 	// Raw GPS batches are bulkier than queries: a trace is hundreds of
-	// fixes, so the body cap is 16 MiB instead of readRequest's 1 MiB.
-	if !s.readRequestSized(w, r, &req, 16<<20) {
+	// fixes, so the body cap is 16 MiB instead of api.MaxQueryBody's 1 MiB.
+	if !s.wire.Read(w, r, &req, 16<<20) {
 		return
 	}
 	if len(req.Trajectories) == 0 {
-		s.writeError(w, http.StatusBadRequest, "batch must contain at least one trajectory")
+		s.wire.Error(w, http.StatusBadRequest, "batch must contain at least one trajectory")
 		return
 	}
 	if len(req.Trajectories) > s.cfg.MaxIngestBatch {
-		s.writeError(w, http.StatusBadRequest,
+		s.wire.Error(w, http.StatusBadRequest,
 			fmt.Sprintf("batch has %d trajectories, cap is %d", len(req.Trajectories), s.cfg.MaxIngestBatch))
 		return
 	}
@@ -1009,7 +987,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}()
 	sys := s.System()
 	est := sys.EpochStats()
-	s.writeJSON(w, http.StatusOK, ingestResponse{
+	s.wire.Write(w, http.StatusOK, ingestResponse{
 		Received:      st.Received,
 		Matched:       st.Matched,
 		MatchFailed:   st.MatchFailed,
@@ -1022,7 +1000,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		s.wire.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	sys := s.System()
@@ -1111,7 +1089,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			SynopsisDropped:        est.SynopsisDropped,
 		}
 	}
-	s.writeJSONUncounted(w, http.StatusOK, resp)
+	s.wire.WriteUncounted(w, http.StatusOK, resp)
 }
 
 // checkRouteRequest shares the routing-request checks between
@@ -1119,41 +1097,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // 400 with the error's message.
 func checkRouteRequest(g *pathcost.Graph, req *routeRequest) (pathcost.Method, error) {
 	return api.CheckRoute(g, req)
-}
-
-// readRequest decodes a JSON POST body, rejecting anything else.
-func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
-	return s.readRequestSized(w, r, dst, 1<<20)
-}
-
-// readRequestSized is readRequest with an explicit body cap, for the
-// bulk endpoints.
-func (s *Server) readRequestSized(w http.ResponseWriter, r *http.Request, dst any, maxBytes int64) bool {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "use POST with a JSON body")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return false
-	}
-	return true
-}
-
-// writeJSON answers a query and counts it toward served; probe-style
-// endpoints (/healthz, /v1/stats) use writeJSONUncounted so liveness
-// checks and metric pollers don't inflate the query-throughput stat.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	s.writeJSONUncounted(w, code, v)
-	s.served.Add(1)
-}
-
-func (s *Server) writeJSONUncounted(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // queryErrorStatus maps an evaluation failure to the right status: a
@@ -1198,17 +1141,10 @@ func (s *Server) writeOutcome(w http.ResponseWriter, status int, msg string, res
 	switch {
 	case status == 0:
 	case status == http.StatusOK:
-		s.writeJSON(w, status, resp)
+		s.wire.Write(w, status, resp)
 	default:
-		s.writeError(w, status, msg)
+		s.wire.Error(w, status, msg)
 	}
-}
-
-func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(errorResponse{Error: msg})
-	s.rejected.Add(1)
 }
 
 func edgeIDs(p graph.Path) []int64 { return api.EdgeIDs(p) }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -268,6 +269,32 @@ func TestServerValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/distribution = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestUnencodableAnswerIs500 is the server's half of the regression
+// test for the empty-body 200: a NaN that slipped into an answer used
+// to be a 200 status line followed by nothing, because the header went
+// out before the encoder refused. It is a counted 500 with the usual
+// envelope, for a single answer and inside a batch.
+func TestUnencodableAnswerIs500(t *testing.T) {
+	srv := New(testSystem(t), Config{})
+	bad := &distributionResponse{Method: "OD", Buckets: []bucketJSON{{Lo: 1, Hi: 2, Pr: math.NaN()}}}
+	for _, write := range []func(http.ResponseWriter){
+		func(w http.ResponseWriter) { srv.writeOutcome(w, http.StatusOK, "", bad) },
+		func(w http.ResponseWriter) {
+			srv.wire.Write(w, http.StatusOK, batchResponse{Results: []batchResult{{Kind: "distribution", Status: 200, Distribution: bad}}})
+		},
+	} {
+		rejected := srv.rejected.Load()
+		rec := httptest.NewRecorder()
+		write(rec)
+		if rec.Code != http.StatusInternalServerError || rec.Body.String() != "{\"error\":\"internal error during computation\"}\n" {
+			t.Fatalf("answered %d %q, want the 500 envelope", rec.Code, rec.Body.String())
+		}
+		if s, r := srv.served.Load(), srv.rejected.Load(); s != 0 || r != rejected+1 {
+			t.Fatalf("counted served %d rejected %d, want 0 and %d", s, r, rejected+1)
+		}
 	}
 }
 

@@ -167,6 +167,7 @@ type Coordinator struct {
 	g      *pathcost.Graph
 	part   *Partition
 	mux    *http.ServeMux
+	wire   api.Wire // request reading and answer writing, shared with the server
 	client *http.Client
 	shards []*shardState
 	sem    chan struct{}
@@ -223,6 +224,7 @@ func New(g *pathcost.Graph, part *Partition, cfg Config) (*Coordinator, error) {
 		sem:    make(chan struct{}, cfg.MaxInFlight),
 		start:  time.Now(),
 	}
+	c.wire = api.Wire{Served: &c.served, Rejected: &c.rejected}
 	for r, group := range cfg.Shards {
 		ss := &shardState{region: r}
 		for _, base := range strings.Split(group, "|") {
@@ -348,7 +350,7 @@ func (c *Coordinator) shedIfOverloaded(w http.ResponseWriter) bool {
 	}
 	c.shed.Add(1)
 	w.Header().Set("Retry-After", "1")
-	c.writeError(w, http.StatusTooManyRequests, "coordinator overloaded, retry later")
+	c.wire.Error(w, http.StatusTooManyRequests, "coordinator overloaded, retry later")
 	return true
 }
 
@@ -646,8 +648,8 @@ func (c *Coordinator) shardBatch(ctx context.Context, ss *shardState, breq *api.
 			return legResult{rs: rs, err: err}
 		}
 		defer hresp.Body.Close()
-		buf := respBufs.Get().(*bytes.Buffer)
-		defer putRespBuf(buf)
+		buf := api.GetBuffer()
+		defer api.PutBuffer(buf)
 		if _, err := buf.ReadFrom(io.LimitReader(hresp.Body, 64<<20)); err != nil {
 			return legResult{rs: rs, err: err}
 		}
@@ -711,20 +713,6 @@ func (c *Coordinator) shardBatch(ctx context.Context, ss *shardState, breq *api.
 		}
 	}
 	return nil, lastErr
-}
-
-// respBufs recycles the buffers shard responses are read into: a
-// relay leg's answer is a few hundred bytes, and reading it should not
-// cost an allocation that outlives the leg.
-var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// putRespBuf returns a response buffer to the pool unless one large
-// answer grew it past what the pool should keep alive.
-func putRespBuf(b *bytes.Buffer) {
-	if b.Cap() <= 64<<10 {
-		b.Reset()
-		respBufs.Put(b)
-	}
 }
 
 func firstLine(b []byte) string {

@@ -14,70 +14,16 @@ import (
 
 // --- request plumbing --------------------------------------------------
 
-func (c *Coordinator) readRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		c.writeError(w, http.StatusMethodNotAllowed, "use POST with a JSON body")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		c.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return false
-	}
-	return true
-}
-
-// requestContext derives the composition context for one request: the
-// tighter of Config.DefaultTimeout and the caller's api.BudgetHeader
-// header, layered on the request's own context. ok = false means the
-// header was garbage and a 400 was already written. The returned
-// cancel must always be called.
-func (c *Coordinator) requestContext(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
-	budget, hasBudget, err := api.ParseBudget(r.Header.Get(api.BudgetHeader))
-	if err != nil {
-		c.writeError(w, http.StatusBadRequest, err.Error())
-		return nil, nil, false
-	}
-	timeout := c.cfg.DefaultTimeout
-	if hasBudget && (timeout <= 0 || budget < timeout) {
-		timeout = budget
-	}
-	if timeout <= 0 {
-		return r.Context(), func() {}, true
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	return ctx, cancel, true
-}
-
-func (c *Coordinator) writeJSON(w http.ResponseWriter, code int, v any) {
-	c.writeJSONUncounted(w, code, v)
-	c.served.Add(1)
-}
-
-func (c *Coordinator) writeJSONUncounted(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (c *Coordinator) writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(api.Error{Error: msg})
-	c.rejected.Add(1)
-}
-
 // writeEntryOutcome writes a single-query handler's composed result:
 // the payload on 200, the error envelope otherwise. An entry never
 // carries status 0; a vanished client just makes the write a no-op at
 // the socket.
 func (c *Coordinator) writeEntryOutcome(w http.ResponseWriter, res *api.BatchResult, payload any) {
 	if res.Status == http.StatusOK {
-		c.writeJSON(w, http.StatusOK, payload)
+		c.wire.Write(w, http.StatusOK, payload)
 		return
 	}
-	c.writeError(w, res.Status, res.Error)
+	c.wire.Error(w, res.Status, res.Error)
 }
 
 // processOne runs a single entry through the wave engine under one
@@ -98,10 +44,10 @@ func (c *Coordinator) processOne(ctx context.Context, q api.BatchQuery) (api.Bat
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		c.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		c.wire.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	c.writeJSONUncounted(w, http.StatusOK, map[string]string{"status": "ok"})
+	c.wire.WriteUncounted(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleDistribution(w http.ResponseWriter, r *http.Request) {
@@ -109,10 +55,10 @@ func (c *Coordinator) handleDistribution(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	var req api.DistributionRequest
-	if !c.readRequest(w, r, &req) {
+	if !c.wire.Read(w, r, &req, api.MaxQueryBody) {
 		return
 	}
-	ctx, cancel, ok := c.requestContext(w, r)
+	ctx, cancel, ok := c.wire.Context(w, r, c.cfg.DefaultTimeout)
 	if !ok {
 		return
 	}
@@ -132,10 +78,10 @@ func (c *Coordinator) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.RouteRequest
-	if !c.readRequest(w, r, &req) {
+	if !c.wire.Read(w, r, &req, api.MaxQueryBody) {
 		return
 	}
-	ctx, cancel, ok := c.requestContext(w, r)
+	ctx, cancel, ok := c.wire.Context(w, r, c.cfg.DefaultTimeout)
 	if !ok {
 		return
 	}
@@ -155,10 +101,10 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.TopKRequest
-	if !c.readRequest(w, r, &req) {
+	if !c.wire.Read(w, r, &req, api.MaxQueryBody) {
 		return
 	}
-	ctx, cancel, ok := c.requestContext(w, r)
+	ctx, cancel, ok := c.wire.Context(w, r, c.cfg.DefaultTimeout)
 	if !ok {
 		return
 	}
@@ -178,26 +124,26 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.BatchRequest
-	if !c.readRequest(w, r, &req) {
+	if !c.wire.Read(w, r, &req, api.MaxQueryBody) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		c.writeError(w, http.StatusBadRequest, "batch must contain at least one query")
+		c.wire.Error(w, http.StatusBadRequest, "batch must contain at least one query")
 		return
 	}
 	if len(req.Queries) > c.cfg.MaxBatch {
-		c.writeError(w, http.StatusBadRequest,
+		c.wire.Error(w, http.StatusBadRequest,
 			fmt.Sprintf("batch has %d queries, cap is %d", len(req.Queries), c.cfg.MaxBatch))
 		return
 	}
-	ctx, cancel, ok := c.requestContext(w, r)
+	ctx, cancel, ok := c.wire.Context(w, r, c.cfg.DefaultTimeout)
 	if !ok {
 		return
 	}
 	defer cancel()
 	if !c.acquire(ctx) {
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			c.writeError(w, http.StatusGatewayTimeout, "deadline exceeded")
+			c.wire.Error(w, http.StatusGatewayTimeout, "deadline exceeded")
 		}
 		return
 	}
@@ -208,7 +154,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return // client gone; an expired deadline still answers (per-entry 504s)
 	}
-	c.writeJSON(w, http.StatusOK, api.BatchResponse{Results: results})
+	c.wire.Write(w, http.StatusOK, api.BatchResponse{Results: results})
 }
 
 // --- stats -------------------------------------------------------------
@@ -255,7 +201,7 @@ type coordStatsResponse struct {
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		c.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		c.wire.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	resp := coordStatsResponse{
@@ -290,7 +236,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.Epoch = c.fetchEpoch(r.Context(), ss)
 		resp.Shards = append(resp.Shards, st)
 	}
-	c.writeJSONUncounted(w, http.StatusOK, resp)
+	c.wire.WriteUncounted(w, http.StatusOK, resp)
 }
 
 // fetchEpoch asks a region's /v1/stats for its epoch sequence, trying
