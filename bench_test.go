@@ -16,7 +16,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/hist"
-	"repro/internal/routing"
 )
 
 var (
@@ -94,54 +93,6 @@ func BenchmarkTrainHybridGraph(b *testing.B) {
 	}
 }
 
-// BenchmarkCostDistribution measures one full path query per method.
-func BenchmarkCostDistribution(b *testing.B) {
-	e, h := benchHybrid(b)
-	rnd := rand.New(rand.NewSource(1))
-	var paths []graph.Path
-	for len(paths) < 16 {
-		start := graph.EdgeID(rnd.Intn(e.G.NumEdges()))
-		if p := e.G.RandomWalkPath(start, 20, rnd.Intn); p != nil {
-			paths = append(paths, p)
-		}
-	}
-	for _, m := range []core.Method{core.MethodOD, core.MethodHP, core.MethodLB} {
-		b.Run(string(m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := paths[i%len(paths)]
-				if _, err := h.CostDistribution(p, 8*3600, core.QueryOptions{Method: m}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkIncrementalExtend measures the "path + another edge" step
-// used by routing (Section 4.3).
-func BenchmarkIncrementalExtend(b *testing.B) {
-	e, h := benchHybrid(b)
-	rnd := rand.New(rand.NewSource(2))
-	var p graph.Path
-	for p == nil {
-		start := graph.EdgeID(rnd.Intn(e.G.NumEdges()))
-		p = e.G.RandomWalkPath(start, 12, rnd.Intn)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := h.StartPath(p[0], 8*3600, core.QueryOptions{Method: core.MethodOD})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, e := range p[1:] {
-			st, err = h.ExtendPath(st, e)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkVOptimal measures the histogram DP on a 300-sample raw
 // distribution.
 func BenchmarkVOptimal(b *testing.B) {
@@ -213,37 +164,6 @@ func BenchmarkCoarsestDecomposition(b *testing.B) {
 			b.Fatal(err)
 		}
 		ca.CoarsestDecomposition(0)
-	}
-}
-
-// BenchmarkRoutingQuery measures one full stochastic budget query.
-func BenchmarkRoutingQuery(b *testing.B) {
-	e, h := benchHybrid(b)
-	r := routing.New(h)
-	src := graph.VertexID(10)
-	dists := e.G.ShortestDistances(src, graph.FreeFlowWeight)
-	var dst graph.VertexID = -1
-	best := 0.0
-	for v, d := range dists {
-		if graph.VertexID(v) != src && d > best && d < 400 {
-			best = d
-			dst = graph.VertexID(v)
-		}
-	}
-	if dst < 0 {
-		b.Skip("no destination")
-	}
-	for _, m := range []core.Method{core.MethodOD, core.MethodLB} {
-		b.Run(string(m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := r.BestPath(routing.Query{
-					Source: src, Dest: dst, Depart: 8 * 3600, Budget: best * 2,
-				}, routing.Options{Method: m, Incremental: true, MaxExpansions: 2000})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

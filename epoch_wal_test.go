@@ -221,7 +221,11 @@ func TestWALCheckpointGatesTruncation(t *testing.T) {
 
 // TestWALFailedCheckpointRetainsRecords: a failing checkpoint hook
 // must not truncate — losing records because persistence failed would
-// be the exact crash-loss the WAL exists to prevent.
+// be the exact crash-loss the WAL exists to prevent. The epoch is
+// published all the same, and the failure is counted, not swallowed:
+// a daemon whose checkpoint file became unwritable would otherwise
+// grow its WAL silently. The same goes for a truncation that fails
+// after a good checkpoint.
 func TestWALFailedCheckpointRetainsRecords(t *testing.T) {
 	sys, held, _ := walBase(t)
 	dir := t.TempDir()
@@ -231,22 +235,58 @@ func TestWALFailedCheckpointRetainsRecords(t *testing.T) {
 	}
 	sys.AttachWAL(l)
 	sys.SetWALCheckpoint(func() error { return errors.New("disk full (injected)") })
-	sys.StageTrajectories(held[:50])
-	if _, err := sys.PublishEpoch(); err != nil {
-		t.Fatalf("publish must survive a failed checkpoint: %v", err)
-	}
-	if st, _, _ := sys.WALStats(); st.Checkpoint != 0 {
-		t.Fatalf("failed checkpoint still truncated through %d", st.Checkpoint)
+	for i := 1; i <= 2; i++ {
+		seq := sys.Epoch()
+		sys.StageTrajectories(held[(i-1)*50 : i*50])
+		if _, err := sys.PublishEpoch(); err != nil {
+			t.Fatalf("publish must survive a failed checkpoint: %v", err)
+		}
+		if got := sys.Epoch(); got != seq+1 {
+			t.Fatalf("publish %d: epoch %d, want %d (a failed checkpoint must not unpublish)", i, got, seq+1)
+		}
+		st, errs, _ := sys.WALStats()
+		if st.Checkpoint != 0 {
+			t.Fatalf("failed checkpoint still truncated through %d", st.Checkpoint)
+		}
+		if errs.Checkpoint != uint64(i) || errs.Truncate != 0 || errs.Append != 0 {
+			t.Fatalf("after %d failed checkpoints: error counters %+v", i, errs)
+		}
 	}
 	l.Close()
 	rl, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := rl.Pending(); len(p) != 1 {
-		t.Fatalf("%d records pending after failed checkpoint, want 1 (retained)", len(p))
+	if p := rl.Pending(); len(p) != 2 {
+		t.Fatalf("%d records pending after failed checkpoints, want 2 (retained)", len(p))
 	}
 	rl.Close()
+
+	// A good checkpoint whose truncation fails (the log's directory is
+	// gone, so its checkpoint marker cannot be written): still
+	// published, counted separately.
+	dir2 := t.TempDir()
+	l2, err := wal.Open(dir2, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	sys.AttachWAL(l2)
+	sys.SetWALCheckpoint(func() error { return nil })
+	sys.StageTrajectories(held[100:150])
+	if err := os.RemoveAll(dir2); err != nil {
+		t.Fatal(err)
+	}
+	seq := sys.Epoch()
+	if _, err := sys.PublishEpoch(); err != nil {
+		t.Fatalf("publish must survive a failed truncation: %v", err)
+	}
+	if got := sys.Epoch(); got != seq+1 {
+		t.Fatalf("epoch %d after a failed truncation, want %d", got, seq+1)
+	}
+	if st, errs, _ := sys.WALStats(); errs.Truncate != 1 || errs.Checkpoint != 2 || st.Checkpoint != 0 {
+		t.Fatalf("after a failed truncation: error counters %+v, WAL checkpoint %d", errs, st.Checkpoint)
+	}
 }
 
 // TestStageTrajectoriesWALAppendFailureRejects: when the log cannot
@@ -272,8 +312,8 @@ func TestStageTrajectoriesWALAppendFailureRejects(t *testing.T) {
 	if acc != 0 || rej != 10 {
 		t.Fatalf("unappendable batch: accepted %d, rejected %d; want 0, 10", acc, rej)
 	}
-	if _, errs, _ := sys.WALStats(); errs != 1 {
-		t.Fatalf("AppendErrors = %d, want 1", errs)
+	if _, errs, _ := sys.WALStats(); errs.Append != 1 {
+		t.Fatalf("Append errors = %d, want 1", errs.Append)
 	}
 	if got := sys.StagedCount(); got != 10 {
 		t.Fatalf("staged count = %d after rejected batch, want 10", got)

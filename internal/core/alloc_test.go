@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/graph"
+)
 
 // Hard allocation gates on the relay codec: a cross-shard query pays
 // it twice per leg, so a per-cell or per-line allocation creeping back
@@ -37,5 +41,51 @@ func TestChainStateCodecAllocBudget(t *testing.T) {
 		}
 	}); per > stateDecodeByteBudget {
 		t.Errorf("DecodeChainState allocates %d bytes per %d-byte state, budget %d", per, len(enc), stateDecodeByteBudget)
+	}
+}
+
+// memoExtendAllocBudget bounds one memo-attached ExtendPath that
+// misses (probe, compute, offer) on the Table 1 fixture. The plain
+// extend costs 18; the handle adds the extended path's key, its
+// epoch-scoped form and the LRU entry — 22 in all. Before the entry
+// points merged, the memo wrapper and the plain extend under it each
+// built the extended path, and the same extend cost 23 (a third copy
+// with a synopsis in front); the budget keeps the second copy from
+// coming back.
+const memoExtendAllocBudget = 22
+
+func TestMemoExtendAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the pooled candidate arrays at random")
+	}
+	g, data, params := table1Fixture(t)
+	h, err := Build(g, data, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := h.pathState(nil, nil, graph.Path{0, 1, 2}, 8*3600, QueryOptions{Method: MethodOD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One epoch view per run, so every measured extend is a miss.
+	const runs = 200
+	base := NewConvMemo(1 << 12)
+	cold := make([]*Reuse, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range cold {
+		cold[i] = NewReuse(nil, base.ForEpoch(uint64(i)))
+	}
+	i := 0
+	n := testing.AllocsPerRun(runs, func() {
+		r := cold[i]
+		i++
+		if _, err := h.ExtendPath(r, parent, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := base.Stats(); st.Hits != 0 || st.Entries != runs+1 {
+		t.Fatalf("the measured extends were not all misses: %+v", st)
+	}
+	if n > memoExtendAllocBudget {
+		t.Errorf("a memo-attached extend allocates %v objects, budget %d", n, memoExtendAllocBudget)
 	}
 }

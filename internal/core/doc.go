@@ -32,12 +32,16 @@
 //
 // Beyond the paper, PathState implements the incremental property of
 // Section 4.3 ("path + another edge" reuses the chain evaluation of
-// the path), and ConvMemo builds the incremental sub-path convolution
-// engine on top of it: a prefix-keyed memo of chain states, keyed by
-// the exact departure time, that lets routing searches, batched
-// server queries and repeated distribution queries reuse one
-// another's prefixes with byte-identical results
-// (CostDistributionMemo, MemoStartPath, MemoExtendPath).
+// the path), and Reuse is the one handle every incremental evaluation
+// goes through: it carries the two tiers of stored chain states — the
+// offline SynopsisStore, probed first, and the runtime ConvMemo,
+// offered every computed state — keyed by the exact departure time, so
+// routing searches, batched server queries and repeated distribution
+// queries reuse one another's prefixes with byte-identical results.
+// There is one entry point per operation, each taking the handle (nil
+// for plain evaluation): StartPath, ExtendPath and
+// CostDistributionCtx, with CostDistribution and CostDistributionMemo
+// as its no-reuse and memo-only spellings.
 //
 // Query evaluation is bit-deterministic by construction: float
 // accumulation over hyper-buckets always runs in sorted cell order,

@@ -72,18 +72,39 @@ type QueryResult struct {
 // path p departing at absolute time t (Section 4). The zero options
 // value runs the paper's OD method.
 func (h *HybridGraph) CostDistribution(p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
-	return h.CostDistributionCtx(nil, p, t, opt)
+	return h.CostDistributionCtx(nil, nil, p, t, opt)
 }
 
-// CostDistributionCtx is CostDistribution bounded by ctx: the factor
-// chain checks the deadline before each multiply and returns ctx's
-// error once it expires. ctx travels as a parameter, never inside
-// QueryOptions or any cached state — cached PathStates outlive the
-// request that built them, so a stored context would poison later
-// queries. nil ctx means unbounded.
-func (h *HybridGraph) CostDistributionCtx(ctx context.Context, p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
+// CostDistributionCtx is the one cost-distribution path: bounded by
+// ctx and evaluated through the reuse handle r. With a tier attached
+// (and a method that has a chain evaluator — RD bypasses both) the
+// path's state resumes from the deepest stored prefix (pathState); the
+// result is byte-identical to the one-shot evaluation below, because
+// the chain evaluator applies exactly the operations Evaluate applies
+// and the stored states it resumes from were produced by those same
+// operations. Timing then reflects only work this call did: a deep
+// prefix hit reports a near-zero JC, which is the point.
+//
+// The deadline is checked before each factor multiply (each edge
+// derivation on the reuse path) and ctx's error returned once it
+// expires. ctx travels as a parameter, never inside QueryOptions or
+// any cached state. nil ctx means unbounded; nil r means no reuse.
+func (h *HybridGraph) CostDistributionCtx(ctx context.Context, r *Reuse, p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
 	if opt.Method == "" {
 		opt.Method = MethodOD
+	}
+	if r.active(opt.Method) {
+		t0 := time.Now()
+		st, err := h.pathState(ctx, r, p, t, opt)
+		if err != nil {
+			return nil, err
+		}
+		res, err := h.stateResult(st)
+		if err != nil {
+			return nil, err
+		}
+		res.Timing = Timing{JC: time.Since(t0)}
+		return res, nil
 	}
 	t0 := time.Now()
 	ca, err := h.BuildCandidateArray(p, t)

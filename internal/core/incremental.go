@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -65,34 +66,123 @@ func (s *PathState) Path() graph.Path { return s.path }
 // Depart returns the departure time the state was built for.
 func (s *PathState) Depart() float64 { return s.t }
 
-// StartPath begins incremental evaluation with a single-edge path.
-func (h *HybridGraph) StartPath(e graph.EdgeID, t float64, opt QueryOptions) (*PathState, error) {
+// StartPath begins incremental evaluation with a single-edge path,
+// through the reuse handle r: a tier that already holds the state
+// answers it, otherwise it is computed and offered. A nil r always
+// computes.
+func (h *HybridGraph) StartPath(r *Reuse, e graph.EdgeID, t float64, opt QueryOptions) (*PathState, error) {
 	if opt.Method == "" {
 		opt.Method = MethodOD
 	}
-	s := &PathState{h: h, path: graph.Path{e}, t: t, opt: opt}
-	if err := s.recompute(nil); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s, _, err := r.through(graph.Path{e}, t, opt, func() (*PathState, error) {
+		s := &PathState{h: h, path: graph.Path{e}, t: t, opt: opt}
+		if err := s.recompute(nil); err != nil {
+			return nil, err
+		}
+		return s, nil
+	})
+	return s, err
 }
 
-// ExtendPath returns a new state for the path extended by edge e,
-// reusing as much of the previous chain evaluation as the new coarsest
-// decomposition allows. The receiver remains valid (DFS keeps parent
-// states alive across siblings).
-func (h *HybridGraph) ExtendPath(s *PathState, e graph.EdgeID) (*PathState, error) {
+// ExtendPath returns the state for s's path extended by edge e,
+// through the reuse handle r: a stored state costs one lookup instead
+// of a convolution step, and a computed one reuses as much of s's
+// chain evaluation as the new coarsest decomposition allows. The
+// receiver remains valid (DFS keeps parent states alive across
+// siblings). The extended path and its key are built once.
+func (h *HybridGraph) ExtendPath(r *Reuse, s *PathState, e graph.EdgeID) (*PathState, error) {
 	np := make(graph.Path, len(s.path)+1)
 	copy(np, s.path)
 	np[len(s.path)] = e
-	if !h.G.ValidPath(np) {
-		return nil, fmt.Errorf("core: extension %v is not a valid path", np)
+	ns, _, err := r.through(np, s.t, s.opt, func() (*PathState, error) {
+		if !h.G.ValidPath(np) {
+			return nil, fmt.Errorf("core: extension %v is not a valid path", np)
+		}
+		ns := &PathState{h: h, path: np, t: s.t, opt: s.opt}
+		if err := ns.recompute(s); err != nil {
+			return nil, err
+		}
+		return ns, nil
+	})
+	return ns, err
+}
+
+// pathState evaluates path p departing at t, resuming from the deepest
+// prefix state r holds (see Reuse.longestPrefix for what one query
+// counts) and offering every state derived past that base, so later
+// queries — longer paths, sibling branches, other batch entries —
+// resume deeper still. The deadline is checked before each edge
+// derivation, so evaluation stops within one extend of the budget
+// expiring. ctx stays a parameter — PathStates land in the memo and
+// synopsis and outlive the request, so a stored context would poison
+// every later query resuming from them. nil ctx means unbounded.
+func (h *HybridGraph) pathState(ctx context.Context, r *Reuse, p graph.Path, t float64, opt QueryOptions) (*PathState, error) {
+	if len(p) == 0 {
+		return nil, fmt.Errorf("core: cannot evaluate an empty path")
 	}
-	ns := &PathState{h: h, path: np, t: s.t, opt: s.opt}
-	if err := ns.recompute(s); err != nil {
-		return nil, err
+	if opt.Method == "" {
+		opt.Method = MethodOD
 	}
-	return ns, nil
+	var st *PathState
+	base := 0
+	reuse := r.active(opt.Method)
+	if reuse {
+		st, base = r.longestPrefix(p, t, opt)
+	}
+	for i := base; i < len(p); i++ {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		var err error
+		if st == nil {
+			st, err = h.StartPath(nil, p[0], t, opt)
+		} else {
+			st, err = h.ExtendPath(nil, st, p[i])
+		}
+		if err != nil {
+			return nil, err
+		}
+		if reuse {
+			r.offer(r.slot(p[:i+1].Key(), t, opt), st)
+		}
+	}
+	return st, nil
+}
+
+// stateResult converts a fully evaluated chain state into a
+// QueryResult, mirroring Evaluate's single-factor shortcut. It is the
+// one result-assembly path shared by CostDistributionCtx and the batch
+// planner, which is what makes planned and independent answers
+// byte-identical by construction. Timing is left zero for the caller
+// to fill.
+func (h *HybridGraph) stateResult(st *PathState) (*QueryResult, error) {
+	de := st.de
+	res := &QueryResult{
+		Decomp: de,
+		Stats:  EvalStats{Factors: len(de.Vars)},
+	}
+	if len(de.Vars) == 1 {
+		v := de.Vars[0]
+		if v.Hist != nil {
+			res.Dist = v.Hist
+		} else {
+			out, err := v.Joint.SumHistogram(h.Params.MaxResultBuckets)
+			if err != nil {
+				return nil, err
+			}
+			res.Dist = out
+		}
+	} else {
+		dist, err := st.DistErr()
+		if err != nil {
+			return nil, err
+		}
+		res.Dist = dist
+	}
+	res.Stats.ResultBuckets = res.Dist.NumBuckets()
+	return res, nil
 }
 
 // recompute evaluates the state's path, reusing prev's chain prefix

@@ -145,8 +145,8 @@ func TestOracleDifferentialByteIdentity(t *testing.T) {
 						for name, got := range map[string]func() (*QueryResult, error){
 							"plain": func() (*QueryResult, error) { return h.CostDistribution(p, dep, opt) },
 							"memo":  func() (*QueryResult, error) { return h.CostDistributionMemo(memo, p, dep, opt) },
-							"syn":   func() (*QueryResult, error) { return h.CostDistributionWith(syn, nil, p, dep, opt) },
-							"both":  func() (*QueryResult, error) { return h.CostDistributionWith(syn, memo, p, dep, opt) },
+							"syn":   func() (*QueryResult, error) { return h.CostDistributionCtx(nil, NewReuse(syn, nil), p, dep, opt) },
+							"both":  func() (*QueryResult, error) { return h.CostDistributionCtx(nil, NewReuse(syn, memo), p, dep, opt) },
 						} {
 							res, err := got()
 							if err != nil {
@@ -201,7 +201,7 @@ func TestOracleByteIdentityAfterSaveLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := h2.CostDistributionWith(syn2, nil, p, dep, opt)
+			got, err := h2.CostDistributionCtx(nil, NewReuse(syn2, nil), p, dep, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +246,7 @@ func TestOracleConcurrentByteIdentity(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
 				for i, p := range paths {
-					res, err := h.CostDistributionWith(syn, memo, p, departs[0], opt)
+					res, err := h.CostDistributionCtx(nil, NewReuse(syn, memo), p, departs[0], opt)
 					if err != nil {
 						errs <- err
 						return

@@ -80,18 +80,18 @@ type SegmentResult struct {
 }
 
 // EvaluateSegment evaluates one segment of a partitioned query. A
-// first segment (nil state) runs the ordinary synopsis/memo-backed
-// path evaluation and hands out its final folded state; a continuation
-// seeds the candidate array with the relayed UI, decomposes the
-// segment locally, and multiplies its factors onto the relayed state.
-// Continuations never touch the synopsis or memo: their keys assume
+// first segment (nil state) runs the ordinary path evaluation through
+// the reuse handle r and hands out its final folded state; a
+// continuation seeds the candidate array with the relayed UI,
+// decomposes the segment locally, and multiplies its factors onto the
+// relayed state. Continuations never touch r: its keys assume
 // evaluation from a point departure interval, which only the first
 // segment has.
 //
 // RD is rejected: its random decomposition draws one value per row of
 // the whole query path, so it cannot be reproduced segment by segment
 // (single-region RD queries are proxied whole instead).
-func (h *HybridGraph) EvaluateSegment(syn *SynopsisStore, memo *ConvMemo, in SegmentInput) (*SegmentResult, error) {
+func (h *HybridGraph) EvaluateSegment(r *Reuse, in SegmentInput) (*SegmentResult, error) {
 	if len(in.Path) == 0 {
 		return nil, fmt.Errorf("core: cannot evaluate an empty segment")
 	}
@@ -117,7 +117,7 @@ func (h *HybridGraph) EvaluateSegment(syn *SynopsisStore, memo *ConvMemo, in Seg
 		if in.UI.Lo != in.Depart || in.UI.Hi != in.Depart {
 			return nil, fmt.Errorf("core: a first segment must start from the point interval [depart, depart], got [%g, %g]", in.UI.Lo, in.UI.Hi)
 		}
-		st, err := h.pathStateCtx(in.Ctx, syn, memo, in.Path, in.Depart, opt)
+		st, err := h.pathState(in.Ctx, r, in.Path, in.Depart, opt)
 		if err != nil {
 			return nil, err
 		}

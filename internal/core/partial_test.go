@@ -38,7 +38,7 @@ func TestChainStateEncodeDecodeRoundTrip(t *testing.T) {
 	h := partitionedFixture(t)
 	seg := graph.Path{0, 1, 2}
 	depart := 8 * 3600.0
-	res, err := h.EvaluateSegment(nil, nil, SegmentInput{
+	res, err := h.EvaluateSegment(nil, SegmentInput{
 		Path: seg, Depart: depart,
 		UI: TimeInterval{Lo: depart, Hi: depart},
 	})
@@ -85,7 +85,7 @@ func TestEvaluateSegmentRelayMatchesWholePath(t *testing.T) {
 			t.Fatalf("%s: CostDistribution: %v", m, err)
 		}
 
-		r1, err := h.EvaluateSegment(nil, nil, SegmentInput{
+		r1, err := h.EvaluateSegment(nil, SegmentInput{
 			Path: segA, Depart: depart,
 			UI: TimeInterval{Lo: depart, Hi: depart}, Opt: opt,
 		})
@@ -102,7 +102,7 @@ func TestEvaluateSegmentRelayMatchesWholePath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: DecodeChainState: %v", m, err)
 		}
-		r2, err := h.EvaluateSegment(nil, nil, SegmentInput{
+		r2, err := h.EvaluateSegment(nil, SegmentInput{
 			Path: segB, Depart: depart, UI: r1.UI, State: relay, Opt: opt,
 		})
 		if err != nil {
@@ -134,14 +134,14 @@ func TestEvaluateSegmentFirstUsesStores(t *testing.T) {
 	depart := 8 * 3600.0
 	in := SegmentInput{Path: seg, Depart: depart, UI: TimeInterval{Lo: depart, Hi: depart}}
 
-	bare, err := h.EvaluateSegment(nil, nil, in)
+	bare, err := h.EvaluateSegment(nil, in)
 	if err != nil {
 		t.Fatalf("bare: %v", err)
 	}
 	memo := NewConvMemo(256)
 	var warmed *SegmentResult
 	for i := 0; i < 2; i++ { // second pass resumes from the memo
-		warmed, err = h.EvaluateSegment(nil, memo, in)
+		warmed, err = h.EvaluateSegment(NewReuse(nil, memo), in)
 		if err != nil {
 			t.Fatalf("memo pass %d: %v", i, err)
 		}
@@ -161,7 +161,7 @@ func TestEvaluateSegmentRejections(t *testing.T) {
 	depart := 8 * 3600.0
 	point := TimeInterval{Lo: depart, Hi: depart}
 	relay := func() *ChainState {
-		res, err := h.EvaluateSegment(nil, nil, SegmentInput{Path: graph.Path{0, 1, 2}, Depart: depart, UI: point})
+		res, err := h.EvaluateSegment(nil, SegmentInput{Path: graph.Path{0, 1, 2}, Depart: depart, UI: point})
 		if err != nil {
 			t.Fatalf("building relay state: %v", err)
 		}
@@ -181,22 +181,22 @@ func TestEvaluateSegmentRejections(t *testing.T) {
 		{"unknown method", SegmentInput{Path: graph.Path{3, 4}, Depart: depart, UI: point, State: relay, Opt: QueryOptions{Method: "XX"}}, "unknown method"},
 	}
 	for _, tc := range cases {
-		_, err := h.EvaluateSegment(nil, nil, tc.in)
+		_, err := h.EvaluateSegment(nil, tc.in)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got error %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 
 	// A continuation must start from an accumulator-only state.
-	st, err := h.PathStateWith(nil, nil, graph.Path{0, 1, 2}, depart, QueryOptions{Method: MethodOD})
+	st, err := h.pathState(nil, nil, graph.Path{0, 1, 2}, depart, QueryOptions{Method: MethodOD})
 	if err != nil {
-		t.Fatalf("PathStateWith: %v", err)
+		t.Fatalf("pathState: %v", err)
 	}
 	if st.preFold == nil || len(st.preFold.open) == 0 {
 		t.Skip("fixture produced no open pre-fold state")
 	}
 	open := &ChainState{cs: st.preFold}
-	_, err = h.EvaluateSegment(nil, nil, SegmentInput{
+	_, err = h.EvaluateSegment(nil, SegmentInput{
 		Path: graph.Path{3, 4}, Depart: depart, UI: point, State: open,
 	})
 	if err == nil || !strings.Contains(err.Error(), "accumulator-only") {
@@ -219,6 +219,7 @@ func TestDecodeChainStateRejectsGarbage(t *testing.T) {
 		"v1 wrong version":  []byte("pstate-v9\ns 0\n"),
 		"v1 no state":       []byte(stateV1Version + "\n"),
 		"v1 truncated":      goodV1[:len(goodV1)-len(goodV1)/3],
+		"v1 whole":          goodV1, // the retired text format, well-formed
 		"binary":            {0x00, 0xff, 0x13, 0x37},
 		"html":              []byte("<html><body>502 Bad Gateway</body></html>"),
 		"magic only":        []byte(stateMagic),
@@ -244,6 +245,9 @@ func TestDecodeChainStateRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeChainState(good, 3); err != nil {
 		t.Fatalf("the unmodified state no longer decodes: %v", err)
+	}
+	if _, err := DecodeChainState(goodV1, 3); err == nil || !strings.Contains(err.Error(), "pstate-v2") {
+		t.Errorf("v1 text dump: got %v, want an error naming the supported version", err)
 	}
 }
 
@@ -287,12 +291,12 @@ func TestFilterVariablesStableAndExact(t *testing.T) {
 }
 
 // relayStateFixture returns the partitioned fixture's one relay state
-// in both wire formats: the binary pstate-v2 this build writes and the
-// text pstate-v1 the previous release wrote.
+// as the binary pstate-v2 this build reads and writes, and as the
+// retired text pstate-v1 it must reject.
 func relayStateFixture(t testing.TB) (v2, v1 []byte) {
 	t.Helper()
 	h := partitionedFixture(t)
-	res, err := h.EvaluateSegment(nil, nil, SegmentInput{
+	res, err := h.EvaluateSegment(nil, SegmentInput{
 		Path: graph.Path{0, 1, 2}, Depart: 8 * 3600.0,
 		UI: TimeInterval{Lo: 8 * 3600.0, Hi: 8 * 3600.0},
 	})

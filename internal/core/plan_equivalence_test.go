@@ -73,7 +73,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 			{"both", syn, NewConvMemo(1 << 10)},
 		} {
 			for pass := 0; pass < 2; pass++ { // cold, then warm stores
-				out, stats := bp.Distributions(context.Background(), cfg.syn, cfg.memo, queries)
+				out, stats := bp.Distributions(context.Background(), NewReuse(cfg.syn, cfg.memo), queries)
 				if len(out) != len(queries) {
 					return false
 				}
@@ -126,7 +126,7 @@ func TestPlannerMatchesNaiveOracle(t *testing.T) {
 	for _, p := range paths {
 		queries = append(queries, PlanQuery{Path: p, Depart: departs[0]})
 	}
-	out, _ := NewBatchPlanner(h, 4).Distributions(context.Background(), nil, nil, queries)
+	out, _ := NewBatchPlanner(h, 4).Distributions(context.Background(), nil, queries)
 	for i, q := range queries {
 		want, err := naiveDistribution(h, q.Path, q.Depart, q.Opt)
 		if err != nil {

@@ -19,9 +19,9 @@ import (
 // through the memo cache. All paths are decomposed edge-wise into a
 // prefix trie; every interior node carries a refcount of the queries
 // traversing it; and each node's chain state is evaluated exactly
-// once (probing synopsis → memo → compute, the same order the *With
-// entry points use), in dependency order across a bounded worker
-// pool. Per-query results come out in input order and are
+// once (through the same reuse handle, in the same probe → compute →
+// offer order, as StartPath/ExtendPath), in dependency order across a
+// bounded worker pool. Per-query results come out in input order and are
 // byte-identical to independent evaluation: node states are built by
 // the same StartPath/ExtendPath chain operations, and the final
 // marginal is derived by the same stateResult the single-query path
@@ -131,8 +131,8 @@ type planCounters struct {
 
 // Distributions plans and answers a batch of distribution queries.
 // Results are positional: out[i] answers queries[i], byte-identical
-// to CostDistributionWith(syn, memo, …) on the same stores. Either
-// store may be nil. A query whose evaluation fails gets a per-entry
+// to CostDistributionCtx(ctx, r, …) on the same handle (nil for no
+// reuse). A query whose evaluation fails gets a per-entry
 // error; the failure never poisons trie nodes other queries share
 // (only the failing node's own subtree inherits it). ctx cancellation
 // abandons nodes not yet evaluated, surfacing ctx.Err() on the
@@ -141,7 +141,7 @@ type planCounters struct {
 // Each planned entry's Timing reports the batch's shared evaluation
 // elapsed (the plan evaluates nodes for many queries at once, so
 // per-entry attribution is not meaningful).
-func (bp *BatchPlanner) Distributions(ctx context.Context, syn *SynopsisStore, memo *ConvMemo, queries []PlanQuery) ([]PlanResult, PlanStats) {
+func (bp *BatchPlanner) Distributions(ctx context.Context, r *Reuse, queries []PlanQuery) ([]PlanResult, PlanStats) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -232,7 +232,7 @@ func (bp *BatchPlanner) Distributions(ctx context.Context, syn *SynopsisStore, m
 			go func() {
 				defer pool.Done()
 				for task := range ready {
-					bp.evalNode(ctx, syn, memo, task.group, task.node, &ctr)
+					bp.evalNode(ctx, r, task.group, task.node, &ctr)
 					// The node's fields are fully written before its
 					// children are enqueued, so the channel's
 					// happens-before edge publishes them to whichever
@@ -328,15 +328,15 @@ func sortedRootEdges(roots map[graph.EdgeID]*planNode) []graph.EdgeID {
 	return out
 }
 
-// evalNode computes one trie node's chain state: probe the synopsis,
-// then the memo, then extend the parent's state by one edge — exactly
-// the StartPathWith/ExtendPathWith order, so planned states are the
+// evalNode computes one trie node's chain state by extending the
+// parent's state by one edge through the reuse handle — the same
+// single step StartPath/ExtendPath take, so planned states are the
 // states independent evaluation would build. A failing node records
 // its error; descendants inherit it (they cannot be evaluated without
 // the parent state) but siblings and ancestors are untouched — one
 // unanswerable query never poisons the sub-paths it shares with valid
 // ones.
-func (bp *BatchPlanner) evalNode(ctx context.Context, syn *SynopsisStore, memo *ConvMemo, g *planGroup, n *planNode, ctr *planCounters) {
+func (bp *BatchPlanner) evalNode(ctx context.Context, r *Reuse, g *planGroup, n *planNode, ctr *planCounters) {
 	if n.parent != nil && n.parent.err != nil {
 		n.err = n.parent.err
 		return
@@ -345,41 +345,23 @@ func (bp *BatchPlanner) evalNode(ctx context.Context, syn *SynopsisStore, memo *
 		n.err = err
 		return
 	}
-	// Synopsis keys carry no epoch tag (the store is rebuilt per
-	// epoch); the memo may be an epoch-scoped view of a shared LRU, so
-	// its probes go through the view's prefixed key.
-	key := memoKey(n.prefix.Key(), g.t, g.opt)
-	if syn != nil {
-		if s, ok := syn.lookupKey(key); ok {
-			n.state = s
-			ctr.probeHits.Add(1)
-			bp.primeDist(n)
-			return
+	// The probe keys on the trie's own prefix; the state a miss builds
+	// gets its own copy of the path (the prefix aliases caller memory).
+	s, hit, err := r.through(n.prefix, g.t, g.opt, func() (*PathState, error) {
+		if n.parent == nil {
+			return bp.h.StartPath(nil, n.prefix[0], g.t, g.opt)
 		}
-	}
-	if memo != nil {
-		if s, ok := memo.lru.Get(memo.prefix + key); ok {
-			n.state = s
-			ctr.probeHits.Add(1)
-			bp.primeDist(n)
-			return
-		}
-	}
-	var s *PathState
-	var err error
-	if n.parent == nil {
-		s, err = bp.h.StartPath(n.prefix[0], g.t, g.opt)
-	} else {
-		s, err = bp.h.ExtendPath(n.parent.state, n.prefix[len(n.prefix)-1])
-	}
+		return bp.h.ExtendPath(nil, n.parent.state, n.prefix[len(n.prefix)-1])
+	})
 	if err != nil {
 		n.err = err
 		return
 	}
 	n.state = s
-	ctr.convolutions.Add(1)
-	if memo != nil {
-		memo.lru.Put(memo.prefix+key, s)
+	if hit {
+		ctr.probeHits.Add(1)
+	} else {
+		ctr.convolutions.Add(1)
 	}
 	bp.primeDist(n)
 }
@@ -397,11 +379,10 @@ func (bp *BatchPlanner) primeDist(n *planNode) {
 // state concurrently — the DFS-frontier form of batch planning: the
 // expansions of one routing search node are an implicit batch whose
 // common sub-expression is the parent's chain state. parent == nil
-// starts fresh single-edge states. Each extension goes through the
-// regular StartPathWith/ExtendPathWith entry points (synopsis → memo
-// → compute), so results are byte-identical to sequential expansion.
-// Positional: states[i]/errs[i] answer edges[i].
-func (bp *BatchPlanner) ExtendAll(syn *SynopsisStore, memo *ConvMemo, parent *PathState, t float64, opt QueryOptions, edges []graph.EdgeID) ([]*PathState, []error) {
+// starts fresh single-edge states. Each extension is a regular
+// StartPath/ExtendPath through r, so results are byte-identical to
+// sequential expansion. Positional: states[i]/errs[i] answer edges[i].
+func (bp *BatchPlanner) ExtendAll(r *Reuse, parent *PathState, t float64, opt QueryOptions, edges []graph.EdgeID) ([]*PathState, []error) {
 	states := make([]*PathState, len(edges))
 	errs := make([]error, len(edges))
 	workers := bp.workers
@@ -410,7 +391,7 @@ func (bp *BatchPlanner) ExtendAll(syn *SynopsisStore, memo *ConvMemo, parent *Pa
 	}
 	if workers <= 1 {
 		for i, e := range edges {
-			states[i], errs[i] = bp.extendOne(syn, memo, parent, t, opt, e)
+			states[i], errs[i] = bp.extendOne(r, parent, t, opt, e)
 		}
 		return states, errs
 	}
@@ -425,7 +406,7 @@ func (bp *BatchPlanner) ExtendAll(syn *SynopsisStore, memo *ConvMemo, parent *Pa
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				states[i], errs[i] = bp.extendOne(syn, memo, parent, t, opt, edges[i])
+				states[i], errs[i] = bp.extendOne(r, parent, t, opt, edges[i])
 			}
 		}()
 	}
@@ -433,13 +414,13 @@ func (bp *BatchPlanner) ExtendAll(syn *SynopsisStore, memo *ConvMemo, parent *Pa
 	return states, errs
 }
 
-func (bp *BatchPlanner) extendOne(syn *SynopsisStore, memo *ConvMemo, parent *PathState, t float64, opt QueryOptions, e graph.EdgeID) (*PathState, error) {
+func (bp *BatchPlanner) extendOne(r *Reuse, parent *PathState, t float64, opt QueryOptions, e graph.EdgeID) (*PathState, error) {
 	var s *PathState
 	var err error
 	if parent == nil {
-		s, err = bp.h.StartPathWith(syn, memo, e, t, opt)
+		s, err = bp.h.StartPath(r, e, t, opt)
 	} else {
-		s, err = bp.h.ExtendPathWith(syn, memo, parent, e)
+		s, err = bp.h.ExtendPath(r, parent, e)
 	}
 	if err != nil {
 		return nil, err

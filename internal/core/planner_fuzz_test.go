@@ -104,7 +104,7 @@ func FuzzBatchPlanner(f *testing.F) {
 			return
 		}
 		bp := NewBatchPlanner(h, 4)
-		out, stats := bp.Distributions(context.Background(), nil, fuzzPlanMemo, queries)
+		out, stats := bp.Distributions(context.Background(), NewReuse(nil, fuzzPlanMemo), queries)
 		if len(out) != len(queries) {
 			t.Fatalf("%d results for %d queries", len(out), len(queries))
 		}

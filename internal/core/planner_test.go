@@ -85,7 +85,7 @@ func TestPlannerSharedPrefixConvolvedOnce(t *testing.T) {
 		{Path: chainPath(0, 4), Depart: depart}, // duplicate: same end node
 	}
 	bp := NewBatchPlanner(h, 4)
-	out, stats := bp.Distributions(context.Background(), nil, nil, queries)
+	out, stats := bp.Distributions(context.Background(), nil, queries)
 	checkPlannedMatchesIndependent(t, h, queries, out)
 
 	// Trie: e0, e0-1, e0-1-2, e0-1-2-3. Every node is traversed by ≥ 2
@@ -120,7 +120,7 @@ func TestPlannerSingleQueryDegrades(t *testing.T) {
 	h := plannerChain(t, 8, 8)
 	queries := []PlanQuery{{Path: chainPath(0, 5), Depart: 8 * 3600}}
 	bp := NewBatchPlanner(h, 4)
-	out, stats := bp.Distributions(context.Background(), nil, nil, queries)
+	out, stats := bp.Distributions(context.Background(), nil, queries)
 	checkPlannedMatchesIndependent(t, h, queries, out)
 	if stats.Nodes != 5 || stats.Convolutions != 5 || stats.IndependentSteps != 5 {
 		t.Fatalf("Nodes/Convolutions/IndependentSteps = %d/%d/%d, want 5/5/5",
@@ -142,7 +142,7 @@ func TestPlannerZeroOverlapDegrades(t *testing.T) {
 		{Path: chainPath(4, 3), Depart: depart},
 	}
 	bp := NewBatchPlanner(h, 4)
-	out, stats := bp.Distributions(context.Background(), nil, nil, queries)
+	out, stats := bp.Distributions(context.Background(), nil, queries)
 	checkPlannedMatchesIndependent(t, h, queries, out)
 	if stats.Nodes != 6 || stats.Convolutions != 6 || stats.IndependentSteps != 6 {
 		t.Fatalf("Nodes/Convolutions/IndependentSteps = %d/%d/%d, want 6/6/6",
@@ -164,7 +164,7 @@ func TestPlannerGroupsByDepartureAndMethod(t *testing.T) {
 		{Path: chainPath(0, 3), Depart: 8 * 3600, Opt: QueryOptions{Method: MethodLB}},
 	}
 	bp := NewBatchPlanner(h, 2)
-	out, stats := bp.Distributions(context.Background(), nil, nil, queries)
+	out, stats := bp.Distributions(context.Background(), nil, queries)
 	checkPlannedMatchesIndependent(t, h, queries, out)
 	if stats.Nodes != 9 || stats.SharedNodes != 0 || stats.Convolutions != 9 {
 		t.Fatalf("Nodes/SharedNodes/Convolutions = %d/%d/%d, want 9/0/9",
@@ -187,8 +187,8 @@ func TestPlannerDependencyOrderAcrossWorkers(t *testing.T) {
 	for _, lo := range []int{2, 4, 6} {
 		queries = append(queries, PlanQuery{Path: chainPath(lo, 4), Depart: depart})
 	}
-	serial, sstats := NewBatchPlanner(h, 1).Distributions(context.Background(), nil, nil, queries)
-	wide, wstats := NewBatchPlanner(h, 8).Distributions(context.Background(), nil, nil, queries)
+	serial, sstats := NewBatchPlanner(h, 1).Distributions(context.Background(), nil, queries)
+	wide, wstats := NewBatchPlanner(h, 8).Distributions(context.Background(), nil, queries)
 	for i := range queries {
 		if serial[i].Err != nil || wide[i].Err != nil {
 			t.Fatalf("query %d: serial err %v, wide err %v", i, serial[i].Err, wide[i].Err)
@@ -228,7 +228,7 @@ func TestPlannerErrorDoesNotPoisonSharedNodes(t *testing.T) {
 		{},                                      // empty path: per-entry error before the trie
 	}
 	bp := NewBatchPlanner(h, 4)
-	out, stats := bp.Distributions(context.Background(), nil, nil, queries)
+	out, stats := bp.Distributions(context.Background(), nil, queries)
 	if out[0].Err == nil {
 		t.Fatal("invalid-path query succeeded under the planner")
 	}
@@ -263,7 +263,7 @@ func TestPlannerFallbackForNonIncrementalMethods(t *testing.T) {
 		{Path: chainPath(0, 3), Depart: depart, Opt: QueryOptions{Method: MethodRD, Seed: 7}},
 	}
 	bp := NewBatchPlanner(h, 4)
-	out, stats := bp.Distributions(context.Background(), nil, nil, queries)
+	out, stats := bp.Distributions(context.Background(), nil, queries)
 	checkPlannedMatchesIndependent(t, h, queries, out)
 	if stats.Fallback != 2 || stats.Planned != 1 {
 		t.Fatalf("Fallback/Planned = %d/%d, want 2/1", stats.Fallback, stats.Planned)
@@ -284,7 +284,7 @@ func TestPlannerContextCancellation(t *testing.T) {
 		{Path: chainPath(0, 4), Depart: 8 * 3600},
 		{Path: chainPath(0, 2), Depart: 8 * 3600, Opt: QueryOptions{Method: MethodRD}},
 	}
-	out, stats := NewBatchPlanner(h, 2).Distributions(ctx, nil, nil, queries)
+	out, stats := NewBatchPlanner(h, 2).Distributions(ctx, nil, queries)
 	for i := range out {
 		if out[i].Err == nil {
 			t.Fatalf("entry %d evaluated under a cancelled context", i)
@@ -308,8 +308,8 @@ func TestPlannerProbesMemoAndSynopsis(t *testing.T) {
 	bp := NewBatchPlanner(h, 4)
 
 	memo := NewConvMemo(256)
-	cold, cstats := bp.Distributions(context.Background(), nil, memo, queries)
-	warm, wstats := bp.Distributions(context.Background(), nil, memo, queries)
+	cold, cstats := bp.Distributions(context.Background(), NewReuse(nil, memo), queries)
+	warm, wstats := bp.Distributions(context.Background(), NewReuse(nil, memo), queries)
 	if cstats.Convolutions != cstats.Nodes || cstats.ProbeHits != 0 {
 		t.Fatalf("cold pass: Convolutions/ProbeHits = %d/%d, want %d/0",
 			cstats.Convolutions, cstats.ProbeHits, cstats.Nodes)
@@ -335,7 +335,7 @@ func TestPlannerProbesMemoAndSynopsis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, sstats := bp.Distributions(context.Background(), syn, nil, queries)
+	out, sstats := bp.Distributions(context.Background(), NewReuse(syn, nil), queries)
 	if sstats.ProbeHits == 0 {
 		t.Fatalf("synopsis never hit: %+v", sstats)
 	}

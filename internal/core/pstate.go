@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"repro/internal/hist"
-	"repro/internal/textio"
 )
 
 // The partial-state wire format, pstate-v2. States cross process
@@ -35,11 +34,6 @@ const (
 	stateVersion = 2
 	stateHeader  = len(stateMagic) + 1
 )
-
-// stateV1Version heads the text format this build still reads (the
-// synopsis file's chain-state record under a version line) and no
-// longer writes.
-const stateV1Version = "pstate-v1"
 
 // stateScratchCells sizes the decoder's on-stack cell buffers. A relay
 // state is accumulator-only, so Params.MaxAccBuckets (48 by default)
@@ -90,8 +84,9 @@ func (s *ChainState) Encode() ([]byte, error) {
 // input is untrusted wire data: every count is checked against the
 // bytes actually present before anything is allocated for it, every
 // index and probability is validated, normalization is checked, and
-// malformed input returns a descriptive error — never a panic. Text
-// pstate-v1 dumps from the previous release are still accepted.
+// malformed input returns a descriptive error — never a panic. pstate-v2
+// is the only version read: anything else, the retired text pstate-v1
+// included, is an "unsupported partial state" error.
 func DecodeChainState(data []byte, pathLen int) (*ChainState, error) {
 	if pathLen < 1 {
 		pathLen = 1
@@ -99,20 +94,13 @@ func DecodeChainState(data []byte, pathLen int) (*ChainState, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("core: empty partial state")
 	}
-	var cs *chainState
-	var err error
-	if bytes.HasPrefix(data, []byte(stateMagic)) {
-		if len(data) < stateHeader || data[stateHeader-1] != stateVersion {
-			return nil, fmt.Errorf("core: unsupported partial state version %v (this build reads %d)", data[len(stateMagic):min(len(data), stateHeader)], stateVersion)
-		}
-		cs, err = decodeStateV2(data[stateHeader:], pathLen)
-	} else {
-		rd := &hybridReader{sc: textio.NewScanner(bytes.NewReader(data), len(data))}
-		if line, _ := rd.next(); line != stateV1Version {
-			return nil, fmt.Errorf("core: unsupported partial state %.40q (this build reads binary version %d and text %s)", line, stateVersion, stateV1Version)
-		}
-		cs, err = readChainState(rd, "s", pathLen)
+	if !bytes.HasPrefix(data, []byte(stateMagic)) {
+		return nil, fmt.Errorf("core: unsupported partial state %.40q (this build reads binary pstate-v%d only)", data, stateVersion)
 	}
+	if len(data) < stateHeader || data[stateHeader-1] != stateVersion {
+		return nil, fmt.Errorf("core: unsupported partial state version %v (this build reads %d)", data[len(stateMagic):min(len(data), stateHeader)], stateVersion)
+	}
+	cs, err := decodeStateV2(data[stateHeader:], pathLen)
 	if err != nil {
 		return nil, fmt.Errorf("core: partial state: %w", err)
 	}

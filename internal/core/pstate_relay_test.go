@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	pathcost "repro"
@@ -100,43 +101,51 @@ func (h *relayHop) resume(tb testing.TB, encode func(*core.ChainState) ([]byte, 
 	})
 }
 
-// TestRelayStateFormatsResumeIdentically is the differential behind
-// "readers accept v1 and v2": for every state the equivalence suite's
-// workload relays, the next shard's evaluation resumed from
-// decode(v1 text) must equal the one resumed from decode(v2) byte for
-// byte — in both dump formats, and in everything else a segment
-// answers with.
+// TestRelayStateFormatsResumeIdentically pins "one relay wire
+// version": for every state the equivalence suite's workload relays,
+// the retired text pstate-v1 dump is rejected with an error naming the
+// version this build reads (the dump a mixed-release fleet would still
+// send must fail loudly, not misparse), and the pstate-v2 dump resumes
+// the next shard's evaluation deterministically — two decodes of the
+// same bytes answer byte for byte the same.
 func TestRelayStateFormatsResumeIdentically(t *testing.T) {
 	for _, h := range relayHops(t) {
-		a, errA := h.resume(t, core.EncodeStateV1)
+		v1, err := core.EncodeStateV1(h.state)
+		if err != nil {
+			t.Fatalf("%s: EncodeStateV1: %v", h.name, err)
+		}
+		if _, err := pathcost.DecodeChainState(v1, len(h.seg)); err == nil ||
+			!strings.Contains(err.Error(), "unsupported partial state") || !strings.Contains(err.Error(), "pstate-v2") {
+			t.Fatalf("%s: v1 text dump: got %v, want an unsupported-partial-state error naming pstate-v2", h.name, err)
+		}
+		a, errA := h.resume(t, (*core.ChainState).Encode)
 		b, errB := h.resume(t, (*core.ChainState).Encode)
 		if errA != nil || errB != nil {
 			if (errA == nil) != (errB == nil) {
-				t.Fatalf("%s: resumed from one format only: v1 %v, v2 %v", h.name, errA, errB)
+				t.Fatalf("%s: resumed once only: %v, %v", h.name, errA, errB)
 			}
 			continue
 		}
 		if a.UI != b.UI || a.Factors != b.Factors || a.MaxRank != b.MaxRank {
 			t.Fatalf("%s: metadata diverged: %+v vs %+v", h.name, a, b)
 		}
-		for _, dump := range []func(*core.ChainState) ([]byte, error){core.EncodeStateV1, (*core.ChainState).Encode} {
-			da, errA := dump(a.State)
-			db, errB := dump(b.State)
-			if errA != nil || errB != nil || !bytes.Equal(da, db) {
-				t.Fatalf("%s: resumed from v1 and from v2 diverged (%v, %v):\n%q\nvs\n%q", h.name, errA, errB, da, db)
-			}
+		da, errA := a.State.Encode()
+		db, errB := b.State.Encode()
+		if errA != nil || errB != nil || !bytes.Equal(da, db) {
+			t.Fatalf("%s: two resumes from one v2 dump diverged (%v, %v):\n%x\nvs\n%x", h.name, errA, errB, da, db)
 		}
 	}
 }
 
 // FuzzPartialState feeds arbitrary bytes to the partial-state decoder,
-// which reads both wire formats: it must reject or accept, never
-// panic, and for anything it accepts decode → encode → decode is a
-// fixed point. The comparison is on the v2 encoding, which carries
-// every float as its raw bits, so equal bytes are states equal under
+// which reads pstate-v2 only: it must reject or accept, never panic,
+// and for anything it accepts decode → encode → decode is a fixed
+// point. The comparison is on the v2 encoding, which carries every
+// float as its raw bits, so equal bytes are states equal under
 // math.Float64bits. Seeds: every relayed state of the equivalence
-// suite's workload in both formats, truncations and bit flips of some,
-// and headers claiming counts their input cannot back.
+// suite's workload in v2 and in the retired text pstate-v1 (which must
+// be rejected without a panic), truncations and bit flips of some, and
+// headers claiming counts their input cannot back.
 func FuzzPartialState(f *testing.F) {
 	for i, h := range relayHops(f) {
 		for _, encode := range []func(*core.ChainState) ([]byte, error){(*core.ChainState).Encode, core.EncodeStateV1} {

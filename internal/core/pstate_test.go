@@ -44,8 +44,9 @@ func hostileCellCount() []byte {
 }
 
 // TestDecodeChainStateClaimedCountsDoNotAllocate: a count the input
-// cannot back must be rejected before anything is sized from it, in
-// both formats.
+// cannot back must be rejected before anything is sized from it —
+// the retired text format's claims included, which are now rejected
+// at the magic.
 func TestDecodeChainStateClaimedCountsDoNotAllocate(t *testing.T) {
 	le := binary.LittleEndian
 	hostile := map[string][]byte{
@@ -83,15 +84,10 @@ func allocBytesPerRun(runs int, f func()) uint64 {
 var codecSink int
 
 // BenchmarkChainStateCodec times one relay hop's codec work on a
-// 24-cell accumulator-only state: the v2 encode and decode, and the
-// v1 text decode this build keeps for one release.
+// 24-cell accumulator-only state: the v2 encode and decode.
 func BenchmarkChainStateCodec(b *testing.B) {
 	st := syntheticRelayState(b, 24)
 	v2, err := st.Encode()
-	if err != nil {
-		b.Fatal(err)
-	}
-	v1, err := EncodeStateV1(st)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,20 +102,15 @@ func BenchmarkChainStateCodec(b *testing.B) {
 			codecSink += len(enc)
 		}
 	})
-	for _, c := range []struct {
-		name string
-		data []byte
-	}{{"decode", v2}, {"decode-v1-text", v1}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(c.data)))
-			for i := 0; i < b.N; i++ {
-				dec, err := DecodeChainState(c.data, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				codecSink += dec.cs.m.NumCells()
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(v2)))
+		for i := 0; i < b.N; i++ {
+			dec, err := DecodeChainState(v2, 1)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			codecSink += dec.cs.m.NumCells()
+		}
+	})
 }

@@ -2,11 +2,9 @@ package core
 
 import (
 	"container/heap"
-	"context"
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -138,8 +136,8 @@ func (s *SynopsisStore) peek(key string) (*PathState, bool) {
 	return st, ok
 }
 
-// lookupKey is peek plus one hit-or-miss count — the single-probe
-// primitive behind StartPathWith/ExtendPathWith.
+// lookupKey is peek plus one hit-or-miss count — the synopsis half of
+// Reuse.lookup.
 func (s *SynopsisStore) lookupKey(key string) (*PathState, bool) {
 	st, ok := s.entries[key]
 	if ok {
@@ -311,7 +309,7 @@ func (h *HybridGraph) BuildSynopsis(workload []WorkloadQuery, cfg SynopsisConfig
 	}
 	heap.Init(&pq)
 
-	buildMemo := NewConvMemo(4 * cfg.MaxEntries)
+	build := NewReuse(nil, NewConvMemo(4*cfg.MaxEntries))
 	for pq.Len() > 0 && len(syn.entries) < cfg.MaxEntries {
 		it := heap.Pop(&pq).(*candHeapItem)
 		fresh := marginal(it.c)
@@ -326,7 +324,7 @@ func (h *HybridGraph) BuildSynopsis(workload []WorkloadQuery, cfg SynopsisConfig
 			heap.Push(&pq, it)
 			continue
 		}
-		st, err := h.MemoPathState(buildMemo, it.c.prefix, it.c.depart, opt)
+		st, err := h.pathState(nil, build, it.c.prefix, it.c.depart, opt)
 		if err != nil {
 			return nil, fmt.Errorf("core: materializing synopsis entry %v: %w", it.c.prefix, err)
 		}
@@ -352,211 +350,6 @@ func (h *HybridGraph) BuildSynopsis(workload []WorkloadQuery, cfg SynopsisConfig
 	return syn, nil
 }
 
-// --- synopsis-aware evaluation ---------------------------------------
-//
-// These are the Memo* evaluators with one extra probe layer: the
-// synopsis is consulted before the runtime ConvMemo (a synopsis hit
-// costs zero convolutions and no LRU traffic), and a synopsis prefix
-// composes with the memo — extensions beyond a synopsis base are
-// memoized as usual. Either store may be nil; with both nil the plain
-// evaluators run. The Memo* functions delegate here with a nil
-// synopsis, so all four call sites share one code path and memoized,
-// synopsis-backed and plain answers are byte-identical by
-// construction.
-
-// StartPathWith is StartPath through the synopsis then the memo.
-func (h *HybridGraph) StartPathWith(syn *SynopsisStore, m *ConvMemo, e graph.EdgeID, t float64, opt QueryOptions) (*PathState, error) {
-	if opt.Method == "" {
-		opt.Method = MethodOD
-	}
-	if syn != nil && memoizable(opt.Method) {
-		if s, ok := syn.lookupKey(memoKey((graph.Path{e}).Key(), t, opt)); ok {
-			return s, nil
-		}
-	}
-	return h.MemoStartPath(m, e, t, opt)
-}
-
-// ExtendPathWith is ExtendPath through the synopsis then the memo.
-func (h *HybridGraph) ExtendPathWith(syn *SynopsisStore, m *ConvMemo, s *PathState, e graph.EdgeID) (*PathState, error) {
-	if syn != nil && memoizable(s.opt.Method) {
-		np := make(graph.Path, len(s.path)+1)
-		copy(np, s.path)
-		np[len(s.path)] = e
-		if ns, ok := syn.lookupKey(memoKey(np.Key(), s.t, s.opt)); ok {
-			return ns, nil
-		}
-	}
-	return h.MemoExtendPath(m, s, e)
-}
-
-// PathStateWith evaluates path p departing at t, resuming from the
-// deepest prefix state either store holds. Per query it counts one
-// synopsis hit (the resumed base came from the synopsis) or one miss;
-// every state derived past the base is offered to the memo so later
-// queries resume deeper still.
-func (h *HybridGraph) PathStateWith(syn *SynopsisStore, m *ConvMemo, p graph.Path, t float64, opt QueryOptions) (*PathState, error) {
-	return h.pathStateCtx(nil, syn, m, p, t, opt)
-}
-
-// pathStateCtx is PathStateWith bounded by ctx: the deadline is
-// checked before each edge derivation, so evaluation stops within one
-// extend of the budget expiring. ctx stays a parameter — PathStates
-// land in the memo and synopsis and outlive the request, so a stored
-// context would poison every later query resuming from them. nil ctx
-// means unbounded.
-func (h *HybridGraph) pathStateCtx(ctx context.Context, syn *SynopsisStore, m *ConvMemo, p graph.Path, t float64, opt QueryOptions) (*PathState, error) {
-	if len(p) == 0 {
-		return nil, fmt.Errorf("core: cannot evaluate an empty path")
-	}
-	if opt.Method == "" {
-		opt.Method = MethodOD
-	}
-	if (syn == nil && m == nil) || !memoizable(opt.Method) {
-		var st *PathState
-		var err error
-		for i, e := range p {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if i == 0 {
-				st, err = h.StartPath(e, t, opt)
-			} else {
-				st, err = h.ExtendPath(st, e)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		return st, nil
-	}
-	var st *PathState
-	base := 0
-	synBase := false
-	// Longest-prefix probe across both stores; at equal depth the
-	// synopsis wins (no LRU traffic, and the answer is identical). The
-	// memo side peeks first and Gets only the committed base, exactly
-	// as MemoPathState does (see the comment there). The two stores
-	// key differently on purpose: a synopsis is rebuilt per epoch so
-	// its keys carry no epoch tag, while the memo may be an
-	// epoch-scoped view of an LRU shared across epochs.
-	for n := len(p); n >= 1; n-- {
-		key := memoKey(p[:n].Key(), t, opt)
-		if syn != nil {
-			if s, ok := syn.peek(key); ok {
-				st, base, synBase = s, n, true
-				break
-			}
-		}
-		if m != nil {
-			mkey := m.prefix + key
-			if s, ok := m.lru.Peek(mkey); ok {
-				st, base = s, n
-				m.lru.Get(mkey)
-				break
-			}
-		}
-	}
-	if syn != nil {
-		if synBase {
-			syn.hits.Add(1)
-		} else {
-			syn.misses.Add(1)
-		}
-	}
-	if st == nil && m != nil {
-		m.lru.Get(m.key(p.Key(), t, opt)) // count the cold miss
-	}
-	var err error
-	for i := base; i < len(p); i++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if st == nil {
-			st, err = h.StartPath(p[0], t, opt)
-		} else {
-			st, err = h.ExtendPath(st, p[i])
-		}
-		if err != nil {
-			return nil, err
-		}
-		if m != nil {
-			m.lru.Put(m.key(p[:i+1].Key(), t, opt), st)
-		}
-	}
-	return st, nil
-}
-
-// CostDistributionWith is CostDistribution through the synopsis and
-// the memo; see CostDistributionMemo for the byte-identity argument,
-// which applies unchanged (synopsis states were produced by the same
-// chain operations the memo stores).
-func (h *HybridGraph) CostDistributionWith(syn *SynopsisStore, m *ConvMemo, p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
-	return h.CostDistributionWithCtx(nil, syn, m, p, t, opt)
-}
-
-// CostDistributionWithCtx is CostDistributionWith bounded by ctx (see
-// CostDistributionCtx for the deadline contract). nil ctx means
-// unbounded.
-func (h *HybridGraph) CostDistributionWithCtx(ctx context.Context, syn *SynopsisStore, m *ConvMemo, p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
-	if opt.Method == "" {
-		opt.Method = MethodOD
-	}
-	if (syn == nil && m == nil) || !memoizable(opt.Method) {
-		return h.CostDistributionCtx(ctx, p, t, opt)
-	}
-	t0 := time.Now()
-	st, err := h.pathStateCtx(ctx, syn, m, p, t, opt)
-	if err != nil {
-		return nil, err
-	}
-	res, err := h.stateResult(st)
-	if err != nil {
-		return nil, err
-	}
-	res.Timing = Timing{JC: time.Since(t0)}
-	return res, nil
-}
-
-// stateResult converts a fully evaluated chain state into a
-// QueryResult, mirroring Evaluate's single-factor shortcut. It is the
-// one result-assembly path shared by CostDistributionWith and the
-// batch planner, which is what makes planned and independent answers
-// byte-identical by construction. Timing is left zero for the caller
-// to fill.
-func (h *HybridGraph) stateResult(st *PathState) (*QueryResult, error) {
-	de := st.de
-	res := &QueryResult{
-		Decomp: de,
-		Stats:  EvalStats{Factors: len(de.Vars)},
-	}
-	if len(de.Vars) == 1 {
-		// Single-factor parity with Evaluate; see CostDistributionMemo.
-		v := de.Vars[0]
-		if v.Hist != nil {
-			res.Dist = v.Hist
-		} else {
-			out, err := v.Joint.SumHistogram(h.Params.MaxResultBuckets)
-			if err != nil {
-				return nil, err
-			}
-			res.Dist = out
-		}
-	} else {
-		dist, err := st.DistErr()
-		if err != nil {
-			return nil, err
-		}
-		res.Dist = dist
-	}
-	res.Stats.ResultBuckets = res.Dist.NumBuckets()
-	return res, nil
-}
-
 // Rebuild produces the synopsis for a new model epoch: entries whose
 // path the update provably did not affect (per the stale predicate,
 // typically "shares an edge with the batch") are carried over by
@@ -572,7 +365,7 @@ func (s *SynopsisStore) Rebuild(h *HybridGraph, stale func(graph.Path) bool) (*S
 	var st SynopsisRebuildStats
 	// A build-local memo so re-materialized entries share prefix work,
 	// exactly as BuildSynopsis does.
-	memo := NewConvMemo(4*len(s.entries) + 16)
+	build := NewReuse(nil, NewConvMemo(4*len(s.entries)+16))
 	for _, key := range s.keys {
 		entry := s.entries[key]
 		if !stale(entry.path) {
@@ -584,7 +377,7 @@ func (s *SynopsisStore) Rebuild(h *HybridGraph, stale func(graph.Path) bool) (*S
 			st.Carried++
 			continue
 		}
-		ns, err := h.MemoPathState(memo, entry.path, entry.t, entry.opt)
+		ns, err := h.pathState(nil, build, entry.path, entry.t, entry.opt)
 		if err != nil {
 			st.Dropped++
 			continue

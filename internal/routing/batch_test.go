@@ -99,7 +99,8 @@ func TestFrontierBatchWithMemoIdentical(t *testing.T) {
 	}
 
 	warm := New(h)
-	warm.EnableMemo(1 << 12)
+	memo := core.NewConvMemo(1 << 12)
+	warm.SetReuse(core.NewReuse(nil, memo))
 	for pass := 0; pass < 2; pass++ {
 		bat, err := warm.BestPath(q, Options{Incremental: true, BatchWorkers: 4})
 		if err != nil {
@@ -109,7 +110,7 @@ func TestFrontierBatchWithMemoIdentical(t *testing.T) {
 			t.Fatalf("pass %d: memoized batched search diverged from cold sequential", pass)
 		}
 	}
-	if st, ok := warm.MemoStats(); !ok || st.Hits == 0 {
+	if st := memo.Stats(); st.Hits == 0 {
 		t.Fatal("second pass never hit the memo")
 	}
 }

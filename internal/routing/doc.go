@@ -13,10 +13,10 @@
 // probabilistic top-k path queries and skyline.go to stochastic
 // skyline queries.
 //
-// Router.EnableMemo layers the incremental sub-path convolution
-// engine (core.ConvMemo) under the DFS: prefix chain states are
-// memoized across queries, so repeated or overlapping searches —
-// including the entries of one server batch — extend a candidate by
-// one edge with a single memo lookup when the prefix was seen before.
-// Memoized results are byte-identical to unmemoized ones.
+// Router.SetReuse layers the reuse handle (core.Reuse: the offline
+// synopsis and the runtime convolution memo) under the DFS: prefix
+// chain states are shared across queries, so repeated or overlapping
+// searches — including the entries of one server batch — extend a
+// candidate by one edge with a single lookup when the prefix was seen
+// before. Results are byte-identical with or without a handle.
 package routing

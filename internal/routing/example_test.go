@@ -39,8 +39,8 @@ func exampleRouter() (*routing.Router, graph.VertexID, graph.VertexID, float64, 
 
 // ExampleRouter_BestPath answers a probabilistic budget query: the
 // path from src to dst that maximizes the probability of arriving
-// within the budget, departing at 08:00. EnableMemo turns on the
-// incremental sub-path convolution engine, so repeating or
+// within the budget, departing at 08:00. A reuse handle with a memo
+// turns on the incremental sub-path convolution engine, so repeating or
 // overlapping queries reuse already-evaluated prefixes.
 func ExampleRouter_BestPath() {
 	r, src, dst, freeFlow, err := exampleRouter()
@@ -48,7 +48,7 @@ func ExampleRouter_BestPath() {
 		fmt.Println("error:", err)
 		return
 	}
-	r.EnableMemo(4096) // share sub-path convolutions across queries
+	r.SetReuse(core.NewReuse(nil, core.NewConvMemo(4096))) // share sub-path convolutions across queries
 
 	res, err := r.BestPath(routing.Query{
 		Source: src, Dest: dst, Depart: 8 * 3600, Budget: freeFlow * 2,
@@ -74,7 +74,7 @@ func ExampleRouter_TopKPaths() {
 		fmt.Println("error:", err)
 		return
 	}
-	r.EnableMemo(4096)
+	r.SetReuse(core.NewReuse(nil, core.NewConvMemo(4096)))
 
 	routes, err := r.TopKPaths(routing.Query{
 		Source: src, Dest: dst, Depart: 8 * 3600, Budget: freeFlow * 2,

@@ -33,7 +33,8 @@ func TestMemoEquivalence(t *testing.T) {
 	src, dst, ff := pickQuery(t, g)
 	plain := New(h)
 	memod := New(h)
-	memod.EnableMemo(4096)
+	memo := core.NewConvMemo(4096)
+	memod.SetReuse(core.NewReuse(nil, memo))
 
 	for _, m := range []core.Method{core.MethodOD, core.MethodHP, core.MethodLB} {
 		q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2}
@@ -89,11 +90,8 @@ func TestMemoEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if st, ok := memod.MemoStats(); !ok || st.Hits == 0 {
+	if st := memo.Stats(); st.Hits == 0 {
 		t.Fatalf("memo never hit: %+v", st)
-	}
-	if _, ok := plain.MemoStats(); ok {
-		t.Fatal("plain router reports a memo")
 	}
 }
 
@@ -106,7 +104,7 @@ func TestMemoConcurrentQueries(t *testing.T) {
 	src, dst, ff := pickQuery(t, g)
 	plain := New(h)
 	memod := New(h)
-	memod.EnableMemo(4096)
+	memod.SetReuse(core.NewReuse(nil, core.NewConvMemo(4096)))
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2}
 	opt := Options{Incremental: true}
 	want, err := plain.BestPath(q, opt)
@@ -158,7 +156,7 @@ func TestRoutingEdgeCasesWithMemo(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, _ := pickQuery(t, g)
 	r := New(h)
-	r.EnableMemo(1024)
+	r.SetReuse(core.NewReuse(nil, core.NewConvMemo(1024)))
 
 	// Source equals destination: rejected by every query family.
 	if _, err := r.BestPath(Query{Source: src, Dest: src, Budget: 100}, Options{Incremental: true}); err == nil {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hist"
@@ -42,8 +41,8 @@ type Options struct {
 	// form of batch planning. BestPath requires Incremental for it;
 	// TopKPaths/SkylinePaths are always incremental. Results are
 	// byte-identical to sequential expansion because each extension
-	// goes through the same synopsis → memo → compute probe order and
-	// all pruning decisions stay in the sequential consuming loop.
+	// goes through the same reuse handle in the same order and all
+	// pruning decisions stay in the sequential consuming loop.
 	BatchWorkers int
 }
 
@@ -58,24 +57,20 @@ type Result struct {
 }
 
 // Router answers stochastic routing queries over one hybrid graph.
-// It is safe for concurrent use; the optional convolution memo
-// (EnableMemo/SetMemo) is shared by all concurrent queries.
+// It is safe for concurrent use; the optional reuse handle (SetReuse)
+// is shared by all concurrent queries.
 type Router struct {
 	h *core.HybridGraph
 
-	// memo, when non-nil, caches sub-path chain states across queries
-	// so a DFS expansion whose prefix was already evaluated — by an
-	// earlier query, a concurrent batch entry, or a distribution
-	// query sharing the memo — costs one lookup instead of a
-	// convolution. Atomic so it can be installed or dropped while
-	// queries run.
-	memo atomic.Pointer[core.ConvMemo]
-
-	// synopsis, when non-nil, is the offline sub-path synopsis: it is
-	// probed before the memo on every DFS expansion, so prefixes
+	// reuse, when non-nil, carries the stored sub-path chain states
+	// every DFS expansion goes through: the offline synopsis (prefixes
 	// materialized at training time cost zero convolutions from the
-	// first query after boot. Atomic for the same hot-swap reason.
-	synopsis atomic.Pointer[core.SynopsisStore]
+	// first query after boot) and the runtime memo (an expansion whose
+	// prefix was already evaluated — by an earlier query, a concurrent
+	// batch entry, or a distribution query sharing the memo — costs
+	// one lookup instead of a convolution). Atomic so it can be
+	// swapped while queries run.
+	reuse atomic.Pointer[core.Reuse]
 }
 
 // New creates a Router.
@@ -83,46 +78,13 @@ func New(h *core.HybridGraph) *Router {
 	return &Router{h: h}
 }
 
-// EnableMemo installs a fresh convolution memo holding at most
-// capacity prefix states; capacity ≤ 0 removes the memo. Memoized
-// results are byte-identical to unmemoized ones (the memo keys on the
-// exact departure time, not the α-interval). Safe to call while
-// queries are in flight: running queries finish against whichever
-// memo they started with.
-func (r *Router) EnableMemo(capacity int) {
-	if capacity <= 0 {
-		r.memo.Store(nil)
-		return
-	}
-	r.memo.Store(core.NewConvMemo(capacity))
-}
-
-// SetMemo shares an existing memo (possibly nil) with this router —
-// used by pathcost.System to let routing and distribution queries
-// reuse each other's prefix states.
-func (r *Router) SetMemo(m *core.ConvMemo) { r.memo.Store(m) }
-
-// Memo returns the currently installed memo, or nil.
-func (r *Router) Memo() *core.ConvMemo { return r.memo.Load() }
-
-// MemoStats snapshots the memo's hit/miss/eviction counters; ok is
-// false when no memo is installed.
-func (r *Router) MemoStats() (cache.Stats, bool) {
-	m := r.memo.Load()
-	if m == nil {
-		return cache.Stats{}, false
-	}
-	return m.Stats(), true
-}
-
-// SetSynopsis shares an offline synopsis store (possibly nil) with
-// this router — installed by pathcost.System so routing expansions
-// reuse the sub-path states persisted with the model. Synopsis-backed
-// expansions are byte-identical to computed ones.
-func (r *Router) SetSynopsis(s *core.SynopsisStore) { r.synopsis.Store(s) }
-
-// Synopsis returns the currently installed synopsis store, or nil.
-func (r *Router) Synopsis() *core.SynopsisStore { return r.synopsis.Load() }
+// SetReuse installs the reuse handle (nil removes it) — pathcost.System
+// shares each epoch's handle so routing and distribution queries reuse
+// each other's prefix states. Answers are byte-identical with or
+// without one (its keys carry the exact departure time, not the
+// α-interval). Safe to call while queries are in flight: running
+// queries finish against whichever handle they started with.
+func (r *Router) SetReuse(ru *core.Reuse) { r.reuse.Store(ru) }
 
 // BestPath runs the DFS budget query. It returns an error when the
 // destination is unreachable or no path satisfies the budget with
@@ -151,8 +113,7 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 
 	res := &Result{}
 	best := 0.0
-	memo := r.memo.Load()
-	syn := r.synopsis.Load()
+	reuse := r.reuse.Load()
 	var batch *core.BatchPlanner
 	if opt.Incremental && opt.BatchWorkers > 1 {
 		batch = core.NewBatchPlanner(r.h, opt.BatchWorkers)
@@ -171,7 +132,7 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 		sort.Slice(outs, func(i, j int) bool {
 			return lb[g.Edge(outs[i]).To] < lb[g.Edge(outs[j]).To]
 		})
-		bpos, bstates, berrs := frontierBatch(batch, syn, memo, g, lb, visited,
+		bpos, bstates, berrs := frontierBatch(batch, reuse, g, lb, visited,
 			state, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap}, outs)
 		for _, eid := range outs {
 			e := g.Edge(eid)
@@ -191,9 +152,9 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 				if i, ok := bpos[eid]; ok {
 					ns, err = bstates[i], berrs[i]
 				} else if state == nil {
-					ns, err = r.h.StartPathWith(syn, memo, eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
+					ns, err = r.h.StartPath(reuse, eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
 				} else {
-					ns, err = r.h.ExtendPathWith(syn, memo, state, eid)
+					ns, err = r.h.ExtendPath(reuse, state, eid)
 				}
 				if err == nil {
 					dist, err = ns.DistErr()
@@ -259,7 +220,7 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 // mirrored, so a search that hits its cap mid-frontier may evaluate a
 // few unused states — they feed the shared memo but alter no counter
 // or result, keeping answers byte-identical to sequential expansion.
-func frontierBatch(bp *core.BatchPlanner, syn *core.SynopsisStore, memo *core.ConvMemo,
+func frontierBatch(bp *core.BatchPlanner, reuse *core.Reuse,
 	g *graph.Graph, lb []float64, visited map[graph.VertexID]bool,
 	state *core.PathState, t float64, opt core.QueryOptions, outs []graph.EdgeID,
 ) (map[graph.EdgeID]int, []*core.PathState, []error) {
@@ -277,7 +238,7 @@ func frontierBatch(bp *core.BatchPlanner, syn *core.SynopsisStore, memo *core.Co
 	if len(edges) < 2 {
 		return nil, nil, nil
 	}
-	states, errs := bp.ExtendAll(syn, memo, state, t, opt, edges)
+	states, errs := bp.ExtendAll(reuse, state, t, opt, edges)
 	pos := make(map[graph.EdgeID]int, len(edges))
 	for i, eid := range edges {
 		pos[eid] = i

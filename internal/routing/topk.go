@@ -55,8 +55,7 @@ func (r *Router) TopKPaths(q Query, k int, opt Options) ([]TopKResult, error) {
 	}
 
 	explored := 0
-	memo := r.memo.Load()
-	syn := r.synopsis.Load()
+	reuse := r.reuse.Load()
 	var batch *core.BatchPlanner
 	if opt.BatchWorkers > 1 {
 		batch = core.NewBatchPlanner(r.h, opt.BatchWorkers)
@@ -73,7 +72,7 @@ func (r *Router) TopKPaths(q Query, k int, opt Options) ([]TopKResult, error) {
 		sort.Slice(outs, func(i, j int) bool {
 			return lb[g.Edge(outs[i]).To] < lb[g.Edge(outs[j]).To]
 		})
-		bpos, bstates, berrs := frontierBatch(batch, syn, memo, g, lb, visited,
+		bpos, bstates, berrs := frontierBatch(batch, reuse, g, lb, visited,
 			state, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap}, outs)
 		for _, eid := range outs {
 			e := g.Edge(eid)
@@ -88,9 +87,9 @@ func (r *Router) TopKPaths(q Query, k int, opt Options) ([]TopKResult, error) {
 			if i, ok := bpos[eid]; ok {
 				ns, err = bstates[i], berrs[i]
 			} else if state == nil {
-				ns, err = r.h.StartPathWith(syn, memo, eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
+				ns, err = r.h.StartPath(reuse, eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
 			} else {
-				ns, err = r.h.ExtendPathWith(syn, memo, state, eid)
+				ns, err = r.h.ExtendPath(reuse, state, eid)
 			}
 			if err != nil {
 				return err

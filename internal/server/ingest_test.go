@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"repro/internal/gps"
 	"repro/internal/traffic"
 	"repro/internal/trajgen"
+	"repro/internal/wal"
 )
 
 var (
@@ -132,6 +135,64 @@ func TestIngestEndpointStagesAndPublishes(t *testing.T) {
 	srv.Handler().ServeHTTP(qrec, qreq)
 	if qrec.Code != 200 {
 		t.Fatalf("post-publish query status %d: %s", qrec.Code, qrec.Body.String())
+	}
+}
+
+// TestWALCheckpointFailureVisible: a daemon whose checkpoint hook
+// fails keeps publishing epochs and keeps its WAL untruncated — and
+// says so in /v1/stats' wal block and on /metrics, instead of growing
+// the log silently.
+func TestWALCheckpointFailureVisible(t *testing.T) {
+	_, raw := ingestSystem(t)
+	params := pathcost.DefaultParams()
+	params.Beta = 20
+	params.MaxRank = 4
+	// A system of its own over the same network: it gets a WAL attached.
+	sys, err := pathcost.Synthesize(pathcost.SynthesizeConfig{
+		Preset: "test", Trips: 2000, Seed: 23, Params: params,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	sys.AttachWAL(l)
+	sys.SetWALCheckpoint(func() error { return errors.New("checkpoint file unwritable (injected)") })
+	srv := New(sys, Config{EnableIngest: true, IngestWorkers: 2})
+
+	if rec := postIngest(srv, ingestBody(t, raw)); rec.Code != 200 {
+		t.Fatalf("ingest status %d: %s", rec.Code, rec.Body.String())
+	}
+	if _, err := sys.PublishEpoch(); err != nil {
+		t.Fatalf("publish must survive a failed checkpoint: %v", err)
+	}
+
+	srec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(srec, httptest.NewRequest("GET", "/v1/stats", nil))
+	var stats statsResponse
+	if err := json.Unmarshal(srec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Epoch == nil || stats.Epoch.Seq != 2 {
+		t.Fatalf("stats epoch block %+v, want the published seq 2", stats.Epoch)
+	}
+	if w := stats.WAL; w == nil || w.CheckpointErrors != 1 || w.TruncateErrors != 0 || w.Checkpoint != 0 || w.LastSeq == 0 {
+		t.Fatalf("stats wal block %+v, want one checkpoint error and an untruncated log", stats.WAL)
+	}
+
+	mrec := httptest.NewRecorder()
+	srv.Metrics().ServeHTTP(mrec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		"pathcost_wal_checkpoint_errors_total 1\n",
+		"pathcost_wal_truncate_errors_total 0\n",
+		"pathcost_wal_append_errors_total 0\n",
+	} {
+		if !strings.Contains(mrec.Body.String(), want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, mrec.Body.String())
+		}
 	}
 }
 

@@ -52,6 +52,11 @@ func (s *Server) Metrics() http.Handler {
 		m.gauge("pathcost_epoch_seq", "Served model epoch sequence number.", float64(est.Seq))
 		m.counter("pathcost_epoch_publishes_total", "Incremental epoch publishes.", est.Publishes)
 		m.gauge("pathcost_epoch_staged_pending", "Trajectories staged for the next epoch publish.", float64(est.StagedPending))
+		if _, werrs, ok := sys.WALStats(); ok {
+			m.counter("pathcost_wal_append_errors_total", "Ingest batches rejected because the WAL could not append them.", werrs.Append)
+			m.counter("pathcost_wal_checkpoint_errors_total", "Epoch publishes whose model checkpoint failed (WAL not truncated).", werrs.Checkpoint)
+			m.counter("pathcost_wal_truncate_errors_total", "Epoch publishes whose WAL truncation failed after a good checkpoint.", werrs.Truncate)
+		}
 		if cst, ok := sys.QueryCacheStats(); ok {
 			m.counter("pathcost_query_cache_hits_total", "Query cache hits.", cst.Hits)
 			m.counter("pathcost_query_cache_misses_total", "Query cache misses.", cst.Misses)

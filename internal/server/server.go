@@ -471,7 +471,10 @@ type epochStatsJSON struct {
 // only when the daemon runs with -wal): durability frontier, how much
 // of it a model checkpoint has retired, and the on-disk footprint.
 // append_errors counts StageTrajectories batches rejected because the
-// log could not persist them.
+// log could not persist them; checkpoint_errors and truncate_errors
+// count publishes after which the log could not be shortened (the
+// epoch is served either way — a counter that keeps moving is a log
+// that keeps growing).
 type walStatsJSON struct {
 	LastSeq      uint64 `json:"last_seq"`
 	Checkpoint   uint64 `json:"checkpoint"`
@@ -481,6 +484,9 @@ type walStatsJSON struct {
 	Truncations  uint64 `json:"truncations"`
 	Discarded    int    `json:"discarded"`
 	AppendErrors uint64 `json:"append_errors"`
+
+	CheckpointErrors uint64 `json:"checkpoint_errors"`
+	TruncateErrors   uint64 `json:"truncate_errors"`
 }
 
 // --- validation helpers ----------------------------------------------
@@ -1069,7 +1075,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				LastSeq: wst.LastSeq, Checkpoint: wst.Checkpoint,
 				Segments: wst.Segments, Bytes: wst.Bytes,
 				Appends: wst.Appends, Truncations: wst.Truncations,
-				Discarded: wst.Discarded, AppendErrors: werrs,
+				Discarded: wst.Discarded, AppendErrors: werrs.Append,
+				CheckpointErrors: werrs.Checkpoint, TruncateErrors: werrs.Truncate,
 			}
 		}
 		resp.Epoch = &epochStatsJSON{

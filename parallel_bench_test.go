@@ -1,10 +1,10 @@
 package pathcost
 
 // Benchmarks for the concurrent ingestion-and-estimation engine: map
-// matching scaling with worker count, hybrid-graph training scaling,
-// and cached vs uncached query throughput. Run with
+// matching scaling with worker count and hybrid-graph training
+// scaling. Run with
 //
-//	go test -bench 'MatchTrajectories|BuildWorkers|PathDistribution' -benchmem .
+//	go test -bench 'MatchTrajectories|BuildWorkers' -benchmem .
 
 import (
 	"fmt"
@@ -76,37 +76,4 @@ func BenchmarkBuildWorkers(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkPathDistribution measures query throughput over a skewed
-// workload of dense paths, with and without the query cache.
-func BenchmarkPathDistribution(b *testing.B) {
-	sys, err := Synthesize(SynthesizeConfig{Preset: "test", Trips: 6000, Seed: 9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dense := sys.DensePaths(3, 10)
-	if len(dense) == 0 {
-		b.Skip("no dense paths")
-	}
-	if len(dense) > 32 {
-		dense = dense[:32]
-	}
-	run := func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dp := dense[i%len(dense)]
-			lo, _ := sys.Params.IntervalBounds(dp.Interval)
-			if _, err := sys.PathDistribution(dp.Path, lo+60, OD); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("uncached", func(b *testing.B) {
-		sys.EnableQueryCache(0)
-		run(b)
-	})
-	b.Run("cached", func(b *testing.B) {
-		sys.EnableQueryCache(1024)
-		run(b)
-	})
 }

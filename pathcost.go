@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"math/rand"
 	"sort"
@@ -121,9 +122,9 @@ func DefaultParams() Params { return core.DefaultParams() }
 // without data), and a router evaluating against exactly this model.
 // The model content is immutable after publish; queries that loaded an
 // epoch keep a consistent view of it even while the next epoch is
-// being built and published. Accelerator attachments (synopsis, memo
-// view, planner) are swappable per epoch via the System's Enable*/
-// Attach* methods.
+// being built and published. Accelerator attachments (the reuse
+// handle carrying synopsis and memo view, and the planner) are
+// swappable per epoch via the System's Enable*/Attach* methods.
 type ModelEpoch struct {
 	// Seq is the monotonically increasing epoch sequence number; it
 	// namespaces every query-cache key, memo key and planner probe so
@@ -134,17 +135,24 @@ type ModelEpoch struct {
 	Data   *Collection
 	Router *routing.Router
 
-	// synopsis is the epoch's offline sub-path synopsis (rebuilt
-	// incrementally at publish); memo is the epoch-scoped view of the
-	// System's shared convolution memo; planner is the batch planner
-	// built over this epoch's hybrid.
-	synopsis atomic.Pointer[core.SynopsisStore]
-	memo     atomic.Pointer[core.ConvMemo]
-	planner  atomic.Pointer[core.BatchPlanner]
+	// reuse carries the epoch's offline sub-path synopsis (rebuilt
+	// incrementally at publish) and its epoch-scoped view of the
+	// convolution memo, shared with Router; planner is the batch
+	// planner built over this epoch's hybrid.
+	reuse   atomic.Pointer[core.Reuse]
+	planner atomic.Pointer[core.BatchPlanner]
 }
 
 // Synopsis returns the epoch's synopsis store, or nil.
-func (e *ModelEpoch) Synopsis() *core.SynopsisStore { return e.synopsis.Load() }
+func (e *ModelEpoch) Synopsis() *core.SynopsisStore { return e.reuse.Load().Synopsis() }
+
+// setReuse swaps the epoch's reuse handle, sharing it with the
+// epoch's Router. Callers hold pubMu (or have not published e yet), so
+// copy-on-write updates of the handle never race each other.
+func (e *ModelEpoch) setReuse(r *core.Reuse) {
+	e.reuse.Store(r)
+	e.Router.SetReuse(r)
+}
 
 // System bundles a road network, the epoch-versioned trained model
 // (hybrid graph, trajectory collection, router) and the serving
@@ -175,12 +183,6 @@ type System struct {
 	// into a single CostDistribution computation (anti-stampede).
 	flight cache.Flight[*QueryResult]
 
-	// convMemo, when non-nil, is the shared LRU behind the incremental
-	// sub-path convolution engine. Each epoch works through its own
-	// ForEpoch view of it, so a publish logically invalidates memoized
-	// states without flushing the pool. See EnableConvMemo.
-	convMemo atomic.Pointer[core.ConvMemo]
-
 	// planMu guards planAgg, the planner counters accumulated across
 	// batches for PlannerStats.
 	planMu  sync.Mutex
@@ -192,15 +194,15 @@ type System struct {
 	// stageMu guards the staged delta buffer (trajectories accepted by
 	// StageTrajectories and not yet published) and the WAL bookkeeping
 	// that shadows it: wlog (when attached), walHigh (the WAL sequence
-	// covering everything staged so far) and walErrors. Appending to
+	// covering everything staged so far) and walErrs. Appending to
 	// the WAL and to staged under one critical section keeps their
 	// orders identical, which is what makes replay equivalent to the
 	// uninterrupted staging history.
-	stageMu   sync.Mutex
-	staged    []*Matched
-	wlog      *wal.Log
-	walHigh   uint64
-	walErrors uint64
+	stageMu sync.Mutex
+	staged  []*Matched
+	wlog    *wal.Log
+	walHigh uint64
+	walErrs WALErrors
 	// checkpointFn, when non-nil, persists the freshly published model;
 	// PublishEpoch truncates the WAL only after it succeeds. Without a
 	// checkpointer the WAL retains every record, and recovery replays
@@ -365,23 +367,17 @@ func (s *System) EnableConvMemo(capacity int) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	ep := s.epoch.Load()
-	if capacity <= 0 {
-		s.convMemo.Store(nil)
-		ep.memo.Store(nil)
-		ep.Router.SetMemo(nil)
-		return
+	var view *core.ConvMemo
+	if capacity > 0 {
+		view = core.NewConvMemo(capacity).ForEpoch(ep.Seq)
 	}
-	m := core.NewConvMemo(capacity)
-	s.convMemo.Store(m)
-	view := m.ForEpoch(ep.Seq)
-	ep.memo.Store(view)
-	ep.Router.SetMemo(view)
+	ep.setReuse(ep.reuse.Load().WithMemo(view))
 }
 
 // ConvMemoStats snapshots the convolution memo's hit/miss/eviction
 // counters; ok is false when no memo is enabled.
 func (s *System) ConvMemoStats() (st CacheStats, ok bool) {
-	m := s.convMemo.Load()
+	m := s.epoch.Load().reuse.Load().Memo()
 	if m == nil {
 		return CacheStats{}, false
 	}
@@ -415,8 +411,7 @@ func (s *System) AttachSynopsis(syn *core.SynopsisStore) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	ep := s.epoch.Load()
-	ep.synopsis.Store(syn)
-	ep.Router.SetSynopsis(syn)
+	ep.setReuse(ep.reuse.Load().WithSynopsis(syn))
 }
 
 // Synopsis returns the current epoch's synopsis store, or nil.
@@ -452,7 +447,7 @@ type PlannerStats struct {
 // Route/TopKRoutes evaluate each DFS frontier's sibling expansions as
 // one implicit batch. Planned answers are byte-identical to
 // independent evaluation — the planner builds the same chain states
-// through the same synopsis → memo → compute probe order.
+// through the same reuse handle in the same probe order.
 //
 // workers bounds the planner's evaluation pool; ≤ 0 means GOMAXPROCS.
 // Safe to call while queries are in flight (the pointer swaps
@@ -556,7 +551,7 @@ func (s *System) PlanDistributions(ctx context.Context, queries []PlanQuery,
 					defer release()
 				}
 			}
-			res, st := bp.Distributions(ctx, ep.Synopsis(), ep.memo.Load(), missQ)
+			res, st := bp.Distributions(ctx, ep.reuse.Load(), missQ)
 			stats = st
 			for j, i := range miss {
 				out[i] = res[j]
@@ -768,10 +763,9 @@ func (s *System) PathDistributionGated(ctx context.Context, p Path, depart float
 
 // compute runs one underlying estimation (the expensive step the
 // cache and singleflight both exist to avoid repeating) against one
-// epoch snapshot. The epoch's synopsis (offline, persisted) is
-// consulted before its convolution-memo view (runtime, lazy); either
-// resumes evaluation from the deepest known prefix of p, and the
-// answer is byte-identical with both, either or neither enabled.
+// epoch snapshot, through the epoch's reuse handle: evaluation resumes
+// from the deepest prefix of p the synopsis or the memo view holds, and
+// the answer is byte-identical with both, either or neither enabled.
 func (s *System) compute(ctx context.Context, ep *ModelEpoch, p Path, depart float64, m Method) (*QueryResult, error) {
 	if s.computeProbe != nil {
 		s.computeProbe()
@@ -783,12 +777,7 @@ func (s *System) compute(ctx context.Context, ep *ModelEpoch, p Path, depart flo
 	if ctx == context.Background() {
 		ctx = nil
 	}
-	syn := ep.Synopsis()
-	mm := ep.memo.Load()
-	if syn != nil || mm != nil {
-		return ep.Hybrid.CostDistributionWithCtx(ctx, syn, mm, p, depart, core.QueryOptions{Method: m})
-	}
-	return ep.Hybrid.CostDistributionCtx(ctx, p, depart, core.QueryOptions{Method: m})
+	return ep.Hybrid.CostDistributionCtx(ctx, ep.reuse.Load(), p, depart, core.QueryOptions{Method: m})
 }
 
 // GroundTruth runs the accuracy-optimal baseline (Section 2.2) on the
@@ -1016,15 +1005,28 @@ func (s *System) SetWALCheckpoint(fn func() error) {
 	s.stageMu.Unlock()
 }
 
-// WALStats reports the attached write-ahead log's state; ok is false
-// when no WAL is attached. AppendErrors counts batches rejected
-// because the log could not append them.
-func (s *System) WALStats() (st wal.Stats, appendErrors uint64, ok bool) {
+// WALErrors counts the write-ahead log's failures over the System's
+// lifetime.
+type WALErrors struct {
+	// Append counts batches rejected because the log could not append
+	// them.
+	Append uint64
+	// Checkpoint counts publishes whose model checkpoint hook failed,
+	// Truncate those whose checkpoint succeeded but whose log
+	// truncation failed. Either way the epoch is served and the log
+	// keeps its records, so a counter that keeps moving means a WAL
+	// that keeps growing.
+	Checkpoint, Truncate uint64
+}
+
+// WALStats reports the attached write-ahead log's state and error
+// counters; ok is false when no WAL is attached.
+func (s *System) WALStats() (st wal.Stats, errs WALErrors, ok bool) {
 	s.stageMu.Lock()
-	l, errs := s.wlog, s.walErrors
+	l, errs := s.wlog, s.walErrs
 	s.stageMu.Unlock()
 	if l == nil {
-		return wal.Stats{}, 0, false
+		return wal.Stats{}, WALErrors{}, false
 	}
 	return l.Stats(), errs, true
 }
@@ -1040,7 +1042,7 @@ func (s *System) WALStats() (st wal.Stats, appendErrors uint64, ok bool) {
 // With a WAL attached (AttachWAL) the validated batch is appended to
 // the log before it is counted as accepted — durability before
 // acknowledgement. A WAL write failure rejects the whole batch (and
-// counts in WALStats.AppendErrors): acking data the log cannot hold
+// counts in WALStats' Append errors): acking data the log cannot hold
 // would turn a later crash into silent loss.
 func (s *System) StageTrajectories(batch []*Matched) (accepted, rejected int) {
 	ok := make([]*Matched, 0, len(batch))
@@ -1059,7 +1061,7 @@ func (s *System) StageTrajectories(batch []*Matched) (accepted, rejected int) {
 	if s.wlog != nil {
 		seq, err := s.wlog.Append(ok)
 		if err != nil {
-			s.walErrors++
+			s.walErrs.Append++
 			s.stageMu.Unlock()
 			return 0, rejected + len(ok)
 		}
@@ -1165,41 +1167,22 @@ func (s *System) PublishEpoch() (EpochStats, error) {
 		return s.epochStats(ep), err
 	}
 
-	// Carry the synopsis forward: entries whose sub-path shares no edge
-	// with the delta are still byte-exact and move by pointer; touched
-	// ones rematerialize against the new model; unanswerable ones drop.
-	var (
-		syn      *core.SynopsisStore
-		synStats core.SynopsisRebuildStats
-	)
-	if old := ep.Synopsis(); old != nil {
-		syn, synStats, err = old.Rebuild(nh, func(p Path) bool {
-			for _, e := range p {
-				if delta.TouchedEdges[e] {
-					return true
-				}
-			}
-			return false
-		})
-		if err != nil {
-			// Serving the new epoch without a synopsis beats refusing
-			// the publish; the store can be rebuilt offline.
-			syn = nil
-			synStats = core.SynopsisRebuildStats{}
-		}
-	}
-
+	// Carry the reuse handle forward: synopsis entries whose sub-path
+	// shares no edge with the delta are still byte-exact and move by
+	// pointer, touched ones rematerialize against the new model,
+	// unanswerable ones drop; the memo view moves to the new epoch's key
+	// space.
 	seq := ep.Seq + 1
-	router := routing.New(nh)
-	var view *core.ConvMemo
-	if base := s.convMemo.Load(); base != nil {
-		view = base.ForEpoch(seq)
-	}
-	router.SetMemo(view)
-	router.SetSynopsis(syn)
-	nep := &ModelEpoch{Seq: seq, Hybrid: nh, Data: nd, Router: router}
-	nep.synopsis.Store(syn)
-	nep.memo.Store(view)
+	reuse, synStats := ep.reuse.Load().NextEpoch(seq, nh, func(p Path) bool {
+		for _, e := range p {
+			if delta.TouchedEdges[e] {
+				return true
+			}
+		}
+		return false
+	})
+	nep := &ModelEpoch{Seq: seq, Hybrid: nh, Data: nd, Router: routing.New(nh)}
+	nep.setReuse(reuse)
 	if bp := ep.planner.Load(); bp != nil {
 		nep.planner.Store(core.NewBatchPlanner(nh, bp.Workers()))
 	}
@@ -1211,10 +1194,14 @@ func (s *System) PublishEpoch() (EpochStats, error) {
 	// before some file holds their effect would leave a crash with
 	// neither. No checkpointer (or a failed one) keeps the records;
 	// recovery then replays them against the base model, which the
-	// batching-invariant exact build folds to the same bytes.
+	// batching-invariant exact build folds to the same bytes. Neither
+	// failure unpublishes the epoch, so each is counted and logged: a
+	// log that silently stops shrinking is found when the disk fills.
 	if wlog != nil && walHigh > 0 && checkpoint != nil {
-		if cerr := checkpoint(); cerr == nil {
-			_ = wlog.TruncateThrough(walHigh)
+		if err := checkpoint(); err != nil {
+			s.walFailure(&s.walErrs.Checkpoint, "pathcost: epoch %d is served but its model checkpoint failed; the WAL keeps its records through seq %d: %v", seq, walHigh, err)
+		} else if err := wlog.TruncateThrough(walHigh); err != nil {
+			s.walFailure(&s.walErrs.Truncate, "pathcost: epoch %d is checkpointed but truncating the WAL through seq %d failed: %v", seq, walHigh, err)
 		}
 	}
 
@@ -1226,6 +1213,15 @@ func (s *System) PublishEpoch() (EpochStats, error) {
 	s.lastSyn = synStats
 	s.statMu.Unlock()
 	return s.epochStats(nep), nil
+}
+
+// walFailure counts one post-publish WAL failure (a field of walErrs)
+// and logs it.
+func (s *System) walFailure(counter *uint64, format string, args ...any) {
+	s.stageMu.Lock()
+	*counter++
+	s.stageMu.Unlock()
+	log.Printf(format, args...)
 }
 
 // EpochStats reports the epoch lifecycle's state: the served epoch,

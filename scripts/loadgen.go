@@ -1,7 +1,7 @@
 // Command loadgen fires a constant-rate query workload at a pathcost
 // serving tier — a single pathcostd or a sharded coordinator — and
-// reports outcome counts and latency quantiles as JSON, the stanza
-// scripts/bench.sh records alongside the micro-benchmarks.
+// reports outcome counts and latency quantiles as JSON — the CI load
+// smoke (throughput and latency numbers of record come from cmd/bench).
 //
 // Two modes:
 //

