@@ -46,13 +46,13 @@ func TestChainStateCodecAllocBudget(t *testing.T) {
 
 // memoExtendAllocBudget bounds one memo-attached ExtendPath that
 // misses (probe, compute, offer) on the Table 1 fixture. The plain
-// extend costs 18; the handle adds the extended path's key, its
-// epoch-scoped form and the LRU entry — 22 in all. Before the entry
-// points merged, the memo wrapper and the plain extend under it each
-// built the extended path, and the same extend cost 23 (a third copy
-// with a synopsis in front); the budget keeps the second copy from
-// coming back.
-const memoExtendAllocBudget = 22
+// extend costs 18; the handle adds the two keys — rendered once, into
+// one string the synopsis key is a suffix of — and the LRU entry: 20 in
+// all. It was 22 while the path key, the state key and its
+// epoch-scoped form were three strings, and 23 before the entry points
+// merged (the memo wrapper and the plain extend under it each built
+// the extended path); the budget keeps either from coming back.
+const memoExtendAllocBudget = 20
 
 func TestMemoExtendAllocBudget(t *testing.T) {
 	if raceEnabled {

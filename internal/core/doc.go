@@ -39,9 +39,20 @@
 // routing searches, batched server queries and repeated distribution
 // queries reuse one another's prefixes with byte-identical results.
 // There is one entry point per operation, each taking the handle (nil
-// for plain evaluation): StartPath, ExtendPath and
-// CostDistributionCtx, with CostDistribution and CostDistributionMemo
-// as its no-reuse and memo-only spellings.
+// for plain evaluation): StartPath, ExtendPathWithin (ExtendPath is
+// its no-limit spelling) and CostDistributionCtx, with
+// CostDistribution and CostDistributionMemo as its no-reuse and
+// memo-only spellings.
+//
+// One extension does each piece of kernel work at most once, chosen by
+// the state and factor in hand: a child resumes from the fold its
+// parent already holds instead of folding the parent's state again, so
+// siblings share it; a child whose cost support provably starts at or
+// above the caller's remaining budget is settled — an exact zero —
+// before any multiply or fold (chainState.supportMin); and a fold that
+// keeps no dimension, which is nearly all of them, runs as the 1-D
+// convolution it is. docs/ARCHITECTURE.md ("What one routing expansion
+// costs") has the measurements and the proof.
 //
 // Query evaluation is bit-deterministic by construction: float
 // accumulation over hyper-buckets always runs in sorted cell order,

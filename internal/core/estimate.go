@@ -95,6 +95,8 @@ type evalScratch struct {
 	foldIdx []int
 	keepIdx []int
 	ivals   []hist.Bucket
+	slabs   []float64 // per-slab sums of a fold that keeps no dimension
+	slabHit []bool
 }
 
 // boundsScratch returns the scratch's bounds slice resized to n with
@@ -282,15 +284,24 @@ func overlapWithNext(de *Decomposition, i int) []int {
 	return keep
 }
 
+// checkStateDims rejects a factor whose dims plus the accumulator axis
+// would not fit a chain state.
+func checkStateDims(fm *hist.Multi) error {
+	if 1+fm.Dims() > hist.MaxDims {
+		return fmt.Errorf("hist: %d dimensions out of range [1,%d]", 1+fm.Dims(), hist.MaxDims)
+	}
+	return nil
+}
+
 // initialState wraps a factor as a chain state with a zero-width
 // accumulator and all factor dims open. The factor's sorted cells map
 // to state cells by prepending the accumulator index 0, which keeps
 // them sorted, so the state is built columnar in one pass.
 func initialState(fm *hist.Multi, positions []int) (*chainState, error) {
-	dims := fm.Dims()
-	if 1+dims > hist.MaxDims {
-		return nil, fmt.Errorf("hist: %d dimensions out of range [1,%d]", 1+dims, hist.MaxDims)
+	if err := checkStateDims(fm); err != nil {
+		return nil, err
 	}
+	dims := fm.Dims()
 	sc := scratchPool.Get().(*evalScratch)
 	defer scratchPool.Put(sc)
 	bounds := sc.boundsScratch(1 + dims)
@@ -366,8 +377,8 @@ func (s *chainState) multiplyKernel(fm *hist.Multi, positions []int, st *EvalSta
 			return s.multiplyRef(fm, positions, st)
 		}
 	}
-	if 1+fm.Dims() > hist.MaxDims {
-		return nil, fmt.Errorf("hist: %d dimensions out of range [1,%d]", 1+fm.Dims(), hist.MaxDims)
+	if err := checkStateDims(fm); err != nil {
+		return nil, err
 	}
 
 	// Align overlap dimensions on a shared grid. The two sides may
@@ -639,6 +650,44 @@ func (s *chainState) multiplyRef(fm *hist.Multi, positions []int, st *EvalStats)
 	return &chainState{m: res, open: positions}, nil
 }
 
+// supportMin returns a lower bound L on the cost support of the state
+// that multiplying s — which must have no open dimension — by fm and
+// folding everything into the accumulator would produce, without doing
+// either. With no overlap every (state cell, factor cell) pair is a
+// product cell, whose folded interval starts at the state cell's
+// accumulator bound plus the factor cell's bucket lows, added left to
+// right exactly as foldCellsInto adds them; float addition is monotone,
+// so the minimum over product cells is reached at the lowest occupied
+// accumulator bucket. Hence L ≤ every folded cell's lo ≤ the first
+// accumulator cut of the folded state ≤ Min() of its cost marginal.
+func (s *chainState) supportMin(fm *hist.Multi) float64 {
+	sKeys, _ := s.m.Cells()
+	if len(sKeys) == 0 {
+		return math.Inf(-1) // nothing to bound; the exact path reports it
+	}
+	accLo, _ := s.m.BucketRange(0, int(sKeys[0].Dim(0)))
+	fKeys, fProbs := fm.Cells()
+	dims := fm.Dims()
+	lowest := math.Inf(1)
+	for i, k := range fKeys {
+		if fProbs[i] == 0 {
+			continue // multiply drops exact-zero products
+		}
+		lo := accLo // foldCellsInto's 0 + accLo
+		for d := 0; d < dims; d++ {
+			l, _ := fm.BucketRange(d, int(k.Dim(d)))
+			lo += l
+		}
+		if lo < lowest {
+			lowest = lo
+		}
+	}
+	if math.IsInf(lowest, 1) {
+		return math.Inf(-1) // no product cell either
+	}
+	return lowest
+}
+
 // foldTo folds all open dims except keep into the accumulator and
 // re-buckets the accumulator axis to at most maxAcc buckets.
 func (s *chainState) foldTo(keep []int, maxAcc int) (*chainState, error) {
@@ -768,7 +817,7 @@ func assembleState(sc *evalScratch, src *hist.Multi, folds []cellFold, nKept int
 	for i, d := range keepIdx {
 		bounds[1+i] = src.Bounds(d)
 	}
-	keys, probs := distributeFoldsInto(sc, folds, cuts)
+	keys, probs := distributeFoldsInto(sc, folds, nKept, cuts)
 	out, err := hist.NewMultiFromPackedCells(bounds, keys, probs)
 	if err != nil {
 		return nil, err
@@ -812,16 +861,28 @@ func accCuts(sc *evalScratch, folds []cellFold, maxAcc int) ([]float64, error) {
 //
 // Accumulation happens immediately per emission — the same order as
 // the reference path's out.AddCell, so the per-cell float sums are
-// identical — but into flat local packed-key/probability arrays
-// instead of a Multi: appends and in-place accruals are word compares
-// on packed keys, the binary search on out-of-order emissions is a
-// handful of word compares, and there is no per-emission marginal
-// invalidation. Within one fold the emitted keys strictly ascend
-// (only the slab index varies), so the tail fast paths absorb most
-// emissions.
-func distributeFoldsInto(sc *evalScratch, folds []cellFold, cuts []float64) ([]hist.PackedKey, []float64) {
+// identical — but never into a Multi. A fold that keeps no dimension
+// (nKept == 0: a plain 1-D convolution, nearly every fold of a chain)
+// has the slab index as its whole key, so it accrues into a
+// slab-indexed table and the cells are read off it in order. A fold
+// that keeps dimensions accrues into flat packed-key/probability
+// arrays: within one fold the emitted keys strictly ascend (only the
+// slab index varies), so the tail fast paths absorb most emissions and
+// an out-of-order one costs a binary search over word compares.
+func distributeFoldsInto(sc *evalScratch, folds []cellFold, nKept int, cuts []float64) ([]hist.PackedKey, []float64) {
 	keys := sc.keys[:0]
 	probs := sc.probs[:0]
+	var slabs []float64
+	var slabHit []bool
+	if nKept == 0 {
+		n := len(cuts) - 1
+		if cap(sc.slabs) < n {
+			sc.slabs, sc.slabHit = make([]float64, n), make([]bool, n)
+		}
+		slabs, slabHit = sc.slabs[:n], sc.slabHit[:n]
+		clear(slabs)
+		clear(slabHit)
+	}
 	for _, f := range folds {
 		lo, hi := f.lo, f.hi
 		if !(hi > lo) {
@@ -841,7 +902,16 @@ func distributeFoldsInto(sc *evalScratch, folds []cellFold, cuts []float64) ([]h
 			if cuts[s] >= hi {
 				break
 			}
-			ol := math.Min(cuts[s+1], hi) - math.Max(cuts[s], lo)
+			// min(cuts[s+1], hi) − max(cuts[s], lo): no NaNs reach here,
+			// so plain comparisons give math.Min/Max's values.
+			top, bot := cuts[s+1], cuts[s]
+			if hi < top {
+				top = hi
+			}
+			if lo > bot {
+				bot = lo
+			}
+			ol := top - bot
 			if ol <= 0 {
 				continue
 			}
@@ -849,6 +919,11 @@ func distributeFoldsInto(sc *evalScratch, folds []cellFold, cuts []float64) ([]h
 			if add == 0 {
 				// Matches the map kernel: Cell+SetCell with a zero delta
 				// never materialized an absent cell.
+				continue
+			}
+			if slabs != nil {
+				slabs[s] += add // the first sum is 0 + add = add exactly
+				slabHit[s] = true
 				continue
 			}
 			key := base.WithDim(0, uint16(s))
@@ -873,6 +948,12 @@ func distributeFoldsInto(sc *evalScratch, folds []cellFold, cuts []float64) ([]h
 					probs[i] = add
 				}
 			}
+		}
+	}
+	for s, hit := range slabHit {
+		if hit {
+			keys = append(keys, hist.PackedKey{}.WithDim(0, uint16(s)))
+			probs = append(probs, slabs[s])
 		}
 	}
 	sc.keys, sc.probs = keys, probs

@@ -1,6 +1,11 @@
 package core
 
-import "bytes"
+import (
+	"bytes"
+	"math"
+
+	"repro/internal/graph"
+)
 
 // stateV1Version heads the retired text relay format.
 const stateV1Version = "pstate-v1"
@@ -16,4 +21,23 @@ func EncodeStateV1(s *ChainState) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// extendRefolding is ExtendPath(nil, prev, e) in the order recompute
+// used before the siblings of a DFS node shared their parent's fold:
+// the resume state is folded again from prev's pre-fold state even
+// when prev already holds that very fold. The shared fold is hidden
+// behind a copy of prev whose last intermediate state claims a fold
+// target no decomposition asks for, so recompute's own refold branch
+// runs — the old order, reachable from tests alone.
+func extendRefolding(h *HybridGraph, prev *PathState, e graph.EdgeID) (*PathState, error) {
+	hidden := &PathState{h: prev.h, path: prev.path, t: prev.t, opt: prev.opt, de: prev.de, preFold: prev.preFold}
+	hidden.inter = append([]*chainState(nil), prev.inter...)
+	last := len(hidden.inter) - 1
+	hidden.inter[last] = &chainState{m: prev.inter[last].m, open: []int{-1}}
+	ns := &PathState{h: h, path: append(prev.path.Clone(), e), t: prev.t, opt: prev.opt}
+	if err := ns.recompute(hidden, math.Inf(1)); err != nil {
+		return nil, err
+	}
+	return ns, nil
 }

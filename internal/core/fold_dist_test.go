@@ -10,16 +10,19 @@ import (
 )
 
 // Differential test for the fold distribution: distributeFoldsInto
-// (flat packed-key arrays, tail fast paths, binary-search inserts)
-// against distributeFoldsRef (the retained Multi.AddCell walk). The
+// (a slab-indexed table when no dimension is kept, else flat packed-key
+// arrays with tail fast paths and binary-search inserts) against distributeFoldsRef (the retained Multi.AddCell walk). The
 // two run the identical slab loop, so every per-cell float sum must
 // match bit for bit.
 
 // randomFoldCase builds a random cuts grid, kept-dim bounds, and fold
 // list shaped like real accCuts/foldCells output — plus the edge cases
 // the evaluator produces: degenerate (point) folds, folds clipped at
-// either end of the cut range, and repeated kept-dim indexes forcing
-// out-of-order accumulation across folds.
+// either end of the cut range, folds starting or ending exactly on a
+// cut or on an earlier fold's lo, zero-mass folds (every add is
+// skipped), and repeated kept-dim indexes forcing out-of-order
+// accumulation across folds. One case in three keeps no dimension —
+// the slab-table path.
 func randomFoldCase(rnd *rand.Rand) ([][]float64, []cellFold, []float64) {
 	nCuts := 2 + rnd.Intn(8)
 	cuts := make([]float64, 0, nCuts)
@@ -44,10 +47,20 @@ func randomFoldCase(rnd *rand.Rand) ([][]float64, []cellFold, []float64) {
 	folds := make([]cellFold, 1+rnd.Intn(12))
 	for i := range folds {
 		lo := cuts[0] + (rnd.Float64()*1.4-0.2)*span // may start outside the grid
+		switch rnd.Intn(6) {
+		case 0:
+			lo = cuts[rnd.Intn(len(cuts))] // exactly on a cut
+		case 1:
+			if i > 0 {
+				lo = folds[rnd.Intn(i)].lo // an earlier fold's lo again
+			}
+		}
 		var hi float64
-		switch rnd.Intn(4) {
+		switch rnd.Intn(5) {
 		case 0:
 			hi = lo // degenerate point fold
+		case 1:
+			hi = cuts[rnd.Intn(len(cuts))] // ends on a cut (or before lo: a point fold)
 		default:
 			hi = lo + rnd.Float64()*span/2
 		}
@@ -55,7 +68,11 @@ func randomFoldCase(rnd *rand.Rand) ([][]float64, []cellFold, []float64) {
 		for d := range idx {
 			idx[d] = rnd.Intn(nb[d])
 		}
-		folds[i] = cellFold{lo: lo, hi: hi, idx: idx, pr: 0.01 + rnd.Float64()}
+		pr := 0.01 + rnd.Float64()
+		if rnd.Intn(6) == 0 {
+			pr = 0
+		}
+		folds[i] = cellFold{lo: lo, hi: hi, idx: idx, pr: pr}
 	}
 	return bounds, folds, cuts
 }
@@ -75,7 +92,7 @@ func TestDistributeFoldsMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		distributeFoldsRef(ref, folds, cuts)
-		keys, probs := distributeFoldsInto(sc, folds, cuts)
+		keys, probs := distributeFoldsInto(sc, folds, len(bounds)-1, cuts)
 		rk, rp := ref.Cells()
 		if len(keys) != len(rk) {
 			t.Fatalf("trial %d: %d cells, reference %d", trial, len(keys), len(rk))

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/graph"
@@ -76,7 +78,7 @@ func (h *HybridGraph) StartPath(r *Reuse, e graph.EdgeID, t float64, opt QueryOp
 	}
 	s, _, err := r.through(graph.Path{e}, t, opt, func() (*PathState, error) {
 		s := &PathState{h: h, path: graph.Path{e}, t: t, opt: opt}
-		if err := s.recompute(nil); err != nil {
+		if err := s.recompute(nil, math.Inf(1)); err != nil {
 			return nil, err
 		}
 		return s, nil
@@ -89,22 +91,46 @@ func (h *HybridGraph) StartPath(r *Reuse, e graph.EdgeID, t float64, opt QueryOp
 // of a convolution step, and a computed one reuses as much of s's
 // chain evaluation as the new coarsest decomposition allows. The
 // receiver remains valid (DFS keeps parent states alive across
-// siblings). The extended path and its key are built once.
+// siblings).
 func (h *HybridGraph) ExtendPath(r *Reuse, s *PathState, e graph.EdgeID) (*PathState, error) {
+	ns, _, err := h.ExtendPathWithin(r, s, e, math.Inf(1))
+	return ns, err
+}
+
+// errSettled is recompute's answer when the child's cost support lies
+// wholly at or above the asked budget; it never leaves the package.
+var errSettled = errors.New("core: extension settled by its cost-support minimum")
+
+// ExtendPathWithin is ExtendPath for a caller that needs the child
+// only if it can cost less than within (a budget search's remaining
+// budget). When the child is not already stored and its cost-support
+// minimum — read off the parent's folded state and the one new factor,
+// before any kernel work — is at or above within, it reports settled
+// with a nil state: the child's distribution d would have d.Min() ≥
+// within, so d.CDF(x) is exactly 0 for every x ≤ within. Every check
+// ExtendPath makes before the kernel still runs, a stored state is
+// still returned first, and a settled child is not offered to r. Any
+// child the minimum cannot be read for that cheaply (a cold start, an
+// overlapping resume, more than one new factor) is computed exactly;
+// within = +Inf never settles. The extended path is built once.
+func (h *HybridGraph) ExtendPathWithin(r *Reuse, s *PathState, e graph.EdgeID, within float64) (ns *PathState, settled bool, err error) {
 	np := make(graph.Path, len(s.path)+1)
 	copy(np, s.path)
 	np[len(s.path)] = e
-	ns, _, err := r.through(np, s.t, s.opt, func() (*PathState, error) {
+	ns, _, err = r.through(np, s.t, s.opt, func() (*PathState, error) {
 		if !h.G.ValidPath(np) {
 			return nil, fmt.Errorf("core: extension %v is not a valid path", np)
 		}
 		ns := &PathState{h: h, path: np, t: s.t, opt: s.opt}
-		if err := ns.recompute(s); err != nil {
+		if err := ns.recompute(s, within); err != nil {
 			return nil, err
 		}
 		return ns, nil
 	})
-	return ns, err
+	if err == errSettled {
+		return nil, true, nil
+	}
+	return ns, false, err
 }
 
 // pathState evaluates path p departing at t, resuming from the deepest
@@ -145,7 +171,7 @@ func (h *HybridGraph) pathState(ctx context.Context, r *Reuse, p graph.Path, t f
 			return nil, err
 		}
 		if reuse {
-			r.offer(r.slot(p[:i+1].Key(), t, opt), st)
+			r.offer(r.slot(p[:i+1], t, opt), st)
 		}
 	}
 	return st, nil
@@ -186,8 +212,10 @@ func (h *HybridGraph) stateResult(st *PathState) (*QueryResult, error) {
 }
 
 // recompute evaluates the state's path, reusing prev's chain prefix
-// when the decompositions share one.
-func (s *PathState) recompute(prev *PathState) error {
+// when the decompositions share one. It returns errSettled, before any
+// kernel work, when the state's cost support provably starts at or
+// above within (see supportMin for when that can be read cheaply).
+func (s *PathState) recompute(prev *PathState, within float64) error {
 	h := s.h
 	ca, err := h.BuildCandidateArray(s.path, s.t)
 	if err != nil {
@@ -223,16 +251,19 @@ func (s *PathState) recompute(prev *PathState) error {
 	var state *chainState
 	from := 0
 	if shared > 0 && prev != nil {
-		// Resume right after the last shared factor. Its fold target
-		// (the overlap with the *new* next factor) may differ from what
-		// prev folded to, so refold from the stored states.
+		// Resume right after the last shared factor, folded to its overlap
+		// with the *new* next factor. When prev already folded it to that
+		// target, prev's state is the same pure function of the same
+		// arguments: share it (every sibling of a DFS node resumes from
+		// one fold). Only prev's last factor can be refolded to a
+		// different target, from its kept pre-fold state.
 		i := shared - 1
 		keep := overlapWithNext(s.de, i)
 		switch {
-		case i == len(prev.de.Vars)-1 && prev.preFold != nil:
-			state, err = prev.preFold.foldTo(keep, h.Params.MaxAccBuckets)
 		case i < len(prev.inter) && sameInts(keep, prev.inter[i].open):
 			state, err = prev.inter[i], nil
+		case i == len(prev.de.Vars)-1 && prev.preFold != nil:
+			state, err = prev.preFold.foldTo(keep, h.Params.MaxAccBuckets)
 		default:
 			state, err = nil, nil
 			shared = 0
@@ -254,6 +285,17 @@ func (s *PathState) recompute(prev *PathState) error {
 		fm, err := asMulti(s.de.Vars[i])
 		if err != nil {
 			return err
+		}
+		if !math.IsInf(within, 1) && i == from && i == len(s.de.Vars)-1 && state != nil && len(state.open) == 0 {
+			// A limit, and one new factor on a resume state with no open
+			// dimension: the child's support minimum needs no multiply or
+			// fold.
+			if err := checkStateDims(fm); err != nil {
+				return err
+			}
+			if within <= state.supportMin(fm) {
+				return errSettled
+			}
 		}
 		positions := factorPositions(s.de, i)
 		if state == nil {
@@ -294,5 +336,3 @@ func sameInts(a, b []int) bool {
 	}
 	return true
 }
-
-var _ = hist.DefaultResolution

@@ -80,6 +80,8 @@ func TestIncrementalParentRemainsUsable(t *testing.T) {
 	if child2.Path().Cardinality() != 3 {
 		t.Fatal("extension path wrong")
 	}
+	// The same along real siblings, concurrently (meaningful under -race).
+	extendSiblingsConcurrently(t)
 }
 
 func TestIncrementalRejectsBadExtension(t *testing.T) {

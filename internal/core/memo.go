@@ -57,9 +57,22 @@ func (m *ConvMemo) Stats() cache.Stats { return m.lru.Stats() }
 // formatted losslessly ('b' is exact for float64), so distinct
 // departures never alias.
 func memoKey(pathKey string, t float64, opt QueryOptions) string {
-	return pathKey + "@" + strconv.FormatFloat(t, 'b', -1, 64) +
-		"/" + string(opt.Method) + "#" + strconv.Itoa(opt.RankCap)
+	var buf [memoKeyStackBytes]byte
+	return string(appendMemoKeyTail(append(buf[:0], pathKey...), t, opt))
 }
+
+// appendMemoKeyTail appends everything of a memoKey after the path
+// signature.
+func appendMemoKeyTail(b []byte, t float64, opt QueryOptions) []byte {
+	b = strconv.AppendFloat(append(b, '@'), t, 'b', -1, 64)
+	b = append(append(b, '/'), opt.Method...)
+	return strconv.AppendInt(append(b, '#'), int64(opt.RankCap), 10)
+}
+
+// memoKeyStackBytes sizes the stack buffer a key is rendered into, so
+// the returned string is its only allocation for paths of a few dozen
+// edges; a longer key spills to the heap and stays correct.
+const memoKeyStackBytes = 320
 
 // memoizable reports whether the method has an incremental (chain)
 // evaluator; RD's random decomposition does not.

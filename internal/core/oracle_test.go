@@ -164,7 +164,7 @@ func TestOracleDifferentialByteIdentity(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 8}
+	cfg := fixedQuick(8, 4)
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 4}); err != nil {
+	if err := quick.Check(f, fixedQuick(4, 5)); err != nil {
 		t.Fatal(err)
 	}
 }

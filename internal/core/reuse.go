@@ -91,14 +91,22 @@ func (r *Reuse) active(m Method) bool {
 // shared across epochs.
 type slot struct{ syn, memo string }
 
-// slot builds the keys of path signature pathKey departing at t under
-// opt — the one place the memo's epoch prefix is applied.
-func (r *Reuse) slot(pathKey string, t float64, opt QueryOptions) slot {
-	k := memoKey(pathKey, t, opt)
-	if r.memo == nil {
-		return slot{syn: k}
+// slot builds the keys of path p departing at t under opt — the one
+// place the memo's epoch prefix is applied. Both keys are rendered
+// once into one buffer: the synopsis key is the memo key past the
+// epoch prefix.
+func (r *Reuse) slot(p graph.Path, t float64, opt QueryOptions) slot {
+	var buf [memoKeyStackBytes]byte
+	b := buf[:0]
+	if r.memo != nil {
+		b = append(b, r.memo.prefix...)
 	}
-	return slot{syn: k, memo: r.memo.prefix + k}
+	n := len(b)
+	full := string(appendMemoKeyTail(p.AppendKey(b), t, opt))
+	if r.memo == nil {
+		return slot{syn: full}
+	}
+	return slot{syn: full[n:], memo: full}
 }
 
 // lookup is the single-step counting probe: the synopsis first (a hit
@@ -132,7 +140,7 @@ func (r *Reuse) through(path graph.Path, t float64, opt QueryOptions, compute fu
 		s, err = compute()
 		return s, false, err
 	}
-	k := r.slot(path.Key(), t, opt)
+	k := r.slot(path, t, opt)
 	if s, ok := r.lookup(k); ok {
 		return s, true, nil
 	}
@@ -158,7 +166,7 @@ func (r *Reuse) longestPrefix(p graph.Path, t float64, opt QueryOptions) (*PathS
 		full    slot
 	)
 	for n := len(p); n >= 1; n-- {
-		k := r.slot(p[:n].Key(), t, opt)
+		k := r.slot(p[:n], t, opt)
 		if n == len(p) {
 			full = k
 		}

@@ -49,6 +49,10 @@ func (p Path) Key() string {
 	return string(p.appendIDs(buf[:0], ""))
 }
 
+// AppendKey appends Key's bytes to b, for callers composing a longer
+// key in one buffer.
+func (p Path) AppendKey(b []byte) []byte { return p.appendIDs(b, "") }
+
 // appendIDs appends the comma-separated edge ids, each after prefix.
 func (p Path) appendIDs(b []byte, prefix string) []byte {
 	for i, e := range p {

@@ -90,7 +90,7 @@ func TestPropertyMergeDeltaMatchesOracle(t *testing.T) {
 		want := mergeDeltaRef(t, m, d, scale)
 		return sameCells(got, want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, fixedQuick(200, 11)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -168,7 +168,7 @@ func TestMergeDeltaMassConservation(t *testing.T) {
 		want := scale*m.Total() + deltaMass
 		return math.Abs(got.Total()-want) <= 1e-9*math.Max(1, want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, fixedQuick(200, 12)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -288,7 +288,7 @@ func TestPropertyMergeCountsMatchesOracle(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, fixedQuick(200, 13)); err != nil {
 		t.Fatal(err)
 	}
 }

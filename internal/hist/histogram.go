@@ -334,20 +334,11 @@ func rearrangeInto(sc *rearrangeScratch, bs []Bucket, ivals []weightedInterval) 
 	if len(ivals) == 0 {
 		return nil, fmt.Errorf("hist: rearrange of zero intervals")
 	}
-	cuts := sc.cuts[:0]
-	if cap(cuts) < 2*len(ivals) {
-		cuts = make([]float64, 0, 2*len(ivals))
-	}
 	for _, iv := range ivals {
 		if !(iv.hi > iv.lo) {
-			sc.cuts = cuts
 			return nil, fmt.Errorf("hist: interval [%v,%v) has non-positive width", iv.lo, iv.hi)
 		}
-		cuts = append(cuts, iv.lo, iv.hi)
 	}
-	sort.Float64s(cuts)
-	cuts = dedupFloats(cuts)
-	sc.cuts = cuts
 
 	// Sort intervals by lo so each elementary cell only scans forward.
 	slices.SortFunc(ivals, func(a, b weightedInterval) int {
@@ -360,6 +351,36 @@ func rearrangeInto(sc *rearrangeScratch, bs []Bucket, ivals []weightedInterval) 
 			return 0
 		}
 	})
+
+	// The cut set is every distinct endpoint, ascending. The los are now
+	// a sorted run; sort the his alone and merge the two runs, dropping
+	// duplicates — the values a sort of all 2n endpoints would leave.
+	n := len(ivals)
+	cuts := sc.cuts[:0]
+	if cap(cuts) < 2*n {
+		cuts = make([]float64, 0, 2*n)
+	}
+	his := cuts[n : 2*n]
+	for i, iv := range ivals {
+		his[i] = iv.hi
+	}
+	sort.Float64s(his)
+	for i, j := 0, 0; i < n || j < n; {
+		var c float64
+		if j == n || (i < n && ivals[i].lo <= his[j]) {
+			c = ivals[i].lo
+			i++
+		} else {
+			c = his[j]
+			j++
+		}
+		// his shares cuts' buffer, n slots up: this write lands at
+		// index ≤ i+j−1 < n+j, the first hi not yet read.
+		if len(cuts) == 0 || c != cuts[len(cuts)-1] {
+			cuts = append(cuts, c)
+		}
+	}
+	sc.cuts = cuts
 
 	if cap(bs) < len(cuts)-1 {
 		bs = make([]Bucket, 0, len(cuts)-1)

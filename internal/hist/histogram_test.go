@@ -84,7 +84,7 @@ func TestCDFQuantileInverse(t *testing.T) {
 		c := h.CDF(x)
 		return c >= q-1e-9
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, fixedQuick(0, 14)); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.Quantile(0); got != 0 {

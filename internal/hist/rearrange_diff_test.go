@@ -87,6 +87,40 @@ func randomIvals(rnd *rand.Rand, n int) []weightedInterval {
 	return ivals
 }
 
+// adversarialIvals is randomIvals plus what the evaluator's folds
+// produce and a cut-set merge could get wrong: point intervals one
+// 1e-9 wide (a degenerate accumulation), intervals repeating an
+// earlier lo or ending exactly where another starts, exact duplicates,
+// and zero-mass intervals.
+func adversarialIvals(rnd *rand.Rand, n int) []weightedInterval {
+	ivals := randomIvals(rnd, n)
+	for i := range ivals {
+		switch rnd.Intn(6) {
+		case 0:
+			ivals[i].hi = ivals[i].lo + 1e-9
+		case 1:
+			if i > 0 {
+				ivals[i].lo = ivals[rnd.Intn(i)].lo
+				ivals[i].hi = ivals[i].lo + 0.5 + float64(rnd.Intn(10))*0.5
+			}
+		case 2:
+			if i > 0 {
+				w := ivals[i].hi - ivals[i].lo
+				ivals[i].lo = ivals[rnd.Intn(i)].hi
+				ivals[i].hi = ivals[i].lo + w
+			}
+		case 3:
+			if i > 0 {
+				ivals[i] = ivals[rnd.Intn(i)]
+			}
+		case 4:
+			ivals[i].pr = 0
+		}
+	}
+	ivals[rnd.Intn(n)].pr = 1 // never all-zero
+	return ivals
+}
+
 func sameBucketsBits(t *testing.T, got, want []Bucket, what string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -110,6 +144,9 @@ func TestRearrangeSweepMatchesRescan(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + rnd.Intn(40)
 		ivals := randomIvals(rnd, n)
+		if trial%2 == 1 {
+			ivals = adversarialIvals(rnd, n)
+		}
 		ref := append([]weightedInterval(nil), ivals...)
 		got, err := rearrangeInto(sc, sc.bs, ivals)
 		if err != nil {
@@ -148,5 +185,47 @@ func TestCompressCacheMatchesRescan(t *testing.T) {
 		sameBucketsBits(t, got, want, "compress(sc)")
 		got2 := compressBuckets(append([]Bucket(nil), bs...), maxBuckets)
 		sameBucketsBits(t, got2, want, "compress(nil)")
+	}
+}
+
+// INVARIANT: RearrangedCuts returns the boundaries of
+// Rearranged(...).Compress(max), bit for bit — the evaluator's pooled
+// re-bucketing against the public composition it stands for.
+func TestRearrangedCutsMatchesComposition(t *testing.T) {
+	rnd := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rnd.Intn(40)
+		wi := adversarialIvals(rnd, n)
+		ivals := make([]Bucket, n)
+		for i, iv := range wi {
+			ivals[i] = Bucket{Lo: iv.lo, Hi: iv.hi, Pr: iv.pr}
+		}
+		for _, maxBuckets := range []int{0, 1, 1 + rnd.Intn(n), 48} {
+			got, err := RearrangedCuts(append([]Bucket(nil), ivals...), maxBuckets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := Rearranged(append([]Bucket(nil), ivals...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if maxBuckets > 0 {
+				h = h.Compress(maxBuckets)
+			}
+			bs := h.Buckets()
+			want := make([]float64, 0, len(bs)+1)
+			for _, b := range bs {
+				want = append(want, b.Lo)
+			}
+			want = append(want, bs[len(bs)-1].Hi)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d max %d: %d cuts, composition has %d", trial, maxBuckets, len(got), len(want))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d max %d: cut %d is %v, composition has %v", trial, maxBuckets, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

@@ -1,0 +1,106 @@
+package routing
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/geo"
+	"repro/internal/gps"
+	"repro/internal/graph"
+)
+
+// table1Hybrid trains the paper's Table 1 situation on a 5-edge chain
+// (the fixture of core's allocation gate): trajectories on
+// <e0,e1,e2,e3> around 8:00 and on <e3,e4> a little later.
+func table1Hybrid(t testing.TB) (*graph.Graph, *core.HybridGraph) {
+	t.Helper()
+	b := graph.NewBuilder()
+	var vs []graph.VertexID
+	for i := 0; i <= 5; i++ {
+		vs = append(vs, b.AddVertex(geo.Point{Lat: 57 + float64(i)*0.002, Lon: 9.9}))
+	}
+	for i := 0; i < 5; i++ {
+		b.AddEdge(vs[i], vs[i+1], 300, 50, graph.ClassSecondary)
+	}
+	g := b.Freeze()
+	rnd := rand.New(rand.NewSource(42))
+	var trajs []*gps.Matched
+	for i := 0; i < 40; i++ {
+		trajs = append(trajs, &gps.Matched{
+			ID: int64(i), Path: graph.Path{0, 1, 2, 3},
+			Depart:    float64(i%10)*gps.SecondsPerDay + 8*3600 + rnd.Float64()*600,
+			EdgeCosts: []float64{30 + rnd.Float64()*10, 35 + rnd.Float64()*10, 28 + rnd.Float64()*8, 33 + rnd.Float64()*9},
+		})
+	}
+	for i := 0; i < 40; i++ {
+		trajs = append(trajs, &gps.Matched{
+			ID: int64(40 + i), Path: graph.Path{3, 4},
+			Depart:    float64(i%10)*gps.SecondsPerDay + 8*3600 + 100 + rnd.Float64()*600,
+			EdgeCosts: []float64{31 + rnd.Float64()*9, 27 + rnd.Float64()*8},
+		})
+	}
+	params := core.DefaultParams()
+	params.MaxRank = 4
+	h, err := core.Build(g, gps.NewCollection(trajs, 0), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, h
+}
+
+// expansionAllocBudget bounds what one DFS expansion of a BestPath
+// allocates on the Table 1 chain with warm pools and a memo that has
+// seen nothing (probe, compute, offer — the shape of a routing
+// request, whose prefixes are mostly new), end to end: the search's
+// own set-up (lower bounds, visited set, frontier, result) spread over
+// its five expansions, plus each expansion's key, extend and marginal.
+// OD decomposes this chain into one growing factor, so its expansions
+// start over each time; LB's unit factors make every expansion resume
+// from its parent's fold. Measured 31.0 (OD) and 30.0 (LB) per
+// expansion; the search that re-folded the parent's state for every
+// child, copied and reflect-sorted every node's out-edges and built
+// each key in three pieces measured 34.2 and 38.0. The budgets leave
+// one object of headroom and sit below both old numbers.
+var expansionAllocBudget = map[core.Method]float64{
+	core.MethodOD: 32,
+	core.MethodLB: 31,
+}
+
+func TestBestPathExpansionAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the pooled scratch at random")
+	}
+	_, h := table1Hybrid(t)
+	r := New(h)
+	q := Query{Source: 0, Dest: 5, Depart: 8 * 3600, Budget: 400}
+	for _, m := range []core.Method{core.MethodOD, core.MethodLB} {
+		opt := Options{Method: m, Incremental: true}
+		// One epoch view per run, so every expansion misses the memo.
+		const runs = 100
+		base := core.NewConvMemo(1 << 12)
+		cold := make([]*core.Reuse, runs+1) // AllocsPerRun warms up with one extra call
+		for i := range cold {
+			cold[i] = core.NewReuse(nil, base.ForEpoch(uint64(i)))
+		}
+		i, explored := 0, 0
+		n := testing.AllocsPerRun(runs, func() {
+			r.SetReuse(cold[i])
+			i++
+			res, err := r.BestPath(q, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			explored = res.Explored
+		})
+		if explored != 5 {
+			t.Fatalf("%s: the chain search explored %d prefixes, want 5", m, explored)
+		}
+		if st := base.Stats(); st.Hits != 0 {
+			t.Fatalf("%s: the measured searches hit the memo: %+v", m, st)
+		}
+		if per := n / float64(explored); per > expansionAllocBudget[m] {
+			t.Errorf("%s: a BestPath allocates %.1f objects per expansion (%v per search), budget %v", m, per, n, expansionAllocBudget[m])
+		}
+	}
+}

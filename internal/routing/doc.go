@@ -19,4 +19,13 @@
 // searches — including the entries of one server batch — extend a
 // candidate by one edge with a single lookup when the prefix was seen
 // before. Results are byte-identical with or without a handle.
+//
+// Each expansion hands the extend its remaining budget (the budget
+// less the admissible lower bound to the destination), so a prefix
+// whose whole cost support lies at or above it — its pruning bound is
+// exactly 0 — is counted explored and pruned without being evaluated
+// (core.ExtendPathWithin); prefixes that reach the destination are
+// always evaluated. BestPathCtx and TopKPathsCtx bound a search by a
+// context, checked once per expansion; a dead deadline returns its
+// error and no partial result.
 package routing

@@ -1,9 +1,10 @@
 package routing
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -90,6 +91,13 @@ func (r *Router) SetReuse(ru *core.Reuse) { r.reuse.Store(ru) }
 // destination is unreachable or no path satisfies the budget with
 // positive probability.
 func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
+	return r.BestPathCtx(nil, q, opt)
+}
+
+// BestPathCtx is BestPath bounded by ctx (nil = unbounded): the
+// deadline is checked once per expansion, and a search it cuts short
+// returns ctx's error and no partial result.
+func (r *Router) BestPathCtx(ctx context.Context, q Query, opt Options) (*Result, error) {
 	start := time.Now()
 	if opt.Method == "" {
 		opt.Method = core.MethodOD
@@ -118,20 +126,17 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 	if opt.Incremental && opt.BatchWorkers > 1 {
 		batch = core.NewBatchPlanner(r.h, opt.BatchWorkers)
 	}
-	visited := make(map[graph.VertexID]bool)
+	visited := make([]bool, g.NumVertices())
 	visited[q.Source] = true
+	var fr frontier
 
 	var dfs func(prefix graph.Path, state *core.PathState, v graph.VertexID) error
 	dfs = func(prefix graph.Path, state *core.PathState, v graph.VertexID) error {
 		if res.Explored >= opt.MaxExpansions || len(prefix) >= opt.MaxEdges {
 			return nil
 		}
-		// Expand neighbors closest to the destination first so a good
-		// incumbent is found early and prunes aggressively.
-		outs := append([]graph.EdgeID(nil), g.Out(v)...)
-		sort.Slice(outs, func(i, j int) bool {
-			return lb[g.Edge(outs[i]).To] < lb[g.Edge(outs[j]).To]
-		})
+		outs := fr.push(g, lb, v)
+		defer fr.pop(outs)
 		bpos, bstates, berrs := frontierBatch(batch, reuse, g, lb, visited,
 			state, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap}, outs)
 		for _, eid := range outs {
@@ -145,21 +150,32 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 			if res.Explored >= opt.MaxExpansions {
 				return nil
 			}
+			if err := ctxErr(ctx); err != nil {
+				return err
+			}
 			var ns *core.PathState
 			var dist *hist.Histogram
 			var err error
 			if opt.Incremental {
+				settled := false
 				if i, ok := bpos[eid]; ok {
 					ns, err = bstates[i], berrs[i]
 				} else if state == nil {
 					ns, err = r.h.StartPath(reuse, eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
 				} else {
-					ns, err = r.h.ExtendPath(reuse, state, eid)
-				}
-				if err == nil {
-					dist, err = ns.DistErr()
+					ns, settled, err = r.h.ExtendPathWithin(reuse, state, eid, remaining(q, lb, e))
 				}
 				if err != nil {
+					return err
+				}
+				if settled {
+					// The bound below is exactly 0 ≤ best: explored and
+					// pruned, without the kernel.
+					res.Explored++
+					res.Pruned++
+					continue
+				}
+				if dist, err = ns.DistErr(); err != nil {
 					return err
 				}
 			} else {
@@ -208,6 +224,56 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// frontier is the stack of out-edge lists of the DFS nodes on the
+// current branch, one backing array for the whole search.
+type frontier []graph.EdgeID
+
+// push returns v's out-edges, nearest to the destination first so a
+// good incumbent is found early and prunes aggressively. Ties keep the
+// order sort.Slice gave them (same algorithm, minus the reflection
+// swapper). A push that grows the stack leaves the lists of the nodes
+// above valid in the old array.
+func (f *frontier) push(g *graph.Graph, lb []float64, v graph.VertexID) []graph.EdgeID {
+	base := len(*f)
+	*f = append(*f, g.Out(v)...)
+	outs := (*f)[base:len(*f):len(*f)]
+	slices.SortFunc(outs, func(a, b graph.EdgeID) int {
+		da, db := lb[g.Edge(a).To], lb[g.Edge(b).To]
+		switch {
+		case da < db:
+			return -1
+		case db < da:
+			return 1
+		default:
+			return 0
+		}
+	})
+	return outs
+}
+
+// pop releases the list push returned.
+func (f *frontier) pop(outs []graph.EdgeID) { *f = (*f)[:len(*f)-len(outs)] }
+
+// remaining is the budget left for the prefix ending in e once the
+// admissible lower bound to the destination is set aside — what the
+// pruning bound evaluates the prefix's CDF at. A prefix that reaches
+// the destination is never pruned (its distribution is the answer), so
+// it has no limit.
+func remaining(q Query, lb []float64, e graph.Edge) float64 {
+	if e.To == q.Dest {
+		return math.Inf(1)
+	}
+	return q.Budget - lb[e.To]
+}
+
+// ctxErr reports a dead deadline; a nil ctx is unbounded.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
 // frontierBatch pre-evaluates the extensions of one DFS node's chain
 // state by every eligible out-edge concurrently through the batch
 // planner — the sibling expansions are one implicit batch whose
@@ -221,7 +287,7 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 // few unused states — they feed the shared memo but alter no counter
 // or result, keeping answers byte-identical to sequential expansion.
 func frontierBatch(bp *core.BatchPlanner, reuse *core.Reuse,
-	g *graph.Graph, lb []float64, visited map[graph.VertexID]bool,
+	g *graph.Graph, lb []float64, visited []bool,
 	state *core.PathState, t float64, opt core.QueryOptions, outs []graph.EdgeID,
 ) (map[graph.EdgeID]int, []*core.PathState, []error) {
 	if bp == nil {

@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"fmt"
-
-	"repro/internal/hist"
-)
+import "fmt"
 
 // SkylinePaths answers a stochastic-skyline style query (in the spirit
 // of Yang et al. [22], the third routing family the paper integrates
@@ -42,5 +38,3 @@ func (r *Router) SkylinePaths(q Query, maxCandidates int, opt Options) ([]TopKRe
 	}
 	return skyline, nil
 }
-
-var _ = hist.DefaultResolution

@@ -2,9 +2,8 @@ package routing
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -24,6 +23,13 @@ type TopKResult struct {
 // DFS machinery with a result heap; pruning compares against the k-th
 // best incumbent instead of the single best.
 func (r *Router) TopKPaths(q Query, k int, opt Options) ([]TopKResult, error) {
+	return r.TopKPathsCtx(nil, q, k, opt)
+}
+
+// TopKPathsCtx is TopKPaths bounded by ctx (nil = unbounded): the
+// deadline is checked once per expansion, and a search it cuts short
+// returns ctx's error and no partial result.
+func (r *Router) TopKPathsCtx(ctx context.Context, q Query, k int, opt Options) ([]TopKResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("routing: k = %d must be ≥ 1", k)
 	}
@@ -60,18 +66,17 @@ func (r *Router) TopKPaths(q Query, k int, opt Options) ([]TopKResult, error) {
 	if opt.BatchWorkers > 1 {
 		batch = core.NewBatchPlanner(r.h, opt.BatchWorkers)
 	}
-	visited := make(map[graph.VertexID]bool)
+	visited := make([]bool, g.NumVertices())
 	visited[q.Source] = true
+	var fr frontier
 
 	var dfs func(prefix graph.Path, state *core.PathState, v graph.VertexID) error
 	dfs = func(prefix graph.Path, state *core.PathState, v graph.VertexID) error {
 		if explored >= opt.MaxExpansions || len(prefix) >= opt.MaxEdges {
 			return nil
 		}
-		outs := append([]graph.EdgeID(nil), g.Out(v)...)
-		sort.Slice(outs, func(i, j int) bool {
-			return lb[g.Edge(outs[i]).To] < lb[g.Edge(outs[j]).To]
-		})
+		outs := fr.push(g, lb, v)
+		defer fr.pop(outs)
 		bpos, bstates, berrs := frontierBatch(batch, reuse, g, lb, visited,
 			state, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap}, outs)
 		for _, eid := range outs {
@@ -82,19 +87,26 @@ func (r *Router) TopKPaths(q Query, k int, opt Options) ([]TopKResult, error) {
 			if explored >= opt.MaxExpansions {
 				return nil
 			}
+			if err := ctxErr(ctx); err != nil {
+				return err
+			}
 			var ns *core.PathState
 			var err error
+			settled := false
 			if i, ok := bpos[eid]; ok {
 				ns, err = bstates[i], berrs[i]
 			} else if state == nil {
 				ns, err = r.h.StartPath(reuse, eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
 			} else {
-				ns, err = r.h.ExtendPath(reuse, state, eid)
+				ns, settled, err = r.h.ExtendPathWithin(reuse, state, eid, remaining(q, lb, e))
 			}
 			if err != nil {
 				return err
 			}
 			explored++
+			if settled {
+				continue // the bound below is exactly 0 ≤ kth()
+			}
 			dist, err := ns.DistErr()
 			if err != nil {
 				return err
@@ -125,11 +137,9 @@ func (r *Router) TopKPaths(q Query, k int, opt Options) ([]TopKResult, error) {
 		}
 		return nil
 	}
-	start := time.Now()
 	if err := dfs(nil, nil, q.Source); err != nil {
 		return nil, err
 	}
-	_ = start
 	if results.Len() == 0 {
 		return nil, fmt.Errorf("routing: no path to destination found within limits")
 	}

@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	pathcost "repro"
 	"repro/internal/api"
+	"repro/internal/graph"
 )
 
 var (
@@ -176,6 +178,94 @@ func TestBudgetHeaderTightensDeadline(t *testing.T) {
 	// answers normally — the header codepath must not distort success.
 	if status, msg := postWithBudget(t, ts.URL+"/v1/distribution", "30000", body); status != http.StatusOK {
 		t.Fatalf("generous budget: status %d (%s), want 200", status, msg)
+	}
+}
+
+// expiringCtx is a request context whose deadline dies after a fixed
+// number of Err reads — "the budget ran out mid-search" as an event a
+// test can place exactly, where a real 5 ms timer races the search.
+// Done never fires, so admission takes its slot and only the
+// evaluation's own checks can notice.
+type expiringCtx struct {
+	context.Context
+	live  int64
+	reads atomic.Int64
+}
+
+func (c *expiringCtx) Err() error {
+	if c.reads.Add(1) > c.live {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// farPair returns a pair whose fastest path has at least hops edges,
+// with twice its free-flow time as the budget: a search of hundreds of
+// expansions.
+func farPair(t *testing.T, sys *pathcost.System, hops int) (src, dst int64, budget float64) {
+	t.Helper()
+	nv := sys.Graph.NumVertices()
+	for s := 0; s < nv; s++ {
+		dists := sys.Graph.ShortestDistances(pathcost.VertexID(s), graph.FreeFlowWeight)
+		for d := nv - 1; d >= 0; d-- {
+			if d == s || dists[d] > 1e300 {
+				continue
+			}
+			if p, ff, err := sys.Router().FastestPath(pathcost.VertexID(s), pathcost.VertexID(d)); err == nil && len(p) >= hops {
+				return int64(s), int64(d), 2 * ff
+			}
+		}
+	}
+	t.Fatalf("no pair %d hops apart", hops)
+	return 0, 0, 0
+}
+
+// TestRoutingHonoursDeadlineAfterAdmission pins deadline propagation
+// into the routing DFS: a budget that expires once the request holds
+// its evaluation slot stops the search at its next expansion, answers
+// 504 through the usual mapping, and gives the slot back. Before the
+// search took a context, the request ran to its expansion cap with the
+// slot held.
+func TestRoutingHonoursDeadlineAfterAdmission(t *testing.T) {
+	sys := deadlineSystem(t)
+	s := New(sys, Config{MaxInFlight: 2})
+	src, dst, budget := farPair(t, sys, 12)
+	depart := 8 * 3600.0
+	full, err := sys.Route(pathcost.VertexID(src), pathcost.VertexID(dst), depart, budget, pathcost.OD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The context is read once at admission and once per expansion;
+	// let three expansions through.
+	const expansions = 3
+	if full.Explored < 10*expansions {
+		t.Fatalf("the unbounded search explored only %d prefixes; the pair is too easy to show a cut", full.Explored)
+	}
+	route := routeRequest{Source: src, Dest: dst, Depart: depart, Budget: budget}
+	for name, eval := range map[string]func(ctx context.Context) (int, string){
+		"route": func(ctx context.Context) (int, string) {
+			_, status, msg := s.evalRoute(ctx, sys, &route)
+			return status, msg
+		},
+		"topk": func(ctx context.Context) (int, string) {
+			_, status, msg := s.evalTopK(ctx, sys, &topkRequest{RouteRequest: route, K: 3})
+			return status, msg
+		},
+	} {
+		ctx := &expiringCtx{Context: context.Background(), live: 1 + expansions}
+		status, msg := eval(ctx)
+		if status != http.StatusGatewayTimeout || msg != "deadline exceeded" {
+			t.Errorf("%s: status %d (%q), want 504 deadline exceeded", name, status, msg)
+		}
+		// Admission, the expansions let through, the one that saw the
+		// dead deadline, and the status mapping's own look.
+		if got := ctx.reads.Load(); got != 1+expansions+2 {
+			t.Errorf("%s: the context was read %d times, want %d: the search did not stop at the first expansion past the deadline",
+				name, got, 1+expansions+2)
+		}
+		if n := len(s.sem); n != 0 {
+			t.Errorf("%s: %d evaluation slots still held after the 504", name, n)
+		}
 	}
 }
 

@@ -837,7 +837,7 @@ func (s *Server) evalRoute(ctx context.Context, sys *pathcost.System, req *route
 		return nil, status, msg
 	}
 	defer s.release() // deferred: a panicking evaluation must not leak the slot
-	res, err := sys.Route(pathcost.VertexID(req.Source), pathcost.VertexID(req.Dest),
+	res, err := sys.RouteCtx(ctx, pathcost.VertexID(req.Source), pathcost.VertexID(req.Dest),
 		req.Depart, req.Budget, m)
 	if err != nil {
 		status, msg := s.queryErrorStatus(ctx, err)
@@ -869,7 +869,7 @@ func (s *Server) evalTopK(ctx context.Context, sys *pathcost.System, req *topkRe
 		return nil, status, msg
 	}
 	defer s.release() // deferred: a panicking evaluation must not leak the slot
-	res, err := sys.TopKRoutes(pathcost.VertexID(req.Source), pathcost.VertexID(req.Dest),
+	res, err := sys.TopKRoutesCtx(ctx, pathcost.VertexID(req.Source), pathcost.VertexID(req.Dest),
 		req.Depart, req.Budget, req.K, m)
 	if err != nil {
 		status, msg := s.queryErrorStatus(ctx, err)

@@ -793,8 +793,15 @@ func (s *System) GroundTruth(p Path, depart float64) (*Histogram, int, error) {
 // sibling expansions evaluate as one implicit batch on the planner's
 // worker pool; the answer is byte-identical either way.
 func (s *System) Route(src, dst VertexID, depart, budget float64, m Method) (*RouteResult, error) {
+	return s.RouteCtx(nil, src, dst, depart, budget, m)
+}
+
+// RouteCtx is Route bounded by ctx (nil = unbounded): the search
+// checks the deadline once per expansion and a dead one returns ctx's
+// error, never a partial route.
+func (s *System) RouteCtx(ctx context.Context, src, dst VertexID, depart, budget float64, m Method) (*RouteResult, error) {
 	ep := s.epoch.Load()
-	return ep.Router.BestPath(routing.Query{
+	return ep.Router.BestPathCtx(ctx, routing.Query{
 		Source: src, Dest: dst, Depart: depart, Budget: budget,
 	}, s.routeOptions(ep, m))
 }
@@ -911,8 +918,13 @@ func LoadSystem(g *Graph, data *Collection, r io.Reader) (*System, error) {
 // TopKRoutes answers the probabilistic top-k path query: the k best
 // paths by probability of arriving within the budget.
 func (s *System) TopKRoutes(src, dst VertexID, depart, budget float64, k int, m Method) ([]routing.TopKResult, error) {
+	return s.TopKRoutesCtx(nil, src, dst, depart, budget, k, m)
+}
+
+// TopKRoutesCtx is TopKRoutes bounded by ctx, as RouteCtx is Route.
+func (s *System) TopKRoutesCtx(ctx context.Context, src, dst VertexID, depart, budget float64, k int, m Method) ([]routing.TopKResult, error) {
 	ep := s.epoch.Load()
-	return ep.Router.TopKPaths(routing.Query{
+	return ep.Router.TopKPathsCtx(ctx, routing.Query{
 		Source: src, Dest: dst, Depart: depart, Budget: budget,
 	}, k, s.routeOptions(ep, m))
 }
