@@ -81,6 +81,65 @@ func TestEpochIncrementalMatchesFullRetrain(t *testing.T) {
 		}
 	}
 
+	// Three more batches, made by hand for what a publish that reads
+	// only the touched intervals could get wrong: a path touched in two
+	// intervals by one batch, and a path whose occurrences in an
+	// interval reach β only with the third batch — one short of it after
+	// the second — so that its variable is new, not rebuilt.
+	dense := sys.DensePaths(2, params.Beta)
+	if len(dense) == 0 {
+		t.Fatal("no dense rank-2 path in the workload")
+	}
+	p, busy := dense[0].Path, dense[0].Interval
+	intervals := int(gps.SecondsPerDay / params.IntervalSeconds())
+	quiet, inQuiet := -1, 0
+	for iv := 0; iv < intervals && quiet < 0; iv++ {
+		n := 0
+		for _, oc := range sys.Data().OccurrencesOfPath(p) {
+			if params.IntervalOf(sys.Data().Traj(oc.Traj).ArrivalAt(oc.Pos)) == iv {
+				n++
+			}
+		}
+		if n < params.Beta-1 && iv != busy && iv != (busy+1)%intervals {
+			quiet, inQuiet = iv, n
+		}
+	}
+	if quiet < 0 {
+		t.Fatalf("path %v has ≥ β−1 occurrences in every interval", p)
+	}
+	nextID := int64(9_000_000)
+	along := func(iv, n int) []*Matched {
+		lo, _ := params.IntervalBounds(iv)
+		out := make([]*Matched, n)
+		for i := range out {
+			out[i] = &Matched{
+				ID: nextID, Path: p.Clone(), Depart: lo + 5 + float64(i),
+				EdgeCosts: []float64{20 + float64(nextID%7), 30 + float64(nextID%5)},
+			}
+			nextID++
+		}
+		return out
+	}
+	apply := func(batch []*Matched) EpochStats {
+		t.Helper()
+		st, err := sys.ApplyDeltas(batch)
+		if err != nil {
+			t.Fatalf("ApplyDeltas: %v", err)
+		}
+		publishes++
+		return st
+	}
+	if st := apply(append(along(busy, 3), along((busy+1)%intervals, 3)...)); st.LastRebuiltVars == 0 {
+		t.Fatalf("a batch on dense path %v rebuilt no variable", p)
+	}
+	apply(along(quiet, params.Beta-1-inQuiet))
+	if v := sys.Hybrid().LookupInterval(p, quiet); v != nil {
+		t.Fatalf("path %v has a variable in interval %d one occurrence short of β", p, quiet)
+	}
+	if st := apply(along(quiet, 1)); st.LastNewVars == 0 || sys.Hybrid().LookupInterval(p, quiet) == nil {
+		t.Fatalf("the occurrence that reaches β in interval %d created no variable for %v (new vars %d)", quiet, p, st.LastNewVars)
+	}
+
 	// Reference: full retrain on the identical concatenated stream.
 	fullData := sys.Data()
 	trajs := make([]*Matched, fullData.Len())

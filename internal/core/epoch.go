@@ -253,6 +253,35 @@ func sortedIvs(ivs map[int]bool) []int {
 	return out
 }
 
+// arrivalIntervals returns the arrival interval of every occurrence of
+// edge e, in the collection's occurrence order. An occurrence of a path
+// arrives when the occurrence of its first edge does, so one pass per
+// first edge serves every touched path that starts with it.
+func (h *HybridGraph) arrivalIntervals(data *gps.Collection, e graph.EdgeID) []int {
+	occs := data.EdgeOccurrences(e)
+	ivs := make([]int, len(occs))
+	for i, oc := range occs {
+		ivs[i] = h.Params.IntervalOf(data.Traj(oc.Traj).ArrivalAt(oc.Pos))
+	}
+	return ivs
+}
+
+// touchedOccurrences returns the occurrences of path p that arrive in
+// one of the intervals ivs, grouped by interval: what
+// groupByInterval(OccurrencesOfPath(p)) holds under those keys, element
+// for element (both walk the first edge's occurrences in order), without
+// matching or grouping the occurrences of the intervals the batch did
+// not touch. firstIvs is arrivalIntervals of p's first edge.
+func touchedOccurrences(data *gps.Collection, p graph.Path, firstIvs []int, ivs map[int]bool) map[int][]gps.Occurrence {
+	out := make(map[int][]gps.Occurrence, len(ivs))
+	for i, oc := range data.EdgeOccurrences(p[0]) {
+		if iv := firstIvs[i]; ivs[iv] && data.PathAt(oc, p) {
+			out[iv] = append(out[iv], oc)
+		}
+	}
+	return out
+}
+
 // ApplyBatchExact builds the next epoch's hybrid graph from the
 // receiver, its training collection, and a batch of newly matched
 // trajectories: the collection is extended (copy-on-write) and every
@@ -278,10 +307,15 @@ func (h *HybridGraph) ApplyBatchExact(data *gps.Collection, batch []*gps.Matched
 	delta.TouchedPaths = len(touched)
 
 	cow := h.newCOW()
+	firstIvs := make(map[graph.EdgeID][]int) // arrivalIntervals of each touched path's first edge
 	for _, k := range sortedTouched(touched) {
 		tp := touched[k]
-		occs := next.OccurrencesOfPath(tp.path)
-		byIv := cow.h.groupByInterval(next, tp.path, occs)
+		ivsOfFirst, ok := firstIvs[tp.path[0]]
+		if !ok {
+			ivsOfFirst = h.arrivalIntervals(next, tp.path[0])
+			firstIvs[tp.path[0]] = ivsOfFirst
+		}
+		byIv := touchedOccurrences(next, tp.path, ivsOfFirst, tp.ivs)
 		for _, iv := range sortedIvs(tp.ivs) {
 			ivOccs := byIv[iv]
 			if len(ivOccs) < h.Params.Beta {

@@ -183,25 +183,29 @@ func (c *Collection) OccurrencesOfPath(p graph.Path) []Occurrence {
 	if len(p) == 0 {
 		return nil
 	}
-	first := c.byEdge[p[0]]
 	var out []Occurrence
-	for _, oc := range first {
-		tp := c.trajs[oc.Traj].Path
-		if oc.Pos+len(p) > len(tp) {
-			continue
-		}
-		match := true
-		for j := 1; j < len(p); j++ {
-			if tp[oc.Pos+j] != p[j] {
-				match = false
-				break
-			}
-		}
-		if match {
+	for _, oc := range c.byEdge[p[0]] {
+		if c.PathAt(oc, p) {
 			out = append(out, oc)
 		}
 	}
 	return out
+}
+
+// PathAt reports whether p is the contiguous sub-path of oc's
+// trajectory starting at oc's position, given that oc is an occurrence
+// of p's first edge.
+func (c *Collection) PathAt(oc Occurrence, p graph.Path) bool {
+	tp := c.trajs[oc.Traj].Path
+	if oc.Pos+len(p) > len(tp) {
+		return false
+	}
+	for j := 1; j < len(p); j++ {
+		if tp[oc.Pos+j] != p[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // ExtendOccurrences narrows occurrences of a path of length n to those

@@ -87,3 +87,35 @@ func TestMarginalCacheInvalidation(t *testing.T) {
 		t.Fatal("marginal after Normalize is empty")
 	}
 }
+
+// The Auto selection's allocations on a fixed 200-sample bimodal
+// fixture (three candidate bucket counts over five folds): 78 with the
+// shared sort and the per-fold incremental programs, 536 when every
+// (bucket count, fold) pair rebuilt its raw distributions through a map
+// and its DP tables row by row.
+func TestAutoBucketCountAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	rnd := rand.New(rand.NewSource(200))
+	samples := make([]float64, 200)
+	for i := range samples {
+		if i%3 == 0 {
+			samples[i] = 95 + rnd.NormFloat64()*6
+		} else {
+			samples[i] = 40 + rnd.NormFloat64()*4
+		}
+	}
+	cfg := DefaultAutoConfig()
+	res, err := AutoBucketCount(samples, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Chosen != 2 || len(res.Errors) != 3 {
+		t.Fatalf("fixture drifted: chose %d after %d candidates, want 2 after 3", res.Chosen, len(res.Errors))
+	}
+	const budget = 80
+	if n := testing.AllocsPerRun(50, func() { AutoBucketCount(samples, 1, cfg) }); n > budget {
+		t.Fatalf("AutoBucketCount allocates %.0f times on the 200-sample fixture, budget %d", n, budget)
+	}
+}

@@ -3,6 +3,8 @@ package hist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 )
 
 // AutoConfig controls the self-tuning bucket-count selection of
@@ -35,18 +37,94 @@ type AutoResult struct {
 // first b whose error is not a significant improvement over b−1,
 // returning b−1.
 func AutoBucketCount(samples []float64, resolution float64, cfg AutoConfig) (AutoResult, error) {
+	res, _, err := autoSelect(samples, resolution, cfg)
+	return res, err
+}
+
+// AutoHistogram selects the bucket count via AutoBucketCount and
+// returns the V-Optimal histogram with that many buckets, built on the
+// full sample set. This is the paper's "Auto" method.
+func AutoHistogram(samples []float64, resolution float64, cfg AutoConfig) (*Histogram, AutoResult, error) {
+	res, raw, err := autoSelect(samples, resolution, cfg)
+	if err != nil {
+		return nil, res, err
+	}
+	if raw == nil {
+		if raw, err = NewRaw(samples, resolution); err != nil {
+			return nil, res, err
+		}
+	}
+	h, err := VOptimal(raw, res.Chosen)
+	return h, res, err
+}
+
+// autoSelect is AutoBucketCount that also hands back the raw
+// distribution of the full sample set, which the selection has to build
+// anyway and every caller builds its histogram from; it is nil when
+// there were too few samples to cross-validate and nothing was built.
+//
+// Each piece of work is done once per call: the samples are snapped and
+// sorted once, the train and held-out distributions of every fold are
+// integer counts subtracted from the full tally, and each fold keeps one
+// V-Optimal program that grows a row per candidate b. The float
+// operations are those of building every (b, fold) histogram from
+// scratch, in the same order.
+func autoSelect(samples []float64, resolution float64, cfg AutoConfig) (AutoResult, *Raw, error) {
 	var res AutoResult
 	if cfg.Folds < 2 {
-		return res, fmt.Errorf("hist: need at least 2 folds, got %d", cfg.Folds)
+		return res, nil, fmt.Errorf("hist: need at least 2 folds, got %d", cfg.Folds)
 	}
-	if len(samples) < cfg.Folds {
+	n, f := len(samples), cfg.Folds
+	if n < f {
 		// Too little data to cross-validate; a single bucket is the
 		// only defensible choice.
 		res.Chosen = 1
 		res.Errors = []float64{0}
-		return res, nil
+		return res, nil, nil
 	}
-	folds := splitFolds(samples, cfg.Folds, cfg.Seed)
+	order := dealFolds(n, cfg.Seed)
+	snapped, err := snapSamples(samples, resolution)
+	if err != nil {
+		// Name the sample the per-fold construction would have met
+		// first: fold 0's training set (folds 1..f−1), then fold 0.
+		met := make([]float64, 0, n)
+		for k := 1; k <= f; k++ {
+			for i := k % f; i < n; i += f {
+				met = append(met, samples[order[i]])
+			}
+		}
+		_, err = snapSamples(met, resolution)
+		return res, nil, err
+	}
+	sorted := append([]float64(nil), snapped...)
+	values, total := tally(sorted)
+	full := rawFromCounts(values, total, n, resolution)
+
+	// inFold[k*d+v] counts fold k's samples at distinct value v.
+	d := len(values)
+	inFold := make([]int, f*d)
+	size := make([]int, f)
+	for i, pi := range order {
+		v, _ := slices.BinarySearch(values, snapped[pi])
+		inFold[(i%f)*d+v]++
+		size[i%f]++
+	}
+	type foldCV struct {
+		dp      *voptDP
+		heldOut *Raw
+	}
+	cv := make([]foldCV, f)
+	train := make([]int, d)
+	for k := range cv {
+		held := inFold[k*d : (k+1)*d]
+		for v := range train {
+			train[v] = total[v] - held[v]
+		}
+		cv[k] = foldCV{
+			dp:      newVOptDP(rawFromCounts(values, train, n-size[k], resolution)),
+			heldOut: rawFromCounts(values, held, size[k], resolution),
+		}
+	}
 
 	maxB := cfg.MaxBuckets
 	if maxB < 1 {
@@ -55,10 +133,17 @@ func AutoBucketCount(samples []float64, resolution float64, cfg AutoConfig) (Aut
 	prev := -1.0
 	chosen := 1
 	for b := 1; b <= maxB; b++ {
-		eb, err := cvError(folds, resolution, b)
-		if err != nil {
-			return res, err
+		// E_b: the squared error of each fold's b-bucket histogram
+		// against the fold it did not see, averaged over folds.
+		var sum float64
+		for _, c := range cv {
+			h, err := c.dp.histogram(b)
+			if err != nil {
+				return res, nil, err
+			}
+			sum += h.SquaredError(c.heldOut)
 		}
+		eb := sum / float64(f)
 		res.Errors = append(res.Errors, eb)
 		if prev >= 0 {
 			if prev <= 0 || (prev-eb) < cfg.MinImprove*prev {
@@ -73,23 +158,7 @@ func AutoBucketCount(samples []float64, resolution float64, cfg AutoConfig) (Aut
 		chosen = 1
 	}
 	res.Chosen = chosen
-	return res, nil
-}
-
-// AutoHistogram selects the bucket count via AutoBucketCount and
-// returns the V-Optimal histogram with that many buckets, built on the
-// full sample set. This is the paper's "Auto" method.
-func AutoHistogram(samples []float64, resolution float64, cfg AutoConfig) (*Histogram, AutoResult, error) {
-	res, err := AutoBucketCount(samples, resolution, cfg)
-	if err != nil {
-		return nil, res, err
-	}
-	raw, err := NewRaw(samples, resolution)
-	if err != nil {
-		return nil, res, err
-	}
-	h, err := VOptimal(raw, res.Chosen)
-	return h, res, err
+	return res, full, nil
 }
 
 // StaticHistogram is the paper's Sta-b baseline: a V-Optimal histogram
@@ -102,54 +171,37 @@ func StaticHistogram(samples []float64, resolution float64, b int) (*Histogram, 
 	return VOptimal(raw, b)
 }
 
-// splitFolds randomly partitions samples into f near-equal folds.
-func splitFolds(samples []float64, f int, seed int64) [][]float64 {
-	rnd := rand.New(rand.NewSource(seed))
-	perm := rnd.Perm(len(samples))
-	folds := make([][]float64, f)
-	for i, pi := range perm {
-		k := i % f
-		folds[k] = append(folds[k], samples[pi])
+// dealFolds deals n sample positions into near-equal folds at random:
+// it returns rand.New(rand.NewSource(seed)).Perm(n), whose i-th entry
+// goes to fold i mod f. Perm's i-th draw is Intn(i+1) whatever n is, so
+// the draws of one seed are one sequence that every n reads a prefix
+// of; the last seed's are kept, because seeding a source (607 words)
+// costs more than dealing a few dozen samples and a model is trained
+// under one seed.
+func dealFolds(n int, seed int64) []int {
+	deal.Lock()
+	if deal.rnd == nil || deal.seed != seed {
+		deal.seed, deal.rnd, deal.draws = seed, rand.New(rand.NewSource(seed)), nil
 	}
-	return folds
+	for i := len(deal.draws); i < n; i++ {
+		deal.draws = append(deal.draws, int32(deal.rnd.Intn(i+1)))
+	}
+	draws := deal.draws[:n] // never rewritten: later calls only append
+	deal.Unlock()
+
+	m := make([]int, n)
+	for i, j := range draws {
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }
 
-// cvError computes E_b: for each fold k, train V-Optimal with b
-// buckets on the other folds and accumulate the squared error against
-// fold k's raw distribution; return the average over folds.
-func cvError(folds [][]float64, resolution float64, b int) (float64, error) {
-	var total float64
-	n := 0
-	for k := range folds {
-		if len(folds[k]) == 0 {
-			continue
-		}
-		var train []float64
-		for j := range folds {
-			if j != k {
-				train = append(train, folds[j]...)
-			}
-		}
-		if len(train) == 0 {
-			continue
-		}
-		trainRaw, err := NewRaw(train, resolution)
-		if err != nil {
-			return 0, err
-		}
-		h, err := VOptimal(trainRaw, b)
-		if err != nil {
-			return 0, err
-		}
-		heldOut, err := NewRaw(folds[k], resolution)
-		if err != nil {
-			return 0, err
-		}
-		total += h.SquaredError(heldOut)
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("hist: all folds empty")
-	}
-	return total / float64(n), nil
+// deal is dealFolds' memo: a pure function of the seed, so sharing it
+// across callers changes no result.
+var deal struct {
+	sync.Mutex
+	seed  int64
+	rnd   *rand.Rand
+	draws []int32
 }

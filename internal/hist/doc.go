@@ -7,7 +7,13 @@
 //   - Section 3.1: one-dimensional V-Optimal histograms (voptimal.go)
 //     with automatic bucket-count selection by f-fold cross validation
 //     (auto.go, AutoHistogram); StaticHistogram is the Sta-b baseline
-//     of Figure 5.
+//     of Figure 5. The selection does each piece of work once: one
+//     snap-and-sort of the samples (raw.go, tally), fold distributions
+//     as integer counts subtracted from the full tally, and one
+//     V-Optimal program per fold that grows a row per candidate bucket
+//     count (voptDP) — the same float operations, in the same order,
+//     as building every (bucket count, fold) histogram from scratch,
+//     which train_oracle_test.go keeps as the reference.
 //   - Section 3.2: multi-dimensional histograms over hyper-buckets
 //     (multidim.go, Multi), stored sparsely as an occupied-cell map,
 //     including the factor operations — remapping onto union grids,

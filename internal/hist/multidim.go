@@ -906,19 +906,13 @@ func NewMultiFromSamples(rows [][]float64, cfg FromSamplesConfig) (*Multi, error
 		for i, r := range rows {
 			col[i] = r[j]
 		}
-		b := cfg.FixedBuckets
-		if b <= 0 {
-			res, err := AutoBucketCount(col, cfg.Resolution, cfg.Auto)
-			if err != nil {
-				return nil, fmt.Errorf("hist: dim %d: %w", j, err)
-			}
-			b = res.Chosen
+		var h *Histogram
+		var err error
+		if cfg.FixedBuckets > 0 {
+			h, err = StaticHistogram(col, cfg.Resolution, cfg.FixedBuckets)
+		} else {
+			h, _, err = AutoHistogram(col, cfg.Resolution, cfg.Auto)
 		}
-		raw, err := NewRaw(col, cfg.Resolution)
-		if err != nil {
-			return nil, fmt.Errorf("hist: dim %d: %w", j, err)
-		}
-		h, err := VOptimal(raw, b)
 		if err != nil {
 			return nil, fmt.Errorf("hist: dim %d: %w", j, err)
 		}

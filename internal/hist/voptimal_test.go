@@ -3,6 +3,7 @@ package hist
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -270,26 +271,27 @@ func TestSplitFoldsDeterministicPartition(t *testing.T) {
 	for i := range samples {
 		samples[i] = float64(i)
 	}
-	folds := splitFolds(samples, 5, 42)
-	total := 0
-	seen := make(map[float64]bool)
-	for _, f := range folds {
-		total += len(f)
-		for _, v := range f {
-			if seen[v] {
-				t.Fatalf("value %v in two folds", v)
-			}
-			seen[v] = true
-		}
+	order := dealFolds(len(samples), 42)
+	if len(order) != len(samples) {
+		t.Fatalf("dealt %d of %d samples", len(order), len(samples))
 	}
-	if total != len(samples) {
-		t.Fatalf("folds cover %d of %d samples", total, len(samples))
+	// Entry i goes to fold i mod f: every sample in exactly one fold,
+	// and the folds are those the per-fold construction dealt.
+	const f = 5
+	folds := make([][]float64, f)
+	seen := make(map[int]bool)
+	for i, pi := range order {
+		if seen[pi] {
+			t.Fatalf("sample %d in two folds", pi)
+		}
+		seen[pi] = true
+		folds[i%f] = append(folds[i%f], samples[pi])
+	}
+	if want := oracleSplitFolds(samples, f, 42); !reflect.DeepEqual(folds, want) {
+		t.Fatalf("folds differ from the per-fold construction:\n got %v\nwant %v", folds, want)
 	}
 	// Deterministic for a fixed seed.
-	again := splitFolds(samples, 5, 42)
-	for i := range folds {
-		if len(folds[i]) != len(again[i]) {
-			t.Fatal("fold split not deterministic")
-		}
+	if again := dealFolds(len(samples), 42); !reflect.DeepEqual(order, again) {
+		t.Fatal("fold split not deterministic")
 	}
 }

@@ -11,4 +11,10 @@
 // off, nothing more. That keeps the matcher pool reusable (offline
 // bulk loads and the /v1/ingest endpoint share it) and keeps the
 // model's epoch lifecycle the single owner of delta staging.
+//
+// A Pipeline builds its mapmatch.Matcher once, in New: the projection,
+// per-edge segments and grid index cover the whole network, so building
+// them per request — or per worker — is a model-sized cost on a
+// batch-sized operation. Every IngestRaw call and every worker of its
+// pool share that Matcher, which is safe for concurrent use.
 package ingest

@@ -23,7 +23,7 @@ type Sink interface {
 type Config struct {
 	// Workers bounds the map-matching pool; ≤ 1 means sequential.
 	Workers int
-	// Match tunes the HMM matcher shared (by value) across workers.
+	// Match tunes the HMM matcher the Pipeline builds once and shares.
 	Match mapmatch.Config
 }
 
@@ -47,14 +47,16 @@ type BatchStats struct {
 
 // Pipeline is a reusable streaming ingester: each IngestRaw call
 // map-matches one batch on the worker pool and stages the survivors
-// into the Sink. A Pipeline is safe for concurrent use — matchers are
-// built per worker per batch (share-nothing, matching pipeline.go's
-// bulk loader), and the Sink is required to be concurrency-safe, as
+// into the Sink. A Pipeline is safe for concurrent use — every batch
+// and every worker shares the one Matcher built with the Pipeline (its
+// projection, segments and grid index are read-only, its search state
+// pooled), and the Sink is required to be concurrency-safe, as
 // System.StageTrajectories is.
 type Pipeline struct {
-	g    *graph.Graph
-	sink Sink
-	cfg  Config
+	g       *graph.Graph
+	sink    Sink
+	cfg     Config
+	matcher *mapmatch.Matcher
 
 	// Cumulative counters across every IngestRaw call, for the
 	// server's /v1/stats ingest block. Atomics: batches may ingest
@@ -76,7 +78,7 @@ func New(g *graph.Graph, sink Sink, cfg Config) (*Pipeline, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("ingest: nil sink")
 	}
-	return &Pipeline{g: g, sink: sink, cfg: cfg}, nil
+	return &Pipeline{g: g, sink: sink, cfg: cfg, matcher: mapmatch.New(g, cfg.Match)}, nil
 }
 
 // IngestRaw map-matches one batch of raw traces and stages the
@@ -94,27 +96,25 @@ func (p *Pipeline) IngestRaw(raw []*gps.Trajectory) BatchStats {
 		workers = len(raw)
 	}
 	if workers <= 1 {
-		m := mapmatch.New(p.g, p.cfg.Match)
 		for i := range raw {
-			results[i] = p.matchOne(m, raw[i])
+			results[i] = p.matchOne(raw[i])
 		}
 	} else {
 		// Same work-stealing shape as the bulk loader: workers pull
 		// indexes from a shared counter so a pocket of hard traces
-		// cannot idle the pool, and each builds its own Matcher.
+		// cannot idle the pool.
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				m := mapmatch.New(p.g, p.cfg.Match)
 				for {
 					i := int(next.Add(1) - 1)
 					if i >= len(raw) {
 						return
 					}
-					results[i] = p.matchOne(m, raw[i])
+					results[i] = p.matchOne(raw[i])
 				}
 			}()
 		}
@@ -147,11 +147,11 @@ func (p *Pipeline) IngestRaw(raw []*gps.Trajectory) BatchStats {
 
 // matchOne matches one trace, returning nil when it cannot be aligned
 // with the network or the alignment fails validation.
-func (p *Pipeline) matchOne(m *mapmatch.Matcher, tr *gps.Trajectory) *gps.Matched {
+func (p *Pipeline) matchOne(tr *gps.Trajectory) *gps.Matched {
 	if tr == nil || tr.Validate() != nil {
 		return nil
 	}
-	timed, err := m.MatchToTimed(tr)
+	timed, err := p.matcher.MatchToTimed(tr)
 	if err != nil {
 		return nil
 	}

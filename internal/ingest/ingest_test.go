@@ -93,6 +93,47 @@ func TestIngestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// A Pipeline builds one Matcher and every request and worker shares it:
+// batches ingested concurrently through one Pipeline must each stage
+// what a sequential run stages. Run with -race.
+func TestIngestConcurrentBatchesShareOneMatcher(t *testing.T) {
+	g := netgen.Generate(netgen.PresetConfig(netgen.PresetTest))
+	res := trajgen.New(g, traffic.NewModel(traffic.Config{}), trajgen.Config{
+		Seed: 13, NumTrips: 40, EmitGPS: true,
+	}).Generate()
+
+	seq := &captureSink{}
+	pseq, _ := New(g, seq, Config{Workers: 1})
+	want := pseq.IngestRaw(res.Raw)
+
+	sink := &captureSink{}
+	p, _ := New(g, sink, Config{Workers: 3})
+	const requests = 4
+	var wg sync.WaitGroup
+	for r := 0; r < requests; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := p.IngestRaw(res.Raw); got != want {
+				t.Errorf("concurrent batch: %+v, sequential %+v", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(sink.staged) != requests*len(seq.staged) {
+		t.Fatalf("staged %d trajectories over %d requests, want %d each", len(sink.staged), requests, len(seq.staged))
+	}
+	paths := make(map[int64]string, len(seq.staged))
+	for _, m := range seq.staged {
+		paths[m.ID] = m.Path.Key()
+	}
+	for _, m := range sink.staged {
+		if m.Path.Key() != paths[m.ID] {
+			t.Fatalf("trajectory %d matched to a different path under concurrency", m.ID)
+		}
+	}
+}
+
 func TestIngestCountsBrokenTraces(t *testing.T) {
 	g := netgen.Generate(netgen.PresetConfig(netgen.PresetTest))
 	res := trajgen.New(g, traffic.NewModel(traffic.Config{}), trajgen.Config{

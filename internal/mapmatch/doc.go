@@ -14,8 +14,13 @@
 // interpolated between the pins, producing the (path, departure,
 // per-edge cost) observations of Section 2.1 that training consumes.
 //
-// A Matcher is safe for concurrent use after construction; batch
-// ingestion parallelism lives one level up, in
-// pathcost.MatchTrajectories, which shards a trajectory batch across
-// a pool of matchers (Config.Workers).
+// A Matcher is safe for concurrent use after construction: its
+// projection, segments and grid index are read-only, and the state a
+// match mutates — the bounded Dijkstra's distance table and heap, the
+// candidate lookup's "edge already measured" marks — is a search taken
+// from the matcher's pool once per trajectory, invalidated between uses
+// by a generation stamp instead of being cleared or reallocated. Batch
+// ingestion parallelism lives one level up: pathcost.MatchTrajectories
+// shards a trajectory batch across a pool of matchers (Config.Workers),
+// and an ingest.Pipeline shares one Matcher among its workers.
 package mapmatch

@@ -1,9 +1,9 @@
 package mapmatch
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/gps"
@@ -50,6 +50,7 @@ type Matcher struct {
 	segs     []geo.Segment
 	grid     map[[2]int][]graph.EdgeID
 	cellSize float64
+	searches sync.Pool // *search, one per decode in flight
 }
 
 // New builds a matcher (and its spatial index) for g.
@@ -112,20 +113,21 @@ type candidate struct {
 }
 
 // candidatesNear returns up to MaxCandidates edges within the radius
-// of the fix, nearest first.
-func (m *Matcher) candidatesNear(p geo.Point) []candidate {
+// of the fix, nearest first. s marks the edges already measured: a
+// segment is indexed under every grid cell it crosses.
+func (m *Matcher) candidatesNear(s *search, p geo.Point) []candidate {
 	x, y := m.proj.ToXY(p)
 	pt := geo.XY{X: x, Y: y}
 	center := m.cellOf(x, y)
 	var cands []candidate
-	seen := make(map[graph.EdgeID]struct{})
+	s.begin()
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
 			for _, id := range m.grid[[2]int{center[0] + dx, center[1] + dy}] {
-				if _, dup := seen[id]; dup {
+				if s.edgeSeen[id] == s.gen {
 					continue
 				}
-				seen[id] = struct{}{}
+				s.edgeSeen[id] = s.gen
 				closest, frac := m.segs[id].ClosestPoint(pt)
 				d := closest.Dist(pt)
 				if d <= m.cfg.CandidateRadiusM {
@@ -175,6 +177,8 @@ func (m *Matcher) decode(tr *gps.Trajectory) ([]candidate, []float64, error) {
 	}
 	layers := make([]*layerState, 0, len(tr.Records))
 	var times []float64
+	s := m.getSearch()
+	defer m.searches.Put(s)
 	emission := func(c candidate) float64 {
 		z := c.dist / m.cfg.SigmaM
 		return -0.5 * z * z
@@ -183,7 +187,7 @@ func (m *Matcher) decode(tr *gps.Trajectory) ([]candidate, []float64, error) {
 	var prev *layerState
 	var prevRecord gps.Record
 	for _, rec := range tr.Records {
-		cands := m.candidatesNear(rec.Pt)
+		cands := m.candidatesNear(s, rec.Pt)
 		if len(cands) == 0 {
 			continue // skip fixes with no nearby road (outliers)
 		}
@@ -208,7 +212,7 @@ func (m *Matcher) decode(tr *gps.Trajectory) ([]candidate, []float64, error) {
 				if math.IsInf(prev.logp[i], -1) {
 					continue
 				}
-				dists := m.routeDistances(pc, cands)
+				dists := m.routeDistances(s, pc, cands)
 				for j, c := range cands {
 					rd := dists[j]
 					if math.IsInf(rd, 1) {
@@ -348,8 +352,9 @@ func (m *Matcher) removeLoops(p graph.Path) graph.Path {
 
 // routeDistances returns the network distance in meters from the
 // candidate position pc to each candidate in next, travelling forward
-// along directed edges, bounded by MaxRouteDistM.
-func (m *Matcher) routeDistances(pc candidate, next []candidate) []float64 {
+// along directed edges, bounded by MaxRouteDistM. s is the search state
+// it runs in; nothing in it outlives the call.
+func (m *Matcher) routeDistances(s *search, pc candidate, next []candidate) []float64 {
 	out := make([]float64, len(next))
 	for i := range out {
 		out[i] = math.Inf(1)
@@ -371,32 +376,22 @@ func (m *Matcher) routeDistances(pc candidate, next []candidate) []float64 {
 	}
 
 	// Dijkstra from the end vertex of pc's edge, bounded by the radius.
-	dist := map[graph.VertexID]float64{eFrom.To: remOnEdge}
-	pq := &vdHeap{{V: eFrom.To, D: remOnEdge}}
-	heap.Init(pq)
-	targets := make(map[graph.VertexID][]int) // vertex -> indexes of next starting there
-	for i, nc := range next {
-		if !math.IsInf(out[i], 1) {
+	s.begin()
+	s.set(eFrom.To, remOnEdge)
+	s.push(VertexDist{V: eFrom.To, D: remOnEdge})
+	for found := 0; len(s.heap) > 0 && found < remaining; {
+		it := s.pop()
+		if it.D > s.dist[it.V] {
 			continue
 		}
-		targets[m.g.Edge(nc.edge).From] = append(targets[m.g.Edge(nc.edge).From], i)
-	}
-	found := 0
-	want := remaining
-	for pq.Len() > 0 && found < want {
-		it := heap.Pop(pq).(VertexDist)
-		if it.D > dist[it.V] {
-			continue
-		}
-		if idxs, ok := targets[it.V]; ok {
-			for _, i := range idxs {
-				if math.IsInf(out[i], 1) {
-					nc := next[i]
-					out[i] = it.D + nc.frac*m.g.Edge(nc.edge).LengthM
-					found++
-				}
+		// A vertex is settled once, so every candidate starting at it
+		// that the same-edge rule left open is reached here, in index
+		// order.
+		for i, nc := range next {
+			if math.IsInf(out[i], 1) && m.g.Edge(nc.edge).From == it.V {
+				out[i] = it.D + nc.frac*m.g.Edge(nc.edge).LengthM
+				found++
 			}
-			delete(targets, it.V)
 		}
 		if it.D > m.cfg.MaxRouteDistM {
 			break
@@ -404,9 +399,9 @@ func (m *Matcher) routeDistances(pc candidate, next []candidate) []float64 {
 		for _, eid := range m.g.Out(it.V) {
 			e := m.g.Edge(eid)
 			nd := it.D + e.LengthM
-			if cur, ok := dist[e.To]; !ok || nd < cur {
-				dist[e.To] = nd
-				heap.Push(pq, VertexDist{V: e.To, D: nd})
+			if cur, ok := s.get(e.To); !ok || nd < cur {
+				s.set(e.To, nd)
+				s.push(VertexDist{V: e.To, D: nd})
 			}
 		}
 	}
@@ -419,18 +414,85 @@ type VertexDist struct {
 	D float64
 }
 
-type vdHeap []VertexDist
+// search is the scratch state one decode keeps across its fixes, so
+// that neither the candidate lookup nor the bounded Dijkstra allocates
+// per call: per-vertex distances and per-edge marks that count only
+// where their stamp is the current generation (begin starts a new one
+// instead of clearing them), and a binary min-heap on D that makes
+// container/heap's moves exactly — the order in which equal distances
+// pop decides which route a tie takes.
+type search struct {
+	dist     []float64 // tentative distance, valid where stamp == gen
+	stamp    []uint32
+	edgeSeen []uint32 // == gen where candidatesNear measured the edge
+	gen      uint32
+	heap     []VertexDist
+}
 
-func (h vdHeap) Len() int            { return len(h) }
-func (h vdHeap) Less(i, j int) bool  { return h[i].D < h[j].D }
-func (h vdHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *vdHeap) Push(x interface{}) { *h = append(*h, x.(VertexDist)) }
-func (h *vdHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// getSearch takes a search from the matcher's pool, sized to the graph.
+func (m *Matcher) getSearch() *search {
+	s, _ := m.searches.Get().(*search)
+	if s == nil {
+		s = &search{}
+	}
+	if nv, ne := m.g.NumVertices(), m.g.NumEdges(); len(s.dist) < nv || len(s.edgeSeen) < ne {
+		*s = search{dist: make([]float64, nv), stamp: make([]uint32, nv), edgeSeen: make([]uint32, ne)}
+	}
+	return s
+}
+
+// begin unsets every distance and mark by moving to a fresh generation.
+func (s *search) begin() {
+	s.gen++
+	if s.gen == 0 { // wrapped: stamps of 2³² generations ago would read as set
+		clear(s.stamp)
+		clear(s.edgeSeen)
+		s.gen = 1
+	}
+	s.heap = s.heap[:0]
+}
+
+func (s *search) get(v graph.VertexID) (float64, bool) {
+	return s.dist[v], s.stamp[v] == s.gen
+}
+
+func (s *search) set(v graph.VertexID, d float64) {
+	s.dist[v], s.stamp[v] = d, s.gen
+}
+
+func (s *search) push(it VertexDist) {
+	h := append(s.heap, it)
+	s.heap = h
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].D < h[i].D) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (s *search) pop() VertexDist {
+	h := s.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].D < h[j].D {
+			j = r
+		}
+		if !(h[j].D < h[i].D) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	s.heap = h[:n]
+	return h[n]
 }
 
 // MatchToTimed matches the trajectory and estimates per-edge travel

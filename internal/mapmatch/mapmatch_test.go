@@ -141,7 +141,7 @@ func TestCandidatesNearOrderingAndRadius(t *testing.T) {
 	// Take a point on the first edge.
 	e := g.Edge(0)
 	pt := g.Vertex(e.From).Pt
-	cands := m.candidatesNear(pt)
+	cands := m.candidatesNear(m.getSearch(), pt)
 	if len(cands) == 0 {
 		t.Fatal("no candidates at a vertex location")
 	}
@@ -169,7 +169,7 @@ func TestRouteDistancesSameEdgeForward(t *testing.T) {
 	e := g.Edge(0)
 	pc := candidate{edge: e.ID, frac: 0.2}
 	next := []candidate{{edge: e.ID, frac: 0.7}}
-	d := m.routeDistances(pc, next)
+	d := m.routeDistances(m.getSearch(), pc, next)
 	want := 0.5 * e.LengthM
 	if math.Abs(d[0]-want) > 1e-9 {
 		t.Fatalf("same-edge distance = %v, want %v", d[0], want)
@@ -187,7 +187,7 @@ func TestRouteDistancesAdjacentEdge(t *testing.T) {
 	ne := g.Edge(nexts[0])
 	pc := candidate{edge: e.ID, frac: 0.5}
 	next := []candidate{{edge: ne.ID, frac: 0.5}}
-	d := m.routeDistances(pc, next)
+	d := m.routeDistances(m.getSearch(), pc, next)
 	want := 0.5*e.LengthM + 0.5*ne.LengthM
 	if math.Abs(d[0]-want) > 1e-6 {
 		t.Fatalf("adjacent distance = %v, want %v", d[0], want)

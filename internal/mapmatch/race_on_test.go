@@ -1,0 +1,5 @@
+//go:build race
+
+package mapmatch
+
+const raceEnabled = true

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -68,6 +69,25 @@ type segMeta struct {
 	bytes       int64
 }
 
+// segmentFile is what the log needs of its active segment: an *os.File
+// outside tests, a fault injector inside them.
+type segmentFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
+}
+
+// createSegment opens a segment file that must not exist yet.
+func createSegment(path string) (segmentFile, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 // Log is an open write-ahead log. All methods are safe for concurrent
 // use; appends are serialized internally.
 type Log struct {
@@ -75,7 +95,8 @@ type Log struct {
 	opt Options
 
 	mu          sync.Mutex
-	f           *os.File // active segment, nil until first Append
+	f           segmentFile // active segment, nil until first Append
+	openSegment func(path string) (segmentFile, error)
 	active      segMeta
 	closed      []segMeta
 	nextSeq     uint64
@@ -99,7 +120,7 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opt: opt, nextSeq: 1}
+	l := &Log{dir: dir, opt: opt, nextSeq: 1, openSegment: createSegment}
 
 	ckpt, err := readCheckpoint(filepath.Join(dir, "checkpoint"))
 	if err != nil {
@@ -156,7 +177,9 @@ func (l *Log) Pending() []Record {
 
 // Append writes one batch as a single frame and reports its sequence
 // number. The frame is on disk (modulo OS cache; see Options.Sync)
-// before Append returns, so callers may acknowledge the batch.
+// before Append returns, so callers may acknowledge the batch. A failed
+// append consumes no sequence number and leaves nothing in the segment:
+// see cutBackLocked.
 func (l *Log) Append(batch []*gps.Matched) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -168,10 +191,12 @@ func (l *Log) Append(batch []*gps.Matched) (uint64, error) {
 	seq := l.nextSeq
 	frame := encodeFrame(seq, batch)
 	if _, err := l.f.Write(frame); err != nil {
+		l.cutBackLocked()
 		return 0, fmt.Errorf("wal: appending record %d: %w", seq, err)
 	}
 	if l.opt.Sync {
 		if err := l.f.Sync(); err != nil {
+			l.cutBackLocked()
 			return 0, fmt.Errorf("wal: syncing record %d: %w", seq, err)
 		}
 	}
@@ -183,6 +208,31 @@ func (l *Log) Append(batch []*gps.Matched) (uint64, error) {
 	}
 	l.active.last = seq
 	return seq, nil
+}
+
+// cutBackLocked removes what a failed append left after the segment's
+// last good frame. Replay stops at a segment's first bad frame, so a
+// torn frame left in place would hide every batch appended — and
+// acknowledged — after it. If the segment cannot be cut back it is
+// closed instead: the next Append rotates to a fresh one, and the torn
+// bytes are the tail of their file, where replay expects them.
+func (l *Log) cutBackLocked() {
+	if err := l.f.Truncate(l.active.bytes); err == nil {
+		if _, err = l.f.Seek(l.active.bytes, io.SeekStart); err == nil {
+			return
+		}
+	}
+	_ = l.f.Close() // the segment is abandoned whatever Close says
+	l.f = nil
+	if l.active.first != 0 {
+		l.closed = append(l.closed, l.active)
+		return
+	}
+	// No good frame in it, and it holds the name the next segment will
+	// be created under (the sequence number did not advance). If it
+	// cannot be removed either, that creation fails and appends keep
+	// being refused, not lost.
+	_ = os.Remove(l.active.path)
 }
 
 // rotateLocked closes the active segment and opens a fresh one named
@@ -198,7 +248,7 @@ func (l *Log) rotateLocked() error {
 		l.f = nil
 	}
 	path := filepath.Join(l.dir, fmt.Sprintf("wal-%016x.seg", l.nextSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	f, err := l.openSegment(path)
 	if err != nil {
 		return fmt.Errorf("wal: opening segment: %w", err)
 	}

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -270,4 +271,113 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// faults is what a test arms to make segment files misbehave: the next
+// failWrites writes tear (half the frame reaches the file and the write
+// reports an error), and while stuck is set no file can be cut back.
+type faults struct {
+	failWrites int
+	stuck      bool
+}
+
+type flakySegment struct {
+	*os.File
+	faults *faults
+}
+
+func (f *flakySegment) Write(p []byte) (int, error) {
+	if f.faults.failWrites > 0 {
+		f.faults.failWrites--
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errors.New("injected write error")
+	}
+	return f.File.Write(p)
+}
+
+func (f *flakySegment) Truncate(size int64) error {
+	if f.faults.stuck {
+		return errors.New("injected truncate error")
+	}
+	return f.File.Truncate(size)
+}
+
+// A write error inside Append must not strand the batches acknowledged
+// after it: whether the torn frame is cut out of the segment, or the
+// segment cannot be cut back and is closed (or, holding nothing, is
+// removed to free its name), every acked batch replays, in order, under
+// contiguous sequence numbers.
+func TestWALAppendErrorKeepsLaterRecords(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		firstOfSeg   bool // the failing frame is the first of a fresh segment
+		stuck        bool // the segment cannot be truncated
+		wantSegments int
+	}{
+		{"torn frame cut out mid-segment", false, false, 1},
+		{"torn first frame cut out", true, false, 2},
+		{"segment closed behind its torn tail", false, true, 2},
+		{"empty segment removed to free its name", true, true, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l := mustOpen(t, dir, Options{})
+			var plan faults
+			l.openSegment = func(path string) (segmentFile, error) {
+				f, err := createSegment(path)
+				if err != nil {
+					return nil, err
+				}
+				return &flakySegment{File: f.(*os.File), faults: &plan}, nil
+			}
+			var acked [][]*gps.Matched
+			var seqs []uint64
+			ack := func(b []*gps.Matched) {
+				t.Helper()
+				seq, err := l.Append(b)
+				if err != nil {
+					t.Fatalf("Append: %v", err)
+				}
+				acked, seqs = append(acked, b), append(seqs, seq)
+			}
+			ack(testBatch(1, 2, false))
+			ack(testBatch(10, 3, true))
+			if c.firstOfSeg {
+				l.opt.SegmentBytes = 1 // the next append rotates first
+			}
+			plan = faults{failWrites: 1, stuck: c.stuck}
+			if _, err := l.Append(testBatch(500, 4, false)); err == nil {
+				t.Fatal("Append over a failing write reported no error")
+			}
+			plan.stuck = false
+			l.opt.SegmentBytes = 4 << 20
+			ack(testBatch(600, 2, true))
+			ack(testBatch(700, 1, false))
+			if st := l.Stats(); st.LastSeq != uint64(len(acked)) {
+				t.Fatalf("LastSeq = %d after %d acked appends: the failed one consumed a sequence number", st.LastSeq, len(acked))
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			r := mustOpen(t, dir, Options{})
+			defer r.Close()
+			st := r.Stats()
+			pending := r.Pending()
+			if len(pending) != len(acked) {
+				t.Fatalf("replayed %d of %d acknowledged batches (discarded %d)", len(pending), len(acked), st.Discarded)
+			}
+			for i, rec := range pending {
+				if rec.Seq != seqs[i] || rec.Seq != uint64(i+1) {
+					t.Fatalf("record %d replayed as seq %d, acked as %d", i, rec.Seq, seqs[i])
+				}
+				if !reflect.DeepEqual(rec.Batch, acked[i]) {
+					t.Fatalf("record %d replayed with different contents", i)
+				}
+			}
+			if st.Segments != c.wantSegments {
+				t.Fatalf("%d segments on disk, want %d", st.Segments, c.wantSegments)
+			}
+		})
+	}
 }
