@@ -386,7 +386,8 @@ func servePprof(addr string, logger *log.Logger, metrics http.Handler) {
 // saveModelAtomic persists the served model with the temp-file +
 // rename dance: the checkpoint path either holds the complete previous
 // model or the complete new one, never a torn write — exactly what WAL
-// truncation relies on.
+// truncation relies on. Syncing the file, then its directory, makes the
+// new model survive power loss before the WAL drops what it folds.
 func saveModelAtomic(sys *pathcost.System, path string) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".checkpoint-*")
 	if err != nil {
@@ -404,7 +405,15 @@ func saveModelAtomic(sys *pathcost.System, path string) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // buildSystem loads network+model from files, or synthesizes a city

@@ -44,6 +44,35 @@ func TestChainStateCodecAllocBudget(t *testing.T) {
 	}
 }
 
+// coldEvaluateAllocBudget bounds one warm Evaluate of the 48-edge path
+// of longChainFixture, per method. Nearly every chain step is a fused
+// convolveFold whose state and accumulator axis live in the
+// evaluation's pooled arena, so what is left is the first step, the
+// marginal and, under OD, the two steps that keep a dimension (about
+// fifteen each: remaps onto a union grid): OD 37 and LB 7. The
+// two-pass route, with a product, a folded state, an axis and a
+// position list per step, took 185 and 195.
+var coldEvaluateAllocBudget = map[Method]float64{MethodOD: 40, MethodLB: 8}
+
+func TestColdEvaluateAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the pooled scratch and arenas at random")
+	}
+	h, p := longChainFixture(t)
+	for _, m := range []Method{MethodOD, MethodLB} {
+		de := decompose(t, h, p, 8*3600, m)
+		n := testing.AllocsPerRun(100, func() {
+			if _, _, err := h.Evaluate(de, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d factors, %v allocations per Evaluate", m, len(de.Vars), n)
+		if n > coldEvaluateAllocBudget[m] {
+			t.Errorf("%s: a warm Evaluate of a %d-edge path allocates %v objects, budget %v", m, len(p), n, coldEvaluateAllocBudget[m])
+		}
+	}
+}
+
 // memoExtendAllocBudget bounds one memo-attached ExtendPath that
 // misses (probe, compute, offer) on the Table 1 fixture. The plain
 // extend costs 18; the handle adds the two keys — rendered once, into

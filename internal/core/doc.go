@@ -54,6 +54,12 @@
 // convolution it is. docs/ARCHITECTURE.md ("What one routing expansion
 // costs") has the measurements and the proof.
 //
+// A chain step whose state has no open dimension and whose factor
+// shares no edge with the next (nearly every step) is one fused
+// convolve-and-fold, byte-identical to multiply + foldTo; see
+// chainState.convolveFold and docs/ARCHITECTURE.md ("What one chain
+// step costs").
+//
 // Query evaluation is bit-deterministic by construction: float
 // accumulation over hyper-buckets always runs in sorted cell order,
 // and temporal-relevance ties break toward the earliest interval —

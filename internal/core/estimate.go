@@ -97,6 +97,7 @@ type evalScratch struct {
 	ivals   []hist.Bucket
 	slabs   []float64 // per-slab sums of a fold that keeps no dimension
 	slabHit []bool
+	fEdges  []float64 // a fused step's factor bucket bounds, per cell
 }
 
 // boundsScratch returns the scratch's bounds slice resized to n with
@@ -183,14 +184,17 @@ func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query
 		return out, st, nil
 	}
 
-	state, err := h.runChainSteps(ctx, de, nil, 0, &st, nil, quant)
+	ar := arenaPool.Get().(*chainArena)
+	defer arenaPool.Put(ar)
+	state, err := h.runChain(ctx, de, nil, &st, quant, ar)
 	if err != nil {
 		return nil, st, err
 	}
 	st.mcStart = time.Now()
 	out, err := state.m.SumHistogram(h.Params.MaxResultBuckets)
 	// The chain belonged to this evaluation alone (runChain recycled
-	// every intermediate state); the final state dies here too.
+	// every intermediate state); the final state dies here too, before
+	// the arena holding its accumulator axis.
 	hist.PutMulti(state.m)
 	if err != nil {
 		return nil, st, err
@@ -199,23 +203,16 @@ func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query
 	return out, st, nil
 }
 
-// runChain applies decomposition factors from index `from` onward,
-// starting from `state` (nil to start fresh). It returns the final
-// folded state; intermediate states per factor are reported through
-// onStep when non-nil (used by the incremental routing estimator).
-// A non-nil ctx bounds the chain: its deadline is checked before each
-// factor multiply, so a long evaluation stops burning CPU within one
-// factor of the caller's budget expiring.
-func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, state *chainState, from int, st *EvalStats) (*chainState, error) {
-	return h.runChainSteps(ctx, de, state, from, st, nil, false)
-}
-
-func (h *HybridGraph) runChainSteps(ctx context.Context, de *Decomposition, state *chainState, from int, st *EvalStats, onStep func(i int, s *chainState), quant bool) (*chainState, error) {
-	// When the chain starts fresh and no observer keeps references to
-	// intermediate states, every state this loop creates dies as soon
-	// as the next one exists — recycle their histograms.
-	recycle := state == nil && from == 0 && onStep == nil
-	for i := from; i < len(de.Vars); i++ {
+// runChain applies the decomposition's factors to state (nil to start
+// fresh) and returns the final folded state. A non-nil ctx bounds the
+// chain: its deadline is checked before each factor multiply, so a long
+// evaluation stops burning CPU within one factor of the caller's budget
+// expiring. An arena is passed only for a chain that starts fresh and
+// whose intermediate states nobody else sees: each then dies as soon as
+// the next one exists, and its histogram is recycled.
+func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, state *chainState, st *EvalStats, quant bool, ar *chainArena) (*chainState, error) {
+	recycle := ar != nil
+	for i, v := range de.Vars {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				if recycle && state != nil {
@@ -224,13 +221,22 @@ func (h *HybridGraph) runChainSteps(ctx context.Context, de *Decomposition, stat
 				return nil, err
 			}
 		}
-		v := de.Vars[i]
 		fm, err := asMulti(v)
 		if err != nil {
 			return nil, err
 		}
-		positions := factorPositions(de, i)
+		keep := overlapWithNext(de, i)
 		prev := state
+		if state != nil && !quant && len(state.open) == 0 && len(keep) == 0 {
+			if state, err = state.convolveFold(fm, st, h.Params.MaxAccBuckets, ar); err != nil {
+				return nil, err
+			}
+			if recycle {
+				hist.PutMulti(prev.m)
+			}
+			continue
+		}
+		positions := factorPositions(de, i)
 		switch {
 		case state == nil:
 			state, err = initialState(fm, positions)
@@ -245,10 +251,6 @@ func (h *HybridGraph) runChainSteps(ctx context.Context, de *Decomposition, stat
 		if recycle && prev != nil {
 			hist.PutMulti(prev.m)
 		}
-		if onStep != nil {
-			onStep(i, state)
-		}
-		keep := overlapWithNext(de, i)
 		folded, err := state.foldTo(keep, h.Params.MaxAccBuckets)
 		if err != nil {
 			return nil, err
@@ -713,12 +715,102 @@ func (s *chainState) foldTo(keep []int, maxAcc int) (*chainState, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := assembleState(sc, s.m, folds, nKept, keepIdx, maxAcc)
+	m, err := assembleState(sc, s.m, folds, nKept, keepIdx, maxAcc, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &chainState{m: m, open: keep}, nil
 }
+
+// convolveFold is multiply + foldTo(nil, maxAcc) for a state with no
+// open dimension, in one pass with no product state: the folds come
+// straight from the (accumulator cell, factor cell) pairs in product key
+// order, through the two-pass route's float operations in its order, so
+// state, CellsTouched and errors are byte-identical (docs/ARCHITECTURE.md,
+// "What one chain step costs"). An arena gets the state in its next slot.
+func (s *chainState) convolveFold(fm *hist.Multi, st *EvalStats, maxAcc int, ar *chainArena) (*chainState, error) {
+	if err := checkStateDims(fm); err != nil {
+		return nil, err
+	}
+	sc := scratchPool.Get().(*evalScratch)
+	defer scratchPool.Put(sc)
+
+	sKeys, sProbs := s.m.Cells()
+	fKeys, fProbs := fm.Cells()
+	if st != nil {
+		st.CellsTouched += len(sKeys) * len(fKeys)
+	}
+	// Each factor cell's (lo, hi) per dimension, read once, not per state cell.
+	dims := fm.Dims()
+	edges := sc.fEdges[:0]
+	for _, k := range fKeys {
+		for d := 0; d < dims; d++ {
+			lo, hi := fm.BucketRange(d, int(k.Dim(d)))
+			edges = append(edges, lo, hi)
+		}
+	}
+	sc.fEdges = edges
+
+	acc := s.m.Bounds(0)
+	folds := sc.folds[:0]
+	var total float64
+	for i, sk := range sKeys {
+		spr := sProbs[i]
+		a := int(sk.Dim(0))
+		var accLo, accHi float64 // foldCellsInto's 0 + accumulator bound
+		accLo += acc[a]
+		accHi += acc[a+1]
+		for c, fp := range fProbs {
+			// multiply's spr·fp/1, rounded before total += v as its stored
+			// cell is (no fused multiply-add); exact zeros are dropped.
+			v := float64(spr * fp)
+			if v == 0 {
+				continue
+			}
+			lo, hi := accLo, accHi
+			ce := edges[2*dims*c : 2*dims*(c+1)]
+			for d := 0; d < len(ce); d += 2 {
+				lo += ce[d]
+				hi += ce[d+1]
+			}
+			total += v
+			folds = append(folds, cellFold{lo: lo, hi: hi, pr: v})
+		}
+	}
+	sc.folds = folds
+	if total <= 0 { // the product's Normalize: same total, same error
+		return nil, fmt.Errorf("hist: cannot normalize empty multi-histogram")
+	}
+	for i := range folds {
+		folds[i].pr /= total
+	}
+	if ar == nil {
+		m, err := assembleState(sc, nil, folds, 0, nil, maxAcc, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &chainState{m: m}, nil
+	}
+	t := ar.turn
+	m, err := assembleState(sc, nil, folds, 0, nil, maxAcc, ar.cuts[t])
+	if err != nil {
+		return nil, err
+	}
+	ar.slots[t], ar.cuts[t], ar.turn = chainState{m: m}, m.Bounds(0), 1-t
+	return &ar.slots[t], nil
+}
+
+// chainArena is the per-step heap of one recycling evaluation (see
+// runChain). A fused step reads only the state before it, so fused
+// states and their accumulator axes alternate between two slots; the
+// evaluation pools it back once its final state is marginalized.
+type chainArena struct {
+	slots [2]chainState
+	cuts  [2][]float64
+	turn  int
+}
+
+var arenaPool = sync.Pool{New: func() any { return new(chainArena) }}
 
 // indexOf maps query positions to dim indexes within a factor.
 func indexOf(positions, subset []int) []int {
@@ -806,9 +898,10 @@ func foldCellsInto(sc *evalScratch, m *hist.Multi, keepIdx []int) ([]cellFold, i
 
 // assembleState builds the state Multi (dim 0 = acc, then kept dims of
 // src in keepIdx order) from folded cells, re-bucketing the acc axis
-// to at most maxAcc buckets.
-func assembleState(sc *evalScratch, src *hist.Multi, folds []cellFold, nKept int, keepIdx []int, maxAcc int) (*hist.Multi, error) {
-	cuts, err := accCuts(sc, folds, maxAcc)
+// to at most maxAcc buckets; the axis reuses cutsBuf's storage when it
+// has room.
+func assembleState(sc *evalScratch, src *hist.Multi, folds []cellFold, nKept int, keepIdx []int, maxAcc int, cutsBuf []float64) (*hist.Multi, error) {
+	cuts, err := accCuts(sc, folds, maxAcc, cutsBuf)
 	if err != nil {
 		return nil, err
 	}
@@ -832,18 +925,14 @@ func assembleState(sc *evalScratch, src *hist.Multi, folds []cellFold, nKept int
 // interval endpoints when few, otherwise the boundaries of the
 // compressed exact marginal. hist.RearrangedCuts keeps the whole
 // rearrangement pooled; only the returned boundary slice — which
-// becomes the state's accumulator axis — is allocated.
-func accCuts(sc *evalScratch, folds []cellFold, maxAcc int) ([]float64, error) {
-	var ivals []hist.Bucket
-	if sc != nil {
-		if cap(sc.ivals) < len(folds) {
-			sc.ivals = make([]hist.Bucket, 0, len(folds))
-		}
-		ivals = sc.ivals[:len(folds)]
-		sc.ivals = ivals
-	} else {
-		ivals = make([]hist.Bucket, len(folds))
+// becomes the state's accumulator axis — is allocated, unless cutsBuf
+// has room for it.
+func accCuts(sc *evalScratch, folds []cellFold, maxAcc int, cutsBuf []float64) ([]float64, error) {
+	if cap(sc.ivals) < len(folds) {
+		sc.ivals = make([]hist.Bucket, 0, len(folds))
 	}
+	ivals := sc.ivals[:len(folds)]
+	sc.ivals = ivals
 	for i, f := range folds {
 		hi := f.hi
 		if !(hi > f.lo) {
@@ -851,7 +940,7 @@ func accCuts(sc *evalScratch, folds []cellFold, maxAcc int) ([]float64, error) {
 		}
 		ivals[i] = hist.Bucket{Lo: f.lo, Hi: hi, Pr: f.pr}
 	}
-	return hist.RearrangedCuts(ivals, maxAcc)
+	return hist.RearrangedCuts(cutsBuf, ivals, maxAcc)
 }
 
 // distributeFoldsInto spreads each folded cell's mass across the acc
@@ -883,6 +972,10 @@ func distributeFoldsInto(sc *evalScratch, folds []cellFold, nKept int, cuts []fl
 		clear(slabs)
 		clear(slabHit)
 	}
+	// r is sort.SearchFloat64s(cuts, lo), walked to from the previous
+	// fold's r: the walk tests the search's own predicate, monotone over
+	// ascending cuts, so any start gives its index (NaN's too).
+	r := 0
 	for _, f := range folds {
 		lo, hi := f.lo, f.hi
 		if !(hi > lo) {
@@ -894,7 +987,13 @@ func distributeFoldsInto(sc *evalScratch, folds []cellFold, nKept int, cuts []fl
 		for j, v := range f.idx {
 			base = base.WithDim(1+j, uint16(v))
 		}
-		s := sort.SearchFloat64s(cuts, lo)
+		for r > 0 && cuts[r-1] >= lo {
+			r--
+		}
+		for r < len(cuts) && !(cuts[r] >= lo) {
+			r++
+		}
+		s := r
 		if s > 0 {
 			s--
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -77,35 +78,102 @@ func randomFoldCase(rnd *rand.Rand) ([][]float64, []cellFold, []float64) {
 	return bounds, folds, cuts
 }
 
+// evaluatorOrderFolds is what a fused chain step hands the
+// distribution: one fold per (accumulator cell, factor cell) pair,
+// accumulator-major, so lo climbs within an accumulator cell and falls
+// back at the next — the walk from the previous fold's slab goes both
+// ways. The cuts are the folds' own endpoints, some dropped.
+func evaluatorOrderFolds(rnd *rand.Rand) ([]cellFold, []float64) {
+	acc := make([]float64, 2+rnd.Intn(10))
+	fac := make([]float64, 2+rnd.Intn(5))
+	for _, axis := range [][]float64{acc, fac} {
+		axis[0] = float64(rnd.Intn(8))
+		for i := 1; i < len(axis); i++ {
+			axis[i] = axis[i-1] + 0.25 + float64(rnd.Intn(8))*0.5
+		}
+	}
+	var folds []cellFold
+	var cuts []float64
+	for a := 0; a+1 < len(acc); a++ {
+		for f := 0; f+1 < len(fac); f++ {
+			lo, hi := acc[a]+fac[f], acc[a+1]+fac[f+1]
+			folds = append(folds, cellFold{lo: lo, hi: hi, pr: 0.01 + rnd.Float64()})
+			for _, c := range []float64{lo, hi} {
+				if rnd.Intn(3) > 0 {
+					cuts = append(cuts, c)
+				}
+			}
+		}
+	}
+	cuts = append(cuts, acc[0]+fac[0]+float64(rnd.Intn(3)), acc[len(acc)-1]+fac[len(fac)-1])
+	sort.Float64s(cuts)
+	return folds, dedupCuts(cuts)
+}
+
+func dedupCuts(cuts []float64) []float64 {
+	out := cuts[:1]
+	for _, c := range cuts[1:] {
+		if c != out[len(out)-1] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// checkDistribute runs both distributions on one case and compares
+// them bit for bit.
+func checkDistribute(t *testing.T, sc *evalScratch, what string, bounds [][]float64, folds []cellFold, cuts []float64) {
+	t.Helper()
+	if !sort.Float64sAreSorted(cuts) {
+		t.Fatalf("%s: test bug, cuts unsorted", what)
+	}
+	ref, err := hist.NewMulti(bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distributeFoldsRef(ref, folds, cuts)
+	keys, probs := distributeFoldsInto(sc, folds, len(bounds)-1, cuts)
+	rk, rp := ref.Cells()
+	if len(keys) != len(rk) {
+		t.Fatalf("%s: %d cells, reference %d", what, len(keys), len(rk))
+	}
+	for i := range keys {
+		if keys[i] != rk[i] {
+			t.Fatalf("%s cell %d: key %v, reference %v",
+				what, i, keys[i].Unpack(), rk[i].Unpack())
+		}
+		if math.Float64bits(probs[i]) != math.Float64bits(rp[i]) {
+			t.Fatalf("%s cell %d: probability differs at the bit level: %x vs %x",
+				what, i, math.Float64bits(probs[i]), math.Float64bits(rp[i]))
+		}
+	}
+}
+
 // INVARIANT: distributeFoldsInto ≡ distributeFoldsRef, bit for bit —
-// same cells, same order, same accumulated probabilities.
+// same cells, same order, same accumulated probabilities — in random
+// fold order, in the evaluator's accumulator-major order, and when the
+// walk's starting slab sits past the last cut.
 func TestDistributeFoldsMatchesReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(77))
 	sc := &evalScratch{}
 	for trial := 0; trial < 500; trial++ {
 		bounds, folds, cuts := randomFoldCase(rnd)
-		if !sort.Float64sAreSorted(cuts) {
-			t.Fatalf("trial %d: test bug, cuts unsorted", trial)
-		}
-		ref, err := hist.NewMulti(bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		distributeFoldsRef(ref, folds, cuts)
-		keys, probs := distributeFoldsInto(sc, folds, len(bounds)-1, cuts)
-		rk, rp := ref.Cells()
-		if len(keys) != len(rk) {
-			t.Fatalf("trial %d: %d cells, reference %d", trial, len(keys), len(rk))
-		}
-		for i := range keys {
-			if keys[i] != rk[i] {
-				t.Fatalf("trial %d cell %d: key %v, reference %v",
-					trial, i, keys[i].Unpack(), rk[i].Unpack())
-			}
-			if math.Float64bits(probs[i]) != math.Float64bits(rp[i]) {
-				t.Fatalf("trial %d cell %d: probability differs at the bit level: %x vs %x",
-					trial, i, math.Float64bits(probs[i]), math.Float64bits(rp[i]))
-			}
-		}
+		checkDistribute(t, sc, fmt.Sprintf("trial %d", trial), bounds, folds, cuts)
 	}
+	for trial := 0; trial < 500; trial++ {
+		folds, cuts := evaluatorOrderFolds(rnd)
+		checkDistribute(t, sc, fmt.Sprintf("evaluator order %d", trial), [][]float64{cuts}, folds, cuts)
+	}
+	// A fold wholly past the last cut leaves the walk at len(cuts); the
+	// next starts below the first cut, then one inside, then one on a cut.
+	cuts := []float64{2, 3.5, 5, 8}
+	folds := []cellFold{
+		{lo: 9, hi: 10, pr: 0.3},
+		{lo: 0.5, hi: 2.5, pr: 0.2},
+		{lo: 4, hi: 6, pr: 0.4},
+		{lo: 8, hi: 9, pr: 0.1},
+		{lo: 3.5, hi: 3.5, pr: 0.1},
+		{lo: 1, hi: 1.5, pr: 0.2},
+	}
+	checkDistribute(t, sc, "past the last cut", [][]float64{cuts}, folds, cuts)
 }

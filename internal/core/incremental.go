@@ -297,6 +297,16 @@ func (s *PathState) recompute(prev *PathState, within float64) error {
 				return errSettled
 			}
 		}
+		last := i == len(s.de.Vars)-1
+		keep := overlapWithNext(s.de, i)
+		if state != nil && !last && len(state.open) == 0 && len(keep) == 0 {
+			// Fused: only the last factor keeps its product, as preFold.
+			if state, err = state.convolveFold(fm, &st, h.Params.MaxAccBuckets, nil); err != nil {
+				return err
+			}
+			s.inter[i] = state
+			continue
+		}
 		positions := factorPositions(s.de, i)
 		if state == nil {
 			state, err = initialState(fm, positions)
@@ -306,10 +316,10 @@ func (s *PathState) recompute(prev *PathState, within float64) error {
 		if err != nil {
 			return err
 		}
-		if i == len(s.de.Vars)-1 {
+		if last {
 			s.preFold = state
 		}
-		state, err = state.foldTo(overlapWithNext(s.de, i), h.Params.MaxAccBuckets)
+		state, err = state.foldTo(keep, h.Params.MaxAccBuckets)
 		if err != nil {
 			return err
 		}

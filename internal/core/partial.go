@@ -156,10 +156,9 @@ func (h *HybridGraph) EvaluateSegment(r *Reuse, in SegmentInput) (*SegmentResult
 	}
 	// The relayed state has no open dims, so the first multiply is the
 	// independent outer product — the identical operation whole-path
-	// evaluation performs right after its boundary fold. A non-nil
-	// start state disables runChain's recycling, so the caller's state
-	// (and anything sharing its buffers) stays untouched.
-	state, err := h.runChain(in.Ctx, de, in.State.cs, 0, nil)
+	// evaluation performs right after its boundary fold. No arena: the
+	// caller's state (and anything sharing its buffers) stays untouched.
+	state, err := h.runChain(in.Ctx, de, in.State.cs, nil, false, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,11 +2,20 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// fixedQuick is a testing/quick configuration with a fixed generator
+// (count 0 keeps quick's default): the default one is seeded from the
+// clock, so a property that fails for one input in thousands fails one
+// run in many instead of every run.
+func fixedQuick(count int, seed int64) *quick.Config {
+	return &quick.Config{MaxCount: count, Rand: rand.New(rand.NewSource(seed))}
+}
 
 func TestHaversineZero(t *testing.T) {
 	p := Point{Lat: 57.05, Lon: 9.92}
@@ -31,7 +40,7 @@ func TestHaversineSymmetric(t *testing.T) {
 		b := Point{Lat: math.Mod(lat2, 89), Lon: math.Mod(lon2, 179)}
 		return almostEq(Haversine(a, b), Haversine(b, a), 1e-6)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, fixedQuick(0, 31)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -43,7 +52,7 @@ func TestHaversineTriangleInequality(t *testing.T) {
 		c := Point{Lat: math.Mod(lat3, 89), Lon: math.Mod(lon3, 179)}
 		return Haversine(a, c) <= Haversine(a, b)+Haversine(b, c)+1e-6
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, fixedQuick(0, 32)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -90,7 +99,7 @@ func TestProjectionRoundTrip(t *testing.T) {
 		x, y := pr.ToXY(p)
 		return almostEq(x, dx, 1e-6) && almostEq(y, dy, 1e-6)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, fixedQuick(0, 33)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,7 +160,7 @@ func TestSegmentDistNonNegativeAndBounded(t *testing.T) {
 		// Distance must be >= 0 and <= distance to either endpoint.
 		return d >= 0 && d <= p.Dist(s.A)+1e-9 && d <= p.Dist(s.B)+1e-9
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, fixedQuick(0, 34)); err != nil {
 		t.Fatal(err)
 	}
 }

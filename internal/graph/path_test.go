@@ -174,7 +174,8 @@ func TestCombineGrowthProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	// A fixed generator: quick's default is seeded from the clock.
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(41))}); err != nil {
 		t.Fatal(err)
 	}
 }

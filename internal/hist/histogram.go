@@ -289,20 +289,14 @@ func (h *Histogram) String() string {
 	return sb.String()
 }
 
-// weightedInterval is an intermediate (possibly overlapping) interval
-// mass produced by convolution and hyper-bucket flattening.
-type weightedInterval struct {
-	lo, hi float64
-	pr     float64
-}
-
 // rearrangeScratch pools the transient buffers of one rearrangement
 // (the cut set, and for the cuts-only entry point also the interval
 // copy and the bucket workspace), so the evaluator's per-fold
-// rearrangements stop allocating once warm.
+// rearrangements stop allocating once warm. The intervals are Buckets
+// that may overlap (convolution and hyper-bucket flattening make them).
 type rearrangeScratch struct {
 	cuts  []float64
-	wi    []weightedInterval
+	wi    []Bucket
 	bs    []Bucket
 	act   []int     // live-interval working set of the sweep
 	costs []float64 // adjacent-pair merge costs for compression
@@ -316,7 +310,7 @@ var rearrangePool = sync.Pool{New: func() any { return new(rearrangeScratch) }}
 // length-proportional share of each contributing interval — exactly
 // the procedure of the paper's Figure 7 example. ivals is sorted in
 // place.
-func rearrange(ivals []weightedInterval) (*Histogram, error) {
+func rearrange(ivals []Bucket) (*Histogram, error) {
 	sc := rearrangePool.Get().(*rearrangeScratch)
 	defer rearrangePool.Put(sc)
 	bs, err := rearrangeInto(sc, nil, ivals)
@@ -330,22 +324,22 @@ func rearrange(ivals []weightedInterval) (*Histogram, error) {
 // boundaries and emits the disjoint density-merged buckets into bs
 // (grown as needed), without the final normalization. The cut set
 // lives in sc; ivals is sorted in place.
-func rearrangeInto(sc *rearrangeScratch, bs []Bucket, ivals []weightedInterval) ([]Bucket, error) {
+func rearrangeInto(sc *rearrangeScratch, bs []Bucket, ivals []Bucket) ([]Bucket, error) {
 	if len(ivals) == 0 {
 		return nil, fmt.Errorf("hist: rearrange of zero intervals")
 	}
 	for _, iv := range ivals {
-		if !(iv.hi > iv.lo) {
-			return nil, fmt.Errorf("hist: interval [%v,%v) has non-positive width", iv.lo, iv.hi)
+		if !(iv.Hi > iv.Lo) {
+			return nil, fmt.Errorf("hist: interval [%v,%v) has non-positive width", iv.Lo, iv.Hi)
 		}
 	}
 
 	// Sort intervals by lo so each elementary cell only scans forward.
-	slices.SortFunc(ivals, func(a, b weightedInterval) int {
+	slices.SortFunc(ivals, func(a, b Bucket) int {
 		switch {
-		case a.lo < b.lo:
+		case a.Lo < b.Lo:
 			return -1
-		case b.lo < a.lo:
+		case b.Lo < a.Lo:
 			return 1
 		default:
 			return 0
@@ -362,13 +356,13 @@ func rearrangeInto(sc *rearrangeScratch, bs []Bucket, ivals []weightedInterval) 
 	}
 	his := cuts[n : 2*n]
 	for i, iv := range ivals {
-		his[i] = iv.hi
+		his[i] = iv.Hi
 	}
 	sort.Float64s(his)
 	for i, j := 0, 0; i < n || j < n; {
 		var c float64
-		if j == n || (i < n && ivals[i].lo <= his[j]) {
-			c = ivals[i].lo
+		if j == n || (i < n && ivals[i].Lo <= his[j]) {
+			c = ivals[i].Lo
 			i++
 		} else {
 			c = his[j]
@@ -399,7 +393,7 @@ func rearrangeInto(sc *rearrangeScratch, bs []Bucket, ivals []weightedInterval) 
 	next := 0
 	for i := 0; i+1 < len(cuts); i++ {
 		lo, hi := cuts[i], cuts[i+1]
-		for next < len(ivals) && ivals[next].lo < hi {
+		for next < len(ivals) && ivals[next].Lo < hi {
 			act = append(act, next)
 			next++
 		}
@@ -407,12 +401,12 @@ func rearrangeInto(sc *rearrangeScratch, bs []Bucket, ivals []weightedInterval) 
 		w := 0
 		for _, j := range act {
 			iv := ivals[j]
-			if iv.hi <= lo {
+			if iv.Hi <= lo {
 				continue // fully behind the sweep; drop from the set
 			}
 			act[w] = j
 			w++
-			pr += iv.pr * (hi - lo) / (iv.hi - iv.lo)
+			pr += iv.Pr * (hi - lo) / (iv.Hi - iv.Lo)
 		}
 		act = act[:w]
 		if pr > 0 {
@@ -463,13 +457,13 @@ func mergeEqualDensity(bs []Bucket) []Bucket {
 // prX·prY; overlaps are resolved by rearrangement, mirroring the
 // paper's uniform-within-bucket treatment.
 func Convolve(x, y *Histogram) *Histogram {
-	ivals := make([]weightedInterval, 0, len(x.buckets)*len(y.buckets))
+	ivals := make([]Bucket, 0, len(x.buckets)*len(y.buckets))
 	for _, bx := range x.buckets {
 		for _, by := range y.buckets {
-			ivals = append(ivals, weightedInterval{
-				lo: bx.Lo + by.Lo,
-				hi: bx.Hi + by.Hi,
-				pr: bx.Pr * by.Pr,
+			ivals = append(ivals, Bucket{
+				Lo: bx.Lo + by.Lo,
+				Hi: bx.Hi + by.Hi,
+				Pr: bx.Pr * by.Pr,
 			})
 		}
 	}
@@ -500,42 +494,28 @@ func ConvolveAll(hs []*Histogram) *Histogram {
 func Rearranged(intervals []Bucket) (*Histogram, error) {
 	sc := rearrangePool.Get().(*rearrangeScratch)
 	defer rearrangePool.Put(sc)
-	wi := fillWeighted(sc, intervals)
-	bs, err := rearrangeInto(sc, nil, wi)
+	sc.wi = append(sc.wi[:0], intervals...)
+	bs, err := rearrangeInto(sc, nil, sc.wi)
 	if err != nil {
 		return nil, err
 	}
 	return fromBucketsOwned(bs)
 }
 
-// fillWeighted copies interval buckets into the scratch's pooled
-// weightedInterval buffer.
-func fillWeighted(sc *rearrangeScratch, intervals []Bucket) []weightedInterval {
-	wi := sc.wi
-	if cap(wi) < len(intervals) {
-		wi = make([]weightedInterval, len(intervals))
-	} else {
-		wi = wi[:len(intervals)]
-	}
-	for i, b := range intervals {
-		wi[i] = weightedInterval{lo: b.Lo, hi: b.Hi, pr: b.Pr}
-	}
-	sc.wi = wi
-	return wi
-}
-
 // RearrangedCuts is Rearranged followed by Compress(maxBuckets),
-// returning only the resulting bucket boundaries. The evaluator
-// re-buckets its accumulator axis with it on every fold; keeping the
-// interval copy, the cut set and the bucket workspace pooled makes the
-// warm path allocate nothing but the returned boundary slice. The
-// float operations replicate Rearranged+Compress exactly, so the
-// boundaries are bit-identical to that composition.
-func RearrangedCuts(intervals []Bucket, maxBuckets int) ([]float64, error) {
+// returning only the resulting bucket boundaries, in dst's storage
+// when it has room. The evaluator re-buckets its accumulator axis with
+// it on every fold; keeping the interval copy, the cut set and the
+// bucket workspace pooled makes the warm path allocate at most the
+// returned boundary slice. (Sorting the caller's slice in place instead
+// of copying it measured 1.6 % slower on cold_chain.) The float
+// operations replicate Rearranged+Compress exactly, so the boundaries
+// are bit-identical to that composition.
+func RearrangedCuts(dst []float64, intervals []Bucket, maxBuckets int) ([]float64, error) {
 	sc := rearrangePool.Get().(*rearrangeScratch)
 	defer rearrangePool.Put(sc)
-	wi := fillWeighted(sc, intervals)
-	bs, err := rearrangeInto(sc, sc.bs, wi)
+	sc.wi = append(sc.wi[:0], intervals...)
+	bs, err := rearrangeInto(sc, sc.bs, sc.wi)
 	if err != nil {
 		return nil, err
 	}
@@ -552,7 +532,10 @@ func RearrangedCuts(intervals []Bucket, maxBuckets int) ([]float64, error) {
 			panic(err) // merging valid disjoint buckets keeps them valid
 		}
 	}
-	cuts := make([]float64, 0, len(bs)+1)
+	cuts := dst[:0]
+	if cap(cuts) < len(bs)+1 {
+		cuts = make([]float64, 0, len(bs)+1)
+	}
 	for _, b := range bs {
 		cuts = append(cuts, b.Lo)
 	}

@@ -669,7 +669,7 @@ func (m *Multi) SumHistogram(maxBuckets int) (*Histogram, error) {
 	defer rearrangePool.Put(sc)
 	ivals := sc.wi
 	if cap(ivals) < len(m.keys) {
-		ivals = make([]weightedInterval, 0, len(m.keys))
+		ivals = make([]Bucket, 0, len(m.keys))
 	} else {
 		ivals = ivals[:0]
 	}
@@ -680,7 +680,7 @@ func (m *Multi) SumHistogram(maxBuckets int) (*Histogram, error) {
 			lo += b[0]
 			hi += b[1]
 		}
-		ivals = append(ivals, weightedInterval{lo: lo, hi: hi, pr: m.probs[i]})
+		ivals = append(ivals, Bucket{Lo: lo, Hi: hi, Pr: m.probs[i]})
 	}
 	sc.wi = ivals
 	h, err := rearrange(ivals)

@@ -18,27 +18,27 @@ import (
 // elementary cell, rescan all intervals in sorted order and accumulate
 // the overlapping shares. The sweep's compaction preserves index
 // order, so its per-cell accumulation must match this bit for bit.
-func rearrangeRef(ivals []weightedInterval) ([]Bucket, error) {
+func rearrangeRef(ivals []Bucket) ([]Bucket, error) {
 	if len(ivals) == 0 {
 		return nil, nil
 	}
 	var cuts []float64
 	for _, iv := range ivals {
-		if !(iv.hi > iv.lo) {
+		if !(iv.Hi > iv.Lo) {
 			return nil, nil
 		}
-		cuts = append(cuts, iv.lo, iv.hi)
+		cuts = append(cuts, iv.Lo, iv.Hi)
 	}
 	sort.Float64s(cuts)
 	cuts = dedupFloats(cuts)
 	// The exact sort rearrangeInto runs (slices.SortFunc is unstable, so
 	// a different-but-equivalent sort could permute equal-lo intervals
 	// and change the accumulation order).
-	slices.SortFunc(ivals, func(a, b weightedInterval) int {
+	slices.SortFunc(ivals, func(a, b Bucket) int {
 		switch {
-		case a.lo < b.lo:
+		case a.Lo < b.Lo:
 			return -1
-		case b.lo < a.lo:
+		case b.Lo < a.Lo:
 			return 1
 		default:
 			return 0
@@ -49,8 +49,8 @@ func rearrangeRef(ivals []weightedInterval) ([]Bucket, error) {
 		lo, hi := cuts[i], cuts[i+1]
 		var pr float64
 		for _, iv := range ivals {
-			if iv.lo < hi && iv.hi > lo {
-				pr += iv.pr * (hi - lo) / (iv.hi - iv.lo)
+			if iv.Lo < hi && iv.Hi > lo {
+				pr += iv.Pr * (hi - lo) / (iv.Hi - iv.Lo)
 			}
 		}
 		if pr > 0 {
@@ -77,12 +77,12 @@ func compressRef(bs []Bucket, maxBuckets int) []Bucket {
 	return bs
 }
 
-func randomIvals(rnd *rand.Rand, n int) []weightedInterval {
-	ivals := make([]weightedInterval, n)
+func randomIvals(rnd *rand.Rand, n int) []Bucket {
+	ivals := make([]Bucket, n)
 	for i := range ivals {
 		lo := float64(rnd.Intn(40)) * 0.5
 		w := 0.5 + float64(rnd.Intn(10))*0.5
-		ivals[i] = weightedInterval{lo: lo, hi: lo + w, pr: 0.01 + rnd.Float64()}
+		ivals[i] = Bucket{Lo: lo, Hi: lo + w, Pr: 0.01 + rnd.Float64()}
 	}
 	return ivals
 }
@@ -92,32 +92,32 @@ func randomIvals(rnd *rand.Rand, n int) []weightedInterval {
 // 1e-9 wide (a degenerate accumulation), intervals repeating an
 // earlier lo or ending exactly where another starts, exact duplicates,
 // and zero-mass intervals.
-func adversarialIvals(rnd *rand.Rand, n int) []weightedInterval {
+func adversarialIvals(rnd *rand.Rand, n int) []Bucket {
 	ivals := randomIvals(rnd, n)
 	for i := range ivals {
 		switch rnd.Intn(6) {
 		case 0:
-			ivals[i].hi = ivals[i].lo + 1e-9
+			ivals[i].Hi = ivals[i].Lo + 1e-9
 		case 1:
 			if i > 0 {
-				ivals[i].lo = ivals[rnd.Intn(i)].lo
-				ivals[i].hi = ivals[i].lo + 0.5 + float64(rnd.Intn(10))*0.5
+				ivals[i].Lo = ivals[rnd.Intn(i)].Lo
+				ivals[i].Hi = ivals[i].Lo + 0.5 + float64(rnd.Intn(10))*0.5
 			}
 		case 2:
 			if i > 0 {
-				w := ivals[i].hi - ivals[i].lo
-				ivals[i].lo = ivals[rnd.Intn(i)].hi
-				ivals[i].hi = ivals[i].lo + w
+				w := ivals[i].Hi - ivals[i].Lo
+				ivals[i].Lo = ivals[rnd.Intn(i)].Hi
+				ivals[i].Hi = ivals[i].Lo + w
 			}
 		case 3:
 			if i > 0 {
 				ivals[i] = ivals[rnd.Intn(i)]
 			}
 		case 4:
-			ivals[i].pr = 0
+			ivals[i].Pr = 0
 		}
 	}
-	ivals[rnd.Intn(n)].pr = 1 // never all-zero
+	ivals[rnd.Intn(n)].Pr = 1 // never all-zero
 	return ivals
 }
 
@@ -147,7 +147,7 @@ func TestRearrangeSweepMatchesRescan(t *testing.T) {
 		if trial%2 == 1 {
 			ivals = adversarialIvals(rnd, n)
 		}
-		ref := append([]weightedInterval(nil), ivals...)
+		ref := append([]Bucket(nil), ivals...)
 		got, err := rearrangeInto(sc, sc.bs, ivals)
 		if err != nil {
 			t.Fatal(err)
@@ -195,13 +195,9 @@ func TestRearrangedCutsMatchesComposition(t *testing.T) {
 	rnd := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + rnd.Intn(40)
-		wi := adversarialIvals(rnd, n)
-		ivals := make([]Bucket, n)
-		for i, iv := range wi {
-			ivals[i] = Bucket{Lo: iv.lo, Hi: iv.hi, Pr: iv.pr}
-		}
+		ivals := adversarialIvals(rnd, n)
 		for _, maxBuckets := range []int{0, 1, 1 + rnd.Intn(n), 48} {
-			got, err := RearrangedCuts(append([]Bucket(nil), ivals...), maxBuckets)
+			got, err := RearrangedCuts(nil, append([]Bucket(nil), ivals...), maxBuckets)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,8 +22,16 @@
 //
 // The checkpoint file holds the highest sequence number whose records
 // are durably reflected in a persisted model. TruncateThrough writes
-// it atomically (temp + rename) and deletes every segment whose
-// records are all covered; replay skips records at or below it.
+// it atomically (temp + fsync + rename), fsyncs the directory, and
+// only then deletes every segment whose records are all covered;
+// replay skips records at or below it.
+//
+// Durability, by Options.Sync. Off (the default): an acknowledged
+// batch survives a process crash, but power loss can take the log's
+// unsynced tail. On: it survives power loss too (Append fsyncs the
+// frame, and the directory after creating a segment). Either way a
+// segment is deleted only once a marker covering it is on stable
+// storage, after the caller made the model folding it durable.
 // Without checkpointing, records are retained and replayed against the
 // base model — exact-mode epoch builds are batching-invariant, so
 // replay-then-publish reproduces the uninterrupted model bytes either

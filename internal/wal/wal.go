@@ -97,6 +97,7 @@ type Log struct {
 	mu          sync.Mutex
 	f           segmentFile // active segment, nil until first Append
 	openSegment func(path string) (segmentFile, error)
+	syncDir     func(dir string) error // syncDirectory outside tests
 	active      segMeta
 	closed      []segMeta
 	nextSeq     uint64
@@ -120,7 +121,7 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opt: opt, nextSeq: 1, openSegment: createSegment}
+	l := &Log{dir: dir, opt: opt, nextSeq: 1, openSegment: createSegment, syncDir: syncDirectory}
 
 	ckpt, err := readCheckpoint(filepath.Join(dir, "checkpoint"))
 	if err != nil {
@@ -252,6 +253,14 @@ func (l *Log) rotateLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: opening segment: %w", err)
 	}
+	if l.opt.Sync {
+		// A synced frame is only as durable as its segment's name.
+		if err := l.syncDir(l.dir); err != nil {
+			_ = f.Close()
+			_ = os.Remove(path)
+			return fmt.Errorf("wal: syncing new segment: %w", err)
+		}
+	}
 	l.f = f
 	l.active = segMeta{path: path}
 	return nil
@@ -259,9 +268,9 @@ func (l *Log) rotateLocked() error {
 
 // TruncateThrough records that every sequence number up to and
 // including seq is durably reflected in a persisted model: the
-// checkpoint file is rewritten atomically, and closed segments whose
-// records are all covered are deleted. Call it only after the model
-// checkpoint itself is safely on disk.
+// checkpoint file is rewritten atomically and durably, and only then
+// are closed segments whose records are all covered deleted. Call it
+// only after the model checkpoint itself is safely on disk.
 func (l *Log) TruncateThrough(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -270,6 +279,9 @@ func (l *Log) TruncateThrough(seq uint64) error {
 	}
 	if err := writeCheckpoint(filepath.Join(l.dir, "checkpoint"), seq); err != nil {
 		return err
+	}
+	if err := l.syncDir(l.dir); err != nil {
+		return fmt.Errorf("wal: syncing checkpoint %d: %w", seq, err)
 	}
 	l.checkpoint = seq
 	l.truncations++
@@ -367,13 +379,37 @@ func readCheckpoint(path string) (uint64, error) {
 	return seq, nil
 }
 
+// writeCheckpoint replaces the checkpoint file with one whose bytes are
+// on disk before the rename; the rename is durable once the caller
+// syncs the directory.
 func writeCheckpoint(path string, seq uint64) error {
 	tmp := path + ".tmp"
-	body := checkpointV1 + " " + strconv.FormatUint(seq, 10) + "\n"
-	if err := os.WriteFile(tmp, []byte(body), 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteString(checkpointV1 + " " + strconv.FormatUint(seq, 10) + "\n")
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// syncDirectory fsyncs a directory, making the names created, renamed
+// and removed in it durable.
+func syncDirectory(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() // only read
+	return d.Sync()
 }
 
 // encodeFrame builds the on-disk frame for one record.

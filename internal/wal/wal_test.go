@@ -381,3 +381,77 @@ func TestWALAppendErrorKeepsLaterRecords(t *testing.T) {
 		})
 	}
 }
+
+// TestWALCheckpointDurableBeforeTruncate: no segment is deleted on the
+// strength of a checkpoint marker that is not on stable storage. The
+// directory sync that makes the marker's rename durable runs while
+// every segment still exists; when it fails, TruncateThrough returns
+// the error, keeps every segment and leaves Checkpoint() unchanged.
+// With Options.Sync, a segment whose name cannot be made durable takes
+// no frame.
+func TestWALCheckpointDurableBeforeTruncate(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{SegmentBytes: 1}) // every append rotates
+	for i := 0; i < 4; i++ {
+		if _, err := l.Append(testBatch(int64(i), 1, false)); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	before, err := segmentNames(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diskFull := errors.New("injected: directory fsync failed")
+	var synced []string
+	l.syncDir = func(d string) error {
+		names, err := segmentNames(d)
+		if err != nil || !reflect.DeepEqual(names, before) {
+			t.Errorf("directory synced after segments changed: %v (%v), want %v", names, err, before)
+		}
+		synced = append(synced, d)
+		return diskFull
+	}
+	if err := l.TruncateThrough(3); !errors.Is(err, diskFull) {
+		t.Fatalf("TruncateThrough with a failing directory sync = %v, want %v", err, diskFull)
+	}
+	if len(synced) == 0 {
+		t.Fatal("TruncateThrough never synced the directory")
+	}
+	if got := l.Checkpoint(); got != 0 {
+		t.Fatalf("Checkpoint() = %d after a failed truncation, want 0", got)
+	}
+	if after, _ := segmentNames(dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("segments after a failed truncation = %v, want all of %v", after, before)
+	}
+
+	synced = nil
+	l.syncDir = func(d string) error {
+		synced = append(synced, d)
+		return syncDirectory(d)
+	}
+	if err := l.TruncateThrough(3); err != nil {
+		t.Fatalf("TruncateThrough: %v", err)
+	}
+	if len(synced) == 0 || synced[0] != dir || l.Checkpoint() != 3 {
+		t.Fatalf("synced %v, checkpoint %d; want %s synced and checkpoint 3", synced, l.Checkpoint(), dir)
+	}
+	if after, _ := segmentNames(dir); len(after) != 1 {
+		t.Fatalf("%d segments after truncating through 3, want 1: %v", len(after), after)
+	}
+	l.Close()
+
+	sdir := t.TempDir()
+	s := mustOpen(t, sdir, Options{Sync: true})
+	s.syncDir = func(string) error { return diskFull }
+	if _, err := s.Append(testBatch(1, 1, false)); !errors.Is(err, diskFull) {
+		t.Fatalf("Sync append into a segment whose name cannot be synced = %v, want %v", err, diskFull)
+	}
+	if names, _ := segmentNames(sdir); len(names) != 0 {
+		t.Fatalf("a segment whose name was never durable was left behind: %v", names)
+	}
+	s.syncDir = syncDirectory
+	if seq, err := s.Append(testBatch(1, 1, false)); err != nil || seq != 1 {
+		t.Fatalf("Append after the sync recovered = %d, %v; want 1, nil", seq, err)
+	}
+	s.Close()
+}
