@@ -74,14 +74,16 @@ func TestColdEvaluateAllocBudget(t *testing.T) {
 }
 
 // memoExtendAllocBudget bounds one memo-attached ExtendPath that
-// misses (probe, compute, offer) on the Table 1 fixture. The plain
-// extend costs 18; the handle adds the two keys — rendered once, into
-// one string the synopsis key is a suffix of — and the LRU entry: 20 in
-// all. It was 22 while the path key, the state key and its
-// epoch-scoped form were three strings, and 23 before the entry points
-// merged (the memo wrapper and the plain extend under it each built
-// the extended path); the budget keeps either from coming back.
-const memoExtendAllocBudget = 20
+// misses (probe, compute, offer) on the Table 1 fixture: 13 in all,
+// the handle's two keys — rendered once, into one string the synopsis
+// key is a suffix of — and its LRU entry included. It was 20 while the
+// state kept its last factor's product (and the product's position
+// list) and a decomposition took three allocations, 22 while the path
+// key, the state key and its epoch-scoped form were three strings, and
+// 23 before the entry points merged (the memo wrapper and the plain
+// extend under it each built the extended path); the budget keeps any
+// of them from coming back.
+const memoExtendAllocBudget = 14
 
 func TestMemoExtendAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -114,6 +116,7 @@ func TestMemoExtendAllocBudget(t *testing.T) {
 	if st := base.Stats(); st.Hits != 0 || st.Entries != runs+1 {
 		t.Fatalf("the measured extends were not all misses: %+v", st)
 	}
+	t.Logf("a memo-attached extend allocates %v objects", n)
 	if n > memoExtendAllocBudget {
 		t.Errorf("a memo-attached extend allocates %v objects, budget %d", n, memoExtendAllocBudget)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/gps"
@@ -236,6 +237,21 @@ func (h *HybridGraph) buildCandidateArrayFrom(p graph.Path, ui0 TimeInterval) (*
 	return ca, ui, nil
 }
 
+// suffixVariable reports whether a variable's path is a suffix of p of
+// two or more edges, by which a row of p[:len(p)-1]'s candidate array
+// differs from p's. None is longer than the ranks the model counts.
+func (h *HybridGraph) suffixVariable(p graph.Path) bool {
+	n := len(p)
+	for k := max(0, n-len(h.stats.VariablesByRank)); k < n-1; k++ {
+		for _, pv := range h.byStart[p[k]] {
+			if len(pv.path) == n-k && slices.Equal(pv.path, p[k:]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // beginRow readies the overlap memo and the relevant-interval window
 // for a new row (a new UI).
 func (ca *CandidateArray) beginRow(nIv int, ui TimeInterval, ivSec float64) {
@@ -340,6 +356,63 @@ type Decomposition struct {
 	Pos  []int
 }
 
+// newDecomposition returns an empty decomposition with room for n
+// factors; up to 16, header and columns are one allocation, in the
+// smallest of three sizes that fits.
+func newDecomposition(n int) *Decomposition {
+	switch {
+	case n <= 4:
+		b := new(struct {
+			de Decomposition
+			v  [4]*Variable
+			p  [4]int
+		})
+		b.de.Vars, b.de.Pos = b.v[:0:n], b.p[:0:n]
+		return &b.de
+	case n <= 8:
+		b := new(struct {
+			de Decomposition
+			v  [8]*Variable
+			p  [8]int
+		})
+		b.de.Vars, b.de.Pos = b.v[:0:n], b.p[:0:n]
+		return &b.de
+	case n <= 16:
+		b := new(struct {
+			de Decomposition
+			v  [16]*Variable
+			p  [16]int
+		})
+		b.de.Vars, b.de.Pos = b.v[:0:n], b.p[:0:n]
+		return &b.de
+	}
+	return &Decomposition{Vars: make([]*Variable, 0, n), Pos: make([]int, 0, n)}
+}
+
+// selectFactors is the scan every method shares: pick one variable per
+// row and keep it unless it is a sub-path of an earlier pick — with
+// picks aligned at their rows, iff it ends no later than the furthest
+// coverage. The picks collect on the stack, so the decomposition is
+// allocated once, at its exact size.
+func (ca *CandidateArray) selectFactors(pick func(row []*Variable) *Variable) *Decomposition {
+	var varsBuf [64]*Variable
+	var posBuf [64]int
+	vars, pos := varsBuf[:0], posBuf[:0]
+	covered := -1 // last query position covered so far
+	for k, row := range ca.Rows {
+		v := pick(row.Vars)
+		if end := k + v.Rank() - 1; end > covered {
+			vars = append(vars, v)
+			pos = append(pos, k)
+			covered = end
+		}
+	}
+	de := newDecomposition(len(vars))
+	de.Vars = append(de.Vars, vars...)
+	de.Pos = append(de.Pos, pos...)
+	return de
+}
+
 // Cardinality returns the number of paths in the decomposition.
 func (d *Decomposition) Cardinality() int { return len(d.Vars) }
 
@@ -359,34 +432,14 @@ func (d *Decomposition) MaxRank() int {
 // means uncapped), omit paths that are sub-paths of already selected
 // ones, and return the unique coarsest decomposition (Theorem 4).
 func (ca *CandidateArray) CoarsestDecomposition(maxRank int) *Decomposition {
-	de := &Decomposition{
-		Vars: make([]*Variable, 0, len(ca.Rows)),
-		Pos:  make([]int, 0, len(ca.Rows)),
-	}
-	covered := -1 // last query position covered so far
-	for k, row := range ca.Rows {
-		var pick *Variable
-		for i := len(row.Vars) - 1; i >= 0; i-- {
-			if maxRank <= 0 || row.Vars[i].Rank() <= maxRank {
-				pick = row.Vars[i]
-				break
+	return ca.selectFactors(func(row []*Variable) *Variable {
+		for i := len(row) - 1; i >= 0; i-- {
+			if maxRank <= 0 || row[i].Rank() <= maxRank {
+				return row[i]
 			}
 		}
-		if pick == nil {
-			pick = row.Vars[0]
-		}
-		// Sub-path test: with per-row maximal picks aligned at k, the
-		// pick is a sub-path of an earlier pick iff it ends no later
-		// than the furthest coverage.
-		end := k + pick.Rank() - 1
-		if end <= covered {
-			continue
-		}
-		de.Vars = append(de.Vars, pick)
-		de.Pos = append(de.Pos, k)
-		covered = end
-	}
-	return de
+		return row[0]
+	})
 }
 
 // Intner is any deterministic integer source (math/rand.Rand works).
@@ -398,19 +451,7 @@ type Intner interface {
 // a uniformly random-rank relevant variable is considered, and the
 // usual sub-path elimination is applied.
 func (ca *CandidateArray) RandomDecomposition(rnd Intner) *Decomposition {
-	de := &Decomposition{}
-	covered := -1
-	for k, row := range ca.Rows {
-		pick := row.Vars[rnd.Intn(len(row.Vars))]
-		end := k + pick.Rank() - 1
-		if end <= covered {
-			continue
-		}
-		de.Vars = append(de.Vars, pick)
-		de.Pos = append(de.Pos, k)
-		covered = end
-	}
-	return de
+	return ca.selectFactors(func(row []*Variable) *Variable { return row[rnd.Intn(len(row))] })
 }
 
 // PairDecomposition builds the HP baseline's decomposition: the
@@ -418,44 +459,22 @@ func (ca *CandidateArray) RandomDecomposition(rnd Intner) *Decomposition {
 // variables to fill pairs without data. Rank > 2 variables are never
 // used (the HP method of [10] models pairwise dependence only).
 func (ca *CandidateArray) PairDecomposition() *Decomposition {
-	de := &Decomposition{}
-	covered := -1
-	for k, row := range ca.Rows {
-		var pick *Variable
-		// Prefer the rank-2 variable; otherwise the best rank-1.
-		for _, v := range row.Vars {
-			switch v.Rank() {
-			case 2:
-				pick = v
-			case 1:
-				if pick == nil {
-					pick = v
-				}
-			}
-			if pick != nil && pick.Rank() == 2 {
-				break
+	return ca.selectFactors(func(row []*Variable) *Variable {
+		for _, v := range row {
+			if v.Rank() == 2 {
+				return v
 			}
 		}
-		end := k + pick.Rank() - 1
-		if end <= covered {
-			continue
-		}
-		de.Vars = append(de.Vars, pick)
-		de.Pos = append(de.Pos, k)
-		covered = end
-	}
-	return de
+		return row[0] // rank-1 is always first
+	})
 }
 
 // UnitDecomposition builds the LB baseline's decomposition: one rank-1
 // variable per edge (the legacy edge-granularity model of Section 2.3).
+// A rank-1 pick is never a sub-path of an earlier one, so every row
+// keeps its pick.
 func (ca *CandidateArray) UnitDecomposition() *Decomposition {
-	de := &Decomposition{}
-	for k, row := range ca.Rows {
-		de.Vars = append(de.Vars, row.Vars[0]) // rank-1 is always first
-		de.Pos = append(de.Pos, k)
-	}
-	return de
+	return ca.selectFactors(func(row []*Variable) *Variable { return row[0] })
 }
 
 // Validate checks the Section 4.1.1 decomposition conditions against

@@ -51,14 +51,19 @@
 // above the caller's remaining budget is settled — an exact zero —
 // before any multiply or fold (chainState.supportMin); and a fold that
 // keeps no dimension, which is nearly all of them, runs as the 1-D
-// convolution it is. docs/ARCHITECTURE.md ("What one routing expansion
-// costs") has the measurements and the proof.
+// convolution it is. A state keeps only what its children read: its
+// folded chain states and the departure interval past its last edge.
+// A child reads the decomposition off its parent's when no variable
+// ends at the new edge (PathState.decompose), and the rare child that
+// folds the parent's last product again rebuilds that product
+// (PathState.lastProduct). docs/ARCHITECTURE.md ("What one routing
+// expansion costs") has the measurements and the proof.
 //
 // A chain step whose state has no open dimension and whose factor
-// shares no edge with the next (nearly every step) is one fused
-// convolve-and-fold, byte-identical to multiply + foldTo; see
-// chainState.convolveFold and docs/ARCHITECTURE.md ("What one chain
-// step costs").
+// shares no edge with the next (nearly every step, the last factor of
+// a PathState included) is one fused convolve-and-fold, byte-identical
+// to multiply + foldTo; see chainState.convolveFold and
+// docs/ARCHITECTURE.md ("What one chain step costs").
 //
 // Query evaluation is bit-deterministic by construction: float
 // accumulation over hyper-buckets always runs in sorted cell order,

@@ -98,6 +98,17 @@ type evalScratch struct {
 	slabs   []float64 // per-slab sums of a fold that keeps no dimension
 	slabHit []bool
 	fEdges  []float64 // a fused step's factor bucket bounds, per cell
+	pos     []int     // a step's factor positions, while its product lives
+}
+
+// positions is factorPositions(de, i) in the scratch, for a product
+// that dies before the scratch is reused.
+func (sc *evalScratch) positions(de *Decomposition, i int) []int {
+	sc.pos = sc.pos[:0]
+	for j := 0; j < de.Vars[i].Rank(); j++ {
+		sc.pos = append(sc.pos, de.Pos[i]+j)
+	}
+	return sc.pos
 }
 
 // boundsScratch returns the scratch's bounds slice resized to n with

@@ -19,12 +19,17 @@ import (
 
 var chainMethods = []Method{MethodOD, MethodHP, MethodLB}
 
-// encodeStates dumps every chain state a PathState holds: the folded
-// state after each factor, then the pre-fold state.
+// encodeStates dumps every chain state a PathState holds — the folded
+// state after each factor — and the last factor's product a child may
+// fold again.
 func encodeStates(t *testing.T, s *PathState) [][]byte {
 	t.Helper()
+	pre, err := s.lastProduct(factorPositions(s.de, len(s.de.Vars)-1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out [][]byte
-	for _, cs := range append(append([]*chainState(nil), s.inter...), s.preFold) {
+	for _, cs := range append(append([]*chainState(nil), s.inter...), pre) {
 		b, err := (&ChainState{cs: cs}).Encode()
 		if err != nil {
 			t.Fatal(err)

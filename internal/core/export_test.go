@@ -25,13 +25,13 @@ func EncodeStateV1(s *ChainState) ([]byte, error) {
 
 // extendRefolding is ExtendPath(nil, prev, e) in the order recompute
 // used before the siblings of a DFS node shared their parent's fold:
-// the resume state is folded again from prev's pre-fold state even
-// when prev already holds that very fold. The shared fold is hidden
-// behind a copy of prev whose last intermediate state claims a fold
-// target no decomposition asks for, so recompute's own refold branch
-// runs — the old order, reachable from tests alone.
+// the resume state is folded again from prev's last product even when
+// prev already holds that very fold. The shared fold is hidden behind a
+// copy of prev whose last intermediate state claims a fold target no
+// decomposition asks for, so recompute's own refold branch runs — the
+// old order, reachable from tests alone.
 func extendRefolding(h *HybridGraph, prev *PathState, e graph.EdgeID) (*PathState, error) {
-	hidden := &PathState{h: prev.h, path: prev.path, t: prev.t, opt: prev.opt, de: prev.de, preFold: prev.preFold}
+	hidden := &PathState{h: prev.h, path: prev.path, t: prev.t, opt: prev.opt, de: prev.de, next: prev.next}
 	hidden.inter = append([]*chainState(nil), prev.inter...)
 	last := len(hidden.inter) - 1
 	hidden.inter[last] = &chainState{m: prev.inter[last].m, open: []int{-1}}
@@ -40,4 +40,109 @@ func extendRefolding(h *HybridGraph, prev *PathState, e graph.EdgeID) (*PathStat
 		return nil, err
 	}
 	return ns, nil
+}
+
+// keptState is a PathState together with its last factor's product, as
+// every state held it before lastProduct rebuilt that product on
+// demand.
+type keptState struct {
+	*PathState
+	preFold *chainState
+}
+
+// extendKept evaluates path p — prev's path plus one edge, or a single
+// edge when prev is nil — the way recompute did while states kept their
+// last product: the candidate array built in full for every path, every
+// factor but the last fused when it leaves nothing open, the last one
+// multiplied and folded in two passes with its product kept, and a
+// child that conditions on a suffix edge of prev's last factor folding
+// prev's kept product. It reports errSettled where recompute does. The
+// old branch, reachable from tests alone.
+func extendKept(h *HybridGraph, prev *keptState, p graph.Path, t float64, opt QueryOptions, within float64) (*keptState, error) {
+	s := &keptState{PathState: &PathState{h: h, path: p, t: t, opt: opt}}
+	ca, next, err := h.buildCandidateArrayFrom(p, TimeInterval{Lo: t, Hi: t})
+	if err != nil {
+		return nil, err
+	}
+	defer ca.Release()
+	switch opt.Method {
+	case MethodOD:
+		s.de = ca.CoarsestDecomposition(opt.RankCap)
+	case MethodHP:
+		s.de = ca.PairDecomposition()
+	case MethodLB:
+		s.de = ca.UnitDecomposition()
+	}
+	s.next = next
+
+	shared := 0
+	if prev != nil {
+		for shared < min(len(prev.de.Vars), len(s.de.Vars)) &&
+			prev.de.Vars[shared] == s.de.Vars[shared] && prev.de.Pos[shared] == s.de.Pos[shared] {
+			shared++
+		}
+	}
+	var state *chainState
+	from := 0
+	if shared > 0 {
+		i := shared - 1
+		keep := overlapWithNext(s.de, i)
+		switch {
+		case sameInts(keep, prev.inter[i].open):
+			state = prev.inter[i]
+		case i == len(prev.de.Vars)-1:
+			if state, err = prev.preFold.foldTo(keep, h.Params.MaxAccBuckets); err != nil {
+				return nil, err
+			}
+		}
+		if state != nil {
+			from = shared
+		}
+	}
+	s.inter = make([]*chainState, len(s.de.Vars))
+	if from > 0 {
+		copy(s.inter, prev.inter[:from-1])
+		s.inter[from-1] = state
+	}
+	var st EvalStats
+	for i := from; i < len(s.de.Vars); i++ {
+		fm, err := asMulti(s.de.Vars[i])
+		if err != nil {
+			return nil, err
+		}
+		last := i == len(s.de.Vars)-1
+		if !math.IsInf(within, 1) && i == from && last && state != nil && len(state.open) == 0 {
+			if err := checkStateDims(fm); err != nil {
+				return nil, err
+			}
+			if within <= state.supportMin(fm) {
+				return nil, errSettled
+			}
+		}
+		keep := overlapWithNext(s.de, i)
+		if state != nil && !last && len(state.open) == 0 && len(keep) == 0 {
+			if state, err = state.convolveFold(fm, &st, h.Params.MaxAccBuckets, nil); err != nil {
+				return nil, err
+			}
+			s.inter[i] = state
+			continue
+		}
+		positions := factorPositions(s.de, i)
+		if state == nil {
+			state, err = initialState(fm, positions)
+		} else {
+			state, err = state.multiply(fm, positions, &st)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if last {
+			s.preFold = state
+		}
+		if state, err = state.foldTo(keep, h.Params.MaxAccBuckets); err != nil {
+			return nil, err
+		}
+		s.inter[i] = state
+	}
+	return s, nil
 }

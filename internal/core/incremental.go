@@ -28,11 +28,13 @@ type PathState struct {
 
 	de *Decomposition
 	// inter[i] is the chain state after factor i was folded to its
-	// overlap with factor i+1; preFold is the state after the last
-	// factor's multiplication, before any folding (all its dims open),
-	// so a future factor can still condition on any suffix edge.
-	inter   []*chainState
-	preFold *chainState
+	// overlap with factor i+1. The last factor's product, which a child
+	// conditioning on a suffix edge folds again, is not kept: lastProduct
+	// rebuilds it for the few children that read it.
+	inter []*chainState
+	// next is the departure interval past the last edge (Eq. 3's UI
+	// chain), the one row interval a child's new row reads.
+	next TimeInterval
 
 	// dist is the flattened cost marginal of the final chain state,
 	// derived on first use: a memoized intermediate prefix that is
@@ -217,36 +219,19 @@ func (h *HybridGraph) stateResult(st *PathState) (*QueryResult, error) {
 // above within (see supportMin for when that can be read cheaply).
 func (s *PathState) recompute(prev *PathState, within float64) error {
 	h := s.h
-	ca, err := h.BuildCandidateArray(s.path, s.t)
-	if err != nil {
+	if err := s.decompose(prev); err != nil {
 		return err
-	}
-	defer ca.Release()
-	switch s.opt.Method {
-	case MethodOD:
-		s.de = ca.CoarsestDecomposition(s.opt.RankCap)
-	case MethodHP:
-		s.de = ca.PairDecomposition()
-	case MethodLB:
-		s.de = ca.UnitDecomposition()
-	default:
-		return fmt.Errorf("core: method %q does not support incremental evaluation", s.opt.Method)
 	}
 
 	// Longest shared factor prefix with prev.
 	shared := 0
-	if prev != nil && prev.de != nil {
-		max := len(prev.de.Vars)
-		if len(s.de.Vars) < max {
-			max = len(s.de.Vars)
-		}
-		for shared < max &&
-			prev.de.Vars[shared] == s.de.Vars[shared] &&
-			prev.de.Pos[shared] == s.de.Pos[shared] {
-			shared++
-		}
+	for prev != nil && shared < min(len(prev.de.Vars), len(s.de.Vars)) &&
+		prev.de.Vars[shared] == s.de.Vars[shared] && prev.de.Pos[shared] == s.de.Pos[shared] {
+		shared++
 	}
 
+	sc := scratchPool.Get().(*evalScratch)
+	defer scratchPool.Put(sc)
 	var st EvalStats
 	var state *chainState
 	from := 0
@@ -256,20 +241,24 @@ func (s *PathState) recompute(prev *PathState, within float64) error {
 		// target, prev's state is the same pure function of the same
 		// arguments: share it (every sibling of a DFS node resumes from
 		// one fold). Only prev's last factor can be refolded to a
-		// different target, from its kept pre-fold state.
+		// different target, from its product, rebuilt here.
 		i := shared - 1
 		keep := overlapWithNext(s.de, i)
 		switch {
-		case i < len(prev.inter) && sameInts(keep, prev.inter[i].open):
-			state, err = prev.inter[i], nil
-		case i == len(prev.de.Vars)-1 && prev.preFold != nil:
-			state, err = prev.preFold.foldTo(keep, h.Params.MaxAccBuckets)
+		case sameInts(keep, prev.inter[i].open):
+			state = prev.inter[i]
+		case i == len(prev.de.Vars)-1:
+			prod, err := prev.lastProduct(sc.positions(prev.de, i))
+			if err != nil {
+				return err
+			}
+			state, err = prod.foldTo(keep, h.Params.MaxAccBuckets)
+			hist.PutMulti(prod.m)
+			if err != nil {
+				return err
+			}
 		default:
-			state, err = nil, nil
 			shared = 0
-		}
-		if err != nil {
-			return err
 		}
 		if state != nil {
 			from = shared
@@ -297,42 +286,91 @@ func (s *PathState) recompute(prev *PathState, within float64) error {
 				return errSettled
 			}
 		}
-		last := i == len(s.de.Vars)-1
 		keep := overlapWithNext(s.de, i)
-		if state != nil && !last && len(state.open) == 0 && len(keep) == 0 {
-			// Fused: only the last factor keeps its product, as preFold.
+		if state != nil && len(state.open) == 0 && len(keep) == 0 {
 			if state, err = state.convolveFold(fm, &st, h.Params.MaxAccBuckets, nil); err != nil {
 				return err
 			}
 			s.inter[i] = state
 			continue
 		}
-		positions := factorPositions(s.de, i)
+		// The product dies with the step; its positions and cells are
+		// scratch.
+		positions := sc.positions(s.de, i)
+		var prod *chainState
 		if state == nil {
-			state, err = initialState(fm, positions)
+			prod, err = initialState(fm, positions)
 		} else {
-			state, err = state.multiply(fm, positions, &st)
+			prod, err = state.multiply(fm, positions, &st)
 		}
 		if err != nil {
 			return err
 		}
-		if last {
-			s.preFold = state
-		}
-		state, err = state.foldTo(keep, h.Params.MaxAccBuckets)
+		state, err = prod.foldTo(keep, h.Params.MaxAccBuckets)
+		hist.PutMulti(prod.m)
 		if err != nil {
 			return err
 		}
 		s.inter[i] = state
 	}
-	if from == len(s.de.Vars) && prev != nil {
-		// The whole decomposition was shared (possible when the new
-		// edge extends the last factor's path without changing the
-		// decomposition — cannot happen by construction, but guard).
-		s.preFold = prev.preFold
-	}
 	// The cost marginal of s.inter[last] is derived lazily in DistErr.
 	return nil
+}
+
+// decompose selects the state's decomposition and the interval past its
+// last edge. Extending prev by an edge moves no row's interval (UI
+// chaining is a left fold) and adds a row holding the edge's unit; row
+// k changes only by gaining the variable whose path is the suffix from
+// k. With no such variable every pick of prev's scan stands and the
+// unit, ending past them all, is kept: prev's decomposition plus the
+// unit at prev's next interval. Otherwise the array is built in full.
+func (s *PathState) decompose(prev *PathState) error {
+	h := s.h
+	if prev != nil && !h.suffixVariable(s.path) {
+		n := len(prev.path)
+		ca := caPool.Get().(*CandidateArray)
+		ca.beginRow(h.Params.NumIntervals(), prev.next, h.Params.IntervalSeconds())
+		unit := h.bestUnitVariable(s.path[n], prev.next, ca)
+		caPool.Put(ca)
+		s.de = newDecomposition(len(prev.de.Vars) + 1)
+		s.de.Vars = append(append(s.de.Vars, prev.de.Vars...), unit)
+		s.de.Pos = append(append(s.de.Pos, prev.de.Pos...), n)
+		s.next = sae(prev.next, unit)
+		return nil
+	}
+	ca, next, err := h.buildCandidateArrayFrom(s.path, TimeInterval{Lo: s.t, Hi: s.t})
+	if err != nil {
+		return err
+	}
+	defer ca.Release()
+	switch s.opt.Method {
+	case MethodOD:
+		s.de = ca.CoarsestDecomposition(s.opt.RankCap)
+	case MethodHP:
+		s.de = ca.PairDecomposition()
+	case MethodLB:
+		s.de = ca.UnitDecomposition()
+	default:
+		return fmt.Errorf("core: method %q does not support incremental evaluation", s.opt.Method)
+	}
+	s.next = next
+	return nil
+}
+
+// lastProduct rebuilds the unfolded product of s's last factor, its
+// dims open at positions, for a child that conditions on a suffix edge
+// of it: the pure function the last step evaluated, of the same
+// arguments, so the product that step formed, byte for byte.
+func (s *PathState) lastProduct(positions []int) (*chainState, error) {
+	last := len(s.de.Vars) - 1
+	fm, err := asMulti(s.de.Vars[last])
+	if err != nil {
+		return nil, err
+	}
+	if last == 0 {
+		return initialState(fm, positions)
+	}
+	return s.inter[last-1].multiply(fm, positions, nil)
 }
 
 func sameInts(a, b []int) bool {

@@ -121,15 +121,11 @@ func (h *HybridGraph) EvaluateSegment(r *Reuse, in SegmentInput) (*SegmentResult
 		if err != nil {
 			return nil, err
 		}
-		// Outgoing UI: chain Eq. 3 across the whole segment, the same
-		// left fold BuildCandidateArray runs internally.
-		ui := in.UI
-		for _, e := range in.Path {
-			ui = sae(ui, h.bestUnitVariable(e, ui, nil))
-		}
+		// Outgoing UI: Eq. 3 chained across the whole segment, which the
+		// state carries.
 		return &SegmentResult{
 			State:   &ChainState{cs: st.inter[len(st.inter)-1]},
-			UI:      ui,
+			UI:      st.next,
 			Factors: len(st.de.Vars),
 			MaxRank: st.de.MaxRank(),
 		}, nil

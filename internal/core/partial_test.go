@@ -192,10 +192,11 @@ func TestEvaluateSegmentRejections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pathState: %v", err)
 	}
-	if st.preFold == nil || len(st.preFold.open) == 0 {
-		t.Skip("fixture produced no open pre-fold state")
+	pre, err := st.lastProduct(factorPositions(st.de, len(st.de.Vars)-1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	open := &ChainState{cs: st.preFold}
+	open := &ChainState{cs: pre}
 	_, err = h.EvaluateSegment(nil, SegmentInput{
 		Path: graph.Path{3, 4}, Depart: depart, UI: point, State: open,
 	})

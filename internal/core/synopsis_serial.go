@@ -45,14 +45,12 @@ func writeSynopsis(w io.Writer, syn *SynopsisStore) error {
 // and departure, the decomposition as references into the model
 // (variables are stored once, in the var records; the synopsis only
 // names them), and the chain states that make extension and
-// marginalization possible without recomputation.
+// marginalization possible without recomputation. The "pre" record —
+// the last factor's product, which the state no longer keeps — is
+// rebuilt for the file, whose format predates that; the reader drops it.
 func writeSynopsisEntry(w io.Writer, st *PathState) error {
-	hasPre := 0
-	if st.preFold != nil {
-		hasPre = 1
-	}
-	if _, err := fmt.Fprintf(w, "syn %s %g %d %d\n",
-		st.path.Key(), st.t, len(st.de.Vars), hasPre); err != nil {
+	if _, err := fmt.Fprintf(w, "syn %s %g %d 1\n",
+		st.path.Key(), st.t, len(st.de.Vars)); err != nil {
 		return err
 	}
 	for i, v := range st.de.Vars {
@@ -71,12 +69,14 @@ func writeSynopsisEntry(w io.Writer, st *PathState) error {
 			return err
 		}
 	}
-	if st.preFold != nil {
-		if err := writeChainState(w, "pre", st.preFold); err != nil {
-			return err
-		}
+	last := len(st.de.Vars) - 1
+	pre, err := st.lastProduct(factorPositions(st.de, last))
+	if err != nil {
+		return err
 	}
-	return nil
+	err = writeChainState(w, "pre", pre)
+	hist.PutMulti(pre.m)
+	return err
 }
 
 func writeChainState(w io.Writer, tag string, cs *chainState) error {
@@ -326,7 +326,13 @@ func readSynopsisEntry(rd *hybridReader, h *HybridGraph, opt QueryOptions) (*Pat
 		return nil, fmt.Errorf("stored decomposition invalid: %w", err)
 	}
 
-	st := &PathState{h: h, path: path, t: depart, opt: opt, de: de}
+	// The interval past the last edge, which the file does not hold: Eq. 3
+	// chained over the unit variables, as the candidate array chains it.
+	next := TimeInterval{Lo: depart, Hi: depart}
+	for _, e := range path {
+		next = sae(next, h.bestUnitVariable(e, next, nil))
+	}
+	st := &PathState{h: h, path: path, t: depart, opt: opt, de: de, next: next}
 	st.inter = make([]*chainState, nFactors)
 	for i := 0; i < nFactors; i++ {
 		cs, err := readChainState(rd, "state", len(path))
@@ -336,11 +342,10 @@ func readSynopsisEntry(rd *hybridReader, h *HybridGraph, opt QueryOptions) (*Pat
 		st.inter[i] = cs
 	}
 	if hasPre == 1 {
-		cs, err := readChainState(rd, "pre", len(path))
-		if err != nil {
-			return nil, fmt.Errorf("preFold state of %v: %w", path, err)
+		// Checked like every record, then dropped: lastProduct rebuilds it.
+		if _, err := readChainState(rd, "pre", len(path)); err != nil {
+			return nil, fmt.Errorf("pre-fold state of %v: %w", path, err)
 		}
-		st.preFold = cs
 	}
 	return st, nil
 }

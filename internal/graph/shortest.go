@@ -102,64 +102,94 @@ func (g *Graph) ShortestPath(src, dst VertexID, w WeightFunc) (p Path, dist floa
 // returns the distance array (Inf for unreachable vertices). Used by
 // the routing package to compute admissible lower bounds.
 func (g *Graph) ShortestDistances(src VertexID, w WeightFunc) []float64 {
-	distTo := make([]float64, len(g.vertices))
-	for i := range distTo {
-		distTo[i] = math.Inf(1)
-	}
-	distTo[src] = 0
-	pq := &priorityQueue{}
-	heap.Init(pq)
-	heap.Push(pq, &pqItem{vertex: src, dist: 0})
-	settled := make([]bool, len(g.vertices))
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(*pqItem)
-		v := it.vertex
-		if settled[v] {
-			continue
-		}
-		settled[v] = true
-		for _, eid := range g.out[v] {
-			e := g.edges[eid]
-			nd := distTo[v] + w(e)
-			if nd < distTo[e.To] {
-				distTo[e.To] = nd
-				heap.Push(pq, &pqItem{vertex: e.To, dist: nd})
-			}
-		}
-	}
-	return distTo
+	return g.distances(src, w, false)
 }
 
 // ReverseShortestDistances returns, for every vertex v, the shortest
 // distance from v to dst under w (Inf when dst is unreachable from v).
 // It runs Dijkstra on the reverse graph.
 func (g *Graph) ReverseShortestDistances(dst VertexID, w WeightFunc) []float64 {
-	distTo := make([]float64, len(g.vertices))
-	for i := range distTo {
-		distTo[i] = math.Inf(1)
+	return g.distances(dst, w, true)
+}
+
+// distances is Dijkstra from src over the out-edges, or the in-edges
+// when reverse. A distance is the least of its relaxations whatever
+// order equal keys pop in, so the heap holds values (ShortestPath, whose
+// edgeTo that order decides, keeps container/heap). A stale entry is
+// skipped, so each vertex is expanded once, at its final distance.
+func (g *Graph) distances(src VertexID, w WeightFunc, reverse bool) []float64 {
+	dist := make([]float64, len(g.vertices))
+	for i := range dist {
+		dist[i] = math.Inf(1)
 	}
-	distTo[dst] = 0
-	pq := &priorityQueue{}
-	heap.Init(pq)
-	heap.Push(pq, &pqItem{vertex: dst, dist: 0})
-	settled := make([]bool, len(g.vertices))
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(*pqItem)
-		v := it.vertex
-		if settled[v] {
+	dist[src] = 0
+	var h distHeap
+	h.push(vertexDist{src, 0})
+	for len(h) > 0 {
+		it := h.pop()
+		if it.d > dist[it.v] {
 			continue
 		}
-		settled[v] = true
-		for _, eid := range g.in[v] {
+		adj := g.out[it.v]
+		if reverse {
+			adj = g.in[it.v]
+		}
+		for _, eid := range adj {
 			e := g.edges[eid]
-			nd := distTo[v] + w(e)
-			if nd < distTo[e.From] {
-				distTo[e.From] = nd
-				heap.Push(pq, &pqItem{vertex: e.From, dist: nd})
+			u := e.To
+			if reverse {
+				u = e.From
+			}
+			if nd := it.d + w(e); nd < dist[u] {
+				dist[u] = nd
+				h.push(vertexDist{u, nd})
 			}
 		}
 	}
-	return distTo
+	return dist
+}
+
+type vertexDist struct {
+	v VertexID
+	d float64
+}
+
+// distHeap is a binary min-heap on d.
+type distHeap []vertexDist
+
+func (h *distHeap) push(it vertexDist) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(s[j].d < s[i].d) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *distHeap) pop() vertexDist {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].d < s[j].d {
+			j = r
+		}
+		if !(s[j].d < s[i].d) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }
 
 // RandomWalkPath grows a simple path of exactly n edges starting from

@@ -109,8 +109,8 @@ func (r *Router) BestPathCtx(ctx context.Context, q Query, opt Options) (*Result
 		opt.MaxEdges = 150
 	}
 	g := r.h.G
-	if q.Source == q.Dest {
-		return nil, fmt.Errorf("routing: source equals destination")
+	if err := checkEndpoints(g, q); err != nil {
+		return nil, err
 	}
 	// Admissible remaining-time lower bounds (free-flow Dijkstra on the
 	// reverse graph).
@@ -222,6 +222,21 @@ func (r *Router) BestPathCtx(ctx context.Context, q Query, opt Options) (*Result
 		return nil, fmt.Errorf("routing: no path to destination found within limits")
 	}
 	return res, nil
+}
+
+// checkEndpoints rejects a query whose source or destination is not a
+// vertex of g, or whose source is its destination.
+func checkEndpoints(g *graph.Graph, q Query) error {
+	n := graph.VertexID(g.NumVertices())
+	switch {
+	case q.Source < 0 || q.Source >= n:
+		return fmt.Errorf("routing: source vertex %d out of range [0, %d)", q.Source, n)
+	case q.Dest < 0 || q.Dest >= n:
+		return fmt.Errorf("routing: destination vertex %d out of range [0, %d)", q.Dest, n)
+	case q.Source == q.Dest:
+		return fmt.Errorf("routing: source equals destination")
+	}
+	return nil
 }
 
 // frontier is the stack of out-edge lists of the DFS nodes on the

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -154,6 +156,51 @@ func TestBestPathErrors(t *testing.T) {
 	res, err := r.BestPath(Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: 1}, Options{Incremental: true})
 	if err == nil && res.Prob > 0.01 {
 		t.Fatalf("1-second budget should have ~0 probability, got %v", res.Prob)
+	}
+}
+
+// A query naming a vertex the graph does not have is an error from
+// every search entry point, not an index panic in the lower-bound
+// search: only the HTTP layer used to check.
+func TestSearchRejectsOutOfRangeVertex(t *testing.T) {
+	g, h := table1Hybrid(t)
+	r := New(h)
+	nv := graph.VertexID(g.NumVertices())
+	entries := map[string]func(Query) error{
+		"BestPath": func(q Query) error {
+			_, err := r.BestPathCtx(nil, q, Options{Incremental: true})
+			return err
+		},
+		"TopKPaths": func(q Query) error {
+			_, err := r.TopKPathsCtx(nil, q, 3, Options{})
+			return err
+		},
+		"SkylinePaths": func(q Query) error {
+			_, err := r.SkylinePaths(q, 3, Options{})
+			return err
+		},
+	}
+	cases := []struct {
+		src, dst graph.VertexID
+		want     string
+	}{
+		{0, nv, fmt.Sprintf("destination vertex %d out of range [0, %d)", nv, nv)},
+		{-1, 0, fmt.Sprintf("source vertex -1 out of range [0, %d)", nv)},
+		{nv, 0, fmt.Sprintf("source vertex %d out of range [0, %d)", nv, nv)},
+		{0, -1, fmt.Sprintf("destination vertex -1 out of range [0, %d)", nv)},
+		{nv + 7, nv + 7, fmt.Sprintf("source vertex %d out of range [0, %d)", nv+7, nv)},
+	}
+	for name, search := range entries {
+		for _, c := range cases {
+			err := search(Query{Source: c.src, Dest: c.dst, Depart: 8 * 3600, Budget: 400})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s(%d → %d): error %v, want %q", name, c.src, c.dst, err, c.want)
+			}
+		}
+		// In range, the search still runs.
+		if err := search(Query{Source: 0, Dest: nv - 1, Depart: 8 * 3600, Budget: 400}); err != nil {
+			t.Errorf("%s(0 → %d): %v", name, nv-1, err)
+		}
 	}
 }
 

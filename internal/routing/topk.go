@@ -43,8 +43,8 @@ func (r *Router) TopKPathsCtx(ctx context.Context, q Query, k int, opt Options) 
 		opt.MaxEdges = 150
 	}
 	g := r.h.G
-	if q.Source == q.Dest {
-		return nil, fmt.Errorf("routing: source equals destination")
+	if err := checkEndpoints(g, q); err != nil {
+		return nil, err
 	}
 	lb := g.ReverseShortestDistances(q.Dest, graph.FreeFlowWeight)
 	if isInf(lb[q.Source]) {

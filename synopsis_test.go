@@ -2,6 +2,9 @@ package pathcost
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -79,6 +82,94 @@ func TestSynopsisSaveLoadEndToEnd(t *testing.T) {
 	loaded.AttachSynopsis(nil)
 	if _, ok := loaded.SynopsisStats(); ok {
 		t.Fatal("stats still report a synopsis after detach")
+	}
+}
+
+// synopsisModelGolden is the SHA-256 of the model file that
+// TestSynopsisModelGolden writes: taken while every PathState still
+// kept its last factor's product, whose "pre" records the writer now
+// rebuilds.
+const synopsisModelGolden = "e001d7d1eadeb030cd087a4b8184eb8e8b2097184d1bb7b77c3fcd062b74bfda"
+
+// The model file of a system with a synopsis attached is byte-identical
+// to the golden one, and that file loads into a system that answers
+// every workload path, and every one-edge extension of one (a child of
+// a loaded state), exactly as the writing system and a system without
+// any synopsis do; written again, it is the same file.
+func TestSynopsisModelGolden(t *testing.T) {
+	params := DefaultParams()
+	params.Beta = 20
+	params.MaxRank = 4
+	sys, err := Synthesize(SynthesizeConfig{Preset: "test", Trips: 3000, Seed: 31, Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload, err := sys.SyntheticWorkload(96, 8, 11, []float64{8 * 3600, 17 * 3600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every workload path and its one-edge extensions, each answered
+	// first with no synopsis attached.
+	type query struct {
+		p      Path
+		depart float64
+		want   *QueryResult
+	}
+	var queries []query
+	for _, q := range workload {
+		paths := []Path{q.Path}
+		for _, e := range sys.Graph.NextEdges(q.Path[len(q.Path)-1]) {
+			if p := append(q.Path.Clone(), e); sys.Graph.ValidPath(p) {
+				paths = append(paths, p)
+			}
+		}
+		for _, p := range paths {
+			res, err := sys.PathDistribution(p, q.Depart, OD)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries = append(queries, query{p, q.Depart, res})
+		}
+	}
+	syn, err := sys.BuildSynopsis(workload, SynopsisConfig{MaxEntries: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if syn.Len() == 0 {
+		t.Fatal("empty synopsis")
+	}
+	var buf bytes.Buffer
+	if err := sys.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != synopsisModelGolden {
+		t.Fatalf("model file with a synopsis: sha256 %s, golden %s", got, synopsisModelGolden)
+	}
+	loaded, err := LoadSystem(sys.Graph, nil, bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := loaded.SaveModel(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatal("the loaded system writes a different model file")
+	}
+
+	for _, q := range queries {
+		for name, s := range map[string]*System{"writer": sys, "loaded": loaded} {
+			got, err := s.PathDistribution(q.p, q.depart, OD)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Dist.Buckets(), q.want.Dist.Buckets()) {
+				t.Fatalf("%s: %v at %v differs from the answer without a synopsis", name, q.p, q.depart)
+			}
+		}
+	}
+	if st, _ := loaded.SynopsisStats(); st.Hits == 0 {
+		t.Fatalf("no query resumed from a loaded state: %+v", st)
 	}
 }
 
