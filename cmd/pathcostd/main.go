@@ -77,6 +77,7 @@ import (
 	"time"
 
 	pathcost "repro"
+	"repro/internal/api"
 	"repro/internal/netgen"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -375,8 +376,8 @@ func servePprof(addr string, logger *log.Logger, metrics http.Handler) {
 	srv := &http.Server{
 		Addr:              addr,
 		Handler:           mux,
-		ReadHeaderTimeout: server.ServeReadHeaderTimeout,
-		IdleTimeout:       server.ServeIdleTimeout,
+		ReadHeaderTimeout: api.ServeReadHeaderTimeout,
+		IdleTimeout:       api.ServeIdleTimeout,
 	}
 	if err := srv.ListenAndServe(); err != nil {
 		logger.Printf("pprof listener failed: %v", err)

@@ -3,6 +3,7 @@ package api
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -217,6 +218,15 @@ func EdgeIDs(p pathcost.Path) []int64 {
 
 // --- validation helpers ----------------------------------------------
 
+// Request limits, the same on both tiers. Evaluation cost grows with
+// path length and batch size, so uncapped requests would let a few
+// maximal ones monopolize the evaluation slots.
+const (
+	MaxPathEdges = 256 // edges in one path
+	MaxBatch     = 64  // entries in one /v1/batch request
+	MaxTopK      = 32  // the k of one /v1/topk query
+)
+
 // ParseMethod validates the method name; empty selects OD.
 func ParseMethod(name string) (pathcost.Method, error) {
 	switch strings.ToUpper(strings.TrimSpace(name)) {
@@ -269,6 +279,27 @@ func CheckDepart(depart float64) error {
 	return nil
 }
 
+// CheckDistribution validates one distribution request, on either tier
+// and as a batch entry; a non-nil error means a 400 with the error's
+// message.
+func CheckDistribution(g *pathcost.Graph, req *DistributionRequest) (pathcost.Method, pathcost.Path, error) {
+	m, err := ParseMethod(req.Method)
+	if err == nil {
+		err = CheckDepart(req.Depart)
+	}
+	if err == nil && req.Budget < 0 {
+		err = fmt.Errorf("budget %v must be ≥ 0 seconds (0 or omitted skips prob_within)", req.Budget)
+	}
+	if err != nil {
+		return "", nil, err
+	}
+	p, err := ParsePath(g, req.Path, MaxPathEdges)
+	if err != nil {
+		return "", nil, err
+	}
+	return m, p, nil
+}
+
 // CheckRoute shares the routing-request checks between /v1/route,
 // /v1/topk and their batch twins; a non-nil error means a 400 with the
 // error's message.
@@ -309,7 +340,9 @@ const BudgetHeader = "X-Budget-Ms"
 // ParseBudget reads a BudgetHeader value. It returns ok = false for an
 // absent (empty) header, and an error for anything that is not a
 // positive integer — a garbled budget must be rejected loudly, not
-// silently treated as unlimited.
+// silently treated as unlimited. A budget too large for a Duration is
+// the largest one: no tighter than the tier's default, never a
+// wrapped-around value that would widen it.
 func ParseBudget(val string) (time.Duration, bool, error) {
 	if val == "" {
 		return 0, false, nil
@@ -317,6 +350,9 @@ func ParseBudget(val string) (time.Duration, bool, error) {
 	ms, err := strconv.ParseInt(strings.TrimSpace(val), 10, 64)
 	if err != nil || ms <= 0 {
 		return 0, false, fmt.Errorf("invalid %s %q: want a positive integer millisecond count", BudgetHeader, val)
+	}
+	if ms > math.MaxInt64/int64(time.Millisecond) {
+		return math.MaxInt64, true, nil
 	}
 	return time.Duration(ms) * time.Millisecond, true, nil
 }

@@ -1,11 +1,14 @@
-// Package api is the JSON wire format of the pathcost HTTP API, once,
-// for the single-process server (internal/server) and the
-// sharded-serving coordinator (internal/shard): the request and
-// response types, the request-validation helpers, and Wire — the codec
-// that reads request bodies, derives request contexts and writes
-// answers and error envelopes on both tiers. One set of shapes
-// assembled and encoded by one set of functions is what lets the
-// coordinator emit responses byte-identical to a single process.
+// Package api is the pathcost HTTP API, once, for the single-process
+// server (internal/server) and the sharded-serving coordinator
+// (internal/shard): the request and response types, the request
+// limits and validation helpers, Wire — the codec that reads request
+// bodies, derives request contexts and writes answers and error
+// envelopes — and Gate, the serving chassis around it: evaluation
+// slots, MaxQueue shedding, the deadline-to-504 mapping, the endpoint
+// sequences, /healthz, the listener loop and the Prometheus writer.
+// Each tier supplies only its evaluators. One set of shapes assembled
+// and encoded by one set of functions is what lets the coordinator
+// emit responses byte-identical to a single process.
 //
 // Wire's contract is encoding/json's behaviour, byte for byte. The
 // hot shapes (DistributionRequest and plain BatchRequest in,

@@ -14,11 +14,10 @@ import (
 // Wire is the HTTP side of a serving tier: it reads request bodies,
 // derives request contexts and writes answers, for the single-process
 // server and the sharded coordinator alike, so the two cannot drift
-// apart by a byte or a message. The counters belong to the tier that
-// reports them; Wire only bumps them.
+// apart by a byte or a message. Each tier's Gate embeds one.
 type Wire struct {
-	Served   *atomic.Uint64 // query answers written 2xx
-	Rejected *atomic.Uint64 // answers written 4xx/5xx
+	Served   atomic.Uint64 // query answers written 2xx
+	Rejected atomic.Uint64 // answers written 4xx/5xx
 }
 
 // MaxQueryBody caps the body of every query endpoint on both tiers.

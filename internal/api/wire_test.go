@@ -42,8 +42,8 @@ func refRead(r *http.Request, dst any, maxBytes int64) (int, []byte) {
 }
 
 func testWire() (*Wire, *atomic.Uint64, *atomic.Uint64) {
-	var served, rejected atomic.Uint64
-	return &Wire{Served: &served, Rejected: &rejected}, &served, &rejected
+	wr := &Wire{}
+	return wr, &wr.Served, &wr.Rejected
 }
 
 // checkRead holds Wire.Read to refRead on one body and one cap, for

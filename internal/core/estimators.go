@@ -37,13 +37,6 @@ type QueryOptions struct {
 	RankCap int
 	// Seed drives MethodRD's random decomposition choice.
 	Seed int64
-	// Quantized evaluates the chain with the float32 fast-path kernel
-	// (EvaluateQuantized): run masses and per-cell divisions happen in
-	// float32, trading ~1e-6 relative error per multiply for less
-	// division latency. Exact (default) answers stay byte-identical to
-	// the reference kernel; quantized answers carry a measured error
-	// bound (see TestQuantizedKernelErrorBound).
-	Quantized bool
 }
 
 // Timing is the Figure 17 breakdown of one query: OI (identify the
@@ -128,7 +121,7 @@ func (h *HybridGraph) CostDistributionCtx(ctx context.Context, r *Reuse, p graph
 	t1 := time.Now()
 	oi := t1.Sub(t0)
 
-	dist, stats, err := h.evaluateMode(ctx, de, p, opt.Quantized)
+	dist, stats, err := h.evaluateMode(ctx, de, p)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -134,9 +135,9 @@ func TestMultiplyMatchesReferenceKernel(t *testing.T) {
 }
 
 // A non-prefix overlap (impossible in chain evaluation, where overlaps
-// are path prefixes) falls back to the reference kernel rather than
-// mis-joining.
-func TestMultiplyNonPrefixOverlapFallsBack(t *testing.T) {
+// are path prefixes) is an error rather than a mis-join; the reference
+// kernel, which handles any overlap, still joins it.
+func TestMultiplyRejectsNonPrefixOverlap(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	fa := randomFactor(rnd, 1)
 	fb := randomFactor(rnd, 2)
@@ -150,13 +151,11 @@ func TestMultiplyNonPrefixOverlapFallsBack(t *testing.T) {
 	}
 	// Factor covers positions {0,1}; the state's open dim 1 maps to
 	// factor dim 1, not 0 — a non-prefix overlap.
-	fast, errFast := folded.multiply(fb, []int{0, 1}, nil)
-	ref, errRef := folded.multiplyRef(fb, []int{0, 1}, nil)
-	if (errFast == nil) != (errRef == nil) {
-		t.Fatalf("error mismatch: %v vs %v", errFast, errRef)
+	if _, err := folded.multiply(fb, []int{0, 1}, nil); err == nil {
+		t.Fatal("multiply joined a non-prefix overlap")
 	}
-	if errFast == nil {
-		sameMultiBits(t, fast.m, ref.m)
+	if _, err := folded.multiplyRef(fb, []int{0, 1}, nil); err != nil {
+		t.Fatalf("reference kernel: %v", err)
 	}
 }
 
@@ -165,4 +164,101 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// multiplyRef is the pre-columnar reference kernel: group maps and
+// per-cell dispatch over the same float sequence, for any overlap. It
+// is the differential oracle multiply is held to.
+func (s *chainState) multiplyRef(fm *hist.Multi, positions []int, st *EvalStats) (*chainState, error) {
+	overlap := s.open
+	ovIdxF := indexOf(positions, overlap)
+	if len(ovIdxF) != len(overlap) {
+		return nil, fmt.Errorf("core: state open dims %v not contained in factor positions %v", overlap, positions)
+	}
+
+	sm := s.m
+	fmAligned := fm
+	var err error
+	for i := range overlap {
+		sd := 1 + i // state dim (open dims are ordered and contiguous)
+		fd := ovIdxF[i]
+		union := hist.UnionBounds(sm.Bounds(sd), fmAligned.Bounds(fd))
+		sm, err = sm.RemapDim(sd, union)
+		if err != nil {
+			return nil, err
+		}
+		fmAligned, err = fmAligned.RemapDim(fd, union)
+		if err != nil {
+			return nil, err
+		}
+	}
+	var marg *hist.Multi
+	if len(overlap) > 0 {
+		marg, err = fmAligned.MarginalOnto(ovIdxF)
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// Group factor cells by overlap index tuple (a single group when
+	// the overlap is empty).
+	type fcell struct {
+		key hist.CellKey
+		pr  float64
+	}
+	groups := make(map[hist.CellKey][]fcell)
+	fmAligned.ForEach(func(k hist.CellKey, pr float64) {
+		var gk hist.CellKey
+		for i, fd := range ovIdxF {
+			gk[i] = k[fd]
+		}
+		groups[gk] = append(groups[gk], fcell{key: k, pr: pr})
+	})
+
+	// Result dims: acc + all factor dims (in factor order).
+	bounds := make([][]float64, 1+fmAligned.Dims())
+	bounds[0] = sm.Bounds(0)
+	for d := 0; d < fmAligned.Dims(); d++ {
+		bounds[1+d] = fmAligned.Bounds(d)
+	}
+	res, err := hist.NewMulti(bounds)
+	if err != nil {
+		return nil, err
+	}
+	idxBuf := make([]int, 1+fmAligned.Dims())
+	mi := make([]int, len(overlap))
+	sm.ForEach(func(sk hist.CellKey, spr float64) {
+		var gk hist.CellKey
+		for i := range overlap {
+			gk[i] = sk[1+i]
+		}
+		cells := groups[gk]
+		if len(cells) == 0 {
+			return
+		}
+		div := 1.0
+		if marg != nil {
+			for i := range overlap {
+				mi[i] = int(gk[i])
+			}
+			div = marg.Cell(mi)
+			if div <= 0 {
+				return
+			}
+		}
+		for _, fc := range cells {
+			idxBuf[0] = int(sk[0])
+			for d := 0; d < fmAligned.Dims(); d++ {
+				idxBuf[1+d] = int(fc.key[d])
+			}
+			if st != nil {
+				st.CellsTouched++
+			}
+			res.SetCell(idxBuf, res.Cell(idxBuf)+spr*fc.pr/div)
+		}
+	})
+	if err := res.Normalize(); err != nil {
+		return nil, err
+	}
+	return &chainState{m: res, open: positions}, nil
 }

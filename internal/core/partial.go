@@ -154,7 +154,7 @@ func (h *HybridGraph) EvaluateSegment(r *Reuse, in SegmentInput) (*SegmentResult
 	// independent outer product — the identical operation whole-path
 	// evaluation performs right after its boundary fold. No arena: the
 	// caller's state (and anything sharing its buffers) stays untouched.
-	state, err := h.runChain(in.Ctx, de, in.State.cs, nil, false, nil)
+	state, err := h.runChain(in.Ctx, de, in.State.cs, nil, nil)
 	if err != nil {
 		return nil, err
 	}

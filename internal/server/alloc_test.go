@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	pathcost "repro"
+	"repro/internal/api"
 )
 
 // cacheHitAllocBudget bounds what a whole-answer cache hit may
@@ -53,7 +54,7 @@ func TestCacheHitAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(distributionRequest{Path: edgeIDs(p), Depart: 8 * 3600})
+	payload, err := json.Marshal(distributionRequest{Path: api.EdgeIDs(p), Depart: 8 * 3600})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	pathcost "repro"
+	"repro/internal/api"
 )
 
 // TestBatchSmoke answers a mixed batch — distribution, route, topk
@@ -121,7 +122,7 @@ func TestBatchMatchesSingleQueries(t *testing.T) {
 // TestBatchValidation pins the whole-batch 400 contract.
 func TestBatchValidation(t *testing.T) {
 	sys := testSystem(t)
-	srv := New(sys, Config{MaxBatch: 4})
+	srv := New(sys, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -129,7 +130,7 @@ func TestBatchValidation(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/batch", batchRequest{}, &e); code != http.StatusBadRequest {
 		t.Fatalf("empty batch = %d, want 400", code)
 	}
-	over := batchRequest{Queries: make([]batchQuery, 5)}
+	over := batchRequest{Queries: make([]batchQuery, api.MaxBatch+1)}
 	if code := postJSON(t, ts.URL+"/v1/batch", over, &e); code != http.StatusBadRequest {
 		t.Fatalf("oversized batch = %d, want 400 (%s)", code, e.Error)
 	}
@@ -244,7 +245,7 @@ func TestBatchEntryPanicIsThatEntrys500(t *testing.T) {
 				t.Errorf("%d-entry batch, entry %d = %+v, want a bare %d", len(queries), i, r, want)
 			}
 		}
-		if n := len(srv.sem); n != 0 {
+		if n := srv.gate.InUse(); n != 0 {
 			t.Fatalf("%d-entry batch leaked %d evaluation slot(s)", len(queries), n)
 		}
 	}
@@ -309,7 +310,7 @@ func TestBatchInlineAndFannedOutConcurrently(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if n := len(srv.sem); n != 0 {
+	if n := srv.gate.InUse(); n != 0 {
 		t.Fatalf("%d evaluation slot(s) still held after the last answer", n)
 	}
 }

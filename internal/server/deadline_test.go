@@ -94,8 +94,8 @@ func TestDefaultTimeoutAnswers504(t *testing.T) {
 	path, depart := densePath(t, sys)
 	src, dst, budget := routePair(t, sys)
 
-	s.sem <- struct{}{} // saturate the gate: every request below parks
-	defer func() { <-s.sem }()
+	s.gate.Acquire(context.Background()) // saturate the gate: every request below parks
+	defer s.gate.Release()
 
 	cases := []struct {
 		name string
@@ -167,17 +167,54 @@ func TestBudgetHeaderTightensDeadline(t *testing.T) {
 	body := distributionRequest{Path: path, Depart: depart}
 
 	// Hold the only evaluation slot so the budgeted request queues.
-	s.sem <- struct{}{}
+	s.gate.Acquire(context.Background())
 	status, msg := postWithBudget(t, ts.URL+"/v1/distribution", "40", body)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("budgeted request behind a full gate: status %d (%s), want 504", status, msg)
 	}
-	<-s.sem
+	s.gate.Release()
 
 	// With the slot free and a generous budget the same request
 	// answers normally — the header codepath must not distort success.
 	if status, msg := postWithBudget(t, ts.URL+"/v1/distribution", "30000", body); status != http.StatusOK {
 		t.Fatalf("generous budget: status %d (%s), want 200", status, msg)
+	}
+}
+
+// TestHugeBudgetHeaderCannotWidenDeadline pins "tightens, never widens"
+// at the top of the header's range: a budget too large for a
+// time.Duration means no tighter than the default. It used to wrap
+// around — 9223372036855 ms to about −2562047 h, which reads as "no
+// deadline" — so a request parked behind a held slot outlived the 40 ms
+// default and hung. The client's own timeout keeps that failure clean.
+func TestHugeBudgetHeaderCannotWidenDeadline(t *testing.T) {
+	sys := deadlineSystem(t)
+	s := New(sys, Config{MaxInFlight: 1, DefaultTimeout: 40 * time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	path, depart := densePath(t, sys)
+	body, err := json.Marshal(distributionRequest{Path: path, Depart: depart})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s.gate.Acquire(context.Background()) // hold the only slot: only the deadline can end the request
+	defer s.gate.Release()
+	client := &http.Client{Timeout: 2 * time.Second}
+	for _, budget := range []string{"9223372036855", "18446744073710"} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/distribution", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(api.BudgetHeader, budget)
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("budget %s: %v: the header widened the 40ms default deadline", budget, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Errorf("budget %s: status %d, want the default deadline's 504", budget, resp.StatusCode)
+		}
 	}
 }
 
@@ -263,7 +300,7 @@ func TestRoutingHonoursDeadlineAfterAdmission(t *testing.T) {
 			t.Errorf("%s: the context was read %d times, want %d: the search did not stop at the first expansion past the deadline",
 				name, got, 1+expansions+2)
 		}
-		if n := len(s.sem); n != 0 {
+		if n := s.gate.InUse(); n != 0 {
 			t.Errorf("%s: %d evaluation slots still held after the 504", name, n)
 		}
 	}
@@ -290,12 +327,12 @@ func TestBudgetHeaderGarbageRejected(t *testing.T) {
 
 // TestSlowLorisConnectionReaped pins the listener hygiene bound: a
 // connection that dribbles its request header forever is cut off at
-// ServeReadHeaderTimeout instead of holding a connection (and
+// api.ServeReadHeaderTimeout instead of holding a connection (and
 // eventually the whole accept loop's file descriptors) hostage.
 func TestSlowLorisConnectionReaped(t *testing.T) {
-	saved := ServeReadHeaderTimeout
-	ServeReadHeaderTimeout = 150 * time.Millisecond
-	defer func() { ServeReadHeaderTimeout = saved }()
+	saved := api.ServeReadHeaderTimeout
+	api.ServeReadHeaderTimeout = 150 * time.Millisecond
+	defer func() { api.ServeReadHeaderTimeout = saved }()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -304,7 +341,7 @@ func TestSlowLorisConnectionReaped(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- ServeListener(ctx, http.NotFoundHandler(), ln, 0) }()
+	go func() { done <- api.ServeListener(ctx, http.NotFoundHandler(), ln, 0) }()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -322,7 +359,7 @@ func TestSlowLorisConnectionReaped(t *testing.T) {
 		// is the read deadline firing with the connection still open.
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatalf("connection still open %v after ReadHeaderTimeout %v: slow-loris hold not reaped",
-			5*time.Second, ServeReadHeaderTimeout)
+			5*time.Second, api.ServeReadHeaderTimeout)
 	}
 
 	cancel()

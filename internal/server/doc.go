@@ -12,13 +12,16 @@
 //
 // docs/API.md is the full request/response reference.
 //
-// The handler is safe for arbitrary client concurrency: query
-// evaluation is bounded by a semaphore (Config.MaxInFlight) so a
-// traffic spike degrades into queueing rather than into unbounded
-// goroutine and memory growth, and the underlying System is swappable
-// at runtime (Swap) for zero-downtime model reloads. Batch entries
-// evaluate concurrently against one system snapshot, each charged
-// individually under the same semaphore; when the served System has a
-// convolution memo enabled (EnableConvMemo), overlapping entries
-// reuse each other's sub-path convolutions.
+// The serving chassis — admission, shedding, deadlines, request
+// limits, healthz and the metrics writer — is api.Gate's, shared with
+// the sharded coordinator; this package supplies the evaluators. The
+// handler is safe for arbitrary client concurrency: query evaluation
+// is bounded by the gate's slots (Config.MaxInFlight) so a traffic
+// spike degrades into queueing rather than into unbounded goroutine
+// and memory growth, and the underlying System is swappable at runtime
+// (Swap) for zero-downtime model reloads. Batch entries evaluate
+// concurrently against one system snapshot, each charged individually
+// under the same slots; when the served System has a convolution memo
+// enabled (EnableConvMemo), overlapping entries reuse each other's
+// sub-path convolutions.
 package server

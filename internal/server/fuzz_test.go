@@ -46,7 +46,7 @@ func fuzzServer(t testing.TB) *Server {
 		sys.EnableQueryCache(256)
 		sys.EnableConvMemo(512)
 		sys.EnableBatchPlanner(4)
-		fuzzSrv = New(sys, Config{MaxInFlight: 8, MaxBatch: 16, MaxPathEdges: 64})
+		fuzzSrv = New(sys, Config{MaxInFlight: 8})
 	})
 	if fuzzErr != nil {
 		t.Fatal(fuzzErr)

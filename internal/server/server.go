@@ -18,16 +18,11 @@ import (
 	"repro/internal/cache"
 	"repro/internal/geo"
 	"repro/internal/gps"
-	"repro/internal/graph"
 	"repro/internal/ingest"
 )
 
-// DefaultMaxInFlight bounds concurrently evaluated queries when
-// Config.MaxInFlight is 0. Query evaluation is CPU-bound, so a small
-// multiple of typical core counts is plenty; excess requests queue.
-const DefaultMaxInFlight = 32
-
-// Config tunes a Server.
+// Config tunes a Server. The request limits are api's constants
+// (api.MaxPathEdges, api.MaxBatch, api.MaxTopK), the same on both tiers.
 type Config struct {
 	// MaxInFlight caps concurrently evaluated queries. Requests
 	// beyond the cap wait for a slot or for the client to give up.
@@ -35,18 +30,8 @@ type Config struct {
 	// evaluation; distribution requests are charged per underlying
 	// computation, so cache hits and singleflight followers are free.
 	// Batch entries are charged individually under the same cap.
-	// 0 means DefaultMaxInFlight.
+	// 0 means api.DefaultMaxInFlight.
 	MaxInFlight int
-	// MaxTopK caps the k accepted by /v1/topk (0 = 32).
-	MaxTopK int
-	// MaxPathEdges caps the path cardinality accepted by
-	// /v1/distribution (0 = 256). Evaluation cost grows with path
-	// length, so an uncapped path would let a few maximal requests
-	// monopolize the MaxInFlight evaluation slots.
-	MaxPathEdges int
-	// MaxBatch caps the number of queries accepted in one /v1/batch
-	// request (0 = 64).
-	MaxBatch int
 	// EnableIngest turns on POST /v1/ingest: raw GPS batches are
 	// map-matched and staged into the served system's epoch delta
 	// buffer (published by the daemon's epoch loop or SIGHUP). When
@@ -79,10 +64,9 @@ type Config struct {
 // via Handler. All methods are safe for concurrent use.
 type Server struct {
 	sys   atomic.Pointer[pathcost.System]
-	sem   chan struct{}
+	gate  *api.Gate // admission, deadlines and the wire, shared with the coordinator
 	cfg   Config
 	mux   *http.ServeMux
-	wire  api.Wire // request reading and answer writing, shared with the coordinator
 	start time.Time
 
 	// pipeline, when ingestion is enabled, map-matches /v1/ingest
@@ -91,51 +75,44 @@ type Server struct {
 	// cumulative counters restart with the new system).
 	pipeline atomic.Pointer[ingest.Pipeline]
 
-	served    atomic.Uint64 // requests answered 2xx
-	rejected  atomic.Uint64 // requests answered 4xx/5xx
-	abandoned atomic.Uint64 // clients that disconnected while queued for a slot
-	shed      atomic.Uint64 // requests answered 429 by the MaxQueue load shedder
-	reloads   atomic.Uint64 // Swap calls
-	queued    atomic.Int64  // requests currently waiting for an evaluation slot
+	reloads atomic.Uint64 // Swap calls
 }
 
 // New builds a Server around sys.
 func New(sys *pathcost.System, cfg Config) *Server {
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = DefaultMaxInFlight
-	}
-	if cfg.MaxTopK <= 0 {
-		cfg.MaxTopK = 32
-	}
-	if cfg.MaxPathEdges <= 0 {
-		cfg.MaxPathEdges = 256
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
 	if cfg.MaxIngestBatch <= 0 {
 		cfg.MaxIngestBatch = 1024
 	}
 	s := &Server{
-		sem:   make(chan struct{}, cfg.MaxInFlight),
+		gate:  api.NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.DefaultTimeout, "server overloaded, retry later"),
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 	}
-	s.wire = api.Wire{Served: &s.served, Rejected: &s.rejected}
 	s.sys.Store(sys)
 	if cfg.EnableIngest {
 		s.rebuildPipeline(sys)
 	}
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/v1/distribution", s.handleDistribution)
-	s.mux.HandleFunc("/v1/route", s.handleRoute)
-	s.mux.HandleFunc("/v1/topk", s.handleTopK)
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/state", s.handleState)
+	s.mux.HandleFunc("/healthz", s.gate.Healthz)
+	s.mux.HandleFunc("/v1/distribution", endpoint(s, (*Server).evalDistribution))
+	s.mux.HandleFunc("/v1/route", endpoint(s, (*Server).evalRoute))
+	s.mux.HandleFunc("/v1/topk", endpoint(s, (*Server).evalTopK))
+	s.mux.HandleFunc("/v1/batch", s.gate.Batch(s.evalBatch))
+	// /v1/state is one segment of a partitioned query, evaluated against
+	// this shard's model slice: part of the cross-shard composition
+	// protocol, but stateless and safe beside the query endpoints.
+	s.mux.HandleFunc("/v1/state", endpoint(s, (*Server).evalState))
 	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	return s
+}
+
+// endpoint mounts an evaluator on the chassis's query sequence,
+// against the system served when the request arrives.
+func endpoint[Req, Resp any](s *Server, eval func(*Server, context.Context, *pathcost.System, *Req) (Resp, int, string)) http.HandlerFunc {
+	return api.Endpoint(s.gate, func(ctx context.Context, req *Req) (Resp, int, string) {
+		return eval(s, ctx, s.System(), req)
+	})
 }
 
 // rebuildPipeline points the ingest pipeline at sys; the pipeline's
@@ -173,142 +150,13 @@ func (s *Server) Swap(next *pathcost.System) *pathcost.System {
 	return prev
 }
 
-// Run serves the handler on addr until ctx is cancelled, then drains
-// in-flight requests for up to drain before forcing connections
-// closed (graceful shutdown). drain == 0 skips draining and closes
-// immediately; drain < 0 means the 10-second default. Run returns
-// nil after a clean shutdown.
-func (s *Server) Run(ctx context.Context, addr string, drain time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.RunListener(ctx, ln, drain)
-}
-
-// RunListener is Run over an already-bound listener — the form the
-// daemon's testable run loop uses so tests can bind port 0 and
-// discover the address before requests fly. The listener is owned and
-// closed by the server.
+// RunListener serves the handler on ln (owned and closed by the
+// server) until ctx is cancelled, then drains in-flight requests for up
+// to drain before forcing connections closed: drain == 0 closes
+// immediately, drain < 0 means the 10-second default. It returns nil
+// after a clean shutdown.
 func (s *Server) RunListener(ctx context.Context, ln net.Listener, drain time.Duration) error {
-	return ServeListener(ctx, s.mux, ln, drain)
-}
-
-// ServeListener serves handler on ln until ctx is cancelled, then
-// drains with the same contract as RunListener (drain == 0 closes
-// immediately, drain < 0 means the 10-second default). Extracted so
-// the sharded coordinator reuses the exact shutdown behavior for its
-// own handler tree.
-// Connection-hygiene bounds for every listener this package serves
-// (query servers and the sharded coordinator alike). ReadHeaderTimeout
-// caps how long a connection may dribble its request headers — the
-// classic slow-loris hold — and IdleTimeout reclaims keep-alive
-// connections that have gone quiet. Variables, not constants, so the
-// regression test can shrink them to something observable.
-var (
-	ServeReadHeaderTimeout = 10 * time.Second
-	ServeIdleTimeout       = 120 * time.Second
-)
-
-func ServeListener(ctx context.Context, handler http.Handler, ln net.Listener, drain time.Duration) error {
-	if drain < 0 {
-		drain = 10 * time.Second
-	}
-	srv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: ServeReadHeaderTimeout,
-		IdleTimeout:       ServeIdleTimeout,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		var err error
-		if drain == 0 {
-			err = srv.Close()
-		} else {
-			sctx, cancel := context.WithTimeout(context.Background(), drain)
-			defer cancel()
-			err = srv.Shutdown(sctx)
-			if errors.Is(err, context.DeadlineExceeded) {
-				// Drain window elapsed with requests still running:
-				// force the remaining connections closed, as
-				// promised. That is still an orderly stop.
-				err = srv.Close()
-			}
-		}
-		// Shutdown/Close make ListenAndServe return, so this cannot
-		// block; surface a real serve failure (e.g. a bind error that
-		// raced the signal) instead of swallowing it.
-		if serr := <-errc; serr != nil && !errors.Is(serr, http.ErrServerClosed) {
-			return serr
-		}
-		return err
-	}
-}
-
-// acquire takes a query-evaluation slot, giving up when the caller's
-// context ends first. It reports whether the slot was obtained; the
-// caller must release() exactly once when it was. Batch entries pass
-// their request's context, so one disconnected batch client frees
-// every slot its entries were waiting for.
-func (s *Server) acquire(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		// Already-dead client: don't let select's random choice burn
-		// a slot on an evaluation nobody will receive.
-		s.abandoned.Add(1)
-		return false
-	}
-	select {
-	case s.sem <- struct{}{}:
-		// Free slot: never counts toward queue depth, so an idle
-		// server cannot shed.
-		return true
-	default:
-	}
-	s.queued.Add(1)
-	defer s.queued.Add(-1)
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	case <-ctx.Done():
-		// Nothing will be written for this request; count it so
-		// /v1/stats still shows traffic shed under saturation.
-		s.abandoned.Add(1)
-		return false
-	}
-}
-
-func (s *Server) release() { <-s.sem }
-
-// shedIfOverloaded implements Config.MaxQueue admission control: when
-// the slot queue is already at its bound, answer 429 + Retry-After now
-// rather than stacking another waiter behind the MaxInFlight gate.
-// Checked at handler entry, before the body is even parsed — a shed
-// request should cost close to nothing. Distinct from the 503 a gate
-// rejection maps to: 429 means "healthy but full, back off", and the
-// coordinator's hedging treats it as advisory, not as shard failure.
-func (s *Server) shedIfOverloaded(w http.ResponseWriter) bool {
-	if s.cfg.MaxQueue <= 0 || s.queued.Load() < int64(s.cfg.MaxQueue) {
-		return false
-	}
-	s.shed.Add(1)
-	w.Header().Set("Retry-After", "1")
-	s.wire.Error(w, http.StatusTooManyRequests, "server overloaded, retry later")
-	return true
-}
-
-// timeoutOutcome maps an evaluation that died with its context to the
-// right answer: a server-imposed (or header-requested) deadline is a
-// real outcome the client is still waiting to hear — 504; a vanished
-// client gets nothing (status 0).
-func (s *Server) timeoutOutcome(ctx context.Context) (int, string) {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return http.StatusGatewayTimeout, "deadline exceeded"
-	}
-	return 0, ""
+	return api.ServeListener(ctx, s.mux, ln, drain)
 }
 
 // --- JSON shapes -----------------------------------------------------
@@ -489,109 +337,7 @@ type walStatsJSON struct {
 	TruncateErrors   uint64 `json:"truncate_errors"`
 }
 
-// --- validation helpers ----------------------------------------------
-//
-// Shared with the coordinator via internal/api so both tiers reject
-// malformed requests with identical messages.
-
-// parseMethod validates the method name; empty selects OD.
-func parseMethod(name string) (pathcost.Method, error) { return api.ParseMethod(name) }
-
-// parsePath validates the edge sequence against the served graph.
-func parsePath(g *pathcost.Graph, ids []int64, maxEdges int) (pathcost.Path, error) {
-	return api.ParsePath(g, ids, maxEdges)
-}
-
-func checkVertex(g *pathcost.Graph, name string, v int64) error {
-	return api.CheckVertex(g, name, v)
-}
-
-func checkDepart(depart float64) error { return api.CheckDepart(depart) }
-
-// --- handlers ---------------------------------------------------------
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.wire.Error(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	s.wire.WriteUncounted(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleDistribution(w http.ResponseWriter, r *http.Request) {
-	if s.shedIfOverloaded(w) {
-		return
-	}
-	var req distributionRequest
-	if !s.wire.Read(w, r, &req, api.MaxQueryBody) {
-		return
-	}
-	ctx, cancel, ok := s.wire.Context(w, r, s.cfg.DefaultTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	resp, status, msg := s.evalDistribution(ctx, s.System(), &req)
-	s.writeOutcome(w, status, msg, resp)
-}
-
-func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	if s.shedIfOverloaded(w) {
-		return
-	}
-	var req routeRequest
-	if !s.wire.Read(w, r, &req, api.MaxQueryBody) {
-		return
-	}
-	ctx, cancel, ok := s.wire.Context(w, r, s.cfg.DefaultTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	resp, status, msg := s.evalRoute(ctx, s.System(), &req)
-	s.writeOutcome(w, status, msg, resp)
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if s.shedIfOverloaded(w) {
-		return
-	}
-	var req topkRequest
-	if !s.wire.Read(w, r, &req, api.MaxQueryBody) {
-		return
-	}
-	ctx, cancel, ok := s.wire.Context(w, r, s.cfg.DefaultTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	resp, status, msg := s.evalTopK(ctx, s.System(), &req)
-	s.writeOutcome(w, status, msg, resp)
-}
-
-// handleState serves POST /v1/state: one segment of a partitioned
-// query, evaluated against this shard's model slice. The endpoint is
-// part of the cross-shard composition protocol — coordinators are the
-// expected callers — but it is stateless and safe to expose alongside
-// the query endpoints.
-func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	if s.shedIfOverloaded(w) {
-		return
-	}
-	var req stateRequest
-	if !s.wire.Read(w, r, &req, api.MaxQueryBody) {
-		return
-	}
-	ctx, cancel, ok := s.wire.Context(w, r, s.cfg.DefaultTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	resp, status, msg := s.evalState(ctx, s.System(), &req)
-	s.writeOutcome(w, status, msg, resp)
-}
-
-// handleBatch answers N queries in one request, against one system
+// evalBatch answers N queries in one request, against one system
 // snapshot (a mid-batch Swap never splits a batch across models).
 // When the served system has a batch planner (pathcostd
 // -plan-workers), every distribution entry is planned as one unit:
@@ -602,36 +348,15 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 // invalid entry fails that entry, not the batch: per-entry status
 // codes carry what each query would have received standalone, planned
 // or not.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.shedIfOverloaded(w) {
-		return
-	}
-	var req batchRequest
-	if !s.wire.Read(w, r, &req, api.MaxQueryBody) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		s.wire.Error(w, http.StatusBadRequest, "batch must contain at least one query")
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		s.wire.Error(w, http.StatusBadRequest,
-			fmt.Sprintf("batch has %d queries, cap is %d", len(req.Queries), s.cfg.MaxBatch))
-		return
-	}
+func (s *Server) evalBatch(ctx context.Context, queries []batchQuery) ([]batchResult, int, string) {
 	sys := s.System()
-	ctx, cancel, ok := s.wire.Context(w, r, s.cfg.DefaultTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	results := make([]batchResult, len(req.Queries))
+	results := make([]batchResult, len(queries))
 	var handled []bool
 	if sys.Planner() != nil {
-		handled = s.planBatchDistributions(ctx, sys, req.Queries, results)
+		handled = s.planBatchDistributions(ctx, sys, queries, results)
 	}
 	pending, last := 0, 0
-	for i := range req.Queries {
+	for i := range queries {
 		if handled == nil || !handled[i] {
 			pending++
 			last = i
@@ -641,28 +366,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// One entry left (every relay leg of the sharded tier is such a
 		// batch): nothing to run beside it, so it runs here, on a stack
 		// that is already grown, not on a fresh goroutine's.
-		results[last] = s.evalBatchEntry(ctx, sys, &req.Queries[last])
+		results[last] = s.evalBatchEntry(ctx, sys, &queries[last])
 	} else {
 		var wg sync.WaitGroup
-		for i := range req.Queries {
+		for i := range queries {
 			if handled != nil && handled[i] {
 				continue
 			}
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				results[i] = s.evalBatchEntry(ctx, sys, &req.Queries[i])
+				results[i] = s.evalBatchEntry(ctx, sys, &queries[i])
 			}(i)
 		}
 		wg.Wait()
 	}
-	if r.Context().Err() != nil {
-		return // client gone; entries already accounted their shed work
-	}
-	// An expired server deadline is different from a vanished client:
-	// the caller is still listening, and every entry the deadline
-	// caught already carries its own 504.
-	s.wire.Write(w, http.StatusOK, batchResponse{Results: results})
+	return results, http.StatusOK, ""
 }
 
 // planBatchDistributions answers every distribution-kind entry of a
@@ -686,7 +405,7 @@ func (s *Server) planBatchDistributions(ctx context.Context, sys *pathcost.Syste
 		}
 		handled[i] = true
 		results[i] = batchResult{Kind: "distribution"}
-		m, p, err := s.checkDistribution(sys, &distributionRequest{
+		m, p, err := api.CheckDistribution(sys.Graph, &distributionRequest{
 			Path: q.Path, Depart: q.Depart, Method: q.Method, Budget: q.Budget,
 		})
 		if err != nil {
@@ -705,7 +424,7 @@ func (s *Server) planBatchDistributions(ctx context.Context, sys *pathcost.Syste
 	// One gate slot covers the whole planned evaluation: the plan is
 	// one CPU-bound computation, however many entries it answers.
 	res, _ := sys.PlanDistributions(ctx, plan,
-		func() bool { return s.acquire(ctx) }, s.release)
+		func() bool { return s.gate.Acquire(ctx) }, s.gate.Release)
 	for j, i := range idx {
 		if err := res[j].Err; err != nil {
 			results[i].Status, results[i].Error = s.queryErrorStatus(ctx, err)
@@ -769,27 +488,6 @@ func (s *Server) evalBatchEntry(ctx context.Context, sys *pathcost.System, q *ba
 
 // --- query evaluation (shared by single-query handlers and batch) ----
 
-// checkDistribution validates one distribution request; a non-nil
-// error means a 400 with the error's message.
-func (s *Server) checkDistribution(sys *pathcost.System, req *distributionRequest) (pathcost.Method, pathcost.Path, error) {
-	m, err := parseMethod(req.Method)
-	if err != nil {
-		return "", nil, err
-	}
-	if err := checkDepart(req.Depart); err != nil {
-		return "", nil, err
-	}
-	if req.Budget < 0 {
-		return "", nil,
-			fmt.Errorf("budget %v must be ≥ 0 seconds (0 or omitted skips prob_within)", req.Budget)
-	}
-	p, err := parsePath(sys.Graph, req.Path, s.cfg.MaxPathEdges)
-	if err != nil {
-		return "", nil, err
-	}
-	return m, p, nil
-}
-
 // distributionJSON shapes one evaluated distribution result; shared
 // by the single-query path and the planned batch path so both emit
 // identical bodies. The payload itself is assembled in internal/api,
@@ -803,7 +501,7 @@ func distributionJSON(sys *pathcost.System, m pathcost.Method, depart, budget fl
 // status 0 means the caller's client disconnected and nothing should
 // be written; any other non-200 status carries msg as the error body.
 func (s *Server) evalDistribution(ctx context.Context, sys *pathcost.System, req *distributionRequest) (*distributionResponse, int, string) {
-	m, p, err := s.checkDistribution(sys, req)
+	m, p, err := api.CheckDistribution(sys.Graph, req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
@@ -817,7 +515,7 @@ func (s *Server) evalDistribution(ctx context.Context, sys *pathcost.System, req
 	// caller's context unparks this evaluation if its client
 	// disconnects while waiting behind another request's computation.
 	res, err := sys.PathDistributionGated(ctx, p, req.Depart, m,
-		func() bool { return s.acquire(ctx) }, s.release)
+		func() bool { return s.gate.Acquire(ctx) }, s.gate.Release)
 	if err != nil {
 		status, msg := s.queryErrorStatus(ctx, err)
 		return nil, status, msg
@@ -828,15 +526,15 @@ func (s *Server) evalDistribution(ctx context.Context, sys *pathcost.System, req
 // evalRoute validates and answers one budget-routing query; the
 // status contract matches evalDistribution.
 func (s *Server) evalRoute(ctx context.Context, sys *pathcost.System, req *routeRequest) (*routeResponse, int, string) {
-	m, err := checkRouteRequest(sys.Graph, req)
+	m, err := api.CheckRoute(sys.Graph, req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
-	if !s.acquire(ctx) {
-		status, msg := s.timeoutOutcome(ctx)
+	if !s.gate.Acquire(ctx) {
+		status, msg := s.gate.Expired(ctx)
 		return nil, status, msg
 	}
-	defer s.release() // deferred: a panicking evaluation must not leak the slot
+	defer s.gate.Release() // deferred: a panicking evaluation must not leak the slot
 	res, err := sys.RouteCtx(ctx, pathcost.VertexID(req.Source), pathcost.VertexID(req.Dest),
 		req.Depart, req.Budget, m)
 	if err != nil {
@@ -844,7 +542,7 @@ func (s *Server) evalRoute(ctx context.Context, sys *pathcost.System, req *route
 		return nil, status, msg
 	}
 	return &routeResponse{
-		Path:     edgeIDs(res.Path),
+		Path:     api.EdgeIDs(res.Path),
 		Prob:     res.Prob,
 		MeanS:    res.Dist.Mean(),
 		Explored: res.Explored,
@@ -856,19 +554,19 @@ func (s *Server) evalRoute(ctx context.Context, sys *pathcost.System, req *route
 // evalTopK validates and answers one top-k query; the status contract
 // matches evalDistribution.
 func (s *Server) evalTopK(ctx context.Context, sys *pathcost.System, req *topkRequest) (*topkResponse, int, string) {
-	m, err := checkRouteRequest(sys.Graph, &req.RouteRequest)
+	m, err := api.CheckRoute(sys.Graph, &req.RouteRequest)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
-	if req.K < 1 || req.K > s.cfg.MaxTopK {
+	if req.K < 1 || req.K > api.MaxTopK {
 		return nil, http.StatusBadRequest,
-			fmt.Sprintf("k = %d out of range [1, %d]", req.K, s.cfg.MaxTopK)
+			fmt.Sprintf("k = %d out of range [1, %d]", req.K, api.MaxTopK)
 	}
-	if !s.acquire(ctx) {
-		status, msg := s.timeoutOutcome(ctx)
+	if !s.gate.Acquire(ctx) {
+		status, msg := s.gate.Expired(ctx)
 		return nil, status, msg
 	}
-	defer s.release() // deferred: a panicking evaluation must not leak the slot
+	defer s.gate.Release() // deferred: a panicking evaluation must not leak the slot
 	res, err := sys.TopKRoutesCtx(ctx, pathcost.VertexID(req.Source), pathcost.VertexID(req.Dest),
 		req.Depart, req.Budget, req.K, m)
 	if err != nil {
@@ -878,7 +576,7 @@ func (s *Server) evalTopK(ctx context.Context, sys *pathcost.System, req *topkRe
 	out := &topkResponse{Routes: make([]topkEntry, 0, len(res))}
 	for _, r := range res {
 		out.Routes = append(out.Routes, topkEntry{
-			Path: edgeIDs(r.Path), Prob: r.Prob, MeanS: r.Dist.Mean(),
+			Path: api.EdgeIDs(r.Path), Prob: r.Prob, MeanS: r.Dist.Mean(),
 		})
 	}
 	return out, http.StatusOK, ""
@@ -890,7 +588,7 @@ func (s *Server) evalTopK(ctx context.Context, sys *pathcost.System, req *topkRe
 // Segment evaluation is CPU-bound like any query, so it is charged one
 // MaxInFlight slot.
 func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *stateRequest) (*stateResult, int, string) {
-	m, err := parseMethod(req.Method)
+	m, err := api.ParseMethod(req.Method)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
@@ -898,14 +596,14 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *state
 		return nil, http.StatusBadRequest,
 			"method RD draws one random decomposition over the whole query; it cannot be evaluated segment by segment"
 	}
-	if err := checkDepart(req.Depart); err != nil {
+	if err := api.CheckDepart(req.Depart); err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
 	if req.UIHi < req.UILo {
 		return nil, http.StatusBadRequest,
 			fmt.Sprintf("inverted departure interval [%g, %g]", req.UILo, req.UIHi)
 	}
-	p, err := parsePath(sys.Graph, req.Path, s.cfg.MaxPathEdges)
+	p, err := api.ParsePath(sys.Graph, req.Path, api.MaxPathEdges)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
@@ -916,12 +614,12 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *state
 			return nil, http.StatusBadRequest, err.Error()
 		}
 	}
-	if !s.acquire(ctx) {
-		status, msg := s.timeoutOutcome(ctx)
+	if !s.gate.Acquire(ctx) {
+		status, msg := s.gate.Expired(ctx)
 		return nil, status, msg
 	}
 	res, err := func() (*pathcost.SegmentResult, error) {
-		defer s.release() // deferred: a panicking evaluation must not leak the slot
+		defer s.gate.Release() // deferred: a panicking evaluation must not leak the slot
 		return sys.EvaluateSegment(pathcost.SegmentInput{
 			Path:   p,
 			Depart: req.Depart,
@@ -957,21 +655,21 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *state
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	p := s.pipeline.Load()
 	if p == nil {
-		s.wire.Error(w, http.StatusNotFound, "ingestion is disabled on this server")
+		s.gate.Error(w, http.StatusNotFound, "ingestion is disabled on this server")
 		return
 	}
 	var req ingestRequest
 	// Raw GPS batches are bulkier than queries: a trace is hundreds of
 	// fixes, so the body cap is 16 MiB instead of api.MaxQueryBody's 1 MiB.
-	if !s.wire.Read(w, r, &req, 16<<20) {
+	if !s.gate.Read(w, r, &req, 16<<20) {
 		return
 	}
 	if len(req.Trajectories) == 0 {
-		s.wire.Error(w, http.StatusBadRequest, "batch must contain at least one trajectory")
+		s.gate.Error(w, http.StatusBadRequest, "batch must contain at least one trajectory")
 		return
 	}
 	if len(req.Trajectories) > s.cfg.MaxIngestBatch {
-		s.wire.Error(w, http.StatusBadRequest,
+		s.gate.Error(w, http.StatusBadRequest,
 			fmt.Sprintf("batch has %d trajectories, cap is %d", len(req.Trajectories), s.cfg.MaxIngestBatch))
 		return
 	}
@@ -984,16 +682,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		raw[i] = tr
 	}
 	ctx := r.Context()
-	if !s.acquire(ctx) {
+	if !s.gate.Acquire(ctx) {
 		return
 	}
 	st := func() ingest.BatchStats {
-		defer s.release() // deferred: a panicking match must not leak the slot
+		defer s.gate.Release() // deferred: a panicking match must not leak the slot
 		return p.IngestRaw(raw)
 	}()
 	sys := s.System()
 	est := sys.EpochStats()
-	s.wire.Write(w, http.StatusOK, ingestResponse{
+	s.gate.Write(w, http.StatusOK, ingestResponse{
 		Received:      st.Received,
 		Matched:       st.Matched,
 		MatchFailed:   st.MatchFailed,
@@ -1006,7 +704,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.wire.Error(w, http.StatusMethodNotAllowed, "use GET")
+		s.gate.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	sys := s.System()
@@ -1020,12 +718,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		AlphaMinutes:    sys.Params.AlphaMinutes,
 		Beta:            sys.Params.Beta,
 		UptimeS:         time.Since(s.start).Seconds(),
-		Served:          s.served.Load(),
-		Rejected:        s.rejected.Load(),
-		Abandoned:       s.abandoned.Load(),
-		Shed:            s.shed.Load(),
+		Served:          s.gate.Served.Load(),
+		Rejected:        s.gate.Rejected.Load(),
+		Abandoned:       s.gate.Abandoned.Load(),
+		Shed:            s.gate.Shed.Load(),
 		Reloads:         s.reloads.Load(),
-		MaxInFlight:     s.cfg.MaxInFlight,
+		MaxInFlight:     s.gate.MaxInFlight(),
 		MaxQueue:        s.cfg.MaxQueue,
 	}
 	if cst, ok := sys.QueryCacheStats(); ok {
@@ -1096,14 +794,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			SynopsisDropped:        est.SynopsisDropped,
 		}
 	}
-	s.wire.WriteUncounted(w, http.StatusOK, resp)
-}
-
-// checkRouteRequest shares the routing-request checks between
-// /v1/route, /v1/topk and their batch twins; a non-nil error means a
-// 400 with the error's message.
-func checkRouteRequest(g *pathcost.Graph, req *routeRequest) (pathcost.Method, error) {
-	return api.CheckRoute(g, req)
+	s.gate.WriteUncounted(w, http.StatusOK, resp)
 }
 
 // queryErrorStatus maps an evaluation failure to the right status: a
@@ -1119,15 +810,15 @@ func checkRouteRequest(g *pathcost.Graph, req *routeRequest) (pathcost.Method, e
 func (s *Server) queryErrorStatus(ctx context.Context, err error) (int, string) {
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if status, msg := s.timeoutOutcome(ctx); status != 0 {
+		if status, msg := s.gate.Expired(ctx); status != 0 {
 			return status, msg
 		}
 		// A follower unparked by its own dead caller context; the
 		// semaphore was never touched, so account the shed load here.
-		s.abandoned.Add(1)
+		s.gate.Abandoned.Add(1)
 		return 0, ""
 	case errors.Is(err, pathcost.ErrGateRejected):
-		if status, msg := s.timeoutOutcome(ctx); status != 0 {
+		if status, msg := s.gate.Expired(ctx); status != 0 {
 			return status, msg
 		}
 		if ctx.Err() != nil {
@@ -1140,18 +831,3 @@ func (s *Server) queryErrorStatus(ctx context.Context, err error) (int, string) 
 		return http.StatusUnprocessableEntity, err.Error()
 	}
 }
-
-// writeOutcome writes an eval helper's result: status 0 writes
-// nothing (the client is gone), 200 writes the response body, and
-// anything else writes the error envelope.
-func (s *Server) writeOutcome(w http.ResponseWriter, status int, msg string, resp any) {
-	switch {
-	case status == 0:
-	case status == http.StatusOK:
-		s.wire.Write(w, status, resp)
-	default:
-		s.wire.Error(w, status, msg)
-	}
-}
-
-func edgeIDs(p graph.Path) []int64 { return api.EdgeIDs(p) }

@@ -281,18 +281,18 @@ func TestUnencodableAnswerIs500(t *testing.T) {
 	srv := New(testSystem(t), Config{})
 	bad := &distributionResponse{Method: "OD", Buckets: []bucketJSON{{Lo: 1, Hi: 2, Pr: math.NaN()}}}
 	for _, write := range []func(http.ResponseWriter){
-		func(w http.ResponseWriter) { srv.writeOutcome(w, http.StatusOK, "", bad) },
+		func(w http.ResponseWriter) { srv.gate.Answer(w, http.StatusOK, "", bad) },
 		func(w http.ResponseWriter) {
-			srv.wire.Write(w, http.StatusOK, batchResponse{Results: []batchResult{{Kind: "distribution", Status: 200, Distribution: bad}}})
+			srv.gate.Write(w, http.StatusOK, batchResponse{Results: []batchResult{{Kind: "distribution", Status: 200, Distribution: bad}}})
 		},
 	} {
-		rejected := srv.rejected.Load()
+		rejected := srv.gate.Rejected.Load()
 		rec := httptest.NewRecorder()
 		write(rec)
 		if rec.Code != http.StatusInternalServerError || rec.Body.String() != "{\"error\":\"internal error during computation\"}\n" {
 			t.Fatalf("answered %d %q, want the 500 envelope", rec.Code, rec.Body.String())
 		}
-		if s, r := srv.served.Load(), srv.rejected.Load(); s != 0 || r != rejected+1 {
+		if s, r := srv.gate.Served.Load(), srv.gate.Rejected.Load(); s != 0 || r != rejected+1 {
 			t.Fatalf("counted served %d rejected %d, want 0 and %d", s, r, rejected+1)
 		}
 	}

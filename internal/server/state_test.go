@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -193,13 +194,13 @@ func TestLoadShedding(t *testing.T) {
 
 	// Occupy the only evaluation slot directly, then park one request
 	// as the queue's only permitted waiter.
-	srv.sem <- struct{}{}
+	srv.gate.Acquire(context.Background())
 	waiter := make(chan int, 1)
 	go func() {
 		waiter <- postJSON(t, ts.URL+"/v1/route", req, nil)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.queued.Load() == 0 {
+	for srv.gate.Queued.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no request queued behind the held slot")
 		}
@@ -222,11 +223,11 @@ func TestLoadShedding(t *testing.T) {
 
 	// Release the slot: the parked waiter must still complete normally —
 	// shedding rejects new arrivals, never queued ones.
-	<-srv.sem
+	srv.gate.Release()
 	if code := <-waiter; code != http.StatusOK {
 		t.Fatalf("queued request = %d after slot release, want 200", code)
 	}
-	if got := srv.shed.Load(); got != 1 {
+	if got := srv.gate.Shed.Load(); got != 1 {
 		t.Fatalf("shed counter = %d, want 1", got)
 	}
 

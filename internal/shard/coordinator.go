@@ -16,10 +16,10 @@ import (
 
 	pathcost "repro"
 	"repro/internal/api"
-	"repro/internal/server"
 )
 
-// Config tunes a Coordinator.
+// Config tunes a Coordinator. The request limits are api's constants,
+// the same as a single process's.
 type Config struct {
 	// Shards lists the shard base URLs, indexed by region: Shards[r]
 	// serves region r of the partition. Length must equal Partition.K.
@@ -30,17 +30,13 @@ type Config struct {
 	// replica dying degrades nothing.
 	Shards []string
 	// MaxInFlight caps concurrently composed client requests (0 =
-	// server.DefaultMaxInFlight). One slot covers a request's whole
+	// api.DefaultMaxInFlight). One slot covers a request's whole
 	// composition, however many shard calls it fans out to — the
 	// coordinator's own work is I/O, not evaluation.
 	MaxInFlight int
 	// MaxQueue, when > 0, sheds: a request arriving with MaxQueue
 	// waiters already queued is answered 429 + Retry-After.
 	MaxQueue int
-	// MaxPathEdges caps distribution path cardinality (0 = 256).
-	MaxPathEdges int
-	// MaxBatch caps /v1/batch entries (0 = 64).
-	MaxBatch int
 	// Timeout bounds each shard call leg (0 = 10s).
 	Timeout time.Duration
 	// HedgeAfter starts a second, racing leg against a shard that has
@@ -167,18 +163,11 @@ type Coordinator struct {
 	g      *pathcost.Graph
 	part   *Partition
 	mux    *http.ServeMux
-	wire   api.Wire // request reading and answer writing, shared with the server
+	gate   *api.Gate // admission, deadlines and the wire, shared with the server
 	client *http.Client
 	shards []*shardState
-	sem    chan struct{}
 	start  time.Time
-
-	served    atomic.Uint64
-	rejected  atomic.Uint64
-	abandoned atomic.Uint64
-	shed      atomic.Uint64
-	hedges    atomic.Uint64
-	queued    atomic.Int64
+	hedges atomic.Uint64
 }
 
 // New builds a Coordinator over g's partition.
@@ -190,15 +179,6 @@ func New(g *pathcost.Graph, part *Partition, cfg Config) (*Coordinator, error) {
 	if len(part.Vertex) != g.NumVertices() {
 		return nil, fmt.Errorf("shard: partition is for %d vertices, network has %d",
 			len(part.Vertex), g.NumVertices())
-	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = server.DefaultMaxInFlight
-	}
-	if cfg.MaxPathEdges <= 0 {
-		cfg.MaxPathEdges = 256
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
@@ -220,11 +200,10 @@ func New(g *pathcost.Graph, part *Partition, cfg Config) (*Coordinator, error) {
 		g:      g,
 		part:   part,
 		mux:    http.NewServeMux(),
+		gate:   api.NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.DefaultTimeout, "coordinator overloaded, retry later"),
 		client: &http.Client{Transport: cfg.Transport},
-		sem:    make(chan struct{}, cfg.MaxInFlight),
 		start:  time.Now(),
 	}
-	c.wire = api.Wire{Served: &c.served, Rejected: &c.rejected}
 	for r, group := range cfg.Shards {
 		ss := &shardState{region: r}
 		for _, base := range strings.Split(group, "|") {
@@ -238,12 +217,12 @@ func New(g *pathcost.Graph, part *Partition, cfg Config) (*Coordinator, error) {
 		}
 		c.shards = append(c.shards, ss)
 	}
-	c.mux.HandleFunc("/healthz", c.handleHealthz)
-	c.mux.HandleFunc("/metrics", c.handleMetrics)
-	c.mux.HandleFunc("/v1/distribution", c.handleDistribution)
-	c.mux.HandleFunc("/v1/route", c.handleRoute)
-	c.mux.HandleFunc("/v1/topk", c.handleTopK)
-	c.mux.HandleFunc("/v1/batch", c.handleBatch)
+	c.mux.HandleFunc("/healthz", c.gate.Healthz)
+	c.mux.Handle("/metrics", c.metrics())
+	c.mux.HandleFunc("/v1/distribution", api.Endpoint(c.gate, c.evalDistribution))
+	c.mux.HandleFunc("/v1/route", api.Endpoint(c.gate, c.evalRoute))
+	c.mux.HandleFunc("/v1/topk", api.Endpoint(c.gate, c.evalTopK))
+	c.mux.HandleFunc("/v1/batch", c.gate.Batch(c.evalBatch))
 	c.mux.HandleFunc("/v1/stats", c.handleStats)
 	return c, nil
 }
@@ -251,19 +230,9 @@ func New(g *pathcost.Graph, part *Partition, cfg Config) (*Coordinator, error) {
 // Handler returns the HTTP handler tree (also usable with httptest).
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
-// Run serves on addr until ctx is cancelled, with the same drain
-// contract as the single-process server.
-func (c *Coordinator) Run(ctx context.Context, addr string, drain time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return c.RunListener(ctx, ln, drain)
-}
-
-// RunListener is Run over an already-bound listener; it also starts
-// the per-shard health probers, which live exactly as long as serving
-// does.
+// RunListener serves on ln until ctx is cancelled, with the same drain
+// contract as the single-process server; it also starts the per-shard
+// health probers, which live exactly as long as serving does.
 func (c *Coordinator) RunListener(ctx context.Context, ln net.Listener, drain time.Duration) error {
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -274,7 +243,7 @@ func (c *Coordinator) RunListener(ctx context.Context, ln net.Listener, drain ti
 			}
 		}
 	}
-	return server.ServeListener(ctx, c.mux, ln, drain)
+	return api.ServeListener(ctx, c.mux, ln, drain)
 }
 
 // probeLoop polls one replica's /healthz. A failed probe marks the
@@ -317,41 +286,6 @@ func (c *Coordinator) probeOnce(ctx context.Context, rs *replicaState) {
 		return
 	}
 	rs.noteSuccess()
-}
-
-// --- admission ---------------------------------------------------------
-
-func (c *Coordinator) acquire(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		c.abandoned.Add(1)
-		return false
-	}
-	select {
-	case c.sem <- struct{}{}:
-		return true
-	default:
-	}
-	c.queued.Add(1)
-	defer c.queued.Add(-1)
-	select {
-	case c.sem <- struct{}{}:
-		return true
-	case <-ctx.Done():
-		c.abandoned.Add(1)
-		return false
-	}
-}
-
-func (c *Coordinator) release() { <-c.sem }
-
-func (c *Coordinator) shedIfOverloaded(w http.ResponseWriter) bool {
-	if c.cfg.MaxQueue <= 0 || c.queued.Load() < int64(c.cfg.MaxQueue) {
-		return false
-	}
-	c.shed.Add(1)
-	w.Header().Set("Retry-After", "1")
-	c.wire.Error(w, http.StatusTooManyRequests, "coordinator overloaded, retry later")
-	return true
 }
 
 // --- query composition -------------------------------------------------
@@ -446,11 +380,11 @@ func (c *Coordinator) process(ctx context.Context, queries []api.BatchQuery) []a
 			// The context died between waves, before this entry's next
 			// runWave could settle it. A deadline is a definitive 504;
 			// a cancellation's result is never written anyway.
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				p.fail(http.StatusGatewayTimeout, "deadline exceeded")
-			} else {
-				p.fail(http.StatusServiceUnavailable, "composition abandoned")
+			status, msg := c.gate.Expired(ctx)
+			if status == 0 {
+				status, msg = http.StatusServiceUnavailable, "composition abandoned"
 			}
+			p.fail(status, msg)
 		}
 		out[i] = p.res
 	}
@@ -472,17 +406,9 @@ func (c *Coordinator) classify(q *api.BatchQuery) *pendingQuery {
 			p.fail(http.StatusBadRequest, err.Error())
 		}
 	case "distribution":
-		m, err := api.ParseMethod(q.Method)
-		if err == nil {
-			err = api.CheckDepart(q.Depart)
-		}
-		if err == nil && q.Budget < 0 {
-			err = fmt.Errorf("budget %v must be ≥ 0 seconds (0 or omitted skips prob_within)", q.Budget)
-		}
-		var path pathcost.Path
-		if err == nil {
-			path, err = api.ParsePath(c.g, q.Path, c.cfg.MaxPathEdges)
-		}
+		m, path, err := api.CheckDistribution(c.g, &api.DistributionRequest{
+			Path: q.Path, Depart: q.Depart, Method: q.Method, Budget: q.Budget,
+		})
 		if err != nil {
 			p.fail(http.StatusBadRequest, err.Error())
 			return p
@@ -533,9 +459,9 @@ func (c *Coordinator) runWave(ctx context.Context, region int, ps []*pendingQuer
 	if err != nil {
 		// The composition's own deadline expiring is the caller's 504,
 		// not a shard fault — the replicas may be perfectly healthy.
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		if status, msg := c.gate.Expired(ctx); status != 0 {
 			for _, p := range ps {
-				p.fail(http.StatusGatewayTimeout, "deadline exceeded")
+				p.fail(status, msg)
 			}
 			return
 		}

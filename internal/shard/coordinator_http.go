@@ -3,158 +3,59 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"strings"
+	"strconv"
 	"time"
 
 	"repro/internal/api"
 )
 
-// --- request plumbing --------------------------------------------------
+// --- evaluators ----------------------------------------------------------
 
-// writeEntryOutcome writes a single-query handler's composed result:
-// the payload on 200, the error envelope otherwise. An entry never
-// carries status 0; a vanished client just makes the write a no-op at
-// the socket.
-func (c *Coordinator) writeEntryOutcome(w http.ResponseWriter, res *api.BatchResult, payload any) {
-	if res.Status == http.StatusOK {
-		c.wire.Write(w, http.StatusOK, payload)
-		return
+// processOne is evalBatch for a single entry. An entry that never got
+// its slot carries the gate's mapping of its dead context: a 504, or
+// status 0 (write nothing) for a vanished client.
+func (c *Coordinator) processOne(ctx context.Context, q api.BatchQuery) api.BatchResult {
+	res, status, msg := c.evalBatch(ctx, []api.BatchQuery{q})
+	if status != http.StatusOK {
+		return api.BatchResult{Status: status, Error: msg}
 	}
-	c.wire.Error(w, res.Status, res.Error)
+	return res[0]
 }
 
-// processOne runs a single entry through the wave engine under one
-// admission slot.
-func (c *Coordinator) processOne(ctx context.Context, q api.BatchQuery) (api.BatchResult, bool) {
-	if !c.acquire(ctx) {
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return api.BatchResult{Status: http.StatusGatewayTimeout, Error: "deadline exceeded"}, true
-		}
-		return api.BatchResult{}, false
-	}
-	defer c.release()
-	res := c.process(ctx, []api.BatchQuery{q})
-	return res[0], true
-}
-
-// --- handlers ----------------------------------------------------------
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		c.wire.Error(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	c.wire.WriteUncounted(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (c *Coordinator) handleDistribution(w http.ResponseWriter, r *http.Request) {
-	if c.shedIfOverloaded(w) {
-		return
-	}
-	var req api.DistributionRequest
-	if !c.wire.Read(w, r, &req, api.MaxQueryBody) {
-		return
-	}
-	ctx, cancel, ok := c.wire.Context(w, r, c.cfg.DefaultTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	res, ok := c.processOne(ctx, api.BatchQuery{
+func (c *Coordinator) evalDistribution(ctx context.Context, req *api.DistributionRequest) (*api.DistributionResponse, int, string) {
+	res := c.processOne(ctx, api.BatchQuery{
 		Kind: "distribution", Path: req.Path, Depart: req.Depart,
 		Method: req.Method, Budget: req.Budget,
 	})
-	if !ok {
-		return
-	}
-	c.writeEntryOutcome(w, &res, res.Distribution)
+	return res.Distribution, res.Status, res.Error
 }
 
-func (c *Coordinator) handleRoute(w http.ResponseWriter, r *http.Request) {
-	if c.shedIfOverloaded(w) {
-		return
-	}
-	var req api.RouteRequest
-	if !c.wire.Read(w, r, &req, api.MaxQueryBody) {
-		return
-	}
-	ctx, cancel, ok := c.wire.Context(w, r, c.cfg.DefaultTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	res, ok := c.processOne(ctx, api.BatchQuery{
+func (c *Coordinator) evalRoute(ctx context.Context, req *api.RouteRequest) (*api.RouteResponse, int, string) {
+	res := c.processOne(ctx, api.BatchQuery{
 		Kind: "route", Source: req.Source, Dest: req.Dest,
 		Depart: req.Depart, Budget: req.Budget, Method: req.Method,
 	})
-	if !ok {
-		return
-	}
-	c.writeEntryOutcome(w, &res, res.Route)
+	return res.Route, res.Status, res.Error
 }
 
-func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if c.shedIfOverloaded(w) {
-		return
-	}
-	var req api.TopKRequest
-	if !c.wire.Read(w, r, &req, api.MaxQueryBody) {
-		return
-	}
-	ctx, cancel, ok := c.wire.Context(w, r, c.cfg.DefaultTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	res, ok := c.processOne(ctx, api.BatchQuery{
+func (c *Coordinator) evalTopK(ctx context.Context, req *api.TopKRequest) (*api.TopKResponse, int, string) {
+	res := c.processOne(ctx, api.BatchQuery{
 		Kind: "topk", Source: req.Source, Dest: req.Dest,
 		Depart: req.Depart, Budget: req.Budget, Method: req.Method, K: req.K,
 	})
-	if !ok {
-		return
-	}
-	c.writeEntryOutcome(w, &res, res.TopK)
+	return res.TopK, res.Status, res.Error
 }
 
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if c.shedIfOverloaded(w) {
-		return
+// evalBatch composes a whole batch under one admission slot; a deadline
+// that expires at admission is the whole request's 504.
+func (c *Coordinator) evalBatch(ctx context.Context, queries []api.BatchQuery) ([]api.BatchResult, int, string) {
+	if !c.gate.Acquire(ctx) {
+		status, msg := c.gate.Expired(ctx)
+		return nil, status, msg
 	}
-	var req api.BatchRequest
-	if !c.wire.Read(w, r, &req, api.MaxQueryBody) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		c.wire.Error(w, http.StatusBadRequest, "batch must contain at least one query")
-		return
-	}
-	if len(req.Queries) > c.cfg.MaxBatch {
-		c.wire.Error(w, http.StatusBadRequest,
-			fmt.Sprintf("batch has %d queries, cap is %d", len(req.Queries), c.cfg.MaxBatch))
-		return
-	}
-	ctx, cancel, ok := c.wire.Context(w, r, c.cfg.DefaultTimeout)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if !c.acquire(ctx) {
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			c.wire.Error(w, http.StatusGatewayTimeout, "deadline exceeded")
-		}
-		return
-	}
-	results := func() []api.BatchResult {
-		defer c.release()
-		return c.process(ctx, req.Queries)
-	}()
-	if r.Context().Err() != nil {
-		return // client gone; an expired deadline still answers (per-entry 504s)
-	}
-	c.wire.Write(w, http.StatusOK, api.BatchResponse{Results: results})
+	defer c.gate.Release()
+	return c.process(ctx, queries), http.StatusOK, ""
 }
 
 // --- stats -------------------------------------------------------------
@@ -201,18 +102,18 @@ type coordStatsResponse struct {
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		c.wire.Error(w, http.StatusMethodNotAllowed, "use GET")
+		c.gate.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	resp := coordStatsResponse{
 		K:           c.part.K,
 		UptimeS:     time.Since(c.start).Seconds(),
-		Served:      c.served.Load(),
-		Rejected:    c.rejected.Load(),
-		Abandoned:   c.abandoned.Load(),
-		Shed:        c.shed.Load(),
+		Served:      c.gate.Served.Load(),
+		Rejected:    c.gate.Rejected.Load(),
+		Abandoned:   c.gate.Abandoned.Load(),
+		Shed:        c.gate.Shed.Load(),
 		Hedges:      c.hedges.Load(),
-		MaxInFlight: c.cfg.MaxInFlight,
+		MaxInFlight: c.gate.MaxInFlight(),
 		MaxQueue:    c.cfg.MaxQueue,
 	}
 	now := time.Now()
@@ -236,7 +137,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.Epoch = c.fetchEpoch(r.Context(), ss)
 		resp.Shards = append(resp.Shards, st)
 	}
-	c.wire.WriteUncounted(w, http.StatusOK, resp)
+	c.gate.WriteUncounted(w, http.StatusOK, resp)
 }
 
 // fetchEpoch asks a region's /v1/stats for its epoch sequence, trying
@@ -279,65 +180,42 @@ func (c *Coordinator) fetchReplicaEpoch(ctx context.Context, rs *replicaState) *
 
 // --- metrics -----------------------------------------------------------
 
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "use GET", http.StatusMethodNotAllowed)
-		return
-	}
-	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("pathcost_coordinator_requests_served_total", "Requests answered 2xx.", c.served.Load())
-	counter("pathcost_coordinator_requests_rejected_total", "Requests answered 4xx/5xx.", c.rejected.Load())
-	counter("pathcost_coordinator_requests_abandoned_total", "Clients gone before composition started.", c.abandoned.Load())
-	counter("pathcost_coordinator_requests_shed_total", "Requests answered 429 by the MaxQueue load shedder.", c.shed.Load())
-	counter("pathcost_coordinator_hedges_total", "Second legs launched against slow or failed shard calls.", c.hedges.Load())
-	fmt.Fprintf(&b, "# HELP pathcost_coordinator_uptime_seconds Seconds since the coordinator started.\n"+
-		"# TYPE pathcost_coordinator_uptime_seconds gauge\npathcost_coordinator_uptime_seconds %g\n",
-		time.Since(c.start).Seconds())
-	fmt.Fprintf(&b, "# HELP pathcost_coordinator_shard_healthy Last known group health per region (1 while any replica is up).\n"+
-		"# TYPE pathcost_coordinator_shard_healthy gauge\n")
-	for _, ss := range c.shards {
-		v := 0
-		if ss.healthy() {
-			v = 1
+// metrics is the coordinator's /metrics, served on its main mux (it
+// has no evaluation hot path to protect).
+func (c *Coordinator) metrics() http.Handler {
+	return api.MetricsHandler(func(m *api.Metrics) {
+		m.Counter("pathcost_coordinator_requests_served_total", "Requests answered 2xx.", c.gate.Served.Load())
+		m.Counter("pathcost_coordinator_requests_rejected_total", "Requests answered 4xx/5xx.", c.gate.Rejected.Load())
+		m.Counter("pathcost_coordinator_requests_abandoned_total", "Clients gone before composition started.", c.gate.Abandoned.Load())
+		m.Counter("pathcost_coordinator_requests_shed_total", "Requests answered 429 by the MaxQueue load shedder.", c.gate.Shed.Load())
+		m.Counter("pathcost_coordinator_hedges_total", "Second legs launched against slow or failed shard calls.", c.hedges.Load())
+		m.Gauge("pathcost_coordinator_uptime_seconds", "Seconds since the coordinator started.", time.Since(c.start).Seconds())
+		m.Family("pathcost_coordinator_shard_healthy", "Last known group health per region (1 while any replica is up).", "gauge")
+		for _, ss := range c.shards {
+			m.Sample("pathcost_coordinator_shard_healthy", boolSample(ss.healthy()), "region", strconv.Itoa(ss.region))
 		}
-		fmt.Fprintf(&b, "pathcost_coordinator_shard_healthy{region=%q} %d\n", fmt.Sprint(ss.region), v)
-	}
-	fmt.Fprintf(&b, "# HELP pathcost_coordinator_replica_healthy Last known replica health (1 healthy, 0 not).\n"+
-		"# TYPE pathcost_coordinator_replica_healthy gauge\n")
-	for _, ss := range c.shards {
-		for _, rs := range ss.replicas {
-			v := 0
-			if rs.healthy.Load() {
-				v = 1
+		now := time.Now()
+		replicas := func(name, help, typ string, v func(*replicaState) uint64) {
+			m.Family(name, help, typ)
+			for _, ss := range c.shards {
+				for _, rs := range ss.replicas {
+					m.Sample(name, v(rs), "region", strconv.Itoa(ss.region), "replica", rs.base)
+				}
 			}
-			fmt.Fprintf(&b, "pathcost_coordinator_replica_healthy{region=%q,replica=%q} %d\n",
-				fmt.Sprint(ss.region), rs.base, v)
 		}
+		replicas("pathcost_coordinator_replica_healthy", "Last known replica health (1 healthy, 0 not).", "gauge",
+			func(rs *replicaState) uint64 { return boolSample(rs.healthy.Load()) })
+		replicas("pathcost_coordinator_shard_calls_total", "Call legs per replica.", "counter",
+			func(rs *replicaState) uint64 { return rs.calls.Load() })
+		replicas("pathcost_coordinator_breaker_open", "Replica circuit breaker state (1 open, 0 closed).", "gauge",
+			func(rs *replicaState) uint64 { return boolSample(!rs.admitted(now)) })
+	})
+}
+
+// boolSample is a boolean gauge's sample.
+func boolSample(b bool) uint64 {
+	if b {
+		return 1
 	}
-	fmt.Fprintf(&b, "# HELP pathcost_coordinator_shard_calls_total Call legs per replica.\n"+
-		"# TYPE pathcost_coordinator_shard_calls_total counter\n")
-	for _, ss := range c.shards {
-		for _, rs := range ss.replicas {
-			fmt.Fprintf(&b, "pathcost_coordinator_shard_calls_total{region=%q,replica=%q} %d\n",
-				fmt.Sprint(ss.region), rs.base, rs.calls.Load())
-		}
-	}
-	fmt.Fprintf(&b, "# HELP pathcost_coordinator_breaker_open Replica circuit breaker state (1 open, 0 closed).\n"+
-		"# TYPE pathcost_coordinator_breaker_open gauge\n")
-	now := time.Now()
-	for _, ss := range c.shards {
-		for _, rs := range ss.replicas {
-			v := 0
-			if !rs.admitted(now) {
-				v = 1
-			}
-			fmt.Fprintf(&b, "pathcost_coordinator_breaker_open{region=%q,replica=%q} %d\n",
-				fmt.Sprint(ss.region), rs.base, v)
-		}
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	return 0
 }

@@ -43,7 +43,7 @@ func TestCoordinatorDefaultTimeoutAnswers504(t *testing.T) {
 	p := crossRegionPath(t, f, sys)
 	depart := 8 * 3600.0
 
-	f.coord.sem <- struct{}{} // saturate admission: requests below park
+	f.coord.gate.Acquire(context.Background()) // saturate admission: requests below park
 	status, body := postRaw(t, f.coordTS.URL+"/v1/distribution", map[string]any{
 		"path": edgeIDs(p), "depart": depart,
 	})
@@ -64,7 +64,7 @@ func TestCoordinatorDefaultTimeoutAnswers504(t *testing.T) {
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("batch: status %d (%s), want 504", status, body)
 	}
-	<-f.coord.sem
+	f.coord.gate.Release()
 
 	// A deadline expiring mid-composition (after admission) settles
 	// every unfinished entry with its own 504 instead of leaving a

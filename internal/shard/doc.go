@@ -5,7 +5,9 @@
 // coordinator daemon that decomposes each query path at region
 // boundaries, fans per-shard sub-paths out over the ordinary
 // /v1/batch machinery, and convolves the returned partial states into
-// the final distribution.
+// the final distribution. The coordinator serves on the same api.Gate
+// chassis as a single process, with composition as its evaluator; it
+// reaches shards over HTTP only and does not import internal/server.
 //
 // The composition is exact, not approximate: in a region-partitioned
 // model no variable spans a region cut, so the Eq. 2 evaluation chain

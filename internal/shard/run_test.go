@@ -141,7 +141,7 @@ func TestCoordinatorShedsWhenOverloaded(t *testing.T) {
 			codes[i] = code
 		}(i)
 		deadline := time.Now().Add(5 * time.Second)
-		for int(coord.queued.Load()) < i {
+		for int(coord.gate.Queued.Load()) < i {
 			if time.Now().After(deadline) {
 				t.Fatalf("request %d never queued", i)
 			}
@@ -161,7 +161,7 @@ func TestCoordinatorShedsWhenOverloaded(t *testing.T) {
 	if resp.Header.Get("Retry-After") != "1" {
 		t.Fatalf("Retry-After = %q", resp.Header.Get("Retry-After"))
 	}
-	if coord.shed.Load() == 0 {
+	if coord.gate.Shed.Load() == 0 {
 		t.Fatal("shed counter did not move")
 	}
 

@@ -58,12 +58,12 @@ func TestCoordinatorRawBytesMatchUnion(t *testing.T) {
 func TestCoordinatorUnencodableAnswerIs500(t *testing.T) {
 	f := startFleet(t, 2, nil)
 	rec := httptest.NewRecorder()
-	f.coord.writeEntryOutcome(rec, &api.BatchResult{Status: http.StatusOK},
+	f.coord.gate.Answer(rec, http.StatusOK, "",
 		&api.DistributionResponse{Method: "OD", MeanS: math.NaN()})
 	if rec.Code != http.StatusInternalServerError || rec.Body.String() != "{\"error\":\"internal error during computation\"}\n" {
 		t.Fatalf("answered %d %q, want the 500 envelope", rec.Code, rec.Body.String())
 	}
-	if s, r := f.coord.served.Load(), f.coord.rejected.Load(); s != 0 || r != 1 {
+	if s, r := f.coord.gate.Served.Load(), f.coord.gate.Rejected.Load(); s != 0 || r != 1 {
 		t.Fatalf("counted served %d rejected %d, want 0 and 1", s, r)
 	}
 }
