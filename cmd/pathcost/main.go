@@ -7,7 +7,6 @@
 //	pathcost -preset small -trips 20000 demo
 //	pathcost -preset test -trips 5000 query -card 8 -hour 8
 //	pathcost -preset test -trips 5000 route -budget-mult 2.0 -hour 8
-//	pathcost -preset test -trips 5000 -batch 512 -workers 8
 //	pathcost -preset test -trips 5000 -synopsis 512 synopsis
 //	pathcost -preset test net-stats
 //
@@ -59,7 +58,6 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "goroutines for map matching and training (≤1 = sequential)")
 	cacheSize := flag.Int("cache", 0, "query-distribution cache capacity in entries (0 = disabled)")
 	memoSize := flag.Int("memo", 0, "sub-path convolution memo capacity in prefix states (0 = disabled)")
-	batchN := flag.Int("batch", 0, "batch mode: run this many prefix-sharing queries independently and through the batch planner, verify identical results, report the speedup (overrides the command)")
 	synSize := flag.Int("synopsis", 0, "offline sub-path synopsis entry budget (0 = disabled); built from a synthetic prefix-heavy workload and saved with -save-model")
 	synBytes := flag.Int("synopsis-bytes", 0, "synopsis byte budget for the serialized entries (0 = unbounded)")
 	synWorkload := flag.Int("synopsis-workload", 512, "workload-sample size used to train the synopsis")
@@ -70,9 +68,6 @@ func main() {
 	cmd := flag.Arg(0)
 	if cmd == "" {
 		cmd = "demo"
-	}
-	if *batchN > 0 {
-		cmd = "batch"
 	}
 
 	params := pathcost.DefaultParams()
@@ -142,16 +137,10 @@ func main() {
 		runRoute(sys, depart, *budgetMult)
 	case "net-stats":
 		runNetStats(sys)
-	case "batch":
-		n := *batchN
-		if n <= 0 {
-			n = 256
-		}
-		runBatch(sys, n, *card, depart, *workers, *memoSize)
 	case "synopsis":
 		runSynopsis(sys, synReplay, *workers, *cacheSize > 0)
 	default:
-		fatal(fmt.Errorf("unknown command %q (want demo, query, route, net-stats, batch or synopsis)", cmd))
+		fatal(fmt.Errorf("unknown command %q (want demo, query, route, net-stats or synopsis)", cmd))
 	}
 	if st, ok := sys.QueryCacheStats(); ok {
 		fmt.Printf("\nquery cache: %d/%d entries, %d hits, %d misses (%.0f%% hit rate), %d evictions\n",
@@ -188,11 +177,10 @@ func buildSynopsis(sys *pathcost.System, entries, maxBytes, workloadN, card int,
 	return workload, nil
 }
 
-// runSynopsis is the offline-synopsis twin of runBatch: it answers
-// the synopsis's training workload (a) with a cold convolution memo
-// and (b) with the synopsis plus a cold memo — the cold-server-start
-// comparison — verifying byte-identical results and reporting hit
-// rate and speedup. The synopsis itself was built (and attached)
+// runSynopsis answers the synopsis's training workload (a) with a
+// cold convolution memo and (b) with the synopsis plus a cold memo —
+// the cold-server-start comparison — verifying byte-identical results
+// and reporting hit rate and speedup. The synopsis itself was built (and attached)
 // before -save-model ran, so the persisted model carries it.
 func runSynopsis(sys *pathcost.System, workload []pathcost.WorkloadQuery, workers int, hadCache bool) {
 	if workers < 1 {
@@ -386,113 +374,6 @@ func runRoute(sys *pathcost.System, depart, budgetMult float64) {
 		}
 		fmt.Printf("  %-2s-DFS: P(arrive ≤ budget) = %.3f over %d edges; explored %d, pruned %d, %v\n",
 			m, res.Prob, len(res.Path), res.Explored, res.Pruned, time.Since(t0).Round(time.Millisecond))
-	}
-}
-
-// runBatch is the offline twin of the server's /v1/batch: it builds a
-// prefix-sharing workload (queries from a few trunk paths, as a
-// router exploring candidates from one source would produce), answers
-// it once independently (each query evaluated in full, concurrently)
-// and once through the batch planner (shared sub-path convolutions
-// evaluated exactly once), verifies the two result sets are
-// byte-identical, and reports the speedup plus the planner's sharing
-// counters. Both runs keep the memo and cache off so the comparison
-// isolates the planner.
-func runBatch(sys *pathcost.System, n, card int, depart float64, workers, memoSize int) {
-	if card < 2 {
-		card = 2
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rnd := rand.New(rand.NewSource(7))
-	trunks := n / 16
-	if trunks < 1 {
-		trunks = 1
-	}
-	pool := make([]pathcost.Path, 0, trunks)
-	for len(pool) < trunks {
-		p, err := sys.RandomQueryPath(card, rnd.Intn)
-		if err != nil {
-			fatal(err)
-		}
-		pool = append(pool, p)
-	}
-	queries := make([]pathcost.PlanQuery, n)
-	for i := range queries {
-		trunk := pool[rnd.Intn(len(pool))]
-		queries[i] = pathcost.PlanQuery{
-			Path:   trunk[:2+rnd.Intn(len(trunk)-1)],
-			Depart: depart,
-		}
-	}
-
-	fmt.Printf("batch: %d distribution queries over %d trunk paths (≤%d edges), %d workers\n",
-		n, trunks, card, workers)
-	sys.EnableConvMemo(0)
-	sys.EnableQueryCache(0)
-	_ = memoSize // the planner comparison runs memo-free on both sides
-
-	// Independent: every query evaluated in full, concurrently — what
-	// /v1/batch did before planning existed.
-	independent := make([]*pathcost.QueryResult, n)
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	idx := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				res, err := sys.PathDistribution(queries[i].Path, queries[i].Depart, pathcost.OD)
-				if err != nil {
-					fatal(err)
-				}
-				independent[i] = res
-			}
-		}()
-	}
-	for i := range queries {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	indepDur := time.Since(t0)
-
-	// Planned: the whole batch through the prefix trie.
-	sys.EnableBatchPlanner(workers)
-	t0 = time.Now()
-	planned, stats := sys.PlanDistributions(nil, queries, nil, nil)
-	planDur := time.Since(t0)
-
-	identical := true
-	for i := range independent {
-		if planned[i].Err != nil {
-			fatal(planned[i].Err)
-		}
-		a, b := independent[i].Dist.Buckets(), planned[i].Res.Dist.Buckets()
-		if len(a) != len(b) {
-			identical = false
-			break
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				identical = false
-				break
-			}
-		}
-	}
-	speedup := float64(indepDur) / float64(planDur)
-	fmt.Printf("  independent: %v (%.0f queries/s)\n", indepDur.Round(time.Millisecond),
-		float64(n)/indepDur.Seconds())
-	fmt.Printf("  planned:     %v (%.0f queries/s), %.1fx faster\n", planDur.Round(time.Millisecond),
-		float64(n)/planDur.Seconds(), speedup)
-	fmt.Printf("  plan: %d unique sub-paths (%d shared) for %d chain steps independent evaluation needs; %d convolved, %d probe hits, %d steps saved\n",
-		stats.Nodes, stats.SharedNodes, stats.IndependentSteps,
-		stats.Convolutions, stats.ProbeHits, stats.SavedSteps())
-	fmt.Printf("  results byte-identical: %v\n", identical)
-	if !identical {
-		fatal(fmt.Errorf("planned batch diverged from independent results"))
 	}
 }
 

@@ -96,7 +96,6 @@ type options struct {
 	modelFile   string
 	cacheSize   int
 	memoSize    int
-	planWorkers int
 	useSynopsis bool
 	maxInFlight int
 	maxQueue    int
@@ -137,7 +136,6 @@ func main() {
 	flag.StringVar(&opt.modelFile, "model", "", "trained model file to serve (requires -network)")
 	flag.IntVar(&opt.cacheSize, "cache", 4096, "query-distribution cache capacity in entries (0 = disabled); cached answers are shared per departure α-interval")
 	flag.IntVar(&opt.memoSize, "memo", 4096, "sub-path convolution memo capacity in prefix states (0 = disabled); exact — memoized answers are byte-identical")
-	flag.IntVar(&opt.planWorkers, "plan-workers", runtime.NumCPU(), "batch-planner worker pool: /v1/batch plans its distribution entries as one unit so shared sub-paths are convolved once (0 = planner disabled); exact — planned answers are byte-identical")
 	flag.BoolVar(&opt.useSynopsis, "synopsis", true, "serve the offline sub-path synopsis embedded in -model, when present (false drops it after load)")
 	flag.IntVar(&opt.maxInFlight, "max-inflight", 0, "max concurrently evaluated queries (0 = default)")
 	flag.IntVar(&opt.maxQueue, "max-queue", 0, "load shedding: max requests queued for an evaluation slot before new arrivals get 429 + Retry-After (0 = no shedding)")
@@ -193,9 +191,6 @@ func run(ctx context.Context, opt options, logger *log.Logger, hup <-chan os.Sig
 	}
 	if opt.memoSize > 0 {
 		sys.EnableConvMemo(opt.memoSize)
-	}
-	if opt.planWorkers > 0 {
-		sys.EnableBatchPlanner(opt.planWorkers)
 	}
 	sys.SetDecayHalflife(opt.decayHalflife)
 

@@ -47,7 +47,6 @@ func TestRunSIGHUPPublishesEpoch(t *testing.T) {
 		alpha:         30,
 		cacheSize:     256,
 		memoSize:      256,
-		planWorkers:   2,
 		useSynopsis:   true,
 		drain:         time.Second,
 		enableIngest:  true,

@@ -95,7 +95,6 @@ func TestRunMultiShardE2E(t *testing.T) {
 			modelFile:   model,
 			cacheSize:   256,
 			memoSize:    256,
-			planWorkers: 2,
 			useSynopsis: true,
 			drain:       time.Second,
 		}

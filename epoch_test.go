@@ -209,7 +209,6 @@ func TestEpochConcurrentQueriesDuringPublish(t *testing.T) {
 	sys, held, _, _ := epochBase(t, 107, 1000, 600)
 	sys.EnableQueryCache(512)
 	sys.EnableConvMemo(1024)
-	sys.EnableBatchPlanner(2)
 
 	dense := sys.DensePaths(3, 10)
 	if len(dense) == 0 {

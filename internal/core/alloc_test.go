@@ -73,17 +73,14 @@ func TestColdEvaluateAllocBudget(t *testing.T) {
 	}
 }
 
-// memoExtendAllocBudget bounds one memo-attached ExtendPath that
-// misses (probe, compute, offer) on the Table 1 fixture: 13 in all,
-// the handle's two keys — rendered once, into one string the synopsis
-// key is a suffix of — and its LRU entry included. It was 20 while the
-// state kept its last factor's product (and the product's position
-// list) and a decomposition took three allocations, 22 while the path
-// key, the state key and its epoch-scoped form were three strings, and
-// 23 before the entry points merged (the memo wrapper and the plain
-// extend under it each built the extended path); the budget keeps any
-// of them from coming back.
-const memoExtendAllocBudget = 14
+// memoExtendAllocBudget bounds the memo's one write path on the Table 1
+// fixture: a query for <e0..e3> that resumes from the memoized state of
+// <e0,e1,e2> — the longest-prefix probe renders a key per depth it
+// tries, missing at 4 and hitting at 3 — extends it by one edge and
+// offers the new state under its key, the LRU entry included. Measured
+// 15. While routing also read the memo, the budget bounded one
+// memo-attached ExtendPath (probe, compute, offer) at 14.
+const memoExtendAllocBudget = 16
 
 func TestMemoExtendAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -94,30 +91,35 @@ func TestMemoExtendAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, err := h.pathState(nil, nil, graph.Path{0, 1, 2}, 8*3600, QueryOptions{Method: MethodOD})
+	opt := QueryOptions{Method: MethodOD}
+	const dep = 8 * 3600
+	prefix, query := graph.Path{0, 1, 2}, graph.Path{0, 1, 2, 3}
+	parent, err := h.pathState(nil, nil, prefix, dep, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One epoch view per run, so every measured extend is a miss.
+	// One epoch view per run, each holding only the depth-3 prefix, so
+	// every measured query resumes from it and offers one new state.
 	const runs = 200
 	base := NewConvMemo(1 << 12)
-	cold := make([]*Reuse, runs+1) // AllocsPerRun warms up with one extra call
-	for i := range cold {
-		cold[i] = NewReuse(nil, base.ForEpoch(uint64(i)))
+	views := make([]*Reuse, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range views {
+		views[i] = NewReuse(nil, base.ForEpoch(uint64(i)))
+		views[i].offer(views[i].slot(prefix, dep, opt), parent)
 	}
 	i := 0
 	n := testing.AllocsPerRun(runs, func() {
-		r := cold[i]
+		r := views[i]
 		i++
-		if _, err := h.ExtendPath(r, parent, 3); err != nil {
+		if _, err := h.pathState(nil, r, query, dep, opt); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if st := base.Stats(); st.Hits != 0 || st.Entries != runs+1 {
-		t.Fatalf("the measured extends were not all misses: %+v", st)
+	if st := base.Stats(); st.Hits != runs+1 || st.Misses != 0 || st.Entries != 2*(runs+1) {
+		t.Fatalf("the measured queries did not each resume from the prefix and offer one state: %+v", st)
 	}
-	t.Logf("a memo-attached extend allocates %v objects", n)
+	t.Logf("a query resuming from a memoized prefix allocates %v objects", n)
 	if n > memoExtendAllocBudget {
-		t.Errorf("a memo-attached extend allocates %v objects, budget %d", n, memoExtendAllocBudget)
+		t.Errorf("a query resuming from a memoized prefix allocates %v objects, budget %d", n, memoExtendAllocBudget)
 	}
 }

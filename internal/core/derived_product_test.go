@@ -156,7 +156,7 @@ func TestDerivedProductMatchesKept(t *testing.T) {
 							if rnd.Intn(2) == 0 {
 								within = kept.Dist().Min() + rnd.Float64()*60
 							}
-							ns, settled, err := h.ExtendPathWithin(nil, cur, p[k-1], within)
+							ns, settled, err := h.ExtendPathWithin(cur, p[k-1], within)
 							ks, kerr := extendKept(h, kept, p[:k], dep, opt, within)
 							if err != nil || (kerr != nil && kerr != errSettled) {
 								t.Fatalf("%s within %v: %v / %v", where, within, err, kerr)
@@ -172,9 +172,9 @@ func TestDerivedProductMatchesKept(t *testing.T) {
 						}
 						var next *PathState
 						if cur == nil {
-							next, err = h.StartPath(nil, p[0], dep, opt)
+							next, err = h.StartPath(p[0], dep, opt)
 						} else {
-							next, err = h.ExtendPath(nil, cur, p[k-1])
+							next, err = h.ExtendPath(cur, p[k-1])
 						}
 						if err != nil {
 							t.Fatalf("%s: %v", where, err)
@@ -305,7 +305,7 @@ func TestConcurrentRefoldsOfSharedState(t *testing.T) {
 				wg.Add(1)
 				go func(a int) {
 					defer wg.Done()
-					child, err := h.ExtendPath(nil, parent, graph.EdgeID(2+a))
+					child, err := h.ExtendPath(parent, graph.EdgeID(2+a))
 					if err != nil {
 						errs <- err.Error()
 						return

@@ -32,17 +32,18 @@
 //
 // Beyond the paper, PathState implements the incremental property of
 // Section 4.3 ("path + another edge" reuses the chain evaluation of
-// the path), and Reuse is the one handle every incremental evaluation
-// goes through: it carries the two tiers of stored chain states — the
-// offline SynopsisStore, probed first, and the runtime ConvMemo,
-// offered every computed state — keyed by the exact departure time, so
-// routing searches, batched server queries and repeated distribution
-// queries reuse one another's prefixes with byte-identical results.
-// There is one entry point per operation, each taking the handle (nil
-// for plain evaluation): StartPath, ExtendPathWithin (ExtendPath is
-// its no-limit spelling) and CostDistributionCtx, with
-// CostDistribution and CostDistributionMemo as its no-reuse and
-// memo-only spellings.
+// the path): StartPath and ExtendPathWithin (ExtendPath is its
+// no-limit spelling) extend a parent's state by one factor, which is
+// all a routing search does. Across queries, Reuse carries the two
+// tiers of stored chain states — the offline SynopsisStore, probed
+// first, and the runtime ConvMemo, offered every computed state —
+// keyed by the exact departure time. It is read in one place, the
+// path-state evaluator behind CostDistributionCtx (CostDistribution
+// and CostDistributionMemo are its no-reuse and memo-only spellings),
+// the first segment of EvaluateSegment and the synopsis build: it finds
+// the longest stored prefix and offers each new state, so repeated and
+// overlapping distribution queries reuse one another's prefixes with
+// byte-identical results.
 //
 // One extension does each piece of kernel work at most once, chosen by
 // the state and factor in hand: a child resumes from the fold its

@@ -53,12 +53,12 @@ func TestSharedFoldMatchesRefold(t *testing.T) {
 		_, departs := oracleQueries(g, seed)
 		for _, method := range chainMethods {
 			for _, dep := range departs {
-				parent, err := h.StartPath(nil, 0, dep, QueryOptions{Method: method})
+				parent, err := h.StartPath(0, dep, QueryOptions{Method: method})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for e := graph.EdgeID(1); int(e) < g.NumEdges(); e++ {
-					shared, err := h.ExtendPath(nil, parent, e)
+					shared, err := h.ExtendPath(parent, e)
 					if err != nil {
 						t.Fatalf("seed %d %s: extend by %d: %v", seed, method, e, err)
 					}
@@ -132,9 +132,9 @@ func forkFixture(t testing.TB, arms int) (*graph.Graph, *gps.Collection, Params)
 }
 
 // extendWithin is ExtendPathWithin failing the test on an error.
-func extendWithin(t *testing.T, h *HybridGraph, r *Reuse, s *PathState, e graph.EdgeID, within float64) (*PathState, bool) {
+func extendWithin(t *testing.T, h *HybridGraph, s *PathState, e graph.EdgeID, within float64) (*PathState, bool) {
 	t.Helper()
-	ns, settled, err := h.ExtendPathWithin(r, s, e, within)
+	ns, settled, err := h.ExtendPathWithin(s, e, within)
 	if err != nil {
 		t.Fatalf("extend %v by %d within %v: %v", s.Path(), e, within, err)
 	}
@@ -163,10 +163,8 @@ func canSettle(parent, child *PathState) bool {
 // PROPERTY: whenever the bounded extend reports "settled", the child
 // the plain extend builds has CDF(x) == 0 exactly and Min() ≥ x; the
 // rule fires exactly where canSettle says it can and then exactly for
-// x ≤ supportMin ≤ Min(); +Inf — what the search passes for an edge
-// into its destination — never settles; and a stored child is returned
-// in preference to a settled answer, while a settled one is never
-// stored. All with and without a memo and a synopsis attached.
+// x ≤ supportMin ≤ Min(); and +Inf — what the search passes for an
+// edge into its destination — never settles.
 func TestPropertySettledMeansZero(t *testing.T) {
 	fired, fell := 0, 0
 	for seed := int64(1); seed <= 10; seed++ {
@@ -175,115 +173,65 @@ func TestPropertySettledMeansZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths, departs := oracleQueries(g, seed)
+		_, departs := oracleQueries(g, seed)
 		rnd := rand.New(rand.NewSource(seed))
 		for _, method := range chainMethods {
 			opt := QueryOptions{Method: method}
-			var workload []WorkloadQuery
-			for _, p := range paths[:len(paths)/2] { // half the prefixes: some steps hit it, some miss
-				workload = append(workload, WorkloadQuery{Path: p, Depart: departs[0]})
-			}
-			syn, err := h.BuildSynopsis(workload, SynopsisConfig{MaxEntries: 64, Method: method, MinDepth: 2})
+			parent, err := h.StartPath(0, departs[0], opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, withSyn := range []bool{false, true} {
-				for _, withMemo := range []bool{false, true} {
-					var store *SynopsisStore
-					if withSyn {
-						store = syn
-					}
-					// Every probe gets a memo view that has seen nothing, so
-					// only the synopsis can hold a child before it is asked for.
-					memo, views, memoized := NewConvMemo(1<<12), uint64(0), 0
-					cold := func() *Reuse {
-						if !withMemo {
-							return NewReuse(store, nil)
+			for e := graph.EdgeID(1); int(e) < g.NumEdges(); e++ {
+				exact, err := h.ExtendPath(parent, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := exact.Dist()
+				probe := func(x float64) bool {
+					ns, settled := extendWithin(t, h, parent, e, x)
+					switch {
+					case settled:
+						if c := d.CDF(x); c != 0 || d.Min() < x {
+							t.Fatalf("seed %d %s %v: settled within %v but CDF = %v, Min() = %v", seed, method, exact.Path(), x, c, d.Min())
 						}
-						views++
-						return NewReuse(store, memo.ForEpoch(views))
+					case !identicalHist(ns.Dist(), d):
+						t.Fatalf("seed %d %s %v: bounded extend within %v built a different child", seed, method, exact.Path(), x)
 					}
-					parent, err := h.StartPath(nil, 0, departs[0], opt)
+					return settled
+				}
+
+				able := canSettle(parent, exact)
+				if settled := probe(math.Inf(-1)); settled != able {
+					t.Fatalf("seed %d %s %v: settled below every cost = %v, want %v", seed, method, exact.Path(), settled, able)
+				}
+				if probe(math.Inf(1)) {
+					t.Fatalf("seed %d %s %v: settled with no limit", seed, method, exact.Path())
+				}
+				if able {
+					fired++
+					fm, err := asMulti(exact.de.Vars[len(exact.de.Vars)-1])
 					if err != nil {
 						t.Fatal(err)
 					}
-					for e := graph.EdgeID(1); int(e) < g.NumEdges(); e++ {
-						exact, err := h.ExtendPath(nil, parent, e)
-						if err != nil {
-							t.Fatal(err)
-						}
-						d := exact.Dist()
-						stored := false
-						if store != nil {
-							_, stored = store.peek(memoKey(exact.path.Key(), exact.t, exact.opt))
-						}
-						probe := func(x float64) bool {
-							ns, settled := extendWithin(t, h, cold(), parent, e, x)
-							switch {
-							case settled:
-								if c := d.CDF(x); c != 0 || d.Min() < x {
-									t.Fatalf("seed %d %s %v: settled within %v but CDF = %v, Min() = %v", seed, method, exact.Path(), x, c, d.Min())
-								}
-							case !identicalHist(ns.Dist(), d):
-								t.Fatalf("seed %d %s %v: bounded extend within %v built a different child", seed, method, exact.Path(), x)
-							case withMemo && !stored:
-								memoized++ // computed, so offered
-							}
-							return settled
-						}
-
-						able := canSettle(parent, exact) && !stored
-						if settled := probe(math.Inf(-1)); settled != able {
-							t.Fatalf("seed %d %s %v (syn %v, memo %v): settled below every cost = %v, want %v",
-								seed, method, exact.Path(), withSyn, withMemo, settled, able)
-						}
-						if probe(math.Inf(1)) {
-							t.Fatalf("seed %d %s %v: settled with no limit", seed, method, exact.Path())
-						}
-						if able {
-							fired++
-							fm, err := asMulti(exact.de.Vars[len(exact.de.Vars)-1])
-							if err != nil {
-								t.Fatal(err)
-							}
-							L := parent.inter[len(parent.inter)-1].supportMin(fm)
-							if d.Min() < L {
-								t.Fatalf("seed %d %s %v: Min() %v below the support minimum %v", seed, method, exact.Path(), d.Min(), L)
-							}
-							if !probe(L) || probe(math.Nextafter(L, math.Inf(1))) {
-								t.Fatalf("seed %d %s %v: the rule does not switch at the support minimum %v", seed, method, exact.Path(), L)
-							}
-						} else {
-							fell++
-						}
-						// Limits straddling the support.
-						span := d.Max() - d.Min()
-						for _, x := range []float64{
-							d.Min() - 1, d.Min(), d.Min() + 1e-9, d.Mean(), d.Max() + 1,
-							d.Min() + (rnd.Float64()*1.4-0.2)*span, d.Min() - rnd.Float64()*span,
-						} {
-							probe(x)
-						}
-						if withMemo {
-							// A child the handle holds is returned whatever the limit.
-							r := cold()
-							if _, settled := extendWithin(t, h, r, parent, e, math.Inf(1)); settled {
-								t.Fatalf("seed %d %s %v: settled with no limit", seed, method, exact.Path())
-							}
-							if !stored {
-								memoized++
-							}
-							if ns, settled := extendWithin(t, h, r, parent, e, math.Inf(-1)); settled || !identicalHist(ns.Dist(), d) {
-								t.Fatalf("seed %d %s %v: a stored child was not returned first", seed, method, exact.Path())
-							}
-							if got := memo.Stats().Entries; got != memoized {
-								t.Fatalf("seed %d %s %v: memo holds %d states after %d computed children — a settled child was stored",
-									seed, method, exact.Path(), got, memoized)
-							}
-						}
-						parent = exact
+					L := parent.inter[len(parent.inter)-1].supportMin(fm)
+					if d.Min() < L {
+						t.Fatalf("seed %d %s %v: Min() %v below the support minimum %v", seed, method, exact.Path(), d.Min(), L)
 					}
+					if !probe(L) || probe(math.Nextafter(L, math.Inf(1))) {
+						t.Fatalf("seed %d %s %v: the rule does not switch at the support minimum %v", seed, method, exact.Path(), L)
+					}
+				} else {
+					fell++
 				}
+				// Limits straddling the support.
+				span := d.Max() - d.Min()
+				for _, x := range []float64{
+					d.Min() - 1, d.Min(), d.Min() + 1e-9, d.Mean(), d.Max() + 1,
+					d.Min() + (rnd.Float64()*1.4-0.2)*span, d.Min() - rnd.Float64()*span,
+				} {
+					probe(x)
+				}
+				parent = exact
 			}
 		}
 	}
@@ -322,7 +270,7 @@ func extendSiblingsConcurrently(t *testing.T) {
 				wg.Add(1)
 				go func(a int) {
 					defer wg.Done()
-					got, err := h.ExtendPath(nil, parent, graph.EdgeID(2+a))
+					got, err := h.ExtendPath(parent, graph.EdgeID(2+a))
 					if err != nil {
 						t.Error(err)
 						return

@@ -23,7 +23,7 @@ func EncodeStateV1(s *ChainState) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// extendRefolding is ExtendPath(nil, prev, e) in the order recompute
+// extendRefolding is ExtendPath(prev, e) in the order recompute
 // used before the siblings of a DFS node shared their parent's fold:
 // the resume state is folded again from prev's last product even when
 // prev already holds that very fold. The shared fold is hidden behind a

@@ -261,6 +261,15 @@ func longChainFixture(t testing.TB) (*HybridGraph, graph.Path) {
 	return h, chainPath(0, nEdges)
 }
 
+// chainPath returns the path over edges [lo, lo+n).
+func chainPath(lo, n int) graph.Path {
+	p := make(graph.Path, n)
+	for i := range p {
+		p[i] = graph.EdgeID(lo + i)
+	}
+	return p
+}
+
 // decompose returns the decomposition method m chooses for p at t.
 func decompose(t testing.TB, h *HybridGraph, p graph.Path, at float64, m Method) *Decomposition {
 	t.Helper()

@@ -70,32 +70,24 @@ func (s *PathState) Path() graph.Path { return s.path }
 // Depart returns the departure time the state was built for.
 func (s *PathState) Depart() float64 { return s.t }
 
-// StartPath begins incremental evaluation with a single-edge path,
-// through the reuse handle r: a tier that already holds the state
-// answers it, otherwise it is computed and offered. A nil r always
-// computes.
-func (h *HybridGraph) StartPath(r *Reuse, e graph.EdgeID, t float64, opt QueryOptions) (*PathState, error) {
+// StartPath begins incremental evaluation with a single-edge path.
+func (h *HybridGraph) StartPath(e graph.EdgeID, t float64, opt QueryOptions) (*PathState, error) {
 	if opt.Method == "" {
 		opt.Method = MethodOD
 	}
-	s, _, err := r.through(graph.Path{e}, t, opt, func() (*PathState, error) {
-		s := &PathState{h: h, path: graph.Path{e}, t: t, opt: opt}
-		if err := s.recompute(nil, math.Inf(1)); err != nil {
-			return nil, err
-		}
-		return s, nil
-	})
-	return s, err
+	s := &PathState{h: h, path: graph.Path{e}, t: t, opt: opt}
+	if err := s.recompute(nil, math.Inf(1)); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // ExtendPath returns the state for s's path extended by edge e,
-// through the reuse handle r: a stored state costs one lookup instead
-// of a convolution step, and a computed one reuses as much of s's
-// chain evaluation as the new coarsest decomposition allows. The
-// receiver remains valid (DFS keeps parent states alive across
-// siblings).
-func (h *HybridGraph) ExtendPath(r *Reuse, s *PathState, e graph.EdgeID) (*PathState, error) {
-	ns, _, err := h.ExtendPathWithin(r, s, e, math.Inf(1))
+// reusing as much of s's chain evaluation as the new coarsest
+// decomposition allows. The receiver remains valid (DFS keeps parent
+// states alive across siblings).
+func (h *HybridGraph) ExtendPath(s *PathState, e graph.EdgeID) (*PathState, error) {
+	ns, _, err := h.ExtendPathWithin(s, e, math.Inf(1))
 	return ns, err
 }
 
@@ -105,45 +97,42 @@ var errSettled = errors.New("core: extension settled by its cost-support minimum
 
 // ExtendPathWithin is ExtendPath for a caller that needs the child
 // only if it can cost less than within (a budget search's remaining
-// budget). When the child is not already stored and its cost-support
-// minimum — read off the parent's folded state and the one new factor,
-// before any kernel work — is at or above within, it reports settled
-// with a nil state: the child's distribution d would have d.Min() ≥
-// within, so d.CDF(x) is exactly 0 for every x ≤ within. Every check
-// ExtendPath makes before the kernel still runs, a stored state is
-// still returned first, and a settled child is not offered to r. Any
-// child the minimum cannot be read for that cheaply (a cold start, an
-// overlapping resume, more than one new factor) is computed exactly;
-// within = +Inf never settles. The extended path is built once.
-func (h *HybridGraph) ExtendPathWithin(r *Reuse, s *PathState, e graph.EdgeID, within float64) (ns *PathState, settled bool, err error) {
+// budget). When the child's cost-support minimum — read off the
+// parent's folded state and the one new factor, before any kernel
+// work — is at or above within, it reports settled with a nil state:
+// the child's distribution d would have d.Min() ≥ within, so d.CDF(x)
+// is exactly 0 for every x ≤ within. Every check ExtendPath makes
+// before the kernel still runs. Any child the minimum cannot be read
+// for that cheaply (a cold start, an overlapping resume, more than one
+// new factor) is computed exactly; within = +Inf never settles.
+func (h *HybridGraph) ExtendPathWithin(s *PathState, e graph.EdgeID, within float64) (ns *PathState, settled bool, err error) {
 	np := make(graph.Path, len(s.path)+1)
 	copy(np, s.path)
 	np[len(s.path)] = e
-	ns, _, err = r.through(np, s.t, s.opt, func() (*PathState, error) {
-		if !h.G.ValidPath(np) {
-			return nil, fmt.Errorf("core: extension %v is not a valid path", np)
-		}
-		ns := &PathState{h: h, path: np, t: s.t, opt: s.opt}
-		if err := ns.recompute(s, within); err != nil {
-			return nil, err
-		}
-		return ns, nil
-	})
-	if err == errSettled {
-		return nil, true, nil
+	if !h.G.ValidPath(np) {
+		return nil, false, fmt.Errorf("core: extension %v is not a valid path", np)
 	}
-	return ns, false, err
+	ns = &PathState{h: h, path: np, t: s.t, opt: s.opt}
+	switch err := ns.recompute(s, within); err {
+	case nil:
+		return ns, false, nil
+	case errSettled:
+		return nil, true, nil
+	default:
+		return nil, false, err
+	}
 }
 
 // pathState evaluates path p departing at t, resuming from the deepest
 // prefix state r holds (see Reuse.longestPrefix for what one query
 // counts) and offering every state derived past that base, so later
-// queries — longer paths, sibling branches, other batch entries —
-// resume deeper still. The deadline is checked before each edge
-// derivation, so evaluation stops within one extend of the budget
-// expiring. ctx stays a parameter — PathStates land in the memo and
-// synopsis and outlive the request, so a stored context would poison
-// every later query resuming from them. nil ctx means unbounded.
+// queries — longer paths, other batch entries — resume deeper still.
+// It is the one reader of the reuse handle. The deadline is checked
+// before each edge derivation, so evaluation stops within one extend
+// of the budget expiring. ctx stays a parameter — PathStates land in
+// the memo and synopsis and outlive the request, so a stored context
+// would poison every later query resuming from them. nil ctx means
+// unbounded.
 func (h *HybridGraph) pathState(ctx context.Context, r *Reuse, p graph.Path, t float64, opt QueryOptions) (*PathState, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("core: cannot evaluate an empty path")
@@ -165,9 +154,9 @@ func (h *HybridGraph) pathState(ctx context.Context, r *Reuse, p graph.Path, t f
 		}
 		var err error
 		if st == nil {
-			st, err = h.StartPath(nil, p[0], t, opt)
+			st, err = h.StartPath(p[0], t, opt)
 		} else {
-			st, err = h.ExtendPath(nil, st, p[i])
+			st, err = h.ExtendPath(st, p[i])
 		}
 		if err != nil {
 			return nil, err
@@ -180,11 +169,8 @@ func (h *HybridGraph) pathState(ctx context.Context, r *Reuse, p graph.Path, t f
 }
 
 // stateResult converts a fully evaluated chain state into a
-// QueryResult, mirroring Evaluate's single-factor shortcut. It is the
-// one result-assembly path shared by CostDistributionCtx and the batch
-// planner, which is what makes planned and independent answers
-// byte-identical by construction. Timing is left zero for the caller
-// to fill.
+// QueryResult for CostDistributionCtx, mirroring Evaluate's
+// single-factor shortcut. Timing is left zero for the caller to fill.
 func (h *HybridGraph) stateResult(st *PathState) (*QueryResult, error) {
 	de := st.de
 	res := &QueryResult{

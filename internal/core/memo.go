@@ -10,11 +10,10 @@ import (
 // ConvMemo is the incremental sub-path convolution engine: a
 // prefix-keyed memo of PathStates layered on the internal/cache LRU.
 // Evaluating an n-edge path runs a chain of factor convolutions
-// (Equation 2); candidate paths explored from one source — by the
-// routing DFS, by the queries of one /v1/batch request, or by
-// successive PathDistribution calls — share long prefixes, and the
-// memo lets each "prefix + one more edge" step reuse the stored chain
-// state of the prefix instead of re-deriving the whole path.
+// (Equation 2); the entries of one /v1/batch request and successive
+// PathDistribution calls share long prefixes, and the memo lets a
+// query resume from the stored chain state of its longest seen prefix
+// instead of re-deriving the whole path.
 //
 // Keys are exact: (path signature, departure time, method, rank cap).
 // Unlike the α-interval query cache, two departures in the same
@@ -25,7 +24,7 @@ import (
 // A ConvMemo is safe for concurrent use: the LRU shards its locks and
 // the memoized PathStates are immutable after construction (every
 // chain operation builds new states). One memo may be shared by any
-// number of concurrent routing and distribution queries.
+// number of concurrent distribution queries.
 type ConvMemo struct {
 	lru *cache.LRU[*PathState]
 	// prefix namespaces every key with the model epoch the entries

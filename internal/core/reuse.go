@@ -4,15 +4,16 @@ import (
 	"repro/internal/graph"
 )
 
-// Reuse is the one reuse handle behind every incremental evaluation
-// (Section 4.3's "path + another edge" property): it carries both
+// Reuse is the reuse handle behind the path-state evaluator (Section
+// 4.3's "path + another edge" property across queries): it carries both
 // tiers of stored PathStates — the immutable offline synopsis, probed
 // first, and the epoch-scoped view of the runtime ConvMemo, which is
 // offered every state derived past the probed base — and owns, once
-// each, the key, the single-step probe, the longest-prefix probe and
-// the offer. StartPath, ExtendPath, the path-state evaluator, the
-// batch planner and EvaluateSegment all go through it, so answers are
-// byte-identical with both tiers, either or neither attached.
+// each, the key, the longest-prefix probe and the offer. It has one
+// reader, pathState, which serves CostDistributionCtx, the first segment
+// of EvaluateSegment and the synopsis build and rebuild, so answers are
+// byte-identical with both tiers, either or neither attached. A routing
+// search never reads it: each expansion resumes from its parent's state.
 //
 // A Reuse is immutable; attachments change by swapping in a new value
 // (WithSynopsis, WithMemo, NextEpoch). The nil *Reuse is the valid
@@ -109,46 +110,11 @@ func (r *Reuse) slot(p graph.Path, t float64, opt QueryOptions) slot {
 	return slot{syn: full[n:], memo: full}
 }
 
-// lookup is the single-step counting probe: the synopsis first (a hit
-// costs no LRU traffic), then the memo; every tier reached counts one
-// hit or miss.
-func (r *Reuse) lookup(k slot) (*PathState, bool) {
-	if r.syn != nil {
-		if s, ok := r.syn.lookupKey(k.syn); ok {
-			return s, true
-		}
-	}
-	if r.memo != nil {
-		return r.memo.lru.Get(k.memo)
-	}
-	return nil, false
-}
-
 // offer hands a freshly derived state to the runtime tier.
 func (r *Reuse) offer(k slot, s *PathState) {
 	if r.memo != nil {
 		r.memo.lru.Put(k.memo, s)
 	}
-}
-
-// through is the one single-step order — probe the tiers, else compute
-// the state and offer it — for the state of path departing at t under
-// opt (Method already defaulted). hit reports a probe answer, which
-// cost no chain step.
-func (r *Reuse) through(path graph.Path, t float64, opt QueryOptions, compute func() (*PathState, error)) (s *PathState, hit bool, err error) {
-	if !r.active(opt.Method) {
-		s, err = compute()
-		return s, false, err
-	}
-	k := r.slot(path, t, opt)
-	if s, ok := r.lookup(k); ok {
-		return s, true, nil
-	}
-	if s, err = compute(); err != nil {
-		return nil, false, err
-	}
-	r.offer(k, s)
-	return s, false, nil
 }
 
 // longestPrefix returns the deepest prefix state of p either tier

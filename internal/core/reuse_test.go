@@ -29,14 +29,14 @@ func countsOf(r *Reuse) probeCounts {
 	return c
 }
 
-// TestReuseOneProbe drives every evaluation operation through every
-// tier combination of the reuse handle, twice (cold tiers, then warm),
-// and holds each to byte-identical answers against plain evaluation
-// and to the exact probe counters: one count per tier reached per
-// step on start/extend and in the planner, one synopsis hit-or-miss
-// and at most one memo hit-or-miss per logical query on the
-// longest-prefix path. The fixture is the one the synopsis and memo
-// suites use: the five-edge chain, a synopsis holding only its
+// TestReuseOneProbe drives every query-level operation that reads the
+// reuse handle — the path-state evaluator, the cost distribution over
+// it and the first segment of a partitioned query — through every tier
+// combination, twice (cold tiers, then warm), and holds each to
+// byte-identical answers against plain evaluation and to the exact
+// probe counters: one synopsis hit-or-miss and at most one memo
+// hit-or-miss per logical query. The fixture is the one the synopsis
+// and memo suites use: the five-edge chain, a synopsis holding only its
 // depth-3 prefix.
 func TestReuseOneProbe(t *testing.T) {
 	g, data, params := table1Fixture(t)
@@ -63,19 +63,6 @@ func TestReuseOneProbe(t *testing.T) {
 
 	// Each operation answers with something comparable byte for byte.
 	ops := map[string]func(r *Reuse) any{
-		"start+extend": func(r *Reuse) any {
-			st, err := h.StartPath(r, full[0], dep, opt)
-			for _, e := range full[1:] {
-				if err != nil {
-					break
-				}
-				st, err = h.ExtendPath(r, st, e)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return distBuckets(t, st)
-		},
 		"path state": func(r *Reuse) any {
 			st, err := h.pathState(context.Background(), r, full, dep, opt)
 			if err != nil {
@@ -90,18 +77,6 @@ func TestReuseOneProbe(t *testing.T) {
 			}
 			return res.Dist.Buckets()
 		},
-		"planner": func(r *Reuse) any {
-			queries := []PlanQuery{{Path: full[:3], Depart: dep, Opt: opt}, {Path: full[:4], Depart: dep, Opt: opt}, {Path: full, Depart: dep, Opt: opt}}
-			out, _ := NewBatchPlanner(h, 1).Distributions(context.Background(), r, queries)
-			var all [][]hist.Bucket
-			for i, o := range out {
-				if o.Err != nil {
-					t.Fatalf("planned query %d: %v", i, o.Err)
-				}
-				all = append(all, o.Res.Dist.Buckets())
-			}
-			return all
-		},
 		"first segment": func(r *Reuse) any {
 			res, err := h.EvaluateSegment(r, SegmentInput{Path: full, Depart: dep, UI: TimeInterval{Lo: dep, Hi: dep}, Opt: opt})
 			if err != nil {
@@ -115,27 +90,15 @@ func TestReuseOneProbe(t *testing.T) {
 		},
 	}
 
-	// Expected counters after the cold and after the warm pass.
-	// Single-step operations probe once per edge: the synopsis hits at
-	// depth 3 and misses at the other four; the memo is reached only
-	// where the synopsis missed, and is offered only computed states.
-	steps := map[string][2]probeCounts{
-		"syn":  {{synHits: 1, synMisses: 4}, {synHits: 2, synMisses: 8}},
-		"memo": {{memoMisses: 5, memoEntries: 5}, {memoHits: 5, memoMisses: 5, memoEntries: 5}},
-		"both": {{synHits: 1, synMisses: 4, memoMisses: 4, memoEntries: 4}, {synHits: 2, synMisses: 8, memoHits: 4, memoMisses: 4, memoEntries: 4}},
-	}
-	// Longest-prefix operations count once per query: cold, the base is
-	// the synopsis's depth-3 state (no memo count at all) or nothing
-	// (one memo miss); warm, the memo holds the full path, so the
-	// synopsis counts a miss and the memo a hit.
-	query := map[string][2]probeCounts{
+	// Expected counters after the cold and after the warm pass. Each
+	// operation counts once per query: cold, the base is the synopsis's
+	// depth-3 state (no memo count at all) or nothing (one memo miss);
+	// warm, the memo holds the full path, so the synopsis counts a miss
+	// and the memo a hit.
+	want := map[string][2]probeCounts{
 		"syn":  {{synHits: 1}, {synHits: 2}},
 		"memo": {{memoMisses: 1, memoEntries: 5}, {memoHits: 1, memoMisses: 1, memoEntries: 5}},
 		"both": {{synHits: 1, memoEntries: 2}, {synHits: 1, synMisses: 1, memoHits: 1, memoEntries: 2}},
-	}
-	want := map[string]map[string][2]probeCounts{
-		"start+extend": steps, "planner": steps,
-		"path state": query, "cost distribution": query, "first segment": query,
 	}
 
 	for opName, op := range ops {
@@ -146,7 +109,7 @@ func TestReuseOneProbe(t *testing.T) {
 				if got := op(r); !reflect.DeepEqual(got, plain) {
 					t.Errorf("%s / %s / %s: answer differs from plain evaluation", opName, tierName, passName)
 				}
-				if got, want := countsOf(r), want[opName][tierName][pass]; got != want {
+				if got, want := countsOf(r), want[tierName][pass]; got != want {
 					t.Errorf("%s / %s / %s: counters %+v, want %+v", opName, tierName, passName, got, want)
 				}
 			}

@@ -136,25 +136,19 @@ func (s *SynopsisStore) peek(key string) (*PathState, bool) {
 	return st, ok
 }
 
-// lookupKey is peek plus one hit-or-miss count — the synopsis half of
-// Reuse.lookup.
-func (s *SynopsisStore) lookupKey(key string) (*PathState, bool) {
-	st, ok := s.entries[key]
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
-	return st, ok
-}
-
 // Lookup returns the materialized state for exactly path p departing
 // at t under opt, counting one probe.
 func (s *SynopsisStore) Lookup(p graph.Path, t float64, opt QueryOptions) (*PathState, bool) {
 	if opt.Method == "" {
 		opt.Method = MethodOD
 	}
-	return s.lookupKey(memoKey(p.Key(), t, opt))
+	st, ok := s.peek(memoKey(p.Key(), t, opt))
+	if ok {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
+	return st, ok
 }
 
 // add registers a materialized entry. Callers keep keys unique.

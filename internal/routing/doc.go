@@ -13,12 +13,11 @@
 // probabilistic top-k path queries and skyline.go to stochastic
 // skyline queries.
 //
-// Router.SetReuse layers the reuse handle (core.Reuse: the offline
-// synopsis and the runtime convolution memo) under the DFS: prefix
-// chain states are shared across queries, so repeated or overlapping
-// searches — including the entries of one server batch — extend a
-// candidate by one edge with a single lookup when the prefix was seen
-// before. Results are byte-identical with or without a handle.
+// A search resumes each expansion from its parent's state only: it
+// never reads the reuse handle (core.Reuse: the offline synopsis and
+// the runtime convolution memo), which serves distribution queries. On
+// routing workloads a memo probe per expansion cost more than its rare
+// hits saved (docs/ARCHITECTURE.md, "Reuse hierarchy").
 //
 // Each expansion hands the extend its remaining budget (the budget
 // less the admissible lower bound to the destination), so a prefix

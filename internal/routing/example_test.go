@@ -39,17 +39,15 @@ func exampleRouter() (*routing.Router, graph.VertexID, graph.VertexID, float64, 
 
 // ExampleRouter_BestPath answers a probabilistic budget query: the
 // path from src to dst that maximizes the probability of arriving
-// within the budget, departing at 08:00. A reuse handle with a memo
-// turns on the incremental sub-path convolution engine, so repeating or
-// overlapping queries reuse already-evaluated prefixes.
+// within the budget, departing at 08:00. With Incremental set, each
+// expansion extends its parent's chain state by one factor instead of
+// re-evaluating the candidate path.
 func ExampleRouter_BestPath() {
 	r, src, dst, freeFlow, err := exampleRouter()
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	r.SetReuse(core.NewReuse(nil, core.NewConvMemo(4096))) // share sub-path convolutions across queries
-
 	res, err := r.BestPath(routing.Query{
 		Source: src, Dest: dst, Depart: 8 * 3600, Budget: freeFlow * 2,
 	}, routing.Options{Incremental: true})
@@ -74,8 +72,6 @@ func ExampleRouter_TopKPaths() {
 		fmt.Println("error:", err)
 		return
 	}
-	r.SetReuse(core.NewReuse(nil, core.NewConvMemo(4096)))
-
 	routes, err := r.TopKPaths(routing.Query{
 		Source: src, Dest: dst, Depart: 8 * 3600, Budget: freeFlow * 2,
 	}, 3, routing.Options{Incremental: true})

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -10,16 +11,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/graph"
+	"repro/internal/hist"
 )
 
 // The search settles a prefix whose remaining budget is at or below
 // its cost-support minimum without evaluating it. That is a shortcut
 // through the same walk, never a different walk: against the search
-// that evaluates every prefix from scratch (Incremental: false) and
-// the one that evaluates sibling frontiers on the planner pool, the
-// answer, its distribution and both counters must not move — across a
-// budget sweep that reaches from "everything is settled" to "nothing
-// is".
+// that settles nothing (every child evaluated) and, for BestPath, the
+// one that evaluates every prefix from scratch (Incremental: false),
+// the answer, its distribution and both counters must not move —
+// across a budget sweep that reaches from "everything is settled" to
+// "nothing is".
 
 var sweepBudgets = []float64{0.5, 0.8, 1.0, 1.15, 1.3, 1.6, 2.5}
 
@@ -31,6 +33,20 @@ func sameErr(t *testing.T, what string, gotErr, wantErr error) bool {
 		t.Fatalf("%s: error %v, want %v", what, gotErr, wantErr)
 	}
 	return gotErr == nil
+}
+
+// sameBuckets asserts bucket-level identity of two distributions.
+func sameBuckets(t *testing.T, ctx string, a, b *hist.Histogram) {
+	t.Helper()
+	ab, bb := a.Buckets(), b.Buckets()
+	if len(ab) != len(bb) {
+		t.Fatalf("%s: %d vs %d buckets", ctx, len(ab), len(bb))
+	}
+	for i := range ab {
+		if ab[i] != bb[i] {
+			t.Fatalf("%s: bucket %d differs: %+v vs %+v", ctx, i, ab[i], bb[i])
+		}
+	}
 }
 
 func sameResult(t *testing.T, what string, got, want *Result, gotErr, wantErr error) {
@@ -67,38 +83,39 @@ func TestSettledSearchIdentical(t *testing.T) {
 	g, h := hybridFixture(t)
 	src, dst, ff := pickQuery(t, g)
 	r := New(h)
+	orig := extendWithin
+	defer func() { extendWithin = orig }()
 	settled := 0
+	counting := func(h *core.HybridGraph, s *core.PathState, e graph.EdgeID, within float64) (*core.PathState, bool, error) {
+		ns, ok, err := orig(h, s, e, within)
+		if ok {
+			settled++
+		}
+		return ns, ok, err
+	}
+	unlimited := func(h *core.HybridGraph, s *core.PathState, e graph.EdgeID, _ float64) (*core.PathState, bool, error) {
+		return orig(h, s, e, math.Inf(1))
+	}
 	for _, m := range []core.Method{core.MethodOD, core.MethodHP, core.MethodLB} {
 		for _, f := range sweepBudgets {
 			q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * f}
 			what := fmt.Sprintf("%s budget %.2f×", m, f)
 			inc := Options{Method: m, Incremental: true}
-			bat := Options{Method: m, Incremental: true, BatchWorkers: 4}
 
+			extendWithin = counting
 			got, gotErr := r.BestPath(q, inc)
-			scratch, scratchErr := r.BestPath(q, Options{Method: m})
-			sameResult(t, what+" BestPath vs from-scratch", got, scratch, gotErr, scratchErr)
-			batched, batchedErr := r.BestPath(q, bat)
-			sameResult(t, what+" BestPath vs frontier batch", got, batched, gotErr, batchedErr)
-
 			top, topErr := r.TopKPaths(q, 3, inc)
-			topB, topBErr := r.TopKPaths(q, 3, bat)
-			sameRanking(t, what+" TopKPaths vs frontier batch", top, topB, topErr, topBErr)
 			sky, skyErr := r.SkylinePaths(q, 8, inc)
-			skyB, skyBErr := r.SkylinePaths(q, 8, bat)
-			sameRanking(t, what+" SkylinePaths vs frontier batch", sky, skyB, skyErr, skyBErr)
+			extendWithin = unlimited
+			all, allErr := r.BestPath(q, inc)
+			topAll, topAllErr := r.TopKPaths(q, 3, inc)
+			skyAll, skyAllErr := r.SkylinePaths(q, 8, inc)
+			scratch, scratchErr := r.BestPath(q, Options{Method: m})
 
-			// A fresh memo is offered every prefix the search evaluates and
-			// none it settles, and a loop-free DFS explores no prefix twice:
-			// explored − stored = settled.
-			if gotErr == nil {
-				memo := core.NewConvMemo(1 << 14)
-				mr := New(h)
-				mr.SetReuse(core.NewReuse(nil, memo))
-				withMemo, err := mr.BestPath(q, inc)
-				sameResult(t, what+" BestPath with a memo", withMemo, got, err, nil)
-				settled += withMemo.Explored - memo.Stats().Entries
-			}
+			sameResult(t, what+" BestPath vs from-scratch", got, scratch, gotErr, scratchErr)
+			sameResult(t, what+" BestPath vs settling nothing", got, all, gotErr, allErr)
+			sameRanking(t, what+" TopKPaths vs settling nothing", top, topAll, topErr, topAllErr)
+			sameRanking(t, what+" SkylinePaths vs settling nothing", sky, skyAll, skyErr, skyAllErr)
 		}
 	}
 	if settled == 0 {

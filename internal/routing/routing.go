@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -36,15 +35,6 @@ type Options struct {
 	MaxExpansions int
 	// MaxEdges bounds candidate path cardinality (0 = 150).
 	MaxEdges int
-	// BatchWorkers > 1 evaluates each DFS node's sibling expansions as
-	// one implicit batch on a worker pool of that size (their common
-	// sub-expression is the parent's chain state): the DFS-frontier
-	// form of batch planning. BestPath requires Incremental for it;
-	// TopKPaths/SkylinePaths are always incremental. Results are
-	// byte-identical to sequential expansion because each extension
-	// goes through the same reuse handle in the same order and all
-	// pruning decisions stay in the sequential consuming loop.
-	BatchWorkers int
 }
 
 // Result reports the best path found.
@@ -58,20 +48,10 @@ type Result struct {
 }
 
 // Router answers stochastic routing queries over one hybrid graph.
-// It is safe for concurrent use; the optional reuse handle (SetReuse)
-// is shared by all concurrent queries.
+// It is safe for concurrent use. Each expansion resumes from its
+// parent's state in the search; no state is shared across queries.
 type Router struct {
 	h *core.HybridGraph
-
-	// reuse, when non-nil, carries the stored sub-path chain states
-	// every DFS expansion goes through: the offline synopsis (prefixes
-	// materialized at training time cost zero convolutions from the
-	// first query after boot) and the runtime memo (an expansion whose
-	// prefix was already evaluated — by an earlier query, a concurrent
-	// batch entry, or a distribution query sharing the memo — costs
-	// one lookup instead of a convolution). Atomic so it can be
-	// swapped while queries run.
-	reuse atomic.Pointer[core.Reuse]
 }
 
 // New creates a Router.
@@ -79,13 +59,9 @@ func New(h *core.HybridGraph) *Router {
 	return &Router{h: h}
 }
 
-// SetReuse installs the reuse handle (nil removes it) — pathcost.System
-// shares each epoch's handle so routing and distribution queries reuse
-// each other's prefix states. Answers are byte-identical with or
-// without one (its keys carry the exact departure time, not the
-// α-interval). Safe to call while queries are in flight: running
-// queries finish against whichever handle they started with.
-func (r *Router) SetReuse(ru *core.Reuse) { r.reuse.Store(ru) }
+// extendWithin is the extension every incremental expansion makes; a
+// variable so tests can count the children it settles.
+var extendWithin = (*core.HybridGraph).ExtendPathWithin
 
 // BestPath runs the DFS budget query. It returns an error when the
 // destination is unreachable or no path satisfies the budget with
@@ -121,11 +97,6 @@ func (r *Router) BestPathCtx(ctx context.Context, q Query, opt Options) (*Result
 
 	res := &Result{}
 	best := 0.0
-	reuse := r.reuse.Load()
-	var batch *core.BatchPlanner
-	if opt.Incremental && opt.BatchWorkers > 1 {
-		batch = core.NewBatchPlanner(r.h, opt.BatchWorkers)
-	}
 	visited := make([]bool, g.NumVertices())
 	visited[q.Source] = true
 	var fr frontier
@@ -137,8 +108,6 @@ func (r *Router) BestPathCtx(ctx context.Context, q Query, opt Options) (*Result
 		}
 		outs := fr.push(g, lb, v)
 		defer fr.pop(outs)
-		bpos, bstates, berrs := frontierBatch(batch, reuse, g, lb, visited,
-			state, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap}, outs)
 		for _, eid := range outs {
 			e := g.Edge(eid)
 			if visited[e.To] {
@@ -158,12 +127,10 @@ func (r *Router) BestPathCtx(ctx context.Context, q Query, opt Options) (*Result
 			var err error
 			if opt.Incremental {
 				settled := false
-				if i, ok := bpos[eid]; ok {
-					ns, err = bstates[i], berrs[i]
-				} else if state == nil {
-					ns, err = r.h.StartPath(reuse, eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
+				if state == nil {
+					ns, err = r.h.StartPath(eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
 				} else {
-					ns, settled, err = r.h.ExtendPathWithin(reuse, state, eid, remaining(q, lb, e))
+					ns, settled, err = extendWithin(r.h, state, eid, remaining(q, lb, e))
 				}
 				if err != nil {
 					return err
@@ -287,44 +254,6 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// frontierBatch pre-evaluates the extensions of one DFS node's chain
-// state by every eligible out-edge concurrently through the batch
-// planner — the sibling expansions are one implicit batch whose
-// common sub-expression is the parent state. It returns a positional
-// lookup (edge → slot) into states/errs, or a nil map when batching
-// is off or fewer than two extensions are eligible (sequential
-// evaluation is then strictly cheaper). Eligibility mirrors exactly
-// the consuming loop's skip conditions that are stable across the
-// loop (visited, unreachable); the loop's explored-cap cutoff is not
-// mirrored, so a search that hits its cap mid-frontier may evaluate a
-// few unused states — they feed the shared memo but alter no counter
-// or result, keeping answers byte-identical to sequential expansion.
-func frontierBatch(bp *core.BatchPlanner, reuse *core.Reuse,
-	g *graph.Graph, lb []float64, visited []bool,
-	state *core.PathState, t float64, opt core.QueryOptions, outs []graph.EdgeID,
-) (map[graph.EdgeID]int, []*core.PathState, []error) {
-	if bp == nil {
-		return nil, nil, nil
-	}
-	edges := make([]graph.EdgeID, 0, len(outs))
-	for _, eid := range outs {
-		e := g.Edge(eid)
-		if visited[e.To] || isInf(lb[e.To]) {
-			continue
-		}
-		edges = append(edges, eid)
-	}
-	if len(edges) < 2 {
-		return nil, nil, nil
-	}
-	states, errs := bp.ExtendAll(reuse, state, t, opt, edges)
-	pos := make(map[graph.EdgeID]int, len(edges))
-	for i, eid := range edges {
-		pos[eid] = i
-	}
-	return pos, states, errs
 }
 
 // FastestPath is the deterministic comparison baseline: the free-flow

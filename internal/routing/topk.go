@@ -61,11 +61,6 @@ func (r *Router) TopKPathsCtx(ctx context.Context, q Query, k int, opt Options) 
 	}
 
 	explored := 0
-	reuse := r.reuse.Load()
-	var batch *core.BatchPlanner
-	if opt.BatchWorkers > 1 {
-		batch = core.NewBatchPlanner(r.h, opt.BatchWorkers)
-	}
 	visited := make([]bool, g.NumVertices())
 	visited[q.Source] = true
 	var fr frontier
@@ -77,8 +72,6 @@ func (r *Router) TopKPathsCtx(ctx context.Context, q Query, k int, opt Options) 
 		}
 		outs := fr.push(g, lb, v)
 		defer fr.pop(outs)
-		bpos, bstates, berrs := frontierBatch(batch, reuse, g, lb, visited,
-			state, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap}, outs)
 		for _, eid := range outs {
 			e := g.Edge(eid)
 			if visited[e.To] || isInf(lb[e.To]) {
@@ -93,12 +86,10 @@ func (r *Router) TopKPathsCtx(ctx context.Context, q Query, k int, opt Options) 
 			var ns *core.PathState
 			var err error
 			settled := false
-			if i, ok := bpos[eid]; ok {
-				ns, err = bstates[i], berrs[i]
-			} else if state == nil {
-				ns, err = r.h.StartPath(reuse, eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
+			if state == nil {
+				ns, err = r.h.StartPath(eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
 			} else {
-				ns, settled, err = r.h.ExtendPathWithin(reuse, state, eid, remaining(q, lb, e))
+				ns, settled, err = extendWithin(r.h, state, eid, remaining(q, lb, e))
 			}
 			if err != nil {
 				return err

@@ -145,7 +145,7 @@ func TestBatchValidation(t *testing.T) {
 }
 
 // TestBatchConcurrentClients hammers /v1/batch from many clients over
-// a tiny in-flight bound; under -race this proves batch fan-out,
+// a tiny in-flight bound; under -race this proves concurrent batches,
 // semaphore accounting and memo sharing are safe together.
 func TestBatchConcurrentClients(t *testing.T) {
 	sys := testSystem(t)
@@ -203,13 +203,11 @@ func TestBatchConcurrentClients(t *testing.T) {
 }
 
 // TestBatchEntryPanicIsThatEntrys500 pins what a panicking evaluation
-// does to a batch. A one-entry batch runs on the handler's goroutine
-// and an N-entry batch on a goroutine per entry; either way the entry
-// answers 500 inside a 200 envelope, its MaxInFlight slot is released
-// by the eval helper's defer, sibling entries are untouched, and the
-// server keeps serving (on a spawned goroutine an escaped panic would
-// have ended the process). The panic is injected by serving a private
-// system whose epoch has lost its model.
+// does to a batch, of one entry or of several answered in order: the
+// entry answers 500 inside a 200 envelope, its MaxInFlight slot is
+// released by the eval helper's defer, the entries after it are
+// untouched, and the server keeps serving. The panic is injected by
+// serving a private system whose epoch has lost its model.
 func TestBatchEntryPanicIsThatEntrys500(t *testing.T) {
 	broken, err := pathcost.Synthesize(pathcost.SynthesizeConfig{Preset: "test", Trips: 300, Seed: 3})
 	if err != nil {
@@ -251,11 +249,10 @@ func TestBatchEntryPanicIsThatEntrys500(t *testing.T) {
 	}
 }
 
-// TestBatchInlineAndFannedOutConcurrently mixes one-entry batches
-// (evaluated on the handler's goroutine) with N-entry batches (one
-// goroutine per entry) from many clients at once; run under -race
-// -count=10 it is the check that the two paths share nothing they
-// should not. Every answer must equal the sequential one.
+// TestBatchInlineAndFannedOutConcurrently mixes one-entry batches with
+// four-entry batches from many clients at once; run under -race
+// -count=10 it is the check that concurrent batches share nothing they
+// should not. Every answer must equal the one-entry-at-a-time one.
 func TestBatchInlineAndFannedOutConcurrently(t *testing.T) {
 	sys := testSystem(t)
 	srv := New(sys, Config{MaxInFlight: 3})
@@ -312,6 +309,70 @@ func TestBatchInlineAndFannedOutConcurrently(t *testing.T) {
 	wg.Wait()
 	if n := srv.gate.InUse(); n != 0 {
 		t.Fatalf("%d evaluation slot(s) still held after the last answer", n)
+	}
+}
+
+// TestBatchOverlappingEntriesMatchSingleRequests pins a batch as its
+// entries answered in order: distribution entries over one trunk — its
+// prefixes, a duplicate, and an invalid-path entry that repeats the
+// trunk's first edge after sharing every prefix — answer exactly what
+// the same entries sent one at a time to /v1/distribution answer,
+// status and body, with the memo on; and no evaluation slot is held
+// afterwards.
+func TestBatchOverlappingEntriesMatchSingleRequests(t *testing.T) {
+	sys := testSystem(t)
+	sys.EnableConvMemo(4096)
+	// No query cache: it would answer the single requests from the
+	// batch's results.
+	sys.EnableQueryCache(0)
+	srv := New(sys, Config{MaxInFlight: 4})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	path, depart := densePath(t, sys)
+	bad := append(append([]int64{}, path...), path[0])
+	entries := []batchQuery{
+		{Kind: "distribution", Path: path, Depart: depart, Budget: 3600},
+		{Kind: "distribution", Path: path[:len(path)-1], Depart: depart},
+		{Kind: "distribution", Path: path[:2], Depart: depart, Method: "LB"},
+		{Kind: "distribution", Path: path, Depart: depart, Budget: 3600}, // duplicate
+		{Kind: "distribution", Path: bad, Depart: depart},
+		{Kind: "distribution", Path: path[:min(3, len(path))], Depart: depart, Method: "HP"},
+	}
+	var resp batchResponse
+	if code := postJSON(t, ts.URL+"/v1/batch", batchRequest{Queries: entries}, &resp); code != http.StatusOK {
+		t.Fatalf("batch = %d", code)
+	}
+	if len(resp.Results) != len(entries) {
+		t.Fatalf("%d results for %d entries", len(resp.Results), len(entries))
+	}
+	for i, q := range entries {
+		single := batchResult{Kind: "distribution"}
+		var body json.RawMessage
+		single.Status = postJSON(t, ts.URL+"/v1/distribution", distributionRequest{
+			Path: q.Path, Depart: q.Depart, Method: q.Method, Budget: q.Budget,
+		}, &body)
+		if single.Status == http.StatusOK {
+			single.Distribution = new(distributionResponse)
+			if err := json.Unmarshal(body, single.Distribution); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			var e errorResponse
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatal(err)
+			}
+			single.Error = e.Error
+		}
+		if got, want := entryFingerprint(resp.Results[i]), entryFingerprint(single); got != want {
+			t.Errorf("entry %d:\n%s\nsent alone:\n%s", i, got, want)
+		}
+	}
+	if r := resp.Results[4]; r.Status != http.StatusBadRequest || r.Error == "" {
+		t.Fatalf("the invalid-path entry should be a per-entry 400: %+v", r)
+	}
+	if n := srv.gate.InUse(); n != 0 {
+		t.Fatalf("%d evaluation slot(s) still held after the batch", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -303,6 +304,47 @@ func TestRoutingHonoursDeadlineAfterAdmission(t *testing.T) {
 		if n := s.gate.InUse(); n != 0 {
 			t.Errorf("%s: %d evaluation slots still held after the 504", name, n)
 		}
+	}
+}
+
+// TestBatchDeadlineAfterFirstEntry pins the deadline of a batch that
+// answers its entries in order: a budget that dies once the first entry
+// is answered leaves that entry its 200, answers every entry after it
+// 504 at admission, whatever its kind, and leaves no evaluation slot
+// held.
+func TestBatchDeadlineAfterFirstEntry(t *testing.T) {
+	sys := deadlineSystem(t)
+	s := New(sys, Config{MaxInFlight: 2})
+	path, depart := densePath(t, sys)
+	src, dst, budget := routePair(t, sys)
+	first := batchQuery{Kind: "distribution", Path: path, Depart: depart}
+
+	// How many times the first entry alone reads its context.
+	alone := &expiringCtx{Context: context.Background(), live: math.MaxInt64}
+	if res, _, _ := s.evalBatch(alone, []batchQuery{first}); res[0].Status != http.StatusOK {
+		t.Fatalf("the first entry alone: %+v", res[0])
+	}
+	ctx := &expiringCtx{Context: context.Background(), live: alone.reads.Load()}
+	results, status, _ := s.evalBatch(ctx, []batchQuery{
+		first,
+		{Kind: "distribution", Path: path[:len(path)-1], Depart: depart},
+		{Kind: "route", Source: src, Dest: dst, Depart: depart, Budget: budget},
+		{Kind: "topk", Source: src, Dest: dst, Depart: depart, Budget: budget, K: 2},
+		{Kind: "state", Path: path, Depart: depart, UILo: depart, UIHi: depart},
+	})
+	if status != http.StatusOK {
+		t.Fatalf("batch status %d, want the 200 envelope", status)
+	}
+	if results[0].Status != http.StatusOK || results[0].Distribution == nil {
+		t.Fatalf("the entry answered before the deadline: %+v", results[0])
+	}
+	for i, r := range results[1:] {
+		if r.Status != http.StatusGatewayTimeout || r.Error != "deadline exceeded" {
+			t.Errorf("entry %d after the deadline: status %d (%q), want 504 deadline exceeded", i+1, r.Status, r.Error)
+		}
+	}
+	if n := s.gate.InUse(); n != 0 {
+		t.Fatalf("%d evaluation slot(s) still held after the batch", n)
 	}
 }
 

@@ -19,9 +19,10 @@
 // is bounded by the gate's slots (Config.MaxInFlight) so a traffic
 // spike degrades into queueing rather than into unbounded goroutine
 // and memory growth, and the underlying System is swappable at runtime
-// (Swap) for zero-downtime model reloads. Batch entries evaluate
-// concurrently against one system snapshot, each charged individually
-// under the same slots; when the served System has a convolution memo
-// enabled (EnableConvMemo), overlapping entries reuse each other's
-// sub-path convolutions.
+// (Swap) for zero-downtime model reloads. A batch is its entries
+// answered in order against one system snapshot, each through the
+// evaluator its single request uses and charged like it; when the
+// served System has a convolution memo enabled (EnableConvMemo),
+// overlapping distribution entries reuse each other's prefix states.
+// A client that wants parallelism sends concurrent requests.
 package server

@@ -45,7 +45,6 @@ func fuzzServer(t testing.TB) *Server {
 		}
 		sys.EnableQueryCache(256)
 		sys.EnableConvMemo(512)
-		sys.EnableBatchPlanner(4)
 		fuzzSrv = New(sys, Config{MaxInFlight: 8})
 	})
 	if fuzzErr != nil {
@@ -97,9 +96,9 @@ func FuzzServerBatch(f *testing.F) {
 	f.Add([]byte(`{"queries":null}`))
 	f.Add([]byte(`{"queries":[{"path":[-1],"depart":-5}],"extra":1}`))
 	f.Add([]byte(`[1,2,3]`))
-	// Overlapping-path batches drive the batch planner's prefix trie:
-	// shared trunks, duplicate entries, and an invalid entry whose
-	// prefixes belong to the valid ones.
+	// Overlapping-path batches drive the memo's prefix sharing across
+	// entries: shared trunks, duplicate entries, and an invalid entry
+	// whose prefixes belong to the valid ones.
 	f.Add([]byte(`{"queries":[{"path":[0,1,2,3],"depart":28800},` +
 		`{"path":[0,1,2],"depart":28800},{"path":[0,1],"depart":28800},` +
 		`{"path":[0,1,2,3],"depart":28800}]}`))

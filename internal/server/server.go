@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -228,7 +227,6 @@ type statsResponse struct {
 	Cache    *cacheStatsJSON    `json:"cache,omitempty"`
 	Memo     *cacheStatsJSON    `json:"memo,omitempty"`
 	Synopsis *synopsisStatsJSON `json:"synopsis,omitempty"`
-	Planner  *plannerStatsJSON  `json:"planner,omitempty"`
 	Ingest   *ingestStatsJSON   `json:"ingest,omitempty"`
 	Epoch    *epochStatsJSON    `json:"epoch,omitempty"`
 	WAL      *walStatsJSON      `json:"wal,omitempty"`
@@ -260,26 +258,6 @@ type synopsisStatsJSON struct {
 	Hits    uint64  `json:"hits"`
 	Misses  uint64  `json:"misses"`
 	HitRate float64 `json:"hit_rate"`
-}
-
-// plannerStatsJSON reports the batch planner's accumulated
-// effectiveness: of the independent_steps chain steps the planned
-// batches would have cost evaluated one query at a time, only
-// convolutions were executed and probe_hits were answered by the
-// synopsis or memo; saved_steps is the remainder the prefix trie
-// eliminated outright.
-type plannerStatsJSON struct {
-	Workers          int `json:"workers"`
-	Batches          int `json:"batches"`
-	Queries          int `json:"queries"`
-	Planned          int `json:"planned"`
-	Fallback         int `json:"fallback"`
-	Nodes            int `json:"nodes"`
-	SharedNodes      int `json:"shared_nodes"`
-	Convolutions     int `json:"convolutions"`
-	ProbeHits        int `json:"probe_hits"`
-	IndependentSteps int `json:"independent_steps"`
-	SavedSteps       int `json:"saved_steps"`
 }
 
 // ingestStatsJSON reports the streaming-ingestion pipeline's
@@ -337,111 +315,28 @@ type walStatsJSON struct {
 	TruncateErrors   uint64 `json:"truncate_errors"`
 }
 
-// evalBatch answers N queries in one request, against one system
-// snapshot (a mid-batch Swap never splits a batch across models).
-// When the served system has a batch planner (pathcostd
-// -plan-workers), every distribution entry is planned as one unit:
-// overlapping paths share each sub-path convolution outright, charged
-// as one computation under the MaxInFlight gate. Remaining entries
-// (route, topk — and all entries when no planner is enabled) evaluate
-// concurrently, each charged individually under the same gate. One
-// invalid entry fails that entry, not the batch: per-entry status
-// codes carry what each query would have received standalone, planned
-// or not.
+// evalBatch answers N queries in one request, in order, each through
+// the evaluator the same single request uses and charged like it: one
+// invalid entry fails that entry, not the batch, and per-entry status
+// codes carry what each query would have received standalone. The
+// batch runs against one system snapshot (a mid-batch Swap never
+// splits it across models), and each entry against that system's
+// current epoch, so entries after an epoch publish see the new one.
+// Overlapping entries share their prefixes through the convolution
+// memo, not through the batch.
 func (s *Server) evalBatch(ctx context.Context, queries []batchQuery) ([]batchResult, int, string) {
 	sys := s.System()
 	results := make([]batchResult, len(queries))
-	var handled []bool
-	if sys.Planner() != nil {
-		handled = s.planBatchDistributions(ctx, sys, queries, results)
-	}
-	pending, last := 0, 0
 	for i := range queries {
-		if handled == nil || !handled[i] {
-			pending++
-			last = i
-		}
-	}
-	if pending == 1 {
-		// One entry left (every relay leg of the sharded tier is such a
-		// batch): nothing to run beside it, so it runs here, on a stack
-		// that is already grown, not on a fresh goroutine's.
-		results[last] = s.evalBatchEntry(ctx, sys, &queries[last])
-	} else {
-		var wg sync.WaitGroup
-		for i := range queries {
-			if handled != nil && handled[i] {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i] = s.evalBatchEntry(ctx, sys, &queries[i])
-			}(i)
-		}
-		wg.Wait()
+		results[i] = s.evalBatchEntry(ctx, sys, &queries[i])
 	}
 	return results, http.StatusOK, ""
 }
 
-// planBatchDistributions answers every distribution-kind entry of a
-// batch through the system's batch planner and marks them handled.
-// Entries failing validation get their 400 here (and are handled too
-// — validation needs no planning); valid ones are planned together so
-// shared sub-paths are convolved once. A per-entry evaluation failure
-// maps through queryErrorStatus exactly like a standalone request,
-// and never poisons entries sharing its prefixes (the planner
-// contains failures to the failing node's own subtree).
-func (s *Server) planBatchDistributions(ctx context.Context, sys *pathcost.System, queries []batchQuery, results []batchResult) []bool {
-	handled := make([]bool, len(queries))
-	var idx []int // planned entry → queries index
-	var plan []pathcost.PlanQuery
-	var methods []pathcost.Method
-	for i := range queries {
-		q := &queries[i]
-		kind := strings.ToLower(strings.TrimSpace(q.Kind))
-		if kind != "" && kind != "distribution" {
-			continue
-		}
-		handled[i] = true
-		results[i] = batchResult{Kind: "distribution"}
-		m, p, err := api.CheckDistribution(sys.Graph, &distributionRequest{
-			Path: q.Path, Depart: q.Depart, Method: q.Method, Budget: q.Budget,
-		})
-		if err != nil {
-			results[i].Status, results[i].Error = http.StatusBadRequest, err.Error()
-			continue
-		}
-		idx = append(idx, i)
-		plan = append(plan, pathcost.PlanQuery{
-			Path: p, Depart: q.Depart, Opt: pathcost.QueryOptions{Method: m},
-		})
-		methods = append(methods, m)
-	}
-	if len(plan) == 0 {
-		return handled
-	}
-	// One gate slot covers the whole planned evaluation: the plan is
-	// one CPU-bound computation, however many entries it answers.
-	res, _ := sys.PlanDistributions(ctx, plan,
-		func() bool { return s.gate.Acquire(ctx) }, s.gate.Release)
-	for j, i := range idx {
-		if err := res[j].Err; err != nil {
-			results[i].Status, results[i].Error = s.queryErrorStatus(ctx, err)
-			continue
-		}
-		results[i].Status = http.StatusOK
-		results[i].Distribution = distributionJSON(sys, methods[j], queries[i].Depart, queries[i].Budget, res[j].Res)
-	}
-	return handled
-}
-
 // evalBatchEntry dispatches one batch entry by kind. A panicking
 // evaluation is that entry's 500 and nothing more: the eval helpers
-// release their MaxInFlight slot by defer, and the panic stops here —
-// whether the entry runs on the handler's goroutine or on its own,
-// where an escaped panic would end the process — so sibling entries
-// and the batch envelope are unaffected.
+// release their MaxInFlight slot by defer, and the panic stops here, so
+// the entries after it and the batch envelope are unaffected.
 func (s *Server) evalBatchEntry(ctx context.Context, sys *pathcost.System, q *batchQuery) (out batchResult) {
 	kind := strings.ToLower(strings.TrimSpace(q.Kind))
 	if kind == "" {
@@ -488,10 +383,9 @@ func (s *Server) evalBatchEntry(ctx context.Context, sys *pathcost.System, q *ba
 
 // --- query evaluation (shared by single-query handlers and batch) ----
 
-// distributionJSON shapes one evaluated distribution result; shared
-// by the single-query path and the planned batch path so both emit
-// identical bodies. The payload itself is assembled in internal/api,
-// where the sharded coordinator builds its composed answers too.
+// distributionJSON shapes one evaluated distribution result. The
+// payload itself is assembled in internal/api, where the sharded
+// coordinator builds its composed answers too.
 func distributionJSON(sys *pathcost.System, m pathcost.Method, depart, budget float64, res *pathcost.QueryResult) *distributionResponse {
 	return api.DistributionPayload(string(m), sys.Params.IntervalOf(depart), res.Dist,
 		budget, res.Decomp.Cardinality(), res.Decomp.MaxRank(), res.Timing.Total().Microseconds())
@@ -742,15 +636,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Synopsis = &synopsisStatsJSON{
 			Entries: sst.Entries, Bytes: sst.Bytes,
 			Hits: sst.Hits, Misses: sst.Misses, HitRate: sst.HitRate(),
-		}
-	}
-	if pst, ok := sys.PlannerStats(); ok {
-		resp.Planner = &plannerStatsJSON{
-			Workers: pst.Workers, Batches: pst.Batches,
-			Queries: pst.Queries, Planned: pst.Planned, Fallback: pst.Fallback,
-			Nodes: pst.Nodes, SharedNodes: pst.SharedNodes,
-			Convolutions: pst.Convolutions, ProbeHits: pst.ProbeHits,
-			IndependentSteps: pst.IndependentSteps, SavedSteps: pst.SavedSteps(),
 		}
 	}
 	// The ingest and epoch blocks describe the streaming-ingestion

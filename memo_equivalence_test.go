@@ -104,10 +104,12 @@ func TestPathDistributionMemoByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMemoRoutingAndDistributionConcurrent shares one memo between
-// concurrent routing and distribution queries (the /v1/batch shape);
-// under -race this proves the shared chain states are safe, and all
-// answers must match their memo-off twins exactly.
+// TestMemoRoutingAndDistributionConcurrent runs routing and
+// distribution queries at once on one memo-attached System (the
+// /v1/batch shape): distribution queries read and feed the memo while
+// routing searches resume from their parents only. Under -race this
+// proves the shared chain states are safe, and all answers must match
+// their memo-off twins exactly.
 func TestMemoRoutingAndDistributionConcurrent(t *testing.T) {
 	sys := memoTestSystem(t)
 	paths, departs := memoWorkload(t, sys)

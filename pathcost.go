@@ -87,12 +87,6 @@ type (
 	SynopsisStats = core.SynopsisStats
 	// QueryOptions selects method, rank cap and seed for one query.
 	QueryOptions = core.QueryOptions
-	// PlanQuery is one entry of a planned batch (see PlanDistributions).
-	PlanQuery = core.PlanQuery
-	// PlanResult is one planned entry's outcome.
-	PlanResult = core.PlanResult
-	// PlanStats instruments one planned batch.
-	PlanStats = core.PlanStats
 )
 
 // Estimation methods (Section 5.2.2 of the paper).
@@ -122,14 +116,14 @@ func DefaultParams() Params { return core.DefaultParams() }
 // without data), and a router evaluating against exactly this model.
 // The model content is immutable after publish; queries that loaded an
 // epoch keep a consistent view of it even while the next epoch is
-// being built and published. Accelerator attachments (the reuse
-// handle carrying synopsis and memo view, and the planner) are
-// swappable per epoch via the System's Enable*/Attach* methods.
+// being built and published. The reuse handle carrying synopsis and
+// memo view is swappable per epoch via the System's Enable*/Attach*
+// methods.
 type ModelEpoch struct {
 	// Seq is the monotonically increasing epoch sequence number; it
-	// namespaces every query-cache key, memo key and planner probe so
-	// a publish invalidates derived state logically — stale entries of
-	// older epochs can never answer queries on this one.
+	// namespaces every query-cache key and memo key so a publish
+	// invalidates derived state logically — stale entries of older
+	// epochs can never answer queries on this one.
 	Seq    uint64
 	Hybrid *core.HybridGraph
 	Data   *Collection
@@ -137,22 +131,17 @@ type ModelEpoch struct {
 
 	// reuse carries the epoch's offline sub-path synopsis (rebuilt
 	// incrementally at publish) and its epoch-scoped view of the
-	// convolution memo, shared with Router; planner is the batch
-	// planner built over this epoch's hybrid.
-	reuse   atomic.Pointer[core.Reuse]
-	planner atomic.Pointer[core.BatchPlanner]
+	// convolution memo, read by distribution queries only.
+	reuse atomic.Pointer[core.Reuse]
 }
 
 // Synopsis returns the epoch's synopsis store, or nil.
 func (e *ModelEpoch) Synopsis() *core.SynopsisStore { return e.reuse.Load().Synopsis() }
 
-// setReuse swaps the epoch's reuse handle, sharing it with the
-// epoch's Router. Callers hold pubMu (or have not published e yet), so
-// copy-on-write updates of the handle never race each other.
-func (e *ModelEpoch) setReuse(r *core.Reuse) {
-	e.reuse.Store(r)
-	e.Router.SetReuse(r)
-}
+// setReuse swaps the epoch's reuse handle. Callers hold pubMu (or have
+// not published e yet), so copy-on-write updates of the handle never
+// race each other.
+func (e *ModelEpoch) setReuse(r *core.Reuse) { e.reuse.Store(r) }
 
 // System bundles a road network, the epoch-versioned trained model
 // (hybrid graph, trajectory collection, router) and the serving
@@ -182,11 +171,6 @@ type System struct {
 	// flight collapses concurrent PathDistribution misses on one key
 	// into a single CostDistribution computation (anti-stampede).
 	flight cache.Flight[*QueryResult]
-
-	// planMu guards planAgg, the planner counters accumulated across
-	// batches for PlannerStats.
-	planMu  sync.Mutex
-	planAgg PlannerStats
 
 	// pubMu serializes epoch publishes and attachment changes; it is
 	// never taken by queries.
@@ -347,11 +331,12 @@ func (s *System) QueryCacheStats() (st CacheStats, ok bool) {
 
 // EnableConvMemo installs the incremental sub-path convolution engine:
 // a memo of at most capacity prefix chain states, keyed by (path
-// prefix, exact departure time, method, rank cap) and shared between
-// PathDistribution and the Router's BestPath/TopKPaths/SkylinePaths.
-// Evaluating a path then resumes from its longest already-seen prefix
-// — one convolution per new edge — and routing queries, batch-server
-// entries and distribution queries all feed one another's prefixes.
+// prefix, exact departure time, method, rank cap), that distribution
+// queries read and feed — PathDistribution, PlanDistributions and the
+// entries of a /v1/batch alike. Evaluating a path then resumes from its
+// longest already-seen prefix, one convolution per new edge. Routing
+// never reads it: a search resumes each expansion from its parent's
+// state.
 //
 // Unlike the query cache (EnableQueryCache), the memo is exact:
 // results are byte-identical to unmemoized evaluation, because the
@@ -388,10 +373,10 @@ func (s *System) ConvMemoStats() (st CacheStats, ok bool) {
 // workload sample (a real query log or a synthetic stand-in — see
 // SyntheticWorkload), materializes the selected sub-path states under
 // the configured entry/byte budget, and attaches the store so
-// PathDistribution and the Router consult it. SaveModel then persists
-// it with the model, and LoadSystem re-attaches it at load — the
-// "train once, serve warm" shape: a freshly booted server answers the
-// synopsis's sub-paths with zero convolutions.
+// PathDistribution consults it. SaveModel then persists it with the
+// model, and LoadSystem re-attaches it at load — the "train once,
+// serve warm" shape: a freshly booted server answers the synopsis's
+// sub-paths with zero convolutions.
 func (s *System) BuildSynopsis(workload []WorkloadQuery, cfg SynopsisConfig) (*core.SynopsisStore, error) {
 	syn, err := s.Hybrid().BuildSynopsis(workload, cfg)
 	if err != nil {
@@ -402,9 +387,9 @@ func (s *System) BuildSynopsis(workload []WorkloadQuery, cfg SynopsisConfig) (*c
 }
 
 // AttachSynopsis installs (or, with nil, removes) a synopsis store on
-// the current epoch, sharing it with the epoch's Router. Safe to call
-// while queries are in flight: the pointer swaps atomically and
-// running queries finish against whichever store they started with.
+// the current epoch. Safe to call while queries are in flight: the
+// pointer swaps atomically and running queries finish against
+// whichever store they started with.
 // A later PublishEpoch carries the store forward, incrementally
 // rebuilt for the new model (see SynopsisStore.Rebuild).
 func (s *System) AttachSynopsis(syn *core.SynopsisStore) {
@@ -427,164 +412,44 @@ func (s *System) SynopsisStats() (st SynopsisStats, ok bool) {
 	return syn.Stats(), true
 }
 
-// PlannerStats aggregates batch-planner effectiveness across every
-// PlanDistributions call since EnableBatchPlanner: Batches planned,
-// plus the summed per-batch PlanStats counters. SavedSteps (from the
-// embedded PlanStats) is the total chain steps the planner eliminated
-// versus independent evaluation.
-type PlannerStats struct {
-	// Batches counts PlanDistributions calls.
-	Batches int
-	// Workers is the planner's worker-pool bound.
-	Workers int
-	PlanStats
+// PlanQuery is one entry of a PlanDistributions batch.
+type PlanQuery struct {
+	Path   Path
+	Depart float64
+	Opt    QueryOptions
 }
 
-// EnableBatchPlanner installs the batch-aware query planner:
-// PlanDistributions then decomposes each batch's query paths into a
-// shared prefix trie and evaluates every common sub-path convolution
-// exactly once (cross-query common-subexpression elimination), and
-// Route/TopKRoutes evaluate each DFS frontier's sibling expansions as
-// one implicit batch. Planned answers are byte-identical to
-// independent evaluation — the planner builds the same chain states
-// through the same reuse handle in the same probe order.
-//
-// workers bounds the planner's evaluation pool; ≤ 0 means GOMAXPROCS.
-// Safe to call while queries are in flight (the pointer swaps
-// atomically); calling it again resets the accumulated PlannerStats.
-func (s *System) EnableBatchPlanner(workers int) {
-	s.planMu.Lock()
-	s.planAgg = PlannerStats{}
-	s.planMu.Unlock()
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
-	ep := s.epoch.Load()
-	ep.planner.Store(core.NewBatchPlanner(ep.Hybrid, workers))
+// PlanResult is one entry's outcome. Exactly one of Res and Err is set.
+type PlanResult struct {
+	Res *QueryResult
+	Err error
 }
 
-// DisableBatchPlanner removes the planner; PlanDistributions then
-// falls back to an ephemeral planner per call (still correct, no
-// stats), and routing reverts to sequential expansion.
-func (s *System) DisableBatchPlanner() {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
-	s.epoch.Load().planner.Store(nil)
-}
-
-// Planner returns the current epoch's batch planner, or nil.
-func (s *System) Planner() *core.BatchPlanner { return s.epoch.Load().planner.Load() }
-
-// PlannerStats snapshots the accumulated planner counters; ok is
-// false when no planner is enabled.
-func (s *System) PlannerStats() (st PlannerStats, ok bool) {
-	bp := s.Planner()
-	if bp == nil {
-		return PlannerStats{}, false
-	}
-	s.planMu.Lock()
-	st = s.planAgg
-	s.planMu.Unlock()
-	st.Workers = bp.Workers()
-	return st, true
-}
-
-// PlanDistributions answers a batch of distribution queries through
-// the batch planner: overlapping query paths share every common
-// sub-path convolution, evaluated once across a bounded worker pool.
-// Results are positional and byte-identical to evaluating each query
-// independently. Per-entry failures stay per-entry — one unanswerable
-// query never poisons the sub-paths it shares with valid ones.
-//
-// The query cache (EnableQueryCache), when enabled, fronts the plan:
-// entries it answers keep its documented α-interval approximation,
-// and planned results fill it for later single queries. Unlike
-// PathDistributionGated, planned cache misses do not engage the
-// singleflight — the plan itself already collapses duplicate work
-// inside the batch.
-//
-// acquire/release follow the PathDistributionGated contract, charged
-// once for the whole planned evaluation (one batch is one CPU-bound
-// computation): acquire runs only when at least one entry missed the
-// cache, and acquire returning false fails those entries with
-// ErrGateRejected. Either hook may be nil. The returned PlanStats
-// covers the planned (cache-miss) portion of the batch.
+// PlanDistributions answers a batch of distribution queries in order,
+// each entry as the single query it is: results are positional, and an
+// entry's failure is its own. An entry with only a method goes through
+// PathDistributionGated — the query cache, singleflight and the gate
+// charged per computed entry. One with a rank cap or a seed, which the
+// query cache's key does not carry, is computed with its full options,
+// charged to the gate and cached nowhere. Overlapping entries share
+// their prefixes through the memo (EnableConvMemo). ctx bounds every
+// entry (nil means unbounded); acquire and release follow the
+// PathDistributionGated contract. The PlanStats result is always zero.
 func (s *System) PlanDistributions(ctx context.Context, queries []PlanQuery,
 	acquire func() bool, release func()) ([]PlanResult, PlanStats) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ep := s.epoch.Load()
-	bp := ep.planner.Load()
-	installed := bp != nil
-	if !installed {
-		bp = core.NewBatchPlanner(ep.Hybrid, 0)
-	}
 	out := make([]PlanResult, len(queries))
-	c := s.qcache.Load()
-	miss := make([]int, 0, len(queries))
-	missQ := make([]PlanQuery, 0, len(queries))
 	for i, q := range queries {
-		m := q.Opt.Method
-		if m == "" {
-			m = OD
-		}
-		// Only default-shaped queries (no rank cap) share the query
-		// cache: its keys carry (path, α-interval, method) and nothing
-		// else, exactly PathDistribution's key space.
-		if c != nil && q.Opt.RankCap == 0 && len(q.Path) > 0 {
-			if res, ok := c.Get(s.queryKey(ep, q.Path, q.Depart, m)); ok {
-				out[i] = PlanResult{Res: res}
-				continue
-			}
-		}
-		miss = append(miss, i)
-		missQ = append(missQ, q)
-	}
-	var stats PlanStats
-	if len(miss) > 0 {
-		gated := func() bool {
-			if acquire != nil {
-				if !acquire() {
-					return false
-				}
-				if release != nil {
-					defer release()
-				}
-			}
-			res, st := bp.Distributions(ctx, ep.reuse.Load(), missQ)
-			stats = st
-			for j, i := range miss {
-				out[i] = res[j]
-				if c != nil && res[j].Err == nil && missQ[j].Opt.RankCap == 0 {
-					m := missQ[j].Opt.Method
-					if m == "" {
-						m = OD
-					}
-					c.Put(s.queryKey(ep, missQ[j].Path, missQ[j].Depart, m), res[j].Res)
-				}
-			}
-			return true
-		}
-		if !gated() {
-			for _, i := range miss {
-				out[i] = PlanResult{Err: ErrGateRejected}
-			}
+		r := &out[i]
+		if q.Opt == (QueryOptions{Method: q.Opt.Method}) {
+			r.Res, r.Err = s.PathDistributionGated(ctx, q.Path, q.Depart, q.Opt.Method, acquire, release)
+		} else {
+			r.Res, r.Err = s.computeGated(ctx, s.epoch.Load(), q.Path, q.Depart, q.Opt, acquire, release)
 		}
 	}
-	if installed {
-		s.planMu.Lock()
-		s.planAgg.Batches++
-		s.planAgg.Queries += stats.Queries
-		s.planAgg.Planned += stats.Planned
-		s.planAgg.Fallback += stats.Fallback
-		s.planAgg.Nodes += stats.Nodes
-		s.planAgg.SharedNodes += stats.SharedNodes
-		s.planAgg.Convolutions += stats.Convolutions
-		s.planAgg.ProbeHits += stats.ProbeHits
-		s.planAgg.IndependentSteps += stats.IndependentSteps
-		s.planMu.Unlock()
-	}
-	return out, stats
+	return out, PlanStats{}
 }
 
 // SyntheticWorkload samples a prefix-heavy query log: trunk paths of
@@ -689,21 +554,14 @@ func (s *System) PathDistributionGated(ctx context.Context, p Path, depart float
 	// iterations the flight takes, the answer — and the cache entry it
 	// fills — belongs to this epoch, even if a publish lands mid-query.
 	ep := s.epoch.Load()
+	opt := QueryOptions{Method: m}
 	if s.qcache.Load() == nil && acquire == nil {
 		// Uncached, ungated: skip the closure machinery entirely (the
 		// loop below would take this branch anyway).
-		return s.compute(ctx, ep, p, depart, m)
+		return s.compute(ctx, ep, p, depart, opt)
 	}
 	gated := func() (*QueryResult, error) {
-		if acquire != nil {
-			if !acquire() {
-				return nil, ErrGateRejected
-			}
-			if release != nil {
-				defer release()
-			}
-		}
-		return s.compute(ctx, ep, p, depart, m)
+		return s.computeGated(ctx, ep, p, depart, opt, acquire, release)
 	}
 	counted := false
 	for {
@@ -761,12 +619,28 @@ func (s *System) PathDistributionGated(ctx context.Context, p Path, depart float
 	}
 }
 
+// computeGated is compute charged to the caller's gate: acquire runs
+// immediately before it and release after, and acquire returning false
+// fails the query with ErrGateRejected. Either hook may be nil.
+func (s *System) computeGated(ctx context.Context, ep *ModelEpoch, p Path, depart float64, opt QueryOptions,
+	acquire func() bool, release func()) (*QueryResult, error) {
+	if acquire != nil {
+		if !acquire() {
+			return nil, ErrGateRejected
+		}
+		if release != nil {
+			defer release()
+		}
+	}
+	return s.compute(ctx, ep, p, depart, opt)
+}
+
 // compute runs one underlying estimation (the expensive step the
 // cache and singleflight both exist to avoid repeating) against one
 // epoch snapshot, through the epoch's reuse handle: evaluation resumes
 // from the deepest prefix of p the synopsis or the memo view holds, and
 // the answer is byte-identical with both, either or neither enabled.
-func (s *System) compute(ctx context.Context, ep *ModelEpoch, p Path, depart float64, m Method) (*QueryResult, error) {
+func (s *System) compute(ctx context.Context, ep *ModelEpoch, p Path, depart float64, opt QueryOptions) (*QueryResult, error) {
 	if s.computeProbe != nil {
 		s.computeProbe()
 	}
@@ -777,7 +651,7 @@ func (s *System) compute(ctx context.Context, ep *ModelEpoch, p Path, depart flo
 	if ctx == context.Background() {
 		ctx = nil
 	}
-	return ep.Hybrid.CostDistributionCtx(ctx, ep.reuse.Load(), p, depart, core.QueryOptions{Method: m})
+	return ep.Hybrid.CostDistributionCtx(ctx, ep.reuse.Load(), p, depart, opt)
 }
 
 // GroundTruth runs the accuracy-optimal baseline (Section 2.2) on the
@@ -788,10 +662,9 @@ func (s *System) GroundTruth(p Path, depart float64) (*Histogram, int, error) {
 }
 
 // Route answers a probabilistic budget query: the path from src to dst
-// maximizing P(travel time ≤ budget) when departing at depart. With a
-// batch planner enabled (EnableBatchPlanner), each DFS frontier's
-// sibling expansions evaluate as one implicit batch on the planner's
-// worker pool; the answer is byte-identical either way.
+// maximizing P(travel time ≤ budget) when departing at depart. The
+// search extends each candidate by one edge from its parent's chain
+// state; it reads neither the memo nor the synopsis.
 func (s *System) Route(src, dst VertexID, depart, budget float64, m Method) (*RouteResult, error) {
 	return s.RouteCtx(nil, src, dst, depart, budget, m)
 }
@@ -800,21 +673,9 @@ func (s *System) Route(src, dst VertexID, depart, budget float64, m Method) (*Ro
 // checks the deadline once per expansion and a dead one returns ctx's
 // error, never a partial route.
 func (s *System) RouteCtx(ctx context.Context, src, dst VertexID, depart, budget float64, m Method) (*RouteResult, error) {
-	ep := s.epoch.Load()
-	return ep.Router.BestPathCtx(ctx, routing.Query{
+	return s.Router().BestPathCtx(ctx, routing.Query{
 		Source: src, Dest: dst, Depart: depart, Budget: budget,
-	}, s.routeOptions(ep, m))
-}
-
-// routeOptions assembles the routing options shared by Route and
-// TopKRoutes, propagating the batch planner's worker bound when one
-// is enabled on the epoch.
-func (s *System) routeOptions(ep *ModelEpoch, m Method) routing.Options {
-	opt := routing.Options{Method: m, Incremental: true}
-	if bp := ep.planner.Load(); bp != nil {
-		opt.BatchWorkers = bp.Workers()
-	}
-	return opt
+	}, routing.Options{Method: m, Incremental: true})
 }
 
 // DensePath is a query-path candidate backed by many trajectories.
@@ -923,10 +784,9 @@ func (s *System) TopKRoutes(src, dst VertexID, depart, budget float64, k int, m 
 
 // TopKRoutesCtx is TopKRoutes bounded by ctx, as RouteCtx is Route.
 func (s *System) TopKRoutesCtx(ctx context.Context, src, dst VertexID, depart, budget float64, k int, m Method) ([]routing.TopKResult, error) {
-	ep := s.epoch.Load()
-	return ep.Router.TopKPathsCtx(ctx, routing.Query{
+	return s.Router().TopKPathsCtx(ctx, routing.Query{
 		Source: src, Dest: dst, Depart: depart, Budget: budget,
-	}, k, s.routeOptions(ep, m))
+	}, k, routing.Options{Method: m, Incremental: true})
 }
 
 // ---------------------------------------------------------------------------
@@ -1110,7 +970,7 @@ func (s *System) ApplyDeltas(batch []*Matched) (EpochStats, error) {
 // everything else is shared with the previous epoch by pointer.
 // In-flight queries are never blocked — they finish on the epoch they
 // snapshotted, and the epoch-prefixed cache keys, memo views and the
-// rebuilt synopsis/planner guarantee no derived state computed against
+// rebuilt synopsis guarantee no derived state computed against
 // the old model ever answers a query on the new one.
 //
 // With nothing staged, PublishEpoch is a no-op returning current
@@ -1195,9 +1055,6 @@ func (s *System) PublishEpoch() (EpochStats, error) {
 	})
 	nep := &ModelEpoch{Seq: seq, Hybrid: nh, Data: nd, Router: routing.New(nh)}
 	nep.setReuse(reuse)
-	if bp := ep.planner.Load(); bp != nil {
-		nep.planner.Store(core.NewBatchPlanner(nh, bp.Workers()))
-	}
 	s.epoch.Store(nep)
 	s.lastPublish = time.Now()
 

@@ -2,16 +2,16 @@ package pathcost
 
 import (
 	"context"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/hist"
 )
 
-// System-level contract of PlanDistributions: how the batch planner
-// composes with the query cache, the admission gate, per-entry
-// failures and the accumulated PlannerStats. The trie and scheduler
-// themselves are proven in internal/core.
+// System-level contract of PlanDistributions: a batch answered in
+// order, each entry as the single query it is — composed with the query
+// cache, the admission gate and per-entry failures.
 
 var (
 	planSysOnce sync.Once
@@ -20,7 +20,7 @@ var (
 )
 
 // plannerTestSystem trains a private system so these tests can toggle
-// the cache and planner without leaking state into the shared fixture.
+// the cache without leaking state into the shared fixture.
 func plannerTestSystem(t testing.TB) *System {
 	t.Helper()
 	planSysOnce.Do(func() {
@@ -86,69 +86,51 @@ func TestPlanDistributionsCacheInterplay(t *testing.T) {
 	}
 
 	s.EnableQueryCache(256)
-	s.EnableBatchPlanner(4)
-	t.Cleanup(func() {
-		s.EnableQueryCache(0)
-		s.DisableBatchPlanner()
-	})
+	t.Cleanup(func() { s.EnableQueryCache(0) })
 
-	out, stats := s.PlanDistributions(context.Background(), queries, nil, nil)
+	// First pass: every distinct entry is computed and charged once; the
+	// duplicate is answered by the cache its twin filled.
+	acquired := 0
+	out, _ := s.PlanDistributions(context.Background(), queries,
+		func() bool { acquired++; return true }, nil)
 	for i := range out {
 		if out[i].Err != nil {
 			t.Fatalf("entry %d: %v", i, out[i].Err)
 		}
 		if !identicalPlanHist(ref[i], out[i].Res.Dist) {
-			t.Fatalf("entry %d: planned result diverged from independent evaluation", i)
+			t.Fatalf("entry %d: batched result diverged from independent evaluation", i)
 		}
 	}
-	if stats.Nodes == 0 || stats.Convolutions == 0 {
-		t.Fatalf("cold batch planned nothing: %+v", stats)
+	if acquired != len(queries)-1 {
+		t.Fatalf("the gate was charged %d times for %d distinct entries", acquired, len(queries)-1)
 	}
 
-	// Second pass: every entry is a query-cache hit, so nothing is
-	// planned and the gate must never be consulted.
-	out2, stats2 := s.PlanDistributions(context.Background(), queries,
+	// Second pass: every entry is a query-cache hit, so the gate must
+	// never be consulted.
+	out2, _ := s.PlanDistributions(context.Background(), queries,
 		func() bool { t.Error("acquire called for a fully cached batch"); return true }, nil)
-	if stats2.Nodes != 0 || stats2.Convolutions != 0 {
-		t.Fatalf("warm batch re-planned cached entries: %+v", stats2)
-	}
 	for i := range out2 {
 		if out2[i].Err != nil || !identicalPlanHist(ref[i], out2[i].Res.Dist) {
 			t.Fatalf("entry %d: cached answer diverged", i)
 		}
 	}
 
-	// The planned results also serve later single queries.
+	// The batch's results also serve later single queries.
 	cs, ok := s.QueryCacheStats()
 	if !ok || cs.Hits == 0 {
 		t.Fatalf("query cache never hit: %+v", cs)
-	}
-
-	pst, ok := s.PlannerStats()
-	if !ok {
-		t.Fatal("PlannerStats not available with the planner enabled")
-	}
-	if pst.Batches != 2 || pst.Nodes != stats.Nodes || pst.Workers != 4 {
-		t.Fatalf("accumulated stats wrong: %+v", pst)
-	}
-	s.DisableBatchPlanner()
-	if _, ok := s.PlannerStats(); ok {
-		t.Fatal("PlannerStats still available after DisableBatchPlanner")
 	}
 }
 
 func TestPlanDistributionsGateRejected(t *testing.T) {
 	s := plannerTestSystem(t)
 	queries := plannerBatchQueries(t, s)
-	out, stats := s.PlanDistributions(context.Background(), queries,
+	out, _ := s.PlanDistributions(context.Background(), queries,
 		func() bool { return false }, nil)
 	for i := range out {
 		if out[i].Err != ErrGateRejected {
 			t.Fatalf("entry %d: err = %v, want ErrGateRejected", i, out[i].Err)
 		}
-	}
-	if stats.Convolutions != 0 {
-		t.Fatalf("rejected batch still convolved: %+v", stats)
 	}
 }
 
@@ -160,7 +142,7 @@ func TestPlanDistributionsErrorContainment(t *testing.T) {
 	trunk := queries[len(queries)-1].Path
 	depart := queries[0].Depart
 	// Repeating the trunk's first edge breaks path validity at the
-	// final chain step — after its prefixes joined the shared trie.
+	// final chain step, after every prefix it shares with the others.
 	bad := append(append(Path{}, trunk...), trunk[0])
 	withBad := append([]PlanQuery{{Path: bad, Depart: depart}}, queries...)
 
@@ -179,5 +161,57 @@ func TestPlanDistributionsErrorContainment(t *testing.T) {
 		if !identicalPlanHist(res.Dist, out[i].Res.Dist) {
 			t.Fatalf("valid entry %d diverged next to a failing neighbour", i)
 		}
+	}
+}
+
+// A seeded RD entry is answered with its seed and cached nowhere: the
+// query cache keys on the method alone, so caching it would hand its
+// answer to the unseeded RD query on the same path.
+func TestPlanDistributionsSeededEntryBypassesCache(t *testing.T) {
+	s := plannerTestSystem(t)
+	h := s.Hybrid()
+	// Search fixed draws for a path whose RD answer depends on the seed.
+	rnd := rand.New(rand.NewSource(1))
+	var (
+		p                Path
+		depart           float64
+		seed             int64
+		unseeded, seeded *QueryResult
+	)
+	for i := 0; i < 200 && seeded == nil; i++ {
+		cand, err := s.RandomQueryPath(4+rnd.Intn(12), rnd.Intn)
+		if err != nil {
+			continue
+		}
+		dep := 7*3600 + float64(rnd.Intn(4*3600))
+		base, err := h.CostDistribution(cand, dep, QueryOptions{Method: RD})
+		if err != nil {
+			continue
+		}
+		for sd := int64(1); sd <= 8; sd++ {
+			res, err := h.CostDistribution(cand, dep, QueryOptions{Method: RD, Seed: sd})
+			if err == nil && !identicalPlanHist(base.Dist, res.Dist) {
+				p, depart, seed, unseeded, seeded = cand, dep, sd, base, res
+				break
+			}
+		}
+	}
+	if seeded == nil {
+		t.Fatal("no drawn path has an RD answer that depends on the seed")
+	}
+
+	s.EnableQueryCache(256)
+	t.Cleanup(func() { s.EnableQueryCache(0) })
+	out, _ := s.PlanDistributions(context.Background(),
+		[]PlanQuery{{Path: p, Depart: depart, Opt: QueryOptions{Method: RD, Seed: seed}}}, nil, nil)
+	if out[0].Err != nil || !identicalPlanHist(out[0].Res.Dist, seeded.Dist) {
+		t.Fatalf("the seeded entry was not answered with seed %d (err %v)", seed, out[0].Err)
+	}
+	got, err := s.PathDistribution(p, depart, RD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !identicalPlanHist(got.Dist, unseeded.Dist) {
+		t.Fatalf("the unseeded RD query on %v was answered with the seed-%d entry's cached result", p, seed)
 	}
 }
