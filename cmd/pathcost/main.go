@@ -7,13 +7,11 @@
 //	pathcost -preset small -trips 20000 demo
 //	pathcost -preset test -trips 5000 query -card 8 -hour 8
 //	pathcost -preset test -trips 5000 route -budget-mult 2.0 -hour 8
-//	pathcost -preset test -trips 5000 -synopsis 512 synopsis
 //	pathcost -preset test net-stats
 //
 // File-based workflows (see cmd/trajgen for producing the inputs):
 //
 //	pathcost -network net.txt -trajectories trips.txt -save-model model.txt demo
-//	pathcost -network net.txt -trajectories trips.txt -synopsis 512 -save-model model.txt demo
 //	pathcost -network net.txt -raw-gps raw.txt -workers 8 demo
 //	pathcost -network net.txt -model model.txt query
 //
@@ -31,7 +29,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	pathcost "repro"
@@ -58,9 +55,6 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "goroutines for map matching and training (≤1 = sequential)")
 	cacheSize := flag.Int("cache", 0, "query-distribution cache capacity in entries (0 = disabled)")
 	memoSize := flag.Int("memo", 0, "sub-path convolution memo capacity in prefix states (0 = disabled)")
-	synSize := flag.Int("synopsis", 0, "offline sub-path synopsis entry budget (0 = disabled); built from a synthetic prefix-heavy workload and saved with -save-model")
-	synBytes := flag.Int("synopsis-bytes", 0, "synopsis byte budget for the serialized entries (0 = unbounded)")
-	synWorkload := flag.Int("synopsis-workload", 512, "workload-sample size used to train the synopsis")
 	partitionK := flag.Int("partition", 0, "split the trained model into this many region shards for the sharded serving tier (0 = disabled)")
 	partitionOut := flag.String("partition-out", "shards", "output prefix for -partition: writes <prefix>.partition, <prefix>-shard<R>.model and <prefix>-union.model")
 	flag.Parse()
@@ -86,20 +80,6 @@ func main() {
 	}
 	if *memoSize > 0 {
 		sys.EnableConvMemo(*memoSize)
-	}
-	// Train the synopsis before -save-model so it ships in the file;
-	// the synopsis command replays the same workload sample below.
-	var synReplay []pathcost.WorkloadQuery
-	if *synSize > 0 || cmd == "synopsis" {
-		budget := *synSize
-		if budget <= 0 {
-			budget = 512
-		}
-		wl, err := buildSynopsis(sys, budget, *synBytes, *synWorkload, *card, *hour*3600, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		synReplay = wl
 	}
 	if *saveModel != "" {
 		f, err := os.Create(*saveModel)
@@ -137,10 +117,8 @@ func main() {
 		runRoute(sys, depart, *budgetMult)
 	case "net-stats":
 		runNetStats(sys)
-	case "synopsis":
-		runSynopsis(sys, synReplay, *workers, *cacheSize > 0)
 	default:
-		fatal(fmt.Errorf("unknown command %q (want demo, query, route, net-stats or synopsis)", cmd))
+		fatal(fmt.Errorf("unknown command %q (want demo, query, route or net-stats)", cmd))
 	}
 	if st, ok := sys.QueryCacheStats(); ok {
 		fmt.Printf("\nquery cache: %d/%d entries, %d hits, %d misses (%.0f%% hit rate), %d evictions\n",
@@ -149,109 +127,6 @@ func main() {
 	if st, ok := sys.ConvMemoStats(); ok {
 		fmt.Printf("conv memo: %d/%d prefix states, %d hits, %d misses (%.0f%% hit rate), %d evictions\n",
 			st.Entries, st.Capacity, st.Hits, st.Misses, st.HitRate()*100, st.Evictions)
-	}
-	if st, ok := sys.SynopsisStats(); ok {
-		fmt.Printf("synopsis: %d entries (%d bytes), %d hits, %d misses (%.0f%% hit rate)\n",
-			st.Entries, st.Bytes, st.Hits, st.Misses, st.HitRate()*100)
-	}
-}
-
-// buildSynopsis trains the offline synopsis on a synthetic
-// prefix-heavy workload sample and attaches it to the system.
-func buildSynopsis(sys *pathcost.System, entries, maxBytes, workloadN, card int, depart float64, seed int64) ([]pathcost.WorkloadQuery, error) {
-	workload, err := sys.SyntheticWorkload(workloadN, card, seed+13, []float64{depart})
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	syn, err := sys.BuildSynopsis(workload, pathcost.SynopsisConfig{
-		MaxEntries: entries, MaxBytes: maxBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep := syn.Report()
-	fmt.Printf("synopsis built in %v: %d/%d candidates selected from %d workload queries, %d bytes, %.0f%% of chain steps absorbed\n",
-		time.Since(t0).Round(time.Millisecond), rep.Selected, rep.Candidates, rep.Queries, rep.Bytes,
-		100*float64(rep.SavedSteps)/float64(rep.TotalSteps))
-	return workload, nil
-}
-
-// runSynopsis answers the synopsis's training workload (a) with a
-// cold convolution memo and (b) with the synopsis plus a cold memo —
-// the cold-server-start comparison — verifying byte-identical results
-// and reporting hit rate and speedup. The synopsis itself was built (and attached)
-// before -save-model ran, so the persisted model carries it.
-func runSynopsis(sys *pathcost.System, workload []pathcost.WorkloadQuery, workers int, hadCache bool) {
-	if workers < 1 {
-		workers = 1
-	}
-	syn := sys.Synopsis()
-	if hadCache {
-		// The α-interval query cache would serve the warm replay from
-		// the cold replay's results and measure the cache, not the
-		// synopsis; keep it out of the comparison.
-		sys.EnableQueryCache(0)
-		fmt.Println("synopsis: -cache disabled for the comparison (it would mask the synopsis)")
-	}
-
-	run := func() ([]*pathcost.QueryResult, time.Duration) {
-		results := make([]*pathcost.QueryResult, len(workload))
-		t0 := time.Now()
-		var wg sync.WaitGroup
-		idx := make(chan int, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					res, err := sys.PathDistribution(workload[i].Path, workload[i].Depart, pathcost.OD)
-					if err != nil {
-						fatal(err)
-					}
-					results[i] = res
-				}
-			}()
-		}
-		for i := range workload {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-		return results, time.Since(t0)
-	}
-
-	fmt.Printf("synopsis: replaying %d workload queries with %d workers\n", len(workload), workers)
-	sys.AttachSynopsis(nil)
-	sys.EnableConvMemo(1 << 16) // fresh = cold memo
-	cold, coldDur := run()
-	sys.AttachSynopsis(syn)
-	sys.EnableConvMemo(1 << 16) // fresh again: only the synopsis is warm
-	warm, warmDur := run()
-
-	identical := true
-	for i := range cold {
-		a, b := cold[i].Dist.Buckets(), warm[i].Dist.Buckets()
-		if len(a) != len(b) {
-			identical = false
-			break
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				identical = false
-				break
-			}
-		}
-	}
-	st, _ := sys.SynopsisStats()
-	fmt.Printf("  cold memo:     %v (%.0f queries/s)\n", coldDur.Round(time.Millisecond),
-		float64(len(workload))/coldDur.Seconds())
-	fmt.Printf("  warm synopsis: %v (%.0f queries/s), %.1fx faster\n", warmDur.Round(time.Millisecond),
-		float64(len(workload))/warmDur.Seconds(), float64(coldDur)/float64(warmDur))
-	fmt.Printf("  synopsis probes: %d hits, %d misses (%.0f%% hit rate)\n", st.Hits, st.Misses, st.HitRate()*100)
-	fmt.Printf("  results byte-identical: %v\n", identical)
-	if !identical {
-		fatal(fmt.Errorf("synopsis-backed results diverged from cold evaluation"))
 	}
 }
 
@@ -442,7 +317,7 @@ func writePartition(sys *pathcost.System, k int, prefix string) error {
 	if err := writeFile(prefix+"-union.model", res.Union.SaveModel); err != nil {
 		return err
 	}
-	fmt.Printf("partitioned into %d regions: %s + %d shard models + union reference (%d cross-region variables dropped, %d synopsis entries dropped)\n",
-		k, pname, len(res.Shards), res.Dropped, res.DroppedSynopsis)
+	fmt.Printf("partitioned into %d regions: %s + %d shard models + union reference (%d cross-region variables dropped)\n",
+		k, pname, len(res.Shards), res.Dropped)
 	return nil
 }

@@ -32,13 +32,6 @@
 //
 // See docs/API.md for the full endpoint reference.
 //
-// A model trained with a synopsis (cmd/pathcost -synopsis N
-// -save-model ...) boots warm: its pre-materialized sub-path states
-// load with the model and answer their queries with zero convolutions
-// from the first request (disable with -synopsis=false). Epoch
-// publishes carry the synopsis forward, rebuilding only the entries
-// the delta touched.
-//
 // Incremental maintenance: with -epoch-interval > 0 a timer publishes
 // a new model epoch whenever deltas are staged. -decay-halflife
 // selects the maintenance mode — 0 (default) rebuilds touched
@@ -96,7 +89,6 @@ type options struct {
 	modelFile   string
 	cacheSize   int
 	memoSize    int
-	useSynopsis bool
 	maxInFlight int
 	maxQueue    int
 	drain       time.Duration
@@ -136,7 +128,6 @@ func main() {
 	flag.StringVar(&opt.modelFile, "model", "", "trained model file to serve (requires -network)")
 	flag.IntVar(&opt.cacheSize, "cache", 4096, "query-distribution cache capacity in entries (0 = disabled); cached answers are shared per departure α-interval")
 	flag.IntVar(&opt.memoSize, "memo", 4096, "sub-path convolution memo capacity in prefix states (0 = disabled); exact — memoized answers are byte-identical")
-	flag.BoolVar(&opt.useSynopsis, "synopsis", true, "serve the offline sub-path synopsis embedded in -model, when present (false drops it after load)")
 	flag.IntVar(&opt.maxInFlight, "max-inflight", 0, "max concurrently evaluated queries (0 = default)")
 	flag.IntVar(&opt.maxQueue, "max-queue", 0, "load shedding: max requests queued for an evaluation slot before new arrivals get 429 + Retry-After (0 = no shedding)")
 	flag.DurationVar(&opt.drain, "drain", 10*time.Second, "graceful-shutdown drain timeout (0 = close immediately)")
@@ -413,8 +404,7 @@ func saveModelAtomic(sys *pathcost.System, path string) error {
 }
 
 // buildSystem loads network+model from files, or synthesizes a city
-// and trains on it. A synopsis section embedded in the model file is
-// served when opt.useSynopsis is true and dropped otherwise.
+// and trains on it.
 func buildSystem(opt options, logger *log.Logger) (*pathcost.System, error) {
 	if opt.modelFile != "" && opt.networkFile == "" {
 		return nil, fmt.Errorf("-model requires -network")
@@ -451,17 +441,5 @@ func buildSystem(opt options, logger *log.Logger) (*pathcost.System, error) {
 		return nil, err
 	}
 	defer mf.Close()
-	sys, err := pathcost.LoadSystem(g, nil, mf)
-	if err != nil {
-		return nil, err
-	}
-	if st, ok := sys.SynopsisStats(); ok {
-		if opt.useSynopsis {
-			logger.Printf("synopsis loaded: %d pre-materialized sub-paths (%d bytes)", st.Entries, st.Bytes)
-		} else {
-			sys.AttachSynopsis(nil)
-			logger.Printf("synopsis present in %s but dropped (-synopsis=false)", opt.modelFile)
-		}
-	}
-	return sys, nil
+	return pathcost.LoadSystem(g, nil, mf)
 }

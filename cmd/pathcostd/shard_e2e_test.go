@@ -95,7 +95,6 @@ func TestRunMultiShardE2E(t *testing.T) {
 			modelFile:   model,
 			cacheSize:   256,
 			memoSize:    256,
-			useSynopsis: true,
 			drain:       time.Second,
 		}
 		if r == 0 {

@@ -173,7 +173,6 @@ func TestRunWALRecoveryAndCheckpoint(t *testing.T) {
 		seed:          31,
 		beta:          20,
 		alpha:         30,
-		useSynopsis:   true,
 		drain:         time.Second,
 		enableIngest:  true,
 		ingestWorkers: 2,
@@ -242,7 +241,6 @@ func TestRunSIGHUPRacesIngest(t *testing.T) {
 		seed:          31,
 		beta:          20,
 		alpha:         30,
-		useSynopsis:   true,
 		drain:         time.Second,
 		enableIngest:  true,
 		ingestWorkers: 2,

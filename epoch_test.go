@@ -264,8 +264,8 @@ func TestEpochConcurrentQueriesDuringPublish(t *testing.T) {
 	}
 }
 
-// Stale derived state must never cross an epoch boundary: with cache,
-// memo and synopsis all hot, a query after a publish that touched the
+// Stale derived state must never cross an epoch boundary: with cache
+// and memo both hot, a query after a publish that touched the
 // path must answer from the NEW model — byte-identical to a cold
 // system retrained on the concatenated data — not from any cached
 // artifact of the old epoch.
@@ -274,8 +274,8 @@ func TestEpochInvalidatesCachesAcrossPublish(t *testing.T) {
 	sys.EnableQueryCache(512)
 	sys.EnableConvMemo(1024)
 
-	// A synopsis over a workload drawn from the dense paths, so the
-	// store holds exactly the states a stale read would hit.
+	// A workload drawn from the dense paths, so the warmed layers hold
+	// exactly the states a stale read would hit.
 	dense := sys.DensePaths(3, 10)
 	if len(dense) == 0 {
 		t.Skip("no dense paths in workload")
@@ -285,10 +285,6 @@ func TestEpochInvalidatesCachesAcrossPublish(t *testing.T) {
 		lo, _ := sys.Params.IntervalBounds(dp.Interval)
 		wl = append(wl, WorkloadQuery{Path: dp.Path, Depart: lo + 1})
 	}
-	if _, err := sys.BuildSynopsis(wl, SynopsisConfig{MaxEntries: 64}); err != nil {
-		t.Fatalf("synopsis: %v", err)
-	}
-
 	// Warm every layer on the old epoch.
 	for _, q := range wl {
 		if _, err := sys.PathDistribution(q.Path, q.Depart, OD); err != nil {

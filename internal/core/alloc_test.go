@@ -102,10 +102,10 @@ func TestMemoExtendAllocBudget(t *testing.T) {
 	// every measured query resumes from it and offers one new state.
 	const runs = 200
 	base := NewConvMemo(1 << 12)
-	views := make([]*Reuse, runs+1) // AllocsPerRun warms up with one extra call
+	views := make([]*ConvMemo, runs+1) // AllocsPerRun warms up with one extra call
 	for i := range views {
-		views[i] = NewReuse(nil, base.ForEpoch(uint64(i)))
-		views[i].offer(views[i].slot(prefix, dep, opt), parent)
+		views[i] = base.ForEpoch(uint64(i))
+		views[i].offer(prefix, dep, opt, parent)
 	}
 	i := 0
 	n := testing.AllocsPerRun(runs, func() {

@@ -272,7 +272,7 @@ func TestConcurrentRefoldsOfSharedState(t *testing.T) {
 	const at = 8*3600 + 300
 	for _, method := range chainMethods {
 		opt := QueryOptions{Method: method}
-		r := NewReuse(nil, NewConvMemo(64))
+		r := NewConvMemo(64)
 		if _, err := h.pathState(nil, r, graph.Path{0, 1}, at, opt); err != nil {
 			t.Fatal(err)
 		}

@@ -48,10 +48,6 @@ type EpochDelta struct {
 	// RebuiltVars counts existing variables that were re-instantiated
 	// or merged; NewVars counts variables that did not exist before.
 	RebuiltVars, NewVars int
-	// TouchedEdges is the set of edges traversed by the batch; any
-	// synopsis entry or cached decomposition whose path avoids all of
-	// them is provably unaffected by this update.
-	TouchedEdges map[graph.EdgeID]bool
 }
 
 // touchedPath records one sub-path occurring in a batch and the set of
@@ -62,13 +58,11 @@ type touchedPath struct {
 }
 
 // touchedFromBatch enumerates every (sub-path, interval) pair the
-// batch adds occurrences to, up to MaxRank, plus the traversed edges.
-func (h *HybridGraph) touchedFromBatch(batch []*gps.Matched) (map[string]*touchedPath, map[graph.EdgeID]bool) {
+// batch adds occurrences to, up to MaxRank.
+func (h *HybridGraph) touchedFromBatch(batch []*gps.Matched) map[string]*touchedPath {
 	touched := make(map[string]*touchedPath)
-	edges := make(map[graph.EdgeID]bool)
 	for _, m := range batch {
 		for pos := range m.Path {
-			edges[m.Path[pos]] = true
 			iv := h.Params.IntervalOf(m.ArrivalAt(pos))
 			maxN := h.Params.MaxRank
 			if pos+maxN > len(m.Path) {
@@ -86,7 +80,7 @@ func (h *HybridGraph) touchedFromBatch(batch []*gps.Matched) (map[string]*touche
 			}
 		}
 	}
-	return touched, edges
+	return touched
 }
 
 // validateBatch rejects trajectories the trainer could not consume.
@@ -291,7 +285,7 @@ func touchedOccurrences(data *gps.Collection, p graph.Path, firstIvs []int, ivs 
 // comment for why), shares every untouched variable with the
 // receiver, and leaves the receiver fully serving.
 func (h *HybridGraph) ApplyBatchExact(data *gps.Collection, batch []*gps.Matched) (*HybridGraph, *gps.Collection, EpochDelta, error) {
-	delta := EpochDelta{Trajs: len(batch), TouchedEdges: make(map[graph.EdgeID]bool)}
+	delta := EpochDelta{Trajs: len(batch)}
 	if data == nil {
 		return nil, nil, delta, fmt.Errorf("core: exact incremental update requires the training collection; use decay mode when serving a model without data")
 	}
@@ -302,8 +296,7 @@ func (h *HybridGraph) ApplyBatchExact(data *gps.Collection, batch []*gps.Matched
 		return h, data, delta, nil
 	}
 	next := data.Extend(batch, 0)
-	touched, edges := h.touchedFromBatch(batch)
-	delta.TouchedEdges = edges
+	touched := h.touchedFromBatch(batch)
 	delta.TouchedPaths = len(touched)
 
 	cow := h.newCOW()
@@ -354,7 +347,7 @@ func (h *HybridGraph) ApplyBatchExact(data *gps.Collection, batch []*gps.Matched
 // normalization) and are shared with the receiver. Sub-paths that
 // reach β occurrences within the batch itself gain fresh variables.
 func (h *HybridGraph) ApplyBatchDecay(batch []*gps.Matched, factor float64) (*HybridGraph, EpochDelta, error) {
-	delta := EpochDelta{Trajs: len(batch), TouchedEdges: make(map[graph.EdgeID]bool)}
+	delta := EpochDelta{Trajs: len(batch)}
 	if factor <= 0 || factor > 1 || math.IsNaN(factor) {
 		return nil, delta, fmt.Errorf("core: decay factor %v outside (0, 1]", factor)
 	}
@@ -365,8 +358,7 @@ func (h *HybridGraph) ApplyBatchDecay(batch []*gps.Matched, factor float64) (*Hy
 		return h, delta, nil
 	}
 	batchColl := gps.NewCollection(batch, 0)
-	touched, edges := h.touchedFromBatch(batch)
-	delta.TouchedEdges = edges
+	touched := h.touchedFromBatch(batch)
 	delta.TouchedPaths = len(touched)
 
 	cow := h.newCOW()

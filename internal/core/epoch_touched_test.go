@@ -33,7 +33,7 @@ func TestTouchedOccurrencesMatchGroupByInterval(t *testing.T) {
 		})
 	}
 	next := data.Extend(batch, 0)
-	touched, _ := h.touchedFromBatch(batch)
+	touched := h.touchedFromBatch(batch)
 	if len(touched) < 8 {
 		t.Fatalf("only %d touched paths", len(touched))
 	}

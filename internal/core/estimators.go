@@ -39,6 +39,13 @@ type QueryOptions struct {
 	Seed int64
 }
 
+// WorkloadQuery is one observation of a query log (or one synthetic
+// stand-in): a path queried at a departure time.
+type WorkloadQuery struct {
+	Path   graph.Path
+	Depart float64
+}
+
 // Timing is the Figure 17 breakdown of one query: OI (identify the
 // optimal decomposition), JC (compute the joint distribution), MC
 // (derive the marginal cost distribution).
@@ -69,9 +76,9 @@ func (h *HybridGraph) CostDistribution(p graph.Path, t float64, opt QueryOptions
 }
 
 // CostDistributionCtx is the one cost-distribution path: bounded by
-// ctx and evaluated through the reuse handle r. With a tier attached
-// (and a method that has a chain evaluator — RD bypasses both) the
-// path's state resumes from the deepest stored prefix (pathState); the
+// ctx and evaluated through the memo view m. With a memo (and a method
+// that has a chain evaluator — RD bypasses it) the path's state
+// resumes from the deepest stored prefix (pathState); the
 // result is byte-identical to the one-shot evaluation below, because
 // the chain evaluator applies exactly the operations Evaluate applies
 // and the stored states it resumes from were produced by those same
@@ -81,14 +88,14 @@ func (h *HybridGraph) CostDistribution(p graph.Path, t float64, opt QueryOptions
 // The deadline is checked before each factor multiply (each edge
 // derivation on the reuse path) and ctx's error returned once it
 // expires. ctx travels as a parameter, never inside QueryOptions or
-// any cached state. nil ctx means unbounded; nil r means no reuse.
-func (h *HybridGraph) CostDistributionCtx(ctx context.Context, r *Reuse, p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
+// any cached state. nil ctx means unbounded; nil m means no reuse.
+func (h *HybridGraph) CostDistributionCtx(ctx context.Context, m *ConvMemo, p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
 	if opt.Method == "" {
 		opt.Method = MethodOD
 	}
-	if r.active(opt.Method) {
+	if m.active(opt.Method) {
 		t0 := time.Now()
-		st, err := h.pathState(ctx, r, p, t, opt)
+		st, err := h.pathState(ctx, m, p, t, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 
 	"repro/internal/graph"
@@ -16,8 +17,12 @@ const stateV1Version = "pstate-v1"
 // rejection with.
 func EncodeStateV1(s *ChainState) ([]byte, error) {
 	var buf bytes.Buffer
-	buf.WriteString(stateV1Version + "\n")
-	if err := writeChainState(&buf, "s", s.cs); err != nil {
+	fmt.Fprintf(&buf, "%s\ns %d", stateV1Version, len(s.cs.open))
+	for _, q := range s.cs.open {
+		fmt.Fprintf(&buf, " %d", q)
+	}
+	buf.WriteByte('\n')
+	if err := writeJoint(&buf, s.cs.m); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -11,8 +11,7 @@ import (
 // produced in sorted cell-key order, because accCuts and
 // distributeFolds accumulate floats over the fold sequence and float
 // addition is not associative — map-order iteration would make chain
-// states (and everything downstream: memo entries, synopsis entries,
-// served answers) drift at the bit level between runs.
+// states (and everything downstream: memo entries, served answers) drift at the bit level between runs.
 
 // foldFixtureMulti builds a 3-dim multi with adversarial masses (ones
 // mixed with ~1e-16s) inserted in permuted order.

@@ -124,16 +124,16 @@ func (h *HybridGraph) ExtendPathWithin(s *PathState, e graph.EdgeID, within floa
 }
 
 // pathState evaluates path p departing at t, resuming from the deepest
-// prefix state r holds (see Reuse.longestPrefix for what one query
-// counts) and offering every state derived past that base, so later
-// queries — longer paths, other batch entries — resume deeper still.
-// It is the one reader of the reuse handle. The deadline is checked
-// before each edge derivation, so evaluation stops within one extend
-// of the budget expiring. ctx stays a parameter — PathStates land in
-// the memo and synopsis and outlive the request, so a stored context
-// would poison every later query resuming from them. nil ctx means
-// unbounded.
-func (h *HybridGraph) pathState(ctx context.Context, r *Reuse, p graph.Path, t float64, opt QueryOptions) (*PathState, error) {
+// prefix state the memo view m holds (see ConvMemo.longestPrefix for
+// what one query counts) and offering every state derived past that
+// base, so later queries — longer paths, other batch entries — resume
+// deeper still. It is the memo's one reader; nil m means no reuse. The
+// deadline is checked before each edge derivation, so evaluation stops
+// within one extend of the budget expiring. ctx stays a parameter —
+// PathStates land in the memo and outlive the request, so a stored
+// context would poison every later query resuming from them. nil ctx
+// means unbounded.
+func (h *HybridGraph) pathState(ctx context.Context, m *ConvMemo, p graph.Path, t float64, opt QueryOptions) (*PathState, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("core: cannot evaluate an empty path")
 	}
@@ -142,9 +142,9 @@ func (h *HybridGraph) pathState(ctx context.Context, r *Reuse, p graph.Path, t f
 	}
 	var st *PathState
 	base := 0
-	reuse := r.active(opt.Method)
+	reuse := m.active(opt.Method)
 	if reuse {
-		st, base = r.longestPrefix(p, t, opt)
+		st, base = m.longestPrefix(p, t, opt)
 	}
 	for i := base; i < len(p); i++ {
 		if ctx != nil {
@@ -162,7 +162,7 @@ func (h *HybridGraph) pathState(ctx context.Context, r *Reuse, p graph.Path, t f
 			return nil, err
 		}
 		if reuse {
-			r.offer(r.slot(p[:i+1], t, opt), st)
+			m.offer(p[:i+1], t, opt, st)
 		}
 	}
 	return st, nil

@@ -13,7 +13,13 @@ import (
 // (Equation 2); the entries of one /v1/batch request and successive
 // PathDistribution calls share long prefixes, and the memo lets a
 // query resume from the stored chain state of its longest seen prefix
-// instead of re-deriving the whole path.
+// instead of re-deriving the whole path. It is the one reuse tier
+// behind the path-state evaluator (Section 4.3's "path + another edge"
+// property across queries) and has one reader, pathState, which serves
+// CostDistributionCtx and the first segment of EvaluateSegment: it
+// probes for the longest stored prefix and offers every state derived
+// past it. A routing search never reads it: each expansion resumes from
+// its parent's state.
 //
 // Keys are exact: (path signature, departure time, method, rank cap).
 // Unlike the α-interval query cache, two departures in the same
@@ -52,20 +58,16 @@ func (m *ConvMemo) ForEpoch(seq uint64) *ConvMemo {
 // Stats snapshots the memo's hit/miss/eviction counters.
 func (m *ConvMemo) Stats() cache.Stats { return m.lru.Stats() }
 
-// memoKey is the exact identity of a prefix state. The departure is
-// formatted losslessly ('b' is exact for float64), so distinct
-// departures never alias.
-func memoKey(pathKey string, t float64, opt QueryOptions) string {
+// key renders the exact identity of path p departing at t under opt in
+// this view's key space: the epoch prefix, the path signature, then the
+// departure, formatted losslessly ('b' is exact for float64, so
+// distinct departures never alias), the method and the rank cap.
+func (m *ConvMemo) key(p graph.Path, t float64, opt QueryOptions) string {
 	var buf [memoKeyStackBytes]byte
-	return string(appendMemoKeyTail(append(buf[:0], pathKey...), t, opt))
-}
-
-// appendMemoKeyTail appends everything of a memoKey after the path
-// signature.
-func appendMemoKeyTail(b []byte, t float64, opt QueryOptions) []byte {
+	b := p.AppendKey(append(buf[:0], m.prefix...))
 	b = strconv.AppendFloat(append(b, '@'), t, 'b', -1, 64)
 	b = append(append(b, '/'), opt.Method...)
-	return strconv.AppendInt(append(b, '#'), int64(opt.RankCap), 10)
+	return string(strconv.AppendInt(append(b, '#'), int64(opt.RankCap), 10))
 }
 
 // memoKeyStackBytes sizes the stack buffer a key is rendered into, so
@@ -79,8 +81,43 @@ func memoizable(m Method) bool {
 	return m == MethodOD || m == MethodHP || m == MethodLB
 }
 
+// active reports whether the memo can hold states of method mt: there
+// is a memo, and mt has an incremental (chain) evaluator — RD's random
+// decomposition does not, so it bypasses the memo. The nil memo is
+// valid and never active.
+func (m *ConvMemo) active(mt Method) bool {
+	return m != nil && memoizable(mt)
+}
+
+// offer stores a freshly derived state under its exact identity.
+func (m *ConvMemo) offer(p graph.Path, t float64, opt QueryOptions, s *PathState) {
+	m.lru.Put(m.key(p, t, opt), s)
+}
+
+// longestPrefix returns the deepest prefix state of p the memo holds
+// and its edge count (nil, 0 when it holds none). The scan only peeks
+// and the committed base alone is counted, so one logical query counts
+// at most one hit or miss however deep the scan went; a concurrent
+// eviction between Peek and Get costs a stats blip, never a wrong base.
+// Callers check active first.
+func (m *ConvMemo) longestPrefix(p graph.Path, t float64, opt QueryOptions) (*PathState, int) {
+	var full string
+	for n := len(p); n >= 1; n-- {
+		k := m.key(p[:n], t, opt)
+		if n == len(p) {
+			full = k
+		}
+		if s, ok := m.lru.Peek(k); ok {
+			m.lru.Get(k)
+			return s, n
+		}
+	}
+	m.lru.Get(full) // count the cold miss
+	return nil, 0
+}
+
 // CostDistributionMemo is CostDistribution resuming from, and feeding,
-// a standalone memo: CostDistributionCtx with a memo-only handle.
+// a standalone memo.
 func (h *HybridGraph) CostDistributionMemo(m *ConvMemo, p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
-	return h.CostDistributionCtx(nil, NewReuse(nil, m), p, t, opt)
+	return h.CostDistributionCtx(nil, m, p, t, opt)
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/hist"
 )
 
 func TestMemoMatchesUnmemoizedByteIdentical(t *testing.T) {
@@ -157,3 +160,141 @@ var errMismatch = fmtError("memoized mean diverged under concurrency")
 type fmtError string
 
 func (e fmtError) Error() string { return string(e) }
+
+// probeCounts is what a memo has counted.
+type probeCounts struct {
+	hits, misses uint64
+	entries      int
+}
+
+func countsOf(m *ConvMemo) probeCounts {
+	st := m.Stats()
+	return probeCounts{hits: st.Hits, misses: st.Misses, entries: st.Entries}
+}
+
+// TestReuseOneProbe drives every query-level operation that reads the
+// memo — the path-state evaluator, the cost distribution over it and
+// the first segment of a partitioned query — twice (cold memo, then
+// warm), and holds each to byte-identical answers against plain
+// evaluation and to the exact probe counters: at most one hit or miss
+// per logical query, however deep the prefix scan went.
+func TestReuseOneProbe(t *testing.T) {
+	g, data, params := table1Fixture(t)
+	h, err := Build(g, data, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := graph.Path{0, 1, 2, 3, 4}
+	dep := 8 * 3600.0
+	opt := QueryOptions{Method: MethodOD}
+
+	// Each operation answers with something comparable byte for byte.
+	ops := map[string]func(m *ConvMemo) any{
+		"path state": func(m *ConvMemo) any {
+			st, err := h.pathState(context.Background(), m, full, dep, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return distBuckets(t, st)
+		},
+		"cost distribution": func(m *ConvMemo) any {
+			res, err := h.CostDistributionCtx(nil, m, full, dep, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Dist.Buckets()
+		},
+		"first segment": func(m *ConvMemo) any {
+			res, err := h.EvaluateSegment(m, SegmentInput{Path: full, Depart: dep, UI: TimeInterval{Lo: dep, Hi: dep}, Opt: opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := res.State.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return enc
+		},
+	}
+
+	// Cold, the scan finds nothing: one miss, and every prefix offered.
+	// Warm, the memo holds the full path: one hit.
+	want := [2]probeCounts{{misses: 1, entries: 5}, {hits: 1, misses: 1, entries: 5}}
+	for opName, op := range ops {
+		plain := op(nil)
+		m := NewConvMemo(64).ForEpoch(7)
+		for pass, passName := range []string{"cold", "warm"} {
+			if got := op(m); !reflect.DeepEqual(got, plain) {
+				t.Errorf("%s / %s: answer differs from plain evaluation", opName, passName)
+			}
+			if got := countsOf(m); got != want[pass] {
+				t.Errorf("%s / %s: counters %+v, want %+v", opName, passName, got, want[pass])
+			}
+		}
+	}
+
+	t.Run("RD bypasses both", func(t *testing.T) {
+		// Neither the probe nor the offer runs for a method with no
+		// chain evaluator.
+		m := NewConvMemo(64).ForEpoch(7)
+		rd := QueryOptions{Method: MethodRD, Seed: 7}
+		got, err := h.CostDistributionCtx(nil, m, full, dep, rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := h.CostDistribution(full, dep, rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Dist.Buckets(), plain.Dist.Buckets()) {
+			t.Error("RD through a memo differs from plain RD")
+		}
+		if c := countsOf(m); c != (probeCounts{}) {
+			t.Errorf("RD touched the memo: %+v", c)
+		}
+	})
+
+	t.Run("epoch views are disjoint", func(t *testing.T) {
+		base := NewConvMemo(64)
+		e1, e2 := base.ForEpoch(1), base.ForEpoch(2)
+		s1, err := h.pathState(nil, e1, full, dep, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := h.pathState(nil, e2, full, dep, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s1 == s2 {
+			t.Fatal("epoch 2 was answered with epoch 1's state")
+		}
+		// The views share one LRU and its counters: two cold misses, ten
+		// entries; each view then hits its own entry.
+		if c := countsOf(e2); c != (probeCounts{misses: 2, entries: 10}) {
+			t.Fatalf("after one cold query per epoch: %+v", c)
+		}
+		for _, m := range []*ConvMemo{e1, e2} {
+			again, err := h.pathState(nil, m, full, dep, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := map[*ConvMemo]*PathState{e1: s1, e2: s2}[m]; again != want {
+				t.Error("a view resumed from the other epoch's entry")
+			}
+		}
+		// A publish re-scopes the memo: the next epoch's view reads none
+		// of the previous epoch's entries.
+		if s3, err := h.pathState(nil, base.ForEpoch(3), full, dep, opt); err != nil || s3 == s2 {
+			t.Errorf("the next epoch's view read the previous epoch's entry (err %v)", err)
+		}
+	})
+}
+
+func distBuckets(t *testing.T, st *PathState) []hist.Bucket {
+	t.Helper()
+	d, err := st.DistErr()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Buckets()
+}

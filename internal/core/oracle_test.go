@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 // This file is the differential oracle harness: a deliberately naive,
 // obviously-correct implementation of the Equation 2 evaluation — no
-// memo, no lazy marginals, no synopsis, no incremental resumption —
+// memo, no lazy marginals, no incremental resumption —
 // against which every optimized evaluation path is checked for
 // byte-identical output on randomly generated workloads. The naive
 // evaluator applies the chain primitives (initialState, multiply,
@@ -104,10 +105,10 @@ func oracleQueries(g *graph.Graph, seed int64) ([]graph.Path, []float64) {
 	return paths, departs
 }
 
-// PROPERTY: on arbitrary random workloads, the memoized, the
-// synopsis-backed, and the combined evaluation paths all reproduce
-// the naive oracle bit for bit, for every incremental method, every
-// prefix of the query chain, and repeated evaluation (warm states).
+// PROPERTY: on arbitrary random workloads, the plain and the memoized
+// evaluation paths both reproduce the naive oracle bit for bit, for
+// every incremental method, every prefix of the query chain, and
+// repeated evaluation (warm states).
 func TestOracleDifferentialByteIdentity(t *testing.T) {
 	f := func(seed int64) bool {
 		g, data, params := randomWorkload(seed)
@@ -119,21 +120,7 @@ func TestOracleDifferentialByteIdentity(t *testing.T) {
 
 		for _, method := range []Method{MethodOD, MethodHP, MethodLB} {
 			opt := QueryOptions{Method: method}
-			// One synopsis over the whole query set, one shared memo.
-			var workload []WorkloadQuery
-			for _, p := range paths {
-				for _, dep := range departs {
-					workload = append(workload, WorkloadQuery{Path: p, Depart: dep})
-				}
-			}
-			syn, err := h.BuildSynopsis(workload, SynopsisConfig{
-				MaxEntries: 64, Method: method, MinDepth: 2,
-			})
-			if err != nil {
-				t.Logf("seed %d: synopsis: %v", seed, err)
-				return false
-			}
-			memo := NewConvMemo(256)
+			memo := NewConvMemo(256) // one memo over the whole query set
 			for _, dep := range departs {
 				for _, p := range paths {
 					want, err := naiveDistribution(h, p, dep, opt)
@@ -145,8 +132,6 @@ func TestOracleDifferentialByteIdentity(t *testing.T) {
 						for name, got := range map[string]func() (*QueryResult, error){
 							"plain": func() (*QueryResult, error) { return h.CostDistribution(p, dep, opt) },
 							"memo":  func() (*QueryResult, error) { return h.CostDistributionMemo(memo, p, dep, opt) },
-							"syn":   func() (*QueryResult, error) { return h.CostDistributionCtx(nil, NewReuse(syn, nil), p, dep, opt) },
-							"both":  func() (*QueryResult, error) { return h.CostDistributionCtx(nil, NewReuse(syn, memo), p, dep, opt) },
 						} {
 							res, err := got()
 							if err != nil {
@@ -170,51 +155,48 @@ func TestOracleDifferentialByteIdentity(t *testing.T) {
 	}
 }
 
-// The synopsis-backed answers must survive a save/load round trip
-// unchanged: persisted states are exact images of the in-memory ones,
-// and the lossless model reader keeps every variable bit-identical.
+// Memo-backed answers on a saved and reloaded model match the oracle on
+// the original bit for bit, cold and warm: the lossless model reader
+// keeps every variable bit-identical.
 func TestOracleByteIdentityAfterSaveLoad(t *testing.T) {
 	g, data, params := randomWorkload(3)
 	h, err := Build(g, data, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, departs := oracleQueries(g, 3)
-	var workload []WorkloadQuery
-	for _, p := range paths {
-		for _, dep := range departs {
-			workload = append(workload, WorkloadQuery{Path: p, Depart: dep})
-		}
+	var buf bytes.Buffer
+	if err := h.WriteModel(&buf); err != nil {
+		t.Fatal(err)
 	}
-	syn, err := h.BuildSynopsis(workload, SynopsisConfig{MaxEntries: 64})
+	h2, err := ReadHybrid(&buf, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, syn2 := reloadModel(t, h, syn, g)
-	if syn2 == nil || syn2.Len() != syn.Len() {
-		t.Fatalf("synopsis did not survive the round trip: %v", syn2)
-	}
+	paths, departs := oracleQueries(g, 3)
 	opt := QueryOptions{Method: MethodOD}
-	for _, dep := range departs {
-		for _, p := range paths {
-			want, err := naiveDistribution(h, p, dep, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := h2.CostDistributionCtx(nil, NewReuse(syn2, nil), p, dep, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !identicalHist(want, got.Dist) {
-				t.Fatalf("loaded synopsis diverged from naive oracle on %v@%v", p, dep)
+	memo := NewConvMemo(256)
+	for pass := 0; pass < 2; pass++ {
+		for _, dep := range departs {
+			for _, p := range paths {
+				want, err := naiveDistribution(h, p, dep, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := h2.CostDistributionMemo(memo, p, dep, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !identicalHist(want, got.Dist) {
+					t.Fatalf("pass %d: reloaded model diverged from naive oracle on %v@%v", pass, p, dep)
+				}
 			}
 		}
 	}
 }
 
-// Concurrent queries through one shared synopsis and memo must match
-// the oracle bit for bit; under -race this also proves the loaded and
-// built states are safely shareable.
+// Concurrent queries through one shared memo must match the oracle bit
+// for bit; under -race this also proves the stored states are safely
+// shareable.
 func TestOracleConcurrentByteIdentity(t *testing.T) {
 	g, data, params := randomWorkload(11)
 	h, err := Build(g, data, params)
@@ -222,14 +204,6 @@ func TestOracleConcurrentByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	paths, departs := oracleQueries(g, 11)
-	var workload []WorkloadQuery
-	for _, p := range paths {
-		workload = append(workload, WorkloadQuery{Path: p, Depart: departs[0]})
-	}
-	syn, err := h.BuildSynopsis(workload, SynopsisConfig{MaxEntries: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
 	opt := QueryOptions{Method: MethodOD}
 	want := make([]*hist.Histogram, len(paths))
 	for i, p := range paths {
@@ -242,11 +216,11 @@ func TestOracleConcurrentByteIdentity(t *testing.T) {
 	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
 				for i, p := range paths {
-					res, err := h.CostDistributionCtx(nil, NewReuse(syn, memo), p, departs[0], opt)
+					res, err := h.CostDistributionMemo(memo, p, departs[0], opt)
 					if err != nil {
 						errs <- err
 						return
@@ -255,18 +229,17 @@ func TestOracleConcurrentByteIdentity(t *testing.T) {
 						errs <- oracleMismatch(p)
 						return
 					}
-					_ = w
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if st := syn.Stats(); st.Hits == 0 {
-		t.Fatalf("synopsis never hit under the concurrent workload: %+v", st)
+	if st := memo.Stats(); st.Hits == 0 {
+		t.Fatalf("memo never hit under the concurrent workload: %+v", st)
 	}
 }
 

@@ -81,17 +81,17 @@ type SegmentResult struct {
 
 // EvaluateSegment evaluates one segment of a partitioned query. A
 // first segment (nil state) runs the ordinary path evaluation through
-// the reuse handle r and hands out its final folded state; a
+// the memo view m and hands out its final folded state; a
 // continuation seeds the candidate array with the relayed UI,
 // decomposes the segment locally, and multiplies its factors onto the
-// relayed state. Continuations never touch r: its keys assume
+// relayed state. Continuations never touch m: its keys assume
 // evaluation from a point departure interval, which only the first
 // segment has.
 //
 // RD is rejected: its random decomposition draws one value per row of
 // the whole query path, so it cannot be reproduced segment by segment
 // (single-region RD queries are proxied whole instead).
-func (h *HybridGraph) EvaluateSegment(r *Reuse, in SegmentInput) (*SegmentResult, error) {
+func (h *HybridGraph) EvaluateSegment(m *ConvMemo, in SegmentInput) (*SegmentResult, error) {
 	if len(in.Path) == 0 {
 		return nil, fmt.Errorf("core: cannot evaluate an empty segment")
 	}
@@ -112,12 +112,12 @@ func (h *HybridGraph) EvaluateSegment(r *Reuse, in SegmentInput) (*SegmentResult
 	if in.State == nil {
 		// First segment: a fresh evaluation from the point departure
 		// interval [t, t], exactly what the incremental evaluators
-		// compute — so the synopsis and memo apply, and their answers
-		// are byte-identical by the store-equivalence guarantee.
+		// compute — so the memo applies, and its answers are
+		// byte-identical by the store-equivalence guarantee.
 		if in.UI.Lo != in.Depart || in.UI.Hi != in.Depart {
 			return nil, fmt.Errorf("core: a first segment must start from the point interval [depart, depart], got [%g, %g]", in.UI.Lo, in.UI.Hi)
 		}
-		st, err := h.pathState(in.Ctx, r, in.Path, in.Depart, opt)
+		st, err := h.pathState(in.Ctx, m, in.Path, in.Depart, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -197,25 +197,4 @@ func (h *HybridGraph) FilterVariables(keep func(*Variable) bool) *HybridGraph {
 	out.stats.CoveredEdges = len(covered)
 	out.stats.EdgesWithData = h.stats.EdgesWithData
 	return out
-}
-
-// Filter derives a synopsis holding exactly the entries whose path
-// keep accepts, sharing PathStates with the receiver. Used by the
-// shard splitter: an entry whose path lies within one region
-// references only within-region variables, so it remains resolvable
-// against that region's filtered model. Probe counters start fresh.
-func (s *SynopsisStore) Filter(keep func(graph.Path) bool) (*SynopsisStore, error) {
-	out := newSynopsisStore(s.opt)
-	for _, key := range s.keys {
-		st := s.entries[key]
-		if !keep(st.path) {
-			continue
-		}
-		nbytes, err := synopsisEntryBytes(st)
-		if err != nil {
-			return nil, err
-		}
-		out.add(key, st, nbytes)
-	}
-	return out, nil
 }

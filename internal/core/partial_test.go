@@ -126,7 +126,7 @@ func TestEvaluateSegmentRelayMatchesWholePath(t *testing.T) {
 }
 
 // TestEvaluateSegmentFirstUsesStores checks that a first segment with
-// a synopsis/memo answers byte-identically to the store-free path —
+// a memo answers byte-identically to the memo-free path —
 // the store-equivalence guarantee extends to partial evaluation.
 func TestEvaluateSegmentFirstUsesStores(t *testing.T) {
 	h := partitionedFixture(t)
@@ -141,7 +141,7 @@ func TestEvaluateSegmentFirstUsesStores(t *testing.T) {
 	memo := NewConvMemo(256)
 	var warmed *SegmentResult
 	for i := 0; i < 2; i++ { // second pass resumes from the memo
-		warmed, err = h.EvaluateSegment(NewReuse(nil, memo), in)
+		warmed, err = h.EvaluateSegment(memo, in)
 		if err != nil {
 			t.Fatalf("memo pass %d: %v", i, err)
 		}
@@ -280,10 +280,10 @@ func TestFilterVariablesStableAndExact(t *testing.T) {
 	}
 
 	var b1, b2 bytes.Buffer
-	if err := f1.WriteModelSynopsis(&b1, nil); err != nil {
+	if err := f1.WriteModel(&b1); err != nil {
 		t.Fatalf("serialize f1: %v", err)
 	}
-	if err := f2.WriteModelSynopsis(&b2, nil); err != nil {
+	if err := f2.WriteModel(&b2); err != nil {
 		t.Fatalf("serialize f2: %v", err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {

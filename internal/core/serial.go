@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -15,21 +16,17 @@ import (
 // serialVersion tags the model file format.
 const serialVersion = "hybridgraph-v1"
 
+// normTolerance bounds how far a deserialized distribution's total
+// mass may sit from one. Stored masses are exact images of normalized
+// in-memory values, so anything beyond float accumulation noise means
+// corruption.
+const normTolerance = 1e-6
+
 // WriteModel serializes the trained hybrid graph (parameters, statistics
 // and every trajectory-backed variable) as line-oriented text, so a
 // model can be trained once and served later. The road network is not
 // embedded; loading requires the same graph.
 func (h *HybridGraph) WriteModel(w io.Writer) error {
-	return h.WriteModelSynopsis(w, nil)
-}
-
-// WriteModelSynopsis is WriteModel plus an optional synopsis section:
-// the offline sub-path synopsis is trained with the model and ships
-// inside the same file, so the serving daemon loads pre-materialized
-// states at boot. A nil or empty synopsis writes a plain model file,
-// and readers predating the synopsis section only lose the synopsis —
-// the model records are unchanged.
-func (h *HybridGraph) WriteModelSynopsis(w io.Writer, syn *SynopsisStore) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, serialVersion)
 	p := h.Params
@@ -53,11 +50,6 @@ func (h *HybridGraph) WriteModelSynopsis(w io.Writer, syn *SynopsisStore) error 
 	if err != nil {
 		return err
 	}
-	if syn != nil && syn.Len() > 0 {
-		if err := writeSynopsis(bw, syn); err != nil {
-			return err
-		}
-	}
 	return bw.Flush()
 }
 
@@ -72,53 +64,54 @@ func writeVariable(bw *bufio.Writer, v *Variable) error {
 		fmt.Fprintln(bw)
 		return nil
 	}
-	m := v.Joint
-	fmt.Fprintf(bw, "m %d\n", m.Dims())
+	return writeJoint(bw, v.Joint)
+}
+
+// writeJoint dumps a joint exactly: its dimension count, its bounds and
+// its cells in sorted key order (%g is the shortest representation that
+// parses back to the same float64, so the dump is lossless).
+func writeJoint(w io.Writer, m *hist.Multi) error {
+	fmt.Fprintf(w, "m %d\n", m.Dims())
 	for d := 0; d < m.Dims(); d++ {
 		bd := m.Bounds(d)
-		fmt.Fprintf(bw, "b %d", len(bd))
+		fmt.Fprintf(w, "b %d", len(bd))
 		for _, x := range bd {
-			fmt.Fprintf(bw, " %g", x)
+			fmt.Fprintf(w, " %g", x)
 		}
-		fmt.Fprintln(bw)
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintf(bw, "c %d\n", m.NumCells())
+	fmt.Fprintf(w, "c %d\n", m.NumCells())
 	var err error
 	m.ForEachSorted(func(k hist.CellKey, pr float64) {
 		if err != nil {
 			return
 		}
 		for d := 0; d < m.Dims(); d++ {
-			if _, werr := fmt.Fprintf(bw, "%d ", k[d]); werr != nil {
+			if _, werr := fmt.Fprintf(w, "%d ", k[d]); werr != nil {
 				err = werr
 				return
 			}
 		}
-		_, err = fmt.Fprintf(bw, "%g\n", pr)
+		_, err = fmt.Fprintf(w, "%g\n", pr)
 	})
 	return err
 }
 
 // ReadHybrid deserializes a model written by WriteModel, re-binding it to
-// the given road network, and discarding any synopsis section (see
-// ReadHybridSynopsis). Every variable path is validated against the
-// graph so a mismatched network fails loudly instead of answering
-// nonsense.
+// the given road network. Every variable path is validated against the
+// graph, so a mismatched network fails loudly instead of answering
+// nonsense, and every number is parsed strictly, so a corrupt file fails
+// with a descriptive error instead of loading garbage or panicking.
+//
+// Reading stops at a "synopsis-" header. Files written while a model
+// could carry an offline synopsis hold that section after the complete
+// model records, so they load exactly as the same file without it.
 func ReadHybrid(r io.Reader, g *graph.Graph) (*HybridGraph, error) {
-	h, _, err := ReadHybridSynopsis(r, g)
-	return h, err
-}
-
-// ReadHybridSynopsis deserializes a model plus its optional synopsis
-// section. Models written before the synopsis existed — or with a nil
-// synopsis — return a nil store; files carrying an unknown synopsis
-// version or a corrupt section fail with a descriptive error.
-func ReadHybridSynopsis(r io.Reader, g *graph.Graph) (*HybridGraph, *SynopsisStore, error) {
 	sc := textio.NewScanner(r, 0)
 	rd := &hybridReader{sc: sc}
 
 	if line, ok := rd.next(); !ok || line != serialVersion {
-		return nil, nil, fmt.Errorf("core: not a %s file", serialVersion)
+		return nil, fmt.Errorf("core: not a %s file", serialVersion)
 	}
 	h := &HybridGraph{
 		G:         g,
@@ -127,52 +120,53 @@ func ReadHybridSynopsis(r io.Reader, g *graph.Graph) (*HybridGraph, *SynopsisSto
 		byStart:   make([][]*pathVars, g.NumEdges()),
 		fallbacks: make(map[graph.EdgeID]*Variable),
 	}
+	var np numParser
 	// params
 	line, ok := rd.next()
 	if !ok {
-		return nil, nil, fmt.Errorf("core: truncated model (params)")
+		return nil, fmt.Errorf("core: truncated model (params)")
 	}
 	f := strings.Fields(line)
 	if len(f) != 11 || f[0] != "params" {
-		return nil, nil, fmt.Errorf("core: bad params line %q", line)
+		return nil, fmt.Errorf("core: bad params line %q", line)
 	}
 	p := DefaultParams()
-	p.AlphaMinutes = atoi(f[1])
-	p.Beta = atoi(f[2])
-	p.MaxRank = atoi(f[3])
-	p.Resolution = atof(f[4])
-	p.Domain = CostDomain(atoi(f[5]))
-	p.MaxAccBuckets = atoi(f[6])
-	p.MaxResultBuckets = atoi(f[7])
-	p.StaticBuckets = atoi(f[8])
-	p.Auto.Folds = atoi(f[9])
-	p.GTThresholdS = atof(f[10])
+	p.AlphaMinutes = np.int(f[1])
+	p.Beta = np.int(f[2])
+	p.MaxRank = np.int(f[3])
+	p.Resolution = np.float(f[4])
+	p.Domain = CostDomain(np.int(f[5]))
+	p.MaxAccBuckets = np.int(f[6])
+	p.MaxResultBuckets = np.int(f[7])
+	p.StaticBuckets = np.int(f[8])
+	p.Auto.Folds = np.int(f[9])
+	p.GTThresholdS = np.float(f[10])
+	if np.err != nil {
+		return nil, fmt.Errorf("core: bad params line %q: %w", line, np.err)
+	}
 	if err := p.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("core: model params invalid: %w", err)
+		return nil, fmt.Errorf("core: model params invalid: %w", err)
 	}
 	h.Params = p
-	// stats
+	// stats: four totals, then one variable count per rank
 	line, ok = rd.next()
 	if !ok {
-		return nil, nil, fmt.Errorf("core: truncated model (stats)")
+		return nil, fmt.Errorf("core: truncated model (stats)")
 	}
 	f = strings.Fields(line)
-	if len(f) < 5 || f[0] != "stats" {
-		return nil, nil, fmt.Errorf("core: bad stats line %q", line)
+	if len(f) != 5+p.MaxRank || f[0] != "stats" {
+		return nil, fmt.Errorf("core: bad stats line %q (want four totals and %d rank counts)", line, p.MaxRank)
 	}
-	savedStats := BuildStats{
-		CoveredEdges:  atoi(f[1]),
-		EdgesWithData: atoi(f[2]),
-		StorageFloats: atoi(f[3]),
-		SupportTotal:  atoi(f[4]),
+	saved := make([]int, len(f)-1)
+	for i := range saved {
+		saved[i] = np.int(f[1+i])
 	}
-	for _, c := range f[5:] {
-		savedStats.VariablesByRank = append(savedStats.VariablesByRank, atoi(c))
+	if np.err != nil {
+		return nil, fmt.Errorf("core: bad stats line %q: %w", line, np.err)
 	}
-	h.stats.VariablesByRank = make([]int, len(savedStats.VariablesByRank))
+	h.stats.VariablesByRank = make([]int, p.MaxRank)
 
-	// variables, up to EOF or the optional synopsis section
-	var synHeader string
+	// variables, up to EOF or a trailing synopsis section
 	for {
 		line, ok := rd.next()
 		if !ok {
@@ -180,60 +174,58 @@ func ReadHybridSynopsis(r io.Reader, g *graph.Graph) (*HybridGraph, *SynopsisSto
 		}
 		f := strings.Fields(line)
 		if strings.HasPrefix(f[0], "synopsis-") {
-			// Defer parsing until the model is complete: synopsis
-			// entries resolve factors against the loaded variables.
-			synHeader = line
 			break
 		}
 		if len(f) != 6 || f[0] != "var" {
-			return nil, nil, fmt.Errorf("core: expected var line, got %q", line)
+			return nil, fmt.Errorf("core: expected var line, got %q", line)
 		}
 		path, err := parsePathKey(f[1])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
+		}
+		if len(path) > p.MaxRank {
+			return nil, fmt.Errorf("core: model path %v has %d edges, MaxRank is %d", path, len(path), p.MaxRank)
 		}
 		if !g.ValidPath(path) {
-			return nil, nil, fmt.Errorf("core: model path %v is not valid in this graph", path)
+			return nil, fmt.Errorf("core: model path %v is not valid in this graph", path)
 		}
 		v := &Variable{
 			Path:     path,
-			Interval: atoi(f[2]),
-			Support:  atoi(f[3]),
-			TimeMin:  atof(f[4]),
-			TimeMax:  atof(f[5]),
+			Interval: np.int(f[2]),
+			Support:  np.int(f[3]),
+			TimeMin:  np.float(f[4]),
+			TimeMax:  np.float(f[5]),
+		}
+		if np.err != nil {
+			return nil, fmt.Errorf("core: bad var line %q: %w", line, np.err)
+		}
+		if v.Interval < 0 || v.Interval >= p.NumIntervals() {
+			return nil, fmt.Errorf("core: %v: interval %d outside [0,%d)", path, v.Interval, p.NumIntervals())
+		}
+		if h.LookupInterval(path, v.Interval) != nil {
+			return nil, fmt.Errorf("core: %v: interval %d stored twice", path, v.Interval)
 		}
 		if err := rd.readDistribution(v); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		h.addVariable(v)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Cross-check the variable counts; other stats fields are not
 	// recomputable without the data, so trust the file.
-	for r := range savedStats.VariablesByRank {
-		if r < len(h.stats.VariablesByRank) && h.stats.VariablesByRank[r] != savedStats.VariablesByRank[r] {
-			return nil, nil, fmt.Errorf("core: model corrupt: rank-%d count %d, file says %d",
-				r+1, h.stats.VariablesByRank[r], savedStats.VariablesByRank[r])
+	for r, n := range saved[4:] {
+		if h.stats.VariablesByRank[r] != n {
+			return nil, fmt.Errorf("core: model corrupt: rank-%d count %d, file says %d",
+				r+1, h.stats.VariablesByRank[r], n)
 		}
 	}
-	h.stats.CoveredEdges = savedStats.CoveredEdges
-	h.stats.EdgesWithData = savedStats.EdgesWithData
-	h.stats.SupportTotal = savedStats.SupportTotal
+	h.stats.CoveredEdges = saved[0]
+	h.stats.EdgesWithData = saved[1]
+	h.stats.SupportTotal = saved[3]
 	sortRows(h)
-	var syn *SynopsisStore
-	if synHeader != "" {
-		var err error
-		syn, err = readSynopsis(rd, h, synHeader)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := sc.Err(); err != nil {
-			return nil, nil, err
-		}
-	}
-	return h, syn, nil
+	return h, nil
 }
 
 func sortRows(h *HybridGraph) {
@@ -247,16 +239,11 @@ func sortRows(h *HybridGraph) {
 }
 
 type hybridReader struct {
-	sc     *bufio.Scanner
-	peeked *string
+	sc *bufio.Scanner
 }
 
+// next returns the next non-blank line, trimmed.
 func (r *hybridReader) next() (string, bool) {
-	if r.peeked != nil {
-		s := *r.peeked
-		r.peeked = nil
-		return s, true
-	}
 	for r.sc.Scan() {
 		line := strings.TrimSpace(r.sc.Text())
 		if line != "" {
@@ -266,110 +253,136 @@ func (r *hybridReader) next() (string, bool) {
 	return "", false
 }
 
+// readDistribution reads the record after v's var line: a histogram
+// ("h") for a rank-1 variable, a joint ("m", its bounds and cells) with
+// one dimension per edge otherwise.
 func (r *hybridReader) readDistribution(v *Variable) error {
 	line, ok := r.next()
 	if !ok {
 		return fmt.Errorf("core: truncated model (distribution of %v)", v.Path)
 	}
+	var np numParser
 	f := strings.Fields(line)
-	switch f[0] {
-	case "h":
+	switch {
+	case f[0] == "h" && v.Rank() == 1:
 		if len(f) < 2 {
 			return fmt.Errorf("core: bad histogram line for %v", v.Path)
 		}
-		n := atoi(f[1])
-		if n < 1 || n >= len(f) || len(f) != 2+3*n {
+		n := np.int(f[1])
+		if np.err != nil || n < 1 || n >= len(f) || len(f) != 2+3*n {
 			return fmt.Errorf("core: bad histogram line for %v", v.Path)
 		}
 		bs := make([]hist.Bucket, n)
-		for i := 0; i < n; i++ {
-			bs[i] = hist.Bucket{Lo: atof(f[2+3*i]), Hi: atof(f[3+3*i]), Pr: atof(f[4+3*i])}
+		for i := range bs {
+			bs[i] = hist.Bucket{Lo: np.float(f[2+3*i]), Hi: np.float(f[3+3*i]), Pr: np.float(f[4+3*i])}
+		}
+		if np.err != nil {
+			return fmt.Errorf("core: histogram of %v: %w", v.Path, np.err)
 		}
 		// Exact, not renormalizing: stored masses already sum to ≈1,
 		// and dividing by that almost-one total would perturb every
 		// bucket at the bit level — loaded models would then answer
 		// slightly differently than the process that trained them, and
 		// write→read→write would not reproduce the file.
-		hg, err := hist.FromBucketsExact(bs, 1e-6)
+		hg, err := hist.FromBucketsExact(bs, normTolerance)
 		if err != nil {
 			return fmt.Errorf("core: %v: %w", v.Path, err)
 		}
 		v.Hist = hg
 		return nil
-	case "m":
+	case f[0] == "m" && v.Rank() > 1:
 		if len(f) != 2 {
 			return fmt.Errorf("core: bad joint line for %v", v.Path)
 		}
-		dims := atoi(f[1])
-		if dims < 1 || dims > hist.MaxDims {
-			return fmt.Errorf("core: joint of %v has %d dims, range is [1,%d]", v.Path, dims, hist.MaxDims)
+		if dims := np.int(f[1]); np.err != nil || dims != v.Rank() {
+			return fmt.Errorf("core: joint of %v has %s dims, want %d", v.Path, f[1], v.Rank())
 		}
-		bounds := make([][]float64, dims)
-		for d := 0; d < dims; d++ {
-			line, ok := r.next()
-			if !ok {
-				return fmt.Errorf("core: truncated bounds of %v", v.Path)
-			}
-			bf := strings.Fields(line)
-			if bf[0] != "b" || len(bf) < 2 {
-				return fmt.Errorf("core: expected bounds line for %v", v.Path)
-			}
-			n := atoi(bf[1])
-			if n < 2 || len(bf) != 2+n {
-				return fmt.Errorf("core: bad bounds line for %v", v.Path)
-			}
-			bounds[d] = make([]float64, n)
-			for i := 0; i < n; i++ {
-				bounds[d][i] = atof(bf[2+i])
-			}
-		}
-		m, err := hist.NewMulti(bounds)
+		m, err := r.readJoint(v.Rank())
 		if err != nil {
-			return fmt.Errorf("core: %v: %w", v.Path, err)
-		}
-		line, ok := r.next()
-		if !ok {
-			return fmt.Errorf("core: truncated cells of %v", v.Path)
-		}
-		cf := strings.Fields(line)
-		if cf[0] != "c" || len(cf) != 2 {
-			return fmt.Errorf("core: expected cell count for %v", v.Path)
-		}
-		count := atoi(cf[1])
-		if count < 1 {
-			return fmt.Errorf("core: bad cell count for %v", v.Path)
-		}
-		// Cells were written by ForEachSorted, so they arrive in
-		// ascending key order and SetCell appends each one straight
-		// onto the columnar arrays — loading builds the sorted layout
-		// directly, with no re-sorting and no hashing.
-		idx := make([]int, dims)
-		for i := 0; i < count; i++ {
-			line, ok := r.next()
-			if !ok {
-				return fmt.Errorf("core: truncated cell %d of %v", i, v.Path)
-			}
-			xf := strings.Fields(line)
-			if len(xf) != dims+1 {
-				return fmt.Errorf("core: bad cell line for %v", v.Path)
-			}
-			for d := 0; d < dims; d++ {
-				idx[d] = atoi(xf[d])
-				if idx[d] < 0 || idx[d] >= m.NumBuckets(d) {
-					return fmt.Errorf("core: cell index out of range for %v", v.Path)
-				}
-			}
-			m.SetCell(idx, atof(xf[dims]))
-		}
-		// Validated, not renormalized — see the histogram case above.
-		if err := m.CheckNormalized(1e-6); err != nil {
-			return fmt.Errorf("core: %v: %w", v.Path, err)
+			return fmt.Errorf("core: joint of %v: %w", v.Path, err)
 		}
 		v.Joint = m
 		return nil
 	default:
-		return fmt.Errorf("core: unknown distribution record %q for %v", f[0], v.Path)
+		return fmt.Errorf("core: unexpected distribution record %q for rank-%d %v", f[0], v.Rank(), v.Path)
 	}
+}
+
+// readJoint reads a joint's bounds and cell records after its "m" line.
+func (r *hybridReader) readJoint(dims int) (*hist.Multi, error) {
+	var np numParser
+	bounds := make([][]float64, dims)
+	for d := range bounds {
+		line, ok := r.next()
+		if !ok {
+			return nil, fmt.Errorf("truncated bounds")
+		}
+		bf := strings.Fields(line)
+		if bf[0] != "b" || len(bf) < 2 {
+			return nil, fmt.Errorf("expected bounds line, got %q", line)
+		}
+		n := np.int(bf[1])
+		if np.err != nil || n < 2 || len(bf) != 2+n {
+			return nil, fmt.Errorf("bad bounds line %q", line)
+		}
+		bounds[d] = make([]float64, n)
+		for i := range bounds[d] {
+			bounds[d][i] = np.float(bf[2+i])
+		}
+		if np.err != nil {
+			return nil, fmt.Errorf("bad bounds line %q: %w", line, np.err)
+		}
+	}
+	m, err := hist.NewMulti(bounds)
+	if err != nil {
+		return nil, err
+	}
+	line, ok := r.next()
+	if !ok {
+		return nil, fmt.Errorf("truncated cells")
+	}
+	cf := strings.Fields(line)
+	if cf[0] != "c" || len(cf) != 2 {
+		return nil, fmt.Errorf("expected cell count, got %q", line)
+	}
+	count := np.int(cf[1])
+	if np.err != nil || count < 1 {
+		return nil, fmt.Errorf("bad cell count %q", line)
+	}
+	// Cells were written by ForEachSorted, so they arrive in ascending
+	// key order and SetCell appends each one straight onto the columnar
+	// arrays — loading builds the sorted layout directly, with no
+	// re-sorting and no hashing.
+	idx := make([]int, dims)
+	for i := 0; i < count; i++ {
+		line, ok := r.next()
+		if !ok {
+			return nil, fmt.Errorf("truncated cell %d of %d", i, count)
+		}
+		xf := strings.Fields(line)
+		if len(xf) != dims+1 {
+			return nil, fmt.Errorf("bad cell line %q", line)
+		}
+		for d := range idx {
+			idx[d] = np.int(xf[d])
+			if np.err == nil && (idx[d] < 0 || idx[d] >= m.NumBuckets(d)) {
+				return nil, fmt.Errorf("cell index %d out of range on dim %d (%d buckets)", idx[d], d, m.NumBuckets(d))
+			}
+		}
+		pr := np.float(xf[dims])
+		if np.err != nil {
+			return nil, fmt.Errorf("bad cell line %q: %w", line, np.err)
+		}
+		if pr < 0 {
+			return nil, fmt.Errorf("cell probability %v is negative", pr)
+		}
+		m.SetCell(idx, pr)
+	}
+	// Validated, not renormalized — see the histogram case.
+	if err := m.CheckNormalized(normTolerance); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 func parsePathKey(key string) (graph.Path, error) {
@@ -385,12 +398,23 @@ func parsePathKey(key string) (graph.Path, error) {
 	return p, nil
 }
 
-func atoi(s string) int {
-	n, _ := strconv.Atoi(s)
+// numParser parses a record's numbers strictly — garbage, NaN and ±Inf
+// are errors, never zero — and keeps the first error, so a record is
+// parsed field by field and checked once.
+type numParser struct{ err error }
+
+func (np *numParser) int(s string) int {
+	n, err := strconv.Atoi(s)
+	if err != nil && np.err == nil {
+		np.err = fmt.Errorf("bad integer %q", s)
+	}
 	return n
 }
 
-func atof(s string) float64 {
-	v, _ := strconv.ParseFloat(s, 64)
+func (np *numParser) float(s string) float64 {
+	v, err := strconv.ParseFloat(s, 64)
+	if (err != nil || math.IsNaN(v) || math.IsInf(v, 0)) && np.err == nil {
+		np.err = fmt.Errorf("bad number %q", s)
+	}
 	return v
 }

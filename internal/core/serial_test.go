@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -80,21 +81,140 @@ func TestReadHybridRejectsWrongGraph(t *testing.T) {
 	}
 }
 
+// A valid one-variable model on a chain: MaxRank 4, one rank-1 variable.
+const tinyModel = "hybridgraph-v1\nparams 30 30 4 1 0 48 64 0 5 1800\nstats 1 1 3 30 1 0 0 0\nvar 0 16 30 1 2\nh 1 1 2 1\n"
+
+// garbageModels are model files ReadHybrid must reject with an error:
+// never a panic, never a model with a made-up number in it.
+var garbageModels = []string{
+	"",
+	"not-a-model\n",
+	"hybridgraph-v1\nbogus\n",
+	"hybridgraph-v1\nparams 30 30 4 1 0 48 64 0 5 1800\nstats 1 1 1 1 1 0 0 0\nvar xyz 16 30 1 2\n",
+	"hybridgraph-v1\nparams 30 30 4 1 0 48 64 0 5 1800\nstats 1 1 1 1 1 0 0 0\nvar 0 16 30 1 2\nh 1 5 4 1\n",
+	"hybridgraph-v1\nparams 0 0 0 0 0 0 0 0 0 0\n",
+	// A stats line with no per-rank counts.
+	strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 3 30", 1),
+	// More rank counts than MaxRank.
+	strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 3 30 1 0 0 0 0", 1),
+	// Garbage, NaN and infinite numbers in every kind of record.
+	strings.Replace(tinyModel, "var 0 16 30", "var 0 junk 30", 1),
+	strings.Replace(tinyModel, "var 0 16 30 1 2", "var 0 16 30 NaN 2", 1),
+	strings.Replace(tinyModel, "var 0 16 30 1 2", "var 0 16 30 1 +Inf", 1),
+	strings.Replace(tinyModel, "var 0 16 30", "var 0 16 3x0", 1),
+	strings.Replace(tinyModel, "params 30 30 4 1 0", "params 30 30 4 1 zero", 1),
+	strings.Replace(tinyModel, "params 30 30 4 1 0", "params 30 30 4 NaN 0", 1),
+	strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 3 30 one 0 0 0", 1),
+	strings.Replace(tinyModel, "h 1 1 2 1", "h 1 1 2 NaN", 1),
+	strings.Replace(tinyModel, "h 1 1 2 1", "h one 1 2 1", 1),
+	// An interval outside the day, and a variable stored twice.
+	strings.Replace(tinyModel, "var 0 16 30", "var 0 48 30", 1),
+	strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 3 30 2 0 0 0", 1) + "var 0 16 30 1 2\nh 1 1 2 1\n",
+	// A variable longer than MaxRank, and a rank-2 variable stored as a
+	// histogram.
+	"hybridgraph-v1\nparams 30 30 1 1 0 48 64 0 5 1800\nstats 1 1 3 30 1\nvar 0,1 16 30 1 2\nm 2\nb 2 0 1\nb 2 0 1\nc 1\n0 0 1\n",
+	strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 3 30 1 1 0 0", 1) + "var 0,1 16 30 1 2\nh 1 1 2 1\n",
+	// Joints: wrong dimension count, garbage bound, index and mass,
+	// negative mass.
+	strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 3 30 1 1 0 0", 1) + "var 0,1 16 30 1 2\nm 3\nb 2 0 1\nb 2 0 1\nb 2 0 1\nc 1\n0 0 0 1\n",
+	strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 3 30 1 1 0 0", 1) + "var 0,1 16 30 1 2\nm 2\nb 2 0 x\nb 2 0 1\nc 1\n0 0 1\n",
+	strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 3 30 1 1 0 0", 1) + "var 0,1 16 30 1 2\nm 2\nb 2 0 1\nb 2 0 1\nc 1\nx 0 1\n",
+	strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 3 30 1 1 0 0", 1) + "var 0,1 16 30 1 2\nm 2\nb 2 0 1\nb 2 0 1\nc 1\n0 0 NaN\n",
+	strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 3 30 1 1 0 0", 1) + "var 0,1 16 30 1 2\nm 2\nb 2 0 1\nb 3 0 1 2\nc 2\n0 0 -1\n0 1 2\n",
+}
+
 func TestReadHybridRejectsGarbage(t *testing.T) {
 	g := chainGraph(t, 3)
-	cases := []string{
-		"",
-		"not-a-model\n",
-		"hybridgraph-v1\nbogus\n",
-		"hybridgraph-v1\nparams 30 30 4 1 0 48 64 0 5 1800\nstats 1 1 1 1 1\nvar xyz 16 30 1 2\n",
-		"hybridgraph-v1\nparams 30 30 4 1 0 48 64 0 5 1800\nstats 1 1 1 1 1\nvar 0 16 30 1 2\nh 1 5 4 1\n",
-		"hybridgraph-v1\nparams 0 0 0 0 0 0 0 0 0 0\n",
+	if _, err := ReadHybrid(strings.NewReader(tinyModel), g); err != nil {
+		t.Fatalf("the valid base model: %v", err)
 	}
-	for i, c := range cases {
+	if _, err := ReadHybrid(strings.NewReader(strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 3 30 1 1 0 0", 1)+"var 0,1 16 30 1 2\nm 2\nb 2 0 1\nb 3 0 1 2\nc 2\n0 0 0.5\n0 1 0.5\n"), g); err != nil {
+		t.Fatalf("the valid base model with a joint: %v", err)
+	}
+	for i, c := range garbageModels {
 		if _, err := ReadHybrid(strings.NewReader(c), g); err == nil {
-			t.Errorf("case %d: garbage accepted", i)
+			t.Errorf("case %d: garbage accepted:\n%s", i, c)
 		}
 	}
+}
+
+// A plain model must round-trip byte-identically — write → read → write
+// reproduces the file exactly, because the reader validates instead of
+// renormalizing — and the table-1 model is the checked-in file.
+func TestPlainModelRoundTripByteIdentical(t *testing.T) {
+	g, data, params := table1Fixture(t)
+	h, err := Build(g, data, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf1 bytes.Buffer
+	if err := h.WriteModel(&buf1); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := ReadHybrid(bytes.NewReader(buf1.Bytes()), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf2 bytes.Buffer
+	if err := h2.WriteModel(&buf2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
+		t.Fatal("plain model write→read→write is not byte-identical")
+	}
+	golden, err := os.ReadFile("testdata/table1.model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf1.Bytes(), golden) {
+		t.Fatal("the table-1 model differs from testdata/table1.model")
+	}
+}
+
+// FuzzReadModel feeds the model reader arbitrary bytes — the daemon's
+// -model file and the shard model files are outside input. It must
+// never panic, and whatever loads must write back to a fixed point:
+// WriteModel → ReadHybrid → WriteModel reproduces the first write.
+func FuzzReadModel(f *testing.F) {
+	g, data, params := table1Fixture(f)
+	h, err := Build(g, data, params)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := h.WriteModel(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	compat, err := os.ReadFile("testdata/table1-synopsis-v1.model")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compat)
+	f.Add([]byte(tinyModel))
+	for _, c := range garbageModels {
+		f.Add([]byte(c))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		h1, err := ReadHybrid(bytes.NewReader(in), g)
+		if err != nil {
+			return
+		}
+		var w1, w2 bytes.Buffer
+		if err := h1.WriteModel(&w1); err != nil {
+			t.Fatalf("a loaded model does not write: %v", err)
+		}
+		h2, err := ReadHybrid(bytes.NewReader(w1.Bytes()), g)
+		if err != nil {
+			t.Fatalf("a written model does not load: %v\n%s", err, w1.Bytes())
+		}
+		if err := h2.WriteModel(&w2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
+			t.Fatalf("write → read → write moved the file:\n%s\n---\n%s", w1.Bytes(), w2.Bytes())
+		}
+	})
 }
 
 func TestModelRoundTripDetectsCorruption(t *testing.T) {

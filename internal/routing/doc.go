@@ -14,8 +14,8 @@
 // skyline queries.
 //
 // A search resumes each expansion from its parent's state only: it
-// never reads the reuse handle (core.Reuse: the offline synopsis and
-// the runtime convolution memo), which serves distribution queries. On
+// never reads the convolution memo (core.ConvMemo), which serves
+// distribution queries. On
 // routing workloads a memo probe per expansion cost more than its rare
 // hits saved (docs/ARCHITECTURE.md, "Reuse hierarchy").
 //

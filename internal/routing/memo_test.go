@@ -1,7 +1,7 @@
 package routing_test
 
 // A routing search resumes each expansion from its parent's state and
-// never reads the reuse handle. On a System whose convolution memo is
+// never reads the convolution memo. On a System whose memo is
 // on and warm with the very prefixes a search walks, BestPath,
 // TopKPaths and SkylinePaths must answer exactly what a memo-free
 // Router over the same model answers — path, probability, every bucket,

@@ -41,9 +41,5 @@ func (s *Server) Metrics() http.Handler {
 			m.Counter("pathcost_conv_memo_hits_total", "Convolution memo hits.", mst.Hits)
 			m.Counter("pathcost_conv_memo_misses_total", "Convolution memo misses.", mst.Misses)
 		}
-		if sst, ok := sys.SynopsisStats(); ok {
-			m.Counter("pathcost_synopsis_hits_total", "Synopsis store hits.", sst.Hits)
-			m.Counter("pathcost_synopsis_misses_total", "Synopsis store misses.", sst.Misses)
-		}
 	})
 }

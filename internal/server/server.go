@@ -224,12 +224,11 @@ type statsResponse struct {
 	AlphaMinutes    int     `json:"alpha_minutes"`
 	Beta            int     `json:"beta"`
 
-	Cache    *cacheStatsJSON    `json:"cache,omitempty"`
-	Memo     *cacheStatsJSON    `json:"memo,omitempty"`
-	Synopsis *synopsisStatsJSON `json:"synopsis,omitempty"`
-	Ingest   *ingestStatsJSON   `json:"ingest,omitempty"`
-	Epoch    *epochStatsJSON    `json:"epoch,omitempty"`
-	WAL      *walStatsJSON      `json:"wal,omitempty"`
+	Cache  *cacheStatsJSON  `json:"cache,omitempty"`
+	Memo   *cacheStatsJSON  `json:"memo,omitempty"`
+	Ingest *ingestStatsJSON `json:"ingest,omitempty"`
+	Epoch  *epochStatsJSON  `json:"epoch,omitempty"`
+	WAL    *walStatsJSON    `json:"wal,omitempty"`
 
 	UptimeS     float64 `json:"uptime_s"`
 	Served      uint64  `json:"served"`
@@ -250,16 +249,6 @@ type cacheStatsJSON struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
-// synopsisStatsJSON reports the offline sub-path synopsis loaded with
-// the model: entry count, serialized bytes, and probe effectiveness.
-type synopsisStatsJSON struct {
-	Entries int     `json:"entries"`
-	Bytes   int     `json:"bytes"`
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
-	HitRate float64 `json:"hit_rate"`
-}
-
 // ingestStatsJSON reports the streaming-ingestion pipeline's
 // cumulative counters (present only when ingestion is enabled;
 // counters restart when a model reload re-points the pipeline).
@@ -277,20 +266,17 @@ type ingestStatsJSON struct {
 // current epoch, the staged-delta backlog, and what the most recent
 // incremental publish did.
 type epochStatsJSON struct {
-	Seq                    uint64  `json:"seq"`
-	Publishes              uint64  `json:"publishes"`
-	StagedPending          int     `json:"staged_pending"`
-	StagedTotal            uint64  `json:"staged_total"`
-	DecayHalflifeS         float64 `json:"decay_halflife_s"`
-	LastTrajs              int     `json:"last_trajs"`
-	LastTouchedVars        int     `json:"last_touched_vars"`
-	LastRebuiltVars        int     `json:"last_rebuilt_vars"`
-	LastNewVars            int     `json:"last_new_vars"`
-	LastBuildMS            int64   `json:"last_build_ms"`
-	LastDecayFactor        float64 `json:"last_decay_factor"`
-	SynopsisCarried        int     `json:"synopsis_carried"`
-	SynopsisRematerialized int     `json:"synopsis_rematerialized"`
-	SynopsisDropped        int     `json:"synopsis_dropped"`
+	Seq             uint64  `json:"seq"`
+	Publishes       uint64  `json:"publishes"`
+	StagedPending   int     `json:"staged_pending"`
+	StagedTotal     uint64  `json:"staged_total"`
+	DecayHalflifeS  float64 `json:"decay_halflife_s"`
+	LastTrajs       int     `json:"last_trajs"`
+	LastTouchedVars int     `json:"last_touched_vars"`
+	LastRebuiltVars int     `json:"last_rebuilt_vars"`
+	LastNewVars     int     `json:"last_new_vars"`
+	LastBuildMS     int64   `json:"last_build_ms"`
+	LastDecayFactor float64 `json:"last_decay_factor"`
 }
 
 // walStatsJSON reports the attached ingest write-ahead log (present
@@ -632,12 +618,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Entries: mst.Entries, Capacity: mst.Capacity, HitRate: mst.HitRate(),
 		}
 	}
-	if sst, ok := sys.SynopsisStats(); ok {
-		resp.Synopsis = &synopsisStatsJSON{
-			Entries: sst.Entries, Bytes: sst.Bytes,
-			Hits: sst.Hits, Misses: sst.Misses, HitRate: sst.HitRate(),
-		}
-	}
 	// The ingest and epoch blocks describe the streaming-ingestion
 	// lifecycle; on a query-only server (-ingest off) that machinery is
 	// deliberately dark, so the blocks are omitted just as the
@@ -663,20 +643,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp.Epoch = &epochStatsJSON{
-			Seq:                    est.Seq,
-			Publishes:              est.Publishes,
-			StagedPending:          est.StagedPending,
-			StagedTotal:            est.StagedTotal,
-			DecayHalflifeS:         est.DecayHalflifeSec,
-			LastTrajs:              est.LastTrajs,
-			LastTouchedVars:        est.LastTouchedVars,
-			LastRebuiltVars:        est.LastRebuiltVars,
-			LastNewVars:            est.LastNewVars,
-			LastBuildMS:            est.LastBuildMS,
-			LastDecayFactor:        est.LastDecayFactor,
-			SynopsisCarried:        est.SynopsisCarried,
-			SynopsisRematerialized: est.SynopsisRematerialized,
-			SynopsisDropped:        est.SynopsisDropped,
+			Seq:             est.Seq,
+			Publishes:       est.Publishes,
+			StagedPending:   est.StagedPending,
+			StagedTotal:     est.StagedTotal,
+			DecayHalflifeS:  est.DecayHalflifeSec,
+			LastTrajs:       est.LastTrajs,
+			LastTouchedVars: est.LastTouchedVars,
+			LastRebuiltVars: est.LastRebuiltVars,
+			LastNewVars:     est.LastNewVars,
+			LastBuildMS:     est.LastBuildMS,
+			LastDecayFactor: est.LastDecayFactor,
 		}
 	}
 	s.gate.WriteUncounted(w, http.StatusOK, resp)

@@ -12,9 +12,8 @@
 // The composition is exact, not approximate: in a region-partitioned
 // model no variable spans a region cut, so the Eq. 2 evaluation chain
 // folds to an accumulator-only state at precisely each boundary, and
-// relaying that state (serialized with the same lossless %g encoding
-// the synopsis store uses) reproduces single-process evaluation float
-// for float. Sharded answers are therefore byte-identical to a single
+// relaying that state (serialized losslessly as raw float64 bits,
+// pstate-v2) reproduces single-process evaluation float for float. Sharded answers are therefore byte-identical to a single
 // process serving the union model — a property the differential test
 // harness in this package checks literally, across partitions,
 // methods and cache temperatures.

@@ -61,7 +61,7 @@ func TestLoadgenNominal(t *testing.T) {
 		t.Errorf("%d errors under nominal load, want 0", res.Errors)
 	}
 	// Generous: CI machines vary, but a healthy in-process fleet
-	// answers cached/synopsis-backed queries in single-digit ms.
+	// answers cached or memo-backed queries in single-digit ms.
 	if res.P99MS > 1000 {
 		t.Errorf("p99 = %.1fms, want < 1000ms", res.P99MS)
 	}

@@ -62,7 +62,7 @@ func TestCoordinatorByteIdenticalToUnion(t *testing.T) {
 			paths := queryPaths(t, sys, 30, int64(100+k))
 			depart := 8 * 3600.0
 			crossed := 0
-			// Two passes: the warm pass hits the shards' synopsis/memo
+			// Two passes: the warm pass hits the shards' cache/memo
 			// state populated by the cold one, which must not change a
 			// single byte.
 			for pass, label := range []string{"cold", "warm"} {

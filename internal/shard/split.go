@@ -22,13 +22,10 @@ type SplitResult struct {
 	Union  *pathcost.System
 	// Dropped counts variables whose path crossed a region cut.
 	Dropped int
-	// DroppedSynopsis counts synopsis entries lost the same way.
-	DroppedSynopsis int
 }
 
 // SplitModel cuts sys's trained model along part. Each output system
-// is built by serializing the filtered model + synopsis and loading
-// it back — the exact loader path a shard daemon takes with a model
+// is built by serializing the filtered model and loading it back — the exact loader path a shard daemon takes with a model
 // file — so a split-in-process system and a shard booted from a
 // written file behave identically, byte for byte.
 func SplitModel(sys *pathcost.System, part *Partition) (*SplitResult, error) {
@@ -37,7 +34,6 @@ func SplitModel(sys *pathcost.System, part *Partition) (*SplitResult, error) {
 		return nil, fmt.Errorf("shard: partition is for %d vertices, network has %d", len(part.Vertex), g.NumVertices())
 	}
 	h := sys.Hybrid()
-	syn := sys.Synopsis()
 
 	total := 0
 	h.ForEachVariable(func(*core.Variable) { total++ })
@@ -50,18 +46,7 @@ func SplitModel(sys *pathcost.System, part *Partition) (*SplitResult, error) {
 			vr, ok := part.PathInRegion(g, v.Path)
 			return ok && vr == region
 		})
-		var fs *core.SynopsisStore
-		if syn != nil {
-			var err error
-			fs, err = syn.Filter(func(p pathcost.Path) bool {
-				vr, ok := part.PathInRegion(g, p)
-				return ok && vr == region
-			})
-			if err != nil {
-				return nil, fmt.Errorf("shard: filtering synopsis for region %d: %w", r, err)
-			}
-		}
-		shardSys, err := roundTrip(g, fh, fs)
+		shardSys, err := roundTrip(g, fh)
 		if err != nil {
 			return nil, fmt.Errorf("shard: building region %d: %w", r, err)
 		}
@@ -73,20 +58,7 @@ func SplitModel(sys *pathcost.System, part *Partition) (*SplitResult, error) {
 		_, ok := part.PathInRegion(g, v.Path)
 		return ok
 	})
-	var us *core.SynopsisStore
-	if syn != nil {
-		before := syn.Len()
-		var err error
-		us, err = syn.Filter(func(p pathcost.Path) bool {
-			_, ok := part.PathInRegion(g, p)
-			return ok
-		})
-		if err != nil {
-			return nil, fmt.Errorf("shard: filtering union synopsis: %w", err)
-		}
-		res.DroppedSynopsis = before - us.Len()
-	}
-	union, err := roundTrip(g, uh, us)
+	union, err := roundTrip(g, uh)
 	if err != nil {
 		return nil, fmt.Errorf("shard: building union model: %w", err)
 	}
@@ -102,9 +74,9 @@ func WriteShardModel(w io.Writer, sys *pathcost.System) error { return sys.SaveM
 // roundTrip serializes a filtered model and loads it back through the
 // standard loader, yielding a fresh System with loader-identical
 // in-memory state.
-func roundTrip(g *pathcost.Graph, h *core.HybridGraph, syn *core.SynopsisStore) (*pathcost.System, error) {
+func roundTrip(g *pathcost.Graph, h *core.HybridGraph) (*pathcost.System, error) {
 	var buf bytes.Buffer
-	if err := h.WriteModelSynopsis(&buf, syn); err != nil {
+	if err := h.WriteModel(&buf); err != nil {
 		return nil, err
 	}
 	return pathcost.LoadSystem(g, nil, &buf)

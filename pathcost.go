@@ -78,13 +78,9 @@ type (
 	RouteResult = routing.Result
 	// CacheStats reports query-cache effectiveness (see EnableQueryCache).
 	CacheStats = cache.Stats
-	// WorkloadQuery is one query-log observation used to train the
-	// offline sub-path synopsis (see BuildSynopsis).
+	// WorkloadQuery is one query-log observation (see
+	// SyntheticWorkload).
 	WorkloadQuery = core.WorkloadQuery
-	// SynopsisConfig tunes the synopsis selection pass.
-	SynopsisConfig = core.SynopsisConfig
-	// SynopsisStats reports synopsis size and probe effectiveness.
-	SynopsisStats = core.SynopsisStats
 	// QueryOptions selects method, rank cap and seed for one query.
 	QueryOptions = core.QueryOptions
 )
@@ -116,9 +112,8 @@ func DefaultParams() Params { return core.DefaultParams() }
 // without data), and a router evaluating against exactly this model.
 // The model content is immutable after publish; queries that loaded an
 // epoch keep a consistent view of it even while the next epoch is
-// being built and published. The reuse handle carrying synopsis and
-// memo view is swappable per epoch via the System's Enable*/Attach*
-// methods.
+// being built and published. The epoch's memo view is swappable via
+// EnableConvMemo.
 type ModelEpoch struct {
 	// Seq is the monotonically increasing epoch sequence number; it
 	// namespaces every query-cache key and memo key so a publish
@@ -129,19 +124,11 @@ type ModelEpoch struct {
 	Data   *Collection
 	Router *routing.Router
 
-	// reuse carries the epoch's offline sub-path synopsis (rebuilt
-	// incrementally at publish) and its epoch-scoped view of the
-	// convolution memo, read by distribution queries only.
-	reuse atomic.Pointer[core.Reuse]
+	// memo is the epoch-scoped view of the convolution memo (nil when
+	// none is enabled), read by distribution queries only. Writers hold
+	// pubMu or have not published the epoch yet.
+	memo atomic.Pointer[core.ConvMemo]
 }
-
-// Synopsis returns the epoch's synopsis store, or nil.
-func (e *ModelEpoch) Synopsis() *core.SynopsisStore { return e.reuse.Load().Synopsis() }
-
-// setReuse swaps the epoch's reuse handle. Callers hold pubMu (or have
-// not published e yet), so copy-on-write updates of the handle never
-// race each other.
-func (e *ModelEpoch) setReuse(r *core.Reuse) { e.reuse.Store(r) }
 
 // System bundles a road network, the epoch-versioned trained model
 // (hybrid graph, trajectory collection, router) and the serving
@@ -207,7 +194,6 @@ type System struct {
 	lastDelta   core.EpochDelta
 	lastBuild   time.Duration
 	lastFactor  float64
-	lastSyn     core.SynopsisRebuildStats
 
 	// computeProbe, when non-nil, is invoked once per underlying
 	// CostDistribution computation in PathDistribution. Test seam for
@@ -356,60 +342,17 @@ func (s *System) EnableConvMemo(capacity int) {
 	if capacity > 0 {
 		view = core.NewConvMemo(capacity).ForEpoch(ep.Seq)
 	}
-	ep.setReuse(ep.reuse.Load().WithMemo(view))
+	ep.memo.Store(view)
 }
 
 // ConvMemoStats snapshots the convolution memo's hit/miss/eviction
 // counters; ok is false when no memo is enabled.
 func (s *System) ConvMemoStats() (st CacheStats, ok bool) {
-	m := s.epoch.Load().reuse.Load().Memo()
+	m := s.epoch.Load().memo.Load()
 	if m == nil {
 		return CacheStats{}, false
 	}
 	return m.Stats(), true
-}
-
-// BuildSynopsis runs the offline synopsis selection pass over a
-// workload sample (a real query log or a synthetic stand-in — see
-// SyntheticWorkload), materializes the selected sub-path states under
-// the configured entry/byte budget, and attaches the store so
-// PathDistribution consults it. SaveModel then persists it with the
-// model, and LoadSystem re-attaches it at load — the "train once,
-// serve warm" shape: a freshly booted server answers the synopsis's
-// sub-paths with zero convolutions.
-func (s *System) BuildSynopsis(workload []WorkloadQuery, cfg SynopsisConfig) (*core.SynopsisStore, error) {
-	syn, err := s.Hybrid().BuildSynopsis(workload, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.AttachSynopsis(syn)
-	return syn, nil
-}
-
-// AttachSynopsis installs (or, with nil, removes) a synopsis store on
-// the current epoch. Safe to call while queries are in flight: the
-// pointer swaps atomically and running queries finish against
-// whichever store they started with.
-// A later PublishEpoch carries the store forward, incrementally
-// rebuilt for the new model (see SynopsisStore.Rebuild).
-func (s *System) AttachSynopsis(syn *core.SynopsisStore) {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
-	ep := s.epoch.Load()
-	ep.setReuse(ep.reuse.Load().WithSynopsis(syn))
-}
-
-// Synopsis returns the current epoch's synopsis store, or nil.
-func (s *System) Synopsis() *core.SynopsisStore { return s.epoch.Load().Synopsis() }
-
-// SynopsisStats snapshots the synopsis's size and probe counters; ok
-// is false when no synopsis is attached.
-func (s *System) SynopsisStats() (st SynopsisStats, ok bool) {
-	syn := s.Synopsis()
-	if syn == nil {
-		return SynopsisStats{}, false
-	}
-	return syn.Stats(), true
 }
 
 // PlanQuery is one entry of a PlanDistributions batch.
@@ -455,9 +398,9 @@ func (s *System) PlanDistributions(ctx context.Context, queries []PlanQuery,
 // SyntheticWorkload samples a prefix-heavy query log: trunk paths of
 // the given cardinality found by random walk, each contributing its
 // prefixes of random depth ≥ 2, departing at times drawn from
-// departs. It stands in for a real query log when training a synopsis
-// (the shape mirrors what a router exploring candidates from a few
-// sources, or a fleet of commuters on shared corridors, produces).
+// departs. It stands in for a real query log: the shape mirrors what a
+// router exploring candidates from a few sources, or a fleet of
+// commuters on shared corridors, produces.
 func (s *System) SyntheticWorkload(n, card int, seed int64, departs []float64) ([]WorkloadQuery, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("pathcost: workload size %d must be ≥ 1", n)
@@ -637,9 +580,9 @@ func (s *System) computeGated(ctx context.Context, ep *ModelEpoch, p Path, depar
 
 // compute runs one underlying estimation (the expensive step the
 // cache and singleflight both exist to avoid repeating) against one
-// epoch snapshot, through the epoch's reuse handle: evaluation resumes
-// from the deepest prefix of p the synopsis or the memo view holds, and
-// the answer is byte-identical with both, either or neither enabled.
+// epoch snapshot, through the epoch's memo view: evaluation resumes
+// from the deepest prefix of p the memo holds, and the answer is
+// byte-identical with or without one.
 func (s *System) compute(ctx context.Context, ep *ModelEpoch, p Path, depart float64, opt QueryOptions) (*QueryResult, error) {
 	if s.computeProbe != nil {
 		s.computeProbe()
@@ -651,7 +594,7 @@ func (s *System) compute(ctx context.Context, ep *ModelEpoch, p Path, depart flo
 	if ctx == context.Background() {
 		ctx = nil
 	}
-	return ep.Hybrid.CostDistributionCtx(ctx, ep.reuse.Load(), p, depart, opt)
+	return ep.Hybrid.CostDistributionCtx(ctx, ep.memo.Load(), p, depart, opt)
 }
 
 // GroundTruth runs the accuracy-optimal baseline (Section 2.2) on the
@@ -664,7 +607,7 @@ func (s *System) GroundTruth(p Path, depart float64) (*Histogram, int, error) {
 // Route answers a probabilistic budget query: the path from src to dst
 // maximizing P(travel time ≤ budget) when departing at depart. The
 // search extends each candidate by one edge from its parent's chain
-// state; it reads neither the memo nor the synopsis.
+// state; it does not read the memo.
 func (s *System) Route(src, dst VertexID, depart, budget float64, m Method) (*RouteResult, error) {
 	return s.RouteCtx(nil, src, dst, depart, budget, m)
 }
@@ -749,31 +692,24 @@ func (s *System) RandomQueryPath(n int, rnd func(int) int) (Path, error) {
 // by rank, coverage, storage).
 func (s *System) Stats() core.BuildStats { return s.Hybrid().Stats() }
 
-// SaveModel writes the trained hybrid graph to w — including the
-// attached synopsis, when one exists, in a versioned trailing section
-// — and LoadSystem restores both against the same road network.
-// Training is the expensive step (the paper reports minutes to 45
+// SaveModel writes the trained hybrid graph to w, and LoadSystem
+// restores it against the same road network. Training is the expensive step (the paper reports minutes to 45
 // minutes on its fleets), so real deployments train once and serve
 // many queries.
 func (s *System) SaveModel(w io.Writer) error {
-	ep := s.epoch.Load()
-	return ep.Hybrid.WriteModelSynopsis(w, ep.Synopsis())
+	return s.Hybrid().WriteModel(w)
 }
 
 // LoadSystem restores a saved model against the road network it was
-// trained on; a synopsis section, when present, is loaded and
-// attached (AttachSynopsis(nil) detaches it). data may be nil; it is
-// only needed by GroundTruth and DensePaths.
+// trained on (see core.ReadHybrid for files that carry a retired
+// synopsis section). data may be nil; it is only needed by GroundTruth
+// and DensePaths.
 func LoadSystem(g *Graph, data *Collection, r io.Reader) (*System, error) {
-	h, syn, err := core.ReadHybridSynopsis(r, g)
+	h, err := core.ReadHybrid(r, g)
 	if err != nil {
 		return nil, err
 	}
-	sys := newSystem(g, data, h, h.Params)
-	if syn != nil {
-		sys.AttachSynopsis(syn)
-	}
-	return sys, nil
+	return newSystem(g, data, h, h.Params), nil
 }
 
 // TopKRoutes answers the probabilistic top-k path query: the k best
@@ -969,9 +905,9 @@ func (s *System) ApplyDeltas(batch []*Matched) (EpochStats, error) {
 // batch are rebuilt (exact mode) or decayed-and-merged (decay mode);
 // everything else is shared with the previous epoch by pointer.
 // In-flight queries are never blocked — they finish on the epoch they
-// snapshotted, and the epoch-prefixed cache keys, memo views and the
-// rebuilt synopsis guarantee no derived state computed against
-// the old model ever answers a query on the new one.
+// snapshotted, and the epoch-prefixed cache keys and memo views
+// guarantee no derived state computed against the old model ever
+// answers a query on the new one.
 //
 // With nothing staged, PublishEpoch is a no-op returning current
 // stats. On a build error the staged batch is restored (ahead of
@@ -1039,22 +975,12 @@ func (s *System) PublishEpoch() (EpochStats, error) {
 		return s.epochStats(ep), err
 	}
 
-	// Carry the reuse handle forward: synopsis entries whose sub-path
-	// shares no edge with the delta are still byte-exact and move by
-	// pointer, touched ones rematerialize against the new model,
-	// unanswerable ones drop; the memo view moves to the new epoch's key
-	// space.
+	// The memo view moves to the new epoch's key space.
 	seq := ep.Seq + 1
-	reuse, synStats := ep.reuse.Load().NextEpoch(seq, nh, func(p Path) bool {
-		for _, e := range p {
-			if delta.TouchedEdges[e] {
-				return true
-			}
-		}
-		return false
-	})
 	nep := &ModelEpoch{Seq: seq, Hybrid: nh, Data: nd, Router: routing.New(nh)}
-	nep.setReuse(reuse)
+	if m := ep.memo.Load(); m != nil {
+		nep.memo.Store(m.ForEpoch(seq))
+	}
 	s.epoch.Store(nep)
 	s.lastPublish = time.Now()
 
@@ -1079,7 +1005,6 @@ func (s *System) PublishEpoch() (EpochStats, error) {
 	s.lastDelta = delta
 	s.lastBuild = time.Since(t0)
 	s.lastFactor = factor
-	s.lastSyn = synStats
 	s.statMu.Unlock()
 	return s.epochStats(nep), nil
 }
@@ -1117,11 +1042,6 @@ type EpochStats struct {
 	// LastDecayFactor the decay factor it applied (1 in exact mode).
 	LastBuildMS     int64
 	LastDecayFactor float64
-	// SynopsisCarried/Rematerialized/Dropped describe how the last
-	// publish carried the synopsis across the epoch boundary.
-	SynopsisCarried        int
-	SynopsisRematerialized int
-	SynopsisDropped        int
 }
 
 // EpochStats snapshots the epoch lifecycle counters. It never waits
@@ -1135,19 +1055,16 @@ func (s *System) epochStats(ep *ModelEpoch) EpochStats {
 	s.statMu.Lock()
 	defer s.statMu.Unlock()
 	return EpochStats{
-		Seq:                    ep.Seq,
-		Publishes:              s.publishes,
-		StagedPending:          pending,
-		StagedTotal:            s.stagedTotal,
-		DecayHalflifeSec:       s.DecayHalflife().Seconds(),
-		LastTrajs:              s.lastDelta.Trajs,
-		LastTouchedVars:        s.lastDelta.TouchedPaths,
-		LastRebuiltVars:        s.lastDelta.RebuiltVars,
-		LastNewVars:            s.lastDelta.NewVars,
-		LastBuildMS:            s.lastBuild.Milliseconds(),
-		LastDecayFactor:        s.lastFactor,
-		SynopsisCarried:        s.lastSyn.Carried,
-		SynopsisRematerialized: s.lastSyn.Rematerialized,
-		SynopsisDropped:        s.lastSyn.Dropped,
+		Seq:              ep.Seq,
+		Publishes:        s.publishes,
+		StagedPending:    pending,
+		StagedTotal:      s.stagedTotal,
+		DecayHalflifeSec: s.DecayHalflife().Seconds(),
+		LastTrajs:        s.lastDelta.Trajs,
+		LastTouchedVars:  s.lastDelta.TouchedPaths,
+		LastRebuiltVars:  s.lastDelta.RebuiltVars,
+		LastNewVars:      s.lastDelta.NewVars,
+		LastBuildMS:      s.lastBuild.Milliseconds(),
+		LastDecayFactor:  s.lastFactor,
 	}
 }

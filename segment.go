@@ -27,12 +27,12 @@ func DecodeChainState(data []byte, pathLen int) (*ChainState, error) {
 }
 
 // EvaluateSegment evaluates one segment of a partitioned query against
-// the current epoch's model and reuse handle. First segments run the
-// ordinary incremental evaluation (the handle applies); continuations
+// the current epoch's model and memo view. First segments run the
+// ordinary incremental evaluation (the memo applies); continuations
 // resume from the relayed state and never touch it. The query cache
 // is bypassed: partial states are intermediate values keyed by relay
 // context, not whole-query answers.
 func (s *System) EvaluateSegment(in SegmentInput) (*SegmentResult, error) {
 	ep := s.epoch.Load()
-	return ep.Hybrid.EvaluateSegment(ep.reuse.Load(), in)
+	return ep.Hybrid.EvaluateSegment(ep.memo.Load(), in)
 }
