@@ -133,20 +133,6 @@ func BenchmarkAutoHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkConvolve measures one histogram convolution (the LB step).
-func BenchmarkConvolve(b *testing.B) {
-	x := hist.MustFromBuckets([]hist.Bucket{
-		{Lo: 10, Hi: 20, Pr: 0.3}, {Lo: 20, Hi: 40, Pr: 0.4}, {Lo: 40, Hi: 45, Pr: 0.3},
-	})
-	y := hist.MustFromBuckets([]hist.Bucket{
-		{Lo: 5, Hi: 15, Pr: 0.5}, {Lo: 15, Hi: 30, Pr: 0.5},
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hist.Convolve(x, y)
-	}
-}
-
 // BenchmarkCoarsestDecomposition measures Algorithm 1 alone (the OI
 // step of Figure 17).
 func BenchmarkCoarsestDecomposition(b *testing.B) {

@@ -135,7 +135,7 @@ func main() {
 	flag.StringVar(&opt.shards, "shards", "", "comma-separated shard base URLs, one per partition region in order; a region may be a pipe-separated replica group, e.g. http://a:8080|http://b:8080 (coordinator mode)")
 	flag.StringVar(&opt.partitionFile, "partition", "", "region partition file written by cmd/pathcost -partition (coordinator mode)")
 	flag.DurationVar(&opt.hedgeAfter, "hedge-after", 150*time.Millisecond, "race a second leg against a shard call slower than this (coordinator mode)")
-	flag.DurationVar(&opt.probeInterval, "probe-interval", 2*time.Second, "per-shard /healthz probe spacing; negative disables (coordinator mode)")
+	flag.DurationVar(&opt.probeInterval, "probe-interval", 2*time.Second, "per-replica health probe spacing (GET /v1/stats; also feeds each region's epoch in the coordinator's /v1/stats); negative disables (coordinator mode)")
 	flag.DurationVar(&opt.shardTimeout, "shard-timeout", 10*time.Second, "per-leg shard call timeout (coordinator mode)")
 	flag.IntVar(&opt.breakerThreshold, "breaker-threshold", 0, "consecutive leg failures that open a replica's circuit breaker (0 = 3, negative disables; coordinator mode)")
 	flag.DurationVar(&opt.breakerCooldown, "breaker-cooldown", 0, "how long an open breaker deflects a replica's traffic before a half-open trial (0 = 1s; coordinator mode)")

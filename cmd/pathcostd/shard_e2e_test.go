@@ -178,20 +178,13 @@ func TestRunMultiShardE2E(t *testing.T) {
 	// Stream raw GPS into shard 0 and force an epoch publish with the
 	// daemon's SIGHUP channel; the coordinator's stats must see the
 	// shard's epoch advance.
+	// The coordinator reports each shard's epoch as of its last probe,
+	// so the baseline waits for the first one.
 	daemons[0].hup <- syscall.SIGHUP // nothing staged: must be a no-op
-	before := coordShardEpoch(t, coord.base, 0)
+	before := awaitCoordShardEpoch(t, coord.base, 0, 0)
 	ingestRaw(t, daemons[0].base, sys.Graph)
 	daemons[0].hup <- syscall.SIGHUP
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if e := coordShardEpoch(t, coord.base, 0); e > before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never observed shard 0 advancing past epoch %d", before)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	awaitCoordShardEpoch(t, coord.base, 0, before)
 
 	// The tier still serves on the new epoch, and the coordinator's
 	// /metrics scrape reflects the served traffic.
@@ -274,6 +267,22 @@ func coordShardEpoch(t *testing.T, base string, region int) uint64 {
 		}
 	}
 	return 0
+}
+
+// awaitCoordShardEpoch polls the coordinator's /v1/stats until region
+// reports an epoch past the given one, and returns it.
+func awaitCoordShardEpoch(t *testing.T, base string, region int, past uint64) uint64 {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if e := coordShardEpoch(t, base, region); e > past {
+			return e
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator never observed shard %d past epoch %d", region, past)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 }
 
 // ingestRaw streams a raw-GPS batch into base's /v1/ingest.

@@ -1,6 +1,7 @@
 package pathcost
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -43,6 +44,21 @@ func pollUntil(t *testing.T, cond func() bool, msg string) bool {
 	return true
 }
 
+// parkCounter is a context that never ends and counts its Done calls.
+// The query path reads Done in one place, where a singleflight follower
+// parks behind the leader, so parked is the number of parked followers.
+type parkCounter struct {
+	context.Context
+	parked atomic.Int32
+}
+
+func newParkCounter() *parkCounter { return &parkCounter{Context: context.Background()} }
+
+func (c *parkCounter) Done() <-chan struct{} {
+	c.parked.Add(1)
+	return c.Context.Done()
+}
+
 // densePath returns a trajectory-backed query path and a departure
 // time inside its populated α-interval.
 func densePath(t testing.TB, s *System) (Path, float64) {
@@ -68,7 +84,7 @@ func TestPathDistributionSingleflightExactlyOnce(t *testing.T) {
 	s := freshSystem(t)
 	s.EnableQueryCache(64)
 	p, depart := densePath(t, s)
-	key := s.queryKey(s.CurrentEpoch(), p, depart, OD)
+	ctx := newParkCounter()
 
 	const callers = 16
 	var execs atomic.Int32
@@ -88,12 +104,12 @@ func TestPathDistributionSingleflightExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = s.PathDistribution(p, depart, OD)
+			results[i], errs[i] = s.PathDistributionGated(ctx, p, depart, OD, nil, nil)
 		}(i)
 	}
 
 	<-leaderIn
-	pollUntil(t, func() bool { return s.flight.Waiting(key) == callers-1 },
+	pollUntil(t, func() bool { return ctx.parked.Load() == callers-1 },
 		"all followers parked on the flight")
 	close(release)
 	wg.Wait()
@@ -132,7 +148,7 @@ func TestPathDistributionGatedChargesLeadersOnly(t *testing.T) {
 	s := freshSystem(t)
 	s.EnableQueryCache(64)
 	p, depart := densePath(t, s)
-	key := s.queryKey(s.CurrentEpoch(), p, depart, OD)
+	ctx := newParkCounter()
 
 	var acquires, releases atomic.Int32
 	acquire := func() bool { acquires.Add(1); return true }
@@ -154,13 +170,13 @@ func TestPathDistributionGatedChargesLeadersOnly(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.PathDistributionGated(nil, p, depart, OD, acquire, release); err != nil {
+			if _, err := s.PathDistributionGated(ctx, p, depart, OD, acquire, release); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	<-leaderIn
-	pollUntil(t, func() bool { return s.flight.Waiting(key) == callers-1 },
+	pollUntil(t, func() bool { return ctx.parked.Load() == callers-1 },
 		"all followers parked")
 	close(releaseCh)
 	wg.Wait()
@@ -194,15 +210,19 @@ func TestPathDistributionGatedFollowerRetriesInheritedRejection(t *testing.T) {
 	s := freshSystem(t)
 	s.EnableQueryCache(64)
 	p, depart := densePath(t, s)
-	key := s.queryKey(s.CurrentEpoch(), p, depart, OD)
+	followerCtx := newParkCounter()
 
 	leaderErr := make(chan error, 1)
+	holding := make(chan struct{})
 	go func() {
-		// Leader: refuses its slot, but only once the follower is
-		// parked — so the rejection is guaranteed to be inherited.
+		// Leader: its acquire runs inside the flight, so entering it
+		// means the flight is held. It refuses its slot, but only once
+		// the follower is parked — so the rejection is guaranteed to be
+		// inherited.
 		_, err := s.PathDistributionGated(nil, p, depart, OD, func() bool {
+			close(holding)
 			deadline := time.Now().Add(5 * time.Second)
-			for s.flight.Waiting(key) != 1 && !time.Now().After(deadline) {
+			for followerCtx.parked.Load() != 1 && !time.Now().After(deadline) {
 				time.Sleep(time.Millisecond)
 			}
 			return false
@@ -210,11 +230,9 @@ func TestPathDistributionGatedFollowerRetriesInheritedRejection(t *testing.T) {
 		leaderErr <- err
 	}()
 
-	if !pollUntil(t, func() bool { return s.flight.Pending() == 1 }, "leader to hold the flight") {
-		t.FailNow() // main test goroutine: safe to stop here
-	}
+	<-holding
 	var ownAcquires atomic.Int32
-	res, err := s.PathDistributionGated(nil, p, depart, OD,
+	res, err := s.PathDistributionGated(followerCtx, p, depart, OD,
 		func() bool { ownAcquires.Add(1); return true }, nil)
 	if err != nil || res == nil {
 		t.Fatalf("follower surfaced inherited rejection: res=%v err=%v", res, err)

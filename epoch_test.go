@@ -13,6 +13,13 @@ import (
 	"repro/internal/gps"
 )
 
+// applyDeltas stages batch and publishes it, with anything already
+// staged, as one epoch.
+func applyDeltas(s *System, batch []*Matched) (EpochStats, error) {
+	s.StageTrajectories(batch)
+	return s.PublishEpoch()
+}
+
 // epochBase trains a system on the first `keep` trajectories of a
 // synthesized workload and returns it with the held-out remainder —
 // the raw material for incremental-vs-retrain comparisons.
@@ -63,13 +70,13 @@ func TestEpochIncrementalMatchesFullRetrain(t *testing.T) {
 	// Feed the held-out tail in randomly sized batches, in order (the
 	// stream arrives in order; batch boundaries are what vary).
 	rnd := rand.New(rand.NewSource(7))
-	startSeq := sys.Epoch()
+	startSeq := sys.EpochStats().Seq
 	var publishes uint64
 	for len(held) > 0 {
 		n := 1 + rnd.Intn(len(held))
-		st, err := sys.ApplyDeltas(held[:n])
+		st, err := applyDeltas(sys, held[:n])
 		if err != nil {
-			t.Fatalf("ApplyDeltas(%d): %v", n, err)
+			t.Fatalf("publish of %d: %v", n, err)
 		}
 		held = held[n:]
 		publishes++
@@ -122,9 +129,9 @@ func TestEpochIncrementalMatchesFullRetrain(t *testing.T) {
 	}
 	apply := func(batch []*Matched) EpochStats {
 		t.Helper()
-		st, err := sys.ApplyDeltas(batch)
+		st, err := applyDeltas(sys, batch)
 		if err != nil {
-			t.Fatalf("ApplyDeltas: %v", err)
+			t.Fatalf("publish: %v", err)
 		}
 		publishes++
 		return st
@@ -166,8 +173,8 @@ func TestEpochDecayStaysNormalized(t *testing.T) {
 	sys.SetDecayHalflife(time.Hour)
 
 	before := sys.Hybrid()
-	if _, err := sys.ApplyDeltas(held); err != nil {
-		t.Fatalf("decay ApplyDeltas: %v", err)
+	if _, err := applyDeltas(sys, held); err != nil {
+		t.Fatalf("decay publish: %v", err)
 	}
 	if sys.Hybrid() == before {
 		t.Fatal("decay publish did not produce a new hybrid")
@@ -243,7 +250,7 @@ func TestEpochConcurrentQueriesDuringPublish(t *testing.T) {
 	// Publisher: fold the held-out tail in small batches while the
 	// query storm runs.
 	for i := 0; i+20 <= len(held); i += 20 {
-		if _, err := sys.ApplyDeltas(held[i : i+20]); err != nil {
+		if _, err := applyDeltas(sys, held[i:i+20]); err != nil {
 			cancel()
 			wg.Wait()
 			t.Fatalf("publish %d: %v", i/20, err)
@@ -259,8 +266,8 @@ func TestEpochConcurrentQueriesDuringPublish(t *testing.T) {
 	if queries.Load() == 0 {
 		t.Fatal("no queries completed during publishing")
 	}
-	if sys.Epoch() < 2 {
-		t.Fatalf("no epochs published (seq %d)", sys.Epoch())
+	if sys.EpochStats().Seq < 2 {
+		t.Fatalf("no epochs published (seq %d)", sys.EpochStats().Seq)
 	}
 }
 
@@ -292,7 +299,7 @@ func TestEpochInvalidatesCachesAcrossPublish(t *testing.T) {
 		}
 	}
 
-	if _, err := sys.ApplyDeltas(held); err != nil {
+	if _, err := applyDeltas(sys, held); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
 
@@ -352,12 +359,12 @@ func TestStageTrajectoriesRejectsInvalid(t *testing.T) {
 // advance the epoch.
 func TestPublishEpochEmptyNoOp(t *testing.T) {
 	sys, _, _, _ := epochBase(t, 127, 600, 500)
-	seq := sys.Epoch()
+	seq := sys.EpochStats().Seq
 	st, err := sys.PublishEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Seq != seq || sys.Epoch() != seq {
-		t.Fatalf("empty publish moved epoch %d → %d", seq, sys.Epoch())
+	if st.Seq != seq || sys.EpochStats().Seq != seq {
+		t.Fatalf("empty publish moved epoch %d → %d", seq, sys.EpochStats().Seq)
 	}
 }

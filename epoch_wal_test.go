@@ -21,7 +21,7 @@ func walBase(t *testing.T) (sys *System, held []*Matched, reference []byte) {
 	// The reference is the base system plus the full stream, built
 	// independently so no state leaks from the system under test.
 	refSys, _, _, _ = epochBase(t, 211, 1100, 800)
-	if _, err := refSys.ApplyDeltas(held); err != nil {
+	if _, err := applyDeltas(refSys, held); err != nil {
 		t.Fatal(err)
 	}
 	return sys, held, modelBytes(t, refSys)
@@ -146,7 +146,7 @@ func TestWALCrashRecoveryDiscardsTornTail(t *testing.T) {
 	}
 
 	oracle, _, _, _ := epochBase(t, 211, 1100, 800)
-	if _, err := oracle.ApplyDeltas(held[:cut]); err != nil {
+	if _, err := applyDeltas(oracle, held[:cut]); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(modelBytes(t, recovered), modelBytes(t, oracle)) {
@@ -236,12 +236,12 @@ func TestWALFailedCheckpointRetainsRecords(t *testing.T) {
 	sys.AttachWAL(l)
 	sys.SetWALCheckpoint(func() error { return errors.New("disk full (injected)") })
 	for i := 1; i <= 2; i++ {
-		seq := sys.Epoch()
+		seq := sys.EpochStats().Seq
 		sys.StageTrajectories(held[(i-1)*50 : i*50])
 		if _, err := sys.PublishEpoch(); err != nil {
 			t.Fatalf("publish must survive a failed checkpoint: %v", err)
 		}
-		if got := sys.Epoch(); got != seq+1 {
+		if got := sys.EpochStats().Seq; got != seq+1 {
 			t.Fatalf("publish %d: epoch %d, want %d (a failed checkpoint must not unpublish)", i, got, seq+1)
 		}
 		st, errs, _ := sys.WALStats()
@@ -277,11 +277,11 @@ func TestWALFailedCheckpointRetainsRecords(t *testing.T) {
 	if err := os.RemoveAll(dir2); err != nil {
 		t.Fatal(err)
 	}
-	seq := sys.Epoch()
+	seq := sys.EpochStats().Seq
 	if _, err := sys.PublishEpoch(); err != nil {
 		t.Fatalf("publish must survive a failed truncation: %v", err)
 	}
-	if got := sys.Epoch(); got != seq+1 {
+	if got := sys.EpochStats().Seq; got != seq+1 {
 		t.Fatalf("epoch %d after a failed truncation, want %d", got, seq+1)
 	}
 	if st, errs, _ := sys.WALStats(); errs.Truncate != 1 || errs.Checkpoint != 2 || st.Checkpoint != 0 {

@@ -52,9 +52,6 @@ func NewGate(maxInFlight, maxQueue int, timeout time.Duration, overloaded string
 // MaxInFlight is the slot count.
 func (g *Gate) MaxInFlight() int { return cap(g.sem) }
 
-// InUse is the number of slots held.
-func (g *Gate) InUse() int { return len(g.sem) }
-
 // Acquire takes a slot, giving up when ctx ends first; the caller must
 // Release exactly once when it reports true. A batch's entries pass
 // the batch's context, so one disconnected client frees every slot its

@@ -8,6 +8,9 @@ import (
 	"time"
 )
 
+// InUse is the number of slots held.
+func (g *Gate) InUse() int { return len(g.sem) }
+
 // waitQueued spins until n requests wait for a slot.
 func waitQueued(t *testing.T, g *Gate, n int64) {
 	t.Helper()

@@ -164,17 +164,6 @@ func (c *LRU[V]) Len() int {
 	return n
 }
 
-// Purge drops every entry; counters are preserved.
-func (c *LRU[V]) Purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.items = make(map[string]*entry[V], s.cap)
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
-	}
-}
-
 // Stats snapshots the effectiveness counters. The snapshot is not
 // atomic across shards, which is fine for monitoring.
 func (c *LRU[V]) Stats() Stats {

@@ -95,24 +95,6 @@ func TestTinyCapacity(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := NewLRU[int](10)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatal("purge left entries")
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("purged entry still resident")
-	}
-	// Cache must remain usable after Purge.
-	c.Put("c", 3)
-	if v, ok := c.Get("c"); !ok || v != 3 {
-		t.Fatal("cache unusable after purge")
-	}
-}
-
 func TestHitRate(t *testing.T) {
 	var zero Stats
 	if zero.HitRate() != 0 {

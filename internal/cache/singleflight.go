@@ -24,7 +24,7 @@ var ErrLeaderPanic = errors.New("cache: in-flight computation panicked")
 //
 // Unlike the LRU it retains nothing: a key exists only while a
 // computation for it is in flight, so sequential calls re-run fn.
-// Compose it with an LRU (check the cache, then Do, then fill the
+// Compose it with an LRU (check the cache, then DoCtx, then fill the
 // cache inside fn) to get bounded memory and bounded work.
 type Flight[V any] struct {
 	mu    sync.Mutex
@@ -39,28 +39,24 @@ type call[V any] struct {
 	err     error
 }
 
-// Do returns the result of fn for key, running fn at most once among
-// concurrent callers: the first caller (the leader) executes fn while
-// the rest block and then share the leader's value and error. shared
-// is true for followers and false for the leader. Once the leader
-// returns, the key is forgotten; a later Do with the same key runs fn
-// again.
+// DoCtx returns the result of fn for key, running fn at most once
+// among concurrent callers: the first caller (the leader) executes fn
+// while the rest block and then share the leader's value and error.
+// shared is true for followers and false for the leader. Once the
+// leader returns, the key is forgotten; a later DoCtx with the same
+// key runs fn again.
 //
 // fn runs on the leader's goroutine without any Flight lock held, so
 // it may itself use the Flight with other keys. If fn panics, the
 // panic propagates on the leader's goroutine while the key is
 // released and every follower receives the zero V and an error
 // wrapping ErrLeaderPanic — never a nil error with a zero value.
-func (f *Flight[V]) Do(key string, fn func() (V, error)) (val V, shared bool, err error) {
-	return f.DoCtx(context.Background(), key, fn)
-}
-
-// DoCtx is Do with caller cancellation while parked: a follower whose
-// ctx ends stops waiting and returns ctx's error immediately (shared
-// is true — the computation belonged to someone else and continues
-// unaffected, still filling any cache the leader's fn writes to). The
-// leader itself is committed once fn starts and ignores ctx; cancel
-// inside fn if leader abandonment is needed.
+//
+// A follower whose ctx ends stops waiting and returns ctx's error
+// immediately (shared is true — the computation belonged to someone
+// else and continues unaffected, still filling any cache the leader's
+// fn writes to). The leader itself is committed once fn starts and
+// ignores ctx; cancel inside fn if leader abandonment is needed.
 func (f *Flight[V]) DoCtx(ctx context.Context, key string, fn func() (V, error)) (val V, shared bool, err error) {
 	f.mu.Lock()
 	if f.calls == nil {
@@ -99,24 +95,4 @@ func (f *Flight[V]) DoCtx(ctx context.Context, key string, fn func() (V, error))
 	c.val, c.err = fn()
 	completed = true
 	return c.val, false, c.err
-}
-
-// Waiting reports how many callers are currently blocked waiting for
-// the in-flight computation of key (excluding the leader); it is 0
-// when no computation for key is in flight. Intended for tests and
-// load introspection.
-func (f *Flight[V]) Waiting(key string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.calls[key]; ok {
-		return c.waiters
-	}
-	return 0
-}
-
-// Pending reports how many keys have an in-flight computation.
-func (f *Flight[V]) Pending() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.calls)
 }

@@ -9,6 +9,25 @@ import (
 	"time"
 )
 
+// Waiting reports how many callers are currently blocked waiting for
+// the in-flight computation of key (excluding the leader); it is 0
+// when no computation for key is in flight.
+func (f *Flight[V]) Waiting(key string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.calls[key]; ok {
+		return c.waiters
+	}
+	return 0
+}
+
+// Pending reports how many keys have an in-flight computation.
+func (f *Flight[V]) Pending() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.calls)
+}
+
 // waitFor polls cond until it holds or the deadline passes. It marks
 // the test failed on timeout but returns (Errorf, not Fatalf) so it
 // is safe from helper goroutines: callers must keep unblocking their
@@ -45,7 +64,7 @@ func TestFlightDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, shared, err := f.Do("k", func() (int, error) {
+			v, shared, err := f.DoCtx(context.Background(), "k", func() (int, error) {
 				execs.Add(1)
 				close(leaderIn)
 				<-release
@@ -88,7 +107,7 @@ func TestFlightSequentialReruns(t *testing.T) {
 	var f Flight[string]
 	execs := 0
 	for i := 0; i < 3; i++ {
-		v, shared, err := f.Do("k", func() (string, error) {
+		v, shared, err := f.DoCtx(context.Background(), "k", func() (string, error) {
 			execs++
 			return "v", nil
 		})
@@ -113,7 +132,7 @@ func TestFlightErrorShared(t *testing.T) {
 	go func() {
 		defer close(done)
 		<-leaderIn
-		_, shared, err := f.Do("k", func() (int, error) {
+		_, shared, err := f.DoCtx(context.Background(), "k", func() (int, error) {
 			t.Error("follower executed fn")
 			return 0, nil
 		})
@@ -129,7 +148,7 @@ func TestFlightErrorShared(t *testing.T) {
 		close(release)
 	}()
 
-	_, _, err := f.Do("k", func() (int, error) {
+	_, _, err := f.DoCtx(context.Background(), "k", func() (int, error) {
 		close(leaderIn)
 		<-release
 		return 0, wantErr
@@ -154,7 +173,7 @@ func TestFlightLeaderPanic(t *testing.T) {
 	go func() {
 		defer close(followerDone)
 		<-leaderIn
-		followerVal, followerShared, followerErr = f.Do("k", func() (int, error) {
+		followerVal, followerShared, followerErr = f.DoCtx(context.Background(), "k", func() (int, error) {
 			t.Error("follower executed fn")
 			return 0, nil
 		})
@@ -171,7 +190,7 @@ func TestFlightLeaderPanic(t *testing.T) {
 				t.Error("leader panic did not propagate")
 			}
 		}()
-		f.Do("k", func() (int, error) {
+		f.DoCtx(context.Background(), "k", func() (int, error) {
 			close(leaderIn)
 			<-release
 			panic("boom")
@@ -186,7 +205,7 @@ func TestFlightLeaderPanic(t *testing.T) {
 		t.Fatalf("key not released after panic: Pending = %d", f.Pending())
 	}
 	// The key must be reusable afterwards.
-	v, shared, err := f.Do("k", func() (int, error) { return 9, nil })
+	v, shared, err := f.DoCtx(context.Background(), "k", func() (int, error) { return 9, nil })
 	if v != 9 || shared || err != nil {
 		t.Fatalf("post-panic Do = (%d, %v, %v), want (9, false, nil)", v, shared, err)
 	}
@@ -202,7 +221,7 @@ func TestFlightFollowerCancellation(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		v, shared, err := f.Do("k", func() (int, error) {
+		v, shared, err := f.DoCtx(context.Background(), "k", func() (int, error) {
 			close(leaderIn)
 			<-release
 			return 42, nil
@@ -240,9 +259,9 @@ func TestFlightDistinctKeysIndependent(t *testing.T) {
 	var f Flight[int]
 	blockA := make(chan struct{})
 	aIn := make(chan struct{})
-	go f.Do("a", func() (int, error) { close(aIn); <-blockA; return 0, nil })
+	go f.DoCtx(context.Background(), "a", func() (int, error) { close(aIn); <-blockA; return 0, nil })
 	<-aIn
-	v, shared, err := f.Do("b", func() (int, error) { return 7, nil })
+	v, shared, err := f.DoCtx(context.Background(), "b", func() (int, error) { return 7, nil })
 	if v != 7 || shared || err != nil {
 		t.Fatalf("Do(b) = %d, %v, %v while a in flight", v, shared, err)
 	}

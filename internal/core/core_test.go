@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -13,6 +14,11 @@ import (
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// hasSubPath reports whether sub is a contiguous sub-path of p.
+func hasSubPath(p, sub graph.Path) bool {
+	return strings.Contains(","+p.Key()+",", ","+sub.Key()+",")
+}
 
 // chainGraph builds a simple chain v0 -> v1 -> ... with edge IDs 0..n-1.
 func chainGraph(t testing.TB, n int) *graph.Graph {
@@ -165,10 +171,10 @@ func TestBuildAprioriProperty(t *testing.T) {
 		}
 		prefix := v.Path[:v.Rank()-1]
 		suffix := v.Path[1:]
-		if len(h.VariablesOf(prefix)) == 0 {
+		if h.vars[prefix.Key()] == nil {
 			t.Errorf("prefix %v of %v has no variables", prefix, v.Path)
 		}
-		if len(h.VariablesOf(suffix)) == 0 {
+		if h.vars[suffix.Key()] == nil {
 			t.Errorf("suffix %v of %v has no variables", suffix, v.Path)
 		}
 	})
@@ -182,7 +188,10 @@ func TestUnitVariableFallback(t *testing.T) {
 	}
 	// At 03:00 no trajectories exist: the unit variable must be the
 	// speed-limit fallback.
-	v := h.UnitVariable(0, 3*3600)
+	if h.LookupInterval(graph.Path{0}, params.IntervalOf(3*3600)) != nil {
+		t.Fatal("expected no trajectory-backed unit variable at night")
+	}
+	v := h.fallbackVariable(0)
 	if !v.SpeedLimit {
 		t.Fatal("expected speed-limit fallback at night")
 	}
@@ -191,7 +200,7 @@ func TestUnitVariableFallback(t *testing.T) {
 		t.Fatalf("fallback mean %v, want ≈ free-flow %v", v.Hist.Mean(), ff)
 	}
 	// At 08:00 the trajectory-backed variable must win.
-	if h.UnitVariable(0, 8*3600).SpeedLimit {
+	if v := h.LookupInterval(graph.Path{0}, params.IntervalOf(8*3600)); v == nil || v.SpeedLimit {
 		t.Fatal("expected data-backed variable at 8:00")
 	}
 	// Fallback is cached.
@@ -333,7 +342,7 @@ func TestDecompositionKinds(t *testing.T) {
 		for _, v := range alt.Vars {
 			found := false
 			for _, w := range od.Vars {
-				if w.Path.HasSubPath(v.Path) {
+				if hasSubPath(w.Path, v.Path) {
 					found = true
 					break
 				}

@@ -22,7 +22,7 @@
 //     deterministic, so serial and parallel models are byte-equal).
 //   - Section 4 (queries): BuildCandidateArray applies the spatial
 //     and temporal (shift-and-enlarge, Eq. 3) relevance tests;
-//     CoarsestDecomposition is Algorithm 1; Evaluate computes
+//     CoarsestDecomposition is Algorithm 1; CostDistribution computes
 //     Equation 2 by chain multiplication followed by the Section 4.2
 //     marginalization. Theorems 1–4 are exercised in theorem_test.go.
 //   - Section 5 (empirical study): the estimator family — MethodOD

@@ -138,25 +138,6 @@ type factorRun struct {
 	div        float64
 }
 
-// Evaluate computes the estimated cost distribution of the query path
-// from a decomposition, per Equation 2 followed by the Section 4.2
-// marginalization: factors are applied left to right; before each new
-// factor the state keeps open exactly the overlap edges (conditioning
-// set), everything else being folded into the accumulated-cost
-// dimension.
-func (h *HybridGraph) Evaluate(de *Decomposition, query graph.Path) (*hist.Histogram, EvalStats, error) {
-	out, st, err := h.evaluateMode(nil, de, query)
-	st.finalizeMC()
-	return out, st, err
-}
-
-// finalizeMC stamps MCDur from the recorded marginalization start.
-func (st *EvalStats) finalizeMC() {
-	if !st.mcStart.IsZero() {
-		st.MCDur = time.Since(st.mcStart)
-	}
-}
-
 func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query graph.Path) (*hist.Histogram, EvalStats, error) {
 	var st EvalStats
 	if err := de.Validate(query); err != nil {
@@ -967,142 +948,4 @@ func distributeFoldsRef(out *hist.Multi, folds []cellFold, cuts []float64) {
 			out.AddCell(idxBuf, add)
 		}
 	}
-}
-
-// EvaluateDense materializes the full joint of Equation 2 on the
-// common refinement grid and flattens it. Exponential in the query
-// cardinality — a reference implementation used by tests and small
-// queries to validate the chain evaluator.
-func (h *HybridGraph) EvaluateDense(de *Decomposition, query graph.Path) (*hist.Histogram, error) {
-	if err := de.Validate(query); err != nil {
-		return nil, err
-	}
-	n := len(query)
-	if n > 10 {
-		return nil, fmt.Errorf("core: dense evaluation limited to 10 edges, got %d", n)
-	}
-	factorMs := make([]*hist.Multi, len(de.Vars))
-	for i, v := range de.Vars {
-		fm, err := asMulti(v)
-		if err != nil {
-			return nil, err
-		}
-		factorMs[i] = fm
-	}
-	// Remap every factor dimension onto the union grid of all factors
-	// sharing the position, so cell indices agree across factors.
-	for pos := 0; pos < n; pos++ {
-		union := []float64(nil)
-		for i, v := range de.Vars {
-			d := pos - de.Pos[i]
-			if d >= 0 && d < v.Rank() {
-				union = hist.UnionBounds(union, factorMs[i].Bounds(d))
-			}
-		}
-		for i, v := range de.Vars {
-			d := pos - de.Pos[i]
-			if d >= 0 && d < v.Rank() {
-				var err error
-				factorMs[i], err = factorMs[i].RemapDim(d, union)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	// Overlap marginals (denominators of Eq. 2).
-	margs := make([]*hist.Multi, len(de.Vars)) // margs[i]: overlap of factor i with i−1
-	for i := 1; i < len(de.Vars); i++ {
-		prevEnd := de.Pos[i-1] + de.Vars[i-1].Rank() // exclusive
-		var ovIdx []int
-		for d := 0; d < de.Vars[i].Rank(); d++ {
-			if de.Pos[i]+d < prevEnd {
-				ovIdx = append(ovIdx, d)
-			}
-		}
-		if len(ovIdx) > 0 {
-			m, err := factorMs[i].MarginalOnto(ovIdx)
-			if err != nil {
-				return nil, err
-			}
-			margs[i] = m
-		}
-	}
-	// Grid sizes per position (identical across factors after remap).
-	gridBounds := make([][]float64, n)
-	for pos := 0; pos < n; pos++ {
-		for i, v := range de.Vars {
-			d := pos - de.Pos[i]
-			if d >= 0 && d < v.Rank() {
-				gridBounds[pos] = factorMs[i].Bounds(d)
-				break
-			}
-		}
-	}
-	// Enumerate the full grid.
-	counts := make([]int, n)
-	total := 1
-	for pos := range counts {
-		counts[pos] = len(gridBounds[pos]) - 1
-		total *= counts[pos]
-		if total > 2_000_000 {
-			return nil, fmt.Errorf("core: dense grid too large")
-		}
-	}
-	idx := make([]int, n)
-	var ivals []hist.Bucket
-	var advance func(int) bool
-	advance = func(pos int) bool {
-		idx[pos]++
-		if idx[pos] < counts[pos] {
-			return true
-		}
-		idx[pos] = 0
-		if pos+1 < n {
-			return advance(pos + 1)
-		}
-		return false
-	}
-	fIdx := make([]int, hist.MaxDims)
-	for {
-		pr := 1.0
-		for i, v := range de.Vars {
-			m := factorMs[i]
-			nd := v.Rank()
-			for d := 0; d < nd; d++ {
-				fIdx[d] = idx[de.Pos[i]+d]
-			}
-			pr *= m.Cell(fIdx[:nd])
-			if pr == 0 {
-				break
-			}
-			if margs[i] != nil {
-				nOv := margs[i].Dims()
-				for d := 0; d < nOv; d++ {
-					fIdx[d] = idx[de.Pos[i]+d]
-				}
-				den := margs[i].Cell(fIdx[:nOv])
-				if den <= 0 {
-					pr = 0
-					break
-				}
-				pr /= den
-			}
-		}
-		if pr > 0 {
-			var lo, hi float64
-			for pos := 0; pos < n; pos++ {
-				lo += gridBounds[pos][idx[pos]]
-				hi += gridBounds[pos][idx[pos]+1]
-			}
-			ivals = append(ivals, hist.Bucket{Lo: lo, Hi: hi, Pr: pr})
-		}
-		if !advance(0) {
-			break
-		}
-	}
-	if len(ivals) == 0 {
-		return nil, fmt.Errorf("core: dense evaluation produced no mass")
-	}
-	return hist.Rearranged(ivals)
 }

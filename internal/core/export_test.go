@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/hist"
 )
 
 // stateV1Version heads the retired text relay format.
@@ -150,4 +151,30 @@ func extendKept(h *HybridGraph, prev *keptState, p graph.Path, t float64, opt Qu
 		s.inter[i] = state
 	}
 	return s, nil
+}
+
+// Evaluate computes the estimated cost distribution of the query path
+// from a decomposition, per Equation 2 followed by the Section 4.2
+// marginalization: factors are applied left to right; before each new
+// factor the state keeps open exactly the overlap edges (conditioning
+// set), everything else being folded into the accumulated-cost
+// dimension.
+func (h *HybridGraph) Evaluate(de *Decomposition, query graph.Path) (*hist.Histogram, EvalStats, error) {
+	return h.evaluateMode(nil, de, query)
+}
+
+// Dist returns the cost distribution of the state's path, deriving it
+// on first call (nil in the never-expected case that marginalization
+// fails; DistErr surfaces the error).
+func (s *PathState) Dist() *hist.Histogram {
+	d, _ := s.DistErr()
+	return d
+}
+
+// Path returns the state's path (callers must not modify it).
+func (s *PathState) Path() graph.Path { return s.path }
+
+// Open returns the query positions of the state's open dimensions.
+func (s *ChainState) Open() []int {
+	return append([]int(nil), s.cs.open...)
 }

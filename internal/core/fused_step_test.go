@@ -181,7 +181,7 @@ func TestConvolveFoldMatchesMultiplyFold(t *testing.T) {
 				t.Fatalf("trial %d: open dims %v vs %v", trial, got.open, ref.open)
 			}
 		}
-		if err := fused.m.CheckInvariants(); err != nil {
+		if err := checkCellContract(fused.m); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if hasPointBucket(s.m) && hasPointBucket(fm) {
@@ -375,4 +375,26 @@ func TestChainArenaNeverShared(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// checkCellContract verifies the sorted-cell storage contract that
+// hist.NewMultiFromPackedCells trusts its callers with: strictly
+// ascending keys, in-range indices, zero unused dimensions.
+func checkCellContract(m *hist.Multi) error {
+	keys, _ := m.Cells()
+	for i, pk := range keys {
+		if i > 0 && !keys[i-1].Less(pk) {
+			return fmt.Errorf("cell keys not in ascending order at %d", i)
+		}
+		k := pk.Unpack()
+		for d := range k {
+			if d < m.Dims() && int(k[d]) >= m.NumBuckets(d) {
+				return fmt.Errorf("cell %d index %d out of range on dim %d", i, k[d], d)
+			}
+			if d >= m.Dims() && k[d] != 0 {
+				return fmt.Errorf("cell %d has non-zero index on unused dim %d", i, d)
+			}
+		}
+	}
+	return nil
 }

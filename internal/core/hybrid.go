@@ -42,24 +42,6 @@ type Variable struct {
 // Rank returns the cardinality of the variable's path.
 func (v *Variable) Rank() int { return len(v.Path) }
 
-// MinCost and MaxCost bound the total cost support; for rank-1 they
-// are the histogram support, for higher ranks the min/max hyper-bucket
-// sums. They drive the shift-and-enlarge temporal test (Eq. 3).
-func (v *Variable) MinCost() float64 {
-	if v.Hist != nil {
-		return v.Hist.Min()
-	}
-	return v.Joint.MinSum()
-}
-
-// MaxCost returns the maximum total-cost support bound.
-func (v *Variable) MaxCost() float64 {
-	if v.Hist != nil {
-		return v.Hist.Max()
-	}
-	return v.Joint.MaxSum()
-}
-
 // StorageFloats approximates the variable's memory footprint in float
 // counts (Figure 12).
 func (v *Variable) StorageFloats() int {
@@ -442,16 +424,6 @@ func (h *HybridGraph) addVariable(v *Variable) {
 // Stats returns the build statistics.
 func (h *HybridGraph) Stats() BuildStats { return h.stats }
 
-// Lookup returns W_P(P, t): the instantiated variable for exactly path
-// P whose interval contains t, or nil when none exists.
-func (h *HybridGraph) Lookup(p graph.Path, t float64) *Variable {
-	pv, ok := h.vars[p.Key()]
-	if !ok {
-		return nil
-	}
-	return pv.byIv[h.Params.IntervalOf(t)]
-}
-
 // LookupInterval returns the variable of path p for interval iv.
 func (h *HybridGraph) LookupInterval(p graph.Path, iv int) *Variable {
 	pv, ok := h.vars[p.Key()]
@@ -459,16 +431,6 @@ func (h *HybridGraph) LookupInterval(p graph.Path, iv int) *Variable {
 		return nil
 	}
 	return pv.byIv[iv]
-}
-
-// VariablesOf returns all per-interval variables of path p, ordered
-// by ascending interval.
-func (h *HybridGraph) VariablesOf(p graph.Path) []*Variable {
-	pv, ok := h.vars[p.Key()]
-	if !ok {
-		return nil
-	}
-	return append([]*Variable(nil), pv.sorted...)
 }
 
 // ForEachVariable visits every trajectory-backed variable in a
@@ -492,25 +454,6 @@ func (h *HybridGraph) ForEachVariable(fn func(*Variable)) {
 			fn(pv.byIv[iv])
 		}
 	}
-}
-
-// UnitVariable returns the rank-1 variable for edge e relevant to
-// absolute time t, falling back to the speed-limit distribution when
-// no trajectory-backed variable covers the interval (Section 3.1:
-// both count as ground truth for unit paths).
-func (h *HybridGraph) UnitVariable(e graph.EdgeID, t float64) *Variable {
-	if v := h.Lookup(graph.Path{e}, t); v != nil {
-		return v
-	}
-	return h.fallbackVariable(e)
-}
-
-// unitVariableInterval is UnitVariable keyed by interval index.
-func (h *HybridGraph) unitVariableInterval(e graph.EdgeID, iv int) *Variable {
-	if v := h.LookupInterval(graph.Path{e}, iv); v != nil {
-		return v
-	}
-	return h.fallbackVariable(e)
 }
 
 func (h *HybridGraph) fallbackVariable(e graph.EdgeID) *Variable {

@@ -44,14 +44,6 @@ type PathState struct {
 	distErr  error
 }
 
-// Dist returns the cost distribution of the state's path, deriving it
-// on first call (nil in the never-expected case that marginalization
-// fails; DistErr surfaces the error).
-func (s *PathState) Dist() *hist.Histogram {
-	d, _ := s.DistErr()
-	return d
-}
-
 // DistErr returns the cost distribution of the state's path,
 // flattening the final chain state on first call.
 func (s *PathState) DistErr() (*hist.Histogram, error) {
@@ -60,15 +52,6 @@ func (s *PathState) DistErr() (*hist.Histogram, error) {
 	})
 	return s.dist, s.distErr
 }
-
-// Decomp returns the decomposition behind the state's distribution.
-func (s *PathState) Decomp() *Decomposition { return s.de }
-
-// Path returns the state's path (callers must not modify it).
-func (s *PathState) Path() graph.Path { return s.path }
-
-// Depart returns the departure time the state was built for.
-func (s *PathState) Depart() float64 { return s.t }
 
 // StartPath begins incremental evaluation with a single-edge path.
 func (h *HybridGraph) StartPath(e graph.EdgeID, t float64, opt QueryOptions) (*PathState, error) {

@@ -77,7 +77,7 @@ func TestIncrementalParentRemainsUsable(t *testing.T) {
 	if st.Dist().Mean() != meanBefore {
 		t.Fatal("parent state mutated by extension")
 	}
-	if child2.Path().Cardinality() != 3 {
+	if len(child2.Path()) != 3 {
 		t.Fatal("extension path wrong")
 	}
 	// The same along real siblings, concurrently (meaningful under -race).

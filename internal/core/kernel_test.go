@@ -38,7 +38,7 @@ func randomFactor(rnd *rand.Rand, rank int) *hist.Multi {
 		for d := range idx {
 			idx[d] = rnd.Intn(m.NumBuckets(d))
 		}
-		m.SetCell(idx, m.Cell(idx)+0.02+rnd.Float64())
+		m.SetCell(idx, cell(m, idx)+0.02+rnd.Float64())
 	}
 	if err := m.Normalize(); err != nil {
 		panic(err)
@@ -207,7 +207,7 @@ func (s *chainState) multiplyRef(fm *hist.Multi, positions []int, st *EvalStats)
 		pr  float64
 	}
 	groups := make(map[hist.CellKey][]fcell)
-	fmAligned.ForEach(func(k hist.CellKey, pr float64) {
+	fmAligned.ForEachSorted(func(k hist.CellKey, pr float64) {
 		var gk hist.CellKey
 		for i, fd := range ovIdxF {
 			gk[i] = k[fd]
@@ -227,7 +227,7 @@ func (s *chainState) multiplyRef(fm *hist.Multi, positions []int, st *EvalStats)
 	}
 	idxBuf := make([]int, 1+fmAligned.Dims())
 	mi := make([]int, len(overlap))
-	sm.ForEach(func(sk hist.CellKey, spr float64) {
+	sm.ForEachSorted(func(sk hist.CellKey, spr float64) {
 		var gk hist.CellKey
 		for i := range overlap {
 			gk[i] = sk[1+i]
@@ -241,7 +241,7 @@ func (s *chainState) multiplyRef(fm *hist.Multi, positions []int, st *EvalStats)
 			for i := range overlap {
 				mi[i] = int(gk[i])
 			}
-			div = marg.Cell(mi)
+			div = cell(marg, mi)
 			if div <= 0 {
 				return
 			}
@@ -254,7 +254,7 @@ func (s *chainState) multiplyRef(fm *hist.Multi, positions []int, st *EvalStats)
 			if st != nil {
 				st.CellsTouched++
 			}
-			res.SetCell(idxBuf, res.Cell(idxBuf)+spr*fc.pr/div)
+			res.SetCell(idxBuf, cell(res, idxBuf)+spr*fc.pr/div)
 		}
 	})
 	if err := res.Normalize(); err != nil {

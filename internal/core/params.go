@@ -12,12 +12,9 @@ import (
 // whichever domain the distributions are over.
 type CostDomain int
 
-// The two cost domains of the paper: travel time (seconds) and GHG
-// emissions (grams).
-const (
-	DomainTime CostDomain = iota
-	DomainEmissions
-)
+// DomainEmissions selects GHG emissions (grams); the zero CostDomain
+// is travel time (seconds). These are the paper's two cost domains.
+const DomainEmissions CostDomain = 1
 
 // String names the domain.
 func (d CostDomain) String() string {

@@ -34,11 +34,6 @@ type ChainState struct {
 // carries.
 func (s *ChainState) AccOnly() bool { return len(s.cs.open) == 0 }
 
-// Open returns the query positions of the state's open dimensions.
-func (s *ChainState) Open() []int {
-	return append([]int(nil), s.cs.open...)
-}
-
 // Finalize flattens an accumulator-only state into the final cost
 // distribution, exactly as Evaluate does after its last fold. The
 // coordinator calls this with the model's MaxResultBuckets once the

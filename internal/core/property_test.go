@@ -110,7 +110,7 @@ func TestPropertyDecompositionsValid(t *testing.T) {
 			for _, v := range alt.Vars {
 				contained := false
 				for _, w := range od.Vars {
-					if w.Path.HasSubPath(v.Path) {
+					if hasSubPath(w.Path, v.Path) {
 						contained = true
 						break
 					}

@@ -44,10 +44,10 @@ func estimatePairChain(p *hist.Multi) map[[3]int]float64 {
 	out := make(map[[3]int]float64)
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			den := p1.Cell([]int{j})
+			den := cell(p1, []int{j})
 			for k := 0; k < 2; k++ {
 				if den > 0 {
-					out[[3]int{i, j, k}] = p01.Cell([]int{i, j}) * p12.Cell([]int{j, k}) / den
+					out[[3]int{i, j, k}] = cell(p01, []int{i, j}) * cell(p12, []int{j, k}) / den
 				}
 			}
 		}
@@ -65,7 +65,7 @@ func estimateIndependent(p *hist.Multi) map[[3]int]float64 {
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			for k := 0; k < 2; k++ {
-				out[[3]int{i, j, k}] = m0.Cell([]int{i}) * m1.Cell([]int{j}) * m2.Cell([]int{k})
+				out[[3]int{i, j, k}] = cell(m0, []int{i}) * cell(m1, []int{j}) * cell(m2, []int{k})
 			}
 		}
 	}
@@ -73,7 +73,7 @@ func estimateIndependent(p *hist.Multi) map[[3]int]float64 {
 }
 
 func jointCell(p *hist.Multi, i, j, k int) float64 {
-	return p.Cell([]int{i, j, k})
+	return cell(p, []int{i, j, k})
 }
 
 func klCells(p *hist.Multi, q map[[3]int]float64) float64 {
@@ -180,7 +180,7 @@ func TestTheorem1MarginalEntropy(t *testing.T) {
 				for k := 0; k < 2; k++ {
 					pv := jointCell(p, i, j, k)
 					if pv > 0 {
-						lhs += pv * math.Log(p01.Cell([]int{i, j}))
+						lhs += pv * math.Log(cell(p01, []int{i, j}))
 					}
 				}
 			}
@@ -189,7 +189,7 @@ func TestTheorem1MarginalEntropy(t *testing.T) {
 		var h01 float64
 		for i := 0; i < 2; i++ {
 			for j := 0; j < 2; j++ {
-				v := p01.Cell([]int{i, j})
+				v := cell(p01, []int{i, j})
 				if v > 0 {
 					h01 -= v * math.Log(v)
 				}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gps"
-	"repro/internal/graph"
 	"repro/internal/hist"
 	"repro/internal/stats"
 )
@@ -302,5 +301,3 @@ func (r *randSource) Intn(n int) int {
 	z ^= z >> 31
 	return int(z % uint64(n))
 }
-
-var _ = graph.NoEdge

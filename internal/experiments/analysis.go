@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/hist"
 	"repro/internal/stats"
 )
@@ -242,8 +241,6 @@ func verifyShape(vals []float64, increasing bool) string {
 	}
 	return ""
 }
-
-var _ = graph.NoEdge
 
 // Table2 prints the parameter grid of the paper's Table 2 with the
 // values this reproduction sweeps; it is configuration, not a

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 // Fig8 reproduces the α sweep (Figure 8): edge coverage and average
@@ -160,5 +159,3 @@ func sumFrom(xs []int, from int) int {
 	}
 	return s
 }
-
-var _ = stats.SmoothEps

@@ -19,12 +19,6 @@ func (p Point) String() string {
 	return fmt.Sprintf("%.6f,%.6f", p.Lat, p.Lon)
 }
 
-// Valid reports whether the point lies in the legal WGS84 domain.
-func (p Point) Valid() bool {
-	return p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180 &&
-		!math.IsNaN(p.Lat) && !math.IsNaN(p.Lon)
-}
-
 func deg2rad(d float64) float64 { return d * math.Pi / 180 }
 func rad2deg(r float64) float64 { return r * 180 / math.Pi }
 
@@ -39,32 +33,6 @@ func Haversine(a, b Point) float64 {
 	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(s)))
 }
 
-// Bearing returns the initial bearing from a to b in degrees in [0, 360).
-func Bearing(a, b Point) float64 {
-	la1, la2 := deg2rad(a.Lat), deg2rad(b.Lat)
-	dLon := deg2rad(b.Lon - a.Lon)
-	y := math.Sin(dLon) * math.Cos(la2)
-	x := math.Cos(la1)*math.Sin(la2) - math.Sin(la1)*math.Cos(la2)*math.Cos(dLon)
-	br := rad2deg(math.Atan2(y, x))
-	if br < 0 {
-		br += 360
-	}
-	return br
-}
-
-// Offset returns the point reached from p by travelling dist meters on
-// the given bearing (degrees).
-func Offset(p Point, bearingDeg, dist float64) Point {
-	la1 := deg2rad(p.Lat)
-	lo1 := deg2rad(p.Lon)
-	br := deg2rad(bearingDeg)
-	ad := dist / EarthRadiusMeters
-	la2 := math.Asin(math.Sin(la1)*math.Cos(ad) + math.Cos(la1)*math.Sin(ad)*math.Cos(br))
-	lo2 := lo1 + math.Atan2(math.Sin(br)*math.Sin(ad)*math.Cos(la1),
-		math.Cos(ad)-math.Sin(la1)*math.Sin(la2))
-	return Point{Lat: rad2deg(la2), Lon: rad2deg(lo2)}
-}
-
 // Projection is a local equirectangular projection around an origin.
 // It maps WGS84 points to planar (x, y) meters; accurate for city-scale
 // extents, which is all the simulator and map matcher need.
@@ -77,9 +45,6 @@ type Projection struct {
 func NewProjection(origin Point) *Projection {
 	return &Projection{origin: origin, cosLat: math.Cos(deg2rad(origin.Lat))}
 }
-
-// Origin returns the projection center.
-func (pr *Projection) Origin() Point { return pr.origin }
 
 // ToXY projects p to planar meters relative to the origin.
 func (pr *Projection) ToXY(p Point) (x, y float64) {
@@ -110,9 +75,6 @@ type Segment struct {
 	A, B XY
 }
 
-// Length returns the segment length in meters.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
 // ClosestPoint returns the point on the segment closest to p and the
 // fraction t in [0,1] along the segment at which it lies.
 func (s Segment) ClosestPoint(p XY) (XY, float64) {
@@ -125,12 +87,6 @@ func (s Segment) ClosestPoint(p XY) (XY, float64) {
 	t := ((p.X-s.A.X)*dx + (p.Y-s.A.Y)*dy) / l2
 	t = math.Max(0, math.Min(1, t))
 	return XY{X: s.A.X + t*dx, Y: s.A.Y + t*dy}, t
-}
-
-// DistToPoint returns the distance from p to the segment.
-func (s Segment) DistToPoint(p XY) float64 {
-	c, _ := s.ClosestPoint(p)
-	return c.Dist(p)
 }
 
 // BBox is an axis-aligned bounding box over WGS84 coordinates.
@@ -152,12 +108,6 @@ func (b *BBox) Extend(p Point) {
 	b.MinLon = math.Min(b.MinLon, p.Lon)
 	b.MaxLat = math.Max(b.MaxLat, p.Lat)
 	b.MaxLon = math.Max(b.MaxLon, p.Lon)
-}
-
-// Contains reports whether p lies inside the box (inclusive).
-func (b BBox) Contains(p Point) bool {
-	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat &&
-		p.Lon >= b.MinLon && p.Lon <= b.MaxLon
 }
 
 // Center returns the box midpoint.

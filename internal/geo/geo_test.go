@@ -57,39 +57,6 @@ func TestHaversineTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestOffsetRoundTrip(t *testing.T) {
-	p := Point{Lat: 57.05, Lon: 9.92}
-	for _, br := range []float64{0, 45, 90, 135, 180, 270, 359} {
-		for _, d := range []float64{10, 500, 5000} {
-			q := Offset(p, br, d)
-			got := Haversine(p, q)
-			if !almostEq(got, d, d*1e-3+0.01) {
-				t.Errorf("Offset(%v, %v): distance %v, want %v", br, d, got, d)
-			}
-		}
-	}
-}
-
-func TestBearingCardinal(t *testing.T) {
-	p := Point{Lat: 57.0, Lon: 9.9}
-	cases := []struct {
-		name string
-		to   Point
-		want float64
-	}{
-		{"north", Point{Lat: 57.1, Lon: 9.9}, 0},
-		{"east", Point{Lat: 57.0, Lon: 10.0}, 90},
-		{"south", Point{Lat: 56.9, Lon: 9.9}, 180},
-		{"west", Point{Lat: 57.0, Lon: 9.8}, 270},
-	}
-	for _, c := range cases {
-		got := Bearing(p, c.to)
-		if !almostEq(got, c.want, 0.5) {
-			t.Errorf("%s: bearing = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 func TestProjectionRoundTrip(t *testing.T) {
 	pr := NewProjection(Point{Lat: 57.05, Lon: 9.92})
 	f := func(dx, dy float64) bool {
@@ -146,8 +113,8 @@ func TestSegmentDegenerate(t *testing.T) {
 	if c != s.A || tfrac != 0 {
 		t.Fatalf("degenerate segment: got %v, %v", c, tfrac)
 	}
-	if got := s.DistToPoint(XY{0, 0}); !almostEq(got, 5, 1e-9) {
-		t.Fatalf("DistToPoint = %v, want 5", got)
+	if got := c.Dist(XY{0, 0}); !almostEq(got, 5, 1e-9) {
+		t.Fatalf("distance to the degenerate segment = %v, want 5", got)
 	}
 }
 
@@ -156,7 +123,8 @@ func TestSegmentDistNonNegativeAndBounded(t *testing.T) {
 	f := func(ax, ay, bx, by, px, py float64) bool {
 		s := Segment{A: XY{clamp(ax), clamp(ay)}, B: XY{clamp(bx), clamp(by)}}
 		p := XY{clamp(px), clamp(py)}
-		d := s.DistToPoint(p)
+		c, _ := s.ClosestPoint(p)
+		d := c.Dist(p)
 		// Distance must be >= 0 and <= distance to either endpoint.
 		return d >= 0 && d <= p.Dist(s.A)+1e-9 && d <= p.Dist(s.B)+1e-9
 	}
@@ -171,28 +139,11 @@ func TestBBox(t *testing.T) {
 	for _, p := range pts {
 		b.Extend(p)
 	}
-	for _, p := range pts {
-		if !b.Contains(p) {
-			t.Errorf("box should contain %v", p)
-		}
-	}
-	if b.Contains(Point{Lat: 60, Lon: 9.9}) {
-		t.Error("box should not contain far point")
+	if want := (BBox{MinLat: 56.9, MinLon: 9.8, MaxLat: 57.1, MaxLon: 10.0}); b != want {
+		t.Errorf("box = %+v, want %+v", b, want)
 	}
 	c := b.Center()
 	if !almostEq(c.Lat, 57.0, 1e-9) || !almostEq(c.Lon, 9.9, 1e-9) {
 		t.Errorf("center = %v", c)
-	}
-}
-
-func TestPointValid(t *testing.T) {
-	if !(Point{Lat: 57, Lon: 9.9}).Valid() {
-		t.Error("normal point should be valid")
-	}
-	if (Point{Lat: 91, Lon: 0}).Valid() {
-		t.Error("lat 91 should be invalid")
-	}
-	if (Point{Lat: math.NaN(), Lon: 0}).Valid() {
-		t.Error("NaN should be invalid")
 	}
 }

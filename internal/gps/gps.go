@@ -166,16 +166,6 @@ func (c *Collection) Traj(i int) *Matched { return c.trajs[i] }
 // EdgeOccurrences returns all occurrences of edge e; do not modify.
 func (c *Collection) EdgeOccurrences(e graph.EdgeID) []Occurrence { return c.byEdge[e] }
 
-// CoveredEdges returns the set of edges with at least one occurrence
-// (the paper's E″ when every GPS record is map-matched).
-func (c *Collection) CoveredEdges() map[graph.EdgeID]struct{} {
-	out := make(map[graph.EdgeID]struct{}, len(c.byEdge))
-	for e := range c.byEdge {
-		out[e] = struct{}{}
-	}
-	return out
-}
-
 // OccurrencesOfPath returns the occurrences of path p: positions where
 // p is a contiguous sub-path of a trajectory's path. It extends the
 // occurrences of p's first edge, which the index provides directly.
@@ -206,21 +196,6 @@ func (c *Collection) PathAt(oc Occurrence, p graph.Path) bool {
 		}
 	}
 	return true
-}
-
-// ExtendOccurrences narrows occurrences of a path of length n to those
-// that continue with edge e, yielding the occurrences of the length
-// n+1 extension. This is the incremental step used by bottom-up weight
-// instantiation (Section 3.2).
-func (c *Collection) ExtendOccurrences(occs []Occurrence, n int, e graph.EdgeID) []Occurrence {
-	var out []Occurrence
-	for _, oc := range occs {
-		tp := c.trajs[oc.Traj].Path
-		if oc.Pos+n < len(tp) && tp[oc.Pos+n] == e {
-			out = append(out, oc)
-		}
-	}
-	return out
 }
 
 // NumEdgesWithData returns the number of edges traversed by at least

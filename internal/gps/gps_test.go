@@ -131,9 +131,8 @@ func TestCollectionIndexing(t *testing.T) {
 	if got := len(c.EdgeOccurrences(99)); got != 0 {
 		t.Fatalf("occurrences of absent edge = %d", got)
 	}
-	covered := c.CoveredEdges()
-	if len(covered) != 4 {
-		t.Fatalf("covered edges = %d, want 4 (0..3)", len(covered))
+	if got := c.NumEdgesWithData(); got != 4 {
+		t.Fatalf("covered edges = %d, want 4 (0..3)", got)
 	}
 }
 
@@ -153,23 +152,6 @@ func TestOccurrencesOfPath(t *testing.T) {
 	}
 	if got := c.OccurrencesOfPath(graph.Path{3, 0}); got != nil {
 		t.Fatal("non-occurring sequence")
-	}
-}
-
-func TestExtendOccurrences(t *testing.T) {
-	_, c := collectionFixture(t)
-	base := c.OccurrencesOfPath(graph.Path{1})
-	ext := c.ExtendOccurrences(base, 1, 2)
-	if len(ext) != 3 {
-		t.Fatalf("extensions = %d, want 3", len(ext))
-	}
-	ext2 := c.ExtendOccurrences(ext, 2, 3)
-	if len(ext2) != 2 { // T0 and T2 continue with e3
-		t.Fatalf("extensions = %d, want 2", len(ext2))
-	}
-	// Extending with a non-following edge yields nothing.
-	if got := c.ExtendOccurrences(base, 1, 0); len(got) != 0 {
-		t.Fatalf("bogus extension = %v", got)
 	}
 }
 

@@ -13,11 +13,8 @@ type VertexID int32
 // EdgeID identifies an edge within a Graph.
 type EdgeID int32
 
-// NoVertex and NoEdge are sentinel "absent" identifiers.
-const (
-	NoVertex VertexID = -1
-	NoEdge   EdgeID   = -1
-)
+// NoEdge is the sentinel "absent" edge identifier.
+const NoEdge EdgeID = -1
 
 // RoadClass categorizes an edge; it determines default speed limits in
 // the synthetic networks and lets workloads skew traffic by road type.
@@ -174,15 +171,6 @@ func (g *Graph) NextEdges(e EdgeID) []EdgeID {
 // Adjacent reports whether b may directly follow a on a path.
 func (g *Graph) Adjacent(a, b EdgeID) bool {
 	return g.edges[a].To == g.edges[b].From
-}
-
-// EdgeMidpoint returns the midpoint of the straight line between the
-// edge's endpoints; used for coarse spatial indexing.
-func (g *Graph) EdgeMidpoint(e EdgeID) geo.Point {
-	ed := g.edges[e]
-	a := g.vertices[ed.From].Pt
-	b := g.vertices[ed.To].Pt
-	return geo.Point{Lat: (a.Lat + b.Lat) / 2, Lon: (a.Lon + b.Lon) / 2}
 }
 
 // BBox returns the bounding box of all vertices.

@@ -141,37 +141,6 @@ func TestValidPathRejectsVertexRevisit(t *testing.T) {
 	}
 }
 
-func TestPathVerticesAndLength(t *testing.T) {
-	g, es := paperGraph(t)
-	p := Path{es[0], es[1], es[2]}
-	vs := g.PathVertices(p)
-	want := []VertexID{0, 1, 2, 3}
-	if len(vs) != len(want) {
-		t.Fatalf("PathVertices = %v, want %v", vs, want)
-	}
-	for i := range want {
-		if vs[i] != want[i] {
-			t.Fatalf("PathVertices = %v, want %v", vs, want)
-		}
-	}
-	if got := g.PathLengthM(p); got != 1500 {
-		t.Fatalf("PathLengthM = %v, want 1500", got)
-	}
-	if got := g.PathFreeFlowSeconds(p); math.Abs(got-108) > 1e-9 {
-		t.Fatalf("PathFreeFlowSeconds = %v, want 108", got)
-	}
-}
-
-func TestEdgesToPath(t *testing.T) {
-	g, es := paperGraph(t)
-	if _, err := g.EdgesToPath([]EdgeID{es[0], es[1]}); err != nil {
-		t.Fatalf("valid sequence rejected: %v", err)
-	}
-	if _, err := g.EdgesToPath([]EdgeID{es[0], es[3]}); err == nil {
-		t.Fatal("invalid sequence accepted")
-	}
-}
-
 func TestShortestPath(t *testing.T) {
 	g, es := paperGraph(t)
 	// VA -> VF: direct chain is 5 edges (2500m); via e6 is 3 edges (1500m).
@@ -276,14 +245,9 @@ func TestRoadClassString(t *testing.T) {
 	}
 }
 
-func TestEdgeMidpointAndBBox(t *testing.T) {
-	g, es := paperGraph(t)
-	m := g.EdgeMidpoint(es[0])
-	if math.Abs(m.Lat-57.005) > 1e-9 || math.Abs(m.Lon-9.90) > 1e-9 {
-		t.Fatalf("midpoint = %v", m)
-	}
-	bb := g.BBox()
-	if !bb.Contains(geo.Point{Lat: 57.01, Lon: 9.91}) {
-		t.Fatal("bbox should contain interior point")
+func TestGraphBBox(t *testing.T) {
+	g, _ := paperGraph(t)
+	if bb, want := g.BBox(), (geo.BBox{MinLat: 57.00, MinLon: 9.90, MaxLat: 57.02, MaxLon: 9.92}); bb != want {
+		t.Fatalf("bbox = %+v, want %+v", bb, want)
 	}
 }

@@ -1,20 +1,11 @@
 package graph
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Path is a sequence of adjacent edges connecting distinct vertices
-// (Section 2.1). A Path value does not carry its Graph; use the
-// Graph-side methods (ValidPath, PathLengthM, ...) for checks that
-// need topology. The pure-sequence operations (sub-path tests,
-// intersection, difference) are defined on Path directly, exactly
-// matching the paper's ∩ and \ operators on edge sequences.
+// (Section 2.1); its cardinality |P| is len. A Path value does not
+// carry its Graph; use Graph.ValidPath for checks that need topology.
 type Path []EdgeID
-
-// Cardinality returns |P|, the number of edges in the path.
-func (p Path) Cardinality() int { return len(p) }
 
 // Equal reports whether p and q are the same edge sequence.
 func (p Path) Equal(q Path) bool {
@@ -70,101 +61,6 @@ func (p Path) appendIDs(b []byte, prefix string) []byte {
 // heap and stays correct.
 const keyStackBytes = 256
 
-// IndexOfSubPath returns the index in p at which sub starts as a
-// contiguous edge subsequence, or -1 if sub is not a sub-path of p.
-// The empty path is not a sub-path of anything.
-func (p Path) IndexOfSubPath(sub Path) int {
-	if len(sub) == 0 || len(sub) > len(p) {
-		return -1
-	}
-	for i := 0; i+len(sub) <= len(p); i++ {
-		ok := true
-		for j := range sub {
-			if p[i+j] != sub[j] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return i
-		}
-	}
-	return -1
-}
-
-// HasSubPath reports whether sub is a sub-path of p (Section 2.1).
-func (p Path) HasSubPath(sub Path) bool { return p.IndexOfSubPath(sub) >= 0 }
-
-// Intersect returns p ∩ q: the longest contiguous edge sequence shared
-// by both paths, per the paper's example ⟨e1,e2,e3⟩ ∩ ⟨e2,e3,e4⟩ =
-// ⟨e2,e3⟩. When several shared runs have the same maximal length the
-// earliest one in p is returned. Returns nil when the paths share no
-// contiguous run.
-func (p Path) Intersect(q Path) Path {
-	bestLen, bestAt := 0, -1
-	for i := range p {
-		for j := range q {
-			if p[i] != q[j] {
-				continue
-			}
-			k := 0
-			for i+k < len(p) && j+k < len(q) && p[i+k] == q[j+k] {
-				k++
-			}
-			if k > bestLen {
-				bestLen, bestAt = k, i
-			}
-		}
-	}
-	if bestAt < 0 {
-		return nil
-	}
-	return p[bestAt : bestAt+bestLen].Clone()
-}
-
-// Minus returns p \ q: the sub-path of p that excludes the edges in q,
-// per the paper's example ⟨e1,e2,e3⟩ \ ⟨e2,e3,e4⟩ = ⟨e1⟩. The result
-// keeps every edge of p that does not occur in q, in order.
-func (p Path) Minus(q Path) Path {
-	drop := make(map[EdgeID]struct{}, len(q))
-	for _, e := range q {
-		drop[e] = struct{}{}
-	}
-	var out Path
-	for _, e := range p {
-		if _, ok := drop[e]; !ok {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Prefix returns the first n edges of p.
-func (p Path) Prefix(n int) Path { return p[:n].Clone() }
-
-// Suffix returns the last n edges of p.
-func (p Path) Suffix(n int) Path { return p[len(p)-n:].Clone() }
-
-// CombineOverlapping merges two paths of equal cardinality k that share
-// k−1 edges (p's suffix equals q's prefix) into the cardinality-(k+1)
-// path, mirroring the Apriori-style growth of Section 3.2. It returns
-// nil when the paths do not chain together that way.
-func CombineOverlapping(p, q Path) Path {
-	k := len(p)
-	if k == 0 || len(q) != k {
-		return nil
-	}
-	for i := 1; i < k; i++ {
-		if p[i] != q[i-1] {
-			return nil
-		}
-	}
-	out := make(Path, 0, k+1)
-	out = append(out, p...)
-	out = append(out, q[k-1])
-	return out
-}
-
 // ValidPath reports whether p is a valid path in g: non-empty,
 // consecutive edges adjacent, and all visited vertices distinct
 // (the paper requires simple paths).
@@ -217,46 +113,3 @@ func (g *Graph) ValidPath(p Path) bool {
 // keeps on the stack: a linear scan of ≤ 65 vertices is cheaper than
 // allocating and hashing into a map.
 const validPathStackEdges = 64
-
-// PathLengthM returns the total length of p in meters.
-func (g *Graph) PathLengthM(p Path) float64 {
-	var sum float64
-	for _, e := range p {
-		sum += g.edges[e].LengthM
-	}
-	return sum
-}
-
-// PathFreeFlowSeconds returns the minimum legal travel time of p.
-func (g *Graph) PathFreeFlowSeconds(p Path) float64 {
-	var sum float64
-	for _, e := range p {
-		sum += g.edges[e].FreeFlowSeconds()
-	}
-	return sum
-}
-
-// PathVertices returns the vertex sequence visited by p, including the
-// start of the first edge. The path must be valid.
-func (g *Graph) PathVertices(p Path) []VertexID {
-	if len(p) == 0 {
-		return nil
-	}
-	vs := make([]VertexID, 0, len(p)+1)
-	vs = append(vs, g.edges[p[0]].From)
-	for _, e := range p {
-		vs = append(vs, g.edges[e].To)
-	}
-	return vs
-}
-
-// EdgesToPath converts edge IDs to a Path after validating adjacency;
-// it returns an error (instead of panicking) because inputs typically
-// come from user queries or files.
-func (g *Graph) EdgesToPath(ids []EdgeID) (Path, error) {
-	p := Path(ids)
-	if !g.ValidPath(p) {
-		return nil, fmt.Errorf("graph: edge sequence %v is not a valid simple path", p)
-	}
-	return p.Clone(), nil
-}

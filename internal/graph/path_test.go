@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/geo"
 )
@@ -35,148 +34,6 @@ func TestPathEqualClone(t *testing.T) {
 	}
 	if p.Equal(Path{1, 2}) {
 		t.Fatal("different lengths should differ")
-	}
-}
-
-func TestSubPath(t *testing.T) {
-	p := Path{1, 2, 3, 4, 5}
-	cases := []struct {
-		sub  Path
-		want int
-	}{
-		{Path{1, 2, 3, 4, 5}, 0},
-		{Path{1}, 0},
-		{Path{3, 4}, 2},
-		{Path{5}, 4},
-		{Path{2, 4}, -1}, // not contiguous
-		{Path{}, -1},     // empty is not a sub-path
-		{Path{1, 2, 3, 4, 5, 6}, -1},
-		{Path{6}, -1},
-	}
-	for _, c := range cases {
-		if got := p.IndexOfSubPath(c.sub); got != c.want {
-			t.Errorf("IndexOfSubPath(%v) = %d, want %d", c.sub, got, c.want)
-		}
-		if got := p.HasSubPath(c.sub); got != (c.want >= 0) {
-			t.Errorf("HasSubPath(%v) = %v", c.sub, got)
-		}
-	}
-}
-
-func TestIntersectPaperExample(t *testing.T) {
-	// ⟨e1,e2,e3⟩ ∩ ⟨e2,e3,e4⟩ = ⟨e2,e3⟩
-	got := Path{1, 2, 3}.Intersect(Path{2, 3, 4})
-	if !got.Equal(Path{2, 3}) {
-		t.Fatalf("Intersect = %v, want <e2,e3>", got)
-	}
-	// ⟨e1,e2,e3⟩ \ ⟨e2,e3,e4⟩ = ⟨e1⟩
-	if got := (Path{1, 2, 3}).Minus(Path{2, 3, 4}); !got.Equal(Path{1}) {
-		t.Fatalf("Minus = %v, want <e1>", got)
-	}
-}
-
-func TestIntersectDisjoint(t *testing.T) {
-	if got := (Path{1, 2}).Intersect(Path{3, 4}); got != nil {
-		t.Fatalf("disjoint Intersect = %v, want nil", got)
-	}
-}
-
-func TestIntersectFullOverlap(t *testing.T) {
-	p := Path{7, 8, 9}
-	if got := p.Intersect(p); !got.Equal(p) {
-		t.Fatalf("self Intersect = %v", got)
-	}
-}
-
-func TestMinusAll(t *testing.T) {
-	if got := (Path{1, 2}).Minus(Path{1, 2}); len(got) != 0 {
-		t.Fatalf("Minus all = %v, want empty", got)
-	}
-	if got := (Path{1, 2}).Minus(nil); !got.Equal(Path{1, 2}) {
-		t.Fatalf("Minus nil = %v", got)
-	}
-}
-
-func TestPrefixSuffix(t *testing.T) {
-	p := Path{1, 2, 3, 4}
-	if got := p.Prefix(2); !got.Equal(Path{1, 2}) {
-		t.Fatalf("Prefix = %v", got)
-	}
-	if got := p.Suffix(2); !got.Equal(Path{3, 4}) {
-		t.Fatalf("Suffix = %v", got)
-	}
-}
-
-func TestCombineOverlapping(t *testing.T) {
-	cases := []struct {
-		p, q, want Path
-	}{
-		{Path{1, 2}, Path{2, 3}, Path{1, 2, 3}},
-		{Path{1}, Path{2}, Path{1, 2}},
-		{Path{1, 2, 3}, Path{2, 3, 4}, Path{1, 2, 3, 4}},
-		{Path{1, 2}, Path{3, 4}, nil},
-		{Path{1, 2}, Path{2}, nil}, // length mismatch
-		{nil, nil, nil},
-	}
-	for _, c := range cases {
-		got := CombineOverlapping(c.p, c.q)
-		if (got == nil) != (c.want == nil) || (got != nil && !got.Equal(c.want)) {
-			t.Errorf("CombineOverlapping(%v, %v) = %v, want %v", c.p, c.q, got, c.want)
-		}
-	}
-}
-
-func TestIntersectIsSubPathOfBoth(t *testing.T) {
-	// Property: the intersection of two random paths, when non-nil, is a
-	// contiguous sub-path of both inputs.
-	rnd := rand.New(rand.NewSource(42))
-	f := func() bool {
-		mk := func() Path {
-			n := 1 + rnd.Intn(8)
-			p := make(Path, n)
-			start := rnd.Intn(5)
-			for i := range p {
-				p[i] = EdgeID(start + i) // contiguous run so overlaps happen
-			}
-			return p
-		}
-		p, q := mk(), mk()
-		in := p.Intersect(q)
-		if in == nil {
-			return true
-		}
-		return p.HasSubPath(in) && q.HasSubPath(in)
-	}
-	for i := 0; i < 200; i++ {
-		if !f() {
-			t.Fatal("intersection not a sub-path of both inputs")
-		}
-	}
-}
-
-func TestCombineGrowthProperty(t *testing.T) {
-	// Property: combining a path's prefix(k) with its suffix-aligned
-	// window reconstructs the original path one edge longer each time.
-	f := func(seed int64) bool {
-		rnd := rand.New(rand.NewSource(seed))
-		n := 2 + rnd.Intn(10)
-		p := make(Path, n)
-		for i := range p {
-			p[i] = EdgeID(i * 3)
-		}
-		for k := 1; k < n; k++ {
-			a := p[:k]
-			b := p[1 : k+1]
-			got := CombineOverlapping(a, b)
-			if !got.Equal(p[:k+1]) {
-				return false
-			}
-		}
-		return true
-	}
-	// A fixed generator: quick's default is seeded from the clock.
-	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(41))}); err != nil {
-		t.Fatal(err)
 	}
 }
 

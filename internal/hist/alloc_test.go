@@ -1,13 +1,14 @@
 package hist
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // Allocation regression tests for the columnar cell store: the hot
-// read paths of the chain evaluator — sorted iteration, totals,
-// marginals — must not allocate once warm. The map-based predecessor
+// read paths of the chain evaluator — sorted iteration, totals — must
+// not allocate. The map-based predecessor
 // allocated (and sorted) a key slice on every ForEachSorted visit;
 // these tests pin the improvement so it cannot silently regress.
 
@@ -54,37 +55,33 @@ func TestTotalZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
-func TestMarginalWarmZeroAllocs(t *testing.T) {
-	m := allocFixtureMulti(t)
-	for d := 0; d < m.Dims(); d++ {
-		m.Marginal(d) // warm the per-dimension cache
-	}
-	var sink *Histogram
-	if n := testing.AllocsPerRun(100, func() { sink = m.Marginal(1) }); n != 0 {
-		t.Fatalf("warm Marginal allocates %v times per run, want 0", n)
-	}
-	_ = sink
-}
-
-// Mutations must invalidate the marginal cache: a stale marginal would
+// Mutations must invalidate the SumHistogram cache: a stale sum would
 // silently mis-answer after SetCell/Add/Normalize.
-func TestMarginalCacheInvalidation(t *testing.T) {
+func TestSumHistogramCacheInvalidation(t *testing.T) {
 	m := allocFixtureMulti(t)
-	before := m.Marginal(0).Mean()
-	// Move all of bucket-0 mass (if any) far to the right.
-	keys, probs := m.Cells()
-	last := len(keys) - 1
-	m.SetCell([]int{4, 2, 3}, probs[last]+0.5)
-	after := m.Marginal(0)
-	if after == nil || after.Mean() == before {
-		t.Fatalf("marginal not recomputed after SetCell (mean still %v)", before)
+	sum := func() *Histogram {
+		t.Helper()
+		h, err := m.SumHistogram(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	before := sum()
+	if sum() != before {
+		t.Fatal("a warm SumHistogram recomputed")
+	}
+	_, probs := m.Cells()
+	m.SetCell([]int{4, 2, 3}, probs[len(probs)-1]+0.5)
+	after := sum()
+	if after == before || after.Mean() == before.Mean() {
+		t.Fatalf("sum not recomputed after SetCell (mean still %v)", before.Mean())
 	}
 	if err := m.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	renorm := m.Marginal(0)
-	if renorm.Mean() == 0 {
-		t.Fatal("marginal after Normalize is empty")
+	if renorm := sum(); renorm == after || !almostEq(renorm.CDF(math.Inf(1)), 1, 1e-9) {
+		t.Fatal("sum not recomputed after Normalize")
 	}
 }
 

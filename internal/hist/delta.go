@@ -78,15 +78,6 @@ func (d *Delta) seal() {
 	d.keys, d.mass, d.dirty = keys, mass, false
 }
 
-// ForEachSealed seals the delta and visits its cells in ascending key
-// order. Exposed for tests and oracles.
-func (d *Delta) ForEachSealed(fn func(key CellKey, w float64)) {
-	d.seal()
-	for i := range d.keys {
-		fn(d.keys[i].Unpack(), d.mass[i])
-	}
-}
-
 // BinClamped maps a point to the receiver's cell key, clamping each
 // coordinate that falls outside the bucket range to the nearest
 // boundary bucket. This is how streaming samples are binned onto a

@@ -20,11 +20,11 @@
 //     marginalization, sum distributions — needed to evaluate the
 //     decomposable-model estimate of Equation 2.
 //   - Section 4.2: the bucket-rearrangement marginalization
-//     (Rearranged) and compression used when folding accumulated-cost
-//     dimensions.
+//     (SumHistogram, RearrangedCuts) and compression used when folding
+//     accumulated-cost dimensions.
 //
 // Histograms use uniform-within-bucket semantics throughout, exactly
-// as the paper's Figure 7 worked example assumes. Multi.ForEach
-// iterates in map order; consumers that need reproducible output
-// (e.g. model serialization) use Multi.ForEachSorted.
+// as the paper's Figure 7 worked example assumes. Multi.ForEachSorted
+// visits cells in key order, so consumers that need reproducible
+// output (e.g. model serialization) get it for free.
 package hist

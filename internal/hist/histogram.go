@@ -222,20 +222,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Max()
 }
 
-// DensityAt returns the probability density at x (0 outside support,
-// left-continuous at bucket edges).
-func (h *Histogram) DensityAt(x float64) float64 {
-	i := sort.Search(len(h.buckets), func(i int) bool { return h.buckets[i].Hi > x })
-	if i >= len(h.buckets) {
-		return 0
-	}
-	b := h.buckets[i]
-	if x < b.Lo {
-		return 0
-	}
-	return b.Pr / b.Width()
-}
-
 // MassOn returns the probability mass on [lo, hi) under
 // uniform-within-bucket semantics.
 func (h *Histogram) MassOn(lo, hi float64) float64 {
@@ -251,28 +237,6 @@ func (h *Histogram) MassOn(lo, hi float64) float64 {
 		}
 	}
 	return acc
-}
-
-// Sample draws one value using u ∈ [0,1) as the uniform source.
-func (h *Histogram) Sample(u float64) float64 {
-	return h.Quantile(u)
-}
-
-// Shift returns a histogram translated by delta (used when composing
-// departure-time intervals).
-func (h *Histogram) Shift(delta float64) *Histogram {
-	bs := make([]Bucket, len(h.buckets))
-	for i, b := range h.buckets {
-		bs[i] = Bucket{Lo: b.Lo + delta, Hi: b.Hi + delta, Pr: b.Pr}
-	}
-	return &Histogram{buckets: bs}
-}
-
-// Clone returns a deep copy.
-func (h *Histogram) Clone() *Histogram {
-	bs := make([]Bucket, len(h.buckets))
-	copy(bs, h.buckets)
-	return &Histogram{buckets: bs}
 }
 
 // String renders the histogram compactly, e.g. "{[40,50):0.100 ...}".
@@ -451,66 +415,16 @@ func mergeEqualDensity(bs []Bucket) []Bucket {
 	return out
 }
 
-// Convolve returns the distribution of X+Y for independent X, Y
-// (the ⊙ operator of the legacy baseline, Section 2.3). Each pair of
-// buckets contributes the interval sum [loX+loY, hiX+hiY) with mass
-// prX·prY; overlaps are resolved by rearrangement, mirroring the
-// paper's uniform-within-bucket treatment.
-func Convolve(x, y *Histogram) *Histogram {
-	ivals := make([]Bucket, 0, len(x.buckets)*len(y.buckets))
-	for _, bx := range x.buckets {
-		for _, by := range y.buckets {
-			ivals = append(ivals, Bucket{
-				Lo: bx.Lo + by.Lo,
-				Hi: bx.Hi + by.Hi,
-				Pr: bx.Pr * by.Pr,
-			})
-		}
-	}
-	h, err := rearrange(ivals)
-	if err != nil {
-		// Inputs are valid histograms, so intervals are valid; this is
-		// unreachable but kept explicit.
-		panic(err)
-	}
-	return h
-}
-
-// ConvolveAll folds Convolve over hs left to right. It panics on an
-// empty input because the sum of zero distributions is undefined.
-func ConvolveAll(hs []*Histogram) *Histogram {
-	if len(hs) == 0 {
-		panic("hist: ConvolveAll of no histograms")
-	}
-	acc := hs[0]
-	for _, h := range hs[1:] {
-		acc = Convolve(acc, h)
-	}
-	return acc
-}
-
-// Rearranged builds a histogram from raw interval masses (exported for
-// the multi-dimensional flattening in Section 4.2).
-func Rearranged(intervals []Bucket) (*Histogram, error) {
-	sc := rearrangePool.Get().(*rearrangeScratch)
-	defer rearrangePool.Put(sc)
-	sc.wi = append(sc.wi[:0], intervals...)
-	bs, err := rearrangeInto(sc, nil, sc.wi)
-	if err != nil {
-		return nil, err
-	}
-	return fromBucketsOwned(bs)
-}
-
-// RearrangedCuts is Rearranged followed by Compress(maxBuckets),
-// returning only the resulting bucket boundaries, in dst's storage
-// when it has room. The evaluator re-buckets its accumulator axis with
-// it on every fold; keeping the interval copy, the cut set and the
-// bucket workspace pooled makes the warm path allocate at most the
-// returned boundary slice. (Sorting the caller's slice in place instead
+// RearrangedCuts rearranges raw interval masses into a histogram and
+// compresses it to maxBuckets, returning only the resulting bucket
+// boundaries, in dst's storage when it has room. The evaluator
+// re-buckets its accumulator axis with it on every fold; keeping the
+// interval copy, the cut set and the bucket workspace pooled makes the
+// warm path allocate at most the returned boundary slice. (Sorting the caller's slice in place instead
 // of copying it measured 1.6 % slower on cold_chain.) The float
-// operations replicate Rearranged+Compress exactly, so the boundaries
-// are bit-identical to that composition.
+// operations replicate rearrangement, the FromBuckets normalization and
+// Compress exactly, so the boundaries are bit-identical to that
+// composition (the tests' Rearranged+Compress).
 func RearrangedCuts(dst []float64, intervals []Bucket, maxBuckets int) ([]float64, error) {
 	sc := rearrangePool.Get().(*rearrangeScratch)
 	defer rearrangePool.Put(sc)
@@ -520,7 +434,7 @@ func RearrangedCuts(dst []float64, intervals []Bucket, maxBuckets int) ([]float6
 		return nil, err
 	}
 	sc.bs = bs[:0]
-	// Rearranged ends in the FromBuckets normalization.
+	// A rearranged histogram ends in the FromBuckets normalization.
 	if err := normalizeBuckets(bs); err != nil {
 		return nil, err
 	}

@@ -18,21 +18,8 @@ const MaxDims = 12
 // indices. Unused trailing dimensions must be zero so that keys remain
 // directly comparable. This is the API form; storage and all hot
 // comparisons use the dimension-packed PackedKey (see packedkey.go),
-// for which cellKeyLess is the ordering oracle.
+// for which the tests' cellKeyLess is the ordering oracle.
 type CellKey [MaxDims]uint16
-
-// cellKeyLess reports whether a sorts before b in lexicographic order
-// over all dimensions — the storage order of Multi and the visit order
-// of ForEachSorted. PackedKey.Less implements the same order on the
-// packed form; the differential tests pin the two against each other.
-func cellKeyLess(a, b CellKey) bool {
-	for d := 0; d < MaxDims; d++ {
-		if a[d] != b[d] {
-			return a[d] < b[d]
-		}
-	}
-	return false
-}
 
 // Multi is a multi-dimensional histogram (Section 3.2): per-dimension
 // bucket boundaries form a grid, and a sparse columnar cell store
@@ -52,13 +39,10 @@ type Multi struct {
 	keys   []PackedKey // ascending lexicographic, no duplicates
 	probs  []float64   // probs[i] belongs to keys[i]
 
-	// marg caches per-dimension marginals so a warm Marginal is
-	// allocation-free; any cell mutation invalidates the cache.
-	marg [MaxDims]atomic.Pointer[Histogram]
-
-	// sum caches the last SumHistogram result the same way: model
-	// variables are immutable once built, and the single-factor "lucky
-	// case" of chain evaluation flattens the same joint on every query.
+	// sum caches the last SumHistogram result; any cell mutation
+	// invalidates it. Model variables are immutable once built, and the
+	// single-factor "lucky case" of chain evaluation flattens the same
+	// joint on every query.
 	sum atomic.Pointer[sumHistCache]
 }
 
@@ -73,7 +57,7 @@ type sumHistCache struct {
 // per-dimension boundaries. Mass must be added via Add and then
 // Normalize must be called.
 func NewMulti(bounds [][]float64) (*Multi, error) {
-	cp, err := validateBounds(bounds, true)
+	cp, err := validateBounds(bounds)
 	if err != nil {
 		return nil, err
 	}
@@ -128,63 +112,28 @@ func PutMulti(m *Multi) {
 	m.bounds = m.bounds[:0]
 	m.keys = m.keys[:0]
 	m.probs = m.probs[:0]
-	// Clear only the cached marginals that exist: most transient Multis
-	// never compute one, and an unconditional atomic store per dimension
-	// (write barrier included) was a measurable slice of the uncached
-	// query path.
-	for d := range m.marg {
-		if m.marg[d].Load() != nil {
-			m.marg[d].Store(nil)
-		}
-	}
-	if m.sum.Load() != nil {
-		m.sum.Store(nil)
-	}
+	m.invalidateSum()
 	multiPool.Put(m)
 }
 
-// NewMultiFromCells builds a pooled Multi from a columnar cell dump:
-// the per-dimension boundary slices are shared (treat them as
-// immutable), while the top-level bounds slice and the cells are
-// copied into the Multi's pooled storage — the caller keeps ownership
-// of all three argument slices and may reuse them. keys must be
-// strictly ascending in lexicographic order, within the grid, with
-// zero trailing dimensions. The chain evaluator's merge-join kernel
-// emits its result cells already sorted, so this constructor turns
-// them into a Multi in O(cells) with no re-sorting and no hashing.
-func NewMultiFromCells(bounds [][]float64, keys []CellKey, probs []float64) (*Multi, error) {
-	if _, err := validateBounds(bounds, false); err != nil {
-		return nil, err
-	}
-	if err := validateCells(bounds, keys, probs); err != nil {
-		return nil, err
-	}
-	m := newMultiFromPool(len(bounds), len(keys))
-	copy(m.bounds, bounds)
-	m.keys = m.keys[:len(keys)]
-	for i, k := range keys {
-		m.keys[i] = PackKey(k)
-	}
-	m.probs = m.probs[:len(probs)]
-	copy(m.probs, probs)
-	return m, nil
-}
-
-// NewMultiFromPackedCells is NewMultiFromCells for producers that
-// already hold packed keys and guarantee the cell contract by
-// construction: keys strictly ascending, indices inside the grid, zero
-// unused dimensions. The chain evaluator's kernels qualify — their
-// emission loops provably emit in sorted order — so this constructor
-// skips the per-cell validation pass entirely; everyone else must use
-// NewMultiFromCells. Violating the contract corrupts every sorted-scan
-// consumer downstream; CheckInvariants exists for tests to assert the
-// contract after kernel changes.
+// NewMultiFromPackedCells builds a pooled Multi from a columnar cell
+// dump, for producers that already hold packed keys and guarantee the
+// cell contract by construction: keys strictly ascending, indices
+// inside the grid, zero unused dimensions. The chain evaluator's
+// kernels qualify — their emission loops provably emit in sorted order
+// — so this constructor skips the per-cell validation pass entirely;
+// everyone else builds through NewMulti and SetCell/AddCell. Violating
+// the contract corrupts every sorted-scan consumer downstream; the
+// kernels' tests assert it (core's checkCellContract) after every
+// kernel change. The per-dimension boundary slices are shared (treat
+// them as immutable); the top-level bounds slice and the cells are
+// copied, so the caller may reuse all three argument slices.
 func NewMultiFromPackedCells(bounds [][]float64, keys []PackedKey, probs []float64) (*Multi, error) {
 	// Trusted constructor: callers own boundary monotonicity (kernel
 	// states pass model bounds plus rearranged cuts, both ascending by
 	// construction), so the O(Σ|bounds|) per-value scan of
 	// validateBounds is skipped. Shape is still checked; tests cover
-	// the rest via CheckInvariants.
+	// the rest.
 	if len(bounds) == 0 || len(bounds) > MaxDims {
 		return nil, fmt.Errorf("hist: %d dimensions out of range [1,%d]", len(bounds), MaxDims)
 	}
@@ -208,61 +157,12 @@ func NewMultiFromPackedCells(bounds [][]float64, keys []PackedKey, probs []float
 	return m, nil
 }
 
-// CheckInvariants verifies the sorted-cell storage contract — strictly
-// ascending keys, in-range indices, zero unused dimensions. Tests run
-// it after trusted-constructor paths; it is never on a hot path.
-func (m *Multi) CheckInvariants() error {
-	dims := len(m.bounds)
-	for i, pk := range m.keys {
-		if i > 0 && !m.keys[i-1].Less(pk) {
-			return fmt.Errorf("hist: cell keys not in ascending order at %d", i)
-		}
-		k := pk.Unpack()
-		for d := 0; d < MaxDims; d++ {
-			if d < dims {
-				if int(k[d]) >= len(m.bounds[d])-1 {
-					return fmt.Errorf("hist: cell %d index %d out of range on dim %d", i, k[d], d)
-				}
-			} else if k[d] != 0 {
-				return fmt.Errorf("hist: cell %d has non-zero index on unused dim %d", i, d)
-			}
-		}
-	}
-	return nil
-}
-
-func validateCells(bounds [][]float64, keys []CellKey, probs []float64) error {
-	if len(keys) != len(probs) {
-		return fmt.Errorf("hist: %d keys but %d probabilities", len(keys), len(probs))
-	}
-	dims := len(bounds)
-	for i, k := range keys {
-		if i > 0 && !cellKeyLess(keys[i-1], k) {
-			return fmt.Errorf("hist: cell keys not in ascending order at %d", i)
-		}
-		for d := 0; d < MaxDims; d++ {
-			if d < dims {
-				if int(k[d]) >= len(bounds[d])-1 {
-					return fmt.Errorf("hist: cell %d index %d out of range on dim %d", i, k[d], d)
-				}
-			} else if k[d] != 0 {
-				return fmt.Errorf("hist: cell %d has non-zero index on unused dim %d", i, d)
-			}
-		}
-	}
-	return nil
-}
-
-// validateBounds checks the grid shape; when copy is true the returned
-// slices are deep copies of the input.
-func validateBounds(bounds [][]float64, copyBounds bool) ([][]float64, error) {
+// validateBounds checks the grid shape and returns a deep copy of it.
+func validateBounds(bounds [][]float64) ([][]float64, error) {
 	if len(bounds) == 0 || len(bounds) > MaxDims {
 		return nil, fmt.Errorf("hist: %d dimensions out of range [1,%d]", len(bounds), MaxDims)
 	}
-	out := bounds
-	if copyBounds {
-		out = make([][]float64, len(bounds))
-	}
+	out := make([][]float64, len(bounds))
 	for d, bd := range bounds {
 		if len(bd) < 2 {
 			return nil, fmt.Errorf("hist: dimension %d has %d boundaries, need ≥ 2", d, len(bd))
@@ -275,9 +175,7 @@ func validateBounds(bounds [][]float64, copyBounds bool) ([][]float64, error) {
 				return nil, fmt.Errorf("hist: dimension %d boundaries not increasing at %d", d, i)
 			}
 		}
-		if copyBounds {
-			out[d] = append([]float64(nil), bd...)
-		}
+		out[d] = append([]float64(nil), bd...)
 	}
 	return out, nil
 }
@@ -350,16 +248,11 @@ func (m *Multi) search(key PackedKey) (int, bool) {
 	return i, false
 }
 
-// invalidateMarginals drops the cached per-dimension marginals; every
-// cell mutation must call it. Only populated entries are cleared —
-// atomic stores dirty the cache line and run a write barrier, and most
-// mutated histograms never computed a marginal.
-func (m *Multi) invalidateMarginals() {
-	for d := range m.bounds {
-		if m.marg[d].Load() != nil {
-			m.marg[d].Store(nil)
-		}
-	}
+// invalidateSum drops the cached SumHistogram; every cell mutation
+// must call it. Only a populated cache is cleared — an atomic store
+// dirties the cache line and runs a write barrier, and most mutated
+// histograms never flattened.
+func (m *Multi) invalidateSum() {
 	if m.sum.Load() != nil {
 		m.sum.Store(nil)
 	}
@@ -394,7 +287,7 @@ func (m *Multi) addKey(key PackedKey, w float64) {
 	} else {
 		m.insertAt(i, key, w)
 	}
-	m.invalidateMarginals()
+	m.invalidateSum()
 }
 
 // Add accrues weight w to the hyper-bucket containing point; it
@@ -434,7 +327,7 @@ func (m *Multi) SetCell(idx []int, pr float64) {
 	if pr == 0 {
 		if i, ok := m.search(key); ok {
 			m.removeAt(i)
-			m.invalidateMarginals()
+			m.invalidateSum()
 		}
 		return
 	}
@@ -446,7 +339,7 @@ func (m *Multi) SetCell(idx []int, pr float64) {
 	} else {
 		m.insertAt(i, key, pr)
 	}
-	m.invalidateMarginals()
+	m.invalidateSum()
 }
 
 // AddCell accrues w to the hyper-bucket with the given indices,
@@ -455,28 +348,6 @@ func (m *Multi) SetCell(idx []int, pr float64) {
 // += semantics the evaluator's fold assembly relies on.
 func (m *Multi) AddCell(idx []int, w float64) {
 	m.addKey(m.checkedKey(idx), w)
-}
-
-// Cell returns the probability of the hyper-bucket with the given
-// indices (0 when unoccupied).
-func (m *Multi) Cell(idx []int) float64 {
-	var key CellKey
-	for d, i := range idx {
-		key[d] = uint16(i)
-	}
-	if i, ok := m.search(PackKey(key)); ok {
-		return m.probs[i]
-	}
-	return 0
-}
-
-// ForEach visits every occupied hyper-bucket. With the columnar layout
-// this is the same zero-allocation sorted scan as ForEachSorted (the
-// map-based predecessor visited in map order here).
-func (m *Multi) ForEach(fn func(key CellKey, pr float64)) {
-	for i, k := range m.keys {
-		fn(k.Unpack(), m.probs[i])
-	}
 }
 
 // ForEachSorted visits every occupied hyper-bucket in lexicographic
@@ -512,7 +383,7 @@ func (m *Multi) Normalize() error {
 	for i, v := range m.probs {
 		m.probs[i] = v / t
 	}
-	m.invalidateMarginals()
+	m.invalidateSum()
 	return nil
 }
 
@@ -527,49 +398,6 @@ func (m *Multi) CheckNormalized(tol float64) error {
 		return fmt.Errorf("hist: multi mass %v is not normalized (tolerance %v)", t, tol)
 	}
 	return nil
-}
-
-// Clone returns a deep copy.
-func (m *Multi) Clone() *Multi {
-	cp := make([][]float64, len(m.bounds))
-	for d, bd := range m.bounds {
-		cp[d] = append([]float64(nil), bd...)
-	}
-	return &Multi{
-		bounds: cp,
-		keys:   append([]PackedKey(nil), m.keys...),
-		probs:  append([]float64(nil), m.probs...),
-	}
-}
-
-// Marginal returns the one-dimensional marginal distribution of
-// dimension d. Accumulation runs in sorted key order so the result is
-// bit-identical across runs (see Total). The marginal is cached on the
-// Multi — a warm call is allocation-free — and invalidated by any cell
-// mutation; callers must treat the returned histogram as read-only.
-func (m *Multi) Marginal(d int) *Histogram {
-	if h := m.marg[d].Load(); h != nil {
-		return h
-	}
-	pr := make([]float64, m.NumBuckets(d))
-	for i, k := range m.keys {
-		pr[k.Dim(d)] += m.probs[i]
-	}
-	bs := make([]Bucket, 0, len(pr))
-	for i, p := range pr {
-		if p > 0 {
-			lo, hi := m.BucketRange(d, i)
-			bs = append(bs, Bucket{Lo: lo, Hi: hi, Pr: p})
-		}
-	}
-	h, err := FromBuckets(bs)
-	if err != nil {
-		panic(fmt.Sprintf("hist: marginal of dim %d: %v", d, err))
-	}
-	// Concurrent readers may race to fill the cache; the computation is
-	// deterministic, so whichever value lands is the same histogram.
-	m.marg[d].Store(h)
-	return h
 }
 
 // MarginalOnto returns the joint marginal over the given dimensions,
@@ -620,37 +448,6 @@ func (m *Multi) MarginalOnto(dims []int) (*Multi, error) {
 	return out, nil
 }
 
-// MinSum and MaxSum return the support bounds of the sum of all
-// dimensions (the tightest interval the flattened cost can occupy).
-func (m *Multi) MinSum() float64 {
-	min := math.Inf(1)
-	for _, k := range m.keys {
-		var s float64
-		for d := 0; d < m.Dims(); d++ {
-			s += m.bounds[d][k.Dim(d)]
-		}
-		if s < min {
-			min = s
-		}
-	}
-	return min
-}
-
-// MaxSum returns the maximum possible sum over occupied cells.
-func (m *Multi) MaxSum() float64 {
-	max := math.Inf(-1)
-	for _, k := range m.keys {
-		var s float64
-		for d := 0; d < m.Dims(); d++ {
-			s += m.bounds[d][k.Dim(d)+1]
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
 // SumHistogram flattens the joint into the distribution of the sum of
 // its dimensions (Section 4.2): each hyper-bucket contributes the
 // interval [Σ lo_d, Σ hi_d) with its probability, and overlapping
@@ -691,47 +488,21 @@ func (m *Multi) SumHistogram(maxBuckets int) (*Histogram, error) {
 		h = h.Compress(maxBuckets)
 	}
 	// Racing fillers computed the identical histogram; whichever lands
-	// is the same answer (see Marginal).
+	// is the same answer.
 	m.sum.Store(&sumHistCache{maxBuckets: maxBuckets, h: h})
 	return h, nil
-}
-
-// RefineDim splits dimension d's buckets at the given cut points
-// (those inside the dimension's support), distributing each cell's
-// mass proportionally to sub-bucket width, per uniform-within-bucket.
-// The result represents the same distribution on a finer grid. When
-// every cut falls outside the support the receiver itself is returned;
-// treat the result as read-only.
-func (m *Multi) RefineDim(d int, cuts []float64) (*Multi, error) {
-	if d < 0 || d >= m.Dims() {
-		return nil, fmt.Errorf("hist: refine dim %d out of range", d)
-	}
-	old := m.bounds[d]
-	merged := make([]float64, 0, len(old)+len(cuts))
-	merged = append(merged, old...)
-	for _, c := range cuts {
-		if c > old[0] && c < old[len(old)-1] {
-			merged = append(merged, c)
-		}
-	}
-	sort.Float64s(merged)
-	merged = dedupFloats(merged)
-	t, err := NewRemapTable(old, merged)
-	if err != nil {
-		return nil, err
-	}
-	return m.RemapDimTable(d, t)
 }
 
 // RemapDim rebuilds dimension d onto newBounds, a strictly increasing
 // boundary set that must contain every existing boundary of d (it may
 // extend beyond the current support; the extension cells simply stay
-// empty). Unlike RefineDim this aligns histograms with *different*
-// supports onto one shared grid, which the Equation 2 evaluators need
-// when two factors disagree about an edge's cost range. When newBounds
-// equals the current boundary set the receiver itself is returned (the
-// evaluator's common case); treat the result as read-only, and do not
-// modify newBounds afterwards — the result references it.
+// empty), so it both refines a grid and aligns histograms with
+// *different* supports onto one shared grid, which the Equation 2
+// evaluators need when two factors disagree about an edge's cost
+// range. When newBounds equals the current boundary set the receiver
+// itself is returned (the evaluator's common case); treat the result
+// as read-only, and do not modify newBounds afterwards — the result
+// references it.
 func (m *Multi) RemapDim(d int, newBounds []float64) (*Multi, error) {
 	if d < 0 || d >= m.Dims() {
 		return nil, fmt.Errorf("hist: remap dim %d out of range", d)
@@ -873,12 +644,6 @@ type FromSamplesConfig struct {
 	// exactly this many V-Optimal buckets per dimension (the paper's
 	// Sta-b baseline).
 	FixedBuckets int
-}
-
-// DefaultFromSamplesConfig uses one-second resolution and the default
-// Auto settings.
-func DefaultFromSamplesConfig() FromSamplesConfig {
-	return FromSamplesConfig{Resolution: DefaultResolution, Auto: DefaultAutoConfig()}
 }
 
 // NewMultiFromSamples builds a multi-dimensional histogram from joint

@@ -124,22 +124,10 @@ func TestMultiMarginalOnto(t *testing.T) {
 	}
 }
 
-func TestMultiMinMaxSum(t *testing.T) {
-	m := mustMulti(t, [][]float64{{10, 20, 30}, {5, 15}})
-	m.SetCell([]int{0, 0}, 0.5)
-	m.SetCell([]int{1, 0}, 0.5)
-	if got := m.MinSum(); got != 15 {
-		t.Fatalf("MinSum = %v, want 15", got)
-	}
-	if got := m.MaxSum(); got != 45 {
-		t.Fatalf("MaxSum = %v, want 45", got)
-	}
-}
-
 func TestMultiRefineDim(t *testing.T) {
 	m := mustMulti(t, [][]float64{{0, 10}, {0, 4}})
 	m.SetCell([]int{0, 0}, 1)
-	r, err := m.RefineDim(0, []float64{2.5, 5})
+	r, err := m.RemapDim(0, []float64{0, 2.5, 5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,15 +147,7 @@ func TestMultiRefineDim(t *testing.T) {
 	if !almostEq(r.Marginal(1).Mean(), m.Marginal(1).Mean(), 1e-12) {
 		t.Fatal("refinement changed the other dimension")
 	}
-	// Cuts outside support are ignored.
-	r2, err := m.RefineDim(0, []float64{-5, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.NumBuckets(0) != 1 {
-		t.Fatalf("out-of-range cuts changed grid: %d", r2.NumBuckets(0))
-	}
-	if _, err := m.RefineDim(9, nil); err == nil {
+	if _, err := m.RemapDim(9, []float64{0, 10}); err == nil {
 		t.Fatal("bad dim should error")
 	}
 }
@@ -187,7 +167,7 @@ func TestMultiRefinePreservesSumHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.RefineDim(0, []float64{3, 9, 15})
+	r, err := m.RemapDim(0, []float64{0, 3, 5, 9, 12, 15, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +188,13 @@ func TestMultiRefinePreservesSumHistogram(t *testing.T) {
 }
 
 func TestNewMultiFromSamplesValidation(t *testing.T) {
-	if _, err := NewMultiFromSamples(nil, DefaultFromSamplesConfig()); err == nil {
+	if _, err := NewMultiFromSamples(nil, defaultSamplesConfig()); err == nil {
 		t.Error("no rows should error")
 	}
-	if _, err := NewMultiFromSamples([][]float64{{}}, DefaultFromSamplesConfig()); err == nil {
+	if _, err := NewMultiFromSamples([][]float64{{}}, defaultSamplesConfig()); err == nil {
 		t.Error("zero-dim rows should error")
 	}
-	if _, err := NewMultiFromSamples([][]float64{{1, 2}, {1}}, DefaultFromSamplesConfig()); err == nil {
+	if _, err := NewMultiFromSamples([][]float64{{1, 2}, {1}}, defaultSamplesConfig()); err == nil {
 		t.Error("ragged rows should error")
 	}
 }
@@ -228,7 +208,7 @@ func TestNewMultiFromSamplesBasic(t *testing.T) {
 		b := math.Round(a + 20 + rnd.NormFloat64()*3)
 		rows[i] = []float64{a, b}
 	}
-	m, err := NewMultiFromSamples(rows, DefaultFromSamplesConfig())
+	m, err := NewMultiFromSamples(rows, defaultSamplesConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +253,7 @@ func TestMultiCapturesDependenceThatConvolutionMisses(t *testing.T) {
 		}
 		rows[i] = []float64{a, b}
 	}
-	m, err := NewMultiFromSamples(rows, DefaultFromSamplesConfig())
+	m, err := NewMultiFromSamples(rows, defaultSamplesConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,23 +282,13 @@ func TestMultiStorageFloats(t *testing.T) {
 	}
 }
 
-func TestMultiCloneIndependent(t *testing.T) {
-	m := mustMulti(t, [][]float64{{0, 1}})
-	m.SetCell([]int{0}, 1)
-	c := m.Clone()
-	c.SetCell([]int{0}, 0.5)
-	if m.Cell([]int{0}) != 1 {
-		t.Fatal("clone mutated original")
-	}
-}
-
 func TestMultiForEach(t *testing.T) {
 	m := mustMulti(t, [][]float64{{0, 1, 2}})
 	m.SetCell([]int{0}, 0.25)
 	m.SetCell([]int{1}, 0.75)
 	var total float64
 	count := 0
-	m.ForEach(func(k CellKey, pr float64) {
+	m.ForEachSorted(func(k CellKey, pr float64) {
 		total += pr
 		count++
 	})

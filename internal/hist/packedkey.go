@@ -16,7 +16,7 @@ package hist
 //
 //	PackKey(a).Less(PackKey(b)) == cellKeyLess(a, b)
 //
-// CellKey remains the API form (ForEach callbacks, SetCell index
+// CellKey remains the API form (ForEachSorted callbacks, SetCell index
 // arguments, the Delta accumulator's Add) and the differential oracle
 // for the packed ordering; see TestPackedKeyOrderMatchesCellKeyLess.
 
@@ -79,19 +79,6 @@ func (p PackedKey) Less(q PackedKey) bool {
 		return p[1] < q[1]
 	}
 	return p[2] < q[2]
-}
-
-// Compare three-way-compares p and q in lexicographic dimension order.
-func (p PackedKey) Compare(q PackedKey) int {
-	for w := 0; w < keyWords; w++ {
-		if p[w] != q[w] {
-			if p[w] < q[w] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
 }
 
 // pkPrefixMask returns the word-w mask selecting the dimensions of a

@@ -5,85 +5,94 @@ import (
 	"testing"
 )
 
-// Regression test for the Multi pool: a pooled Multi carrying cached
-// per-dimension marginals must not leak them into the next histogram
-// built from the pool. PutMulti is responsible for clearing every
-// marg slot (including dimensions beyond the next user's Dims()), and
-// this test pins that contract by recycling a Multi whose marginal
-// cache is warm and asserting the reborn histogram's Marginal reflects
-// its own cells — by identity and by value.
-func TestPutMultiPoolReuseMarginal(t *testing.T) {
+// packCells packs API-form keys for NewMultiFromPackedCells.
+func packCells(keys []CellKey) []PackedKey {
+	out := make([]PackedKey, len(keys))
+	for i, k := range keys {
+		out[i] = PackKey(k)
+	}
+	return out
+}
+
+// Regression test for the Multi pool: a pooled Multi carrying a cached
+// SumHistogram must not leak it into the next histogram built from the
+// pool. PutMulti is responsible for clearing the cache, and this test
+// pins that contract by recycling a Multi whose cache is warm and
+// asserting the reborn histogram's sum reflects its own cells — by
+// identity and by value.
+func TestPutMultiPoolReuseSumHistogram(t *testing.T) {
 	bounds3 := [][]float64{{0, 1, 2, 3}, {0, 10, 20}, {0, 5, 10}}
-	keys3 := []CellKey{{0, 0, 1}, {1, 1, 0}, {2, 0, 1}}
+	keys3 := packCells([]CellKey{{0, 0, 1}, {1, 1, 0}, {2, 0, 1}})
 	probs3 := []float64{0.25, 0.5, 0.25}
 
 	bounds1 := [][]float64{{0, 1, 2, 3}}
-	keys1 := []CellKey{{0}, {2}}
+	keys1 := packCells([]CellKey{{0}, {2}})
 	probs1 := []float64{0.75, 0.25}
 
 	for iter := 0; iter < 100; iter++ {
-		m1, err := NewMultiFromCells(bounds3, keys3, probs3)
+		m1, err := NewMultiFromPackedCells(bounds3, keys3, probs3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Warm every dimension's marginal cache, then recycle. sync.Pool
-		// reuse is not guaranteed on any single iteration, so the loop
-		// makes a hit near-certain; each iteration's assertions are valid
-		// whether or not the struct was actually reused.
-		stale := make([]*Histogram, m1.Dims())
-		for d := range stale {
-			stale[d] = m1.Marginal(d)
+		// Warm the cache, then recycle. sync.Pool reuse is not
+		// guaranteed on any single iteration, so the loop makes a hit
+		// near-certain; each iteration's assertions are valid whether or
+		// not the struct was actually reused.
+		stale, err := m1.SumHistogram(0)
+		if err != nil {
+			t.Fatal(err)
 		}
 		PutMulti(m1)
 
-		m2, err := NewMultiFromCells(bounds1, keys1, probs1)
+		m2, err := NewMultiFromPackedCells(bounds1, keys1, probs1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := m2.Marginal(0)
-		for d, h := range stale {
-			if got == h {
-				t.Fatalf("iter %d: pooled Multi handed out the previous owner's dim-%d marginal", iter, d)
-			}
+		got, err := m2.SumHistogram(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == stale {
+			t.Fatalf("iter %d: pooled Multi handed out the previous owner's sum", iter)
 		}
 		bs := got.Buckets()
 		if len(bs) != 2 {
-			t.Fatalf("iter %d: marginal has %d buckets, want 2: %+v", iter, len(bs), bs)
+			t.Fatalf("iter %d: sum has %d buckets, want 2: %+v", iter, len(bs), bs)
 		}
 		if bs[0].Lo != 0 || bs[0].Hi != 1 || math.Abs(bs[0].Pr-0.75) > 1e-12 {
-			t.Fatalf("iter %d: marginal bucket 0 = %+v", iter, bs[0])
+			t.Fatalf("iter %d: sum bucket 0 = %+v", iter, bs[0])
 		}
 		if bs[1].Lo != 2 || bs[1].Hi != 3 || math.Abs(bs[1].Pr-0.25) > 1e-12 {
-			t.Fatalf("iter %d: marginal bucket 1 = %+v", iter, bs[1])
+			t.Fatalf("iter %d: sum bucket 1 = %+v", iter, bs[1])
 		}
 		PutMulti(m2)
 	}
 }
 
 // A pooled Multi rebuilt with the same shape but different cells must
-// serve the new cells' marginal, not the cached one — the "same dims,
+// serve the new cells' sum, not the cached one — the "same dims,
 // different mass" variant of the stale-cache hazard.
 func TestPutMultiPoolReuseSameShape(t *testing.T) {
 	bounds := [][]float64{{0, 1, 2}, {0, 1, 2}}
 	for iter := 0; iter < 100; iter++ {
-		m1, err := NewMultiFromCells(bounds,
-			[]CellKey{{0, 0}}, []float64{1})
+		m1, err := NewMultiFromPackedCells(bounds,
+			packCells([]CellKey{{0, 0}}), []float64{1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m1.Marginal(0).Buckets(); len(got) != 1 || got[0].Lo != 0 {
-			t.Fatalf("iter %d: m1 marginal = %+v", iter, got)
+		if got, err := m1.SumHistogram(0); err != nil || len(got.Buckets()) != 1 || got.Min() != 0 {
+			t.Fatalf("iter %d: m1 sum = %v (%v)", iter, got, err)
 		}
 		PutMulti(m1)
 
-		m2, err := NewMultiFromCells(bounds,
-			[]CellKey{{1, 1}}, []float64{1})
+		m2, err := NewMultiFromPackedCells(bounds,
+			packCells([]CellKey{{1, 1}}), []float64{1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := m2.Marginal(0).Buckets()
-		if len(got) != 1 || got[0].Lo != 1 || got[0].Hi != 2 {
-			t.Fatalf("iter %d: m2 marginal = %+v (stale cache?)", iter, got)
+		got, err := m2.SumHistogram(0)
+		if err != nil || len(got.Buckets()) != 1 || got.Min() != 2 || got.Max() != 4 {
+			t.Fatalf("iter %d: m2 sum = %v (%v) (stale cache?)", iter, got, err)
 		}
 		PutMulti(m2)
 	}

@@ -175,7 +175,7 @@ func TestPropertyRefineRemapInvariant(t *testing.T) {
 		d := rnd.Intn(m.Dims())
 		bd := m.Bounds(d)
 		cut := bd[0] + rnd.Float64()*(bd[len(bd)-1]-bd[0])
-		r, err := m.RefineDim(d, []float64{cut})
+		r, err := m.RemapDim(d, UnionBounds(bd, []float64{cut}))
 		if err != nil {
 			return false
 		}

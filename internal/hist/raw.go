@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // DefaultResolution is the granularity at which raw cost values are
@@ -110,39 +109,6 @@ func rawFromCounts(values []float64, counts []int, n int, resolution float64) *R
 
 // NumDistinct returns the number of distinct cost values.
 func (r *Raw) NumDistinct() int { return len(r.Entries) }
-
-// Min returns the smallest cost value.
-func (r *Raw) Min() float64 { return r.Entries[0].Value }
-
-// Max returns the largest cost value.
-func (r *Raw) Max() float64 { return r.Entries[len(r.Entries)-1].Value }
-
-// Mean returns the expected cost.
-func (r *Raw) Mean() float64 {
-	var m float64
-	for _, e := range r.Entries {
-		m += e.Value * e.Perc
-	}
-	return m
-}
-
-// Prob returns the probability mass at value v (0 when absent).
-func (r *Raw) Prob(v float64) float64 {
-	i := sort.Search(len(r.Entries), func(i int) bool { return r.Entries[i].Value >= v })
-	if i < len(r.Entries) && r.Entries[i].Value == v {
-		return r.Entries[i].Perc
-	}
-	return 0
-}
-
-// Values returns the distinct values in increasing order.
-func (r *Raw) Values() []float64 {
-	vs := make([]float64, len(r.Entries))
-	for i, e := range r.Entries {
-		vs[i] = e.Value
-	}
-	return vs
-}
 
 // StorageEntries returns the number of (cost, frequency) pairs the raw
 // form needs; the paper's Figure 11(c) space-saving ratio compares

@@ -227,7 +227,7 @@ func TestTrainingDifferentialMulti(t *testing.T) {
 		}
 	}
 	bad := [][]float64{{1, 2}, {3, math.NaN()}, {5, 6}, {7, 8}, {9, 10}}
-	cfg := DefaultFromSamplesConfig()
+	cfg := defaultSamplesConfig()
 	_, wantErr := oracleDimBounds([]float64{2, math.NaN(), 6, 8, 10}, cfg)
 	_, gotErr := NewMultiFromSamples(bad, cfg)
 	if wantErr == nil || gotErr == nil || gotErr.Error() != "hist: dim 1: "+wantErr.Error() {

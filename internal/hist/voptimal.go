@@ -138,31 +138,3 @@ func (p *voptDP) histogram(b int) (*Histogram, error) {
 	}
 	return fromBucketsOwned(bs)
 }
-
-// VOptimalError returns the DP objective (within-bucket SSE of the
-// per-value probabilities) achieved by the optimal b-bucket histogram.
-// Exposed for diagnostics and the Fig. 5(a) error-vs-b curve.
-func VOptimalError(d *Raw, b int) (float64, error) {
-	h, err := VOptimal(d, b)
-	if err != nil {
-		return 0, err
-	}
-	// Recompute the objective from the histogram's bucket layout.
-	var total float64
-	i := 0
-	for _, bk := range h.buckets {
-		var sum, sum2 float64
-		first := i
-		for i < len(d.Entries) && d.Entries[i].Value < bk.Hi {
-			p := d.Entries[i].Perc
-			sum += p
-			sum2 += p * p
-			i++
-		}
-		if i > first {
-			m := math.Round((d.Entries[i-1].Value-d.Entries[first].Value)/d.Resolution) + 1
-			total += sum2 - sum*sum/m
-		}
-	}
-	return total, nil
-}

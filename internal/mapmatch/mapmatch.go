@@ -152,16 +152,6 @@ func (m *Matcher) candidatesNear(s *search, p geo.Point) []candidate {
 	return cands
 }
 
-// Match decodes the most likely path for the trajectory. It returns an
-// error when the trajectory is invalid or no candidate chain connects.
-func (m *Matcher) Match(tr *gps.Trajectory) (graph.Path, error) {
-	seq, _, err := m.decode(tr)
-	if err != nil {
-		return nil, err
-	}
-	return m.expandPath(seq)
-}
-
 // decode runs the Viterbi pass, returning the matched candidate and
 // the timestamp for every fix that had road candidates.
 func (m *Matcher) decode(tr *gps.Trajectory) ([]candidate, []float64, error) {

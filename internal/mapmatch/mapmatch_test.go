@@ -11,6 +11,16 @@ import (
 	"repro/internal/trajgen"
 )
 
+// Match decodes the most likely path for the trajectory. It returns an
+// error when the trajectory is invalid or no candidate chain connects.
+func (m *Matcher) Match(tr *gps.Trajectory) (graph.Path, error) {
+	seq, _, err := m.decode(tr)
+	if err != nil {
+		return nil, err
+	}
+	return m.expandPath(seq)
+}
+
 func testNetwork(t testing.TB) *graph.Graph {
 	t.Helper()
 	return netgen.Generate(netgen.PresetConfig(netgen.PresetTest))

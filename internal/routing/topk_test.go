@@ -23,8 +23,7 @@ func TestTopKPaths(t *testing.T) {
 		if !g.ValidPath(tk.Path) {
 			t.Fatalf("result %d invalid", i)
 		}
-		vs := g.PathVertices(tk.Path)
-		if vs[0] != src || vs[len(vs)-1] != dst {
+		if from, to := endpoints(g, tk.Path); from != src || to != dst {
 			t.Fatalf("result %d wrong endpoints", i)
 		}
 		if seen[tk.Path.Key()] {

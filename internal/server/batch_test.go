@@ -207,13 +207,13 @@ func TestBatchConcurrentClients(t *testing.T) {
 // entry answers 500 inside a 200 envelope, its MaxInFlight slot is
 // released by the eval helper's defer, the entries after it are
 // untouched, and the server keeps serving. The panic is injected by
-// serving a private system whose epoch has lost its model.
+// serving a private system whose model has lost its road network.
 func TestBatchEntryPanicIsThatEntrys500(t *testing.T) {
 	broken, err := pathcost.Synthesize(pathcost.SynthesizeConfig{Preset: "test", Trips: 300, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken.CurrentEpoch().Hybrid = nil
+	broken.Hybrid().G = nil
 	log.SetOutput(io.Discard) // the recovered panics' stack traces
 	defer log.SetOutput(os.Stderr)
 
@@ -243,7 +243,7 @@ func TestBatchEntryPanicIsThatEntrys500(t *testing.T) {
 				t.Errorf("%d-entry batch, entry %d = %+v, want a bare %d", len(queries), i, r, want)
 			}
 		}
-		if n := srv.gate.InUse(); n != 0 {
+		if n := slotsHeld(srv.gate); n != 0 {
 			t.Fatalf("%d-entry batch leaked %d evaluation slot(s)", len(queries), n)
 		}
 	}
@@ -307,7 +307,7 @@ func TestBatchInlineAndFannedOutConcurrently(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if n := srv.gate.InUse(); n != 0 {
+	if n := slotsHeld(srv.gate); n != 0 {
 		t.Fatalf("%d evaluation slot(s) still held after the last answer", n)
 	}
 }
@@ -371,7 +371,7 @@ func TestBatchOverlappingEntriesMatchSingleRequests(t *testing.T) {
 	if r := resp.Results[4]; r.Status != http.StatusBadRequest || r.Error == "" {
 		t.Fatalf("the invalid-path entry should be a per-entry 400: %+v", r)
 	}
-	if n := srv.gate.InUse(); n != 0 {
+	if n := slotsHeld(srv.gate); n != 0 {
 		t.Fatalf("%d evaluation slot(s) still held after the batch", n)
 	}
 }

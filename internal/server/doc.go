@@ -18,9 +18,9 @@
 // handler is safe for arbitrary client concurrency: query evaluation
 // is bounded by the gate's slots (Config.MaxInFlight) so a traffic
 // spike degrades into queueing rather than into unbounded goroutine
-// and memory growth, and the underlying System is swappable at runtime
-// (Swap) for zero-downtime model reloads. A batch is its entries
-// answered in order against one system snapshot, each through the
+// and memory growth; model updates arrive as epoch publishes on the
+// served System, never by replacing it. A batch is its entries
+// answered in order, each through the
 // evaluator its single request uses and charged like it; when the
 // served System has a convolution memo enabled (EnableConvMemo),
 // overlapping distribution entries reuse each other's prefix states.

@@ -111,8 +111,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	if rec := serve(h, http.MethodPost, "/v1/distribution", `{}`); rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty distribution = %d", rec.Code)
 	}
-	srv.Swap(sys)
-
 	get := serve(srv.Metrics(), http.MethodGet, "/metrics", "")
 	get.Body = bytes.NewBuffer(uptimeSample.ReplaceAll(get.Body.Bytes(), []byte("$1 UPTIME")))
 	post := serve(srv.Metrics(), http.MethodPost, "/metrics", "")

@@ -85,7 +85,7 @@ func postIngest(srv *Server, body []byte) *httptest.ResponseRecorder {
 func TestIngestEndpointStagesAndPublishes(t *testing.T) {
 	sys, raw := ingestSystem(t)
 	srv := New(sys, Config{EnableIngest: true, IngestWorkers: 2})
-	startSeq := sys.Epoch()
+	startSeq := sys.EpochStats().Seq
 
 	rec := postIngest(srv, ingestBody(t, raw))
 	if rec.Code != 200 {
@@ -231,7 +231,7 @@ func TestIngestEndpointValidation(t *testing.T) {
 func TestIngestEndpointGarbageTraces(t *testing.T) {
 	sys, _ := ingestSystem(t)
 	srv := New(sys, Config{EnableIngest: true})
-	seq := sys.Epoch()
+	seq := sys.EpochStats().Seq
 	body := []byte(`{"trajectories":[
 		{"id":1,"points":[]},
 		{"id":2,"points":[{"lat":0,"lon":0,"t":10}]},
@@ -249,8 +249,8 @@ func TestIngestEndpointGarbageTraces(t *testing.T) {
 	if resp.Staged != 0 || resp.MatchFailed != 4 {
 		t.Fatalf("garbage batch staged %d, match-failed %d; want 0 and 4", resp.Staged, resp.MatchFailed)
 	}
-	if sys.Epoch() != seq {
-		t.Fatalf("garbage batch moved the epoch: %d → %d", seq, sys.Epoch())
+	if sys.EpochStats().Seq != seq {
+		t.Fatalf("garbage batch moved the epoch: %d → %d", seq, sys.EpochStats().Seq)
 	}
 }
 
@@ -292,7 +292,7 @@ func FuzzIngest(f *testing.F) {
 		if fuzzIngErr != nil {
 			t.Fatal(fuzzIngErr)
 		}
-		seq := fuzzIngSys.Epoch()
+		seq := fuzzIngSys.EpochStats().Seq
 		rec := postIngest(fuzzIngSrv, body)
 		switch rec.Code {
 		case 200, 400, 422, 500:
@@ -302,7 +302,7 @@ func FuzzIngest(f *testing.F) {
 		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("non-JSON body %q for request %q", rec.Body.Bytes(), body)
 		}
-		if got := fuzzIngSys.Epoch(); got != seq {
+		if got := fuzzIngSys.EpochStats().Seq; got != seq {
 			t.Fatalf("ingest moved the epoch %d → %d for body %q", seq, got, body)
 		}
 	})

@@ -18,12 +18,11 @@ func (s *Server) Metrics() http.Handler {
 		m.Counter("pathcost_requests_rejected_total", "Requests answered 4xx/5xx.", s.gate.Rejected.Load())
 		m.Counter("pathcost_requests_abandoned_total", "Clients gone before evaluation started.", s.gate.Abandoned.Load())
 		m.Counter("pathcost_requests_shed_total", "Requests answered 429 by the MaxQueue load shedder.", s.gate.Shed.Load())
-		m.Counter("pathcost_reloads_total", "Model hot reloads (Swap calls).", s.reloads.Load())
 		m.Gauge("pathcost_uptime_seconds", "Seconds since the server started.", time.Since(s.start).Seconds())
 		m.Gauge("pathcost_max_in_flight", "Concurrent evaluation slot cap.", float64(s.gate.MaxInFlight()))
 		m.Gauge("pathcost_queued", "Requests currently waiting for an evaluation slot.", float64(s.gate.Queued.Load()))
 
-		sys := s.System()
+		sys := s.sys
 		est := sys.EpochStats()
 		m.Gauge("pathcost_epoch_seq", "Served model epoch sequence number.", float64(est.Seq))
 		m.Counter("pathcost_epoch_publishes_total", "Incremental epoch publishes.", est.Publishes)

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	pathcost "repro"
@@ -62,19 +61,15 @@ type Config struct {
 // Server serves one pathcost.System over HTTP. Create with New, mount
 // via Handler. All methods are safe for concurrent use.
 type Server struct {
-	sys   atomic.Pointer[pathcost.System]
+	sys   *pathcost.System
 	gate  *api.Gate // admission, deadlines and the wire, shared with the coordinator
 	cfg   Config
 	mux   *http.ServeMux
 	start time.Time
 
 	// pipeline, when ingestion is enabled, map-matches /v1/ingest
-	// batches and stages them into the served system. Rebuilt on Swap
-	// so staged deltas always target the system being served (its
-	// cumulative counters restart with the new system).
-	pipeline atomic.Pointer[ingest.Pipeline]
-
-	reloads atomic.Uint64 // Swap calls
+	// batches and stages them into the served system; nil otherwise.
+	pipeline *ingest.Pipeline
 }
 
 // New builds a Server around sys.
@@ -83,14 +78,20 @@ func New(sys *pathcost.System, cfg Config) *Server {
 		cfg.MaxIngestBatch = 1024
 	}
 	s := &Server{
+		sys:   sys,
 		gate:  api.NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.DefaultTimeout, "server overloaded, retry later"),
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 	}
-	s.sys.Store(sys)
 	if cfg.EnableIngest {
-		s.rebuildPipeline(sys)
+		// The pipeline's construction cannot fail here: graph and sink
+		// are non-nil by construction of a System.
+		p, err := ingest.New(sys.Graph, sys, ingest.Config{Workers: cfg.IngestWorkers})
+		if err != nil {
+			panic("server: building ingest pipeline: " + err.Error())
+		}
+		s.pipeline = p
 	}
 	s.mux.HandleFunc("/healthz", s.gate.Healthz)
 	s.mux.HandleFunc("/v1/distribution", endpoint(s, (*Server).evalDistribution))
@@ -107,47 +108,15 @@ func New(sys *pathcost.System, cfg Config) *Server {
 }
 
 // endpoint mounts an evaluator on the chassis's query sequence,
-// against the system served when the request arrives.
+// against the served system.
 func endpoint[Req, Resp any](s *Server, eval func(*Server, context.Context, *pathcost.System, *Req) (Resp, int, string)) http.HandlerFunc {
 	return api.Endpoint(s.gate, func(ctx context.Context, req *Req) (Resp, int, string) {
-		return eval(s, ctx, s.System(), req)
+		return eval(s, ctx, s.sys, req)
 	})
-}
-
-// rebuildPipeline points the ingest pipeline at sys; the pipeline's
-// construction cannot fail here (graph and sink are non-nil by
-// construction of a System).
-func (s *Server) rebuildPipeline(sys *pathcost.System) {
-	p, err := ingest.New(sys.Graph, sys, ingest.Config{Workers: s.cfg.IngestWorkers})
-	if err != nil {
-		panic("server: building ingest pipeline: " + err.Error())
-	}
-	s.pipeline.Store(p)
 }
 
 // Handler returns the HTTP handler tree (also usable with httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// System returns the currently served system.
-func (s *Server) System() *pathcost.System { return s.sys.Load() }
-
-// Swap atomically replaces the served system and returns the previous
-// one — the hot-reload primitive behind pathcostd's SIGHUP handling.
-// In-flight queries finish against the system they started with; new
-// requests see next. The swapped-in system keeps its own query-cache
-// configuration (a fresh System starts uncached; enable its cache
-// before swapping it in).
-func (s *Server) Swap(next *pathcost.System) *pathcost.System {
-	s.reloads.Add(1)
-	prev := s.sys.Swap(next)
-	if s.cfg.EnableIngest {
-		// Re-point ingestion at the new system; an ingest batch racing
-		// the swap stages into the system it loaded, whose epoch
-		// machinery remains valid even after it stops being served.
-		s.rebuildPipeline(next)
-	}
-	return prev
-}
 
 // RunListener serves the handler on ln (owned and closed by the
 // server) until ctx is cancelled, then drains in-flight requests for up
@@ -235,7 +204,6 @@ type statsResponse struct {
 	Rejected    uint64  `json:"rejected"`
 	Abandoned   uint64  `json:"abandoned"`
 	Shed        uint64  `json:"shed"`
-	Reloads     uint64  `json:"reloads"`
 	MaxInFlight int     `json:"max_in_flight"`
 	MaxQueue    int     `json:"max_queue,omitempty"`
 }
@@ -250,8 +218,7 @@ type cacheStatsJSON struct {
 }
 
 // ingestStatsJSON reports the streaming-ingestion pipeline's
-// cumulative counters (present only when ingestion is enabled;
-// counters restart when a model reload re-points the pipeline).
+// cumulative counters (present only when ingestion is enabled).
 type ingestStatsJSON struct {
 	Batches     int64 `json:"batches"`
 	Received    int64 `json:"received"`
@@ -304,17 +271,15 @@ type walStatsJSON struct {
 // evalBatch answers N queries in one request, in order, each through
 // the evaluator the same single request uses and charged like it: one
 // invalid entry fails that entry, not the batch, and per-entry status
-// codes carry what each query would have received standalone. The
-// batch runs against one system snapshot (a mid-batch Swap never
-// splits it across models), and each entry against that system's
-// current epoch, so entries after an epoch publish see the new one.
+// codes carry what each query would have received standalone. Each
+// entry runs against the system's current epoch, so entries after an
+// epoch publish see the new one.
 // Overlapping entries share their prefixes through the convolution
 // memo, not through the batch.
 func (s *Server) evalBatch(ctx context.Context, queries []batchQuery) ([]batchResult, int, string) {
-	sys := s.System()
 	results := make([]batchResult, len(queries))
 	for i := range queries {
-		results[i] = s.evalBatchEntry(ctx, sys, &queries[i])
+		results[i] = s.evalBatchEntry(ctx, s.sys, &queries[i])
 	}
 	return results, http.StatusOK, ""
 }
@@ -533,7 +498,7 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *state
 // updated here: staged deltas fold in at the next epoch publish.
 // Malformed traces are counted and dropped, never failing the batch.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	p := s.pipeline.Load()
+	p := s.pipeline
 	if p == nil {
 		s.gate.Error(w, http.StatusNotFound, "ingestion is disabled on this server")
 		return
@@ -569,8 +534,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		defer s.gate.Release() // deferred: a panicking match must not leak the slot
 		return p.IngestRaw(raw)
 	}()
-	sys := s.System()
-	est := sys.EpochStats()
+	est := s.sys.EpochStats()
 	s.gate.Write(w, http.StatusOK, ingestResponse{
 		Received:      st.Received,
 		Matched:       st.Matched,
@@ -587,7 +551,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.gate.Error(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	sys := s.System()
+	sys := s.sys
 	st := sys.Stats()
 	resp := statsResponse{
 		Vertices:        sys.Graph.NumVertices(),
@@ -602,7 +566,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Rejected:        s.gate.Rejected.Load(),
 		Abandoned:       s.gate.Abandoned.Load(),
 		Shed:            s.gate.Shed.Load(),
-		Reloads:         s.reloads.Load(),
 		MaxInFlight:     s.gate.MaxInFlight(),
 		MaxQueue:        s.cfg.MaxQueue,
 	}
@@ -624,7 +587,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// /v1/ingest endpoint is — a read-only replica should not advertise
 	// an update pipeline it refuses to feed.
 	if s.cfg.EnableIngest {
-		if p := s.pipeline.Load(); p != nil {
+		if p := s.pipeline; p != nil {
 			ist := p.Stats()
 			resp.Ingest = &ingestStatsJSON{
 				Batches: ist.Batches, Received: ist.Received, Records: ist.Records,

@@ -298,46 +298,9 @@ func TestUnencodableAnswerIs500(t *testing.T) {
 	}
 }
 
-// TestServerSwap exercises the hot-reload primitive: requests keep
-// succeeding across an atomic model swap and the reload counter ticks.
-func TestServerSwap(t *testing.T) {
-	sys := testSystem(t)
-	srv := New(sys, Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	params := pathcost.DefaultParams()
-	params.Beta = 20
-	params.MaxRank = 4
-	next, err := pathcost.Synthesize(pathcost.SynthesizeConfig{
-		Preset: "test", Trips: 2500, Seed: 29, Params: params,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if old := srv.Swap(next); old != sys {
-		t.Fatalf("Swap returned %p, want the previous system %p", old, sys)
-	}
-	if srv.System() != next {
-		t.Fatal("System() does not see the swapped-in model")
-	}
-
-	path, depart := densePath(t, next)
-	var dist distributionResponse
-	if code := postJSON(t, ts.URL+"/v1/distribution",
-		distributionRequest{Path: path, Depart: depart}, &dist); code != http.StatusOK {
-		t.Fatalf("post-swap distribution = %d", code)
-	}
-	var stats statsResponse
-	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK || stats.Reloads != 1 {
-		t.Fatalf("stats after swap: code %d, reloads %d, want 1", code, stats.Reloads)
-	}
-}
-
 // TestServerConcurrentRequests hammers the daemon from many clients
-// with a tiny in-flight bound while a swap happens mid-storm; run
-// under -race this also proves handler/swap memory safety.
+// with a tiny in-flight bound; run under -race this also proves the
+// handlers' memory safety.
 func TestServerConcurrentRequests(t *testing.T) {
 	sys := testSystem(t)
 	sys.EnableQueryCache(64)
@@ -364,7 +327,6 @@ func TestServerConcurrentRequests(t *testing.T) {
 			}
 		}(i)
 	}
-	srv.Swap(sys) // self-swap: exercises the pointer path, model unchanged
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -44,10 +44,12 @@ type Config struct {
 	// socket, garbage response — triggers the retry immediately,
 	// without waiting for the timer.
 	HedgeAfter time.Duration
-	// ProbeInterval spaces /healthz probes per replica (0 = 2s,
-	// negative disables probing). Probes feed /v1/stats and /metrics,
-	// and a successful probe closes a replica's circuit breaker early —
-	// recovery never waits longer than one probe interval.
+	// ProbeInterval spaces health probes per replica (0 = 2s, negative
+	// disables probing). A probe GETs the replica's /v1/stats. Probes
+	// feed /v1/stats (health, and each region's epoch as of the last
+	// probe) and /metrics, and a successful probe closes a replica's
+	// circuit breaker early — recovery never waits longer than one
+	// probe interval.
 	ProbeInterval time.Duration
 	// BreakerThreshold is the consecutive leg-failure count that opens
 	// a replica's circuit breaker (0 = 3, negative disables breaking).
@@ -84,6 +86,10 @@ type replicaState struct {
 	consecFails   atomic.Uint32
 	openUntil     atomic.Int64
 	breakerTrips  atomic.Uint64
+	// epoch is the model epoch the last successful probe read; nil
+	// before it, after a failed probe, or when the replica serves
+	// without an epoch block (ingestion off).
+	epoch atomic.Pointer[uint64]
 }
 
 // admitted reports whether the breaker lets a leg through at t. Once
@@ -128,6 +134,17 @@ func (ss *shardState) healthy() bool {
 		}
 	}
 	return false
+}
+
+// epoch is the region's served model epoch as of the last probe: the
+// first one recorded, in breaker-preference order.
+func (ss *shardState) epoch(t time.Time) *uint64 {
+	for _, rs := range ss.candidates(t) {
+		if seq := rs.epoch.Load(); seq != nil {
+			return seq
+		}
+	}
+	return nil
 }
 
 // candidates returns the breaker-admitted replicas rotated by the
@@ -246,7 +263,7 @@ func (c *Coordinator) RunListener(ctx context.Context, ln net.Listener, drain ti
 	return api.ServeListener(ctx, c.mux, ln, drain)
 }
 
-// probeLoop polls one replica's /healthz. A failed probe marks the
+// probeLoop polls one replica's /v1/stats. A failed probe marks the
 // replica unhealthy (visibility only — it does not trip the breaker);
 // a successful probe closes its breaker, so a recovered replica
 // rejoins the rotation within one probe interval even if no query has
@@ -264,27 +281,41 @@ func (c *Coordinator) probeLoop(ctx context.Context, rs *replicaState) {
 	}
 }
 
+// probeOnce GETs the replica's /v1/stats, which a shard writes
+// uncounted and answers 200 exactly when its /healthz does, and
+// records the epoch it reports, so the coordinator's own /v1/stats
+// needs no network I/O.
 func (c *Coordinator) probeOnce(ctx context.Context, rs *replicaState) {
 	rs.probes.Add(1)
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, rs.base+"/healthz", nil)
+	defer cancel()
+	req, err := http.NewRequestWithContext(rctx, http.MethodGet, rs.base+"/v1/stats", nil)
+	var resp *http.Response
 	if err == nil {
-		var resp *http.Response
 		resp, err = c.client.Do(req)
-		if err == nil {
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("healthz answered %d", resp.StatusCode)
-			}
-		}
 	}
-	cancel()
+	if err == nil && resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		err = fmt.Errorf("stats answered %d", resp.StatusCode)
+	}
 	if err != nil {
 		rs.probeFailures.Add(1)
 		rs.healthy.Store(false)
+		rs.epoch.Store(nil)
 		return
 	}
+	var body struct {
+		Epoch *struct {
+			Seq uint64 `json:"seq"`
+		} `json:"epoch"`
+	}
+	var seq *uint64
+	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body) == nil && body.Epoch != nil {
+		seq = &body.Epoch.Seq
+	}
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	resp.Body.Close()
+	rs.epoch.Store(seq)
 	rs.noteSuccess()
 }
 

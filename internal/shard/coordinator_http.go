@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"time"
@@ -81,9 +80,11 @@ type coordShardStatus struct {
 	Region   int                  `json:"region"`
 	Healthy  bool                 `json:"healthy"`
 	Replicas []coordReplicaStatus `json:"replicas"`
-	// Epoch is the region's served model epoch, fetched live from the
-	// first answering replica's /v1/stats; absent when the whole group
-	// is unreachable or runs with ingestion off.
+	// Epoch is the region's served model epoch as of the last probe,
+	// from the first replica in breaker-preference order that reported
+	// one; absent when probing is disabled, before the first probe,
+	// when every replica's last probe failed, or when the group runs
+	// with ingestion off.
 	Epoch *uint64 `json:"epoch,omitempty"`
 }
 
@@ -134,48 +135,10 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 				BreakerTrips:  rs.breakerTrips.Load(),
 			})
 		}
-		st.Epoch = c.fetchEpoch(r.Context(), ss)
+		st.Epoch = ss.epoch(now)
 		resp.Shards = append(resp.Shards, st)
 	}
 	c.gate.WriteUncounted(w, http.StatusOK, resp)
-}
-
-// fetchEpoch asks a region's /v1/stats for its epoch sequence, trying
-// replicas in breaker-preference order; nil when the whole group is
-// down or serves without an epoch block.
-func (c *Coordinator) fetchEpoch(ctx context.Context, ss *shardState) *uint64 {
-	for _, rs := range ss.candidates(time.Now()) {
-		if seq := c.fetchReplicaEpoch(ctx, rs); seq != nil {
-			return seq
-		}
-	}
-	return nil
-}
-
-func (c *Coordinator) fetchReplicaEpoch(ctx context.Context, rs *replicaState) *uint64 {
-	rctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, rs.base+"/v1/stats", nil)
-	if err != nil {
-		return nil
-	}
-	hresp, err := c.client.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var body struct {
-		Epoch *struct {
-			Seq uint64 `json:"seq"`
-		} `json:"epoch"`
-	}
-	if err := json.NewDecoder(hresp.Body).Decode(&body); err != nil || body.Epoch == nil {
-		return nil
-	}
-	return &body.Epoch.Seq
 }
 
 // --- metrics -----------------------------------------------------------

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
@@ -299,5 +300,73 @@ func TestEmptyRelayedStateFailsTheEntry(t *testing.T) {
 		if res.Status != http.StatusOK {
 			t.Errorf("sibling entry %d poisoned: %d (%s)", i, res.Status, res.Error)
 		}
+	}
+}
+
+// TestStatsAnswerWithoutWaitingOnHungShard: the coordinator's /v1/stats
+// reports the epoch each region's last probe recorded and calls no
+// shard, so a hung region cannot hold the page for the shard-call
+// timeout. Region 0 is a stub reporting epoch 7, region 1 hangs,
+// region 2 serves with ingestion off (no epoch block).
+func TestStatsAnswerWithoutWaitingOnHungShard(t *testing.T) {
+	f, ft := faultFleet(t)
+	var stubHits sync.Map
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n, _ := stubHits.LoadOrStore(r.URL.Path, new(int))
+		*n.(*int)++
+		if r.URL.Path != "/v1/stats" {
+			http.NotFound(w, r)
+			return
+		}
+		io.WriteString(w, `{"epoch":{"seq":7}}`)
+	}))
+	defer stub.Close()
+	ft.set(f.shardTS[1].URL, "hang")
+	coord, err := New(testSystem(t).Graph, f.part, Config{
+		Shards:        []string{stub.URL, f.shardTS[1].URL, f.shardTS[2].URL},
+		Transport:     ft,
+		Timeout:       2 * time.Second,
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{0, 2} {
+		coord.probeOnce(t.Context(), coord.shards[r].replicas[0])
+	}
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	start := time.Now()
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Shards []struct {
+			Healthy bool    `json:"healthy"`
+			Epoch   *uint64 `json:"epoch"`
+		} `json:"shards"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if elapsed := time.Since(start); elapsed >= 500*time.Millisecond {
+		t.Fatalf("/v1/stats took %v with region 1 hung, want < 500ms", elapsed)
+	}
+	if err != nil || resp.StatusCode != http.StatusOK || len(stats.Shards) != 3 {
+		t.Fatalf("/v1/stats = %d, %+v (%v)", resp.StatusCode, stats, err)
+	}
+	if e := stats.Shards[0].Epoch; e == nil || *e != 7 || !stats.Shards[0].Healthy {
+		t.Errorf("region 0: healthy %v epoch %v, want the probed 7", stats.Shards[0].Healthy, e)
+	}
+	if e := stats.Shards[1].Epoch; e != nil {
+		t.Errorf("region 1 was never probed, yet reports epoch %d", *e)
+	}
+	if e := stats.Shards[2].Epoch; e != nil || !stats.Shards[2].Healthy {
+		t.Errorf("region 2: healthy %v epoch %v, want healthy with no epoch (ingestion off)", stats.Shards[2].Healthy, e)
+	}
+	n, _ := stubHits.Load("/v1/stats")
+	if n == nil || *n.(*int) != 1 {
+		t.Errorf("stub saw %v /v1/stats calls, want the probe's one", n)
 	}
 }

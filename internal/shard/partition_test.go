@@ -179,8 +179,8 @@ func TestSplitModelPartitionsVariables(t *testing.T) {
 	// A written shard model round-trips through the standard loader
 	// with its variable count intact — the pathcostd -model contract.
 	var buf bytes.Buffer
-	if err := WriteShardModel(&buf, split.Shards[1]); err != nil {
-		t.Fatalf("WriteShardModel: %v", err)
+	if err := split.Shards[1].SaveModel(&buf); err != nil {
+		t.Fatalf("SaveModel: %v", err)
 	}
 	loaded, err := pathcost.LoadSystem(sys.Graph, nil, &buf)
 	if err != nil {

@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	pathcost "repro"
 	"repro/internal/core"
@@ -66,10 +65,6 @@ func SplitModel(sys *pathcost.System, part *Partition) (*SplitResult, error) {
 	res.Dropped = total - kept
 	return res, nil
 }
-
-// WriteShardModel writes one split system's model file, loadable by
-// pathcostd -model.
-func WriteShardModel(w io.Writer, sys *pathcost.System) error { return sys.SaveModel(w) }
 
 // roundTrip serializes a filtered model and loads it back through the
 // standard loader, yielding a fresh System with loader-identical

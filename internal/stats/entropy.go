@@ -74,26 +74,3 @@ func Variance(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation; xs need not be sorted.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
-}

@@ -34,30 +34,6 @@ func FitGaussian(samples []float64) (Fitted, error) {
 	}, nil
 }
 
-// FitExponential fits a (non-shifted) exponential distribution by
-// maximum likelihood: rate = 1/mean. Samples must be positive on
-// average.
-func FitExponential(samples []float64) (Fitted, error) {
-	if len(samples) == 0 {
-		return Fitted{}, fmt.Errorf("stats: no samples")
-	}
-	mu := Mean(samples)
-	if mu <= 0 {
-		return Fitted{}, fmt.Errorf("stats: exponential fit needs positive mean, got %v", mu)
-	}
-	rate := 1 / mu
-	return Fitted{
-		Name: "exponential",
-		Mean: mu,
-		CDF: func(x float64) float64 {
-			if x <= 0 {
-				return 0
-			}
-			return 1 - math.Exp(-rate*x)
-		},
-	}, nil
-}
-
 // FitGamma fits a gamma distribution by maximum likelihood using the
 // standard Newton iteration on the shape parameter k:
 //

@@ -96,9 +96,6 @@ func NewModel(cfg Config) *Model {
 	return &Model{cfg: cfg}
 }
 
-// Config returns the effective configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // Peakness returns how deep into a rush-hour peak the given absolute
 // time is, in [0, 1].
 func (m *Model) Peakness(t float64) float64 {
@@ -188,10 +185,6 @@ func (t *Trip) TraverseEdge(e graph.Edge, arrival float64) float64 {
 	}
 	return cost
 }
-
-// Congested reports the current regime; exported for tests that check
-// the chain's correlation structure.
-func (t *Trip) Congested() bool { return t.congested }
 
 // Emissions returns the GHG cost in grams of traversing edge e in the
 // given number of seconds, using a convex speed-emissions curve

@@ -15,15 +15,15 @@ func testEdge() graph.Edge {
 func TestNewModelFillsDefaults(t *testing.T) {
 	m := NewModel(Config{})
 	def := DefaultConfig()
-	if m.Config() != def {
-		t.Fatalf("zero config should become defaults:\n got %+v\nwant %+v", m.Config(), def)
+	if m.cfg != def {
+		t.Fatalf("zero config should become defaults:\n got %+v\nwant %+v", m.cfg, def)
 	}
 	// Partial overrides survive.
 	m2 := NewModel(Config{CongestedFactor: 3})
-	if m2.Config().CongestedFactor != 3 {
+	if m2.cfg.CongestedFactor != 3 {
 		t.Fatal("override lost")
 	}
-	if m2.Config().AMPeak != def.AMPeak {
+	if m2.cfg.AMPeak != def.AMPeak {
 		t.Fatal("default not filled")
 	}
 }
@@ -193,12 +193,4 @@ func TestEmissionsShape(t *testing.T) {
 	if got := Emissions(long, 1000/1000/65.0*3600); got <= mid {
 		t.Fatal("longer edge should emit more")
 	}
-}
-
-func TestTripCongestedAccessor(t *testing.T) {
-	m := NewModel(Config{})
-	rnd := rand.New(rand.NewSource(5))
-	trip := m.NewTrip(rnd, 8*3600)
-	_ = trip.TraverseEdge(testEdge(), 8*3600)
-	_ = trip.Congested() // must not panic; value is stochastic
 }

@@ -299,13 +299,6 @@ func (l *Log) TruncateThrough(seq uint64) error {
 	return nil
 }
 
-// Checkpoint returns the current checkpoint sequence.
-func (l *Log) Checkpoint() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.checkpoint
-}
-
 // Stats snapshots the log's counters and footprint.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()

@@ -224,7 +224,7 @@ func TestCorruptCheckpointTreatedAsAbsent(t *testing.T) {
 	r := mustOpen(t, dir, Options{})
 	// The segment was deleted by truncation, so replaying "everything"
 	// is still nothing; the point is Open does not fail.
-	if got := r.Checkpoint(); got != 0 {
+	if got := r.Stats().Checkpoint; got != 0 {
 		t.Errorf("checkpoint after corrupt file = %d, want 0", got)
 	}
 }
@@ -417,7 +417,7 @@ func TestWALCheckpointDurableBeforeTruncate(t *testing.T) {
 	if len(synced) == 0 {
 		t.Fatal("TruncateThrough never synced the directory")
 	}
-	if got := l.Checkpoint(); got != 0 {
+	if got := l.Stats().Checkpoint; got != 0 {
 		t.Fatalf("Checkpoint() = %d after a failed truncation, want 0", got)
 	}
 	if after, _ := segmentNames(dir); !reflect.DeepEqual(after, before) {
@@ -432,8 +432,8 @@ func TestWALCheckpointDurableBeforeTruncate(t *testing.T) {
 	if err := l.TruncateThrough(3); err != nil {
 		t.Fatalf("TruncateThrough: %v", err)
 	}
-	if len(synced) == 0 || synced[0] != dir || l.Checkpoint() != 3 {
-		t.Fatalf("synced %v, checkpoint %d; want %s synced and checkpoint 3", synced, l.Checkpoint(), dir)
+	if len(synced) == 0 || synced[0] != dir || l.Stats().Checkpoint != 3 {
+		t.Fatalf("synced %v, checkpoint %d; want %s synced and checkpoint 3", synced, l.Stats().Checkpoint, dir)
 	}
 	if after, _ := segmentNames(dir); len(after) != 1 {
 		t.Fatalf("%d segments after truncating through 3, want 1: %v", len(after), after)

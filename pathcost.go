@@ -97,12 +97,10 @@ const (
 	LB = core.MethodLB
 )
 
-// Cost domains: travel time in seconds (default) or GHG emissions in
-// grams. Set Params.Domain before NewSystem/Synthesize.
-const (
-	DomainTime      = core.DomainTime
-	DomainEmissions = core.DomainEmissions
-)
+// DomainEmissions switches the cost domain from travel time in seconds
+// (the default) to GHG emissions in grams. Set Params.Domain before
+// NewSystem/Synthesize.
+const DomainEmissions = core.DomainEmissions
 
 // DefaultParams returns the paper's defaults (α = 30 min, β = 30).
 func DefaultParams() Params { return core.DefaultParams() }
@@ -137,8 +135,8 @@ type ModelEpoch struct {
 // A System is safe for concurrent use: any number of goroutines may
 // run PathDistribution, Route, TopKRoutes, GroundTruth and
 // QueryCacheStats simultaneously, and EnableQueryCache, EnableConvMemo
-// and ApplyDeltas/PublishEpoch may be called while queries are in
-// flight. Each query snapshots the current epoch once (one atomic
+// and StageTrajectories/PublishEpoch may be called while queries are
+// in flight. Each query snapshots the current epoch once (one atomic
 // load) and runs entirely against it; publishing a new epoch swaps the
 // pointer and never blocks in-flight queries. Graph and Params are
 // immutable after construction.
@@ -221,14 +219,6 @@ func NewSystem(g *Graph, data *Collection, params Params) (*System, error) {
 	}
 	return newSystem(g, data, h, params), nil
 }
-
-// CurrentEpoch returns the currently served model snapshot. Callers
-// that make several dependent reads should snapshot once and use the
-// returned epoch throughout, as every query path here does.
-func (s *System) CurrentEpoch() *ModelEpoch { return s.epoch.Load() }
-
-// Epoch returns the current epoch sequence number.
-func (s *System) Epoch() uint64 { return s.epoch.Load().Seq }
 
 // Hybrid returns the current epoch's trained hybrid graph.
 func (s *System) Hybrid() *core.HybridGraph { return s.epoch.Load().Hybrid }
@@ -889,14 +879,6 @@ func (s *System) StagedCount() int {
 	s.stageMu.Lock()
 	defer s.stageMu.Unlock()
 	return len(s.staged)
-}
-
-// ApplyDeltas stages a batch and immediately publishes a new epoch —
-// the one-call form of StageTrajectories + PublishEpoch for embedded
-// use and tests. Anything already staged publishes along with it.
-func (s *System) ApplyDeltas(batch []*Matched) (EpochStats, error) {
-	s.StageTrajectories(batch)
-	return s.PublishEpoch()
 }
 
 // PublishEpoch folds every staged trajectory into a new model epoch

@@ -13,9 +13,6 @@ import (
 // arrives from vehicles, before map matching.
 type Trajectory = gps.Trajectory
 
-// Record is one GPS fix.
-type Record = gps.Record
-
 // MatcherConfig tunes the HMM map matcher; the zero value uses the
 // Newson–Krumm-style defaults. Set Workers > 1 to shard batch
 // ingestion across a goroutine pool.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/gps"
 	"repro/internal/netgen"
 	"repro/internal/traffic"
 	"repro/internal/trajgen"
@@ -78,7 +79,7 @@ func TestMatchTrajectoriesEmptyAndBroken(t *testing.T) {
 		t.Fatal("empty input accepted")
 	}
 	// A single far-away trace: pipeline must fail cleanly.
-	tr := &Trajectory{ID: 1, Records: []Record{
+	tr := &Trajectory{ID: 1, Records: []gps.Record{
 		{Pt: g.BBox().Center(), Time: 0},
 		{Pt: g.BBox().Center(), Time: 5},
 	}}
