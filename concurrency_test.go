@@ -14,8 +14,8 @@ import (
 )
 
 // freshSystem trains a private small system for tests that mutate
-// system state (probe hooks, cache toggling) and therefore must not
-// share the package-wide testSystem fixture.
+// system state (cache toggling) and therefore must not share the
+// package-wide testSystem fixture.
 func freshSystem(t testing.TB) *System {
 	t.Helper()
 	params := DefaultParams()
@@ -26,37 +26,6 @@ func freshSystem(t testing.TB) *System {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// pollUntil waits up to 5 s for cond; it marks the test failed on
-// timeout but returns (Errorf, not Fatalf) so callers on any
-// goroutine can still unblock their peers before bailing out.
-func pollUntil(t *testing.T, cond func() bool, msg string) bool {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Errorf("timeout waiting for %s", msg)
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return true
-}
-
-// parkCounter is a context that never ends and counts its Done calls.
-// The query path reads Done in one place, where a singleflight follower
-// parks behind the leader, so parked is the number of parked followers.
-type parkCounter struct {
-	context.Context
-	parked atomic.Int32
-}
-
-func newParkCounter() *parkCounter { return &parkCounter{Context: context.Background()} }
-
-func (c *parkCounter) Done() <-chan struct{} {
-	c.parked.Add(1)
-	return c.Context.Done()
 }
 
 // densePath returns a trajectory-backed query path and a departure
@@ -73,176 +42,98 @@ func densePath(t testing.TB, s *System) (Path, float64) {
 	return nil, 0
 }
 
-// TestPathDistributionSingleflightExactlyOnce proves the stampede fix
-// end to end: K concurrent misses on one (path, α-interval, method)
-// key run exactly one underlying CostDistribution computation, and
-// every caller receives the same shared result. The computation count
-// is observed via the compute probe hook; determinism comes from
-// blocking the leader inside the probe until every follower is parked
-// on the in-flight call.
-func TestPathDistributionSingleflightExactlyOnce(t *testing.T) {
+// TestPathDistributionGatedContract pins the distribution read path:
+// one query-cache probe, and on a miss one gated computation whose
+// answer is stored. Run it under -race.
+func TestPathDistributionGatedContract(t *testing.T) {
 	s := freshSystem(t)
-	s.EnableQueryCache(64)
 	p, depart := densePath(t, s)
-	ctx := newParkCounter()
-
-	const callers = 16
-	var execs atomic.Int32
-	leaderIn := make(chan struct{})
-	release := make(chan struct{})
-	s.computeProbe = func() {
-		if execs.Add(1) == 1 {
-			close(leaderIn)
-			<-release
-		}
-	}
-
-	var wg sync.WaitGroup
-	results := make([]*QueryResult, callers)
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = s.PathDistributionGated(ctx, p, depart, OD, nil, nil)
-		}(i)
-	}
-
-	<-leaderIn
-	pollUntil(t, func() bool { return ctx.parked.Load() == callers-1 },
-		"all followers parked on the flight")
-	close(release)
-	wg.Wait()
-
-	if n := execs.Load(); n != 1 {
-		t.Fatalf("%d concurrent misses ran %d computations, want exactly 1", callers, n)
-	}
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if results[i] != results[0] {
-			t.Fatalf("caller %d received a different result object; stampede survivors should share one", i)
-		}
-	}
-
-	// The flight's product must now be resident: a fresh query is a
-	// pure cache hit and runs no further computation.
-	if _, err := s.PathDistribution(p, depart, OD); err != nil {
+	// Uncached reference, computed before any cache exists.
+	ref, err := s.PathDistribution(p, depart, OD)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := execs.Load(); n != 1 {
-		t.Fatalf("post-flight query recomputed (%d executions)", n)
-	}
-	st, ok := s.QueryCacheStats()
-	if !ok || st.Hits == 0 {
-		t.Fatalf("expected a cache hit after the flight, stats %+v ok=%v", st, ok)
-	}
-}
-
-// TestPathDistributionGatedChargesLeadersOnly: the computation gate
-// must be acquired exactly once per underlying computation — never by
-// cache hits, never by singleflight followers — so serving layers can
-// bound CPU work without charging parked requests.
-func TestPathDistributionGatedChargesLeadersOnly(t *testing.T) {
-	s := freshSystem(t)
-	s.EnableQueryCache(64)
-	p, depart := densePath(t, s)
-	ctx := newParkCounter()
-
 	var acquires, releases atomic.Int32
 	acquire := func() bool { acquires.Add(1); return true }
 	release := func() { releases.Add(1) }
 
-	const callers = 12
-	leaderIn := make(chan struct{})
-	releaseCh := make(chan struct{})
-	var execs atomic.Int32
-	s.computeProbe = func() {
-		if execs.Add(1) == 1 {
-			close(leaderIn)
-			<-releaseCh
+	t.Run("sequential", func(t *testing.T) {
+		s.EnableQueryCache(64)
+		acquires.Store(0)
+		releases.Store(0)
+
+		// A refused acquire fails the query and caches nothing.
+		_, err := s.PathDistributionGated(nil, p, depart, OD, func() bool { return false }, release)
+		if !errors.Is(err, ErrGateRejected) {
+			t.Fatalf("refused gate returned %v, want ErrGateRejected", err)
 		}
-	}
+		if st, _ := s.QueryCacheStats(); st.Entries != 0 || releases.Load() != 0 {
+			t.Fatalf("a refused query left %d cache entries and %d releases", st.Entries, releases.Load())
+		}
 
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.PathDistributionGated(ctx, p, depart, OD, acquire, release); err != nil {
-				t.Error(err)
+		// The next call misses, computes once and stores the answer.
+		res, err := s.PathDistributionGated(nil, p, depart, OD, acquire, release)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, r := acquires.Load(), releases.Load(); a != 1 || r != 1 {
+			t.Fatalf("a miss acquired %d / released %d times, want 1/1", a, r)
+		}
+		if st, _ := s.QueryCacheStats(); st.Entries != 1 {
+			t.Fatalf("a miss left %d cache entries, want 1", st.Entries)
+		}
+		if !identicalPlanHist(ref.Dist, res.Dist) {
+			t.Fatal("the computed answer differs from the uncached one")
+		}
+
+		// A hit returns the stored answer and touches no gate.
+		hit, err := s.PathDistributionGated(nil, p, depart, OD, acquire, release)
+		if err != nil || hit != res {
+			t.Fatalf("hit = %p, %v; want the stored %p", hit, err, res)
+		}
+		if a := acquires.Load(); a != 1 {
+			t.Fatalf("a cache hit acquired the gate (total %d)", a)
+		}
+		if st, _ := s.QueryCacheStats(); st.Hits != 1 || st.Misses != 2 {
+			t.Fatalf("three calls counted %d hits and %d misses, want 1 and 2", st.Hits, st.Misses)
+		}
+	})
+
+	t.Run("concurrent misses on one cold key", func(t *testing.T) {
+		s.EnableQueryCache(64)
+		acquires.Store(0)
+		releases.Store(0)
+		const callers = 16
+		start := make(chan struct{})
+		results := make([]*QueryResult, callers)
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				results[i], errs[i] = s.PathDistributionGated(context.Background(), p, depart, OD, acquire, release)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+
+		for i := range results {
+			if errs[i] != nil {
+				t.Fatalf("caller %d: %v", i, errs[i])
 			}
-		}()
-	}
-	<-leaderIn
-	pollUntil(t, func() bool { return ctx.parked.Load() == callers-1 },
-		"all followers parked")
-	close(releaseCh)
-	wg.Wait()
-
-	if a, r := acquires.Load(), releases.Load(); a != 1 || r != 1 {
-		t.Fatalf("gate acquired %d / released %d times for %d concurrent misses, want 1/1", a, r, callers)
-	}
-
-	// Cache hit: the gate must not be touched at all.
-	if _, err := s.PathDistributionGated(nil, p, depart, OD, acquire, release); err != nil {
-		t.Fatal(err)
-	}
-	if a := acquires.Load(); a != 1 {
-		t.Fatalf("cache hit acquired the gate (total %d)", a)
-	}
-
-	// A refused gate aborts with ErrGateRejected.
-	p2, depart2 := densePath(t, s)
-	_, err := s.PathDistributionGated(nil, p2, depart2+s.Params.IntervalSeconds(), RD,
-		func() bool { return false }, func() {})
-	if !errors.Is(err, ErrGateRejected) {
-		t.Fatalf("refused gate returned %v, want ErrGateRejected", err)
-	}
-}
-
-// TestPathDistributionGatedFollowerRetriesInheritedRejection: when a
-// flight leader's own acquire refuses (its client vanished while
-// queued), a parked follower must not surface that foreign rejection —
-// it retries, becomes the new leader, and its own acquire decides.
-func TestPathDistributionGatedFollowerRetriesInheritedRejection(t *testing.T) {
-	s := freshSystem(t)
-	s.EnableQueryCache(64)
-	p, depart := densePath(t, s)
-	followerCtx := newParkCounter()
-
-	leaderErr := make(chan error, 1)
-	holding := make(chan struct{})
-	go func() {
-		// Leader: its acquire runs inside the flight, so entering it
-		// means the flight is held. It refuses its slot, but only once
-		// the follower is parked — so the rejection is guaranteed to be
-		// inherited.
-		_, err := s.PathDistributionGated(nil, p, depart, OD, func() bool {
-			close(holding)
-			deadline := time.Now().Add(5 * time.Second)
-			for followerCtx.parked.Load() != 1 && !time.Now().After(deadline) {
-				time.Sleep(time.Millisecond)
+			if !identicalPlanHist(ref.Dist, results[i].Dist) {
+				t.Fatalf("caller %d: answer differs from the uncached one", i)
 			}
-			return false
-		}, nil)
-		leaderErr <- err
-	}()
-
-	<-holding
-	var ownAcquires atomic.Int32
-	res, err := s.PathDistributionGated(followerCtx, p, depart, OD,
-		func() bool { ownAcquires.Add(1); return true }, nil)
-	if err != nil || res == nil {
-		t.Fatalf("follower surfaced inherited rejection: res=%v err=%v", res, err)
-	}
-	if n := ownAcquires.Load(); n != 1 {
-		t.Fatalf("follower's own acquire consulted %d times, want exactly 1 (on retry as leader)", n)
-	}
-	if err := <-leaderErr; !errors.Is(err, ErrGateRejected) {
-		t.Fatalf("leader got %v, want its own ErrGateRejected", err)
-	}
+		}
+		if a, r := acquires.Load(), releases.Load(); a != r || a < 1 || a > callers {
+			t.Fatalf("%d callers acquired %d / released %d times", callers, a, r)
+		}
+		if st, _ := s.QueryCacheStats(); st.Entries != 1 {
+			t.Fatalf("one key left %d cache entries, want 1", st.Entries)
+		}
+	})
 }
 
 // TestConcurrentQueriesWhileTogglingCache is the -race hammer: many

@@ -58,8 +58,8 @@ type DistributionResponse struct {
 	DecompPaths int      `json:"decomp_paths"`
 	MaxRank     int      `json:"max_rank"`
 	// EvalUS is the cost of the underlying evaluation that produced
-	// this answer — for cache hits and stampede followers that is a
-	// prior request's computation, not work done by this request.
+	// this answer — for a cache hit that is a prior request's
+	// computation, not work done by this request.
 	EvalUS int64 `json:"eval_us"`
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 )
@@ -55,12 +57,13 @@ func (g *Gate) MaxInFlight() int { return cap(g.sem) }
 // Acquire takes a slot, giving up when ctx ends first; the caller must
 // Release exactly once when it reports true. A batch's entries pass
 // the batch's context, so one disconnected client frees every slot its
-// entries were waiting for.
+// entries were waiting for. Giving up counts Abandoned only when the
+// client hung up: an expired deadline is a 504, not a vanished client.
 func (g *Gate) Acquire(ctx context.Context) bool {
 	if ctx.Err() != nil {
-		// Already-dead client: don't let select's random choice burn a
+		// Already-dead context: don't let select's random choice burn a
 		// slot on an evaluation nobody will receive.
-		g.Abandoned.Add(1)
+		g.abandon(ctx)
 		return false
 	}
 	select {
@@ -76,8 +79,15 @@ func (g *Gate) Acquire(ctx context.Context) bool {
 	case g.sem <- struct{}{}:
 		return true
 	case <-ctx.Done():
-		g.Abandoned.Add(1)
+		g.abandon(ctx)
 		return false
+	}
+}
+
+// abandon counts an ended ctx as Abandoned when it was cancelled.
+func (g *Gate) abandon(ctx context.Context) {
+	if errors.Is(ctx.Err(), context.Canceled) {
+		g.Abandoned.Add(1)
 	}
 }
 
@@ -125,7 +135,10 @@ func (g *Gate) Answer(w http.ResponseWriter, status int, msg string, resp any) {
 
 // Endpoint is the query-endpoint sequence of both tiers: shed, read
 // the body into a fresh Req, derive the request's deadline, evaluate,
-// and Answer with eval's outcome.
+// and Answer with eval's outcome. A panicking evaluation is a logged
+// 500 (evaluators release their slots by defer); http.ErrAbortHandler
+// keeps its meaning and propagates. Answer encodes before it writes,
+// so nothing has been written when the 500 goes out.
 func Endpoint[Req, Resp any](g *Gate, eval func(context.Context, *Req) (Resp, int, string)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if g.ShedIfOverloaded(w) {
@@ -140,6 +153,15 @@ func Endpoint[Req, Resp any](g *Gate, eval func(context.Context, *Req) (Resp, in
 			return
 		}
 		defer cancel()
+		defer func() {
+			if p := recover(); p != nil {
+				if p == http.ErrAbortHandler {
+					panic(p)
+				}
+				log.Printf("api: panic evaluating %s: %v\n%s", r.URL.Path, p, debug.Stack())
+				g.Error(w, http.StatusInternalServerError, internalError)
+			}
+		}()
 		resp, status, msg := eval(ctx, &req)
 		g.Answer(w, status, msg, resp)
 	}

@@ -103,6 +103,17 @@ func TestGate(t *testing.T) {
 		if status, msg := g.Expired(ctx); status != http.StatusGatewayTimeout || msg != "deadline exceeded" {
 			t.Fatalf("expired deadline maps to %d %q", status, msg)
 		}
+		// A deadline that expires in the queue is a 504 too, and neither
+		// is a client that hung up.
+		g.Acquire(context.Background())
+		qctx, qcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer qcancel()
+		if g.Acquire(qctx) {
+			t.Fatal("a waiter took a held slot")
+		}
+		if n := g.Abandoned.Load(); n != 0 {
+			t.Fatalf("two expired deadlines counted %d abandoned, want 0", n)
+		}
 	})
 
 	t.Run("a cancellation maps to writing nothing", func(t *testing.T) {

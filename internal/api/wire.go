@@ -23,9 +23,10 @@ type Wire struct {
 // MaxQueryBody caps the body of every query endpoint on both tiers.
 const MaxQueryBody = 1 << 20
 
-// unencodable is the body of the 500 that stands in for an answer the
-// encoder refused (a NaN or ±Inf that slipped into a histogram).
-const unencodable = "internal error during computation"
+// internalError is the body of the 500 that stands in for an answer
+// the encoder refused (a NaN or ±Inf that slipped into a histogram) or
+// an evaluation that panicked.
+const internalError = "internal error during computation"
 
 // contentTypeJSON is shared by every response header map; nothing
 // writes through a header value slice.
@@ -110,7 +111,7 @@ func (wr *Wire) WriteUncounted(w http.ResponseWriter, code int, v any) bool {
 	defer PutBuffer(buf)
 	body, err := appendJSON(buf.AvailableBuffer(), v)
 	if err != nil {
-		wr.Error(w, http.StatusInternalServerError, unencodable)
+		wr.Error(w, http.StatusInternalServerError, internalError)
 		return false
 	}
 	send(w, code, buf, body)

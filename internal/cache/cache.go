@@ -114,10 +114,9 @@ func (c *LRU[V]) Get(key string) (V, bool) {
 }
 
 // Peek returns the cached value for key without updating recency or
-// the hit/miss counters. It backs internal re-checks — e.g. a
-// singleflight leader's second look after winning the key — where the
-// caller already recorded the logical lookup via Get and counting
-// again would double-book it.
+// the hit/miss counters. It backs scans that probe several keys for
+// one logical lookup — the convolution memo's longest-prefix search —
+// and then record that lookup once via Get.
 func (c *LRU[V]) Peek(key string) (V, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()

@@ -1,5 +1,5 @@
-// Package cache provides the shared caching primitives of the serving
-// path: a sharded, size-bounded LRU map and a singleflight layer.
+// Package cache provides the caching primitive of the serving path: a
+// sharded, size-bounded LRU map.
 //
 // Training a hybrid graph is the expensive offline step, but at
 // serving scale the per-query cost — decomposition search plus
@@ -14,6 +14,5 @@
 // The cache is sharded by key hash: each shard has its own lock and
 // its own LRU list, so concurrent readers on different shards never
 // contend. Hit/miss/eviction counters are kept with atomics and
-// exposed via Stats. The singleflight layer (Flight) collapses
-// concurrent misses on one key into a single computation.
+// exposed via Stats.
 package cache

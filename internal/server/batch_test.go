@@ -209,15 +209,7 @@ func TestBatchConcurrentClients(t *testing.T) {
 // untouched, and the server keeps serving. The panic is injected by
 // serving a private system whose model has lost its road network.
 func TestBatchEntryPanicIsThatEntrys500(t *testing.T) {
-	broken, err := pathcost.Synthesize(pathcost.SynthesizeConfig{Preset: "test", Trips: 300, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	broken.Hybrid().G = nil
-	log.SetOutput(io.Discard) // the recovered panics' stack traces
-	defer log.SetOutput(os.Stderr)
-
-	srv := New(broken, Config{MaxInFlight: 2})
+	srv := New(brokenSystem(t), Config{MaxInFlight: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	depart := 8 * 3600.0
@@ -246,6 +238,60 @@ func TestBatchEntryPanicIsThatEntrys500(t *testing.T) {
 		if n := slotsHeld(srv.gate); n != 0 {
 			t.Fatalf("%d-entry batch leaked %d evaluation slot(s)", len(queries), n)
 		}
+	}
+}
+
+// brokenSystem is a private system whose model has lost its road
+// network, so every evaluation that passes validation panics. The
+// recovered panics' stack traces are silenced for the test.
+func brokenSystem(t *testing.T) *pathcost.System {
+	t.Helper()
+	broken, err := pathcost.Synthesize(pathcost.SynthesizeConfig{Preset: "test", Trips: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken.Hybrid().G = nil
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	return broken
+}
+
+// TestSingleQueryPanicIs500 pins the same contract for single-query
+// endpoints, which the chassis recovers once for both tiers: a
+// panicking distribution or route evaluation answers the counted 500
+// envelope, holds no slot, and the server answers the next request.
+func TestSingleQueryPanicIs500(t *testing.T) {
+	broken := brokenSystem(t)
+	srv := New(broken, Config{MaxInFlight: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	depart := 8 * 3600.0
+	src, dst, budget := routePair(t, broken)
+
+	for round := 0; round < 2; round++ {
+		for _, q := range []struct {
+			url string
+			req any
+		}{
+			{"/v1/distribution", distributionRequest{Path: []int64{0}, Depart: depart}},
+			{"/v1/route", routeRequest{Source: src, Dest: dst, Depart: depart, Budget: budget}},
+		} {
+			rejected := srv.gate.Rejected.Load()
+			var e errorResponse
+			if code := postJSON(t, ts.URL+q.url, q.req, &e); code != http.StatusInternalServerError ||
+				e.Error != "internal error during computation" {
+				t.Fatalf("round %d %s = %d %q, want the 500 envelope", round, q.url, code, e.Error)
+			}
+			if r := srv.gate.Rejected.Load(); r != rejected+1 {
+				t.Fatalf("round %d %s counted %d rejected, want %d", round, q.url, r, rejected+1)
+			}
+			if n := slotsHeld(srv.gate); n != 0 {
+				t.Fatalf("round %d %s leaked %d evaluation slot(s)", round, q.url, n)
+			}
+		}
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz after the panics = %d", code)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	pathcost "repro"
 	"repro/internal/api"
-	"repro/internal/cache"
 	"repro/internal/geo"
 	"repro/internal/gps"
 	"repro/internal/ingest"
@@ -26,7 +25,7 @@ type Config struct {
 	// beyond the cap wait for a slot or for the client to give up.
 	// Route and topk requests each hold a slot for their whole
 	// evaluation; distribution requests are charged per underlying
-	// computation, so cache hits and singleflight followers are free.
+	// computation, so query-cache hits are free.
 	// Batch entries are charged individually under the same cap.
 	// 0 means api.DefaultMaxInFlight.
 	MaxInFlight int
@@ -351,14 +350,9 @@ func (s *Server) evalDistribution(ctx context.Context, sys *pathcost.System, req
 		return nil, http.StatusBadRequest, err.Error()
 	}
 	// The in-flight bound is charged per underlying computation, not
-	// per request: cache hits and singleflight followers (requests
-	// answered by a concurrent leader's work) bypass the semaphore,
-	// so a hot-key stampede cannot starve unrelated queries. An
-	// ErrGateRejected here is always this request's own — followers
-	// who inherit a leader's rejection retry inside
-	// PathDistributionGated until their own acquire decides. The
-	// caller's context unparks this evaluation if its client
-	// disconnects while waiting behind another request's computation.
+	// per request: a query-cache hit bypasses the semaphore, and a miss
+	// holds one slot for its computation. The acquire refuses only when
+	// this request's context has ended.
 	res, err := sys.PathDistributionGated(ctx, p, req.Depart, m,
 		func() bool { return s.gate.Acquire(ctx) }, s.gate.Release)
 	if err != nil {
@@ -626,32 +620,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // context error against an expired server deadline is a 504 (the
 // client is still listening and deserves a definitive answer), while
 // the same error from a vanished client writes nothing; a gate
-// rejection with a live context is a 503 safety net
-// (PathDistributionGated already retries rejections inherited from
-// another request's leader); a leader panic shared by singleflight is
-// a server fault (500, details withheld); anything else is a
+// rejection is this request's own acquire refusing on its ended
+// context, mapped the same way; anything else is a
 // valid-but-unanswerable query (422, e.g. sparse coverage or an
 // unreachable destination).
 func (s *Server) queryErrorStatus(ctx context.Context, err error) (int, string) {
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if status, msg := s.gate.Expired(ctx); status != 0 {
-			return status, msg
+		status, msg := s.gate.Expired(ctx)
+		if status == 0 {
+			// The client hung up mid-evaluation; nobody is listening.
+			s.gate.Abandoned.Add(1)
 		}
-		// A follower unparked by its own dead caller context; the
-		// semaphore was never touched, so account the shed load here.
-		s.gate.Abandoned.Add(1)
-		return 0, ""
+		return status, msg
 	case errors.Is(err, pathcost.ErrGateRejected):
-		if status, msg := s.gate.Expired(ctx); status != 0 {
-			return status, msg
-		}
-		if ctx.Err() != nil {
-			return 0, "" // our own client is gone; no one is listening
-		}
-		return http.StatusServiceUnavailable, "computation aborted, retry"
-	case errors.Is(err, cache.ErrLeaderPanic):
-		return http.StatusInternalServerError, "internal error during computation"
+		// Acquire already counted a hang-up as abandoned.
+		return s.gate.Expired(ctx)
 	default:
 		return http.StatusUnprocessableEntity, err.Error()
 	}

@@ -153,10 +153,6 @@ type System struct {
 	// queries are running. See EnableQueryCache.
 	qcache atomic.Pointer[cache.LRU[*QueryResult]]
 
-	// flight collapses concurrent PathDistribution misses on one key
-	// into a single CostDistribution computation (anti-stampede).
-	flight cache.Flight[*QueryResult]
-
 	// pubMu serializes epoch publishes and attachment changes; it is
 	// never taken by queries.
 	pubMu sync.Mutex
@@ -193,10 +189,6 @@ type System struct {
 	lastBuild   time.Duration
 	lastFactor  float64
 
-	// computeProbe, when non-nil, is invoked once per underlying
-	// CostDistribution computation in PathDistribution. Test seam for
-	// the singleflight guarantee; never set it outside tests.
-	computeProbe func()
 	// buildProbe, when non-nil, runs inside PublishEpoch after the
 	// staged batch is drained and may fail the build. Test seam for
 	// the restore-ordering guarantee; never set it outside tests.
@@ -361,8 +353,8 @@ type PlanResult struct {
 // PlanDistributions answers a batch of distribution queries in order,
 // each entry as the single query it is: results are positional, and an
 // entry's failure is its own. An entry with only a method goes through
-// PathDistributionGated — the query cache, singleflight and the gate
-// charged per computed entry. One with a rank cap or a seed, which the
+// PathDistributionGated — the query cache and the gate charged per
+// computed entry. One with a rank cap or a seed, which the
 // query cache's key does not carry, is computed with its full options,
 // charged to the gate and cached nowhere. Overlapping entries share
 // their prefixes through the memo (EnableConvMemo). ctx bounds every
@@ -438,10 +430,8 @@ func (s *System) queryKey(ep *ModelEpoch, p Path, depart float64, m Method) stri
 // PathDistribution estimates the cost distribution of a path at the
 // given departure time (seconds; time-of-day or absolute). When a
 // query cache is enabled (EnableQueryCache), repeated queries for the
-// same (path, α-interval, method) are served from memory, and
-// concurrent misses on one key are collapsed into a single underlying
-// computation (no cache stampede); the returned result is then shared
-// between callers and must not be mutated.
+// same (path, α-interval, method) are served from memory; the returned
+// result is then shared between callers and must not be mutated.
 func (s *System) PathDistribution(p Path, depart float64, m Method) (*QueryResult, error) {
 	return s.PathDistributionGated(context.Background(), p, depart, m, nil, nil)
 }
@@ -451,27 +441,20 @@ func (s *System) PathDistribution(p Path, depart float64, m Method) (*QueryResul
 var ErrGateRejected = errors.New("pathcost: computation gate rejected the query")
 
 // PathDistributionGated is PathDistribution with a concurrency gate
-// charged only for real work: acquire runs immediately before an
-// actual underlying CostDistribution computation, and release runs
-// after it. Cache hits and singleflight followers (callers whose
-// answer is produced by a concurrent leader) never touch the gate, so
-// a bound implemented with it tracks CPU-bound computations rather
-// than parked requests. acquire returning false aborts the query with
-// ErrGateRejected — and only the caller's own acquire can reject it:
-// a follower that inherits a leader's rejection through the flight
-// silently retries until its own hook decides. Either hook may be
-// nil: a nil acquire disables gating entirely, a nil release just
-// skips the post-computation call.
+// charged only for real work: a query-cache hit never touches the
+// gate, and a miss runs acquire immediately before its one underlying
+// CostDistribution computation and release after it, so a bound
+// implemented with it tracks CPU-bound computations rather than
+// requests. acquire returning false aborts the query with
+// ErrGateRejected and caches nothing. Either hook may be nil: a nil
+// acquire disables gating entirely, a nil release just skips the
+// post-computation call. Concurrent misses on one key each compute
+// (charged one acquire each) and store the same answer.
 //
-// ctx bounds both waiting and computing: a caller parked behind a
-// concurrent leader's computation unblocks when ctx ends and gets
-// ctx's error, and a caller that is itself the leader has its
-// evaluation deadline-checked per chain step (see CostDistributionCtx)
-// — an expired budget stops the computation and fills no cache entry.
-// A follower handed the LEADER's context error while its own ctx is
-// still live retries with a new leader, so one short-budget caller
-// never poisons a long-budget one. A nil ctx means
-// context.Background, which disables every deadline check.
+// ctx bounds the computation: the evaluation is deadline-checked per
+// chain step (see CostDistributionCtx), and an expired budget stops it
+// and fills no cache entry. A nil ctx means context.Background, which
+// disables every deadline check.
 func (s *System) PathDistributionGated(ctx context.Context, p Path, depart float64, m Method,
 	acquire func() bool, release func()) (*QueryResult, error) {
 	if ctx == nil {
@@ -479,82 +462,39 @@ func (s *System) PathDistributionGated(ctx context.Context, p Path, depart float
 	}
 	if m == "" {
 		// Normalize before keying: core defaults "" to OD, so both
-		// spellings are one logical query and must share one cache
-		// and flight entry.
+		// spellings are one logical query and must share one cache entry.
 		m = OD
 	}
-	// One epoch snapshot serves the whole query: however many retry
-	// iterations the flight takes, the answer — and the cache entry it
-	// fills — belongs to this epoch, even if a publish lands mid-query.
+	// One epoch snapshot serves the whole query: the answer, and the
+	// cache entry it fills, belong to this epoch even if a publish lands
+	// mid-query.
 	ep := s.epoch.Load()
 	opt := QueryOptions{Method: m}
-	if s.qcache.Load() == nil && acquire == nil {
-		// Uncached, ungated: skip the closure machinery entirely (the
-		// loop below would take this branch anyway).
-		return s.compute(ctx, ep, p, depart, opt)
-	}
-	gated := func() (*QueryResult, error) {
+	c := s.qcache.Load()
+	if c == nil {
+		// Uncached queries stay independent on purpose: each caller
+		// owns its result and may post-process it freely.
 		return s.computeGated(ctx, ep, p, depart, opt, acquire, release)
 	}
-	counted := false
-	for {
-		c := s.qcache.Load()
-		if c == nil {
-			// Uncached queries stay independent on purpose: each caller
-			// owns its result and may post-process it freely.
-			return gated()
-		}
-		key := s.queryKey(ep, p, depart, m)
-		// One logical query counts one hit or miss, however many
-		// retry iterations it takes: only the first lookup uses the
-		// stat-counting Get.
-		var res *QueryResult
-		var ok bool
-		if counted {
-			res, ok = c.Peek(key)
-		} else {
-			res, ok = c.Get(key)
-			counted = true
-		}
-		if ok {
-			return res, nil
-		}
-		res, shared, err := s.flight.DoCtx(ctx, key, func() (*QueryResult, error) {
-			// Re-check: a previous flight may have filled the cache
-			// between this caller's miss and it becoming the leader.
-			// Peek, not Get — the outer Get already counted this lookup.
-			if res, ok := c.Peek(key); ok {
-				return res, nil
-			}
-			res, err := gated()
-			if err != nil {
-				return nil, err
-			}
-			c.Put(key, res)
-			return res, nil
-		})
-		if shared && errors.Is(err, ErrGateRejected) {
-			// The rejection belongs to the leader (its acquire hook
-			// refused — typically its client vanished while queued);
-			// this caller's own gate was never consulted. Go again: a
-			// surviving caller becomes the new leader, and its own
-			// acquire decides.
-			continue
-		}
-		if shared && ctx.Err() == nil &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			// The LEADER's deadline or client died mid-computation; this
-			// caller's budget is still live. Retry: a surviving caller
-			// becomes the new leader and computes under its own ctx.
-			continue
-		}
-		return res, err
+	key := s.queryKey(ep, p, depart, m)
+	if res, ok := c.Get(key); ok {
+		return res, nil
 	}
+	res, err := s.computeGated(ctx, ep, p, depart, opt, acquire, release)
+	if err != nil {
+		return nil, err
+	}
+	c.Put(key, res)
+	return res, nil
 }
 
-// computeGated is compute charged to the caller's gate: acquire runs
-// immediately before it and release after, and acquire returning false
-// fails the query with ErrGateRejected. Either hook may be nil.
+// computeGated runs one underlying estimation (the expensive step the
+// query cache exists to avoid repeating) against one epoch snapshot,
+// charged to the caller's gate: acquire runs immediately before it and
+// release after, and acquire returning false fails the query with
+// ErrGateRejected. Either hook may be nil. Evaluation goes through the
+// epoch's memo view: it resumes from the deepest prefix of p the memo
+// holds, and the answer is byte-identical with or without one.
 func (s *System) computeGated(ctx context.Context, ep *ModelEpoch, p Path, depart float64, opt QueryOptions,
 	acquire func() bool, release func()) (*QueryResult, error) {
 	if acquire != nil {
@@ -564,18 +504,6 @@ func (s *System) computeGated(ctx context.Context, ep *ModelEpoch, p Path, depar
 		if release != nil {
 			defer release()
 		}
-	}
-	return s.compute(ctx, ep, p, depart, opt)
-}
-
-// compute runs one underlying estimation (the expensive step the
-// cache and singleflight both exist to avoid repeating) against one
-// epoch snapshot, through the epoch's memo view: evaluation resumes
-// from the deepest prefix of p the memo holds, and the answer is
-// byte-identical with or without one.
-func (s *System) compute(ctx context.Context, ep *ModelEpoch, p Path, depart float64, opt QueryOptions) (*QueryResult, error) {
-	if s.computeProbe != nil {
-		s.computeProbe()
 	}
 	// ctx bounds the evaluation itself (per-edge and per-factor
 	// deadline checks in core), not just the wait: a query whose
