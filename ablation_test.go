@@ -5,8 +5,11 @@ package pathcost
 //   - the accumulated-cost bucket cap in the Eq. 2 chain evaluator
 //     (accuracy/speed trade-off of MaxAccBuckets);
 //   - Auto bucket selection vs fixed Sta-b during training;
-//   - incremental routing states vs per-prefix recomputation;
 //   - parallel vs serial weight instantiation.
+//
+// Incremental routing states vs per-prefix recomputation is
+// BenchmarkAblationIncrementalRouting in internal/routing, next to the
+// from-scratch reference search.
 //
 // Run with: go test -bench=Ablation -benchmem
 
@@ -16,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/routing"
 )
 
 // BenchmarkAblationAccBuckets sweeps the chain evaluator's
@@ -67,42 +69,6 @@ func BenchmarkAblationAutoVsStatic(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Build(e.G, e.Data(), params); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationIncrementalRouting compares DFS routing with the
-// incremental "path + another edge" states against per-prefix
-// recomputation (the Σ RT(P, method) model).
-func BenchmarkAblationIncrementalRouting(b *testing.B) {
-	e, h := benchHybrid(b)
-	r := routing.New(h)
-	src := graph.VertexID(20)
-	dists := e.G.ShortestDistances(src, graph.FreeFlowWeight)
-	var dst graph.VertexID = -1
-	best := 0.0
-	for v, d := range dists {
-		if graph.VertexID(v) != src && d > best && d < 300 {
-			best = d
-			dst = graph.VertexID(v)
-		}
-	}
-	if dst < 0 {
-		b.Skip("no destination")
-	}
-	q := routing.Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: best * 2}
-	for _, inc := range []bool{true, false} {
-		name := "incremental"
-		if !inc {
-			name = "recompute"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := r.BestPath(q, routing.Options{Incremental: inc, MaxExpansions: 1500})
-				if err != nil {
 					b.Fatal(err)
 				}
 			}

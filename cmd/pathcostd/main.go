@@ -106,14 +106,12 @@ type options struct {
 
 	// Coordinator mode: serve the API over a fleet of shards instead
 	// of a local model.
-	coordinator      bool
-	shards           string
-	partitionFile    string
-	hedgeAfter       time.Duration
-	probeInterval    time.Duration
-	shardTimeout     time.Duration
-	breakerThreshold int
-	breakerCooldown  time.Duration
+	coordinator   bool
+	shards        string
+	partitionFile string
+	hedgeAfter    time.Duration
+	probeInterval time.Duration
+	shardTimeout  time.Duration
 }
 
 func main() {
@@ -137,8 +135,6 @@ func main() {
 	flag.DurationVar(&opt.hedgeAfter, "hedge-after", 150*time.Millisecond, "race a second leg against a shard call slower than this (coordinator mode)")
 	flag.DurationVar(&opt.probeInterval, "probe-interval", 2*time.Second, "per-replica health probe spacing (GET /v1/stats; also feeds each region's epoch in the coordinator's /v1/stats); negative disables (coordinator mode)")
 	flag.DurationVar(&opt.shardTimeout, "shard-timeout", 10*time.Second, "per-leg shard call timeout (coordinator mode)")
-	flag.IntVar(&opt.breakerThreshold, "breaker-threshold", 0, "consecutive leg failures that open a replica's circuit breaker (0 = 3, negative disables; coordinator mode)")
-	flag.DurationVar(&opt.breakerCooldown, "breaker-cooldown", 0, "how long an open breaker deflects a replica's traffic before a half-open trial (0 = 1s; coordinator mode)")
 	flag.DurationVar(&opt.defaultTimeout, "default-timeout", 0, "end-to-end deadline per query request; expiry answers 504, and clients tighten it per request with the X-Budget-Ms header (0 = unbounded)")
 	flag.BoolVar(&opt.enableIngest, "ingest", false, "enable POST /v1/ingest: raw GPS batches are map-matched and staged for the next epoch publish")
 	flag.IntVar(&opt.ingestWorkers, "ingest-workers", runtime.NumCPU(), "map-matching worker pool per ingest batch")
@@ -273,15 +269,13 @@ func runCoordinator(ctx context.Context, opt options, logger *log.Logger, onRead
 		return err
 	}
 	coord, err := shard.New(g, part, shard.Config{
-		Shards:           bases,
-		MaxInFlight:      opt.maxInFlight,
-		MaxQueue:         opt.maxQueue,
-		Timeout:          opt.shardTimeout,
-		HedgeAfter:       opt.hedgeAfter,
-		ProbeInterval:    opt.probeInterval,
-		BreakerThreshold: opt.breakerThreshold,
-		BreakerCooldown:  opt.breakerCooldown,
-		DefaultTimeout:   opt.defaultTimeout,
+		Shards:         bases,
+		MaxInFlight:    opt.maxInFlight,
+		MaxQueue:       opt.maxQueue,
+		Timeout:        opt.shardTimeout,
+		HedgeAfter:     opt.hedgeAfter,
+		ProbeInterval:  opt.probeInterval,
+		DefaultTimeout: opt.defaultTimeout,
 	})
 	if err != nil {
 		return err

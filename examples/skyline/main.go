@@ -44,7 +44,7 @@ func main() {
 
 	sky, err := sys.Router().SkylinePaths(routing.Query{
 		Source: src, Dest: dst, Depart: depart, Budget: budget,
-	}, 3, routing.Options{Method: pathcost.OD, Incremental: true})
+	}, 3, routing.Options{Method: pathcost.OD})
 	if err != nil {
 		log.Fatal(err)
 	}

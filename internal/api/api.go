@@ -144,19 +144,6 @@ type BatchResponse struct {
 	Results []BatchResult `json:"results"`
 }
 
-// StateRequest asks POST /v1/state to evaluate one segment of a
-// partitioned query and return the resulting partial state. A first
-// segment omits State and sets UILo = UIHi = Depart; a continuation
-// carries the previous segment's accumulator-only state and interval.
-type StateRequest struct {
-	Path   []int64 `json:"path"`
-	Depart float64 `json:"depart"`
-	Method string  `json:"method,omitempty"`
-	UILo   float64 `json:"ui_lo"`
-	UIHi   float64 `json:"ui_hi"`
-	State  []byte  `json:"state,omitempty"`
-}
-
 // StateResult is a segment evaluation's outcome: the encoded
 // accumulator-only state after the segment's last factor (binary
 // pstate-v2, which encoding/json carries as a base64 string), the
@@ -333,8 +320,8 @@ func CheckRoute(g *pathcost.Graph, req *RouteRequest) (pathcost.Method, error) {
 // budget left on its own clock, so a deadline set at the front door
 // bounds work end to end: coordinator wait, shard evaluation, and any
 // hedged retry all draw from the same allowance. Clients may set it
-// directly on /v1/batch and /v1/state (or any query endpoint) to cap
-// one request tighter than the server's -default-timeout.
+// directly on /v1/batch (or any query endpoint) to cap one request
+// tighter than the server's -default-timeout.
 const BudgetHeader = "X-Budget-Ms"
 
 // ParseBudget reads a BudgetHeader value. It returns ok = false for an

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 
@@ -475,6 +476,23 @@ func (ca *CandidateArray) PairDecomposition() *Decomposition {
 // keeps its pick.
 func (ca *CandidateArray) UnitDecomposition() *Decomposition {
 	return ca.selectFactors(func(row []*Variable) *Variable { return row[0] })
+}
+
+// decomposition is the one choice of decomposition by method: OD's
+// coarsest (capped at opt.RankCap), RD's random one drawn from
+// opt.Seed, HP's pairs or LB's units.
+func (ca *CandidateArray) decomposition(opt QueryOptions) (*Decomposition, error) {
+	switch opt.Method {
+	case MethodOD:
+		return ca.CoarsestDecomposition(opt.RankCap), nil
+	case MethodRD:
+		return ca.RandomDecomposition(rand.New(rand.NewSource(opt.Seed))), nil
+	case MethodHP:
+		return ca.PairDecomposition(), nil
+	case MethodLB:
+		return ca.UnitDecomposition(), nil
+	}
+	return nil, fmt.Errorf("core: unknown method %q", opt.Method)
 }
 
 // Validate checks the Section 4.1.1 decomposition conditions against

@@ -58,11 +58,17 @@
 // (PathState.lastProduct). docs/ARCHITECTURE.md ("What one routing
 // expansion costs") has the measurements and the proof.
 //
-// A chain step whose state has no open dimension and whose factor
-// shares no edge with the next (nearly every step, the last factor of
-// a PathState included) is one fused convolve-and-fold, byte-identical
-// to multiply + foldTo; see chainState.convolveFold and
-// docs/ARCHITECTURE.md ("What one chain step costs").
+// Every evaluator runs one chain loop, runChain: the memo-free
+// CostDistribution (recycling each intermediate state through an
+// arena), PathState's extension (keeping each folded state for its
+// children) and an EvaluateSegment continuation (starting from the
+// relayed state). One switch, CandidateArray.decomposition, picks the
+// decomposition by method for all of them. A chain step whose state
+// has no open dimension and whose factor shares no edge with the next
+// (nearly every step, the last factor of a PathState included) is one
+// fused convolve-and-fold, byte-identical to multiply + foldTo; see
+// chainState.convolveFold and docs/ARCHITECTURE.md ("What one chain
+// step costs").
 //
 // Query evaluation is bit-deterministic by construction: float
 // accumulation over hyper-buckets always runs in sorted cell order,

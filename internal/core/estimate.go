@@ -101,8 +101,8 @@ type evalScratch struct {
 	pos     []int     // a step's factor positions, while its product lives
 }
 
-// positions is factorPositions(de, i) in the scratch, for a product
-// that dies before the scratch is reused.
+// positions returns the query positions factor i covers, in the
+// scratch, for a product that dies before the scratch is reused.
 func (sc *evalScratch) positions(de *Decomposition, i int) []int {
 	sc.pos = sc.pos[:0]
 	for j := 0; j < de.Vars[i].Rank(); j++ {
@@ -145,20 +145,11 @@ func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query
 	}
 	st.Factors = len(de.Vars)
 
-	// Single factor covering the whole query: its sum distribution is
-	// the answer (the "lucky" case of Section 4.1).
 	if len(de.Vars) == 1 {
-		v := de.Vars[0]
-		var out *hist.Histogram
 		st.mcStart = time.Now()
-		if v.Hist != nil {
-			out = v.Hist
-		} else {
-			var err error
-			out, err = v.Joint.SumHistogram(h.Params.MaxResultBuckets)
-			if err != nil {
-				return nil, st, err
-			}
+		out, err := h.singleFactorDist(de.Vars[0])
+		if err != nil {
+			return nil, st, err
 		}
 		st.ResultBuckets = out.NumBuckets()
 		return out, st, nil
@@ -166,7 +157,7 @@ func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query
 
 	ar := arenaPool.Get().(*chainArena)
 	defer arenaPool.Put(ar)
-	state, err := h.runChain(ctx, de, nil, &st, ar)
+	state, err := h.runChain(ctx, de, 0, nil, nil, &st, ar)
 	if err != nil {
 		return nil, st, err
 	}
@@ -183,16 +174,31 @@ func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query
 	return out, st, nil
 }
 
-// runChain applies the decomposition's factors to state (nil to start
-// fresh) and returns the final folded state. A non-nil ctx bounds the
-// chain: its deadline is checked before each factor multiply, so a long
-// evaluation stops burning CPU within one factor of the caller's budget
-// expiring. An arena is passed only for a chain that starts fresh and
-// whose intermediate states nobody else sees: each then dies as soon as
-// the next one exists, and its histogram is recycled.
-func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, state *chainState, st *EvalStats, ar *chainArena) (*chainState, error) {
+// singleFactorDist is the answer for a decomposition of one factor
+// covering the whole query: its sum distribution (the "lucky" case of
+// Section 4.1), with no chain to run.
+func (h *HybridGraph) singleFactorDist(v *Variable) (*hist.Histogram, error) {
+	if v.Hist != nil {
+		return v.Hist, nil
+	}
+	return v.Joint.SumHistogram(h.Params.MaxResultBuckets)
+}
+
+// runChain is the one chain loop: it applies the decomposition's
+// factors from index from on to state (nil to start fresh) and returns
+// the final folded state, storing each factor's folded state in inter
+// when inter is non-nil. A non-nil ctx bounds the chain: its deadline is
+// checked before each factor multiply, so a long evaluation stops
+// burning CPU within one factor of the caller's budget expiring. Every
+// product dies with its step and is recycled. An arena is passed only
+// for a chain that starts fresh and whose intermediate states nobody
+// else sees (inter is nil): each then dies as soon as the next one
+// exists, and its histogram is recycled too.
+func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, from int, state *chainState, inter []*chainState, st *EvalStats, ar *chainArena) (*chainState, error) {
 	recycle := ar != nil
-	for i, v := range de.Vars {
+	sc := scratchPool.Get().(*evalScratch)
+	defer scratchPool.Put(sc)
+	for i := from; i < len(de.Vars); i++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				if recycle && state != nil {
@@ -201,26 +207,20 @@ func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, state *ch
 				return nil, err
 			}
 		}
-		fm, err := asMulti(v)
+		fm, err := asMulti(de.Vars[i])
 		if err != nil {
 			return nil, err
 		}
 		keep := overlapWithNext(de, i)
 		prev := state
-		if state != nil && len(state.open) == 0 && len(keep) == 0 {
-			if state, err = state.convolveFold(fm, st, h.Params.MaxAccBuckets, ar); err != nil {
-				return nil, err
-			}
-			if recycle {
-				hist.PutMulti(prev.m)
-			}
-			continue
-		}
-		positions := factorPositions(de, i)
-		if state == nil {
-			state, err = initialState(fm, positions)
-		} else {
-			state, err = state.multiply(fm, positions, st)
+		fused := state != nil && len(state.open) == 0 && len(keep) == 0
+		switch {
+		case fused:
+			state, err = state.convolveFold(fm, st, h.Params.MaxAccBuckets, ar)
+		case state == nil:
+			state, err = initialState(fm, sc.positions(de, i))
+		default:
+			state, err = state.multiply(fm, sc.positions(de, i), st)
 		}
 		if err != nil {
 			return nil, err
@@ -228,25 +228,20 @@ func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, state *ch
 		if recycle && prev != nil {
 			hist.PutMulti(prev.m)
 		}
-		folded, err := state.foldTo(keep, h.Params.MaxAccBuckets)
-		if err != nil {
-			return nil, err
+		if !fused {
+			// The product dies with the step; its positions are scratch.
+			prod := state
+			state, err = prod.foldTo(keep, h.Params.MaxAccBuckets)
+			hist.PutMulti(prod.m)
+			if err != nil {
+				return nil, err
+			}
 		}
-		if recycle {
-			hist.PutMulti(state.m)
+		if inter != nil {
+			inter[i] = state
 		}
-		state = folded
 	}
 	return state, nil
-}
-
-// factorPositions returns the query positions covered by factor i.
-func factorPositions(de *Decomposition, i int) []int {
-	positions := make([]int, de.Vars[i].Rank())
-	for j := range positions {
-		positions[j] = de.Pos[i] + j
-	}
-	return positions
 }
 
 // overlapWithNext returns the positions of factor i that the next

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/gps"
@@ -112,18 +111,9 @@ func (h *HybridGraph) CostDistributionCtx(ctx context.Context, m *ConvMemo, p gr
 		return nil, err
 	}
 	defer ca.Release()
-	var de *Decomposition
-	switch opt.Method {
-	case MethodOD:
-		de = ca.CoarsestDecomposition(opt.RankCap)
-	case MethodRD:
-		de = ca.RandomDecomposition(rand.New(rand.NewSource(opt.Seed)))
-	case MethodHP:
-		de = ca.PairDecomposition()
-	case MethodLB:
-		de = ca.UnitDecomposition()
-	default:
-		return nil, fmt.Errorf("core: unknown method %q", opt.Method)
+	de, err := ca.decomposition(opt)
+	if err != nil {
+		return nil, err
 	}
 	t1 := time.Now()
 	oi := t1.Sub(t0)

@@ -153,6 +153,16 @@ func extendKept(h *HybridGraph, prev *keptState, p graph.Path, t float64, opt Qu
 	return s, nil
 }
 
+// factorPositions returns the query positions covered by factor i, in
+// a slice of its own (the evaluators take them from their scratch).
+func factorPositions(de *Decomposition, i int) []int {
+	positions := make([]int, de.Vars[i].Rank())
+	for j := range positions {
+		positions[j] = de.Pos[i] + j
+	}
+	return positions
+}
+
 // Evaluate computes the estimated cost distribution of the query path
 // from a decomposition, per Equation 2 followed by the Section 4.2
 // marginalization: factors are applied left to right; before each new

@@ -319,12 +319,12 @@ func TestChainArenaNeverShared(t *testing.T) {
 	// One goroutine: chain A's final state stays live while chain B
 	// runs in a second arena and a whole Evaluate runs in a third.
 	arA, arB := arenaPool.Get().(*chainArena), arenaPool.Get().(*chainArena)
-	a, err := h.runChain(nil, queries[0].de, nil, nil, arA)
+	a, err := h.runChain(nil, queries[0].de, 0, nil, nil, nil, arA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapA := snapshotMulti(a.m)
-	b, err := h.runChain(nil, queries[5].de, nil, nil, arB)
+	b, err := h.runChain(nil, queries[5].de, 0, nil, nil, nil, arB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,34 +152,25 @@ func (h *HybridGraph) pathState(ctx context.Context, m *ConvMemo, p graph.Path, 
 }
 
 // stateResult converts a fully evaluated chain state into a
-// QueryResult for CostDistributionCtx, mirroring Evaluate's
-// single-factor shortcut. Timing is left zero for the caller to fill.
+// QueryResult for CostDistributionCtx, with evaluateMode's single-factor
+// answer. Timing is left zero for the caller to fill.
 func (h *HybridGraph) stateResult(st *PathState) (*QueryResult, error) {
 	de := st.de
-	res := &QueryResult{
-		Decomp: de,
-		Stats:  EvalStats{Factors: len(de.Vars)},
-	}
+	var dist *hist.Histogram
+	var err error
 	if len(de.Vars) == 1 {
-		v := de.Vars[0]
-		if v.Hist != nil {
-			res.Dist = v.Hist
-		} else {
-			out, err := v.Joint.SumHistogram(h.Params.MaxResultBuckets)
-			if err != nil {
-				return nil, err
-			}
-			res.Dist = out
-		}
+		dist, err = h.singleFactorDist(de.Vars[0])
 	} else {
-		dist, err := st.DistErr()
-		if err != nil {
-			return nil, err
-		}
-		res.Dist = dist
+		dist, err = st.DistErr()
 	}
-	res.Stats.ResultBuckets = res.Dist.NumBuckets()
-	return res, nil
+	if err != nil {
+		return nil, err
+	}
+	return &QueryResult{
+		Dist:   dist,
+		Decomp: de,
+		Stats:  EvalStats{Factors: len(de.Vars), ResultBuckets: dist.NumBuckets()},
+	}, nil
 }
 
 // recompute evaluates the state's path, reusing prev's chain prefix
@@ -187,7 +178,6 @@ func (h *HybridGraph) stateResult(st *PathState) (*QueryResult, error) {
 // kernel work, when the state's cost support provably starts at or
 // above within (see supportMin for when that can be read cheaply).
 func (s *PathState) recompute(prev *PathState, within float64) error {
-	h := s.h
 	if err := s.decompose(prev); err != nil {
 		return err
 	}
@@ -199,9 +189,6 @@ func (s *PathState) recompute(prev *PathState, within float64) error {
 		shared++
 	}
 
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
-	var st EvalStats
 	var state *chainState
 	from := 0
 	if shared > 0 && prev != nil {
@@ -217,13 +204,8 @@ func (s *PathState) recompute(prev *PathState, within float64) error {
 		case sameInts(keep, prev.inter[i].open):
 			state = prev.inter[i]
 		case i == len(prev.de.Vars)-1:
-			prod, err := prev.lastProduct(sc.positions(prev.de, i))
-			if err != nil {
-				return err
-			}
-			state, err = prod.foldTo(keep, h.Params.MaxAccBuckets)
-			hist.PutMulti(prod.m)
-			if err != nil {
+			var err error
+			if state, err = prev.refoldLast(keep); err != nil {
 				return err
 			}
 		default:
@@ -234,56 +216,31 @@ func (s *PathState) recompute(prev *PathState, within float64) error {
 		}
 	}
 
+	last := len(s.de.Vars) - 1
+	if !math.IsInf(within, 1) && from == last && state != nil && len(state.open) == 0 {
+		// A limit, and one new factor on a resume state with no open
+		// dimension: the child's support minimum needs no multiply or
+		// fold.
+		fm, err := asMulti(s.de.Vars[last])
+		if err != nil {
+			return err
+		}
+		if err := checkStateDims(fm); err != nil {
+			return err
+		}
+		if within <= state.supportMin(fm) {
+			return errSettled
+		}
+	}
+
 	s.inter = make([]*chainState, len(s.de.Vars))
-	if prev != nil && from > 0 {
+	if from > 0 {
 		copy(s.inter, prev.inter[:from-1])
 		s.inter[from-1] = state
 	}
-	for i := from; i < len(s.de.Vars); i++ {
-		fm, err := asMulti(s.de.Vars[i])
-		if err != nil {
-			return err
-		}
-		if !math.IsInf(within, 1) && i == from && i == len(s.de.Vars)-1 && state != nil && len(state.open) == 0 {
-			// A limit, and one new factor on a resume state with no open
-			// dimension: the child's support minimum needs no multiply or
-			// fold.
-			if err := checkStateDims(fm); err != nil {
-				return err
-			}
-			if within <= state.supportMin(fm) {
-				return errSettled
-			}
-		}
-		keep := overlapWithNext(s.de, i)
-		if state != nil && len(state.open) == 0 && len(keep) == 0 {
-			if state, err = state.convolveFold(fm, &st, h.Params.MaxAccBuckets, nil); err != nil {
-				return err
-			}
-			s.inter[i] = state
-			continue
-		}
-		// The product dies with the step; its positions and cells are
-		// scratch.
-		positions := sc.positions(s.de, i)
-		var prod *chainState
-		if state == nil {
-			prod, err = initialState(fm, positions)
-		} else {
-			prod, err = state.multiply(fm, positions, &st)
-		}
-		if err != nil {
-			return err
-		}
-		state, err = prod.foldTo(keep, h.Params.MaxAccBuckets)
-		hist.PutMulti(prod.m)
-		if err != nil {
-			return err
-		}
-		s.inter[i] = state
-	}
 	// The cost marginal of s.inter[last] is derived lazily in DistErr.
-	return nil
+	_, err := s.h.runChain(nil, s.de, from, state, s.inter, nil, nil)
+	return err
 }
 
 // decompose selects the state's decomposition and the interval past its
@@ -312,18 +269,26 @@ func (s *PathState) decompose(prev *PathState) error {
 		return err
 	}
 	defer ca.Release()
-	switch s.opt.Method {
-	case MethodOD:
-		s.de = ca.CoarsestDecomposition(s.opt.RankCap)
-	case MethodHP:
-		s.de = ca.PairDecomposition()
-	case MethodLB:
-		s.de = ca.UnitDecomposition()
-	default:
+	if !memoizable(s.opt.Method) {
 		return fmt.Errorf("core: method %q does not support incremental evaluation", s.opt.Method)
 	}
+	s.de, err = ca.decomposition(s.opt)
 	s.next = next
-	return nil
+	return err
+}
+
+// refoldLast folds s's last factor's product, rebuilt by lastProduct,
+// to keep: the one step a child resumes from that s did not take.
+func (s *PathState) refoldLast(keep []int) (*chainState, error) {
+	sc := scratchPool.Get().(*evalScratch)
+	defer scratchPool.Put(sc)
+	prod, err := s.lastProduct(sc.positions(s.de, len(s.de.Vars)-1))
+	if err != nil {
+		return nil, err
+	}
+	state, err := prod.foldTo(keep, s.h.Params.MaxAccBuckets)
+	hist.PutMulti(prod.m)
+	return state, err
 }
 
 // lastProduct rebuilds the unfolded product of s's last factor, its

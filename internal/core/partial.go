@@ -134,22 +134,15 @@ func (h *HybridGraph) EvaluateSegment(m *ConvMemo, in SegmentInput) (*SegmentRes
 		return nil, err
 	}
 	defer ca.Release()
-	var de *Decomposition
-	switch opt.Method {
-	case MethodOD:
-		de = ca.CoarsestDecomposition(opt.RankCap)
-	case MethodHP:
-		de = ca.PairDecomposition()
-	case MethodLB:
-		de = ca.UnitDecomposition()
-	default:
-		return nil, fmt.Errorf("core: unknown method %q", opt.Method)
+	de, err := ca.decomposition(opt)
+	if err != nil {
+		return nil, err
 	}
 	// The relayed state has no open dims, so the first multiply is the
 	// independent outer product — the identical operation whole-path
 	// evaluation performs right after its boundary fold. No arena: the
 	// caller's state (and anything sharing its buffers) stays untouched.
-	state, err := h.runChain(in.Ctx, de, in.State.cs, nil, nil)
+	state, err := h.runChain(in.Ctx, de, 0, in.State.cs, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -148,7 +148,7 @@ func Fig18(e *Env) (*Table, error) {
 				_, err := r.BestPath(routing.Query{
 					Source: pr.src, Dest: pr.dst,
 					Depart: 8 * 3600, Budget: pr.freeflow * budgetMult,
-				}, routing.Options{Method: m, Incremental: true, MaxExpansions: 3000})
+				}, routing.Options{Method: m, MaxExpansions: 3000})
 				if err != nil {
 					ok = false
 					break

@@ -77,7 +77,7 @@ func TestBestPathExpansionAllocBudget(t *testing.T) {
 	r := New(h)
 	q := Query{Source: 0, Dest: 5, Depart: 8 * 3600, Budget: 400}
 	for _, m := range []core.Method{core.MethodOD, core.MethodLB} {
-		opt := Options{Method: m, Incremental: true}
+		opt := Options{Method: m}
 		explored := 0
 		n := testing.AllocsPerRun(100, func() {
 			res, err := r.BestPath(q, opt)

@@ -7,11 +7,12 @@
 //
 // The path-cost estimator is pluggable (OD / HP / LB — any core
 // method), which is exactly how the paper compares LB-DFS, HP-DFS and
-// OD-DFS; Options.Incremental reuses the chain-evaluation state along
-// the DFS so each edge extension costs one factor multiplication
-// instead of a full re-evaluation. topk.go generalizes the search to
-// probabilistic top-k path queries and skyline.go to stochastic
-// skyline queries.
+// OD-DFS. Every expansion resumes from its parent's chain-evaluation
+// state, so each edge extension costs one factor multiplication instead
+// of a full re-evaluation. There is one search: it keeps the k best
+// complete paths, BestPath is its top-1 answer, TopKPaths (topk.go) its
+// top-k and SkylinePaths (skyline.go) filters a top-k to the stochastic
+// skyline.
 //
 // A search resumes each expansion from its parent's state only: it
 // never reads the convolution memo (core.ConvMemo), which serves

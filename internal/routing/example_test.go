@@ -39,9 +39,9 @@ func exampleRouter() (*routing.Router, graph.VertexID, graph.VertexID, float64, 
 
 // ExampleRouter_BestPath answers a probabilistic budget query: the
 // path from src to dst that maximizes the probability of arriving
-// within the budget, departing at 08:00. With Incremental set, each
-// expansion extends its parent's chain state by one factor instead of
-// re-evaluating the candidate path.
+// within the budget, departing at 08:00. Each expansion extends its
+// parent's chain state by one factor instead of re-evaluating the
+// candidate path.
 func ExampleRouter_BestPath() {
 	r, src, dst, freeFlow, err := exampleRouter()
 	if err != nil {
@@ -50,7 +50,7 @@ func ExampleRouter_BestPath() {
 	}
 	res, err := r.BestPath(routing.Query{
 		Source: src, Dest: dst, Depart: 8 * 3600, Budget: freeFlow * 2,
-	}, routing.Options{Incremental: true})
+	}, routing.Options{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -74,7 +74,7 @@ func ExampleRouter_TopKPaths() {
 	}
 	routes, err := r.TopKPaths(routing.Query{
 		Source: src, Dest: dst, Depart: 8 * 3600, Budget: freeFlow * 2,
-	}, 3, routing.Options{Incremental: true})
+	}, 3, routing.Options{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -18,8 +18,8 @@ import (
 // its cost-support minimum without evaluating it. That is a shortcut
 // through the same walk, never a different walk: against the search
 // that settles nothing (every child evaluated) and, for BestPath, the
-// one that evaluates every prefix from scratch (Incremental: false),
-// the answer, its distribution and both counters must not move —
+// one that evaluates every prefix from scratch (scratchBestPath), the
+// answer, its distribution and both counters must not move —
 // across a budget sweep that reaches from "everything is settled" to
 // "nothing is".
 
@@ -100,7 +100,7 @@ func TestSettledSearchIdentical(t *testing.T) {
 		for _, f := range sweepBudgets {
 			q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * f}
 			what := fmt.Sprintf("%s budget %.2f×", m, f)
-			inc := Options{Method: m, Incremental: true}
+			inc := Options{Method: m}
 
 			extendWithin = counting
 			got, gotErr := r.BestPath(q, inc)
@@ -110,7 +110,7 @@ func TestSettledSearchIdentical(t *testing.T) {
 			all, allErr := r.BestPath(q, inc)
 			topAll, topAllErr := r.TopKPaths(q, 3, inc)
 			skyAll, skyAllErr := r.SkylinePaths(q, 8, inc)
-			scratch, scratchErr := r.BestPath(q, Options{Method: m})
+			scratch, scratchErr := scratchBestPath(r, q, Options{Method: m})
 
 			sameResult(t, what+" BestPath vs from-scratch", got, scratch, gotErr, scratchErr)
 			sameResult(t, what+" BestPath vs settling nothing", got, all, gotErr, allErr)

@@ -122,7 +122,7 @@ func TestMemoEquivalence(t *testing.T) {
 	free := routing.New(sys.Hybrid())
 	q := memoQuery(t, sys)
 	for _, m := range []core.Method{core.MethodOD, core.MethodHP, core.MethodLB} {
-		opt := routing.Options{Method: m, Incremental: true}
+		opt := routing.Options{Method: m}
 		want, err := free.BestPath(q, opt)
 		if err != nil {
 			t.Fatalf("%s: memo-free BestPath: %v", m, err)
@@ -170,7 +170,7 @@ func TestMemoConcurrentQueries(t *testing.T) {
 	sys := memoSystem(t)
 	free := routing.New(sys.Hybrid())
 	q := memoQuery(t, sys)
-	opt := routing.Options{Method: core.MethodOD, Incremental: true}
+	opt := routing.Options{Method: core.MethodOD}
 	want, err := free.BestPath(q, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestRoutingEdgeCasesWithMemo(t *testing.T) {
 	// with and without the memo.
 	zq := q
 	zq.Budget = 0
-	pres, perr := free.BestPath(zq, routing.Options{Incremental: true})
+	pres, perr := free.BestPath(zq, routing.Options{})
 	mres, merr := sys.Route(zq.Source, zq.Dest, zq.Depart, 0, core.MethodOD)
 	if (perr == nil) != (merr == nil) {
 		t.Fatalf("zero budget: memo-free err %v, memo err %v", perr, merr)

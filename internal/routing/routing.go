@@ -26,9 +26,8 @@ type Options struct {
 	// OD's variable ranks.
 	Method  core.Method
 	RankCap int
-	// Incremental reuses chain states along the DFS ("path + another
-	// edge", Section 4.3); when false every prefix is recomputed from
-	// scratch, which is the Σ RT(P, method) cost model of the paper.
+	// Deprecated: ignored; every search extends its parent's state
+	// ("path + another edge", Section 4.3).
 	Incremental bool
 	// MaxExpansions bounds the number of explored prefixes (0 = the
 	// default of 20000).
@@ -59,8 +58,8 @@ func New(h *core.HybridGraph) *Router {
 	return &Router{h: h}
 }
 
-// extendWithin is the extension every incremental expansion makes; a
-// variable so tests can count the children it settles.
+// extendWithin is the extension every expansion past the first edge
+// makes; a variable so tests can count the children it settles.
 var extendWithin = (*core.HybridGraph).ExtendPathWithin
 
 // BestPath runs the DFS budget query. It returns an error when the
@@ -72,9 +71,31 @@ func (r *Router) BestPath(q Query, opt Options) (*Result, error) {
 
 // BestPathCtx is BestPath bounded by ctx (nil = unbounded): the
 // deadline is checked once per expansion, and a search it cuts short
-// returns ctx's error and no partial result.
+// returns ctx's error and no partial result. It is the top-1 answer of
+// the one search.
 func (r *Router) BestPathCtx(ctx context.Context, q Query, opt Options) (*Result, error) {
 	start := time.Now()
+	ranked, explored, pruned, err := r.search(ctx, q, 1, opt)
+	if err != nil {
+		return nil, err
+	}
+	best := ranked[0]
+	return &Result{
+		Path: best.Path, Prob: best.Prob, Dist: best.Dist,
+		Explored: explored, Pruned: pruned, Elapsed: time.Since(start),
+	}, nil
+}
+
+// search is the one DFS behind every query: it extends a path by one
+// edge at a time, each child resuming from its parent's state, keeps
+// the k best complete paths found, and prunes a prefix whose optimistic
+// arrival probability cannot beat the k-th of them. It returns the
+// incumbents best first, with the number of prefixes explored and
+// pruned.
+func (r *Router) search(ctx context.Context, q Query, k int, opt Options) (ranked []TopKResult, explored, pruned int, err error) {
+	if k < 1 {
+		return nil, 0, 0, fmt.Errorf("routing: k = %d must be ≥ 1", k)
+	}
 	if opt.Method == "" {
 		opt.Method = core.MethodOD
 	}
@@ -86,109 +107,145 @@ func (r *Router) BestPathCtx(ctx context.Context, q Query, opt Options) (*Result
 	}
 	g := r.h.G
 	if err := checkEndpoints(g, q); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	// Admissible remaining-time lower bounds (free-flow Dijkstra on the
 	// reverse graph).
 	lb := g.ReverseShortestDistances(q.Dest, graph.FreeFlowWeight)
 	if math.IsInf(lb[q.Source], 1) {
-		return nil, fmt.Errorf("routing: destination unreachable from source")
+		return nil, 0, 0, fmt.Errorf("routing: destination unreachable from source")
 	}
+	s := &searcher{h: r.h, ctx: ctx, q: q, k: k, opt: opt, lb: lb, visited: make([]bool, g.NumVertices())}
+	s.visited[q.Source] = true
+	if err := s.expand(nil, nil, q.Source); err != nil {
+		return nil, 0, 0, err
+	}
+	if len(s.top) == 0 {
+		return nil, 0, 0, fmt.Errorf("routing: no path to destination found within limits")
+	}
+	return s.rank(), s.explored, s.pruned, nil
+}
 
-	res := &Result{}
-	best := 0.0
-	visited := make([]bool, g.NumVertices())
-	visited[q.Source] = true
-	var fr frontier
+// searcher is the state of one search: the query, its lower bounds,
+// the current branch's visited set and frontier, the incumbents and
+// the counters.
+type searcher struct {
+	h       *core.HybridGraph
+	ctx     context.Context
+	q       Query
+	k       int
+	opt     Options
+	lb      []float64
+	visited []bool
+	fr      frontier
+	top     topKHeap // the k-th best incumbent on top
 
-	var dfs func(prefix graph.Path, state *core.PathState, v graph.VertexID) error
-	dfs = func(prefix graph.Path, state *core.PathState, v graph.VertexID) error {
-		if res.Explored >= opt.MaxExpansions || len(prefix) >= opt.MaxEdges {
-			return nil
-		}
-		outs := fr.push(g, lb, v)
-		defer fr.pop(outs)
-		for _, eid := range outs {
-			e := g.Edge(eid)
-			if visited[e.To] {
-				continue
-			}
-			if math.IsInf(lb[e.To], 1) {
-				continue // cannot reach the destination from there
-			}
-			if res.Explored >= opt.MaxExpansions {
-				return nil
-			}
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			var ns *core.PathState
-			var dist *hist.Histogram
-			var err error
-			if opt.Incremental {
-				settled := false
-				if state == nil {
-					ns, err = r.h.StartPath(eid, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
-				} else {
-					ns, settled, err = extendWithin(r.h, state, eid, remaining(q, lb, e))
-				}
-				if err != nil {
-					return err
-				}
-				if settled {
-					// The bound below is exactly 0 ≤ best: explored and
-					// pruned, without the kernel.
-					res.Explored++
-					res.Pruned++
-					continue
-				}
-				if dist, err = ns.DistErr(); err != nil {
-					return err
-				}
-			} else {
-				np := append(prefix.Clone(), eid)
-				qr, err := r.h.CostDistribution(np, q.Depart, core.QueryOptions{Method: opt.Method, RankCap: opt.RankCap})
-				if err != nil {
-					return err
-				}
-				dist = qr.Dist
-			}
-			res.Explored++
+	explored int // prefixes whose distribution was evaluated or settled
+	pruned   int // prefixes cut by the probabilistic bound
+}
 
-			// Optimistic bound: the remaining edges take at least the
-			// free-flow time, so P(total ≤ B) ≤ P(prefix ≤ B − lb).
-			bound := dist.CDF(q.Budget - lb[e.To])
-			if e.To == q.Dest {
-				p := dist.CDF(q.Budget)
-				if p > best || res.Path == nil {
-					best = p
-					res.Path = append(prefix.Clone(), eid)
-					res.Prob = p
-					res.Dist = dist
-				}
-				continue
-			}
-			if bound <= best {
-				res.Pruned++
-				continue
-			}
-			visited[e.To] = true
-			err = dfs(append(prefix, eid), ns, e.To)
-			visited[e.To] = false
-			if err != nil {
-				return err
-			}
-		}
+// kth is the probability a prefix must beat to matter: the k-th best
+// incumbent's, or 0 while there are fewer than k.
+func (s *searcher) kth() float64 {
+	if len(s.top) < s.k {
+		return 0
+	}
+	return s.top[0].Prob
+}
+
+// expand explores the children of v, the end of prefix, whose chain
+// state is state (nil at the source).
+func (s *searcher) expand(prefix graph.Path, state *core.PathState, v graph.VertexID) error {
+	if s.explored >= s.opt.MaxExpansions || len(prefix) >= s.opt.MaxEdges {
 		return nil
 	}
-	if err := dfs(nil, nil, q.Source); err != nil {
-		return nil, err
+	g := s.h.G
+	outs := s.fr.push(g, s.lb, v)
+	defer s.fr.pop(outs)
+	for _, eid := range outs {
+		e := g.Edge(eid)
+		if s.visited[e.To] || math.IsInf(s.lb[e.To], 1) {
+			continue // on the branch, or the destination is out of reach
+		}
+		if s.explored >= s.opt.MaxExpansions {
+			return nil
+		}
+		if err := ctxErr(s.ctx); err != nil {
+			return err
+		}
+		var ns *core.PathState
+		var err error
+		settled := false
+		if state == nil {
+			ns, err = s.h.StartPath(eid, s.q.Depart, core.QueryOptions{Method: s.opt.Method, RankCap: s.opt.RankCap})
+		} else {
+			ns, settled, err = extendWithin(s.h, state, eid, remaining(s.q, s.lb, e))
+		}
+		if err != nil {
+			return err
+		}
+		s.explored++
+		if settled {
+			// The bound below is exactly 0 ≤ kth(): explored and pruned,
+			// without the kernel.
+			s.pruned++
+			continue
+		}
+		dist, err := ns.DistErr()
+		if err != nil {
+			return err
+		}
+		if e.To == s.q.Dest {
+			s.offer(prefix, eid, dist)
+			continue
+		}
+		// Optimistic bound: the remaining edges take at least the
+		// free-flow time, so P(total ≤ B) ≤ P(prefix ≤ B − lb).
+		if dist.CDF(s.q.Budget-s.lb[e.To]) <= s.kth() {
+			s.pruned++
+			continue
+		}
+		s.visited[e.To] = true
+		err = s.expand(append(prefix, eid), ns, e.To)
+		s.visited[e.To] = false
+		if err != nil {
+			return err
+		}
 	}
-	res.Elapsed = time.Since(start)
-	if res.Path == nil {
-		return nil, fmt.Errorf("routing: no path to destination found within limits")
+	return nil
+}
+
+// offer makes the complete path prefix+eid, with cost distribution
+// dist, an incumbent if it beats the k-th best found so far or there
+// are fewer than k.
+func (s *searcher) offer(prefix graph.Path, eid graph.EdgeID, dist *hist.Histogram) {
+	p := dist.CDF(s.q.Budget)
+	full := len(s.top) == s.k
+	if full && !(p > s.top[0].Prob) {
+		return
 	}
-	return res, nil
+	path := make(graph.Path, len(prefix)+1)
+	copy(path, prefix)
+	path[len(prefix)] = eid
+	x := TopKResult{Path: path, Prob: p, Dist: dist}
+	if !full {
+		s.top = append(s.top, x)
+		s.top.up(len(s.top) - 1)
+		return
+	}
+	s.top[0] = x
+	s.top.down(0, len(s.top))
+}
+
+// rank sorts the incumbents best first, in place: each step moves the
+// heap's minimum behind the shrinking heap, as container/heap's Pop
+// does, so equal probabilities rank in the order repeated pops give.
+func (s *searcher) rank() []TopKResult {
+	for n := len(s.top) - 1; n > 0; n-- {
+		s.top[0], s.top[n] = s.top[n], s.top[0]
+		s.top.down(0, n)
+	}
+	return s.top
 }
 
 // checkEndpoints rejects a query whose source or destination is not a

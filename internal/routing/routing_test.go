@@ -72,7 +72,7 @@ func TestBestPathFindsValidRoute(t *testing.T) {
 	r := New(h)
 	res, err := r.BestPath(Query{
 		Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 3,
-	}, Options{Incremental: true})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestBestPathProbMonotoneInBudget(t *testing.T) {
 	for _, mult := range []float64{1.2, 2, 4} {
 		res, err := r.BestPath(Query{
 			Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * mult,
-		}, Options{Incremental: true})
+		}, Options{})
 		if err != nil {
 			t.Fatalf("budget ×%v: %v", mult, err)
 		}
@@ -116,7 +116,7 @@ func TestBestPathMethodsAgreeOnEndpoints(t *testing.T) {
 	for _, m := range []core.Method{core.MethodOD, core.MethodHP, core.MethodLB} {
 		res, err := r.BestPath(Query{
 			Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2.5,
-		}, Options{Method: m, Incremental: true})
+		}, Options{Method: m})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -131,18 +131,18 @@ func TestBestPathIncrementalMatchesBatchSearch(t *testing.T) {
 	src, dst, ff := pickQuery(t, g)
 	r := New(h)
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2}
-	inc, err := r.BestPath(q, Options{Incremental: true})
+	inc, err := r.BestPath(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat, err := r.BestPath(q, Options{Incremental: false})
+	bat, err := scratchBestPath(r, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The two searches may tie-break differently, but the best
-	// probabilities must be close.
-	if math.Abs(inc.Prob-bat.Prob) > 0.12 {
-		t.Fatalf("incremental prob %v vs batch %v", inc.Prob, bat.Prob)
+	// Resuming from the parent's state is a shortcut through the same
+	// walk: the same path at the same probability.
+	if !inc.Path.Equal(bat.Path) || inc.Prob != bat.Prob {
+		t.Fatalf("incremental %v p=%v vs from-scratch %v p=%v", inc.Path, inc.Prob, bat.Path, bat.Prob)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestBestPathErrors(t *testing.T) {
 	// network; use an impossible budget instead: probability can be 0
 	// but a path must still be reported (the best available).
 	src, dst, _ := pickQuery(t, g)
-	res, err := r.BestPath(Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: 1}, Options{Incremental: true})
+	res, err := r.BestPath(Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: 1}, Options{})
 	if err == nil && res.Prob > 0.01 {
 		t.Fatalf("1-second budget should have ~0 probability, got %v", res.Prob)
 	}
@@ -171,7 +171,7 @@ func TestSearchRejectsOutOfRangeVertex(t *testing.T) {
 	nv := graph.VertexID(g.NumVertices())
 	entries := map[string]func(Query) error{
 		"BestPath": func(q Query) error {
-			_, err := r.BestPathCtx(nil, q, Options{Incremental: true})
+			_, err := r.BestPathCtx(nil, q, Options{})
 			return err
 		},
 		"TopKPaths": func(q Query) error {
@@ -229,7 +229,7 @@ func TestPruningHappens(t *testing.T) {
 	r := New(h)
 	res, err := r.BestPath(Query{
 		Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 1.5,
-	}, Options{Incremental: true})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

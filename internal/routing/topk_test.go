@@ -11,7 +11,7 @@ func TestTopKPaths(t *testing.T) {
 	src, dst, ff := pickQuery(t, g)
 	r := New(h)
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2.5}
-	res, err := r.TopKPaths(q, 3, Options{Incremental: true})
+	res, err := r.TopKPaths(q, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestTopKConsistentWithBestPath(t *testing.T) {
 	src, dst, ff := pickQuery(t, g)
 	r := New(h)
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2}
-	best, err := r.BestPath(q, Options{Incremental: true})
+	best, err := r.BestPath(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	topk, err := r.TopKPaths(q, 3, Options{Incremental: true})
+	topk, err := r.TopKPaths(q, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestTopKMethodsRun(t *testing.T) {
 	r := New(h)
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2.2}
 	for _, m := range []core.Method{core.MethodOD, core.MethodLB} {
-		if _, err := r.TopKPaths(q, 2, Options{Method: m, Incremental: true}); err != nil {
+		if _, err := r.TopKPaths(q, 2, Options{Method: m}); err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestSkylinePaths(t *testing.T) {
 	src, dst, ff := pickQuery(t, g)
 	r := New(h)
 	q := Query{Source: src, Dest: dst, Depart: 8 * 3600, Budget: ff * 2.5}
-	sky, err := r.SkylinePaths(q, 4, Options{Incremental: true})
+	sky, err := r.SkylinePaths(q, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,6 @@ func TestDefaultTimeoutAnswers504(t *testing.T) {
 		{"distribution", ts.URL + "/v1/distribution", distributionRequest{Path: path, Depart: depart}},
 		{"route", ts.URL + "/v1/route", routeRequest{Source: src, Dest: dst, Depart: depart, Budget: budget}},
 		{"topk", ts.URL + "/v1/topk", topkRequest{RouteRequest: routeRequest{Source: src, Dest: dst, Depart: depart, Budget: budget}, K: 2}},
-		{"state", ts.URL + "/v1/state", stateRequest{Path: path, Depart: depart, UILo: depart, UIHi: depart}},
 	}
 	for _, tc := range cases {
 		status, msg := postWithBudget(t, tc.url, "", tc.body)
@@ -139,6 +138,7 @@ func TestDefaultTimeoutAnswers504(t *testing.T) {
 	status := postJSON(t, ts.URL+"/v1/batch", batchRequest{Queries: []batchQuery{
 		{Kind: "distribution", Path: path, Depart: depart},
 		{Kind: "route", Source: src, Dest: dst, Depart: depart, Budget: budget},
+		{Kind: "state", Path: path, Depart: depart, UILo: depart, UIHi: depart},
 	}}, &bresp)
 	if status != http.StatusOK {
 		t.Fatalf("batch status %d, want 200 with per-entry 504s", status)

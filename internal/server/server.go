@@ -48,7 +48,7 @@ type Config struct {
 	// shedding (requests queue until the client gives up).
 	MaxQueue int
 	// DefaultTimeout, when > 0, bounds every query request
-	// (/v1/distribution, /v1/route, /v1/topk, /v1/state, /v1/batch)
+	// (/v1/distribution, /v1/route, /v1/topk, /v1/batch)
 	// with a server-imposed deadline: the evaluation context expires
 	// after this long and the request answers 504. A client can
 	// tighten (never widen) the bound per request with the
@@ -97,10 +97,6 @@ func New(sys *pathcost.System, cfg Config) *Server {
 	s.mux.HandleFunc("/v1/route", endpoint(s, (*Server).evalRoute))
 	s.mux.HandleFunc("/v1/topk", endpoint(s, (*Server).evalTopK))
 	s.mux.HandleFunc("/v1/batch", s.gate.Batch(s.evalBatch))
-	// /v1/state is one segment of a partitioned query, evaluated against
-	// this shard's model slice: part of the cross-shard composition
-	// protocol, but stateless and safe beside the query endpoints.
-	s.mux.HandleFunc("/v1/state", endpoint(s, (*Server).evalState))
 	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	return s
@@ -146,7 +142,6 @@ type (
 	batchRequest         = api.BatchRequest
 	batchResult          = api.BatchResult
 	batchResponse        = api.BatchResponse
-	stateRequest         = api.StateRequest
 	stateResult          = api.StateResult
 )
 
@@ -319,10 +314,7 @@ func (s *Server) evalBatchEntry(ctx context.Context, sys *pathcost.System, q *ba
 		})
 		out.TopK, out.Status, out.Error = resp, status, msg
 	case "state":
-		resp, status, msg := s.evalState(ctx, sys, &stateRequest{
-			Path: q.Path, Depart: q.Depart, Method: q.Method,
-			UILo: q.UILo, UIHi: q.UIHi, State: q.State,
-		})
+		resp, status, msg := s.evalState(ctx, sys, q)
 		out.State, out.Status, out.Error = resp, status, msg
 	default:
 		out.Status = http.StatusBadRequest
@@ -421,12 +413,16 @@ func (s *Server) evalTopK(ctx context.Context, sys *pathcost.System, req *topkRe
 	return out, http.StatusOK, ""
 }
 
-// evalState validates and answers one segment evaluation; the status
-// contract matches evalDistribution. The relayed state is untrusted
-// wire data: a decode failure is the caller's 400, never a panic.
-// Segment evaluation is CPU-bound like any query, so it is charged one
-// MaxInFlight slot.
-func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *stateRequest) (*stateResult, int, string) {
+// evalState validates and answers one segment of a partitioned query,
+// a batch entry of kind "state", evaluated against this shard's model
+// slice: the cross-shard composition protocol's one door. A first
+// segment omits State and sets UILo = UIHi = Depart; a continuation
+// carries the previous segment's accumulator-only state and interval.
+// The status contract matches evalDistribution. The relayed state is
+// untrusted wire data: a decode failure is the caller's 400, never a
+// panic. Segment evaluation is CPU-bound like any query, so it is
+// charged one MaxInFlight slot.
+func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *batchQuery) (*stateResult, int, string) {
 	m, err := api.ParseMethod(req.Method)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()

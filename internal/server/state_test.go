@@ -9,14 +9,25 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/api"
 )
 
-// TestStateEndpoint drives the partial-state relay the sharded
-// coordinator runs: a first segment from a point interval, then a
+// postBatchEntry posts a one-entry /v1/batch request and returns the
+// entry's result.
+func postBatchEntry(t *testing.T, url string, q batchQuery) batchResult {
+	t.Helper()
+	var batch batchResponse
+	code := postJSON(t, url+"/v1/batch", batchRequest{Queries: []batchQuery{q}}, &batch)
+	if code != http.StatusOK || len(batch.Results) != 1 {
+		t.Fatalf("batch = %d (%d results)", code, len(batch.Results))
+	}
+	return batch.Results[0]
+}
+
+// TestBatchStateRelay drives the partial-state relay the sharded
+// coordinator runs through /v1/batch entries of kind "state", the
+// protocol's one door: a first segment from a point interval, then a
 // continuation seeded with the returned (state, UI).
-func TestStateEndpoint(t *testing.T) {
+func TestBatchStateRelay(t *testing.T) {
 	sys := testSystem(t)
 	srv := New(sys, Config{MaxInFlight: 4})
 	ts := httptest.NewServer(srv.Handler())
@@ -27,17 +38,14 @@ func TestStateEndpoint(t *testing.T) {
 		t.Fatal("need a multi-edge dense path")
 	}
 	cut := len(path) / 2
-	if cut == 0 {
-		cut = 1
-	}
 
-	var first stateResult
-	code := postJSON(t, ts.URL+"/v1/state", stateRequest{
-		Path: path[:cut], Depart: depart, UILo: depart, UIHi: depart,
-	}, &first)
-	if code != http.StatusOK {
-		t.Fatalf("first segment = %d", code)
+	r := postBatchEntry(t, ts.URL, batchQuery{
+		Kind: "state", Path: path[:cut], Depart: depart, UILo: depart, UIHi: depart,
+	})
+	if r.Status != http.StatusOK || r.State == nil {
+		t.Fatalf("first segment = %+v", r)
 	}
+	first := r.State
 	if !bytes.HasPrefix(first.State, []byte("PST\x02")) {
 		t.Fatalf("first segment state malformed: %q", first.State)
 	}
@@ -45,36 +53,19 @@ func TestStateEndpoint(t *testing.T) {
 		t.Fatalf("first segment metadata malformed: %+v", first)
 	}
 
-	var cont stateResult
-	code = postJSON(t, ts.URL+"/v1/state", stateRequest{
-		Path: path[cut:], Depart: depart,
+	r = postBatchEntry(t, ts.URL, batchQuery{
+		Kind: "state", Path: path[cut:], Depart: depart,
 		UILo: first.UILo, UIHi: first.UIHi, State: first.State,
-	}, &cont)
-	if code != http.StatusOK {
-		t.Fatalf("continuation = %d", code)
+	})
+	if r.Status != http.StatusOK || r.State == nil {
+		t.Fatalf("continuation = %+v", r)
 	}
-	if len(cont.State) == 0 || cont.Factors <= 0 {
+	if cont := r.State; len(cont.State) == 0 || cont.Factors <= 0 {
 		t.Fatalf("continuation malformed: %+v", cont)
-	}
-
-	// The batch "state" kind must answer identically to the endpoint.
-	var batch batchResponse
-	code = postJSON(t, ts.URL+"/v1/batch", api.BatchRequest{Queries: []api.BatchQuery{{
-		Kind: "state", Path: path[:cut], Depart: depart, UILo: depart, UIHi: depart,
-	}}}, &batch)
-	if code != http.StatusOK || len(batch.Results) != 1 {
-		t.Fatalf("batch state = %d (%d results)", code, len(batch.Results))
-	}
-	br := batch.Results[0]
-	if br.Status != http.StatusOK || br.State == nil {
-		t.Fatalf("batch state entry = %+v", br)
-	}
-	if !bytes.Equal(br.State.State, first.State) || br.State.Factors != first.Factors {
-		t.Fatalf("batch state diverged from /v1/state:\n%+v\nvs\n%+v", br.State, first)
 	}
 }
 
-func TestStateEndpointRejections(t *testing.T) {
+func TestBatchStateRejections(t *testing.T) {
 	sys := testSystem(t)
 	srv := New(sys, Config{MaxInFlight: 4})
 	ts := httptest.NewServer(srv.Handler())
@@ -83,40 +74,38 @@ func TestStateEndpointRejections(t *testing.T) {
 	path, depart := densePath(t, sys)
 	cases := []struct {
 		name string
-		req  stateRequest
+		q    batchQuery
 		want string
 	}{
-		{"rd", stateRequest{Path: path, Depart: depart, Method: "rd", UILo: depart, UIHi: depart},
+		{"rd", batchQuery{Path: path, Depart: depart, Method: "rd", UILo: depart, UIHi: depart},
 			"cannot be evaluated segment by segment"},
-		{"inverted ui", stateRequest{Path: path, Depart: depart, UILo: depart + 60, UIHi: depart},
+		{"inverted ui", batchQuery{Path: path, Depart: depart, UILo: depart + 60, UIHi: depart},
 			"inverted departure interval"},
-		{"garbage state", stateRequest{Path: path, Depart: depart, UILo: depart, UIHi: depart,
+		{"garbage state", batchQuery{Path: path, Depart: depart, UILo: depart, UIHi: depart,
 			State: []byte("not a pstate dump")}, "unsupported partial state"},
-		{"first not point", stateRequest{Path: path, Depart: depart, UILo: depart, UIHi: depart + 60},
+		{"first not point", batchQuery{Path: path, Depart: depart, UILo: depart, UIHi: depart + 60},
 			"point interval"},
 	}
 	for _, tc := range cases {
-		var e errorResponse
-		code := postJSON(t, ts.URL+"/v1/state", tc.req, &e)
-		if code != http.StatusBadRequest && code != http.StatusUnprocessableEntity {
-			t.Errorf("%s: status %d, want 4xx", tc.name, code)
+		tc.q.Kind = "state"
+		r := postBatchEntry(t, ts.URL, tc.q)
+		if r.Status != http.StatusBadRequest && r.Status != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 4xx", tc.name, r.Status)
 			continue
 		}
-		if !strings.Contains(e.Error, tc.want) {
-			t.Errorf("%s: error %q, want substring %q", tc.name, e.Error, tc.want)
+		if !strings.Contains(r.Error, tc.want) {
+			t.Errorf("%s: error %q, want substring %q", tc.name, r.Error, tc.want)
 		}
 	}
 
 	// An unknown batch kind must advertise the state kind.
-	var batch batchResponse
-	code := postJSON(t, ts.URL+"/v1/batch", api.BatchRequest{Queries: []api.BatchQuery{{
-		Kind: "nonsense",
-	}}}, &batch)
-	if code != http.StatusOK || len(batch.Results) != 1 {
-		t.Fatalf("batch = %d", code)
-	}
-	if got := batch.Results[0].Error; !strings.Contains(got, "state") {
+	if got := postBatchEntry(t, ts.URL, batchQuery{Kind: "nonsense"}).Error; !strings.Contains(got, "state") {
 		t.Errorf("unknown-kind error %q does not mention the state kind", got)
+	}
+
+	// The batch entry is the only door: there is no /v1/state endpoint.
+	if code := postJSON(t, ts.URL+"/v1/state", batchQuery{Path: path, Depart: depart, UILo: depart, UIHi: depart}, nil); code != http.StatusNotFound {
+		t.Errorf("POST /v1/state = %d, want 404", code)
 	}
 }
 

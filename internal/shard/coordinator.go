@@ -51,15 +51,6 @@ type Config struct {
 	// circuit breaker early — recovery never waits longer than one
 	// probe interval.
 	ProbeInterval time.Duration
-	// BreakerThreshold is the consecutive leg-failure count that opens
-	// a replica's circuit breaker (0 = 3, negative disables breaking).
-	// An open breaker routes new calls to sibling replicas for
-	// BreakerCooldown, then admits one half-open trial leg; a success
-	// closes it, a failure re-opens it for another cooldown.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker deflects a replica's
-	// traffic before the half-open trial (0 = 1s).
-	BreakerCooldown time.Duration
 	// DefaultTimeout, when > 0, bounds every client request with an
 	// end-to-end deadline: the composition context expires after this
 	// long and the request answers 504. The remaining budget is
@@ -72,6 +63,15 @@ type Config struct {
 	// here). nil means http.DefaultTransport.
 	Transport http.RoundTripper
 }
+
+// A replica's circuit breaker opens after breakerThreshold consecutive
+// leg failures. An open breaker routes new calls to sibling replicas for
+// breakerCooldown, then admits one half-open trial leg; a success
+// closes it, a failure re-opens it for another cooldown.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = time.Second
+)
 
 // replicaState is one replica's connection bookkeeping plus its
 // circuit breaker: consecFails counts leg failures since the last
@@ -107,15 +107,12 @@ func (rs *replicaState) noteSuccess() {
 	rs.healthy.Store(true)
 }
 
-func (rs *replicaState) noteFailure(cfg *Config, t time.Time) {
+func (rs *replicaState) noteFailure(t time.Time) {
 	rs.callFailures.Add(1)
 	rs.healthy.Store(false)
-	if cfg.BreakerThreshold < 0 {
-		return
-	}
-	if n := rs.consecFails.Add(1); int(n) >= cfg.BreakerThreshold {
+	if n := rs.consecFails.Add(1); n >= breakerThreshold {
 		rs.breakerTrips.Add(1)
-		rs.openUntil.Store(t.Add(cfg.BreakerCooldown).UnixNano())
+		rs.openUntil.Store(t.Add(breakerCooldown).UnixNano())
 	}
 }
 
@@ -205,12 +202,6 @@ func New(g *pathcost.Graph, part *Partition, cfg Config) (*Coordinator, error) {
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 2 * time.Second
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = time.Second
 	}
 	c := &Coordinator{
 		cfg:    cfg,
@@ -661,7 +652,7 @@ func (c *Coordinator) shardBatch(ctx context.Context, ss *shardState, breq *api.
 				return lr.resp, nil
 			}
 			lastErr = lr.err
-			lr.rs.noteFailure(&c.cfg, time.Now())
+			lr.rs.noteFailure(time.Now())
 			next(false) // a failed leg retries immediately on the next replica
 		case <-timer.C:
 			next(true) // a slow leg races the next replica

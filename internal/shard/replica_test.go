@@ -127,7 +127,7 @@ func TestKilledReplicaDegradesNothing(t *testing.T) {
 	}
 	assertCoordinatorMatchesUnion(t, rf, 40, 58)
 
-	// The dead replicas' breakers opened after BreakerThreshold
+	// The dead replicas' breakers opened after breakerThreshold
 	// consecutive failures, so the tail of the workload never even
 	// dialed them; the survivors took every leg.
 	now := time.Now()
@@ -177,20 +177,19 @@ func TestKilledReplicaDegradesNothing(t *testing.T) {
 // TestProbeClosesBreakerEarly: a revived replica does not have to wait
 // for query traffic — one successful health probe closes its breaker.
 func TestProbeClosesBreakerEarly(t *testing.T) {
-	rf := startReplicatedFleet(t, 2, 2, func(cfg *Config) {
-		// A cooldown far longer than the test: only the probe can
-		// readmit the replica.
-		cfg.BreakerCooldown = time.Hour
-	})
+	rf := startReplicatedFleet(t, 2, 2, nil)
 	rs := rf.coord.shards[0].replicas[0]
-	for i := 0; i < 3; i++ {
-		rs.noteFailure(&rf.coord.cfg, time.Now())
+	// Fixed instants inside the cooldown: only the probe can readmit the
+	// replica, however long the test takes.
+	t0 := time.Unix(1000, 0)
+	for i := 0; i < breakerThreshold; i++ {
+		rs.noteFailure(t0)
 	}
-	if rs.admitted(time.Now()) {
+	if rs.admitted(t0) {
 		t.Fatal("breaker did not open after threshold failures")
 	}
 	rf.coord.probeOnce(t.Context(), rs)
-	if !rs.admitted(time.Now()) || !rs.healthy.Load() {
+	if !rs.admitted(t0) || !rs.healthy.Load() {
 		t.Fatal("successful probe did not close the breaker")
 	}
 }
@@ -201,59 +200,41 @@ func TestProbeClosesBreakerEarly(t *testing.T) {
 // trial, closed by a successful one, and a success anywhere resets the
 // consecutive count.
 func TestBreakerStateMachine(t *testing.T) {
-	cfg := &Config{BreakerThreshold: 3, BreakerCooldown: time.Minute}
 	rs := &replicaState{}
 	rs.healthy.Store(true)
 	t0 := time.Unix(1000, 0)
 
-	rs.noteFailure(cfg, t0)
-	rs.noteFailure(cfg, t0)
+	rs.noteFailure(t0)
+	rs.noteFailure(t0)
 	if !rs.admitted(t0) {
 		t.Fatal("breaker open below threshold")
 	}
 	rs.noteSuccess()
-	rs.noteFailure(cfg, t0)
-	rs.noteFailure(cfg, t0)
+	rs.noteFailure(t0)
+	rs.noteFailure(t0)
 	if !rs.admitted(t0) {
 		t.Fatal("success did not reset the consecutive-failure count")
 	}
-	rs.noteFailure(cfg, t0)
-	if rs.admitted(t0.Add(time.Second)) {
+	rs.noteFailure(t0)
+	if rs.admitted(t0.Add(breakerCooldown / 2)) {
 		t.Fatal("breaker closed after threshold consecutive failures")
 	}
 	if rs.breakerTrips.Load() != 1 {
 		t.Fatalf("breakerTrips = %d, want 1", rs.breakerTrips.Load())
 	}
 	// Cooldown elapsed: half-open, one trial admitted.
-	half := t0.Add(time.Minute + time.Second)
+	half := t0.Add(breakerCooldown)
 	if !rs.admitted(half) {
 		t.Fatal("breaker still closed to the half-open trial")
 	}
 	// Failed trial re-opens for a fresh cooldown.
-	rs.noteFailure(cfg, half)
-	if rs.admitted(half.Add(30 * time.Second)) {
+	rs.noteFailure(half)
+	if rs.admitted(half.Add(breakerCooldown / 2)) {
 		t.Fatal("failed half-open trial did not re-open the breaker")
 	}
 	// Successful trial closes it for good.
 	rs.noteSuccess()
 	if !rs.admitted(half) || rs.consecFails.Load() != 0 {
 		t.Fatal("successful trial did not close the breaker")
-	}
-}
-
-// TestBreakerDisabled: a negative threshold turns the breaker off —
-// failures mark health but never fence the replica.
-func TestBreakerDisabled(t *testing.T) {
-	cfg := &Config{BreakerThreshold: -1, BreakerCooldown: time.Minute}
-	rs := &replicaState{}
-	t0 := time.Unix(1000, 0)
-	for i := 0; i < 10; i++ {
-		rs.noteFailure(cfg, t0)
-	}
-	if !rs.admitted(t0) {
-		t.Fatal("disabled breaker opened anyway")
-	}
-	if rs.callFailures.Load() != 10 {
-		t.Fatalf("callFailures = %d, want 10", rs.callFailures.Load())
 	}
 }

@@ -536,7 +536,7 @@ func (s *System) Route(src, dst VertexID, depart, budget float64, m Method) (*Ro
 func (s *System) RouteCtx(ctx context.Context, src, dst VertexID, depart, budget float64, m Method) (*RouteResult, error) {
 	return s.Router().BestPathCtx(ctx, routing.Query{
 		Source: src, Dest: dst, Depart: depart, Budget: budget,
-	}, routing.Options{Method: m, Incremental: true})
+	}, routing.Options{Method: m})
 }
 
 // DensePath is a query-path candidate backed by many trajectories.
@@ -640,7 +640,7 @@ func (s *System) TopKRoutes(src, dst VertexID, depart, budget float64, k int, m 
 func (s *System) TopKRoutesCtx(ctx context.Context, src, dst VertexID, depart, budget float64, k int, m Method) ([]routing.TopKResult, error) {
 	return s.Router().TopKPathsCtx(ctx, routing.Query{
 		Source: src, Dest: dst, Depart: depart, Budget: budget,
-	}, k, routing.Options{Method: m, Incremental: true})
+	}, k, routing.Options{Method: m})
 }
 
 // ---------------------------------------------------------------------------
