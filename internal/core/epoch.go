@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -83,17 +84,30 @@ func (h *HybridGraph) touchedFromBatch(batch []*gps.Matched) map[string]*touched
 	return touched
 }
 
+// CheckTrajectory is the admission rule for a matched trajectory the
+// trainer is to consume: it is not nil, it passes Matched.Validate
+// against the model's graph, and it carries emissions when the model's
+// cost domain is emissions. The error's text continues the name of the
+// trajectory (" is nil", ": " and Validate's error, which it wraps), so
+// validateBatch reports "core: batch trajectory 3 is nil".
+func (h *HybridGraph) CheckTrajectory(m *gps.Matched) error {
+	if m == nil {
+		return errors.New(" is nil")
+	}
+	if err := m.Validate(h.G); err != nil {
+		return fmt.Errorf(": %w", err)
+	}
+	if h.Params.Domain == DomainEmissions && m.Emissions == nil {
+		return errors.New(" has no emissions but the model's cost domain is emissions")
+	}
+	return nil
+}
+
 // validateBatch rejects trajectories the trainer could not consume.
 func (h *HybridGraph) validateBatch(batch []*gps.Matched) error {
 	for i, m := range batch {
-		if m == nil {
-			return fmt.Errorf("core: batch trajectory %d is nil", i)
-		}
-		if err := m.Validate(h.G); err != nil {
-			return fmt.Errorf("core: batch trajectory %d: %w", i, err)
-		}
-		if h.Params.Domain == DomainEmissions && m.Emissions == nil {
-			return fmt.Errorf("core: batch trajectory %d has no emissions but the model's cost domain is emissions", i)
+		if err := h.CheckTrajectory(m); err != nil {
+			return fmt.Errorf("core: batch trajectory %d%w", i, err)
 		}
 	}
 	return nil

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // WeightFunc assigns a non-negative traversal cost to an edge. It is
 // the routing-time analogue of the paper's deterministic edge weights;
@@ -16,34 +13,11 @@ func LengthWeight(e Edge) float64 { return e.LengthM }
 // FreeFlowWeight weighs edges by free-flow travel time in seconds.
 func FreeFlowWeight(e Edge) float64 { return e.FreeFlowSeconds() }
 
-type pqItem struct {
-	vertex VertexID
-	dist   float64
-	index  int
-}
-
-type priorityQueue []*pqItem
-
-func (pq priorityQueue) Len() int           { return len(pq) }
-func (pq priorityQueue) Less(i, j int) bool { return pq[i].dist < pq[j].dist }
-func (pq priorityQueue) Swap(i, j int)      { pq[i], pq[j] = pq[j], pq[i]; pq[i].index = i; pq[j].index = j }
-func (pq *priorityQueue) Push(x interface{}) {
-	it := x.(*pqItem)
-	it.index = len(*pq)
-	*pq = append(*pq, it)
-}
-func (pq *priorityQueue) Pop() interface{} {
-	old := *pq
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*pq = old[:n-1]
-	return it
-}
-
 // ShortestPath runs Dijkstra from src to dst under w and returns the
 // path as an edge sequence. ok is false when dst is unreachable or
-// src == dst.
+// src == dst. Which of several equally short paths it returns is decided
+// by the order in which equal keys pop, and DistHeap pops them in
+// container/heap's order (TestShortestPathMatchesContainerHeap).
 func (g *Graph) ShortestPath(src, dst VertexID, w WeightFunc) (p Path, dist float64, ok bool) {
 	if src == dst {
 		return nil, 0, false
@@ -55,29 +29,22 @@ func (g *Graph) ShortestPath(src, dst VertexID, w WeightFunc) (p Path, dist floa
 		edgeTo[i] = NoEdge
 	}
 	distTo[src] = 0
-
-	pq := &priorityQueue{}
-	heap.Init(pq)
-	heap.Push(pq, &pqItem{vertex: src, dist: 0})
-	settled := make([]bool, len(g.vertices))
-
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(*pqItem)
-		v := it.vertex
-		if settled[v] {
+	var h DistHeap
+	h.Push(VertexDist{src, 0})
+	for len(h) > 0 {
+		it := h.Pop()
+		if it.D > distTo[it.V] {
 			continue
 		}
-		settled[v] = true
-		if v == dst {
+		if it.V == dst {
 			break
 		}
-		for _, eid := range g.out[v] {
+		for _, eid := range g.out[it.V] {
 			e := g.edges[eid]
-			nd := distTo[v] + w(e)
-			if nd < distTo[e.To] {
+			if nd := it.D + w(e); nd < distTo[e.To] {
 				distTo[e.To] = nd
 				edgeTo[e.To] = eid
-				heap.Push(pq, &pqItem{vertex: e.To, dist: nd})
+				h.Push(VertexDist{e.To, nd})
 			}
 		}
 	}
@@ -113,26 +80,25 @@ func (g *Graph) ReverseShortestDistances(dst VertexID, w WeightFunc) []float64 {
 }
 
 // distances is Dijkstra from src over the out-edges, or the in-edges
-// when reverse. A distance is the least of its relaxations whatever
-// order equal keys pop in, so the heap holds values (ShortestPath, whose
-// edgeTo that order decides, keeps container/heap). A stale entry is
-// skipped, so each vertex is expanded once, at its final distance.
+// when reverse. Unlike ShortestPath it tracks no predecessors and runs
+// to exhaustion. A stale entry is skipped, so each vertex is expanded
+// once, at its final distance.
 func (g *Graph) distances(src VertexID, w WeightFunc, reverse bool) []float64 {
 	dist := make([]float64, len(g.vertices))
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	var h distHeap
-	h.push(vertexDist{src, 0})
+	var h DistHeap
+	h.Push(VertexDist{src, 0})
 	for len(h) > 0 {
-		it := h.pop()
-		if it.d > dist[it.v] {
+		it := h.Pop()
+		if it.D > dist[it.V] {
 			continue
 		}
-		adj := g.out[it.v]
+		adj := g.out[it.V]
 		if reverse {
-			adj = g.in[it.v]
+			adj = g.in[it.V]
 		}
 		for _, eid := range adj {
 			e := g.edges[eid]
@@ -140,29 +106,37 @@ func (g *Graph) distances(src VertexID, w WeightFunc, reverse bool) []float64 {
 			if reverse {
 				u = e.From
 			}
-			if nd := it.d + w(e); nd < dist[u] {
+			if nd := it.D + w(e); nd < dist[u] {
 				dist[u] = nd
-				h.push(vertexDist{u, nd})
+				h.Push(VertexDist{u, nd})
 			}
 		}
 	}
 	return dist
 }
 
-type vertexDist struct {
-	v VertexID
-	d float64
+// VertexDist is a (vertex, distance) entry of a DistHeap.
+type VertexDist struct {
+	V VertexID
+	D float64
 }
 
-// distHeap is a binary min-heap on d.
-type distHeap []vertexDist
+// DistHeap is the binary min-heap on D under every Dijkstra of the
+// module: this package's and the map matcher's bounded search. It holds
+// values, so a push allocates nothing once the slice has grown, and its
+// sift steps make container/heap's comparisons and swaps exactly, so the
+// same pushes pop in the same order, equal keys included — the order
+// that decides which of two equally short routes a search takes. A
+// stale entry is the caller's to skip.
+type DistHeap []VertexDist
 
-func (h *distHeap) push(it vertexDist) {
+// Push adds it to the heap.
+func (h *DistHeap) Push(it VertexDist) {
 	*h = append(*h, it)
 	s := *h
 	for j := len(s) - 1; j > 0; {
 		i := (j - 1) / 2 // parent
-		if !(s[j].d < s[i].d) {
+		if !(s[j].D < s[i].D) {
 			break
 		}
 		s[i], s[j] = s[j], s[i]
@@ -170,7 +144,9 @@ func (h *distHeap) push(it vertexDist) {
 	}
 }
 
-func (h *distHeap) pop() vertexDist {
+// Pop removes and returns the entry of least D; the heap must not be
+// empty.
+func (h *DistHeap) Pop() VertexDist {
 	s := *h
 	n := len(s) - 1
 	s[0], s[n] = s[n], s[0]
@@ -179,10 +155,10 @@ func (h *distHeap) pop() vertexDist {
 		if j >= n {
 			break
 		}
-		if r := j + 1; r < n && s[r].d < s[j].d {
+		if r := j + 1; r < n && s[r].D < s[j].D {
 			j = r
 		}
-		if !(s[j].d < s[i].d) {
+		if !(s[j].D < s[i].D) {
 			break
 		}
 		s[i], s[j] = s[j], s[i]

@@ -8,9 +8,11 @@
 //
 // The package is deliberately decoupled from the model: it knows how
 // to turn raw fixes into validated Matched observations and hand them
-// off, nothing more. That keeps the matcher pool reusable (offline
-// bulk loads and the /v1/ingest endpoint share it) and keeps the
-// model's epoch lifecycle the single owner of delta staging.
+// off, nothing more. That keeps the matcher pool reusable — it is the
+// only one: the /v1/ingest endpoint stages into the model, and the
+// offline bulk loader, pathcost.MatchTrajectories, runs one batch into a
+// collecting Sink — and keeps the model's epoch lifecycle the single
+// owner of delta staging.
 //
 // A Pipeline builds its mapmatch.Matcher once, in New: the projection,
 // per-edge segments and grid index cover the whole network, so building

@@ -100,9 +100,8 @@ func (p *Pipeline) IngestRaw(raw []*gps.Trajectory) BatchStats {
 			results[i] = p.matchOne(raw[i])
 		}
 	} else {
-		// Same work-stealing shape as the bulk loader: workers pull
-		// indexes from a shared counter so a pocket of hard traces
-		// cannot idle the pool.
+		// Workers pull indexes from a shared counter, not contiguous
+		// chunks, so a pocket of hard traces cannot idle the pool.
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -145,10 +144,11 @@ func (p *Pipeline) IngestRaw(raw []*gps.Trajectory) BatchStats {
 	return st
 }
 
-// matchOne matches one trace, returning nil when it cannot be aligned
-// with the network or the alignment fails validation.
+// matchOne matches one trace, returning nil when it is nil or malformed
+// (the matcher validates it first), cannot be aligned with the network,
+// or the alignment fails validation.
 func (p *Pipeline) matchOne(tr *gps.Trajectory) *gps.Matched {
-	if tr == nil || tr.Validate() != nil {
+	if tr == nil {
 		return nil
 	}
 	timed, err := p.matcher.MatchToTimed(tr)

@@ -19,8 +19,9 @@
 // match mutates — the bounded Dijkstra's distance table and heap, the
 // candidate lookup's "edge already measured" marks — is a search taken
 // from the matcher's pool once per trajectory, invalidated between uses
-// by a generation stamp instead of being cleared or reallocated. Batch
-// ingestion parallelism lives one level up: pathcost.MatchTrajectories
-// shards a trajectory batch across a pool of matchers (Config.Workers),
-// and an ingest.Pipeline shares one Matcher among its workers.
+// by a generation stamp instead of being cleared or reallocated. The
+// Dijkstra heap is graph.DistHeap, the one ShortestPath runs on. Batch
+// ingestion parallelism lives one level up, in one pool: an
+// ingest.Pipeline shares one Matcher among its workers, for streaming
+// ingestion and for pathcost.MatchTrajectories' bulk loads alike.
 package mapmatch

@@ -23,10 +23,6 @@ type Config struct {
 	// MaxRouteDistM bounds the Dijkstra expansion between consecutive
 	// fixes.
 	MaxRouteDistM float64
-	// Workers parallelizes batch ingestion (pathcost.MatchTrajectories)
-	// across a goroutine pool, one Matcher per worker; ≤ 1 matches
-	// sequentially. Results are identical either way.
-	Workers int
 }
 
 // DefaultConfig mirrors the Newson–Krumm calibration at urban scale.
@@ -368,9 +364,9 @@ func (m *Matcher) routeDistances(s *search, pc candidate, next []candidate) []fl
 	// Dijkstra from the end vertex of pc's edge, bounded by the radius.
 	s.begin()
 	s.set(eFrom.To, remOnEdge)
-	s.push(VertexDist{V: eFrom.To, D: remOnEdge})
+	s.heap.Push(graph.VertexDist{V: eFrom.To, D: remOnEdge})
 	for found := 0; len(s.heap) > 0 && found < remaining; {
-		it := s.pop()
+		it := s.heap.Pop()
 		if it.D > s.dist[it.V] {
 			continue
 		}
@@ -391,32 +387,25 @@ func (m *Matcher) routeDistances(s *search, pc candidate, next []candidate) []fl
 			nd := it.D + e.LengthM
 			if cur, ok := s.get(e.To); !ok || nd < cur {
 				s.set(e.To, nd)
-				s.push(VertexDist{V: e.To, D: nd})
+				s.heap.Push(graph.VertexDist{V: e.To, D: nd})
 			}
 		}
 	}
 	return out
 }
 
-// VertexDist is a (vertex, distance) heap entry.
-type VertexDist struct {
-	V graph.VertexID
-	D float64
-}
-
 // search is the scratch state one decode keeps across its fixes, so
 // that neither the candidate lookup nor the bounded Dijkstra allocates
 // per call: per-vertex distances and per-edge marks that count only
 // where their stamp is the current generation (begin starts a new one
-// instead of clearing them), and a binary min-heap on D that makes
-// container/heap's moves exactly — the order in which equal distances
-// pop decides which route a tie takes.
+// instead of clearing them), and the Dijkstra heap, graph.DistHeap,
+// whose pop order of equal distances decides which route a tie takes.
 type search struct {
 	dist     []float64 // tentative distance, valid where stamp == gen
 	stamp    []uint32
 	edgeSeen []uint32 // == gen where candidatesNear measured the edge
 	gen      uint32
-	heap     []VertexDist
+	heap     graph.DistHeap
 }
 
 // getSearch takes a search from the matcher's pool, sized to the graph.
@@ -448,41 +437,6 @@ func (s *search) get(v graph.VertexID) (float64, bool) {
 
 func (s *search) set(v graph.VertexID, d float64) {
 	s.dist[v], s.stamp[v] = d, s.gen
-}
-
-func (s *search) push(it VertexDist) {
-	h := append(s.heap, it)
-	s.heap = h
-	for j := len(h) - 1; ; {
-		i := (j - 1) / 2 // parent
-		if i == j || !(h[j].D < h[i].D) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (s *search) pop() VertexDist {
-	h := s.heap
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && h[r].D < h[j].D {
-			j = r
-		}
-		if !(h[j].D < h[i].D) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	s.heap = h[:n]
-	return h[n]
 }
 
 // MatchToTimed matches the trajectory and estimates per-edge travel

@@ -47,7 +47,7 @@ func oracleRouteDistances(m *Matcher, pc candidate, next []candidate) []float64 
 	found := 0
 	want := remaining
 	for pq.Len() > 0 && found < want {
-		it := heap.Pop(pq).(VertexDist)
+		it := heap.Pop(pq).(graph.VertexDist)
 		if it.D > dist[it.V] {
 			continue
 		}
@@ -69,19 +69,19 @@ func oracleRouteDistances(m *Matcher, pc candidate, next []candidate) []float64 
 			nd := it.D + e.LengthM
 			if cur, ok := dist[e.To]; !ok || nd < cur {
 				dist[e.To] = nd
-				heap.Push(pq, VertexDist{V: e.To, D: nd})
+				heap.Push(pq, graph.VertexDist{V: e.To, D: nd})
 			}
 		}
 	}
 	return out
 }
 
-type vdHeap []VertexDist
+type vdHeap []graph.VertexDist
 
 func (h vdHeap) Len() int            { return len(h) }
 func (h vdHeap) Less(i, j int) bool  { return h[i].D < h[j].D }
 func (h vdHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *vdHeap) Push(x interface{}) { *h = append(*h, x.(VertexDist)) }
+func (h *vdHeap) Push(x interface{}) { *h = append(*h, x.(graph.VertexDist)) }
 func (h *vdHeap) Pop() interface{} {
 	old := *h
 	n := len(old)

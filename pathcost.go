@@ -690,11 +690,11 @@ func (s *System) AttachWAL(l *wal.Log) (replayedBatches, replayedTrajs int) {
 	pending := l.Pending()
 	s.stageMu.Lock()
 	s.wlog = l
+	h := s.Hybrid()
 	for _, rec := range pending {
 		ok := make([]*Matched, 0, len(rec.Batch))
 		for _, m := range rec.Batch {
-			if m == nil || m.Validate(s.Graph) != nil ||
-				(s.Params.Domain == DomainEmissions && m.Emissions == nil) {
+			if h.CheckTrajectory(m) != nil {
 				continue
 			}
 			ok = append(ok, m)
@@ -772,9 +772,9 @@ func (s *System) WALStats() (st wal.Stats, errs WALErrors, ok bool) {
 // would turn a later crash into silent loss.
 func (s *System) StageTrajectories(batch []*Matched) (accepted, rejected int) {
 	ok := make([]*Matched, 0, len(batch))
+	h := s.Hybrid()
 	for _, m := range batch {
-		if m == nil || m.Validate(s.Graph) != nil ||
-			(s.Params.Domain == DomainEmissions && m.Emissions == nil) {
+		if h.CheckTrajectory(m) != nil {
 			rejected++
 			continue
 		}

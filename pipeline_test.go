@@ -88,4 +88,32 @@ func TestMatchTrajectoriesEmptyAndBroken(t *testing.T) {
 	if _, st, err := MatchTrajectories(g, []*Trajectory{tr}, MatcherConfig{}); err == nil {
 		t.Fatalf("unmatchable input accepted (stats %+v)", st)
 	}
+
+	// A nil trace is one failed match, never a crash — with a pool too,
+	// where a panic would take the process down beyond any recover.
+	_, raw := rawFixture(3, 20)
+	want, base, err := MatchTrajectories(g, raw, MatcherConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two nils and the unmatchable trace (two fixes) around the batch.
+	withNil := append([]*Trajectory{nil}, append(raw[:len(raw):len(raw)], nil, tr)...)
+	wantSt := MatchStats{Matched: base.Matched, Failed: base.Failed + 3, Records: base.Records + 2}
+	for _, workers := range []int{1, 4} {
+		got, st, err := MatchTrajectories(g, withNil, MatcherConfig{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if st != wantSt {
+			t.Fatalf("workers=%d: stats %+v, want %+v", workers, st, wantSt)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("workers=%d: %d matched, want %d", workers, got.Len(), want.Len())
+		}
+		for i := 0; i < want.Len(); i++ {
+			if a, b := got.Traj(i), want.Traj(i); a.ID != b.ID || !a.Path.Equal(b.Path) {
+				t.Fatalf("workers=%d: trajectory %d is %d %v, want %d %v", workers, i, a.ID, a.Path, b.ID, b.Path)
+			}
+		}
+	}
 }
