@@ -98,8 +98,10 @@ func (g *Gate) Release() { <-g.sem }
 // its bound, rather than stacking another waiter behind the slots, and
 // reports whether it did. It runs before the body is read, so a shed
 // request costs close to nothing. 429 means "healthy but full, back
-// off": the coordinator's hedging treats it as advisory, unlike the
-// 503 of a shard failure.
+// off". A coordinator leg that gets one fails like any non-200: the
+// call retries on the next sibling replica at once, and the failure
+// counts toward that replica's breaker, whose cooldown is the back-off
+// Retry-After asks for.
 func (g *Gate) ShedIfOverloaded(w http.ResponseWriter) bool {
 	if g.maxQueue <= 0 || g.Queued.Load() < g.maxQueue {
 		return false

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/gps"
@@ -244,6 +247,57 @@ func GroundTruthInterval(data *gps.Collection, p graph.Path, iv int, params Para
 		return nil, len(samples), err
 	}
 	return hg, len(samples), nil
+}
+
+// DensePath is a query-path candidate backed by many trajectories.
+type DensePath struct {
+	Path     graph.Path
+	Interval int // α-interval index of the arrivals
+	Count    int // trajectories traversing Path in Interval
+}
+
+// DensePaths scans data for sub-paths of the given cardinality with at
+// least minCount traversals arriving within one α-interval — the
+// workload selector behind the paper's accuracy experiments (Figures 4,
+// 13, 14). The order is total: most traversals first, then by path key,
+// then by interval, so every call answers in the same order.
+func DensePaths(data *gps.Collection, params Params, cardinality, minCount int) []DensePath {
+	type key struct {
+		pk string
+		iv int
+	}
+	type entry struct {
+		pk string
+		DensePath
+	}
+	found := make(map[key]*entry)
+	for i := 0; i < data.Len(); i++ {
+		m := data.Traj(i)
+		for pos := 0; pos+cardinality <= len(m.Path); pos++ {
+			sub := m.Path[pos : pos+cardinality]
+			k := key{pk: sub.Key(), iv: params.IntervalOf(m.ArrivalAt(pos))}
+			e := found[k]
+			if e == nil {
+				e = &entry{pk: k.pk, DensePath: DensePath{Path: sub.Clone(), Interval: k.iv}}
+				found[k] = e
+			}
+			e.Count++
+		}
+	}
+	var dense []*entry
+	for _, e := range found {
+		if e.Count >= minCount {
+			dense = append(dense, e)
+		}
+	}
+	slices.SortFunc(dense, func(a, b *entry) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.pk, b.pk), cmp.Compare(a.Interval, b.Interval))
+	})
+	out := make([]DensePath, len(dense))
+	for i, e := range dense {
+		out[i] = e.DensePath
+	}
+	return out
 }
 
 // domainCost sums the configured-domain costs of a trajectory sub-path.

@@ -19,14 +19,14 @@ var methodsUnderTest = []core.Method{core.MethodOD, core.MethodLB, core.MethodRD
 // work"), while β−1 supporters stay so the path's *edges* keep their
 // data — exactly the sparse regime the decomposition methods exist
 // for. The ground truth is still computed from the full data set.
-func heldOutHybrid(e *Env, params core.Params, queries []densePath) (*core.HybridGraph, error) {
+func heldOutHybrid(e *Env, params core.Params, queries []core.DensePath) (*core.HybridGraph, error) {
 	hold := make(map[int64]bool)
 	data := e.Data()
 	for _, dp := range queries {
 		var ids []int64
-		for _, oc := range data.OccurrencesOfPath(dp.path) {
+		for _, oc := range data.OccurrencesOfPath(dp.Path) {
 			m := data.Traj(oc.Traj)
-			if params.IntervalOf(m.ArrivalAt(oc.Pos)) == dp.interval {
+			if params.IntervalOf(m.ArrivalAt(oc.Pos)) == dp.Interval {
 				ids = append(ids, m.ID)
 			}
 		}
@@ -47,27 +47,27 @@ func heldOutHybrid(e *Env, params core.Params, queries []densePath) (*core.Hybri
 // mostIllustrative evaluates the candidates and returns the one with
 // the largest KL(GT, LB) − KL(GT, OD) gap, with its ground truth and
 // the held-out hybrid graph trained for it.
-func mostIllustrative(e *Env, params core.Params, candidates []densePath) (densePath, *hist.Histogram, *core.HybridGraph, error) {
-	var bestDP densePath
+func mostIllustrative(e *Env, params core.Params, candidates []core.DensePath) (core.DensePath, *hist.Histogram, *core.HybridGraph, error) {
+	var bestDP core.DensePath
 	var bestGT *hist.Histogram
 	var bestH *core.HybridGraph
 	bestGap := mathInfNeg()
 	var firstErr error
 	for _, dp := range candidates {
-		gt, _, err := core.GroundTruthInterval(e.Data(), dp.path, dp.interval, params)
+		gt, _, err := core.GroundTruthInterval(e.Data(), dp.Path, dp.Interval, params)
 		if err != nil {
 			continue
 		}
-		h, err := heldOutHybrid(e, params, []densePath{dp})
+		h, err := heldOutHybrid(e, params, []core.DensePath{dp})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		depart := departureFor(params, dp.interval)
-		od, err1 := h.CostDistribution(dp.path, depart, core.QueryOptions{Method: core.MethodOD})
-		lb, err2 := h.CostDistribution(dp.path, depart, core.QueryOptions{Method: core.MethodLB})
+		depart := departureFor(params, dp.Interval)
+		od, err1 := h.CostDistribution(dp.Path, depart, core.QueryOptions{Method: core.MethodOD})
+		lb, err2 := h.CostDistribution(dp.Path, depart, core.QueryOptions{Method: core.MethodLB})
 		if err1 != nil || err2 != nil {
 			continue
 		}
@@ -80,7 +80,7 @@ func mostIllustrative(e *Env, params core.Params, candidates []densePath) (dense
 		if firstErr == nil {
 			firstErr = fmt.Errorf("fig13: no candidate with ground truth")
 		}
-		return densePath{}, nil, nil, firstErr
+		return core.DensePath{}, nil, nil, firstErr
 	}
 	return bestDP, bestGT, bestH, nil
 }
@@ -90,10 +90,10 @@ func mathInfNeg() float64 { return -1e308 }
 // moderateSupport keeps query paths whose support is high enough for
 // a ground truth but not so high that holding their trajectories out
 // would drain the corridor's entire data (support in [2β, 8β]).
-func moderateSupport(ds []densePath, params core.Params, limit int) []densePath {
-	var out []densePath
+func moderateSupport(ds []core.DensePath, params core.Params, limit int) []core.DensePath {
+	var out []core.DensePath
 	for _, dp := range ds {
-		if dp.count <= 8*params.Beta {
+		if dp.Count <= 8*params.Beta {
 			out = append(out, dp)
 			if limit > 0 && len(out) == limit {
 				break
@@ -132,15 +132,15 @@ func Fig13(e *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	depart := departureFor(params, dp.interval)
+	depart := departureFor(params, dp.Interval)
 	t := &Table{
 		ID:     "fig13",
-		Title:  fmt.Sprintf("Estimated distributions on one held-out path, %s (|P|=%d, support %d)", e.Cfg.Name, len(dp.path), dp.count),
+		Title:  fmt.Sprintf("Estimated distributions on one held-out path, %s (|P|=%d, support %d)", e.Cfg.Name, len(dp.Path), dp.Count),
 		Header: []string{"method", "mean", "p10", "p50", "p90", "KL vs GT"},
 	}
 	t.AddRow("GT", f2(gt.Mean()), f2(gt.Quantile(0.1)), f2(gt.Quantile(0.5)), f2(gt.Quantile(0.9)), "0")
 	for _, m := range methodsUnderTest {
-		res, err := h.CostDistribution(dp.path, depart, core.QueryOptions{Method: m, Seed: 1})
+		res, err := h.CostDistribution(dp.Path, depart, core.QueryOptions{Method: m, Seed: 1})
 		if err != nil {
 			return nil, fmt.Errorf("fig13 %s: %w", m, err)
 		}
@@ -177,15 +177,15 @@ func Fig14(e *Env) (*Table, error) {
 		sums := make(map[core.Method]float64)
 		n := 0
 		for _, dp := range queries {
-			gt, _, err := core.GroundTruthInterval(e.Data(), dp.path, dp.interval, params)
+			gt, _, err := core.GroundTruthInterval(e.Data(), dp.Path, dp.Interval, params)
 			if err != nil {
 				continue
 			}
-			depart := departureFor(params, dp.interval)
+			depart := departureFor(params, dp.Interval)
 			ok := true
 			vals := make(map[core.Method]float64)
 			for _, m := range methodsUnderTest {
-				res, err := h.CostDistribution(dp.path, depart, core.QueryOptions{Method: m, Seed: int64(n)})
+				res, err := h.CostDistribution(dp.Path, depart, core.QueryOptions{Method: m, Seed: int64(n)})
 				if err != nil {
 					ok = false
 					break

@@ -64,11 +64,11 @@ func Fig4(e *Env) (*Table, error) {
 	bins := []float64{0, 0, 0, 0} // [0,.5) [.5,1) [1,1.5) >=1.5
 	n := 0
 	for _, dp := range dense {
-		gt, _, err := core.GroundTruthInterval(e.Data(), dp.path, dp.interval, params)
+		gt, _, err := core.GroundTruthInterval(e.Data(), dp.Path, dp.Interval, params)
 		if err != nil {
 			continue
 		}
-		lb, err := h.CostDistribution(dp.path, departureFor(params, dp.interval), core.QueryOptions{Method: core.MethodLB})
+		lb, err := h.CostDistribution(dp.Path, departureFor(params, dp.Interval), core.QueryOptions{Method: core.MethodLB})
 		if err != nil {
 			continue
 		}
@@ -100,11 +100,11 @@ func Fig4(e *Env) (*Table, error) {
 		var sum float64
 		cnt := 0
 		for _, dp := range dps {
-			gt, _, err := core.GroundTruthInterval(e.Data(), dp.path, dp.interval, params)
+			gt, _, err := core.GroundTruthInterval(e.Data(), dp.Path, dp.Interval, params)
 			if err != nil {
 				continue
 			}
-			lb, err := h.CostDistribution(dp.path, departureFor(params, dp.interval), core.QueryOptions{Method: core.MethodLB})
+			lb, err := h.CostDistribution(dp.Path, departureFor(params, dp.Interval), core.QueryOptions{Method: core.MethodLB})
 			if err != nil {
 				continue
 			}
@@ -131,9 +131,9 @@ func Fig5(e *Env) (*Table, error) {
 	dp := dense[0]
 	var samples []float64
 	data := e.Data()
-	for _, oc := range data.OccurrencesOfPath(dp.path) {
+	for _, oc := range data.OccurrencesOfPath(dp.Path) {
 		m := data.Traj(oc.Traj)
-		if params.IntervalOf(m.ArrivalAt(oc.Pos)) == dp.interval {
+		if params.IntervalOf(m.ArrivalAt(oc.Pos)) == dp.Interval {
 			samples = append(samples, m.EdgeCosts[oc.Pos])
 		}
 	}
@@ -177,9 +177,9 @@ func Fig11(e *Env) (*Table, error) {
 	n := 0
 	for _, dp := range dense {
 		var samples []float64
-		for _, oc := range data.OccurrencesOfPath(dp.path) {
+		for _, oc := range data.OccurrencesOfPath(dp.Path) {
 			m := data.Traj(oc.Traj)
-			if params.IntervalOf(m.ArrivalAt(oc.Pos)) == dp.interval {
+			if params.IntervalOf(m.ArrivalAt(oc.Pos)) == dp.Interval {
 				samples = append(samples, m.EdgeCosts[oc.Pos])
 			}
 		}

@@ -96,7 +96,7 @@ func (e *Env) Params() core.Params {
 
 // densePathsRelaxed looks for dense paths at the ideal support level
 // and falls back to the β threshold when the scaled workload has none.
-func (e *Env) densePathsRelaxed(params core.Params, card, ideal, limit int) []densePath {
+func (e *Env) densePathsRelaxed(params core.Params, card, ideal, limit int) []core.DensePath {
 	if out := e.densePaths(params, card, ideal, limit); len(out) > 0 {
 		return out
 	}
@@ -132,60 +132,14 @@ func (e *Env) Hybrid(params core.Params, fraction float64) (*core.HybridGraph, e
 // Data returns the full trajectory collection.
 func (e *Env) Data() *gps.Collection { return e.Res.Collection }
 
-// densePaths finds sub-paths of the given cardinality with at least
-// minCount traversals within one α-interval, most supported first.
-func (e *Env) densePaths(params core.Params, cardinality, minCount, limit int) []densePath {
-	type key struct {
-		pk string
-		iv int
-	}
-	counts := make(map[key]int)
-	samples := make(map[key]graph.Path)
-	data := e.Res.Collection
-	for i := 0; i < data.Len(); i++ {
-		m := data.Traj(i)
-		for pos := 0; pos+cardinality <= len(m.Path); pos++ {
-			sub := m.Path[pos : pos+cardinality]
-			iv := params.IntervalOf(m.ArrivalAt(pos))
-			k := key{pk: sub.Key(), iv: iv}
-			counts[k]++
-			if _, ok := samples[k]; !ok {
-				samples[k] = sub.Clone()
-			}
-		}
-	}
-	var out []densePath
-	for k, c := range counts {
-		if c >= minCount {
-			out = append(out, densePath{path: samples[k], interval: k.iv, count: c})
-		}
-	}
-	sortDense(out)
+// densePaths is core.DensePaths over the workload, cut to its first
+// limit entries when limit > 0.
+func (e *Env) densePaths(params core.Params, cardinality, minCount, limit int) []core.DensePath {
+	out := core.DensePaths(e.Res.Collection, params, cardinality, minCount)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
 	return out
-}
-
-type densePath struct {
-	path     graph.Path
-	interval int
-	count    int
-}
-
-func sortDense(ds []densePath) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && less(ds[j], ds[j-1]); j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-}
-
-func less(a, b densePath) bool {
-	if a.count != b.count {
-		return a.count > b.count
-	}
-	return a.path.Key() < b.path.Key()
 }
 
 // randomPaths samples n simple paths of exactly card edges, seeded

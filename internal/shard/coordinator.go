@@ -45,11 +45,11 @@ type Config struct {
 	// without waiting for the timer.
 	HedgeAfter time.Duration
 	// ProbeInterval spaces health probes per replica (0 = 2s, negative
-	// disables probing). A probe GETs the replica's /v1/stats. Probes
-	// feed /v1/stats (health, and each region's epoch as of the last
-	// probe) and /metrics, and a successful probe closes a replica's
-	// circuit breaker early — recovery never waits longer than one
-	// probe interval.
+	// disables probing). A probe GETs the replica's /v1/stats and is
+	// observed exactly like a shard call leg: a success closes the
+	// replica's circuit breaker — recovery never waits longer than one
+	// probe interval — and breakerThreshold failures in a row open it.
+	// Probes also record each region's epoch for /v1/stats.
 	ProbeInterval time.Duration
 	// DefaultTimeout, when > 0, bounds every client request with an
 	// end-to-end deadline: the composition context expires after this
@@ -65,20 +65,18 @@ type Config struct {
 }
 
 // A replica's circuit breaker opens after breakerThreshold consecutive
-// leg failures. An open breaker routes new calls to sibling replicas for
-// breakerCooldown, then admits one half-open trial leg; a success
-// closes it, a failure re-opens it for another cooldown.
+// failed observations and fences the replica out for breakerCooldown.
 const (
 	breakerThreshold = 3
 	breakerCooldown  = time.Second
 )
 
-// replicaState is one replica's connection bookkeeping plus its
-// circuit breaker: consecFails counts leg failures since the last
+// replicaState is one replica's connection bookkeeping plus its state
+// machine: consecFails counts failed observations since the last
 // success, openUntil (unix nanos) fences the replica out while > now.
+// observe is the only writer of both.
 type replicaState struct {
 	base          string
-	healthy       atomic.Bool
 	probes        atomic.Uint64
 	probeFailures atomic.Uint64
 	calls         atomic.Uint64
@@ -92,28 +90,34 @@ type replicaState struct {
 	epoch atomic.Pointer[uint64]
 }
 
-// admitted reports whether the breaker lets a leg through at t. Once
-// the cooldown elapses the breaker is half-open: legs flow again, and
-// the first one decides whether it closes (noteSuccess) or re-opens
-// (noteFailure — consecFails is still past threshold).
-func (rs *replicaState) admitted(t time.Time) bool {
-	open := rs.openUntil.Load()
-	return open == 0 || t.UnixNano() >= open
-}
-
-func (rs *replicaState) noteSuccess() {
-	rs.consecFails.Store(0)
-	rs.openUntil.Store(0)
-	rs.healthy.Store(true)
-}
-
-func (rs *replicaState) noteFailure(t time.Time) {
-	rs.callFailures.Add(1)
-	rs.healthy.Store(false)
+// observe is the replica state machine's one transition, fed by every
+// shard call leg and every health probe alike (the table in
+// docs/ARCHITECTURE.md, "Failure domains & recovery"). A nil err is a
+// success: the failure count resets and the breaker closes. A failure
+// at t counts one more, and from breakerThreshold on (re-)opens the
+// breaker until t + breakerCooldown — so a failed half-open trial
+// re-opens it at once.
+func (rs *replicaState) observe(err error, t time.Time) {
+	if err == nil {
+		rs.consecFails.Store(0)
+		rs.openUntil.Store(0)
+		return
+	}
 	if n := rs.consecFails.Add(1); n >= breakerThreshold {
 		rs.breakerTrips.Add(1)
 		rs.openUntil.Store(t.Add(breakerCooldown).UnixNano())
 	}
+}
+
+// healthy reports whether the replica's last observation succeeded.
+func (rs *replicaState) healthy() bool { return rs.consecFails.Load() == 0 }
+
+// admitted reports whether the breaker lets a leg through at t. Once
+// the cooldown elapses the breaker is half-open: legs flow again, and
+// the first observation decides whether it closes or re-opens.
+func (rs *replicaState) admitted(t time.Time) bool {
+	open := rs.openUntil.Load()
+	return open == 0 || t.UnixNano() >= open
 }
 
 // shardState is one region's replica group.
@@ -123,10 +127,10 @@ type shardState struct {
 	rr       atomic.Uint64
 }
 
-// healthy reports whether any replica in the group is believed up.
+// healthy reports whether any replica in the group is healthy.
 func (ss *shardState) healthy() bool {
 	for _, rs := range ss.replicas {
-		if rs.healthy.Load() {
+		if rs.healthy() {
 			return true
 		}
 	}
@@ -134,14 +138,23 @@ func (ss *shardState) healthy() bool {
 }
 
 // epoch is the region's served model epoch as of the last probe: the
-// first one recorded, in breaker-preference order.
+// first one recorded, admitted replicas before fenced ones, each in
+// configuration order. It never moves the rotation cursor.
 func (ss *shardState) epoch(t time.Time) *uint64 {
-	for _, rs := range ss.candidates(t) {
-		if seq := rs.epoch.Load(); seq != nil {
+	var fenced *uint64
+	for _, rs := range ss.replicas {
+		seq := rs.epoch.Load()
+		if seq == nil {
+			continue
+		}
+		if rs.admitted(t) {
 			return seq
 		}
+		if fenced == nil {
+			fenced = seq
+		}
 	}
-	return nil
+	return fenced
 }
 
 // candidates returns the breaker-admitted replicas rotated by the
@@ -219,9 +232,7 @@ func New(g *pathcost.Graph, part *Partition, cfg Config) (*Coordinator, error) {
 			if base == "" {
 				return nil, fmt.Errorf("shard: region %d has an empty replica URL in %q", r, group)
 			}
-			rs := &replicaState{base: strings.TrimRight(base, "/")}
-			rs.healthy.Store(true) // assume up until a probe or call says otherwise
-			ss.replicas = append(ss.replicas, rs)
+			ss.replicas = append(ss.replicas, &replicaState{base: strings.TrimRight(base, "/")})
 		}
 		c.shards = append(c.shards, ss)
 	}
@@ -254,9 +265,7 @@ func (c *Coordinator) RunListener(ctx context.Context, ln net.Listener, drain ti
 	return api.ServeListener(ctx, c.mux, ln, drain)
 }
 
-// probeLoop polls one replica's /v1/stats. A failed probe marks the
-// replica unhealthy (visibility only — it does not trip the breaker);
-// a successful probe closes its breaker, so a recovered replica
+// probeLoop polls one replica's /v1/stats, so a recovered replica
 // rejoins the rotation within one probe interval even if no query has
 // tried it since the cooldown.
 func (c *Coordinator) probeLoop(ctx context.Context, rs *replicaState) {
@@ -273,9 +282,10 @@ func (c *Coordinator) probeLoop(ctx context.Context, rs *replicaState) {
 }
 
 // probeOnce GETs the replica's /v1/stats, which a shard writes
-// uncounted and answers 200 exactly when its /healthz does, and
-// records the epoch it reports, so the coordinator's own /v1/stats
-// needs no network I/O.
+// uncounted and ungated and answers 200 exactly when its /healthz
+// does — so the outcome is the same evidence a leg's is, and observe
+// takes it the same way. It records the epoch the replica reports, so
+// the coordinator's own /v1/stats needs no network I/O.
 func (c *Coordinator) probeOnce(ctx context.Context, rs *replicaState) {
 	rs.probes.Add(1)
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
@@ -291,8 +301,8 @@ func (c *Coordinator) probeOnce(ctx context.Context, rs *replicaState) {
 	}
 	if err != nil {
 		rs.probeFailures.Add(1)
-		rs.healthy.Store(false)
 		rs.epoch.Store(nil)
+		rs.observe(err, time.Now())
 		return
 	}
 	var body struct {
@@ -307,7 +317,7 @@ func (c *Coordinator) probeOnce(ctx context.Context, rs *replicaState) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
 	rs.epoch.Store(seq)
-	rs.noteSuccess()
+	rs.observe(nil, time.Now())
 }
 
 // --- query composition -------------------------------------------------
@@ -647,12 +657,12 @@ func (c *Coordinator) shardBatch(ctx context.Context, ss *shardState, breq *api.
 		select {
 		case lr := <-ch:
 			outstanding--
+			lr.rs.observe(lr.err, time.Now())
 			if lr.err == nil {
-				lr.rs.noteSuccess()
 				return lr.resp, nil
 			}
+			lr.rs.callFailures.Add(1)
 			lastErr = lr.err
-			lr.rs.noteFailure(time.Now())
 			next(false) // a failed leg retries immediately on the next replica
 		case <-timer.C:
 			next(true) // a slow leg races the next replica

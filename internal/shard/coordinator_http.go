@@ -75,7 +75,7 @@ type coordReplicaStatus struct {
 }
 
 // coordShardStatus is one region's replica group. Healthy is the
-// group verdict: true while any replica is believed up.
+// group verdict: true while any replica is healthy.
 type coordShardStatus struct {
 	Region   int                  `json:"region"`
 	Healthy  bool                 `json:"healthy"`
@@ -126,7 +126,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		for _, rs := range ss.replicas {
 			st.Replicas = append(st.Replicas, coordReplicaStatus{
 				Base:          rs.base,
-				Healthy:       rs.healthy.Load(),
+				Healthy:       rs.healthy(),
 				Probes:        rs.probes.Load(),
 				ProbeFailures: rs.probeFailures.Load(),
 				Calls:         rs.calls.Load(),
@@ -167,7 +167,7 @@ func (c *Coordinator) metrics() http.Handler {
 			}
 		}
 		replicas("pathcost_coordinator_replica_healthy", "Last known replica health (1 healthy, 0 not).", "gauge",
-			func(rs *replicaState) uint64 { return boolSample(rs.healthy.Load()) })
+			func(rs *replicaState) uint64 { return boolSample(rs.healthy()) })
 		replicas("pathcost_coordinator_shard_calls_total", "Call legs per replica.", "counter",
 			func(rs *replicaState) uint64 { return rs.calls.Load() })
 		replicas("pathcost_coordinator_breaker_open", "Replica circuit breaker state (1 open, 0 closed).", "gauge",

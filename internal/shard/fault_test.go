@@ -19,8 +19,9 @@ import (
 // faultTransport injects failures per shard host: "kill" refuses the
 // connection, "hang" blocks until the request context dies, "garbage"
 // answers 200 with an undecodable body, "empty-state" lets the shard
-// answer and then blanks the state of every state entry ("state": "").
-// "hang-once"/"kill-once" fault only the first call to the host, so the
+// answer and then blanks the state of every state entry ("state": ""),
+// "shed" answers every /v1/batch call 429 + Retry-After the way a full
+// shard's api.Gate does. "hang-once"/"kill-once" fault only the first call to the host, so the
 // hedged second leg succeeds.
 type faultTransport struct {
 	mu    sync.Mutex
@@ -71,6 +72,18 @@ func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}, nil
 	case mode == "empty-state":
 		return blankStates(http.DefaultTransport.RoundTrip(req))
+	case mode == "shed" && req.URL.Path == "/v1/batch":
+		return &http.Response{
+			Status:     "429 Too Many Requests",
+			StatusCode: http.StatusTooManyRequests,
+			Proto:      "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+			Header: http.Header{
+				"Content-Type": []string{"application/json"},
+				"Retry-After":  []string{"1"},
+			},
+			Body:    io.NopCloser(strings.NewReader(`{"error":"server overloaded, retry later"}` + "\n")),
+			Request: req,
+		}, nil
 	}
 	return http.DefaultTransport.RoundTrip(req)
 }

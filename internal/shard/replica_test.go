@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -139,7 +140,7 @@ func TestKilledReplicaDegradesNothing(t *testing.T) {
 		if dead.admitted(now) {
 			t.Errorf("region %d: dead replica still admitted", r)
 		}
-		if dead.healthy.Load() {
+		if dead.healthy() {
 			t.Errorf("region %d: dead replica still marked healthy", r)
 		}
 		if !ss.healthy() {
@@ -174,67 +175,141 @@ func TestKilledReplicaDegradesNothing(t *testing.T) {
 	}
 }
 
-// TestProbeClosesBreakerEarly: a revived replica does not have to wait
-// for query traffic — one successful health probe closes its breaker.
+// TestProbeClosesBreakerEarly drives probeOnce over the wire through
+// both probe rows of the transition table: breakerThreshold failed
+// probes of a dead replica open its breaker, and once it revives one
+// successful probe closes it — no query traffic needed.
 func TestProbeClosesBreakerEarly(t *testing.T) {
-	rf := startReplicatedFleet(t, 2, 2, nil)
+	ft := newFaultTransport()
+	rf := startReplicatedFleet(t, 2, 2, func(cfg *Config) { cfg.Transport = ft })
 	rs := rf.coord.shards[0].replicas[0]
-	// Fixed instants inside the cooldown: only the probe can readmit the
-	// replica, however long the test takes.
-	t0 := time.Unix(1000, 0)
+	ft.set(rs.base, "kill")
 	for i := 0; i < breakerThreshold; i++ {
-		rs.noteFailure(t0)
+		rf.coord.probeOnce(t.Context(), rs)
 	}
-	if rs.admitted(t0) {
-		t.Fatal("breaker did not open after threshold failures")
+	if rs.breakerTrips.Load() != 1 || rs.openUntil.Load() == 0 || rs.healthy() {
+		t.Fatalf("%d failed probes: trips %d, open until %d, healthy %v", breakerThreshold,
+			rs.breakerTrips.Load(), rs.openUntil.Load(), rs.healthy())
 	}
+	ft.set(rs.base, "")
 	rf.coord.probeOnce(t.Context(), rs)
-	if !rs.admitted(t0) || !rs.healthy.Load() {
+	if rs.openUntil.Load() != 0 || !rs.healthy() {
 		t.Fatal("successful probe did not close the breaker")
 	}
 }
 
-// TestBreakerStateMachine exercises the replica breaker as a pure
-// state machine: closed until threshold consecutive failures, open for
-// the cooldown, half-open trial afterwards, re-opened by a failed
-// trial, closed by a successful one, and a success anywhere resets the
-// consecutive count.
+// TestBreakerStateMachine plays the transition table of
+// docs/ARCHITECTURE.md ("Failure domains & recovery") through observe,
+// one row per observation at a fixed instant, on a two-replica group.
+// admitted is whether the breaker lets a leg through at the row's
+// instant before the observation; fails, trips and open (the instant
+// the breaker opens until, zero when closed) are the replica's state
+// after it; cands is the size of the group's candidate set then.
 func TestBreakerStateMachine(t *testing.T) {
-	rs := &replicaState{}
-	rs.healthy.Store(true)
+	ss := &shardState{replicas: []*replicaState{{base: "a"}, {base: "b"}}}
 	t0 := time.Unix(1000, 0)
+	cool := breakerCooldown
+	t1 := t0.Add(10 * cool)
+	failed := errors.New("connection refused")
+	rows := []struct {
+		name     string
+		source   string // "leg" or "probe": both feed observe
+		replica  int
+		err      error
+		at       time.Time
+		admitted bool
+		fails    uint32
+		trips    uint64
+		open     time.Time
+		cands    int
+	}{
+		{"a failure below threshold", "leg", 0, failed, t0, true, 1, 0, time.Time{}, 2},
+		{"a second failure", "leg", 0, failed, t0, true, 2, 0, time.Time{}, 2},
+		{"a success resets the count", "leg", 0, nil, t0, true, 0, 0, time.Time{}, 2},
+		{"a failure after the reset", "leg", 0, failed, t0, true, 1, 0, time.Time{}, 2},
+		{"a second failure after the reset", "leg", 0, failed, t0, true, 2, 0, time.Time{}, 2},
+		{"the threshold failure opens the breaker", "leg", 0, failed, t0, true, 3, 1, t0.Add(cool), 1},
+		{"the failed half-open trial re-opens it", "leg", 0, failed, t0.Add(cool), true, 4, 2, t0.Add(2 * cool), 1},
+		{"a successful probe closes it inside the cooldown", "probe", 0, nil, t0.Add(cool + cool/2), false, 0, 2, time.Time{}, 2},
+		{"a failed probe counts", "probe", 0, failed, t1, true, 1, 2, time.Time{}, 2},
+		{"a second failed probe", "probe", 0, failed, t1, true, 2, 2, time.Time{}, 2},
+		{"three failed probes open the breaker", "probe", 0, failed, t1, true, 3, 3, t1.Add(cool), 1},
+		{"the sibling fails once", "leg", 1, failed, t1, true, 1, 0, time.Time{}, 1},
+		{"the sibling fails twice", "leg", 1, failed, t1, true, 2, 0, time.Time{}, 1},
+		{"every breaker open: the group fails open", "leg", 1, failed, t1, true, 3, 1, t1.Add(cool), 2},
+		{"the successful half-open trial closes it", "leg", 0, nil, t1.Add(cool), true, 0, 3, time.Time{}, 2},
+	}
+	for i, r := range rows {
+		rs := ss.replicas[r.replica]
+		if got := rs.admitted(r.at); got != r.admitted {
+			t.Fatalf("row %d (%s): admitted before = %v, want %v", i, r.name, got, r.admitted)
+		}
+		rs.observe(r.err, r.at)
+		var open time.Time
+		if n := rs.openUntil.Load(); n != 0 {
+			open = time.Unix(0, n)
+		}
+		if rs.consecFails.Load() != r.fails || rs.breakerTrips.Load() != r.trips || !open.Equal(r.open) {
+			t.Fatalf("row %d (%s, %s): fails %d trips %d open %v, want %d %d %v", i, r.name, r.source,
+				rs.consecFails.Load(), rs.breakerTrips.Load(), open, r.fails, r.trips, r.open)
+		}
+		if rs.healthy() != (r.fails == 0) {
+			t.Fatalf("row %d (%s): healthy = %v with %d consecutive failures", i, r.name, rs.healthy(), r.fails)
+		}
+		if got := len(ss.candidates(r.at)); got != r.cands {
+			t.Fatalf("row %d (%s): %d candidates, want %d", i, r.name, got, r.cands)
+		}
+	}
+}
 
-	rs.noteFailure(t0)
-	rs.noteFailure(t0)
-	if !rs.admitted(t0) {
-		t.Fatal("breaker open below threshold")
+// TestReplicaRotationIgnoresStatsReads: reading /v1/stats must not move
+// the round-robin cursor. Alternating one stats read with one query
+// would otherwise step the cursor twice per query and pin every leg to
+// the same replica.
+func TestReplicaRotationIgnoresStatsReads(t *testing.T) {
+	rf := startReplicatedFleet(t, 2, 2, nil)
+	queries, regions := regionQueries(t, rf.fleet)
+	for round := 0; round < 8; round++ {
+		resp, err := http.Get(rf.coordTS.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if code, body := postRaw(t, rf.coordTS.URL+"/v1/distribution", api.DistributionRequest{
+			Path: queries[0].Path, Depart: queries[0].Depart,
+		}); code != http.StatusOK {
+			t.Fatalf("round %d: distribution = %d: %s", round, code, body)
+		}
 	}
-	rs.noteSuccess()
-	rs.noteFailure(t0)
-	rs.noteFailure(t0)
-	if !rs.admitted(t0) {
-		t.Fatal("success did not reset the consecutive-failure count")
+	for i, rs := range rf.coord.shards[regions[0]].replicas {
+		if rs.calls.Load() == 0 {
+			t.Errorf("region %d replica %d received no leg in 8 queries", regions[0], i)
+		}
 	}
-	rs.noteFailure(t0)
-	if rs.admitted(t0.Add(breakerCooldown / 2)) {
-		t.Fatal("breaker closed after threshold consecutive failures")
+}
+
+// TestReplicaShedFailsOverAndTripsBreaker: a replica answering 429 to
+// every batch is a failed leg like any other non-200. Its sibling
+// answers every query, and its breaker opens — the cooldown is the
+// back-off the 429's Retry-After asks for.
+func TestReplicaShedFailsOverAndTripsBreaker(t *testing.T) {
+	ft := newFaultTransport()
+	rf := startReplicatedFleet(t, 2, 2, func(cfg *Config) {
+		cfg.Transport = ft
+		cfg.HedgeAfter = 25 * time.Millisecond
+		cfg.Timeout = 2 * time.Second
+	})
+	ft.set(rf.replicaTS[0][0].URL, "shed")
+	assertCoordinatorMatchesUnion(t, rf, 40, 60)
+
+	shedding, live := rf.coord.shards[0].replicas[0], rf.coord.shards[0].replicas[1]
+	if shedding.breakerTrips.Load() == 0 {
+		t.Error("the shedding replica's breaker never opened")
 	}
-	if rs.breakerTrips.Load() != 1 {
-		t.Fatalf("breakerTrips = %d, want 1", rs.breakerTrips.Load())
+	if shedding.healthy() || shedding.callFailures.Load() == 0 {
+		t.Errorf("shedding replica healthy %v after %d failed legs", shedding.healthy(), shedding.callFailures.Load())
 	}
-	// Cooldown elapsed: half-open, one trial admitted.
-	half := t0.Add(breakerCooldown)
-	if !rs.admitted(half) {
-		t.Fatal("breaker still closed to the half-open trial")
-	}
-	// Failed trial re-opens for a fresh cooldown.
-	rs.noteFailure(half)
-	if rs.admitted(half.Add(breakerCooldown / 2)) {
-		t.Fatal("failed half-open trial did not re-open the breaker")
-	}
-	// Successful trial closes it for good.
-	rs.noteSuccess()
-	if !rs.admitted(half) || rs.consecFails.Load() != 0 {
-		t.Fatal("successful trial did not close the breaker")
+	if !live.healthy() || live.callFailures.Load() != 0 {
+		t.Errorf("sibling recorded %d failures", live.callFailures.Load())
 	}
 }

@@ -331,18 +331,18 @@ func TestCoordinatorStatsAndMetrics(t *testing.T) {
 }
 
 // TestProbeObservesShardDeath exercises probeOnce directly: a live
-// shard probes healthy, a dead one flips the flag, and recovery flips
-// it back.
+// shard probes healthy and a dead one reads unhealthy after one failed
+// probe.
 func TestProbeObservesShardDeath(t *testing.T) {
 	f := startFleet(t, 2, nil)
 	rs := f.coord.shards[0].replicas[0]
 	f.coord.probeOnce(t.Context(), rs)
-	if !rs.healthy.Load() {
+	if !rs.healthy() {
 		t.Fatal("live shard probed unhealthy")
 	}
 	f.shardTS[0].Close()
 	f.coord.probeOnce(t.Context(), rs)
-	if rs.healthy.Load() {
+	if rs.healthy() {
 		t.Fatal("dead shard probed healthy")
 	}
 	if rs.probes.Load() != 2 || rs.probeFailures.Load() != 1 {
@@ -355,10 +355,12 @@ func TestProbeObservesShardDeath(t *testing.T) {
 // composing goroutine) beside multi-shard ones, which reach the shards
 // as one-entry batches (evaluated on the handler's goroutine) beside
 // N-entry ones — from several clients, and holds every answer to the
-// union model's. Run under -race -count=10.
+// union model's. The coordinator sheds at MaxQueue 64, which six
+// clients never reach: no client may see a 429. Run under -race
+// -count=10.
 func TestCoordinatorInlineAndFannedOutWavesConcurrently(t *testing.T) {
 	sys := testSystem(t)
-	f := startFleet(t, 3, nil)
+	f := startFleet(t, 3, func(cfg *Config) { cfg.MaxQueue = 64 })
 	depart := 8 * 3600.0
 	paths := queryPaths(t, sys, 12, 41)
 	crossing := crossRegionPath(t, f, sys)
@@ -381,6 +383,10 @@ func TestCoordinatorInlineAndFannedOutWavesConcurrently(t *testing.T) {
 		}
 	}
 	check := func(i int, status int, d *api.DistributionResponse) {
+		if status == http.StatusTooManyRequests {
+			t.Errorf("query %d shed 429 under six clients with MaxQueue 64", i)
+			return
+		}
 		if (status == http.StatusOK) != (want[i] != nil) {
 			t.Errorf("query %d: coordinator status %d, union answered 200: %v", i, status, want[i] != nil)
 			return

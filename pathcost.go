@@ -32,7 +32,6 @@ import (
 	"log"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -83,6 +82,9 @@ type (
 	WorkloadQuery = core.WorkloadQuery
 	// QueryOptions selects method, rank cap and seed for one query.
 	QueryOptions = core.QueryOptions
+	// DensePath is a query-path candidate backed by many trajectories
+	// (see DensePaths).
+	DensePath = core.DensePath
 )
 
 // Estimation methods (Section 5.2.2 of the paper).
@@ -539,53 +541,12 @@ func (s *System) RouteCtx(ctx context.Context, src, dst VertexID, depart, budget
 	}, routing.Options{Method: m})
 }
 
-// DensePath is a query-path candidate backed by many trajectories.
-type DensePath struct {
-	Path     Path
-	Interval int // α-interval index of the arrivals
-	Count    int // trajectories traversing Path in Interval
-}
-
 // DensePaths scans the trajectory collection for paths of the given
 // cardinality with at least minCount traversals within a single
-// α-interval — the workload selector behind the paper's accuracy
-// experiments (Figures 4, 13, 14).
+// α-interval, most traversals first (core.DensePaths) — the workload
+// selector behind the paper's accuracy experiments (Figures 4, 13, 14).
 func (s *System) DensePaths(cardinality, minCount int) []DensePath {
-	type key struct {
-		pk string
-		iv int
-	}
-	counts := make(map[key]int)
-	samples := make(map[key]Path)
-	data := s.Data()
-	for i := 0; i < data.Len(); i++ {
-		m := data.Traj(i)
-		if len(m.Path) < cardinality {
-			continue
-		}
-		for pos := 0; pos+cardinality <= len(m.Path); pos++ {
-			sub := m.Path[pos : pos+cardinality]
-			iv := s.Params.IntervalOf(m.ArrivalAt(pos))
-			k := key{pk: sub.Key(), iv: iv}
-			counts[k]++
-			if _, ok := samples[k]; !ok {
-				samples[k] = sub.Clone()
-			}
-		}
-	}
-	var out []DensePath
-	for k, c := range counts {
-		if c >= minCount {
-			out = append(out, DensePath{Path: samples[k], Interval: k.iv, Count: c})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Path.Key() < out[j].Path.Key()
-	})
-	return out
+	return core.DensePaths(s.Data(), s.Params, cardinality, minCount)
 }
 
 // RandomQueryPath samples a simple path of exactly n edges by random

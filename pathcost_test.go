@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/gps"
 	"repro/internal/graph"
 )
 
@@ -171,6 +172,43 @@ func TestDensePathsOrderingAndThreshold(t *testing.T) {
 		}
 		if len(dp.Path) != 3 {
 			t.Fatalf("wrong cardinality %d", len(dp.Path))
+		}
+	}
+}
+
+// TestDensePathsBreaksTiesByInterval: one path with equal support in
+// two α-intervals ties on count and path; its order must not follow map
+// iteration. Fifty calls answer identically, intervals ascending.
+func TestDensePathsBreaksTiesByInterval(t *testing.T) {
+	base := testSystem(t)
+	var p Path
+	for i := 0; i < base.Data().Len() && p == nil; i++ {
+		if m := base.Data().Traj(i); len(m.Path) >= 2 {
+			p = m.Path[:2].Clone()
+		}
+	}
+	params := DefaultParams()
+	params.Beta = 5
+	var trajs []*Matched
+	for i := 0; i < 10; i++ {
+		for _, depart := range []float64{17 * 3600, 8 * 3600} {
+			trajs = append(trajs, &Matched{ID: int64(len(trajs)), Path: p, Depart: depart, EdgeCosts: []float64{30, 40}})
+		}
+	}
+	sys, err := NewSystem(base.Graph, gps.NewCollection(trajs, 0), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sys.DensePaths(2, 10)
+	if len(first) != 2 || first[0].Count != 10 || first[1].Count != 10 || first[0].Interval >= first[1].Interval {
+		t.Fatalf("dense paths = %+v, want the path twice with count 10, intervals ascending", first)
+	}
+	for call := 1; call < 50; call++ {
+		got := sys.DensePaths(2, 10)
+		for i := range got {
+			if got[i].Interval != first[i].Interval || got[i].Path.Key() != first[i].Path.Key() {
+				t.Fatalf("call %d entry %d = %+v, call 0 answered %+v", call, i, got[i], first[i])
+			}
 		}
 	}
 }
