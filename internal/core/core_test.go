@@ -504,13 +504,6 @@ func TestGroundTruthBaseline(t *testing.T) {
 	if _, _, err := GroundTruth(data, p, 20*3600, params); err == nil {
 		t.Fatal("wrong departure time should fail")
 	}
-	// Interval variant.
-	if _, _, err := GroundTruthInterval(data, p, 16, params); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := GroundTruthInterval(data, p, 40, params); err == nil {
-		t.Fatal("empty interval should fail")
-	}
 }
 
 func TestODBeatsLBOnDependentCosts(t *testing.T) {

@@ -8,7 +8,8 @@
 //     gps.Collection.
 //   - Section 2.2: GroundTruth, the accuracy-optimal baseline that
 //     needs ≥ β qualifying trajectories and therefore suffers the
-//     sparseness problem.
+//     sparseness problem. Traversals is the sample scan under it and
+//     under the accuracy experiments' truths (package fidelity).
 //   - Section 2.3: MethodLB, the legacy independent-edge convolution
 //     baseline with progressively updated arrival intervals.
 //   - Section 3 (hybrid graph G = (V, E, W_P)): Build instantiates

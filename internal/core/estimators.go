@@ -204,15 +204,9 @@ func multiEntropy(m *hist.Multi) float64 { return stats.EntropyMulti(m) }
 // fewer than β qualified trajectories is an error (data sparseness —
 // the baseline is inapplicable).
 func GroundTruth(data *gps.Collection, p graph.Path, t float64, params Params) (*hist.Histogram, int, error) {
-	occs := data.OccurrencesOfPath(p)
-	var samples []float64
-	for _, oc := range occs {
-		m := data.Traj(oc.Traj)
-		arr := m.ArrivalAt(oc.Pos)
-		if todDistance(arr, t) <= params.GTThresholdS {
-			samples = append(samples, domainCost(m, oc.Pos, len(p), params.Domain))
-		}
-	}
+	samples, _ := Traversals(data, p, params.Domain, func(arrival float64) bool {
+		return todDistance(arrival, t) <= params.GTThresholdS
+	})
 	if len(samples) < params.Beta {
 		return nil, len(samples), fmt.Errorf(
 			"core: only %d qualified trajectories on %v (β = %d): accuracy-optimal baseline inapplicable",
@@ -225,28 +219,21 @@ func GroundTruth(data *gps.Collection, p graph.Path, t float64, params Params) (
 	return hg, len(samples), nil
 }
 
-// GroundTruthInterval is GroundTruth with interval semantics: the
-// qualified trajectories are those arriving within time-of-day
-// interval iv (any day), matching how W_P variables are instantiated.
-func GroundTruthInterval(data *gps.Collection, p graph.Path, iv int, params Params) (*hist.Histogram, int, error) {
-	occs := data.OccurrencesOfPath(p)
-	var samples []float64
-	for _, oc := range occs {
+// Traversals returns the cost in domain d, and the trajectory ID, of
+// every traversal of p whose arrival at p's first edge keep accepts,
+// in the collection's occurrence order. It is the one sample scan
+// behind every ground truth: GroundTruth's departure-time threshold
+// here, the α-interval truths and the held-out split of the accuracy
+// experiments (internal/fidelity).
+func Traversals(data *gps.Collection, p graph.Path, d CostDomain, keep func(arrival float64) bool) (costs []float64, trajs []int64) {
+	for _, oc := range data.OccurrencesOfPath(p) {
 		m := data.Traj(oc.Traj)
-		if params.IntervalOf(m.ArrivalAt(oc.Pos)) == iv {
-			samples = append(samples, domainCost(m, oc.Pos, len(p), params.Domain))
+		if keep(m.ArrivalAt(oc.Pos)) {
+			costs = append(costs, domainCost(m, oc.Pos, len(p), d))
+			trajs = append(trajs, m.ID)
 		}
 	}
-	if len(samples) < params.Beta {
-		return nil, len(samples), fmt.Errorf(
-			"core: only %d qualified trajectories on %v in interval %d (β = %d)",
-			len(samples), p, iv, params.Beta)
-	}
-	hg, _, err := hist.AutoHistogram(samples, params.Resolution, params.Auto)
-	if err != nil {
-		return nil, len(samples), err
-	}
-	return hg, len(samples), nil
+	return costs, trajs
 }
 
 // DensePath is a query-path candidate backed by many trajectories.

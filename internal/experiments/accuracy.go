@@ -2,9 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
-	"repro/internal/gps"
+	"repro/internal/fidelity"
 	"repro/internal/hist"
 	"repro/internal/stats"
 )
@@ -12,53 +13,20 @@ import (
 // methodsUnderTest is the Figure 13/14 estimator family.
 var methodsUnderTest = []core.Method{core.MethodOD, core.MethodLB, core.MethodRD, core.MethodHP}
 
-// heldOutHybrid enforces the Figure 13/14 protocol: for each query
-// path, enough of its supporting trajectories are removed from the
-// training data that the full path can no longer be instantiated
-// (fewer than β remain, so the accuracy-optimal baseline "does not
-// work"), while β−1 supporters stay so the path's *edges* keep their
-// data — exactly the sparse regime the decomposition methods exist
-// for. The ground truth is still computed from the full data set.
-func heldOutHybrid(e *Env, params core.Params, queries []core.DensePath) (*core.HybridGraph, error) {
-	hold := make(map[int64]bool)
-	data := e.Data()
-	for _, dp := range queries {
-		var ids []int64
-		for _, oc := range data.OccurrencesOfPath(dp.Path) {
-			m := data.Traj(oc.Traj)
-			if params.IntervalOf(m.ArrivalAt(oc.Pos)) == dp.Interval {
-				ids = append(ids, m.ID)
-			}
-		}
-		sortInt64(ids)
-		// Keep the first β−1 supporters in training, hold out the rest.
-		keep := params.Beta - 1
-		if keep > len(ids) {
-			keep = len(ids)
-		}
-		for _, id := range ids[keep:] {
-			hold[id] = true
-		}
-	}
-	trainData := data.Filter(func(m *gps.Matched) bool { return !hold[m.ID] })
-	return core.Build(e.G, trainData, params)
-}
-
-// mostIllustrative evaluates the candidates and returns the one with
-// the largest KL(GT, LB) − KL(GT, OD) gap, with its ground truth and
-// the held-out hybrid graph trained for it.
-func mostIllustrative(e *Env, params core.Params, candidates []core.DensePath) (core.DensePath, *hist.Histogram, *core.HybridGraph, error) {
-	var bestDP core.DensePath
-	var bestGT *hist.Histogram
+// mostIllustrative scores the candidates and returns the one with the
+// largest KL(GT, LB) − KL(GT, OD) gap, with its truth and the held-out
+// hybrid graph trained for it.
+func mostIllustrative(e *Env, params core.Params, candidates []core.DensePath) (*fidelity.Truth, *core.HybridGraph, error) {
+	var bestGT *fidelity.Truth
 	var bestH *core.HybridGraph
-	bestGap := mathInfNeg()
+	bestGap := math.Inf(-1)
 	var firstErr error
 	for _, dp := range candidates {
-		gt, _, err := core.GroundTruthInterval(e.Data(), dp.Path, dp.Interval, params)
+		gt, err := fidelity.NewTruth(fidelity.Collect(e.Data(), params, dp), params)
 		if err != nil {
 			continue
 		}
-		h, err := heldOutHybrid(e, params, []core.DensePath{dp})
+		h, err := fidelity.HoldOut(e.G, e.Data(), params, []fidelity.Sample{gt.Sample})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -71,21 +39,19 @@ func mostIllustrative(e *Env, params core.Params, candidates []core.DensePath) (
 		if err1 != nil || err2 != nil {
 			continue
 		}
-		gap := stats.KLHistograms(gt, lb.Dist) - stats.KLHistograms(gt, od.Dist)
+		gap := gt.Score(lb).KL - gt.Score(od).KL
 		if gap > bestGap {
-			bestGap, bestDP, bestGT, bestH = gap, dp, gt, h
+			bestGap, bestGT, bestH = gap, gt, h
 		}
 	}
 	if bestGT == nil {
 		if firstErr == nil {
 			firstErr = fmt.Errorf("fig13: no candidate with ground truth")
 		}
-		return core.DensePath{}, nil, nil, firstErr
+		return nil, nil, firstErr
 	}
-	return bestDP, bestGT, bestH, nil
+	return bestGT, bestH, nil
 }
-
-func mathInfNeg() float64 { return -1e308 }
 
 // moderateSupport keeps query paths whose support is high enough for
 // a ground truth but not so high that holding their trajectories out
@@ -109,14 +75,6 @@ func moderateSupport(ds []core.DensePath, params core.Params, limit int) []core.
 	return out
 }
 
-func sortInt64(xs []int64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 // Fig13 reproduces the single-path shape comparison (Figure 13): the
 // estimated distributions of OD, LB, HP and RD on one dense held-out
 // path, against the ground truth.
@@ -128,75 +86,83 @@ func Fig13(e *Env) (*Table, error) {
 	}
 	// The paper presents "a concrete example": pick the candidate where
 	// the dependence effect is most visible (largest LB-vs-OD KL gap).
-	dp, gt, h, err := mostIllustrative(e, params, candidates)
+	gt, h, err := mostIllustrative(e, params, candidates)
 	if err != nil {
 		return nil, err
 	}
-	depart := departureFor(params, dp.Interval)
+	depart := departureFor(params, gt.Interval)
 	t := &Table{
 		ID:     "fig13",
-		Title:  fmt.Sprintf("Estimated distributions on one held-out path, %s (|P|=%d, support %d)", e.Cfg.Name, len(dp.Path), dp.Count),
-		Header: []string{"method", "mean", "p10", "p50", "p90", "KL vs GT"},
+		Title:  fmt.Sprintf("Estimated distributions on one held-out path, %s (|P|=%d, support %d)", e.Cfg.Name, len(gt.Path), gt.Count),
+		Header: []string{"method", "mean", "p10", "p50", "p90", "KL vs GT", "KL vs Auto GT", "PIT tails", "fallbacks", "slivers"},
 	}
-	t.AddRow("GT", f2(gt.Mean()), f2(gt.Quantile(0.1)), f2(gt.Quantile(0.5)), f2(gt.Quantile(0.9)), "0")
+	row := func(name string, d *hist.Histogram, scores ...string) {
+		t.AddRow(append([]string{name, f2(d.Mean()), f2(d.Quantile(0.1)), f2(d.Quantile(0.5)), f2(d.Quantile(0.9))}, scores...)...)
+	}
+	row("GT", gt.Lattice(), "0", "-", "-", "-", "-")
+	row("Auto GT", gt.Auto, f3(stats.KLRawVsHistogram(gt.Raw, gt.Auto)), "0", "-", "-", "-")
 	for _, m := range methodsUnderTest {
-		res, err := h.CostDistribution(dp.Path, depart, core.QueryOptions{Method: m, Seed: 1})
+		res, err := h.CostDistribution(gt.Path, depart, core.QueryOptions{Method: m, Seed: 1})
 		if err != nil {
 			return nil, fmt.Errorf("fig13 %s: %w", m, err)
 		}
-		t.AddRow(string(m),
-			f2(res.Dist.Mean()),
-			f2(res.Dist.Quantile(0.1)),
-			f2(res.Dist.Quantile(0.5)),
-			f2(res.Dist.Quantile(0.9)),
-			f3(stats.KLHistograms(gt, res.Dist)))
+		s := gt.Score(res)
+		row(string(m), res.Dist, f3(s.KL), f3(s.KLAuto), pct(s.PITTails()),
+			fmt.Sprintf("%d/%d", s.Fallbacks, s.Factors), fmt.Sprintf("%d/%d", s.Slivers, s.Buckets))
 	}
+	t.Note("KL vs GT is on the held-out traversals' raw value lattice; KL vs Auto GT scores against their Auto histogram (the blurred ruler)")
 	t.Note("paper shape: OD tracks the ground truth; LB over-smooths (central limit); HP and RD fall between")
 	return t, nil
 }
 
 // Fig14 reproduces the accuracy-with-ground-truth study (Figure 14):
-// average KL(GT, method) over held-out dense paths per cardinality.
+// average KL(GT, method) over held-out dense paths per cardinality, on
+// the raw ruler and the Auto ruler, with the PIT tails and the shares
+// of fallback factors and sliver buckets.
 func Fig14(e *Env) (*Table, error) {
 	params := e.Params()
 	t := &Table{
 		ID:     "fig14",
-		Title:  fmt.Sprintf("Accuracy vs ground truth, %s: avg KL(GT, ·)", e.Cfg.Name),
-		Header: []string{"|P|", "OD", "LB", "RD", "HP", "#paths"},
+		Title:  fmt.Sprintf("Accuracy vs ground truth, %s: averages over held-out paths", e.Cfg.Name),
+		Header: []string{"|P|", "measure", "OD", "LB", "RD", "HP", "#paths"},
 	}
-	var odSeries, lbSeries []float64
 	for _, card := range []int{3, 5, 7, 9} {
-		queries := moderateSupport(e.densePaths(params, card, 2*params.Beta, 0), params, e.Cfg.PathsPerPoint)
-		if len(queries) == 0 {
+		dense := moderateSupport(e.densePaths(params, card, 2*params.Beta, 0), params, e.Cfg.PathsPerPoint)
+		if len(dense) == 0 {
 			continue
 		}
-		h, err := heldOutHybrid(e, params, queries)
+		queries := make([]fidelity.Sample, len(dense))
+		for i, dp := range dense {
+			queries[i] = fidelity.Collect(e.Data(), params, dp)
+		}
+		h, err := fidelity.HoldOut(e.G, e.Data(), params, queries)
 		if err != nil {
 			return nil, err
 		}
-		sums := make(map[core.Method]float64)
+		sums := make(map[core.Method]*fidelity.Score)
+		for _, m := range methodsUnderTest {
+			sums[m] = new(fidelity.Score)
+		}
 		n := 0
-		for _, dp := range queries {
-			gt, _, err := core.GroundTruthInterval(e.Data(), dp.Path, dp.Interval, params)
+		for _, q := range queries {
+			gt, err := fidelity.NewTruth(q, params)
 			if err != nil {
 				continue
 			}
-			depart := departureFor(params, dp.Interval)
-			ok := true
-			vals := make(map[core.Method]float64)
+			depart := departureFor(params, gt.Interval)
+			scores := make(map[core.Method]fidelity.Score)
 			for _, m := range methodsUnderTest {
-				res, err := h.CostDistribution(dp.Path, depart, core.QueryOptions{Method: m, Seed: int64(n)})
+				res, err := h.CostDistribution(gt.Path, depart, core.QueryOptions{Method: m, Seed: int64(n)})
 				if err != nil {
-					ok = false
 					break
 				}
-				vals[m] = stats.KLHistograms(gt, res.Dist)
+				scores[m] = gt.Score(res)
 			}
-			if !ok {
+			if len(scores) < len(methodsUnderTest) {
 				continue
 			}
-			for m, v := range vals {
-				sums[m] += v
+			for m, s := range scores {
+				sums[m].Add(s)
 			}
 			n++
 		}
@@ -204,19 +170,30 @@ func Fig14(e *Env) (*Table, error) {
 			continue
 		}
 		nf := float64(n)
-		t.AddRow(d0(card), f3(sums[core.MethodOD]/nf), f3(sums[core.MethodLB]/nf),
-			f3(sums[core.MethodRD]/nf), f3(sums[core.MethodHP]/nf), d0(n))
-		odSeries = append(odSeries, sums[core.MethodOD]/nf)
-		lbSeries = append(lbSeries, sums[core.MethodLB]/nf)
+		for _, row := range []struct {
+			name string
+			cell func(*fidelity.Score) string
+		}{
+			{"KL", func(s *fidelity.Score) string { return f3(s.KL / nf) }},
+			{"KL vs Auto GT", func(s *fidelity.Score) string { return f3(s.KLAuto / nf) }},
+			{"PIT tails", func(s *fidelity.Score) string { return pct(s.PITTails()) }},
+			{"fallbacks", func(s *fidelity.Score) string { return pct(s.FallbackShare()) }},
+			{"slivers", func(s *fidelity.Score) string { return pct(s.SliverShare()) }},
+		} {
+			cells := []string{d0(card), row.name}
+			for _, m := range methodsUnderTest {
+				cells = append(cells, row.cell(sums[m]))
+			}
+			t.AddRow(append(cells, d0(n))...)
+		}
+		if od, lb := sums[core.MethodOD].KL, sums[core.MethodLB].KL; od > lb {
+			t.Note("WARNING: OD not better than LB at |P|=%d (KL %.3f vs %.3f)", card, od/nf, lb/nf)
+		}
 	}
-	if len(odSeries) == 0 {
+	if len(t.Rows) == 0 {
 		return nil, fmt.Errorf("fig14: no paths with ground truth")
 	}
-	// Shape check: OD ≤ LB at the largest cardinality.
-	last := len(odSeries) - 1
-	if odSeries[last] > lbSeries[last] {
-		t.Note("WARNING: OD not better than LB at the largest cardinality")
-	}
+	t.Note("KL is on the held-out traversals' raw value lattice; KL vs Auto GT scores against their Auto histogram (the blurred ruler)")
 	t.Note("paper shape: KL of LB grows quickly with |P|; OD grows slowly and stays lowest")
 	return t, nil
 }

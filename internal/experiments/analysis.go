@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fidelity"
 	"repro/internal/hist"
 	"repro/internal/stats"
 )
@@ -45,7 +46,8 @@ func Fig3(e *Env) (*Table, error) {
 
 // Fig4 reproduces the independence-assumption analysis (Figure 4):
 // (a) the distribution of KL(D_GT, D_LB) over 2-edge paths with dense
-// support, and (b) the average KL divergence as cardinality grows.
+// support, and (b) the average KL divergence as cardinality grows, on
+// the raw ruler and the Auto ruler.
 func Fig4(e *Env) (*Table, error) {
 	params := e.Params()
 	h, err := e.Hybrid(params, 1)
@@ -53,54 +55,15 @@ func Fig4(e *Env) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		ID:    "fig4",
-		Title: fmt.Sprintf("Independence assumption, %s: KL(D_GT, D_LB)", e.Cfg.Name),
-		Header: []string{
-			"series", "value", "KL or share",
-		},
+		ID:     "fig4",
+		Title:  fmt.Sprintf("Independence assumption, %s: KL(D_GT, D_LB)", e.Cfg.Name),
+		Header: []string{"series", "value", "KL or share", "vs Auto GT"},
 	}
-	// (a) 2-edge dense paths.
-	dense := e.densePathsRelaxed(params, 2, 60, 300)
-	bins := []float64{0, 0, 0, 0} // [0,.5) [.5,1) [1,1.5) >=1.5
-	n := 0
-	for _, dp := range dense {
-		gt, _, err := core.GroundTruthInterval(e.Data(), dp.Path, dp.Interval, params)
-		if err != nil {
-			continue
-		}
-		lb, err := h.CostDistribution(dp.Path, departureFor(params, dp.Interval), core.QueryOptions{Method: core.MethodLB})
-		if err != nil {
-			continue
-		}
-		kl := stats.KLHistograms(gt, lb.Dist)
-		switch {
-		case kl < 0.5:
-			bins[0]++
-		case kl < 1:
-			bins[1]++
-		case kl < 1.5:
-			bins[2]++
-		default:
-			bins[3]++
-		}
-		n++
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("fig4: no dense 2-edge paths")
-	}
-	labels := []string{"[0,0.5)", "[0.5,1)", "[1,1.5)", ">=1.5"}
-	for i, b := range bins {
-		t.AddRow("4a KL bin", labels[i], pct(b/float64(n)))
-	}
-	t.Note("4(a): %d paths; paper shape: a large share of adjacent pairs are dependent (KL > 0)", n)
-
-	// (b) KL vs cardinality.
-	for _, card := range []int{2, 4, 6, 8, 10} {
-		dps := e.densePaths(params, card, params.Beta, e.Cfg.PathsPerPoint)
-		var sum float64
-		cnt := 0
-		for _, dp := range dps {
-			gt, _, err := core.GroundTruthInterval(e.Data(), dp.Path, dp.Interval, params)
+	// lbScores scores LB on every dense path that has a truth.
+	lbScores := func(dense []core.DensePath) []fidelity.Score {
+		var out []fidelity.Score
+		for _, dp := range dense {
+			gt, err := fidelity.NewTruth(fidelity.Collect(e.Data(), params, dp), params)
 			if err != nil {
 				continue
 			}
@@ -108,14 +71,51 @@ func Fig4(e *Env) (*Table, error) {
 			if err != nil {
 				continue
 			}
-			sum += stats.KLHistograms(gt, lb.Dist)
-			cnt++
+			out = append(out, gt.Score(lb))
 		}
-		if cnt == 0 {
+		return out
+	}
+	// (a) 2-edge dense paths.
+	scores := lbScores(e.densePathsRelaxed(params, 2, 60, 300))
+	if len(scores) == 0 {
+		return nil, fmt.Errorf("fig4: no dense 2-edge paths")
+	}
+	bin := func(kl float64) int {
+		switch {
+		case kl < 0.5:
+			return 0
+		case kl < 1:
+			return 1
+		case kl < 1.5:
+			return 2
+		}
+		return 3
+	}
+	var raw, auto [4]float64 // [0,.5) [.5,1) [1,1.5) >=1.5
+	for _, s := range scores {
+		raw[bin(s.KL)]++
+		auto[bin(s.KLAuto)]++
+	}
+	n := float64(len(scores))
+	for i, label := range []string{"[0,0.5)", "[0.5,1)", "[1,1.5)", ">=1.5"} {
+		t.AddRow("4a KL bin", label, pct(raw[i]/n), pct(auto[i]/n))
+	}
+	t.Note("4(a): %d paths; paper shape: a large share of adjacent pairs are dependent (KL > 0)", len(scores))
+
+	// (b) KL vs cardinality.
+	for _, card := range []int{2, 4, 6, 8, 10} {
+		scores := lbScores(e.densePaths(params, card, params.Beta, e.Cfg.PathsPerPoint))
+		if len(scores) == 0 {
 			continue
 		}
-		t.AddRow("4b avg KL", d0(card), f3(sum/float64(cnt)))
+		var sum fidelity.Score
+		for _, s := range scores {
+			sum.Add(s)
+		}
+		n := float64(len(scores))
+		t.AddRow("4b avg KL", d0(card), f3(sum.KL/n), f3(sum.KLAuto/n))
 	}
+	t.Note("KL is on the raw value lattice of the path's traversals; vs Auto GT scores against their Auto histogram")
 	t.Note("4(b): paper shape: KL grows with |P|")
 	return t, nil
 }
@@ -128,15 +128,7 @@ func Fig5(e *Env) (*Table, error) {
 	if len(dense) == 0 {
 		return nil, fmt.Errorf("fig5: no dense unit path")
 	}
-	dp := dense[0]
-	var samples []float64
-	data := e.Data()
-	for _, oc := range data.OccurrencesOfPath(dp.Path) {
-		m := data.Traj(oc.Traj)
-		if params.IntervalOf(m.ArrivalAt(oc.Pos)) == dp.Interval {
-			samples = append(samples, m.EdgeCosts[oc.Pos])
-		}
-	}
+	samples := fidelity.Collect(e.Data(), params, dense[0]).Costs
 	cfg := params.Auto
 	cfg.MaxBuckets = 10
 	// Record the full error curve (not stopping early) for the plot.
@@ -171,28 +163,20 @@ func Fig11(e *Env) (*Table, error) {
 	if len(dense) == 0 {
 		return nil, fmt.Errorf("fig11: no dense unit paths")
 	}
-	data := e.Data()
 	var klGamma, klGauss, klAuto, klSta3, klSta4 float64
 	var saveSta3, saveSta4, saveAuto float64
 	n := 0
 	for _, dp := range dense {
-		var samples []float64
-		for _, oc := range data.OccurrencesOfPath(dp.Path) {
-			m := data.Traj(oc.Traj)
-			if params.IntervalOf(m.ArrivalAt(oc.Pos)) == dp.Interval {
-				samples = append(samples, m.EdgeCosts[oc.Pos])
-			}
-		}
-		raw, err := hist.NewRaw(samples, params.Resolution)
+		gt, err := fidelity.NewTruth(fidelity.Collect(e.Data(), params, dp), params)
 		if err != nil {
 			continue
 		}
+		samples, raw, auto := gt.Costs, gt.Raw, gt.Auto
 		gam, err1 := stats.FitGamma(samples)
 		gau, err2 := stats.FitGaussian(samples)
-		auto, _, err3 := hist.AutoHistogram(samples, params.Resolution, params.Auto)
-		sta3, err4 := hist.StaticHistogram(samples, params.Resolution, 3)
-		sta4, err5 := hist.StaticHistogram(samples, params.Resolution, 4)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
+		sta3, err3 := hist.StaticHistogram(samples, params.Resolution, 3)
+		sta4, err4 := hist.StaticHistogram(samples, params.Resolution, 4)
+		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			continue
 		}
 		klGamma += stats.KLRawVsFunc(raw, gam.CDF)

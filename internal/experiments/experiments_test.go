@@ -1,10 +1,16 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
 var (
 	envOnce sync.Once
@@ -42,6 +48,36 @@ func TestAllFiguresRunOnTinyWorkload(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFiguresGolden pins every table of the tiny workload that is a
+// pure function of its seed — all but the timing figures 16–18 — so a
+// refactor cannot move a digit unnoticed. -update rewrites the file,
+// only for a change whose point is to move figures.
+func TestFiguresGolden(t *testing.T) {
+	e := tinyEnv(t)
+	var got bytes.Buffer
+	for _, id := range []string{"3", "4", "5", "8", "9", "10", "11", "12", "13", "14", "15"} {
+		tab, err := Run(e, id)
+		if err != nil {
+			t.Fatalf("figure %s: %v", id, err)
+		}
+		got.WriteString(tab.Render())
+	}
+	path := filepath.Join("testdata", "figures-tiny.golden")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("figures changed:\n--- got\n%s--- want\n%s", got.Bytes(), want)
 	}
 }
 

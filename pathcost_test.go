@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/fidelity"
 	"repro/internal/gps"
 	"repro/internal/graph"
 )
@@ -74,47 +76,47 @@ func TestPathDistributionAllMethods(t *testing.T) {
 }
 
 func TestODBeatsLBOnDenseHeldOutPath(t *testing.T) {
-	// End-to-end accuracy check on the synthetic city: for dense paths
-	// with ground truth, OD must on average be at least as close to the
-	// truth as LB (Figure 14's ordering).
+	// End-to-end accuracy on the synthetic city, by the Figure 14
+	// protocol and ruler: hold the dense paths' supporters out down to
+	// β−1, and OD must on average be closer than LB to the held-out
+	// traversals' raw lattice.
 	s := testSystem(t)
-	dense := s.DensePaths(6, 25)
-	if len(dense) < 3 {
-		t.Skip("not enough dense 6-edge paths")
-	}
-	var odBetter, total int
-	for _, dp := range dense {
-		if total >= 10 {
-			break
+	for _, card := range []int{3, 4} {
+		dense := s.DensePaths(card, s.Params.Beta)
+		if len(dense) > 10 {
+			dense = dense[:10]
 		}
-		lo, _ := s.Params.IntervalBounds(dp.Interval)
-		depart := lo + 60
-		gt, _, err := s.GroundTruth(dp.Path, depart)
+		queries := make([]fidelity.Sample, len(dense))
+		for i, dp := range dense {
+			queries[i] = fidelity.Collect(s.Data(), s.Params, dp)
+		}
+		h, err := fidelity.HoldOut(s.Graph, s.Data(), s.Params, queries)
 		if err != nil {
-			continue
+			t.Fatal(err)
 		}
-		od, err1 := s.PathDistribution(dp.Path, depart, OD)
-		lb, err2 := s.PathDistribution(dp.Path, depart, LB)
-		if err1 != nil || err2 != nil {
-			continue
+		var od, lb fidelity.Score
+		n := 0
+		for _, q := range queries {
+			gt, err := fidelity.NewTruth(q, s.Params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, _ := s.Params.IntervalBounds(q.Interval)
+			odRes, err1 := h.CostDistribution(q.Path, lo+60, core.QueryOptions{Method: core.MethodOD})
+			lbRes, err2 := h.CostDistribution(q.Path, lo+60, core.QueryOptions{Method: core.MethodLB})
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			od.Add(gt.Score(odRes))
+			lb.Add(gt.Score(lbRes))
+			n++
 		}
-		// Compare calibration at the quartiles of the ground truth.
-		var odErr, lbErr float64
-		for _, q := range []float64{0.25, 0.5, 0.75} {
-			x := gt.Quantile(q)
-			odErr += math.Abs(od.Dist.CDF(x) - q)
-			lbErr += math.Abs(lb.Dist.CDF(x) - q)
+		if n < 5 {
+			t.Fatalf("|P|=%d: only %d dense held-out paths", card, n)
 		}
-		if odErr <= lbErr+1e-9 {
-			odBetter++
+		if od.KL >= lb.KL {
+			t.Fatalf("|P|=%d: mean KL of OD %.3f is not below LB's %.3f over %d paths", card, od.KL/float64(n), lb.KL/float64(n), n)
 		}
-		total++
-	}
-	if total == 0 {
-		t.Skip("no ground-truth paths available")
-	}
-	if odBetter*2 < total {
-		t.Fatalf("OD better on only %d/%d dense paths", odBetter, total)
 	}
 }
 
