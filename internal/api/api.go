@@ -16,10 +16,13 @@ import (
 //
 // Field order and tags are load-bearing: encoding/json emits fields in
 // declaration order, and the sharded serving tier promises responses
-// byte-identical to a single process. Do not reorder. encode.go writes
-// DistributionResponse, Bucket, BatchResponse and BatchResult by hand in
-// the same order: a field added here is added there
-// (TestEncoderCoversEveryField fails until it is).
+// byte-identical to a single process, and relay legs promise the bytes
+// encoding/json wrote. Do not reorder. encode.go writes
+// DistributionResponse, Bucket, BatchResponse, BatchResult,
+// StateResult, BatchRequest and BatchQuery by hand in the same order: a
+// field added here is added there (TestEncoderCoversEveryField fails
+// until it is). decode.go reads BatchQuery and the state entries of a
+// BatchResponse by hand too, and declines a key it does not know.
 
 // Error is the uniform error body.
 type Error struct {

@@ -2,6 +2,8 @@ package api
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/json"
 	"strconv"
 )
 
@@ -13,16 +15,19 @@ import (
 // it to that); declining means nothing — the caller hands the bytes to
 // encoding/json, which owns every verdict this parser does not reach.
 //
-// The plain form is what clients that marshal these structs send: one
-// object (for a batch, {"queries":[object,...]}) whose keys are the
-// exact lower-case tag names path, depart, method, budget — plus kind
-// in a batch entry — each at most once; path an array of integers of at
-// most 18 digits; depart and budget JSON-grammar numbers; method and
-// kind strings of printable ASCII without escapes; JSON whitespace
-// anywhere between tokens. Like json.Decoder it stops at the end of
-// the first value. Everything else declines: null, other or
-// differently-cased keys, duplicates, fractions or exponents in a
-// path, escapes, non-ASCII, any syntax error.
+// The plain form is what clients that marshal these structs send, and
+// what the coordinator sends a shard on a relay leg: one object (for a
+// batch, {"queries":[object,...]}) whose keys are the exact lower-case
+// tag names path, depart, method, budget — plus kind, ui_lo, ui_hi and
+// state in a batch entry — each at most once; path an array of
+// integers of at most 18 digits; depart, budget, ui_lo and ui_hi
+// JSON-grammar numbers; method and kind strings of printable ASCII
+// without escapes; state a string of standard padded base64, decoded
+// as encoding/json decodes a []byte; JSON whitespace anywhere between
+// tokens. Like json.Decoder it stops at the end of the first value.
+// Everything else declines: null, other or differently-cased keys,
+// duplicates, fractions or exponents in a path, escapes, non-ASCII,
+// bad base64, any syntax error.
 func parsePlain(dst any, body []byte) bool {
 	p := plainParser{b: body}
 	switch dst := dst.(type) {
@@ -34,31 +39,38 @@ func parsePlain(dst any, body []byte) bool {
 		*dst = DistributionRequest{Path: q.Path, Depart: q.Depart, Method: q.Method, Budget: q.Budget}
 		return true
 	case *BatchRequest:
-		if !p.token('{') || !p.token('"') || !p.isKey("queries") || !p.token(':') || !p.token('[') {
-			return false
-		}
 		// One '{' per entry (and the outer one) sizes the slice in one
 		// allocation; the bound keeps a body of braces from sizing it.
-		queries := make([]BatchQuery, 0, min(bytes.Count(body, []byte{'{'})-1, 64))
-		if !p.token(']') {
-			for more := true; more; more = p.token(',') {
-				var q BatchQuery
-				if !p.object(&q, true) {
-					return false
-				}
-				queries = append(queries, q)
-			}
-			if !p.token(']') {
-				return false
-			}
+		size := min(max(bytes.Count(body, []byte{'{'})-1, 0), MaxBatch)
+		queries, ok := list(&p, "queries", size, func(q *BatchQuery) bool { return p.object(q, true) })
+		if ok {
+			dst.Queries = queries
 		}
-		if !p.token('}') {
-			return false
-		}
-		dst.Queries = queries
-		return true
+		return ok
 	}
 	return false
+}
+
+// list takes {"<key>":[item,...]}, the envelope of a batch and of its
+// answer, into a slice of capacity size.
+func list[T any](p *plainParser, key string, size int, item func(*T) bool) ([]T, bool) {
+	if !p.token('{') || !p.token('"') || !p.isKey(key) || !p.token(':') || !p.token('[') {
+		return nil, false
+	}
+	out := make([]T, 0, size)
+	if !p.token(']') {
+		for more := true; more; more = p.token(',') {
+			var zero T // item fills it in place: &zero would escape
+			out = append(out, zero)
+			if !item(&out[len(out)-1]) {
+				return nil, false
+			}
+		}
+		if !p.token(']') {
+			return nil, false
+		}
+	}
+	return out, p.token('}')
 }
 
 // plainParser walks a body left to right; every method reports
@@ -109,11 +121,16 @@ func (p *plainParser) isKey(name string) bool {
 	return ok && string(k) == name
 }
 
-func (p *plainParser) str() (string, bool) {
+// quoted takes a whole string; str copies it out.
+func (p *plainParser) quoted() ([]byte, bool) {
 	if !p.token('"') {
-		return "", false
+		return nil, false
 	}
-	s, ok := p.text()
+	return p.text()
+}
+
+func (p *plainParser) str() (string, bool) {
+	s, ok := p.quoted()
 	return string(s), ok
 }
 
@@ -123,6 +140,19 @@ func (p *plainParser) digits() bool {
 		p.i++
 	}
 	return p.i > from
+}
+
+// base64 takes a string of standard padded base64 into a fresh slice,
+// as encoding/json decodes a []byte: "" is empty, not nil. Invalid
+// base64 is json's error to word.
+func (p *plainParser) base64() ([]byte, bool) {
+	s, ok := p.quoted()
+	if !ok {
+		return nil, false
+	}
+	b := make([]byte, base64.StdEncoding.DecodedLen(len(s)))
+	n, err := base64.StdEncoding.Decode(b, s)
+	return b[:n], err == nil
 }
 
 // float takes one JSON-grammar number,
@@ -197,22 +227,16 @@ func (p *plainParser) ints() ([]int64, bool) {
 	return out, p.token(']')
 }
 
-// object takes one request object into q: a DistributionRequest's four
-// members, and kind when entry says q is a batch entry.
-func (p *plainParser) object(q *BatchQuery, entry bool) bool {
+// members takes one object member by member. member takes the value
+// under key and names the key by one bit, or by 0 when it is not one
+// of the object's; a key seen twice declines like an unknown one.
+func (p *plainParser) members(member func(key []byte) (bit int, ok bool)) bool {
 	if !p.token('{') {
 		return false
 	}
 	if p.token('}') {
 		return true
 	}
-	const (
-		sawPath = 1 << iota
-		sawDepart
-		sawMethod
-		sawBudget
-		sawKind
-	)
 	seen := 0
 	for more := true; more; more = p.token(',') {
 		if !p.token('"') {
@@ -222,33 +246,146 @@ func (p *plainParser) object(q *BatchQuery, entry bool) bool {
 		if !ok || !p.token(':') {
 			return false
 		}
-		var bit int
-		switch string(key) {
-		case "path":
-			bit = sawPath
-			q.Path, ok = p.ints()
-		case "depart":
-			bit = sawDepart
-			q.Depart, ok = p.float()
-		case "budget":
-			bit = sawBudget
-			q.Budget, ok = p.float()
-		case "method":
-			bit = sawMethod
-			q.Method, ok = p.str()
-		case "kind":
-			if !entry {
-				return false // a bare distribution request has no such field
-			}
-			bit = sawKind
-			q.Kind, ok = p.str()
-		default:
-			return false
-		}
-		if !ok || seen&bit != 0 {
+		bit, ok := member(key)
+		if !ok || bit == 0 || seen&bit != 0 {
 			return false
 		}
 		seen |= bit
 	}
 	return p.token('}')
+}
+
+// object takes one request object into q: a DistributionRequest's four
+// members, and kind, ui_lo, ui_hi and state when entry says q is a
+// batch entry.
+func (p *plainParser) object(q *BatchQuery, entry bool) bool {
+	return p.members(func(key []byte) (bit int, ok bool) {
+		switch string(key) {
+		case "path":
+			q.Path, ok = p.ints()
+			return 1, ok
+		case "depart":
+			q.Depart, ok = p.float()
+			return 2, ok
+		case "budget":
+			q.Budget, ok = p.float()
+			return 4, ok
+		case "method":
+			q.Method, ok = p.str()
+			return 8, ok
+		}
+		if !entry {
+			return 0, false // a bare distribution request has no other field
+		}
+		switch string(key) {
+		case "kind":
+			q.Kind, ok = p.str()
+			return 16, ok
+		case "ui_lo":
+			q.UILo, ok = p.float()
+			return 32, ok
+		case "ui_hi":
+			q.UIHi, ok = p.float()
+			return 64, ok
+		case "state":
+			q.State, ok = p.base64()
+			return 128, ok
+		}
+		return 0, false
+	})
+}
+
+// UnmarshalBatchResponse is json.Unmarshal for a /v1/batch answer, the
+// body of a relay leg's reply: the same verdict, error and struct. A
+// body in the plain form (see ParseBatchResponse) is decoded without
+// reflection; any other, a proxied distribution among its entries
+// included, is encoding/json's to decode from the same bytes.
+func UnmarshalBatchResponse(data []byte, dst *BatchResponse) error {
+	if ParseBatchResponse(data, dst) {
+		return nil
+	}
+	return json.Unmarshal(data, dst)
+}
+
+// ParseBatchResponse decodes data into dst without reflection when
+// data is in the plain form, and reports whether it did; dst is
+// untouched otherwise. Accepting means the result is exactly what
+// json.Unmarshal yields for the same bytes. Everything the decoded
+// value holds is a copy: nothing aliases data.
+//
+// The plain form is a shard's answer to a relay leg:
+// {"results":[entry,...]} and nothing after it but JSON whitespace,
+// each entry an object of kind, status and error — plus state, an
+// object of state, ui_lo, ui_hi, factors and max_rank — with the
+// scalar rules of parsePlain. It declines the rest: other members
+// (distribution, route, topk), null, duplicates and anything
+// differently cased, all of which json.Unmarshal reads or ignores on
+// its own terms.
+func ParseBatchResponse(data []byte, dst *BatchResponse) bool {
+	p := plainParser{b: data}
+	// Every plain entry has one kind: the count sizes the slice in one
+	// allocation, and a body of kinds sizes it no larger than a batch.
+	size := min(bytes.Count(data, []byte(`"kind"`)), MaxBatch)
+	results, ok := list(&p, "results", size, p.result)
+	if p.space(); !ok || p.i != len(data) {
+		return false
+	}
+	dst.Results = results
+	return true
+}
+
+// result takes one answer entry into r.
+func (p *plainParser) result(r *BatchResult) bool {
+	return p.members(func(key []byte) (bit int, ok bool) {
+		switch string(key) {
+		case "kind":
+			var k []byte
+			k, ok = p.quoted()
+			r.Kind = "state" // every relay answer's kind: no copy
+			if string(k) != r.Kind {
+				r.Kind = string(k)
+			}
+			return 1, ok
+		case "status":
+			var v int64
+			v, ok = p.integer()
+			r.Status = int(v)
+			return 2, ok
+		case "error":
+			r.Error, ok = p.str()
+			return 4, ok
+		case "state":
+			r.State, ok = p.stateResult()
+			return 8, ok
+		}
+		return 0, false
+	})
+}
+
+// stateResult takes a StateResult object.
+func (p *plainParser) stateResult() (*StateResult, bool) {
+	st := new(StateResult)
+	return st, p.members(func(key []byte) (bit int, ok bool) {
+		var v int64
+		switch string(key) {
+		case "state":
+			st.State, ok = p.base64()
+			return 1, ok
+		case "ui_lo":
+			st.UILo, ok = p.float()
+			return 2, ok
+		case "ui_hi":
+			st.UIHi, ok = p.float()
+			return 4, ok
+		case "factors":
+			v, ok = p.integer()
+			st.Factors = int(v)
+			return 8, ok
+		case "max_rank":
+			v, ok = p.integer()
+			st.MaxRank = int(v)
+			return 16, ok
+		}
+		return 0, false
+	})
 }

@@ -10,10 +10,14 @@
 // and encoded by one set of functions is what lets the coordinator
 // emit responses byte-identical to a single process.
 //
-// Wire's contract is encoding/json's behaviour, byte for byte. The
-// hot shapes (DistributionRequest and plain BatchRequest in,
-// DistributionResponse and BatchResponse out) have reflection-free
-// fast paths held to that contract by FuzzWireCodec; everything else,
-// including every malformed body and so every error message, goes
-// through encoding/json itself.
+// The codec's contract is encoding/json's behaviour, byte for byte.
+// The hot shapes have reflection-free fast paths held to that contract
+// by FuzzWireCodec: on a served request, DistributionRequest and plain
+// BatchRequest in (relay legs' state entries among them),
+// DistributionResponse and BatchResponse out (distribution and state
+// entries inline); on the coordinator's side of a relay leg, the
+// BatchRequest it sends (MarshalBatchRequest) and the plain
+// BatchResponse it reads back (UnmarshalBatchResponse). Everything
+// else, including every malformed body and so every error message,
+// goes through encoding/json itself.
 package api

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"math"
@@ -82,6 +83,29 @@ func (e *encoder) str(s string) {
 	e.raw(`"`)
 	e.raw(s)
 	e.raw(`"`)
+}
+
+// bytes is json's []byte encoding: standard padded base64 in quotes,
+// whose alphabet has nothing to escape, and null for a nil slice.
+func (e *encoder) bytes(b []byte) {
+	if b == nil {
+		e.raw("null")
+		return
+	}
+	e.raw(`"`)
+	e.b = base64.StdEncoding.AppendEncode(e.b, b)
+	e.raw(`"`)
+}
+
+func (e *encoder) ints(vs []int64) {
+	e.raw("[")
+	for i, v := range vs {
+		if i > 0 {
+			e.raw(",")
+		}
+		e.int(v)
+	}
+	e.raw("]")
 }
 
 func (e *encoder) marshal(v any) {
@@ -166,7 +190,7 @@ func (e *encoder) batch(r BatchResponse) {
 		if i > 0 {
 			e.raw(",")
 		}
-		if res.Route != nil || res.TopK != nil || res.State != nil {
+		if res.Route != nil || res.TopK != nil {
 			e.marshal(res)
 			continue
 		}
@@ -182,7 +206,117 @@ func (e *encoder) batch(r BatchResponse) {
 			e.raw(`,"distribution":`)
 			e.distribution(res.Distribution)
 		}
+		if res.State != nil {
+			e.raw(`,"state":`)
+			e.state(res.State)
+		}
 		e.raw("}")
 	}
 	e.raw("]}")
+}
+
+func (e *encoder) state(s *StateResult) {
+	e.raw(`{"state":`)
+	e.bytes(s.State)
+	e.raw(`,"ui_lo":`)
+	e.float(s.UILo)
+	e.raw(`,"ui_hi":`)
+	e.float(s.UIHi)
+	e.raw(`,"factors":`)
+	e.int(int64(s.Factors))
+	e.raw(`,"max_rank":`)
+	e.int(int64(s.MaxRank))
+	e.raw("}")
+}
+
+// MarshalBatchRequest is json.Marshal for the body of a relay leg, the
+// coordinator's /v1/batch call to a shard: the same bytes, written
+// without reflection, and on a refusal (a NaN or ±Inf) json.Marshal's
+// own error. The bytes are a fresh allocation the caller owns.
+func MarshalBatchRequest(r *BatchRequest) ([]byte, error) {
+	// Sized once for a relay leg: 160 bytes hold a state entry's keys
+	// and widest numbers, and the variable parts are added to that. A
+	// fuller entry (a proxied route) may cost one more allocation.
+	n := len(`{"queries":[]}`)
+	for i := range r.Queries {
+		q := &r.Queries[i]
+		n += 160 + len(q.Kind) + len(q.Method) + 20*len(q.Path) + base64.StdEncoding.EncodedLen(len(q.State))
+	}
+	e := encoder{b: make([]byte, 0, n)}
+	e.batchRequest(r)
+	if e.err != nil {
+		_, err := json.Marshal(r)
+		return nil, err
+	}
+	return e.b, nil
+}
+
+func (e *encoder) batchRequest(r *BatchRequest) {
+	if r.Queries == nil {
+		e.raw(`{"queries":null}`)
+		return
+	}
+	e.raw(`{"queries":[`)
+	for i := range r.Queries {
+		if i > 0 {
+			e.raw(",")
+		}
+		e.query(&r.Queries[i])
+	}
+	e.raw("]}")
+}
+
+// query writes one entry under omitempty: a zero number (-0 too), an
+// empty string and an empty slice are left out. Depart, never left
+// out, ends the members that may open the object, so each of those is
+// followed by its comma and each after it preceded by one.
+func (e *encoder) query(q *BatchQuery) {
+	e.raw("{")
+	if q.Kind != "" {
+		e.raw(`"kind":`)
+		e.str(q.Kind)
+		e.raw(",")
+	}
+	if len(q.Path) > 0 {
+		e.raw(`"path":`)
+		e.ints(q.Path)
+		e.raw(",")
+	}
+	if q.Source != 0 {
+		e.raw(`"source":`)
+		e.int(q.Source)
+		e.raw(",")
+	}
+	if q.Dest != 0 {
+		e.raw(`"dest":`)
+		e.int(q.Dest)
+		e.raw(",")
+	}
+	e.raw(`"depart":`)
+	e.float(q.Depart)
+	if q.Budget != 0 {
+		e.raw(`,"budget":`)
+		e.float(q.Budget)
+	}
+	if q.Method != "" {
+		e.raw(`,"method":`)
+		e.str(q.Method)
+	}
+	if q.K != 0 {
+		e.raw(`,"k":`)
+		e.int(int64(q.K))
+	}
+	if q.UILo != 0 {
+		e.raw(`,"ui_lo":`)
+		e.float(q.UILo)
+	}
+	if q.UIHi != 0 {
+		e.raw(`,"ui_hi":`)
+		e.float(q.UIHi)
+	}
+	if len(q.State) > 0 {
+		e.raw(`,"state":`)
+		e.bytes(q.State)
+	}
+	e.raw("}")
 }

@@ -96,6 +96,56 @@ func checkEncode(t *testing.T, v any) {
 	}
 }
 
+// checkMarshalRequest holds the relay-leg request encoder to
+// json.Marshal on one value: the same bytes, or the same refusal.
+func checkMarshalRequest(t *testing.T, r *BatchRequest) {
+	t.Helper()
+	want, wantErr := json.Marshal(r)
+	got, gotErr := MarshalBatchRequest(r)
+	if (gotErr != nil) != (wantErr != nil) || (wantErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%#v: request encoder error %v, json.Marshal error %v", r, gotErr, wantErr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("request encoder wrote\n%s\njson.Marshal wrote\n%s", got, want)
+	}
+}
+
+// checkUnmarshalResponse holds the relay-leg answer decoder to
+// json.Unmarshal on one body: same verdict, same error text, same
+// struct; and whatever the plain parser accepts on its own is
+// json.Unmarshal's struct too, holding no byte of the body.
+func checkUnmarshalResponse(t *testing.T, data []byte) {
+	t.Helper()
+	var want BatchResponse
+	wantErr := json.Unmarshal(data, &want)
+	var got BatchResponse
+	gotErr := UnmarshalBatchResponse(data, &got)
+	if (gotErr != nil) != (wantErr != nil) || (wantErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("body %q: decoder error %v, json.Unmarshal error %v", data, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("body %q: decoder gave %#v, json.Unmarshal %#v", data, got, want)
+	}
+	var fast BatchResponse
+	if !ParseBatchResponse(data, &fast) {
+		if fast.Results != nil {
+			t.Fatalf("body %q: a declined parse wrote to its destination", data)
+		}
+		return
+	}
+	if wantErr != nil || !reflect.DeepEqual(fast, want) {
+		t.Fatalf("body %q: parser decoded %#v, json.Unmarshal %#v (%v)", data, fast, want, wantErr)
+	}
+	scribble := bytes.Clone(data)
+	ParseBatchResponse(scribble, &fast)
+	for i := range scribble {
+		scribble[i] = 'x'
+	}
+	if !reflect.DeepEqual(fast, want) {
+		t.Fatalf("body %q: the decoded answer aliases the body it was read from", data)
+	}
+}
+
 // --- value generation ---------------------------------------------------
 
 // edgeFloats are the values the two float notations switch at, and the
@@ -180,6 +230,53 @@ func (s *source) distribution() *DistributionResponse {
 	return r
 }
 
+func (s *source) bytes() []byte {
+	switch c := s.byte(); c % 4 {
+	case 0:
+		return nil
+	case 1:
+		return []byte{}
+	default:
+		out := make([]byte, int(c)%9)
+		for i := range out {
+			out[i] = s.byte()
+		}
+		return out
+	}
+}
+
+// batchRequest deals a relay-leg request: every BatchQuery field,
+// each zero (and so left out) often enough to matter.
+func (s *source) batchRequest() *BatchRequest {
+	n := int(s.byte()) % 5
+	if n == 0 {
+		return &BatchRequest{}
+	}
+	out := &BatchRequest{Queries: make([]BatchQuery, n-1)}
+	for i := range out.Queries {
+		q := &out.Queries[i]
+		mask := s.byte()
+		pick := func(bit int, v float64) float64 {
+			if mask&(1<<bit) != 0 {
+				return v
+			}
+			return 0
+		}
+		q.Kind, q.Method = s.str(), s.str()
+		if mask&1 != 0 {
+			for j := int(s.byte()) % 4; j >= 0; j-- {
+				q.Path = append(q.Path, int64(int8(s.byte()))<<(s.byte()%56))
+			}
+		}
+		q.Source, q.Dest = int64(int8(s.byte())), int64(int8(s.byte()))
+		q.Depart = s.float()
+		q.Budget, q.UILo, q.UIHi = pick(1, s.float()), pick(2, s.float()), pick(3, s.float())
+		q.K = int(int8(s.byte()))
+		q.State = s.bytes()
+	}
+	return out
+}
+
 func (s *source) batch() BatchResponse {
 	n := int(s.byte()) % 6
 	if n == 0 {
@@ -199,7 +296,8 @@ func (s *source) batch() BatchResponse {
 		case 3:
 			r.TopK = &TopKResponse{Routes: []TopKEntry{{Prob: s.float()}}}
 		case 4:
-			r.State = &StateResult{State: []byte(s.str()), UILo: s.float(), UIHi: s.float()}
+			r.State = &StateResult{State: s.bytes(), UILo: s.float(), UIHi: s.float(),
+				Factors: int(int8(s.byte())), MaxRank: int(s.byte())}
 		case 5:
 			r.Distribution, r.Error = s.distribution(), s.str()
 		}
@@ -225,6 +323,22 @@ func TestEncoderMatchesJSONOnEdgeValues(t *testing.T) {
 	checkEncode(t, BatchResponse{})
 	checkEncode(t, BatchResponse{Results: []BatchResult{}})
 	checkEncode(t, BatchResponse{Results: []BatchResult{{}, {Kind: "route", Status: 200, Route: &RouteResponse{}}}})
+	state := []byte("PST\x02\x00\xff<>&")
+	for _, f := range edgeFloats {
+		q := BatchQuery{Kind: "state", Path: []int64{1, -2}, Depart: f, Budget: f, UILo: f, UIHi: -f, State: state}
+		checkMarshalRequest(t, &BatchRequest{Queries: []BatchQuery{q, {Depart: f}}})
+		checkEncode(t, BatchResponse{Results: []BatchResult{{Kind: "state", Status: 200, State: &StateResult{State: state, UILo: f, UIHi: f}}}})
+	}
+	for _, s := range edgeStrings {
+		checkMarshalRequest(t, &BatchRequest{Queries: []BatchQuery{{Kind: s, Method: s}}})
+	}
+	for _, st := range [][]byte{nil, {}, {0}, {0, 1}, {0, 1, 2}, state} {
+		checkMarshalRequest(t, &BatchRequest{Queries: []BatchQuery{{State: st}}})
+		checkEncode(t, BatchResponse{Results: []BatchResult{{State: &StateResult{State: st}}}})
+	}
+	checkMarshalRequest(t, &BatchRequest{})
+	checkMarshalRequest(t, &BatchRequest{Queries: []BatchQuery{}})
+	checkMarshalRequest(t, &BatchRequest{Queries: []BatchQuery{{Path: []int64{}, Source: 1, Dest: -1, K: -3}}})
 	// Everything that is neither hot shape goes through encoding/json.
 	checkEncode(t, Error{Error: "<&>"})
 	checkEncode(t, map[string]string{"status": "ok"})
@@ -268,8 +382,13 @@ func TestEncoderCoversEveryField(t *testing.T) {
 	var r BatchResult // every member set: json.Marshal's entry
 	fill(reflect.ValueOf(&r).Elem())
 	checkEncode(t, BatchResponse{Results: []BatchResult{r}})
-	r.Route, r.TopK, r.State = nil, nil, nil // a distribution entry: the inline one
+	r.Route, r.TopK = nil, nil // the inline entry: distribution and state
 	checkEncode(t, BatchResponse{Results: []BatchResult{r}})
+	r.Distribution = nil // a relay leg's answer
+	checkEncode(t, BatchResponse{Results: []BatchResult{r}})
+	var q BatchQuery
+	fill(reflect.ValueOf(&q).Elem())
+	checkMarshalRequest(t, &BatchRequest{Queries: []BatchQuery{q}})
 }
 
 func TestEncoderMatchesJSONOnRandomValues(t *testing.T) {
@@ -278,13 +397,25 @@ func TestEncoderMatchesJSONOnRandomValues(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		rnd.Read(raw)
 		checkEncode(t, (&source{b: raw}).distribution())
-		checkEncode(t, (&source{b: raw}).batch())
+		checkBatchRoundTrip(t, (&source{b: raw}).batch())
+		checkMarshalRequest(t, (&source{b: raw}).batchRequest())
 	}
 	// Magnitudes around both notation switches, where random bits
 	// almost never land.
 	for i := 0; i < 3000; i++ {
 		f := (rnd.Float64() + 0.5) * math.Pow(10, float64(rnd.Intn(60)-30))
 		checkEncode(t, &DistributionResponse{MeanS: f, P10S: -f})
+	}
+}
+
+// checkBatchRoundTrip encodes a batch answer as a shard does and then
+// decodes those bytes as the coordinator does, each half held to
+// encoding/json.
+func checkBatchRoundTrip(t *testing.T, r BatchResponse) {
+	t.Helper()
+	checkEncode(t, r)
+	if body, err := appendJSON(nil, r); err == nil {
+		checkUnmarshalResponse(t, body)
 	}
 }
 
@@ -308,7 +439,14 @@ var requestSeeds = []string{
 	`{"path":[1],"depart":2}trailing garbage`, `{"path":[1],"depart":2}{"path":[3]}`, `{"queries":[]} x`, `{"path":[1]}}`,
 	// richer shapes: encoding/json's to decode
 	`{"kind":"distribution","path":[1]}`, `{"queries":[{"kind":"route","source":1,"dest":2,"depart":3,"budget":4}]}`,
+	// relay legs: state entries, and the edges of a base64 state
 	`{"queries":[{"kind":"state","path":[1],"depart":0,"ui_lo":0,"ui_hi":0,"state":"UFNU"}]}`,
+	`{"queries":[{"kind":"state","path":[3,4],"depart":28800,"method":"OD","ui_lo":28800,"ui_hi":28800}]}`,
+	`{"queries":[{"state":""}]}`, `{"queries":[{"state":null}]}`, `{"queries":[{"state":"UFN"}]}`, `{"queries":[{"state":"UFM="}]}`,
+	`{"queries":[{"state":"UF=="}]}`, `{"queries":[{"state":"UF="}]}`, `{"queries":[{"state":"U==="}]}`, `{"queries":[{"state":"UFNU===="}]}`,
+	`{"queries":[{"state":"\/"}]}`, `{"queries":[{"state":"+/+/"}]}`, `{"queries":[{"state":"UF NU"}]}`, `{"queries":[{"state":"UFNU","state":"UFNU"}]}`,
+	`{"queries":[{"kind":"state","ui_lo":1e3,"ui_hi":2.5E-3}]}`, `{"queries":[{"ui_lo":-0,"ui_hi":1e999}]}`, `{"queries":[{"ui_lo":null}]}`,
+	`{"state":"UFNU"}`, `{"path":[1],"ui_lo":1}`,
 	`{"queries":[{"path":[1],"k":2}]}`, `{"queries":[{"path":[1]}],"extra":1}`, `{"path":[1],"unknown":1}`,
 	// malformed
 	``, ` `, `{`, `{"path":[1,]}`, `{"path":[1 2]}`, `{"path":[1],}`, `{"path" [1]}`, `[1,2]`, `"str"`, `{"queries":[{"path":[1]},]}`, `{"queries":[{"path":[1]}`, "\xef\xbb\xbf{}",
@@ -352,6 +490,70 @@ func TestPlainFormIsTaken(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { parsePlain(&d, dist) }); n > 2 {
 		t.Errorf("plain distribution parse allocates %v times, want 2 (the path and the method)", n)
 	}
+	for _, body := range [][]byte{relayRequest(t), []byte(`{"queries":[{"state":""}]}`)} {
+		if !parsePlain(&b, body) {
+			t.Errorf("relay body %s is not plain", body)
+		}
+	}
+	var r BatchResponse
+	if answer := relayAnswer(t); !ParseBatchResponse(answer, &r) {
+		t.Errorf("relay answer %s is not plain", answer)
+	}
+}
+
+// relayRequest is one relay leg's body as the coordinator marshals it:
+// a continued segment, with a state to carry.
+func relayRequest(t *testing.T) []byte {
+	t.Helper()
+	body, err := MarshalBatchRequest(&BatchRequest{Queries: []BatchQuery{{
+		Kind: "state", Path: []int64{812, 813, 1044}, Depart: 28800, Method: "OD",
+		UILo: 28912.5, UIHi: 29160.25, State: bytes.Repeat([]byte{0x50, 0x53, 0x02, 0xfe}, 32),
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// relayAnswer is a shard's one-entry answer to a relay leg.
+func relayAnswer(t *testing.T) []byte {
+	t.Helper()
+	body, err := appendJSON(nil, BatchResponse{Results: []BatchResult{{Kind: "state", Status: 200, State: &StateResult{
+		State: bytes.Repeat([]byte{0x50, 0x53, 0x02, 0xfe}, 32), UILo: 28912.5, UIHi: 29160.25, Factors: 3, MaxRank: 2,
+	}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestRelayCodecAllocs pins the allocations of a relay leg's codec
+// steps: the shard's parse of the request, the coordinator's encode of
+// it and its decode of the answer.
+func TestRelayCodecAllocs(t *testing.T) {
+	req, answer := relayRequest(t), relayAnswer(t)
+	breq, bresp := new(BatchRequest), new(BatchResponse)
+	if !parsePlain(breq, req) {
+		t.Fatal("relay request is not plain")
+	}
+	for _, c := range []struct {
+		name   string
+		budget float64
+		f      func()
+	}{
+		// queries, path, kind, method, state
+		{"parse a relay request", 5, func() { *breq = BatchRequest{}; parsePlain(breq, req) }},
+		// the body, sized once
+		{"encode a relay request", 1, func() { _, _ = MarshalBatchRequest(breq) }},
+		// results, the StateResult, its state; the kind is shared
+		{"decode a one-entry state answer", 3, func() { *bresp = BatchResponse{}; _ = UnmarshalBatchResponse(answer, bresp) }},
+	} {
+		n := testing.AllocsPerRun(200, c.f)
+		t.Logf("%s: %v allocations", c.name, n)
+		if n > c.budget {
+			t.Errorf("%s: %v allocations, budget %v", c.name, n, c.budget)
+		}
+	}
 }
 
 // TestPlainFormDeclines pins the other side of the edge: bodies the
@@ -362,7 +564,8 @@ func TestPlainFormDeclines(t *testing.T) {
 		`{"path":[1],"path":[2]}`, `{"depart":1,"depart":1}`, `{"queries":[],"queries":[]}`,
 		`{"Path":[1]}`, `{"path":null}`, `{"method":null}`, `{"path":[1e3]}`, `{"path":[01]}`, `{"depart":01}`,
 		`{"path":[1000000000000000000]}`, `{"path":[-1000000000000000000]}`, `{"method":"O\u0044"}`, `{"method":"é"}`,
-		`{"kind":"distribution"}`, `{"queries":[{"source":1}]}`, `{"queries":[{"state":""}]}`, `{"unknown":1}`, `{"path":[1],}`, ``,
+		`{"kind":"distribution"}`, `{"queries":[{"source":1}]}`, `{"unknown":1}`, `{"path":[1],}`, ``,
+		`{"state":""}`, `{"ui_lo":1}`, `{"queries":[{"state":null}]}`, `{"queries":[{"state":"UFN"}]}`, `{"queries":[{"state":"\/"}]}`,
 	} {
 		var d DistributionRequest
 		var b BatchRequest
@@ -404,11 +607,27 @@ func TestBufferPoolRetentionCap(t *testing.T) {
 	}
 }
 
+// responseSeeds are relay-leg answers on both sides of the plain
+// form's edge.
+var responseSeeds = []string{
+	`{"results":[{"kind":"state","status":200,"state":{"state":"UFNU","ui_lo":28800,"ui_hi":28950.5,"factors":3,"max_rank":2}}]}` + "\n",
+	` { "results" : [ { "kind" : "state" , "status" : 400 , "error" : "core: bad state" } ] } `,
+	`{"results":[]}`, `{"results":[{}]}`, `{"results":[{"state":{}}]}`, `{"results":[{"kind":"distribution","status":200,"distribution":{"method":"OD"}}]}`,
+	`{"results":null}`, `{"results":[null]}`, `{"results":[{"state":null}]}`, `{"results":[{"state":{"state":null}}]}`, `null`,
+	`{"results":[{"state":{"state":"UFN"}}]}`, `{"results":[{"state":{"state":"\/"}}]}`, `{"results":[{"status":1.5}]}`, `{"results":[{"status":1e2}]}`,
+	`{"results":[{"status":99999999999999999999}]}`, `{"results":[{"state":{"factors":-0,"ui_lo":1e999}}]}`,
+	`{"results":[{"kind":"state","kind":"state"}]}`, `{"results":[{"Kind":"state"}]}`, `{"results":[{"kind":"state","extra":1}]}`, `{"results":[],"extra":1}`,
+	`{"results":[]} `, `{"results":[]} x`, `{"results":[]}{}`, `{"results":[{"error":"a\u003cb"}]}`, `{"results":[{"error":"é"}]}`, `{"results":[{"kind":"state"},]}`,
+}
+
 // FuzzWireCodec feeds the same bytes to both halves of the codec. As a
 // request body: Wire.Read must agree with the json.Decoder both tiers
 // used before it — verdict, error bytes, decoded struct — at the real
-// cap and at one the body may cross. As a source of response values:
-// the append encoder must write json.Encoder's bytes or refuse with it.
+// cap and at one the body may cross. As a relay leg's answer:
+// UnmarshalBatchResponse must agree with json.Unmarshal. As a source of
+// values: the append encoder must write json.Encoder's bytes, and the
+// relay request encoder json.Marshal's, or refuse with them; every
+// batch answer encoded is decoded back against json.Unmarshal too.
 func FuzzWireCodec(f *testing.F) {
 	for _, s := range requestSeeds {
 		f.Add([]byte(s))
@@ -416,12 +635,17 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(append([]byte(`{"path":[1],"depart":2}`), make([]byte, smallCap)...)) // over the cap after a whole value
 	f.Add(bytes.Repeat([]byte{0x20, 0x07, 0x15, 0x03}, 40))                     // response seeds: table indices and raw bits
 	f.Add(bytes.Repeat([]byte{0xfe, 0x1b, 0x02, 0x0a, 0x19}, 40))
+	for _, s := range responseSeeds {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, limit := range []int64{MaxQueryBody, smallCap} {
 			checkRead[DistributionRequest](t, data, limit)
 			checkRead[BatchRequest](t, data, limit)
 		}
+		checkUnmarshalResponse(t, data)
 		checkEncode(t, (&source{b: data}).distribution())
-		checkEncode(t, (&source{b: data}).batch())
+		checkBatchRoundTrip(t, (&source{b: data}).batch())
+		checkMarshalRequest(t, (&source{b: data}).batchRequest())
 	})
 }

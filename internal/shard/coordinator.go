@@ -517,6 +517,13 @@ func (c *Coordinator) applyResult(p *pendingQuery, res *api.BatchResult, region 
 		p.res = *res
 		return
 	}
+	if res.Status == http.StatusBadRequest {
+		// classify validated the query, so a shard refusing its segment
+		// is the tier's fault — most likely a state the previous shard
+		// relayed corrupt — and never the client's 400.
+		p.fail(http.StatusBadGateway, fmt.Sprintf("shard %d refused a relayed state entry: %s", region, res.Error))
+		return
+	}
 	if res.Status != http.StatusOK {
 		p.done = true
 		p.res = api.BatchResult{Kind: "distribution", Status: res.Status, Error: res.Error}
@@ -578,7 +585,9 @@ func (c *Coordinator) applyResult(p *pendingQuery, res *api.BatchResult, region 
 // replicas configured the call may try every sibling before giving up,
 // so a single replica's death costs one leg's latency, never a 503.
 func (c *Coordinator) shardBatch(ctx context.Context, ss *shardState, breq *api.BatchRequest) (*api.BatchResponse, error) {
-	body, err := json.Marshal(breq)
+	// Not pooled: a hedged or losing leg may still be sending the body
+	// after this call returns.
+	body, err := api.MarshalBatchRequest(breq)
 	if err != nil {
 		return nil, err
 	}
@@ -616,7 +625,7 @@ func (c *Coordinator) shardBatch(ctx context.Context, ss *shardState, breq *api.
 			return legResult{rs: rs, err: fmt.Errorf("shard answered %d: %s", hresp.StatusCode, firstLine(raw))}
 		}
 		var bresp api.BatchResponse
-		if err := json.Unmarshal(raw, &bresp); err != nil {
+		if err := api.UnmarshalBatchResponse(raw, &bresp); err != nil {
 			return legResult{rs: rs, err: fmt.Errorf("undecodable shard response: %v", err)}
 		}
 		if len(bresp.Results) != len(breq.Queries) {

@@ -20,6 +20,7 @@ import (
 // connection, "hang" blocks until the request context dies, "garbage"
 // answers 200 with an undecodable body, "empty-state" lets the shard
 // answer and then blanks the state of every state entry ("state": ""),
+// "corrupt-state" flips the first (magic) byte of every such state,
 // "shed" answers every /v1/batch call 429 + Retry-After the way a full
 // shard's api.Gate does. "hang-once"/"kill-once" fault only the first call to the host, so the
 // hedged second leg succeeds.
@@ -71,7 +72,13 @@ func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			Request: req,
 		}, nil
 	case mode == "empty-state":
-		return blankStates(http.DefaultTransport.RoundTrip(req))
+		return rewriteStates(func(st *api.StateResult) { st.State = []byte{} })(http.DefaultTransport.RoundTrip(req))
+	case mode == "corrupt-state":
+		return rewriteStates(func(st *api.StateResult) {
+			if len(st.State) > 0 {
+				st.State[0] ^= 0xff
+			}
+		})(http.DefaultTransport.RoundTrip(req))
 	case mode == "shed" && req.URL.Path == "/v1/batch":
 		return &http.Response{
 			Status:     "429 Too Many Requests",
@@ -88,30 +95,33 @@ func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(req)
 }
 
-// blankStates rewrites a shard's batch answer so that every state
-// entry carries an empty state, everything else as the shard sent it.
-func blankStates(resp *http.Response, err error) (*http.Response, error) {
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var bresp api.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&bresp); err != nil {
-		return nil, err
-	}
-	for i := range bresp.Results {
-		if st := bresp.Results[i].State; st != nil {
-			st.State = []byte{}
+// rewriteStates returns a rewrite of a shard's batch answer that
+// applies edit to the state of every state entry, everything else as
+// the shard sent it.
+func rewriteStates(edit func(*api.StateResult)) func(*http.Response, error) (*http.Response, error) {
+	return func(resp *http.Response, err error) (*http.Response, error) {
+		if err != nil {
+			return nil, err
 		}
+		defer resp.Body.Close()
+		var bresp api.BatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&bresp); err != nil {
+			return nil, err
+		}
+		for i := range bresp.Results {
+			if st := bresp.Results[i].State; st != nil {
+				edit(st)
+			}
+		}
+		body, err := json.Marshal(bresp)
+		if err != nil {
+			return nil, err
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+		resp.ContentLength = int64(len(body))
+		resp.Header.Del("Content-Length")
+		return resp, nil
 	}
-	body, err := json.Marshal(bresp)
-	if err != nil {
-		return nil, err
-	}
-	resp.Body = io.NopCloser(bytes.NewReader(body))
-	resp.ContentLength = int64(len(body))
-	resp.Header.Del("Content-Length")
-	return resp, nil
 }
 
 // faultFleet boots a 3-way fleet with an injectable transport and fast
@@ -294,26 +304,51 @@ func TestCrossRegionQueryFailsCleanlyWhenRelayShardDies(t *testing.T) {
 // which would restart the chain there — a wrong distribution whenever
 // the departure interval still happens to be a point.
 func TestEmptyRelayedStateFailsTheEntry(t *testing.T) {
-	sys := testSystem(t)
-	f, ft := faultFleet(t)
-	p := crossRegionPath(t, f, sys)
-	victim := f.part.SegmentPath(sys.Graph, p)[0].Region
-	queries, _ := regionQueries(t, f)
-	queries = append(queries, api.BatchQuery{Kind: "distribution", Path: edgeIDs(p), Depart: 8 * 3600})
-
-	ft.set(f.shardTS[victim].URL, "empty-state")
-	defer ft.set(f.shardTS[victim].URL, "")
-	results := postBatch(t, f.coordTS.URL, queries)
-	relayed := results[len(results)-1]
+	relayed, segs := relayWithFaultyFirstShard(t, "empty-state")
+	victim := segs[0].Region
 	if relayed.Status != http.StatusBadGateway || relayed.Distribution != nil ||
 		!strings.Contains(relayed.Error, fmt.Sprintf("shard %d answered a state entry with an empty state", victim)) {
 		t.Errorf("relayed entry = %d (%s), want a 502 naming shard %d's empty state", relayed.Status, relayed.Error, victim)
 	}
+}
+
+// TestCorruptRelayedStateFailsTheEntry: a shard that answers a state
+// entry 200 with a state the next shard cannot decode must cost that
+// entry a 502 naming the refusing shard — not forward that shard's 400
+// as the client's fault: the coordinator validated the query itself.
+func TestCorruptRelayedStateFailsTheEntry(t *testing.T) {
+	relayed, segs := relayWithFaultyFirstShard(t, "corrupt-state")
+	refuser := segs[1].Region
+	if relayed.Status != http.StatusBadGateway || relayed.Distribution != nil ||
+		!strings.HasPrefix(relayed.Error, fmt.Sprintf("shard %d refused a relayed state entry: core: ", refuser)) {
+		t.Errorf("relayed entry = %d (%s), want a 502 naming shard %d, which refused the state", relayed.Status, relayed.Error, refuser)
+	}
+}
+
+// relayWithFaultyFirstShard sends one batch of single-region entries
+// and one cross-region entry, with mode set on the shard that answers
+// the cross-region entry's first segment. It checks that every
+// single-region sibling still answers 200 and returns the relayed
+// entry's result and its segments.
+func relayWithFaultyFirstShard(t *testing.T, mode string) (api.BatchResult, []Segment) {
+	t.Helper()
+	sys := testSystem(t)
+	f, ft := faultFleet(t)
+	p := crossRegionPath(t, f, sys)
+	segs := f.part.SegmentPath(sys.Graph, p)
+	victim := segs[0].Region
+	queries, _ := regionQueries(t, f)
+	queries = append(queries, api.BatchQuery{Kind: "distribution", Path: edgeIDs(p), Depart: 8 * 3600})
+
+	ft.set(f.shardTS[victim].URL, mode)
+	defer ft.set(f.shardTS[victim].URL, "")
+	results := postBatch(t, f.coordTS.URL, queries)
 	for i, res := range results[:len(results)-1] {
 		if res.Status != http.StatusOK {
-			t.Errorf("sibling entry %d poisoned: %d (%s)", i, res.Status, res.Error)
+			t.Errorf("%s: sibling entry %d poisoned: %d (%s)", mode, i, res.Status, res.Error)
 		}
 	}
+	return results[len(results)-1], segs
 }
 
 // TestStatsAnswerWithoutWaitingOnHungShard: the coordinator's /v1/stats

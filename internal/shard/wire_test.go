@@ -2,10 +2,14 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
+	"sync"
 	"testing"
 
 	"repro/internal/api"
@@ -65,5 +69,93 @@ func TestCoordinatorUnencodableAnswerIs500(t *testing.T) {
 	}
 	if s, r := f.coord.gate.Served.Load(), f.coord.gate.Rejected.Load(); s != 0 || r != 1 {
 		t.Fatalf("counted served %d rejected %d, want 0 and 1", s, r)
+	}
+}
+
+// recordingTransport passes every call through and keeps each
+// /v1/batch leg's request body and answer.
+type recordingTransport struct {
+	mu   sync.Mutex
+	legs []recordedLeg
+}
+
+type recordedLeg struct {
+	request, answer []byte
+	status          int
+}
+
+func (rt *recordingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	var body []byte
+	if req.Body != nil {
+		var err error
+		if body, err = io.ReadAll(req.Body); err != nil {
+			return nil, err
+		}
+		req.Body.Close()
+		req = req.Clone(req.Context())
+		req.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.URL.Path != "/v1/batch" {
+		return resp, err
+	}
+	answer, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(answer))
+	rt.mu.Lock()
+	rt.legs = append(rt.legs, recordedLeg{request: body, answer: answer, status: resp.StatusCode})
+	rt.mu.Unlock()
+	return resp, nil
+}
+
+// TestRelayLegsTakeThePlainCodec records every shard leg of the 3-way
+// equivalence workload. Each request body must be json.Marshal's bytes
+// for the request it carries, and each answer to a relay leg (every
+// entry of kind "state") must be taken by api.ParseBatchResponse, not
+// by its encoding/json fallback, and decode to json.Unmarshal's
+// struct. Answers stay correct either way: this is what notices the
+// reflection-free path being silently skipped.
+func TestRelayLegsTakeThePlainCodec(t *testing.T) {
+	sys := testSystem(t)
+	rt := &recordingTransport{}
+	f := startFleet(t, 3, func(cfg *Config) { cfg.Transport = rt })
+	for _, p := range queryPaths(t, sys, 30, 103) {
+		for _, m := range []string{"OD", "HP", "LB"} {
+			postRaw(t, f.coordTS.URL+"/v1/distribution",
+				api.DistributionRequest{Path: edgeIDs(p), Depart: 8 * 3600, Method: m, Budget: 1800})
+		}
+	}
+	relays := 0
+	for _, leg := range rt.legs {
+		var req api.BatchRequest
+		if err := json.Unmarshal(leg.request, &req); err != nil {
+			t.Fatalf("leg request %s: %v", leg.request, err)
+		}
+		if want, _ := json.Marshal(&req); !bytes.Equal(leg.request, want) {
+			t.Errorf("leg request is not json.Marshal's bytes:\n%s\nwant\n%s", leg.request, want)
+		}
+		relay := leg.status == http.StatusOK
+		for _, q := range req.Queries {
+			relay = relay && q.Kind == "state"
+		}
+		if !relay {
+			continue
+		}
+		relays++
+		var want, got api.BatchResponse
+		if err := json.Unmarshal(leg.answer, &want); err != nil {
+			t.Fatalf("relay answer %s: %v", leg.answer, err)
+		}
+		if !api.ParseBatchResponse(leg.answer, &got) {
+			t.Errorf("relay answer %s was left to encoding/json", leg.answer)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("relay answer %s: decoded %+v, json.Unmarshal %+v", leg.answer, got, want)
+		}
+	}
+	if relays == 0 {
+		t.Fatal("the workload made no relay leg: the check is vacuous")
 	}
 }
