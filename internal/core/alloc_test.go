@@ -47,12 +47,15 @@ func TestChainStateCodecAllocBudget(t *testing.T) {
 // coldEvaluateAllocBudget bounds one warm Evaluate of the 48-edge path
 // of longChainFixture, per method. Nearly every chain step is a fused
 // convolveFold whose state and accumulator axis live in the
-// evaluation's pooled arena, so what is left is the first step, the
-// marginal and, under OD, the two steps that keep a dimension (about
-// fifteen each: remaps onto a union grid): OD 37 and LB 7. The
-// two-pass route, with a product, a folded state, an axis and a
-// position list per step, took 185 and 195.
-var coldEvaluateAllocBudget = map[Method]float64{MethodOD: 40, MethodLB: 8}
+// evaluation's pooled arena, products are values and the remap tables
+// of an overlap's alignment are pooled, so what is left is the first
+// step, the marginal and, under OD, the two steps that keep a dimension
+// (a folded state, its axis and position list, and a union grid each):
+// OD 13 and LB 5. With a product on the heap and a new remap table per
+// aligned side it was OD 34 and LB 6; the two-pass route, with a
+// product, a folded state, an axis and a position list per step, took
+// 185 and 195.
+var coldEvaluateAllocBudget = map[Method]float64{MethodOD: 14, MethodLB: 6}
 
 func TestColdEvaluateAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -78,9 +81,10 @@ func TestColdEvaluateAllocBudget(t *testing.T) {
 // <e0,e1,e2> — the longest-prefix probe renders a key per depth it
 // tries, missing at 4 and hitting at 3 — extends it by one edge and
 // offers the new state under its key, the LRU entry included. Measured
-// 15. While routing also read the memo, the budget bounded one
-// memo-attached ExtendPath (probe, compute, offer) at 14.
-const memoExtendAllocBudget = 16
+// 14; 15 while a product was a heap object. While routing also read
+// the memo, the budget bounded one memo-attached ExtendPath (probe,
+// compute, offer) at 14.
+const memoExtendAllocBudget = 15
 
 func TestMemoExtendAllocBudget(t *testing.T) {
 	if raceEnabled {

@@ -390,25 +390,68 @@ func newDecomposition(n int) *Decomposition {
 	return &Decomposition{Vars: make([]*Variable, 0, n), Pos: make([]int, 0, n)}
 }
 
+// reuseDecomposition returns dst emptied, with room for n factors in
+// its columns, or a new decomposition when dst is nil.
+func reuseDecomposition(dst *Decomposition, n int) *Decomposition {
+	if dst == nil {
+		return newDecomposition(n)
+	}
+	dst.Vars = slices.Grow(dst.Vars[:0], n)
+	dst.Pos = slices.Grow(dst.Pos[:0], n)
+	return dst
+}
+
+// pickRule is how a method picks one variable per candidate row: OD's
+// highest rank (capped at maxRank; 0 means uncapped), RD's random one
+// drawn from rnd, HP's pair and LB's unit.
+type pickRule struct {
+	method  Method
+	maxRank int
+	rnd     Intner
+}
+
+// pick returns the rule's variable of a row, whose variables ascend by
+// rank with the rank-1 one first.
+func (r pickRule) pick(row []*Variable) *Variable {
+	switch r.method {
+	case MethodOD:
+		for i := len(row) - 1; i >= 0; i-- {
+			if r.maxRank <= 0 || row[i].Rank() <= r.maxRank {
+				return row[i]
+			}
+		}
+	case MethodRD:
+		return row[r.rnd.Intn(len(row))]
+	case MethodHP:
+		for _, v := range row {
+			if v.Rank() == 2 {
+				return v
+			}
+		}
+	}
+	return row[0]
+}
+
 // selectFactors is the scan every method shares: pick one variable per
 // row and keep it unless it is a sub-path of an earlier pick — with
 // picks aligned at their rows, iff it ends no later than the furthest
-// coverage. The picks collect on the stack, so the decomposition is
-// allocated once, at its exact size.
-func (ca *CandidateArray) selectFactors(pick func(row []*Variable) *Variable) *Decomposition {
+// coverage. The picks collect on the stack, then land in dst (see
+// reuseDecomposition), so a new decomposition is allocated once, at
+// its exact size.
+func (ca *CandidateArray) selectFactors(r pickRule, dst *Decomposition) *Decomposition {
 	var varsBuf [64]*Variable
 	var posBuf [64]int
 	vars, pos := varsBuf[:0], posBuf[:0]
 	covered := -1 // last query position covered so far
 	for k, row := range ca.Rows {
-		v := pick(row.Vars)
+		v := r.pick(row.Vars)
 		if end := k + v.Rank() - 1; end > covered {
 			vars = append(vars, v)
 			pos = append(pos, k)
 			covered = end
 		}
 	}
-	de := newDecomposition(len(vars))
+	de := reuseDecomposition(dst, len(vars))
 	de.Vars = append(de.Vars, vars...)
 	de.Pos = append(de.Pos, pos...)
 	return de
@@ -433,14 +476,7 @@ func (d *Decomposition) MaxRank() int {
 // means uncapped), omit paths that are sub-paths of already selected
 // ones, and return the unique coarsest decomposition (Theorem 4).
 func (ca *CandidateArray) CoarsestDecomposition(maxRank int) *Decomposition {
-	return ca.selectFactors(func(row []*Variable) *Variable {
-		for i := len(row) - 1; i >= 0; i-- {
-			if maxRank <= 0 || row[i].Rank() <= maxRank {
-				return row[i]
-			}
-		}
-		return row[0]
-	})
+	return ca.selectFactors(pickRule{method: MethodOD, maxRank: maxRank}, nil)
 }
 
 // Intner is any deterministic integer source (math/rand.Rand works).
@@ -452,7 +488,7 @@ type Intner interface {
 // a uniformly random-rank relevant variable is considered, and the
 // usual sub-path elimination is applied.
 func (ca *CandidateArray) RandomDecomposition(rnd Intner) *Decomposition {
-	return ca.selectFactors(func(row []*Variable) *Variable { return row[rnd.Intn(len(row))] })
+	return ca.selectFactors(pickRule{method: MethodRD, rnd: rnd}, nil)
 }
 
 // PairDecomposition builds the HP baseline's decomposition: the
@@ -460,14 +496,7 @@ func (ca *CandidateArray) RandomDecomposition(rnd Intner) *Decomposition {
 // variables to fill pairs without data. Rank > 2 variables are never
 // used (the HP method of [10] models pairwise dependence only).
 func (ca *CandidateArray) PairDecomposition() *Decomposition {
-	return ca.selectFactors(func(row []*Variable) *Variable {
-		for _, v := range row {
-			if v.Rank() == 2 {
-				return v
-			}
-		}
-		return row[0] // rank-1 is always first
-	})
+	return ca.selectFactors(pickRule{method: MethodHP}, nil)
 }
 
 // UnitDecomposition builds the LB baseline's decomposition: one rank-1
@@ -475,24 +504,25 @@ func (ca *CandidateArray) PairDecomposition() *Decomposition {
 // A rank-1 pick is never a sub-path of an earlier one, so every row
 // keeps its pick.
 func (ca *CandidateArray) UnitDecomposition() *Decomposition {
-	return ca.selectFactors(func(row []*Variable) *Variable { return row[0] })
+	return ca.selectFactors(pickRule{method: MethodLB}, nil)
 }
 
 // decomposition is the one choice of decomposition by method: OD's
 // coarsest (capped at opt.RankCap), RD's random one drawn from
-// opt.Seed, HP's pairs or LB's units.
-func (ca *CandidateArray) decomposition(opt QueryOptions) (*Decomposition, error) {
+// opt.Seed, HP's pairs or LB's units, into dst (see
+// reuseDecomposition).
+func (ca *CandidateArray) decomposition(opt QueryOptions, dst *Decomposition) (*Decomposition, error) {
+	r := pickRule{method: opt.Method}
 	switch opt.Method {
 	case MethodOD:
-		return ca.CoarsestDecomposition(opt.RankCap), nil
+		r.maxRank = opt.RankCap
 	case MethodRD:
-		return ca.RandomDecomposition(rand.New(rand.NewSource(opt.Seed))), nil
-	case MethodHP:
-		return ca.PairDecomposition(), nil
-	case MethodLB:
-		return ca.UnitDecomposition(), nil
+		r.rnd = rand.New(rand.NewSource(opt.Seed))
+	case MethodHP, MethodLB:
+	default:
+		return nil, fmt.Errorf("core: unknown method %q", opt.Method)
 	}
-	return nil, fmt.Errorf("core: unknown method %q", opt.Method)
+	return ca.selectFactors(r, dst), nil
 }
 
 // Validate checks the Section 4.1.1 decomposition conditions against

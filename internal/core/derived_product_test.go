@@ -97,7 +97,7 @@ func sameState(s *PathState, want *keptState) string {
 	if err != nil {
 		return err.Error()
 	}
-	got := append(append([]*chainState(nil), s.inter...), pre)
+	got := append(append([]*chainState(nil), s.inter...), &pre)
 	exp := append(append([]*chainState(nil), want.inter...), want.preFold)
 	for i := range got {
 		gb, err1 := (&ChainState{cs: got[i]}).Encode()
@@ -156,7 +156,7 @@ func TestDerivedProductMatchesKept(t *testing.T) {
 							if rnd.Intn(2) == 0 {
 								within = kept.Dist().Min() + rnd.Float64()*60
 							}
-							ns, settled, err := h.ExtendPathWithin(cur, p[k-1], within)
+							ns, settled, err := h.ExtendPathWithin(cur, p[k-1], within, nil)
 							ks, kerr := extendKept(h, kept, p[:k], dep, opt, within)
 							if err != nil || (kerr != nil && kerr != errSettled) {
 								t.Fatalf("%s within %v: %v / %v", where, within, err, kerr)
@@ -172,7 +172,7 @@ func TestDerivedProductMatchesKept(t *testing.T) {
 						}
 						var next *PathState
 						if cur == nil {
-							next, err = h.StartPath(p[0], dep, opt)
+							next, err = h.StartPath(p[0], dep, opt, nil)
 						} else {
 							next, err = h.ExtendPath(cur, p[k-1])
 						}
@@ -202,7 +202,7 @@ func TestDerivedProductMatchesKept(t *testing.T) {
 							}
 							// The parent's last factor folded to nothing; a child that
 							// keeps an edge of it open folds its product again.
-							if i := shared - 1; i == len(cur.de.Vars)-1 && len(overlapWithNext(next.de, i)) > 0 {
+							if i := shared - 1; i == len(cur.de.Vars)-1 && len(overlapWithNext(next.de, i, nil)) > 0 {
 								seen.refold++
 							}
 						}
@@ -294,7 +294,7 @@ func TestConcurrentRefoldsOfSharedState(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if method == MethodOD && (len(want[0].de.Vars) != 2 || len(overlapWithNext(want[0].de, 0)) != 1) {
+		if method == MethodOD && (len(want[0].de.Vars) != 2 || len(overlapWithNext(want[0].de, 0, nil)) != 1) {
 			t.Fatalf("OD decomposes a child as %d factors: the fixture no longer refolds", len(want[0].de.Vars))
 		}
 		before := encodeStates(t, parent)

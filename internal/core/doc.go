@@ -56,14 +56,17 @@
 // A child reads the decomposition off its parent's when no variable
 // ends at the new edge (PathState.decompose), and the rare child that
 // folds the parent's last product again rebuilds that product
-// (PathState.lastProduct). docs/ARCHITECTURE.md ("What one routing
-// expansion costs") has the measurements and the proof.
+// (PathState.lastProduct). A search builds each state into a PathSlot
+// of its own, so a sibling reuses the storage of the state before it
+// and recycles the chain states that state computed itself; a memo
+// state has no slot and is never recycled. docs/ARCHITECTURE.md ("What
+// one routing expansion costs") has the measurements and the proof.
 //
 // Every evaluator runs one chain loop, runChain: the memo-free
 // CostDistribution (recycling each intermediate state through an
 // arena), PathState's extension (keeping each folded state for its
-// children) and an EvaluateSegment continuation (starting from the
-// relayed state). One switch, CandidateArray.decomposition, picks the
+// children, in its slot's state slots when it has one) and an
+// EvaluateSegment continuation (starting from the relayed state). One switch, CandidateArray.decomposition, picks the
 // decomposition by method for all of them. A chain step whose state
 // has no open dimension and whose factor shares no edge with the next
 // (nearly every step, the last factor of a PathState included) is one

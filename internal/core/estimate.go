@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"testing"
 	"time"
 
 	"repro/internal/graph"
@@ -157,7 +158,7 @@ func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query
 
 	ar := arenaPool.Get().(*chainArena)
 	defer arenaPool.Put(ar)
-	state, err := h.runChain(ctx, de, 0, nil, nil, &st, ar)
+	state, err := h.runChain(ctx, de, 0, nil, nil, &st, ar, nil)
 	if err != nil {
 		return nil, st, err
 	}
@@ -193,8 +194,10 @@ func (h *HybridGraph) singleFactorDist(v *Variable) (*hist.Histogram, error) {
 // product dies with its step and is recycled. An arena is passed only
 // for a chain that starts fresh and whose intermediate states nobody
 // else sees (inter is nil): each then dies as soon as the next one
-// exists, and its histogram is recycled too.
-func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, from int, state *chainState, inter []*chainState, st *EvalStats, ar *chainArena) (*chainState, error) {
+// exists, and its histogram is recycled too. own, when non-nil, is
+// where the states stored in inter are built instead: factor i's in
+// own[i], which must be released.
+func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, from int, state *chainState, inter []*chainState, st *EvalStats, ar *chainArena, own []stateSlot) (*chainState, error) {
 	recycle := ar != nil
 	sc := scratchPool.Get().(*evalScratch)
 	defer scratchPool.Put(sc)
@@ -211,16 +214,23 @@ func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, from int,
 		if err != nil {
 			return nil, err
 		}
-		keep := overlapWithNext(de, i)
+		into := slotAt(own, i)
+		keep := into.keep(de, i)
 		prev := state
 		fused := state != nil && len(state.open) == 0 && len(keep) == 0
+		if fused && ar != nil {
+			into = ar.next()
+		}
+		// The product of an unfused step dies with the step; its
+		// positions are scratch.
+		var prod chainState
 		switch {
 		case fused:
-			state, err = state.convolveFold(fm, st, h.Params.MaxAccBuckets, ar)
+			state, err = state.convolveFold(fm, st, h.Params.MaxAccBuckets, into)
 		case state == nil:
-			state, err = initialState(fm, sc.positions(de, i))
+			prod, err = initialState(fm, sc.positions(de, i))
 		default:
-			state, err = state.multiply(fm, sc.positions(de, i), st)
+			prod, err = state.multiply(fm, sc.positions(de, i), st)
 		}
 		if err != nil {
 			return nil, err
@@ -229,9 +239,7 @@ func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, from int,
 			hist.PutMulti(prev.m)
 		}
 		if !fused {
-			// The product dies with the step; its positions are scratch.
-			prod := state
-			state, err = prod.foldTo(keep, h.Params.MaxAccBuckets)
+			state, err = prod.foldTo(keep, h.Params.MaxAccBuckets, into)
 			hist.PutMulti(prod.m)
 			if err != nil {
 				return nil, err
@@ -245,12 +253,12 @@ func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, from int,
 }
 
 // overlapWithNext returns the positions of factor i that the next
-// factor also covers (empty for the last factor).
-func overlapWithNext(de *Decomposition, i int) []int {
+// factor also covers (empty for the last factor), appended to buf[:0].
+func overlapWithNext(de *Decomposition, i int, buf []int) []int {
+	keep := buf[:0]
 	if i+1 >= len(de.Vars) {
-		return nil
+		return keep
 	}
-	var keep []int
 	end := de.Pos[i] + de.Vars[i].Rank()
 	for q := de.Pos[i+1]; q < end; q++ {
 		keep = append(keep, q)
@@ -270,10 +278,11 @@ func checkStateDims(fm *hist.Multi) error {
 // initialState wraps a factor as a chain state with a zero-width
 // accumulator and all factor dims open. The factor's sorted cells map
 // to state cells by prepending the accumulator index 0, which keeps
-// them sorted, so the state is built columnar in one pass.
-func initialState(fm *hist.Multi, positions []int) (*chainState, error) {
+// them sorted, so the state is built columnar in one pass. Like a
+// product, it is a value: it lives for one step.
+func initialState(fm *hist.Multi, positions []int) (chainState, error) {
 	if err := checkStateDims(fm); err != nil {
-		return nil, err
+		return chainState{}, err
 	}
 	dims := fm.Dims()
 	sc := scratchPool.Get().(*evalScratch)
@@ -298,15 +307,16 @@ func initialState(fm *hist.Multi, positions []int) (*chainState, error) {
 	sc.keys, sc.probs = keys, probs
 	m, err := hist.NewMultiFromPackedCells(bounds, keys, probs)
 	if err != nil {
-		return nil, err
+		return chainState{}, err
 	}
-	return &chainState{m: m, open: positions}, nil
+	return chainState{m: m, open: positions}, nil
 }
 
 // multiply advances the chain by one factor: the state's open dims
 // must be a prefix of the factor's positions (its overlap); the result
 // has all factor dims open. With an empty overlap this is the
-// independent outer product.
+// independent outer product. The product is a value: it lives for one
+// step, until it is folded.
 //
 // The kernel is a merge-join over the two sorted cell arrays: the
 // aligned factor's cells group into contiguous runs by their overlap
@@ -324,22 +334,23 @@ func initialState(fm *hist.Multi, positions []int) (*chainState, error) {
 // must stay local. (A receiver write here would also make results
 // depend on sibling evaluation order, breaking the memo-on/memo-off
 // byte-identity guarantee.)
-func (s *chainState) multiply(fm *hist.Multi, positions []int, st *EvalStats) (*chainState, error) {
+func (s *chainState) multiply(fm *hist.Multi, positions []int, st *EvalStats) (chainState, error) {
 	overlap := s.open
-	ovIdxF := indexOf(positions, overlap)
+	var idxBuf [hist.MaxDims]int
+	ovIdxF := indexOf(positions, overlap, idxBuf[:0])
 	if len(ovIdxF) != len(overlap) {
-		return nil, fmt.Errorf("core: state open dims %v not contained in factor positions %v", overlap, positions)
+		return chainState{}, fmt.Errorf("core: state open dims %v not contained in factor positions %v", overlap, positions)
 	}
 	for i, fd := range ovIdxF {
 		if fd != i {
 			// Chain states overlap the next factor on a leading prefix
 			// by construction (overlaps are path prefixes), and relayed
 			// states are accumulator-only.
-			return nil, fmt.Errorf("core: state open dims %v are not a prefix of factor positions %v", overlap, positions)
+			return chainState{}, fmt.Errorf("core: state open dims %v are not a prefix of factor positions %v", overlap, positions)
 		}
 	}
 	if err := checkStateDims(fm); err != nil {
-		return nil, err
+		return chainState{}, err
 	}
 
 	// Align overlap dimensions on a shared grid. The two sides may
@@ -358,14 +369,14 @@ func (s *chainState) multiply(fm *hist.Multi, positions []int, st *EvalStats) (*
 		prevS, prevF := sm, fmAligned
 		sm, err = sm.RemapDim(sd, union)
 		if err != nil {
-			return nil, err
+			return chainState{}, err
 		}
 		if prevS != s.m && prevS != sm {
 			hist.PutMulti(prevS) // intermediate alignment view, now dead
 		}
 		fmAligned, err = fmAligned.RemapDim(fd, union)
 		if err != nil {
-			return nil, err
+			return chainState{}, err
 		}
 		if prevF != fm && prevF != fmAligned {
 			hist.PutMulti(prevF)
@@ -467,12 +478,12 @@ func (s *chainState) multiply(fm *hist.Multi, positions []int, st *EvalStats) (*
 		hist.PutMulti(fmAligned)
 	}
 	if err != nil {
-		return nil, err
+		return chainState{}, err
 	}
 	if err := res.Normalize(); err != nil {
-		return nil, err
+		return chainState{}, err
 	}
-	return &chainState{m: res, open: positions}, nil
+	return chainState{m: res, open: positions}, nil
 }
 
 // findRun binary-searches the factor run whose overlap prefix matches
@@ -540,8 +551,9 @@ func (s *chainState) supportMin(fm *hist.Multi) float64 {
 }
 
 // foldTo folds all open dims except keep into the accumulator and
-// re-buckets the accumulator axis to at most maxAcc buckets.
-func (s *chainState) foldTo(keep []int, maxAcc int) (*chainState, error) {
+// re-buckets the accumulator axis to at most maxAcc buckets, into a
+// new state or, when into is non-nil, into that slot.
+func (s *chainState) foldTo(keep []int, maxAcc int, into *stateSlot) (*chainState, error) {
 	sc := scratchPool.Get().(*evalScratch)
 	defer scratchPool.Put(sc)
 	// State-dim indexes of the kept positions (dim 0 is the acc).
@@ -564,11 +576,11 @@ func (s *chainState) foldTo(keep []int, maxAcc int) (*chainState, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := assembleState(sc, s.m, folds, nKept, keepIdx, maxAcc, nil)
+	m, err := assembleState(sc, s.m, folds, nKept, keepIdx, maxAcc, into.axisBuf())
 	if err != nil {
 		return nil, err
 	}
-	return &chainState{m: m, open: keep}, nil
+	return into.hold(m, keep), nil
 }
 
 // convolveFold is multiply + foldTo(nil, maxAcc) for a state with no
@@ -576,8 +588,9 @@ func (s *chainState) foldTo(keep []int, maxAcc int) (*chainState, error) {
 // straight from the (accumulator cell, factor cell) pairs in product key
 // order, through the two-pass route's float operations in its order, so
 // state, CellsTouched and errors are byte-identical (docs/ARCHITECTURE.md,
-// "What one chain step costs"). An arena gets the state in its next slot.
-func (s *chainState) convolveFold(fm *hist.Multi, st *EvalStats, maxAcc int, ar *chainArena) (*chainState, error) {
+// "What one chain step costs"). The state is new or, when into is
+// non-nil, built into that slot.
+func (s *chainState) convolveFold(fm *hist.Multi, st *EvalStats, maxAcc int, into *stateSlot) (*chainState, error) {
 	if err := checkStateDims(fm); err != nil {
 		return nil, err
 	}
@@ -633,37 +646,108 @@ func (s *chainState) convolveFold(fm *hist.Multi, st *EvalStats, maxAcc int, ar 
 	for i := range folds {
 		folds[i].pr /= total
 	}
-	if ar == nil {
-		m, err := assembleState(sc, nil, folds, 0, nil, maxAcc, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &chainState{m: m}, nil
-	}
-	t := ar.turn
-	m, err := assembleState(sc, nil, folds, 0, nil, maxAcc, ar.cuts[t])
+	m, err := assembleState(sc, nil, folds, 0, nil, maxAcc, into.axisBuf())
 	if err != nil {
 		return nil, err
 	}
-	ar.slots[t], ar.cuts[t], ar.turn = chainState{m: m}, m.Bounds(0), 1-t
-	return &ar.slots[t], nil
+	return into.hold(m, nil), nil
 }
+
+// stateSlot is reusable storage for one folded chain state: the state,
+// and the accumulator axis and open positions of the last state held
+// here, whose storage the next one reuses. A state is built into a
+// slot only once the one before it there is dead.
+type stateSlot struct {
+	cs   chainState
+	axis []float64
+	open []int
+}
+
+// axisBuf is the storage for the next accumulator axis built into the
+// slot; nil for a nil slot, whose state gets a new axis.
+func (sl *stateSlot) axisBuf() []float64 {
+	if sl == nil {
+		return nil
+	}
+	return sl.axis
+}
+
+// slotAt is own[i], or nil when own is.
+func slotAt(own []stateSlot, i int) *stateSlot {
+	if own == nil {
+		return nil
+	}
+	return &own[i]
+}
+
+// keep is overlapWithNext(de, i), in the slot's open-position storage
+// unless the slot is nil.
+func (sl *stateSlot) keep(de *Decomposition, i int) []int {
+	if sl == nil {
+		return overlapWithNext(de, i, nil)
+	}
+	sl.open = overlapWithNext(de, i, sl.open)
+	return sl.open
+}
+
+// hold makes the folded state (m, open) the slot's and returns it; a
+// nil slot returns a new state. m's accumulator axis — always a fresh
+// one, or the slot's own storage — becomes the slot's axis storage.
+func (sl *stateSlot) hold(m *hist.Multi, open []int) *chainState {
+	if sl == nil {
+		return &chainState{m: m, open: open}
+	}
+	sl.axis = m.Bounds(0)
+	sl.cs = chainState{m: m, open: open}
+	return &sl.cs
+}
+
+// release recycles the slot's state, if it holds one: its Multi goes
+// back to the pool; its axis and open positions stay as storage (in a
+// test binary they are scrambled first, see hist.PutMulti).
+func (sl *stateSlot) release() {
+	if sl.cs.m == nil {
+		return
+	}
+	hist.PutMulti(sl.cs.m)
+	if poisonReleased {
+		for i := range sl.axis {
+			sl.axis[i] = math.NaN()
+		}
+		for i := range sl.open {
+			sl.open[i] = -1
+		}
+	}
+	sl.cs = chainState{}
+}
+
+// poisonReleased is hist's release poisoning for the storage core
+// recycles itself: on in test binaries only.
+var poisonReleased = testing.Testing()
 
 // chainArena is the per-step heap of one recycling evaluation (see
 // runChain). A fused step reads only the state before it, so fused
 // states and their accumulator axes alternate between two slots; the
 // evaluation pools it back once its final state is marginalized.
 type chainArena struct {
-	slots [2]chainState
-	cuts  [2][]float64
+	slots [2]stateSlot
 	turn  int
+}
+
+// next returns the slot the arena's next fused state goes in: the one
+// its state before last, dead by now, was held in.
+func (ar *chainArena) next() *stateSlot {
+	sl := &ar.slots[ar.turn]
+	ar.turn = 1 - ar.turn
+	return sl
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(chainArena) }}
 
-// indexOf maps query positions to dim indexes within a factor.
-func indexOf(positions, subset []int) []int {
-	var out []int
+// indexOf maps query positions to dim indexes within a factor,
+// appended to buf[:0].
+func indexOf(positions, subset, buf []int) []int {
+	out := buf[:0]
 	for _, q := range subset {
 		for j, p := range positions {
 			if p == q {

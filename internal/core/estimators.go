@@ -114,7 +114,7 @@ func (h *HybridGraph) CostDistributionCtx(ctx context.Context, m *ConvMemo, p gr
 		return nil, err
 	}
 	defer ca.Release()
-	de, err := ca.decomposition(opt)
+	de, err := ca.decomposition(opt, nil)
 	if err != nil {
 		return nil, err
 	}

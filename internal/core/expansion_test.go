@@ -29,7 +29,7 @@ func encodeStates(t *testing.T, s *PathState) [][]byte {
 		t.Fatal(err)
 	}
 	var out [][]byte
-	for _, cs := range append(append([]*chainState(nil), s.inter...), pre) {
+	for _, cs := range append(append([]*chainState(nil), s.inter...), &pre) {
 		b, err := (&ChainState{cs: cs}).Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -53,7 +53,7 @@ func TestSharedFoldMatchesRefold(t *testing.T) {
 		_, departs := oracleQueries(g, seed)
 		for _, method := range chainMethods {
 			for _, dep := range departs {
-				parent, err := h.StartPath(0, dep, QueryOptions{Method: method})
+				parent, err := h.StartPath(0, dep, QueryOptions{Method: method}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -134,7 +134,7 @@ func forkFixture(t testing.TB, arms int) (*graph.Graph, *gps.Collection, Params)
 // extendWithin is ExtendPathWithin failing the test on an error.
 func extendWithin(t *testing.T, h *HybridGraph, s *PathState, e graph.EdgeID, within float64) (*PathState, bool) {
 	t.Helper()
-	ns, settled, err := h.ExtendPathWithin(s, e, within)
+	ns, settled, err := h.ExtendPathWithin(s, e, within, nil)
 	if err != nil {
 		t.Fatalf("extend %v by %d within %v: %v", s.Path(), e, within, err)
 	}
@@ -177,7 +177,7 @@ func TestPropertySettledMeansZero(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		for _, method := range chainMethods {
 			opt := QueryOptions{Method: method}
-			parent, err := h.StartPath(0, departs[0], opt)
+			parent, err := h.StartPath(0, departs[0], opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,7 +42,7 @@ func extendRefolding(h *HybridGraph, prev *PathState, e graph.EdgeID) (*PathStat
 	last := len(hidden.inter) - 1
 	hidden.inter[last] = &chainState{m: prev.inter[last].m, open: []int{-1}}
 	ns := &PathState{h: h, path: append(prev.path.Clone(), e), t: prev.t, opt: prev.opt}
-	if err := ns.recompute(hidden, math.Inf(1)); err != nil {
+	if err := ns.recompute(hidden, math.Inf(1), nil); err != nil {
 		return nil, err
 	}
 	return ns, nil
@@ -92,12 +92,12 @@ func extendKept(h *HybridGraph, prev *keptState, p graph.Path, t float64, opt Qu
 	from := 0
 	if shared > 0 {
 		i := shared - 1
-		keep := overlapWithNext(s.de, i)
+		keep := overlapWithNext(s.de, i, nil)
 		switch {
 		case sameInts(keep, prev.inter[i].open):
 			state = prev.inter[i]
 		case i == len(prev.de.Vars)-1:
-			if state, err = prev.preFold.foldTo(keep, h.Params.MaxAccBuckets); err != nil {
+			if state, err = prev.preFold.foldTo(keep, h.Params.MaxAccBuckets, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -125,7 +125,7 @@ func extendKept(h *HybridGraph, prev *keptState, p graph.Path, t float64, opt Qu
 				return nil, errSettled
 			}
 		}
-		keep := overlapWithNext(s.de, i)
+		keep := overlapWithNext(s.de, i, nil)
 		if state != nil && !last && len(state.open) == 0 && len(keep) == 0 {
 			if state, err = state.convolveFold(fm, &st, h.Params.MaxAccBuckets, nil); err != nil {
 				return nil, err
@@ -134,18 +134,19 @@ func extendKept(h *HybridGraph, prev *keptState, p graph.Path, t float64, opt Qu
 			continue
 		}
 		positions := factorPositions(s.de, i)
+		var prod chainState
 		if state == nil {
-			state, err = initialState(fm, positions)
+			prod, err = initialState(fm, positions)
 		} else {
-			state, err = state.multiply(fm, positions, &st)
+			prod, err = state.multiply(fm, positions, &st)
 		}
 		if err != nil {
 			return nil, err
 		}
 		if last {
-			s.preFold = state
+			s.preFold = &prod
 		}
-		if state, err = state.foldTo(keep, h.Params.MaxAccBuckets); err != nil {
+		if state, err = prod.foldTo(keep, h.Params.MaxAccBuckets, nil); err != nil {
 			return nil, err
 		}
 		s.inter[i] = state

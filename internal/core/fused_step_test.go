@@ -152,10 +152,10 @@ func TestConvolveFoldMatchesMultiplyFold(t *testing.T) {
 		var ref *chainState
 		prod, errRef := s.multiply(fm, positions, &stRef)
 		if errRef == nil {
-			ref, errRef = prod.foldTo(nil, maxAcc)
+			ref, errRef = prod.foldTo(nil, maxAcc, nil)
 		}
 		fused, errFused := s.convolveFold(fm, &stFused, maxAcc, nil)
-		inArena, errArena := s.convolveFold(fm, &stArena, maxAcc, ar)
+		inArena, errArena := s.convolveFold(fm, &stArena, maxAcc, ar.next())
 
 		if errText(errRef) != errText(errFused) || errText(errRef) != errText(errArena) {
 			t.Fatalf("trial %d: errors differ: two-pass %q, fused %q, arena %q", trial, errText(errRef), errText(errFused), errText(errArena))
@@ -319,21 +319,21 @@ func TestChainArenaNeverShared(t *testing.T) {
 	// One goroutine: chain A's final state stays live while chain B
 	// runs in a second arena and a whole Evaluate runs in a third.
 	arA, arB := arenaPool.Get().(*chainArena), arenaPool.Get().(*chainArena)
-	a, err := h.runChain(nil, queries[0].de, 0, nil, nil, nil, arA)
+	a, err := h.runChain(nil, queries[0].de, 0, nil, nil, nil, arA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapA := snapshotMulti(a.m)
-	b, err := h.runChain(nil, queries[5].de, 0, nil, nil, nil, arB)
+	b, err := h.runChain(nil, queries[5].de, 0, nil, nil, nil, arB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &a.m.Bounds(0)[0] == &b.m.Bounds(0)[0] {
 		t.Fatal("two live evaluations share an accumulator-axis buffer")
 	}
-	for _, x := range arA.cuts {
-		for _, y := range arB.cuts {
-			if cap(x) > 0 && cap(y) > 0 && &x[:1][0] == &y[:1][0] {
+	for _, sx := range arA.slots {
+		for _, sy := range arB.slots {
+			if x, y := sx.axis, sy.axis; cap(x) > 0 && cap(y) > 0 && &x[:1][0] == &y[:1][0] {
 				t.Fatal("two live arenas share a cut buffer")
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -16,10 +17,18 @@ import (
 // edge reuses the chain evaluation of the existing path instead of
 // recomputing it, which is the paper's "incremental property".
 //
-// A PathState is immutable after construction and safe to share
-// between goroutines (the convolution memo hands one state to many
-// concurrent queries); the lazily derived marginal is guarded by a
-// sync.Once and is a deterministic function of the state.
+// A PathState built without a slot is immutable after construction
+// and safe to share between goroutines (the convolution memo hands one
+// state to many concurrent queries); the lazily derived marginal is
+// guarded by a sync.Once and is a deterministic function of the state.
+//
+// A PathState built into a PathSlot is search-owned instead: it lives
+// until the next state is built into the same slot (or the slot is
+// released), which recycles it and every chain state it computed
+// itself. Until then it is as immutable as any other; it must not be
+// stored, handed to another goroutine or outlive its search. What it
+// shares with its parent (a resumed fold, the parent's folded states)
+// belongs to the parent and is never recycled through the child.
 type PathState struct {
 	h    *HybridGraph
 	path graph.Path
@@ -38,14 +47,17 @@ type PathState struct {
 
 	// dist is the flattened cost marginal of the final chain state,
 	// derived on first use: a memoized intermediate prefix that is
-	// only ever extended never pays for a marginal nobody reads.
+	// only ever extended never pays for a marginal nobody reads, and a
+	// search reads its pruning bound through CDF, so only a path it
+	// keeps gets one.
 	distOnce sync.Once
 	dist     *hist.Histogram
 	distErr  error
 }
 
 // DistErr returns the cost distribution of the state's path,
-// flattening the final chain state on first call.
+// flattening the final chain state on first call. The histogram is the
+// caller's to keep, even for a state in a slot.
 func (s *PathState) DistErr() (*hist.Histogram, error) {
 	s.distOnce.Do(func() {
 		s.dist, s.distErr = s.inter[len(s.inter)-1].m.SumHistogram(s.h.Params.MaxResultBuckets)
@@ -53,13 +65,61 @@ func (s *PathState) DistErr() (*hist.Histogram, error) {
 	return s.dist, s.distErr
 }
 
-// StartPath begins incremental evaluation with a single-edge path.
-func (h *HybridGraph) StartPath(e graph.EdgeID, t float64, opt QueryOptions) (*PathState, error) {
+// CDF returns DistErr's CDF at x, bit for bit, and DistErr's error,
+// flattening the final chain state in pooled scratch: a search bounds
+// every prefix with it and builds a histogram only for a path it keeps.
+func (s *PathState) CDF(x float64) (float64, error) {
+	return s.inter[len(s.inter)-1].m.SumCDF(s.h.Params.MaxResultBuckets, x)
+}
+
+// PathSlot is caller-owned storage for one search-owned PathState (see
+// PathState): a DFS keeps one slot per depth and builds each child
+// into its depth's slot, so a sibling reuses the path, decomposition,
+// chain-state list and the chain states, with their Multis and
+// accumulator axes, of the child before it. The zero value is ready
+// to use; a slot is not safe for concurrent use.
+type PathSlot struct {
+	st    PathState
+	path  graph.Path
+	de    Decomposition
+	inter []*chainState
+	own   []stateSlot // own[i]: factor i's folded state, when st computed it
+}
+
+// Release recycles the slot's state and every chain state it computed
+// itself; the slot keeps its storage for the next state. A state built
+// into the slot, and every state extended from it, is dead afterwards.
+func (sl *PathSlot) Release() {
+	for i := range sl.own {
+		sl.own[i].release()
+	}
+	clear(sl.inter)
+	sl.st = PathState{}
+}
+
+// newState returns the empty state for path prefix+e departing at t:
+// built into slot, released first, or a new one for a nil slot.
+func (h *HybridGraph) newState(slot *PathSlot, prefix graph.Path, e graph.EdgeID, t float64, opt QueryOptions) *PathState {
+	if slot == nil {
+		np := make(graph.Path, len(prefix)+1)
+		copy(np, prefix)
+		np[len(prefix)] = e
+		return &PathState{h: h, path: np, t: t, opt: opt}
+	}
+	slot.Release()
+	slot.path = append(append(slot.path[:0], prefix...), e)
+	slot.st = PathState{h: h, path: slot.path, t: t, opt: opt}
+	return &slot.st
+}
+
+// StartPath begins incremental evaluation with a single-edge path, in
+// slot when it is non-nil (see PathSlot).
+func (h *HybridGraph) StartPath(e graph.EdgeID, t float64, opt QueryOptions, slot *PathSlot) (*PathState, error) {
 	if opt.Method == "" {
 		opt.Method = MethodOD
 	}
-	s := &PathState{h: h, path: graph.Path{e}, t: t, opt: opt}
-	if err := s.recompute(nil, math.Inf(1)); err != nil {
+	s := h.newState(slot, nil, e, t, opt)
+	if err := s.recompute(nil, math.Inf(1), slot); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -70,7 +130,7 @@ func (h *HybridGraph) StartPath(e graph.EdgeID, t float64, opt QueryOptions) (*P
 // decomposition allows. The receiver remains valid (DFS keeps parent
 // states alive across siblings).
 func (h *HybridGraph) ExtendPath(s *PathState, e graph.EdgeID) (*PathState, error) {
-	ns, _, err := h.ExtendPathWithin(s, e, math.Inf(1))
+	ns, _, err := h.ExtendPathWithin(s, e, math.Inf(1), nil)
 	return ns, err
 }
 
@@ -87,16 +147,15 @@ var errSettled = errors.New("core: extension settled by its cost-support minimum
 // is exactly 0 for every x ≤ within. Every check ExtendPath makes
 // before the kernel still runs. Any child the minimum cannot be read
 // for that cheaply (a cold start, an overlapping resume, more than one
-// new factor) is computed exactly; within = +Inf never settles.
-func (h *HybridGraph) ExtendPathWithin(s *PathState, e graph.EdgeID, within float64) (ns *PathState, settled bool, err error) {
-	np := make(graph.Path, len(s.path)+1)
-	copy(np, s.path)
-	np[len(s.path)] = e
-	if !h.G.ValidPath(np) {
-		return nil, false, fmt.Errorf("core: extension %v is not a valid path", np)
+// new factor) is computed exactly; within = +Inf never settles. A
+// non-nil slot gets the child (see PathSlot); it must not hold s or a
+// state s was extended from.
+func (h *HybridGraph) ExtendPathWithin(s *PathState, e graph.EdgeID, within float64, slot *PathSlot) (ns *PathState, settled bool, err error) {
+	ns = h.newState(slot, s.path, e, s.t, s.opt)
+	if !h.G.ValidPath(ns.path) {
+		return nil, false, fmt.Errorf("core: extension %v is not a valid path", ns.path)
 	}
-	ns = &PathState{h: h, path: np, t: s.t, opt: s.opt}
-	switch err := ns.recompute(s, within); err {
+	switch err := ns.recompute(s, within, slot); err {
 	case nil:
 		return ns, false, nil
 	case errSettled:
@@ -137,7 +196,7 @@ func (h *HybridGraph) pathState(ctx context.Context, m *ConvMemo, p graph.Path, 
 		}
 		var err error
 		if st == nil {
-			st, err = h.StartPath(p[0], t, opt)
+			st, err = h.StartPath(p[0], t, opt, nil)
 		} else {
 			st, err = h.ExtendPath(st, p[i])
 		}
@@ -177,8 +236,11 @@ func (h *HybridGraph) stateResult(st *PathState) (*QueryResult, error) {
 // when the decompositions share one. It returns errSettled, before any
 // kernel work, when the state's cost support provably starts at or
 // above within (see supportMin for when that can be read cheaply).
-func (s *PathState) recompute(prev *PathState, within float64) error {
-	if err := s.decompose(prev); err != nil {
+// With a non-nil slot — the one s is built in, released — the chain
+// states s computes itself, its decomposition and its chain-state list
+// are built into the slot's storage.
+func (s *PathState) recompute(prev *PathState, within float64, slot *PathSlot) error {
+	if err := s.decompose(prev, slot); err != nil {
 		return err
 	}
 
@@ -189,6 +251,7 @@ func (s *PathState) recompute(prev *PathState, within float64) error {
 		shared++
 	}
 
+	own := slot.states(len(s.de.Vars))
 	var state *chainState
 	from := 0
 	if shared > 0 && prev != nil {
@@ -197,15 +260,17 @@ func (s *PathState) recompute(prev *PathState, within float64) error {
 		// target, prev's state is the same pure function of the same
 		// arguments: share it (every sibling of a DFS node resumes from
 		// one fold). Only prev's last factor can be refolded to a
-		// different target, from its product, rebuilt here.
+		// different target, from its product, rebuilt here; the refold is
+		// the child's own.
 		i := shared - 1
-		keep := overlapWithNext(s.de, i)
+		into := slotAt(own, i)
+		keep := into.keep(s.de, i)
 		switch {
 		case sameInts(keep, prev.inter[i].open):
 			state = prev.inter[i]
 		case i == len(prev.de.Vars)-1:
 			var err error
-			if state, err = prev.refoldLast(keep); err != nil {
+			if state, err = prev.refoldLast(keep, into); err != nil {
 				return err
 			}
 		default:
@@ -233,14 +298,33 @@ func (s *PathState) recompute(prev *PathState, within float64) error {
 		}
 	}
 
-	s.inter = make([]*chainState, len(s.de.Vars))
+	if slot == nil {
+		s.inter = make([]*chainState, len(s.de.Vars))
+	} else {
+		s.inter = slices.Grow(slot.inter[:0], len(s.de.Vars))[:len(s.de.Vars)]
+		slot.inter = s.inter
+	}
 	if from > 0 {
 		copy(s.inter, prev.inter[:from-1])
 		s.inter[from-1] = state
 	}
-	// The cost marginal of s.inter[last] is derived lazily in DistErr.
-	_, err := s.h.runChain(nil, s.de, from, state, s.inter, nil, nil)
+	// The cost marginal of s.inter[last] is derived lazily in DistErr,
+	// or read in scratch by CDF.
+	_, err := s.h.runChain(nil, s.de, from, state, s.inter, nil, nil, own)
 	return err
+}
+
+// states is where a state of n factors built into the slot builds the
+// chain states it computes itself: one state slot per factor, or nil
+// for a nil slot. The slot must be released.
+func (sl *PathSlot) states(n int) []stateSlot {
+	if sl == nil {
+		return nil
+	}
+	if len(sl.own) < n {
+		sl.own = append(sl.own, make([]stateSlot, n-len(sl.own))...)
+	}
+	return sl.own
 }
 
 // decompose selects the state's decomposition and the interval past its
@@ -250,7 +334,8 @@ func (s *PathState) recompute(prev *PathState, within float64) error {
 // k. With no such variable every pick of prev's scan stands and the
 // unit, ending past them all, is kept: prev's decomposition plus the
 // unit at prev's next interval. Otherwise the array is built in full.
-func (s *PathState) decompose(prev *PathState) error {
+// A non-nil slot holds the decomposition.
+func (s *PathState) decompose(prev *PathState, slot *PathSlot) error {
 	h := s.h
 	if prev != nil && !h.suffixVariable(s.path) {
 		n := len(prev.path)
@@ -258,7 +343,7 @@ func (s *PathState) decompose(prev *PathState) error {
 		ca.beginRow(h.Params.NumIntervals(), prev.next, h.Params.IntervalSeconds())
 		unit := h.bestUnitVariable(s.path[n], prev.next, ca)
 		caPool.Put(ca)
-		s.de = newDecomposition(len(prev.de.Vars) + 1)
+		s.de = reuseDecomposition(slot.decomposition(), len(prev.de.Vars)+1)
 		s.de.Vars = append(append(s.de.Vars, prev.de.Vars...), unit)
 		s.de.Pos = append(append(s.de.Pos, prev.de.Pos...), n)
 		s.next = sae(prev.next, unit)
@@ -272,21 +357,31 @@ func (s *PathState) decompose(prev *PathState) error {
 	if !memoizable(s.opt.Method) {
 		return fmt.Errorf("core: method %q does not support incremental evaluation", s.opt.Method)
 	}
-	s.de, err = ca.decomposition(s.opt)
+	s.de, err = ca.decomposition(s.opt, slot.decomposition())
 	s.next = next
 	return err
 }
 
+// decomposition is the slot's decomposition, whose columns a state
+// built into it reuses; nil for a nil slot.
+func (sl *PathSlot) decomposition() *Decomposition {
+	if sl == nil {
+		return nil
+	}
+	return &sl.de
+}
+
 // refoldLast folds s's last factor's product, rebuilt by lastProduct,
-// to keep: the one step a child resumes from that s did not take.
-func (s *PathState) refoldLast(keep []int) (*chainState, error) {
+// to keep: the one step a child resumes from that s did not take. The
+// fold is new or, when into is non-nil, built into that slot.
+func (s *PathState) refoldLast(keep []int, into *stateSlot) (*chainState, error) {
 	sc := scratchPool.Get().(*evalScratch)
 	defer scratchPool.Put(sc)
 	prod, err := s.lastProduct(sc.positions(s.de, len(s.de.Vars)-1))
 	if err != nil {
 		return nil, err
 	}
-	state, err := prod.foldTo(keep, s.h.Params.MaxAccBuckets)
+	state, err := prod.foldTo(keep, s.h.Params.MaxAccBuckets, into)
 	hist.PutMulti(prod.m)
 	return state, err
 }
@@ -295,11 +390,11 @@ func (s *PathState) refoldLast(keep []int) (*chainState, error) {
 // dims open at positions, for a child that conditions on a suffix edge
 // of it: the pure function the last step evaluated, of the same
 // arguments, so the product that step formed, byte for byte.
-func (s *PathState) lastProduct(positions []int) (*chainState, error) {
+func (s *PathState) lastProduct(positions []int) (chainState, error) {
 	last := len(s.de.Vars) - 1
 	fm, err := asMulti(s.de.Vars[last])
 	if err != nil {
-		return nil, err
+		return chainState{}, err
 	}
 	if last == 0 {
 		return initialState(fm, positions)

@@ -19,7 +19,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	depart := 8*3600 + 300.0
 	for _, method := range []Method{MethodOD, MethodHP, MethodLB} {
 		opt := QueryOptions{Method: method}
-		st, err := h.StartPath(0, depart, opt)
+		st, err := h.StartPath(0, depart, opt, nil)
 		if err != nil {
 			t.Fatalf("%s: start: %v", method, err)
 		}
@@ -57,7 +57,7 @@ func TestIncrementalParentRemainsUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	depart := 8*3600 + 300.0
-	st, err := h.StartPath(0, depart, QueryOptions{Method: MethodOD})
+	st, err := h.StartPath(0, depart, QueryOptions{Method: MethodOD}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +91,14 @@ func TestIncrementalRejectsBadExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := h.StartPath(0, 8*3600, QueryOptions{})
+	st, err := h.StartPath(0, 8*3600, QueryOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.ExtendPath(st, 3); err == nil {
 		t.Fatal("non-adjacent extension accepted")
 	}
-	if _, err := h.StartPath(0, 8*3600, QueryOptions{Method: MethodRD}); err == nil {
+	if _, err := h.StartPath(0, 8*3600, QueryOptions{Method: MethodRD}, nil); err == nil {
 		t.Fatal("RD should not support incremental evaluation")
 	}
 }

@@ -110,7 +110,7 @@ func TestMultiplyMatchesReferenceKernel(t *testing.T) {
 		for q := rankA - overlap; q < rankA; q++ {
 			keep = append(keep, q)
 		}
-		folded, err := st0.foldTo(keep, 16)
+		folded, err := st0.foldTo(keep, 16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestMultiplyRejectsNonPrefixOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	folded, err := st0.foldTo([]int{1}, 16)
+	folded, err := st0.foldTo([]int{1}, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func minInt(a, b int) int {
 // is the differential oracle multiply is held to.
 func (s *chainState) multiplyRef(fm *hist.Multi, positions []int, st *EvalStats) (*chainState, error) {
 	overlap := s.open
-	ovIdxF := indexOf(positions, overlap)
+	ovIdxF := indexOf(positions, overlap, nil)
 	if len(ovIdxF) != len(overlap) {
 		return nil, fmt.Errorf("core: state open dims %v not contained in factor positions %v", overlap, positions)
 	}

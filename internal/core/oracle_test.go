@@ -58,15 +58,16 @@ func naiveDistribution(h *HybridGraph, p graph.Path, t float64, opt QueryOptions
 			return nil, err
 		}
 		positions := factorPositions(de, i)
+		var prod chainState
 		if state == nil {
-			state, err = initialState(fm, positions)
+			prod, err = initialState(fm, positions)
 		} else {
-			state, err = state.multiply(fm, positions, nil)
+			prod, err = state.multiply(fm, positions, nil)
 		}
 		if err != nil {
 			return nil, err
 		}
-		state, err = state.foldTo(overlapWithNext(de, i), h.Params.MaxAccBuckets)
+		state, err = prod.foldTo(overlapWithNext(de, i, nil), h.Params.MaxAccBuckets, nil)
 		if err != nil {
 			return nil, err
 		}

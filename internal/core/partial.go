@@ -134,7 +134,7 @@ func (h *HybridGraph) EvaluateSegment(m *ConvMemo, in SegmentInput) (*SegmentRes
 		return nil, err
 	}
 	defer ca.Release()
-	de, err := ca.decomposition(opt)
+	de, err := ca.decomposition(opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func (h *HybridGraph) EvaluateSegment(m *ConvMemo, in SegmentInput) (*SegmentRes
 	// independent outer product — the identical operation whole-path
 	// evaluation performs right after its boundary fold. No arena: the
 	// caller's state (and anything sharing its buffers) stays untouched.
-	state, err := h.runChain(in.Ctx, de, 0, in.State.cs, nil, nil, nil)
+	state, err := h.runChain(in.Ctx, de, 0, in.State.cs, nil, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -196,7 +196,7 @@ func TestEvaluateSegmentRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := &ChainState{cs: pre}
+	open := &ChainState{cs: &pre}
 	_, err = h.EvaluateSegment(nil, SegmentInput{
 		Path: graph.Path{3, 4}, Depart: depart, UI: point, State: open,
 	})

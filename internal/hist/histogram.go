@@ -174,9 +174,12 @@ func (h *Histogram) Variance() float64 {
 
 // CDF returns P(X ≤ x), clamped to [0, 1] against floating-point
 // accumulation error.
-func (h *Histogram) CDF(x float64) float64 {
+func (h *Histogram) CDF(x float64) float64 { return cdf(h.buckets, x) }
+
+// cdf is CDF over a bucket list.
+func cdf(bs []Bucket, x float64) float64 {
 	var acc float64
-	for _, b := range h.buckets {
+	for _, b := range bs {
 		switch {
 		case x >= b.Hi:
 			acc += b.Pr
@@ -267,22 +270,6 @@ type rearrangeScratch struct {
 }
 
 var rearrangePool = sync.Pool{New: func() any { return new(rearrangeScratch) }}
-
-// rearrange implements the bucket rearrangement of Section 4.2: it
-// overlays possibly-overlapping uniform interval masses, splits at all
-// interval boundaries, and returns disjoint buckets whose mass is the
-// length-proportional share of each contributing interval — exactly
-// the procedure of the paper's Figure 7 example. ivals is sorted in
-// place.
-func rearrange(ivals []Bucket) (*Histogram, error) {
-	sc := rearrangePool.Get().(*rearrangeScratch)
-	defer rearrangePool.Put(sc)
-	bs, err := rearrangeInto(sc, nil, ivals)
-	if err != nil {
-		return nil, err
-	}
-	return fromBucketsOwned(bs)
-}
 
 // rearrangeInto is the rearrangement core: it splits at all interval
 // boundaries and emits the disjoint density-merged buckets into bs
@@ -415,6 +402,32 @@ func mergeEqualDensity(bs []Bucket) []Bucket {
 	return out
 }
 
+// rearrangeCompressed is the rearrangement of ivals into bs (grown as
+// needed), normalized, then compressed to maxBuckets (≤ 0 leaves it
+// uncompressed): the composition rearrangement, FromBuckets and
+// Compress, float operation for float operation, with the cut set, the
+// sweep's working set and the merge costs in sc. ivals is sorted in
+// place.
+func rearrangeCompressed(sc *rearrangeScratch, bs, ivals []Bucket, maxBuckets int) ([]Bucket, error) {
+	bs, err := rearrangeInto(sc, bs, ivals)
+	if err != nil {
+		return nil, err
+	}
+	// A rearranged histogram ends in the FromBuckets normalization.
+	if err := normalizeBuckets(bs); err != nil {
+		return nil, err
+	}
+	// Compress merges on a working copy (bs already is one) and
+	// re-normalizes through FromBuckets; it no-ops when small enough.
+	if maxBuckets >= 1 && len(bs) > maxBuckets {
+		bs = compressBucketsInto(bs, maxBuckets, sc)
+		if err := normalizeBuckets(bs); err != nil {
+			panic(err) // merging valid disjoint buckets keeps them valid
+		}
+	}
+	return bs, nil
+}
+
 // RearrangedCuts rearranges raw interval masses into a histogram and
 // compresses it to maxBuckets, returning only the resulting bucket
 // boundaries, in dst's storage when it has room. The evaluator
@@ -429,23 +442,11 @@ func RearrangedCuts(dst []float64, intervals []Bucket, maxBuckets int) ([]float6
 	sc := rearrangePool.Get().(*rearrangeScratch)
 	defer rearrangePool.Put(sc)
 	sc.wi = append(sc.wi[:0], intervals...)
-	bs, err := rearrangeInto(sc, sc.bs, sc.wi)
+	bs, err := rearrangeCompressed(sc, sc.bs, sc.wi, maxBuckets)
 	if err != nil {
 		return nil, err
 	}
 	sc.bs = bs[:0]
-	// A rearranged histogram ends in the FromBuckets normalization.
-	if err := normalizeBuckets(bs); err != nil {
-		return nil, err
-	}
-	// Compress merges on a working copy (bs already is one) and
-	// re-normalizes through FromBuckets; it no-ops when small enough.
-	if maxBuckets >= 1 && len(bs) > maxBuckets {
-		bs = compressBucketsInto(bs, maxBuckets, sc)
-		if err := normalizeBuckets(bs); err != nil {
-			panic(err) // merging valid disjoint buckets keeps them valid
-		}
-	}
 	cuts := dst[:0]
 	if cap(cuts) < len(bs)+1 {
 		cuts = make([]float64, 0, len(bs)+1)
@@ -455,12 +456,6 @@ func RearrangedCuts(dst []float64, intervals []Bucket, maxBuckets int) ([]float6
 	}
 	cuts = append(cuts, bs[len(bs)-1].Hi)
 	return cuts, nil
-}
-
-// compressBuckets is the Compress merge loop operating in place on a
-// caller-owned working slice.
-func compressBuckets(bs []Bucket, maxBuckets int) []Bucket {
-	return compressBucketsInto(bs, maxBuckets, nil)
 }
 
 // compressBucketsInto is compressBuckets with the adjacent-pair cost
@@ -505,24 +500,6 @@ func compressBucketsInto(bs []Bucket, maxBuckets int, sc *rearrangeScratch) []Bu
 		}
 	}
 	return bs
-}
-
-// Compress reduces the histogram to at most maxBuckets buckets by
-// repeatedly merging the adjacent pair whose merge increases the
-// squared-error of the piecewise-uniform density least. Used to bound
-// state growth in the chain evaluator; a no-op when already small.
-func (h *Histogram) Compress(maxBuckets int) *Histogram {
-	if maxBuckets < 1 || len(h.buckets) <= maxBuckets {
-		return h
-	}
-	bs := make([]Bucket, len(h.buckets))
-	copy(bs, h.buckets)
-	bs = compressBuckets(bs, maxBuckets)
-	out, err := fromBucketsOwned(bs)
-	if err != nil {
-		panic(err) // merging valid disjoint buckets keeps them valid
-	}
-	return out
 }
 
 // mergeCost scores merging adjacent buckets a and b: the L2 distance

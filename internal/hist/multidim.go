@@ -3,9 +3,11 @@ package hist
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"testing"
 )
 
 // MaxDims bounds the dimensionality of a multi-dimensional histogram.
@@ -71,6 +73,12 @@ func NewMulti(bounds [][]float64) (*Multi, error) {
 // their capacity without re-allocating.
 var multiPool = sync.Pool{New: func() any { return new(Multi) }}
 
+// poisonReleased makes PutMulti scramble every key and set every
+// probability of what it releases to NaN, in test binaries only: a
+// Multi read after its release then shows as a wrong answer or a
+// broken cell order instead of passing by luck.
+var poisonReleased = testing.Testing()
+
 // newMultiFromPool returns a pooled Multi with a bounds top-slice of
 // length ndims (nil elements, to be filled by the caller) and empty
 // cell buffers with capacity ≥ cellCap.
@@ -105,6 +113,14 @@ func newMultiFromPool(ndims, cellCap int) *Multi {
 func PutMulti(m *Multi) {
 	if m == nil {
 		return
+	}
+	if poisonReleased {
+		for i := range m.keys {
+			for w := range m.keys[i] {
+				m.keys[i][w] = ^m.keys[i][w]
+			}
+			m.probs[i] = math.NaN()
+		}
 	}
 	for i := range m.bounds {
 		m.bounds[i] = nil
@@ -454,21 +470,54 @@ func (m *Multi) MarginalOnto(dims []int) (*Multi, error) {
 // intervals are rearranged into disjoint buckets. maxBuckets ≤ 0
 // leaves the result uncompressed.
 func (m *Multi) SumHistogram(maxBuckets int) (*Histogram, error) {
-	if len(m.keys) == 0 {
-		return nil, fmt.Errorf("hist: empty multi-histogram")
-	}
 	if c := m.sum.Load(); c != nil && c.maxBuckets == maxBuckets {
 		return c.h, nil
 	}
-	// Sorted (storage) order: rearrange accumulates overlapping
-	// intervals, so the input sequence must be reproducible (see Total).
 	sc := rearrangePool.Get().(*rearrangeScratch)
 	defer rearrangePool.Put(sc)
-	ivals := sc.wi
+	bs, err := m.sumBuckets(sc, nil, maxBuckets)
+	if err != nil {
+		return nil, err
+	}
+	h := &Histogram{buckets: bs}
+	// Racing fillers computed the identical histogram; whichever lands
+	// is the same answer.
+	m.sum.Store(&sumHistCache{maxBuckets: maxBuckets, h: h})
+	return h, nil
+}
+
+// SumCDF returns SumHistogram(maxBuckets).CDF(x), bit for bit, and
+// SumHistogram's error, without building or caching the histogram:
+// the flattening runs in pooled scratch. A budget search bounds every
+// prefix it explores with it and builds a histogram only for a path it
+// keeps.
+func (m *Multi) SumCDF(maxBuckets int, x float64) (float64, error) {
+	if c := m.sum.Load(); c != nil && c.maxBuckets == maxBuckets {
+		return c.h.CDF(x), nil
+	}
+	sc := rearrangePool.Get().(*rearrangeScratch)
+	defer rearrangePool.Put(sc)
+	bs, err := m.sumBuckets(sc, sc.bs, maxBuckets)
+	if err != nil {
+		return 0, err
+	}
+	sc.bs = bs[:0]
+	return cdf(bs, x), nil
+}
+
+// sumBuckets is the one flattening behind SumHistogram and SumCDF: the
+// hyper-buckets' sum intervals, in storage order, through
+// rearrangeCompressed into bs (grown as needed), with the intervals
+// and the rearrangement's workspace in sc.
+func (m *Multi) sumBuckets(sc *rearrangeScratch, bs []Bucket, maxBuckets int) ([]Bucket, error) {
+	if len(m.keys) == 0 {
+		return nil, fmt.Errorf("hist: empty multi-histogram")
+	}
+	// Sorted (storage) order: rearrange accumulates overlapping
+	// intervals, so the input sequence must be reproducible (see Total).
+	ivals := sc.wi[:0]
 	if cap(ivals) < len(m.keys) {
 		ivals = make([]Bucket, 0, len(m.keys))
-	} else {
-		ivals = ivals[:0]
 	}
 	for i, k := range m.keys {
 		var lo, hi float64
@@ -480,17 +529,7 @@ func (m *Multi) SumHistogram(maxBuckets int) (*Histogram, error) {
 		ivals = append(ivals, Bucket{Lo: lo, Hi: hi, Pr: m.probs[i]})
 	}
 	sc.wi = ivals
-	h, err := rearrange(ivals)
-	if err != nil {
-		return nil, err
-	}
-	if maxBuckets > 0 {
-		h = h.Compress(maxBuckets)
-	}
-	// Racing fillers computed the identical histogram; whichever lands
-	// is the same answer.
-	m.sum.Store(&sumHistCache{maxBuckets: maxBuckets, h: h})
-	return h, nil
+	return rearrangeCompressed(sc, bs, ivals, maxBuckets)
 }
 
 // RemapDim rebuilds dimension d onto newBounds, a strictly increasing
@@ -507,8 +546,9 @@ func (m *Multi) RemapDim(d int, newBounds []float64) (*Multi, error) {
 	if d < 0 || d >= m.Dims() {
 		return nil, fmt.Errorf("hist: remap dim %d out of range", d)
 	}
-	t, err := NewRemapTable(m.bounds[d], newBounds)
-	if err != nil {
+	t := remapPool.Get().(*RemapTable)
+	defer remapPool.Put(t)
+	if err := t.build(m.bounds[d], newBounds); err != nil {
 		return nil, err
 	}
 	return m.RemapDimTable(d, t)
@@ -527,40 +567,46 @@ type RemapTable struct {
 	fracs                []float64 // width fraction of each new sub-bucket
 }
 
-// NewRemapTable validates that newBounds contains every boundary of
-// old and precomputes the per-bucket translation spans and fractions.
-func NewRemapTable(old, newBounds []float64) (*RemapTable, error) {
+// remapPool recycles the tables RemapDim builds, uses once and drops:
+// the evaluator aligns both sides of every overlap dimension of every
+// multiply, nearly always onto the grid they already share.
+var remapPool = sync.Pool{New: func() any { return new(RemapTable) }}
+
+// build validates that newBounds contains every boundary of old and
+// precomputes the per-bucket translation spans and fractions, reusing
+// the table's storage.
+func (t *RemapTable) build(old, newBounds []float64) error {
 	// Every old boundary must appear in newBounds so old cells map to
 	// whole runs of new cells.
 	for _, b := range old {
 		i := sort.SearchFloat64s(newBounds, b)
 		if i >= len(newBounds) || newBounds[i] != b {
-			return nil, fmt.Errorf("hist: remap boundary %v missing from new grid", b)
+			return fmt.Errorf("hist: remap boundary %v missing from new grid", b)
 		}
 	}
-	t := &RemapTable{oldBounds: old, newBounds: newBounds}
-	if len(old) == len(newBounds) {
-		// Containment plus equal length means the sets are identical.
-		t.identity = true
-		return t, nil
+	// Containment plus equal length means the sets are identical.
+	t.oldBounds, t.newBounds, t.identity = old, newBounds, len(old) == len(newBounds)
+	if t.identity {
+		return nil
 	}
 	nb := len(old) - 1
-	t.first = make([]int, nb)
-	t.off = make([]int, nb+1)
+	t.first = slices.Grow(t.first[:0], nb)[:nb]
+	t.off = slices.Grow(t.off[:0], nb+1)[:nb+1]
+	t.off[0] = 0
 	for i := 0; i < nb; i++ {
 		first := sort.SearchFloat64s(newBounds, old[i])
 		last := sort.SearchFloat64s(newBounds, old[i+1]) - 1
 		t.first[i] = first
 		t.off[i+1] = t.off[i] + (last - first + 1)
 	}
-	t.fracs = make([]float64, t.off[nb])
+	t.fracs = slices.Grow(t.fracs[:0], t.off[nb])[:t.off[nb]]
 	for i := 0; i < nb; i++ {
 		oldLo, oldHi := old[i], old[i+1]
 		for j, ni := t.off[i], t.first[i]; j < t.off[i+1]; j, ni = j+1, ni+1 {
 			t.fracs[j] = (newBounds[ni+1] - newBounds[ni]) / (oldHi - oldLo)
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // RemapDimTable applies a precomputed remap table to dimension d. The

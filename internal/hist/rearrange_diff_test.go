@@ -225,3 +225,66 @@ func TestRearrangedCutsMatchesComposition(t *testing.T) {
 		}
 	}
 }
+
+// INVARIANT: SumHistogram(max) is Rearranged(sum intervals).Compress(max)
+// bit for bit, and SumCDF(max, x) is its CDF(x) bit for bit, error
+// included — the one flattening behind the chain's answer and a
+// search's pruning bound, against the public composition it stands
+// for. SumCDF is read cold (through the scratch) and warm (through the
+// cached histogram).
+func TestSumHistogramAndSumCDFMatchComposition(t *testing.T) {
+	rnd := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 400; trial++ {
+		m := randomMulti(rnd)
+		var ivals []Bucket
+		m.ForEachSorted(func(k CellKey, pr float64) {
+			var lo, hi float64
+			for d := 0; d < m.Dims(); d++ {
+				l, u := m.BucketRange(d, int(k[d]))
+				lo += l
+				hi += u
+			}
+			ivals = append(ivals, Bucket{Lo: lo, Hi: hi, Pr: pr})
+		})
+		want, err := Rearranged(ivals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, maxBuckets := range []int{0, 1, 2 + rnd.Intn(6), 64} {
+			want := want
+			if maxBuckets > 0 {
+				want = want.Compress(maxBuckets)
+			}
+			xs := []float64{math.Inf(-1), want.Min(), want.Max(), math.Inf(1), math.NaN()}
+			for i := 0; i < 6; i++ {
+				xs = append(xs, want.Min()+rnd.Float64()*(want.Max()-want.Min()))
+			}
+			for _, b := range want.Buckets() {
+				xs = append(xs, b.Lo, b.Hi)
+			}
+			m.invalidateSum()
+			for _, x := range xs {
+				p, err := m.SumCDF(maxBuckets, x)
+				if err != nil || math.Float64bits(p) != math.Float64bits(want.CDF(x)) {
+					t.Fatalf("trial %d max %d: cold SumCDF(%v) = %v (%v), composition %v", trial, maxBuckets, x, p, err, want.CDF(x))
+				}
+			}
+			got, err := m.SumHistogram(maxBuckets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBucketsBits(t, got.Buckets(), want.Buckets(), "SumHistogram")
+			for _, x := range xs {
+				if p, err := m.SumCDF(maxBuckets, x); err != nil || math.Float64bits(p) != math.Float64bits(want.CDF(x)) {
+					t.Fatalf("trial %d max %d: warm SumCDF(%v) = %v (%v), composition %v", trial, maxBuckets, x, p, err, want.CDF(x))
+				}
+			}
+		}
+	}
+	empty := mustMulti(t, [][]float64{{0, 1}})
+	_, errH := empty.SumHistogram(4)
+	_, errC := empty.SumCDF(4, 0.5)
+	if errH == nil || errC == nil || errH.Error() != errC.Error() {
+		t.Fatalf("empty joint: SumHistogram %v, SumCDF %v", errH, errC)
+	}
+}

@@ -2,6 +2,22 @@ package hist
 
 import "fmt"
 
+// rearrange implements the bucket rearrangement of Section 4.2: it
+// overlays possibly-overlapping uniform interval masses, splits at all
+// interval boundaries, and returns disjoint buckets whose mass is the
+// length-proportional share of each contributing interval — exactly
+// the procedure of the paper's Figure 7 example. ivals is sorted in
+// place.
+func rearrange(ivals []Bucket) (*Histogram, error) {
+	sc := rearrangePool.Get().(*rearrangeScratch)
+	defer rearrangePool.Put(sc)
+	bs, err := rearrangeInto(sc, nil, ivals)
+	if err != nil {
+		return nil, err
+	}
+	return fromBucketsOwned(bs)
+}
+
 // Reference operations no production path calls, kept for the tests
 // that use them as oracles.
 
@@ -104,4 +120,29 @@ func (d *Delta) ForEachSealed(fn func(key CellKey, w float64)) {
 // with the default Auto settings.
 func defaultSamplesConfig() FromSamplesConfig {
 	return FromSamplesConfig{Resolution: DefaultResolution, Auto: DefaultAutoConfig()}
+}
+
+// Compress reduces the histogram to at most maxBuckets buckets by
+// repeatedly merging the adjacent pair whose merge increases the
+// squared-error of the piecewise-uniform density least: the public
+// composition SumHistogram and RearrangedCuts compress by, kept as
+// their oracle; a no-op when already small.
+func (h *Histogram) Compress(maxBuckets int) *Histogram {
+	if maxBuckets < 1 || len(h.buckets) <= maxBuckets {
+		return h
+	}
+	bs := make([]Bucket, len(h.buckets))
+	copy(bs, h.buckets)
+	bs = compressBuckets(bs, maxBuckets)
+	out, err := fromBucketsOwned(bs)
+	if err != nil {
+		panic(err) // merging valid disjoint buckets keeps them valid
+	}
+	return out
+}
+
+// compressBuckets is the Compress merge loop operating in place on a
+// caller-owned working slice.
+func compressBuckets(bs []Bucket, maxBuckets int) []Bucket {
+	return compressBucketsInto(bs, maxBuckets, nil)
 }

@@ -141,6 +141,16 @@ func TestPropertyRemapMassPreservation(t *testing.T) {
 	}
 }
 
+// NewRemapTable is a new table of RemapDim's, for the tests that apply
+// one table to several histograms.
+func NewRemapTable(old, newBounds []float64) (*RemapTable, error) {
+	t := new(RemapTable)
+	if err := t.build(old, newBounds); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
 // RemapTable reuse: one precomputed table applied to two histograms
 // sharing the boundary set gives the same result as two independent
 // RemapDim calls, and a table built for different boundaries is

@@ -28,4 +28,12 @@
 // always evaluated. BestPathCtx and TopKPathsCtx bound a search by a
 // context, checked once per expansion; a dead deadline returns its
 // error and no partial result.
+//
+// An expansion allocates nothing. The search builds each child into a
+// core.PathSlot it keeps per depth, so the next sibling reuses the
+// child's storage and recycles the chain states it computed; searchers,
+// with their slots, visited set and frontier, are pooled. The pruning
+// bound is read off the child's final chain state in pooled scratch
+// (core.PathState.CDF), and only a complete path that enters the top k
+// gets a distribution and a path of its own.
 package routing

@@ -86,15 +86,15 @@ func TestSettledSearchIdentical(t *testing.T) {
 	orig := extendWithin
 	defer func() { extendWithin = orig }()
 	settled := 0
-	counting := func(h *core.HybridGraph, s *core.PathState, e graph.EdgeID, within float64) (*core.PathState, bool, error) {
-		ns, ok, err := orig(h, s, e, within)
+	counting := func(h *core.HybridGraph, s *core.PathState, e graph.EdgeID, within float64, slot *core.PathSlot) (*core.PathState, bool, error) {
+		ns, ok, err := orig(h, s, e, within, slot)
 		if ok {
 			settled++
 		}
 		return ns, ok, err
 	}
-	unlimited := func(h *core.HybridGraph, s *core.PathState, e graph.EdgeID, _ float64) (*core.PathState, bool, error) {
-		return orig(h, s, e, math.Inf(1))
+	unlimited := func(h *core.HybridGraph, s *core.PathState, e graph.EdgeID, _ float64, slot *core.PathSlot) (*core.PathState, bool, error) {
+		return orig(h, s, e, math.Inf(1), slot)
 	}
 	for _, m := range []core.Method{core.MethodOD, core.MethodHP, core.MethodLB} {
 		for _, f := range sweepBudgets {

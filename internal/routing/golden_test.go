@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/hist"
 )
 
@@ -62,8 +63,12 @@ func distHash(d *hist.Histogram) string {
 // every error text.
 func TestSearchGolden(t *testing.T) {
 	g, h := hybridFixture(t)
+	checkGolden(t, "search.golden", searchGolden(t, g, New(h)))
+}
+
+// searchGolden renders what testdata/search.golden pins, answered by r.
+func searchGolden(t *testing.T, g *graph.Graph, r *Router) []byte {
 	src, dst, ff := pickQuery(t, g)
-	r := New(h)
 	var b bytes.Buffer
 	ranked := func(what string, rs []TopKResult, err error) {
 		if err != nil {
@@ -91,5 +96,5 @@ func TestSearchGolden(t *testing.T) {
 			ranked(what+" skyline8", sky, err)
 		}
 	}
-	checkGolden(t, "search.golden", b.Bytes())
+	return b.Bytes()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -41,14 +42,15 @@ type Result struct {
 	Path     graph.Path
 	Prob     float64 // P(cost ≤ budget) under the estimator
 	Dist     *hist.Histogram
-	Explored int // prefixes whose distribution was evaluated
-	Pruned   int // prefixes cut by the probabilistic bound
+	Explored int // prefixes evaluated, or settled by their cost-support minimum
+	Pruned   int // prefixes cut by the probabilistic bound, settled ones included
 	Elapsed  time.Duration
 }
 
 // Router answers stochastic routing queries over one hybrid graph.
 // It is safe for concurrent use. Each expansion resumes from its
-// parent's state in the search; no state is shared across queries.
+// parent's state in the search; no state is shared across queries or
+// outlives its search.
 type Router struct {
 	h *core.HybridGraph
 }
@@ -59,7 +61,8 @@ func New(h *core.HybridGraph) *Router {
 }
 
 // extendWithin is the extension every expansion past the first edge
-// makes; a variable so tests can count the children it settles.
+// makes, into the search's slot for its depth; a variable so tests can
+// count the children it settles.
 var extendWithin = (*core.HybridGraph).ExtendPathWithin
 
 // BestPath runs the DFS budget query. It returns an error when the
@@ -115,9 +118,18 @@ func (r *Router) search(ctx context.Context, q Query, k int, opt Options) (ranke
 	if math.IsInf(lb[q.Source], 1) {
 		return nil, 0, 0, fmt.Errorf("routing: destination unreachable from source")
 	}
-	s := &searcher{h: r.h, ctx: ctx, q: q, k: k, opt: opt, lb: lb, visited: make([]bool, g.NumVertices())}
+	s := searcherPool.Get().(*searcher)
+	defer s.release()
+	*s = searcher{
+		h: r.h, ctx: ctx, q: q, k: k, opt: opt, lb: lb,
+		visited: slices.Grow(s.visited[:0], g.NumVertices())[:g.NumVertices()],
+		fr:      s.fr[:0],
+		prefix:  s.prefix[:0],
+		slots:   s.slots,
+	}
+	clear(s.visited)
 	s.visited[q.Source] = true
-	if err := s.expand(nil, nil, q.Source); err != nil {
+	if err := s.expand(nil, q.Source); err != nil {
 		return nil, 0, 0, err
 	}
 	if len(s.top) == 0 {
@@ -127,8 +139,10 @@ func (r *Router) search(ctx context.Context, q Query, k int, opt Options) (ranke
 }
 
 // searcher is the state of one search: the query, its lower bounds,
-// the current branch's visited set and frontier, the incumbents and
-// the counters.
+// the current branch's visited set, frontier and edges, one path slot
+// per depth, the incumbents and the counters. Searchers are pooled:
+// the next search reuses the storage of the visited set, the frontier,
+// the branch and the slots.
 type searcher struct {
 	h       *core.HybridGraph
 	ctx     context.Context
@@ -138,10 +152,33 @@ type searcher struct {
 	lb      []float64
 	visited []bool
 	fr      frontier
-	top     topKHeap // the k-th best incumbent on top
+	prefix  graph.Path       // the current branch's edges
+	slots   []*core.PathSlot // slots[d] holds the branch's prefix of d+1 edges
+	top     topKHeap         // the k-th best incumbent on top
 
-	explored int // prefixes whose distribution was evaluated or settled
-	pruned   int // prefixes cut by the probabilistic bound
+	explored int // prefixes evaluated or settled
+	pruned   int // prefixes cut by the probabilistic bound, settled ones included
+}
+
+var searcherPool = sync.Pool{New: func() any { return new(searcher) }}
+
+// release recycles every state the search built into its slots and
+// pools the searcher; the incumbents, which rank handed to the caller,
+// are not kept.
+func (s *searcher) release() {
+	for _, sl := range s.slots {
+		sl.Release()
+	}
+	*s = searcher{visited: s.visited, fr: s.fr, prefix: s.prefix, slots: s.slots}
+	searcherPool.Put(s)
+}
+
+// slot returns the slot for prefixes of d+1 edges.
+func (s *searcher) slot(d int) *core.PathSlot {
+	for len(s.slots) <= d {
+		s.slots = append(s.slots, new(core.PathSlot))
+	}
+	return s.slots[d]
 }
 
 // kth is the probability a prefix must beat to matter: the k-th best
@@ -153,15 +190,19 @@ func (s *searcher) kth() float64 {
 	return s.top[0].Prob
 }
 
-// expand explores the children of v, the end of prefix, whose chain
-// state is state (nil at the source).
-func (s *searcher) expand(prefix graph.Path, state *core.PathState, v graph.VertexID) error {
-	if s.explored >= s.opt.MaxExpansions || len(prefix) >= s.opt.MaxEdges {
+// expand explores the children of v, the end of the branch s.prefix,
+// whose chain state is state (nil at the source). Each child is built
+// into the slot of its depth, so it lives until its next sibling
+// replaces it: every state the search reads is on the current branch.
+func (s *searcher) expand(state *core.PathState, v graph.VertexID) error {
+	depth := len(s.prefix)
+	if s.explored >= s.opt.MaxExpansions || depth >= s.opt.MaxEdges {
 		return nil
 	}
 	g := s.h.G
 	outs := s.fr.push(g, s.lb, v)
 	defer s.fr.pop(outs)
+	slot := s.slot(depth)
 	for _, eid := range outs {
 		e := g.Edge(eid)
 		if s.visited[e.To] || math.IsInf(s.lb[e.To], 1) {
@@ -177,9 +218,9 @@ func (s *searcher) expand(prefix graph.Path, state *core.PathState, v graph.Vert
 		var err error
 		settled := false
 		if state == nil {
-			ns, err = s.h.StartPath(eid, s.q.Depart, core.QueryOptions{Method: s.opt.Method, RankCap: s.opt.RankCap})
+			ns, err = s.h.StartPath(eid, s.q.Depart, core.QueryOptions{Method: s.opt.Method, RankCap: s.opt.RankCap}, slot)
 		} else {
-			ns, settled, err = extendWithin(s.h, state, eid, remaining(s.q, s.lb, e))
+			ns, settled, err = extendWithin(s.h, state, eid, remaining(s.q, s.lb, e), slot)
 		}
 		if err != nil {
 			return err
@@ -191,22 +232,26 @@ func (s *searcher) expand(prefix graph.Path, state *core.PathState, v graph.Vert
 			s.pruned++
 			continue
 		}
-		dist, err := ns.DistErr()
-		if err != nil {
-			return err
-		}
 		if e.To == s.q.Dest {
-			s.offer(prefix, eid, dist)
+			if err := s.offer(ns, eid); err != nil {
+				return err
+			}
 			continue
 		}
 		// Optimistic bound: the remaining edges take at least the
 		// free-flow time, so P(total ≤ B) ≤ P(prefix ≤ B − lb).
-		if dist.CDF(s.q.Budget-s.lb[e.To]) <= s.kth() {
+		p, err := ns.CDF(s.q.Budget - s.lb[e.To])
+		if err != nil {
+			return err
+		}
+		if p <= s.kth() {
 			s.pruned++
 			continue
 		}
 		s.visited[e.To] = true
-		err = s.expand(append(prefix, eid), ns, e.To)
+		s.prefix = append(s.prefix, eid)
+		err = s.expand(ns, e.To)
+		s.prefix = s.prefix[:depth]
 		s.visited[e.To] = false
 		if err != nil {
 			return err
@@ -215,26 +260,35 @@ func (s *searcher) expand(prefix graph.Path, state *core.PathState, v graph.Vert
 	return nil
 }
 
-// offer makes the complete path prefix+eid, with cost distribution
-// dist, an incumbent if it beats the k-th best found so far or there
-// are fewer than k.
-func (s *searcher) offer(prefix graph.Path, eid graph.EdgeID, dist *hist.Histogram) {
-	p := dist.CDF(s.q.Budget)
+// offer makes the complete path s.prefix+eid, whose state is ns, an
+// incumbent if it beats the k-th best found so far or there are fewer
+// than k. Only an incumbent's distribution is built, and it and the
+// path copy are the caller's: nothing of the slot ns lives in.
+func (s *searcher) offer(ns *core.PathState, eid graph.EdgeID) error {
+	p, err := ns.CDF(s.q.Budget)
+	if err != nil {
+		return err
+	}
 	full := len(s.top) == s.k
 	if full && !(p > s.top[0].Prob) {
-		return
+		return nil
 	}
-	path := make(graph.Path, len(prefix)+1)
-	copy(path, prefix)
-	path[len(prefix)] = eid
+	dist, err := ns.DistErr()
+	if err != nil {
+		return err
+	}
+	path := make(graph.Path, len(s.prefix)+1)
+	copy(path, s.prefix)
+	path[len(s.prefix)] = eid
 	x := TopKResult{Path: path, Prob: p, Dist: dist}
 	if !full {
 		s.top = append(s.top, x)
 		s.top.up(len(s.top) - 1)
-		return
+		return nil
 	}
 	s.top[0] = x
 	s.top.down(0, len(s.top))
+	return nil
 }
 
 // rank sorts the incumbents best first, in place: each step moves the

@@ -9,15 +9,27 @@ import (
 	"repro/internal/graph"
 )
 
-// scratchBestPath is the reference BestPath: the same DFS, frontier
-// order, bound and incumbent rule, but every prefix's distribution is
-// evaluated from scratch by core's CostDistribution (the Σ RT(P, method)
-// cost model of the paper) and nothing settles before the kernel. The
-// search must answer exactly like it — path, probability, distribution,
-// Explored and Pruned — because resuming from the parent's state and
-// settling a prefix by its cost-support minimum are shortcuts through
-// the same walk.
+// scratchBestPath is the reference BestPath: the top-1 answer of
+// scratchSearch, with its counters.
 func scratchBestPath(r *Router, q Query, opt Options) (*Result, error) {
+	ranked, explored, pruned, err := scratchSearch(r, q, 1, opt)
+	if err != nil {
+		return nil, err
+	}
+	best := ranked[0]
+	return &Result{Path: best.Path, Prob: best.Prob, Dist: best.Dist, Explored: explored, Pruned: pruned}, nil
+}
+
+// scratchSearch is the reference search: the same DFS, frontier order,
+// bound, incumbent heap and ranking, but every prefix's distribution is
+// evaluated from scratch by core's CostDistribution (the Σ RT(P,
+// method) cost model of the paper), nothing settles before the kernel,
+// and nothing is pooled, resumed or recycled. The search must answer
+// exactly like it — paths, probabilities, distributions, Explored and
+// Pruned — because resuming from the parent's state, settling a prefix
+// by its cost-support minimum and building children in recycled slots
+// are shortcuts through the same walk.
+func scratchSearch(r *Router, q Query, k int, opt Options) ([]TopKResult, int, int, error) {
 	if opt.Method == "" {
 		opt.Method = core.MethodOD
 	}
@@ -29,20 +41,19 @@ func scratchBestPath(r *Router, q Query, opt Options) (*Result, error) {
 	}
 	g := r.h.G
 	if err := checkEndpoints(g, q); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	lb := g.ReverseShortestDistances(q.Dest, graph.FreeFlowWeight)
 	if math.IsInf(lb[q.Source], 1) {
-		return nil, fmt.Errorf("routing: destination unreachable from source")
+		return nil, 0, 0, fmt.Errorf("routing: destination unreachable from source")
 	}
-	res := &Result{}
-	best := 0.0
+	s := &searcher{k: k}
 	visited := make([]bool, g.NumVertices())
 	visited[q.Source] = true
 	var fr frontier
 	var dfs func(prefix graph.Path, v graph.VertexID) error
 	dfs = func(prefix graph.Path, v graph.VertexID) error {
-		if res.Explored >= opt.MaxExpansions || len(prefix) >= opt.MaxEdges {
+		if s.explored >= opt.MaxExpansions || len(prefix) >= opt.MaxEdges {
 			return nil
 		}
 		outs := fr.push(g, lb, v)
@@ -52,7 +63,7 @@ func scratchBestPath(r *Router, q Query, opt Options) (*Result, error) {
 			if visited[e.To] || math.IsInf(lb[e.To], 1) {
 				continue
 			}
-			if res.Explored >= opt.MaxExpansions {
+			if s.explored >= opt.MaxExpansions {
 				return nil
 			}
 			np := append(prefix.Clone(), eid)
@@ -61,16 +72,22 @@ func scratchBestPath(r *Router, q Query, opt Options) (*Result, error) {
 				return err
 			}
 			dist := qr.Dist
-			res.Explored++
+			s.explored++
 			if e.To == q.Dest {
-				if p := dist.CDF(q.Budget); p > best || res.Path == nil {
-					best = p
-					res.Path, res.Prob, res.Dist = np, p, dist
+				p := dist.CDF(q.Budget)
+				x := TopKResult{Path: np, Prob: p, Dist: dist}
+				switch {
+				case len(s.top) < k:
+					s.top = append(s.top, x)
+					s.top.up(len(s.top) - 1)
+				case p > s.top[0].Prob:
+					s.top[0] = x
+					s.top.down(0, len(s.top))
 				}
 				continue
 			}
-			if dist.CDF(q.Budget-lb[e.To]) <= best {
-				res.Pruned++
+			if dist.CDF(q.Budget-lb[e.To]) <= s.kth() {
+				s.pruned++
 				continue
 			}
 			visited[e.To] = true
@@ -83,12 +100,12 @@ func scratchBestPath(r *Router, q Query, opt Options) (*Result, error) {
 		return nil
 	}
 	if err := dfs(nil, q.Source); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	if res.Path == nil {
-		return nil, fmt.Errorf("routing: no path to destination found within limits")
+	if len(s.top) == 0 {
+		return nil, 0, 0, fmt.Errorf("routing: no path to destination found within limits")
 	}
-	return res, nil
+	return s.rank(), s.explored, s.pruned, nil
 }
 
 // BenchmarkAblationIncrementalRouting compares the search, whose every

@@ -20,7 +20,13 @@ func (r *Router) SkylinePaths(q Query, maxCandidates int, opt Options) ([]TopKRe
 	if err != nil {
 		return nil, err
 	}
-	var skyline []TopKResult
+	return skyline(cands), nil
+}
+
+// skyline returns the candidates no other candidate strictly
+// first-order dominates, in their order.
+func skyline(cands []TopKResult) []TopKResult {
+	var out []TopKResult
 	for i, c := range cands {
 		dominated := false
 		for j, d := range cands {
@@ -33,8 +39,8 @@ func (r *Router) SkylinePaths(q Query, maxCandidates int, opt Options) ([]TopKRe
 			}
 		}
 		if !dominated {
-			skyline = append(skyline, c)
+			out = append(out, c)
 		}
 	}
-	return skyline, nil
+	return out
 }
