@@ -76,6 +76,57 @@ func TestColdEvaluateAllocBudget(t *testing.T) {
 	}
 }
 
+// segmentAllocBudget bounds one shard leg's segment evaluation on the
+// 48-edge path of longChainFixture cut in two, per leg kind, under OD:
+// the memo-off first segment over edges 0–23 and a warm continuation
+// over 24–47 from the first's relayed state, each result released
+// once read, as the serving tier does. Both run the chain a cold
+// Evaluate runs, on a pooled arena, so what is left is the
+// decomposition, the steps that keep a dimension and the result.
+// Measured first 6, continuation 12 (its half holds the two steps that
+// keep a dimension); a first segment extended edge by edge through the
+// path-state evaluator took 254, and a continuation with no arena 136.
+var segmentAllocBudget = map[string]float64{"first": 7, "continuation": 13}
+
+func TestSegmentAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the pooled scratch and arenas at random")
+	}
+	h, p := longChainFixture(t)
+	const at = 8 * 3600
+	opt := QueryOptions{Method: MethodOD}
+	first := SegmentInput{Path: p[:24], Depart: at, UI: TimeInterval{Lo: at, Hi: at}, Opt: opt}
+	r1, err := h.EvaluateSegment(nil, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := r1.State.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	relayed, err := DecodeChainState(enc, len(p)-24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cont := SegmentInput{Path: p[24:], Depart: at, UI: r1.UI, State: relayed, Opt: opt}
+	for _, leg := range []struct {
+		kind string
+		in   SegmentInput
+	}{{"first", first}, {"continuation", cont}} {
+		n := testing.AllocsPerRun(100, func() {
+			res, err := h.EvaluateSegment(nil, leg.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.State.Release()
+		})
+		t.Logf("%s segment: %v allocations per leg", leg.kind, n)
+		if n > segmentAllocBudget[leg.kind] {
+			t.Errorf("a warm %s segment of 24 edges allocates %v objects, budget %v", leg.kind, n, segmentAllocBudget[leg.kind])
+		}
+	}
+}
+
 // memoExtendAllocBudget bounds the memo's one write path on the Table 1
 // fixture: a query for <e0..e3> that resumes from the memoized state of
 // <e0,e1,e2> — the longest-prefix probe renders a key per depth it

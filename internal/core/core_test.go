@@ -292,6 +292,56 @@ func TestTemporalRelevanceExcludesWrongInterval(t *testing.T) {
 	}
 }
 
+// dailyOverlapLoop is the day-by-day overlap a UI narrower than a day
+// still takes: the reference for the closed form of wider ones.
+func dailyOverlapLoop(ivLo, ivHi float64, ui TimeInterval) float64 {
+	var total float64
+	for d := math.Floor((ui.Lo-ivHi)/gps.SecondsPerDay) - 1; ; d++ {
+		lo, hi := d*gps.SecondsPerDay+ivLo, d*gps.SecondsPerDay+ivHi
+		if lo > ui.Hi {
+			return total
+		}
+		if ol := math.Min(hi, ui.Hi) - math.Max(lo, ui.Lo); ol > 0 {
+			total += ol
+		}
+	}
+}
+
+// TestOverlapOfWideIntervals holds the closed-form overlap of a UI a
+// day or more wide to the daily loop, to rounding, over random
+// intervals, starts on either side of 0 and widths up to a month; and
+// a UI of 10^15 s, whose loop would run 10^10 days, to its own
+// definition: every day's copy lies inside it but the partial ends.
+func TestOverlapOfWideIntervals(t *testing.T) {
+	g, data, params := table1Fixture(t)
+	h, err := Build(g, data, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := rand.New(rand.NewSource(42))
+	nIv := h.Params.NumIntervals()
+	for i := 0; i < 2000; i++ {
+		iv := rnd.Intn(nIv)
+		lo := (rnd.Float64() - 0.3) * 40 * gps.SecondsPerDay
+		w := gps.SecondsPerDay * (1 + rnd.Float64()*30)
+		if i%10 == 0 {
+			w = float64(1+rnd.Intn(30)) * gps.SecondsPerDay // whole days
+		}
+		ui := TimeInterval{Lo: lo, Hi: lo + w}
+		ivLo, ivHi := h.Params.IntervalBounds(iv)
+		got, want := h.overlapWithInterval(iv, ui), dailyOverlapLoop(ivLo, ivHi, ui)
+		if !almostEq(got, want, 1e-6) {
+			t.Fatalf("interval %d, UI [%g, %g]: overlap %v, day by day %v", iv, ui.Lo, ui.Hi, got, want)
+		}
+	}
+	ivLo, ivHi := h.Params.IntervalBounds(3)
+	days := math.Floor(1e15 / gps.SecondsPerDay)
+	got := h.overlapWithInterval(3, TimeInterval{Lo: 0, Hi: 1e15})
+	if got < (days-1)*(ivHi-ivLo) || got > (days+1)*(ivHi-ivLo) {
+		t.Fatalf("overlap with [0, 1e15] is %v, want about %v days of %v s", got, days, ivHi-ivLo)
+	}
+}
+
 func TestDecompositionKinds(t *testing.T) {
 	g, data, params := table1Fixture(t)
 	h, err := Build(g, data, params)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -27,7 +28,9 @@ func sae(ti TimeInterval, v *Variable) TimeInterval {
 
 // overlapWithInterval measures |I_j ∩ UI| where I_j is a time-of-day
 // interval and UI an absolute interval; the interval repeats daily, so
-// the overlap accumulates across the days UI spans.
+// the overlap accumulates across the days UI spans. A UI narrower than
+// a day visits its few daily copies of I_j; a wider one — a relayed
+// interval is wire data, and may span years — is measured in O(1).
 func (h *HybridGraph) overlapWithInterval(iv int, ui TimeInterval) float64 {
 	ivLo, ivHi := h.Params.IntervalBounds(iv)
 	day := gps.SecondsPerDay
@@ -39,6 +42,9 @@ func (h *HybridGraph) overlapWithInterval(iv int, ui TimeInterval) float64 {
 			return 1
 		}
 		return 0
+	}
+	if ui.Width() >= day {
+		return dailyMeasure(ivLo, ivHi, ui.Hi) - dailyMeasure(ivLo, ivHi, ui.Lo)
 	}
 	var total float64
 	// Iterate the daily copies of I_j that can intersect UI.
@@ -55,6 +61,16 @@ func (h *HybridGraph) overlapWithInterval(iv int, ui TimeInterval) float64 {
 		}
 	}
 	return total
+}
+
+// dailyMeasure is the measure of the daily copies of the time-of-day
+// interval [ivLo, ivHi) below absolute time x, counted from time 0
+// (negative below it): the full days before x's day, each contributing
+// the interval's length, plus the part of x's own day's copy before x.
+func dailyMeasure(ivLo, ivHi, x float64) float64 {
+	d := math.Floor(x / gps.SecondsPerDay)
+	part := minF(maxF(x-d*gps.SecondsPerDay-ivLo, 0), ivHi-ivLo)
+	return d*(ivHi-ivLo) + part
 }
 
 func minF(a, b float64) float64 {

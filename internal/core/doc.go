@@ -39,10 +39,11 @@
 // states keyed by the exact departure time; a model epoch holds one
 // view of it (ForEpoch). It is read in one place, the path-state
 // evaluator behind CostDistributionCtx (CostDistribution and
-// CostDistributionMemo are its no-memo and memo spellings) and the
-// first segment of EvaluateSegment: it finds the longest stored prefix
-// and offers each new state, so repeated and overlapping distribution
-// queries reuse one another's prefixes with byte-identical results.
+// CostDistributionMemo are its no-memo and memo spellings) and, with
+// the memo on, the first segment of EvaluateSegment: it finds the
+// longest stored prefix and offers each new state, so repeated and
+// overlapping distribution queries reuse one another's prefixes with
+// byte-identical results.
 //
 // One extension does each piece of kernel work at most once, chosen by
 // the state and factor in hand: a child resumes from the fold its
@@ -63,11 +64,15 @@
 // one routing expansion costs") has the measurements and the proof.
 //
 // Every evaluator runs one chain loop, runChain: the memo-free
-// CostDistribution (recycling each intermediate state through an
-// arena), PathState's extension (keeping each folded state for its
-// children, in its slot's state slots when it has one) and an
-// EvaluateSegment continuation (starting from the relayed state). One switch, CandidateArray.decomposition, picks the
-// decomposition by method for all of them. A chain step whose state
+// CostDistribution and every EvaluateSegment segment the memo does not
+// serve (recycling each intermediate state through an arena; a
+// continuation starts from the relayed state, which the chain never
+// recycles), and PathState's extension (keeping each folded state for
+// its children, in its slot's state slots when it has one). A segment's
+// final state is its caller's (ChainState.Release), and so is a
+// decoded one; a memo state is never released. One switch,
+// CandidateArray.decomposition, picks the decomposition by method for
+// all of them. A chain step whose state
 // has no open dimension and whose factor shares no edge with the next
 // (nearly every step, the last factor of a PathState included) is one
 // fused convolve-and-fold, byte-identical to multiply + foldTo; see

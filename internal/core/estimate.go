@@ -192,19 +192,21 @@ func (h *HybridGraph) singleFactorDist(v *Variable) (*hist.Histogram, error) {
 // checked before each factor multiply, so a long evaluation stops
 // burning CPU within one factor of the caller's budget expiring. Every
 // product dies with its step and is recycled. An arena is passed only
-// for a chain that starts fresh and whose intermediate states nobody
-// else sees (inter is nil): each then dies as soon as the next one
-// exists, and its histogram is recycled too. own, when non-nil, is
-// where the states stored in inter are built instead: factor i's in
+// for a chain whose intermediate states nobody else sees (inter is
+// nil): each state the chain computes then dies as soon as the next
+// one exists, and its histogram is recycled too. The state the chain
+// was handed is never recycled: it is the caller's. own, when non-nil,
+// is where the states stored in inter are built instead: factor i's in
 // own[i], which must be released.
 func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, from int, state *chainState, inter []*chainState, st *EvalStats, ar *chainArena, own []stateSlot) (*chainState, error) {
 	recycle := ar != nil
+	handed := state
 	sc := scratchPool.Get().(*evalScratch)
 	defer scratchPool.Put(sc)
 	for i := from; i < len(de.Vars); i++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				if recycle && state != nil {
+				if recycle && state != handed {
 					hist.PutMulti(state.m)
 				}
 				return nil, err
@@ -235,7 +237,7 @@ func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, from int,
 		if err != nil {
 			return nil, err
 		}
-		if recycle && prev != nil {
+		if recycle && prev != handed {
 			hist.PutMulti(prev.m)
 		}
 		if !fused {
@@ -740,6 +742,20 @@ func (ar *chainArena) next() *stateSlot {
 	sl := &ar.slots[ar.turn]
 	ar.turn = 1 - ar.turn
 	return sl
+}
+
+// holds reports whether cs is the state one of the arena's slots holds.
+func (ar *chainArena) holds(cs *chainState) bool {
+	return cs == &ar.slots[0].cs || cs == &ar.slots[1].cs
+}
+
+// release recycles cs, a state one of the arena's slots holds.
+func (ar *chainArena) release(cs *chainState) {
+	for i := range ar.slots {
+		if cs == &ar.slots[i].cs {
+			ar.slots[i].release()
+		}
+	}
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(chainArena) }}

@@ -189,3 +189,42 @@ func (s *PathState) Path() graph.Path { return s.path }
 func (s *ChainState) Open() []int {
 	return append([]int(nil), s.cs.open...)
 }
+
+// ScratchSegment is the reference for EvaluateSegment: every segment
+// evaluated the way it was before segments ran on recycled chains. A
+// first segment runs the memo-free path-state evaluation — one
+// StartPath/ExtendPath per edge — and a continuation runs its chain
+// with no arena from the relayed state. It recycles nothing, and its
+// states are never released.
+func ScratchSegment(h *HybridGraph, in SegmentInput) (*SegmentResult, error) {
+	opt := in.Opt
+	if opt.Method == "" {
+		opt.Method = MethodOD
+	}
+	if in.State == nil {
+		st, err := h.pathState(nil, nil, in.Path, in.Depart, opt)
+		if err != nil {
+			return nil, err
+		}
+		return &SegmentResult{
+			State:   &ChainState{cs: st.inter[len(st.inter)-1]},
+			UI:      st.next,
+			Factors: len(st.de.Vars),
+			MaxRank: st.de.MaxRank(),
+		}, nil
+	}
+	ca, ui, err := h.buildCandidateArrayFrom(in.Path, in.UI)
+	if err != nil {
+		return nil, err
+	}
+	defer ca.Release()
+	de, err := ca.decomposition(opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	state, err := h.runChain(nil, de, 0, in.State.cs, nil, nil, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &SegmentResult{State: &ChainState{cs: state}, UI: ui, Factors: len(de.Vars), MaxRank: de.MaxRank()}, nil
+}

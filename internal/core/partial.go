@@ -25,8 +25,39 @@ import (
 // running joint of Equation 2 — so it can cross a process boundary
 // between shards. Relay states are accumulator-only (no open edges);
 // Encode/DecodeChainState accept any state shape.
+//
+// A handle either owns its state or only reads it. It owns a state
+// DecodeChainState parsed and one a memo-free EvaluateSegment computed:
+// nothing else refers to those, so Release may recycle them. A
+// memo-backed first segment's state is shared with the memo, which
+// hands it to later queries; its handle owns nothing, and Release
+// leaves it alone.
 type ChainState struct {
 	cs *chainState
+	// own is set on a handle whose state nothing else refers to.
+	own bool
+	// ar, when non-nil, is the arena whose slot holds cs: the handle
+	// holds it until Release pools it back with the state.
+	ar *chainArena
+}
+
+// Release recycles an owned state's storage for the next evaluation;
+// on a state the handle does not own (see ChainState) it does nothing.
+// The state is dead afterwards: call Release once nothing reads it any
+// more — its Encode, Finalize and every evaluation continued from it
+// done. Distributions Finalize returned stay valid. Releasing is
+// optional: an unreleased state is garbage collected.
+func (s *ChainState) Release() {
+	if s == nil || !s.own {
+		return
+	}
+	if s.ar != nil {
+		s.ar.release(s.cs)
+		arenaPool.Put(s.ar)
+	} else {
+		hist.PutMulti(s.cs.m)
+	}
+	*s = ChainState{}
 }
 
 // AccOnly reports whether the state has folded every edge into the
@@ -66,7 +97,9 @@ type SegmentInput struct {
 // state after the segment's last factor, the updated departure
 // interval past the segment's last edge, and the decomposition shape
 // (Factors sum and MaxRank max across segments reproduce the
-// whole-path decomposition's cardinality and max rank).
+// whole-path decomposition's cardinality and max rank). State is the
+// caller's: it shares nothing with the input state, and the caller may
+// Release it once encoded (a memo-backed one ignores the call).
 type SegmentResult struct {
 	State   *ChainState
 	UI      TimeInterval
@@ -74,14 +107,24 @@ type SegmentResult struct {
 	MaxRank int
 }
 
-// EvaluateSegment evaluates one segment of a partitioned query. A
-// first segment (nil state) runs the ordinary path evaluation through
-// the memo view m and hands out its final folded state; a
-// continuation seeds the candidate array with the relayed UI,
-// decomposes the segment locally, and multiplies its factors onto the
-// relayed state. Continuations never touch m: its keys assume
-// evaluation from a point departure interval, which only the first
-// segment has.
+// segmentOut is a SegmentResult and its state handle in one allocation.
+type segmentOut struct {
+	res SegmentResult
+	st  ChainState
+}
+
+// EvaluateSegment evaluates one segment of a partitioned query. With
+// the memo view m active for the method, a first segment (nil state)
+// runs the memo's path evaluation — the memo applies only there, since
+// its keys assume evaluation from a point departure interval — and
+// hands out its final folded state, which the memo may share. Every
+// other segment runs the chain a memo-free CostDistribution runs: it
+// seeds the candidate array with the segment's departure interval (the
+// point [depart, depart] for a first segment, the relayed one for a
+// continuation), decomposes the segment locally, and folds its factors
+// from the relayed state, or from nothing, on a recycling arena. The
+// relayed state is only read, never recycled, and the returned state
+// is the caller's own (see ChainState).
 //
 // RD is rejected: its random decomposition draws one value per row of
 // the whole query path, so it cannot be reproduced segment by segment
@@ -104,30 +147,32 @@ func (h *HybridGraph) EvaluateSegment(m *ConvMemo, in SegmentInput) (*SegmentRes
 		return nil, fmt.Errorf("core: inverted departure interval [%g, %g]", in.UI.Lo, in.UI.Hi)
 	}
 
-	if in.State == nil {
-		// First segment: a fresh evaluation from the point departure
-		// interval [t, t], exactly what the incremental evaluators
-		// compute — so the memo applies, and its answers are
-		// byte-identical by the store-equivalence guarantee.
-		if in.UI.Lo != in.Depart || in.UI.Hi != in.Depart {
-			return nil, fmt.Errorf("core: a first segment must start from the point interval [depart, depart], got [%g, %g]", in.UI.Lo, in.UI.Hi)
+	var from *chainState
+	switch {
+	case in.State != nil:
+		if !in.State.AccOnly() {
+			return nil, fmt.Errorf("core: continuation state must be accumulator-only, has open dims %v", in.State.cs.open)
 		}
+		from = in.State.cs
+	case in.UI.Lo != in.Depart || in.UI.Hi != in.Depart:
+		return nil, fmt.Errorf("core: a first segment must start from the point interval [depart, depart], got [%g, %g]", in.UI.Lo, in.UI.Hi)
+	case m.active(opt.Method):
+		// A first segment evaluates from the point departure interval
+		// [t, t], exactly what CostDistributionCtx computes — so the memo
+		// applies, and its answers are byte-identical by the
+		// store-equivalence guarantee.
 		st, err := h.pathState(in.Ctx, m, in.Path, in.Depart, opt)
 		if err != nil {
 			return nil, err
 		}
 		// Outgoing UI: Eq. 3 chained across the whole segment, which the
-		// state carries.
+		// state carries. The memo may hold the state: not owned.
 		return &SegmentResult{
 			State:   &ChainState{cs: st.inter[len(st.inter)-1]},
 			UI:      st.next,
 			Factors: len(st.de.Vars),
 			MaxRank: st.de.MaxRank(),
 		}, nil
-	}
-
-	if !in.State.AccOnly() {
-		return nil, fmt.Errorf("core: continuation state must be accumulator-only, has open dims %v", in.State.cs.open)
 	}
 	ca, uiOut, err := h.buildCandidateArrayFrom(in.Path, in.UI)
 	if err != nil {
@@ -138,20 +183,29 @@ func (h *HybridGraph) EvaluateSegment(m *ConvMemo, in SegmentInput) (*SegmentRes
 	if err != nil {
 		return nil, err
 	}
-	// The relayed state has no open dims, so the first multiply is the
+	// A relayed state has no open dims, so the first multiply is the
 	// independent outer product — the identical operation whole-path
-	// evaluation performs right after its boundary fold. No arena: the
-	// caller's state (and anything sharing its buffers) stays untouched.
-	state, err := h.runChain(in.Ctx, de, 0, in.State.cs, nil, nil, nil, nil)
+	// evaluation performs right after its boundary fold. runChain
+	// recycles every state it computed but the last, never the one it
+	// was handed.
+	ar := arenaPool.Get().(*chainArena)
+	state, err := h.runChain(in.Ctx, de, 0, from, nil, nil, ar, nil)
 	if err != nil {
+		arenaPool.Put(ar)
 		return nil, err
 	}
-	return &SegmentResult{
-		State:   &ChainState{cs: state},
+	out := &segmentOut{st: ChainState{cs: state, own: true, ar: ar}}
+	if !ar.holds(state) {
+		arenaPool.Put(ar)
+		out.st.ar = nil
+	}
+	out.res = SegmentResult{
+		State:   &out.st,
 		UI:      uiOut,
 		Factors: len(de.Vars),
 		MaxRank: de.MaxRank(),
-	}, nil
+	}
+	return &out.res, nil
 }
 
 // FilterVariables derives a model holding exactly the trajectory-backed

@@ -79,14 +79,15 @@ func (s *ChainState) Encode() ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeChainState parses an Encode dump. pathLen bounds the open
-// positions (relay states have none; pass the segment length). The
-// input is untrusted wire data: every count is checked against the
-// bytes actually present before anything is allocated for it, every
-// index and probability is validated, normalization is checked, and
-// malformed input returns a descriptive error — never a panic. pstate-v2
-// is the only version read: anything else, the retired text pstate-v1
-// included, is an "unsupported partial state" error.
+// DecodeChainState parses an Encode dump into a state the caller owns
+// (see ChainState.Release). pathLen bounds the open positions (relay
+// states have none; pass the segment length). The input is untrusted
+// wire data: every count is checked against the bytes actually present
+// before anything is allocated for it, every index and probability is
+// validated, normalization is checked, and malformed input returns a
+// descriptive error — never a panic. pstate-v2 is the only version
+// read: anything else, the retired text pstate-v1 included, is an
+// "unsupported partial state" error.
 func DecodeChainState(data []byte, pathLen int) (*ChainState, error) {
 	if pathLen < 1 {
 		pathLen = 1
@@ -104,7 +105,7 @@ func DecodeChainState(data []byte, pathLen int) (*ChainState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: partial state: %w", err)
 	}
-	return &ChainState{cs: cs}, nil
+	return &ChainState{cs: cs, own: true}, nil
 }
 
 // decodeStateV2 parses what follows the magic and version bytes.

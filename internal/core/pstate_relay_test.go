@@ -32,15 +32,7 @@ const relayDepart = 8 * 3600.0
 // way the coordinator does, and returns every hand-over on the way.
 func relayHops(tb testing.TB) []relayHop {
 	tb.Helper()
-	params := pathcost.DefaultParams()
-	params.Beta = 20
-	params.MaxRank = 4
-	sys, err := pathcost.Synthesize(pathcost.SynthesizeConfig{
-		Preset: "test", Trips: 3000, Seed: 11, Params: params,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	sys := equivalenceSystem(tb)
 	var hops []relayHop
 	for _, k := range []int{2, 3, 4} {
 		part, err := shard.NewPartition(sys.Graph, k, sys.Params)
@@ -51,12 +43,7 @@ func relayHops(tb testing.TB) []relayHop {
 		if err != nil {
 			tb.Fatalf("k=%d: SplitModel: %v", k, err)
 		}
-		rnd := rand.New(rand.NewSource(int64(100 + k)))
-		for i := 0; i < 30; i++ {
-			p, err := sys.RandomQueryPath(2+rnd.Intn(8), rnd.Intn)
-			if err != nil {
-				tb.Fatalf("RandomQueryPath: %v", err)
-			}
+		for i, p := range equivalencePaths(tb, sys, k) {
 			segs := part.SegmentPath(sys.Graph, p)
 			for _, m := range []pathcost.Method{pathcost.OD, pathcost.HP, pathcost.LB} {
 				opt := pathcost.QueryOptions{Method: m}
@@ -82,6 +69,38 @@ func relayHops(tb testing.TB) []relayHop {
 		tb.Fatal("workload relayed no state: the tests over it are vacuous")
 	}
 	return hops
+}
+
+// equivalenceSystem trains the model of the sharded tier's equivalence
+// suite (internal/shard's testSystem).
+func equivalenceSystem(tb testing.TB) *pathcost.System {
+	tb.Helper()
+	params := pathcost.DefaultParams()
+	params.Beta = 20
+	params.MaxRank = 4
+	sys, err := pathcost.Synthesize(pathcost.SynthesizeConfig{
+		Preset: "test", Trips: 3000, Seed: 11, Params: params,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
+// equivalencePaths samples the 30 paths the equivalence suite queries
+// on its k-way partition.
+func equivalencePaths(tb testing.TB, sys *pathcost.System, k int) []pathcost.Path {
+	tb.Helper()
+	rnd := rand.New(rand.NewSource(int64(100 + k)))
+	paths := make([]pathcost.Path, 30)
+	for i := range paths {
+		p, err := sys.RandomQueryPath(2+rnd.Intn(8), rnd.Intn)
+		if err != nil {
+			tb.Fatalf("RandomQueryPath: %v", err)
+		}
+		paths[i] = p
+	}
+	return paths
 }
 
 // resume puts the hop's state on the wire with encode and evaluates

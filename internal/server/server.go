@@ -421,7 +421,8 @@ func (s *Server) evalTopK(ctx context.Context, sys *pathcost.System, req *topkRe
 // The status contract matches evalDistribution. The relayed state is
 // untrusted wire data: a decode failure is the caller's 400, never a
 // panic. Segment evaluation is CPU-bound like any query, so it is
-// charged one MaxInFlight slot.
+// charged one MaxInFlight slot. Both states die here: the decoded one
+// after the evaluation, the answered one once encoded.
 func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *batchQuery) (*stateResult, int, string) {
 	m, err := api.ParseMethod(req.Method)
 	if err != nil {
@@ -464,11 +465,15 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *batch
 			Ctx:    ctx,
 		})
 	}()
+	// The relayed state's last reader was the evaluation; a nil one
+	// (a first segment) ignores the call.
+	st.Release()
 	if err != nil {
 		status, msg := s.queryErrorStatus(ctx, err)
 		return nil, status, msg
 	}
 	enc, err := res.State.Encode()
+	res.State.Release() // a memo-backed first segment's state ignores it
 	if err != nil {
 		return nil, http.StatusInternalServerError, "internal error encoding partial state"
 	}

@@ -65,6 +65,42 @@ func TestBatchStateRelay(t *testing.T) {
 	}
 }
 
+// TestBatchStateWideIntervalAnswersPromptly: a relayed departure
+// interval is wire data, and one spanning millions of days must cost
+// what a narrow one costs — the overlap of a daily interval with it is
+// measured, not counted day by day — instead of holding a MaxInFlight
+// slot for minutes with no deadline check on the way.
+func TestBatchStateWideIntervalAnswersPromptly(t *testing.T) {
+	sys := testSystem(t)
+	srv := New(sys, Config{MaxInFlight: 4})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	path, depart := densePath(t, sys)
+	if len(path) < 2 {
+		t.Fatal("need a multi-edge dense path")
+	}
+	cut := len(path) / 2
+	r := postBatchEntry(t, ts.URL, batchQuery{
+		Kind: "state", Path: path[:cut], Depart: depart, UILo: depart, UIHi: depart,
+	})
+	if r.Status != http.StatusOK || r.State == nil {
+		t.Fatalf("first segment = %+v", r)
+	}
+	start := time.Now()
+	r = postBatchEntry(t, ts.URL, batchQuery{
+		Kind: "state", Path: path[cut:], Depart: depart,
+		UILo: 0, UIHi: 1e15, State: r.State.State,
+	})
+	took := time.Since(start)
+	if r.Status != http.StatusOK || r.State == nil {
+		t.Fatalf("wide-interval continuation = %+v", r)
+	}
+	if took >= 100*time.Millisecond {
+		t.Errorf("a continuation from the interval [0, 1e15] took %v, want < 100ms", took)
+	}
+}
+
 func TestBatchStateRejections(t *testing.T) {
 	sys := testSystem(t)
 	srv := New(sys, Config{MaxInFlight: 4})

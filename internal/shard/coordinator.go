@@ -561,6 +561,7 @@ func (c *Coordinator) applyResult(p *pendingQuery, res *api.BatchResult, region 
 	if err == nil {
 		dist, err = cs.Finalize(c.part.Params.MaxResultBuckets)
 	}
+	cs.Release() // the distribution outlives it; nil after a decode error
 	if err != nil {
 		p.fail(http.StatusBadGateway, fmt.Sprintf("shard %d returned an invalid final state: %v", region, err))
 		return

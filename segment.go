@@ -21,16 +21,20 @@ type (
 )
 
 // DecodeChainState parses a ChainState.Encode dump; pathLen bounds the
-// open positions. Malformed input errors, never panics.
+// open positions. Malformed input errors, never panics. The state is
+// the caller's: Release it once the evaluation it seeds is done.
 func DecodeChainState(data []byte, pathLen int) (*ChainState, error) {
 	return core.DecodeChainState(data, pathLen)
 }
 
 // EvaluateSegment evaluates one segment of a partitioned query against
-// the current epoch's model and memo view. First segments run the
-// ordinary incremental evaluation (the memo applies); continuations
-// resume from the relayed state and never touch it. The query cache
-// is bypassed: partial states are intermediate values keyed by relay
+// the current epoch's model and memo view. With the memo on, a first
+// segment resumes from and feeds the memo, and its state is the
+// memo's; every other segment runs the chain a memo-free
+// CostDistribution runs, a continuation from the relayed state, which
+// it only reads. The result's state is the caller's to Release once
+// encoded (a memo-backed one ignores the call). The query cache is
+// bypassed: partial states are intermediate values keyed by relay
 // context, not whole-query answers.
 func (s *System) EvaluateSegment(in SegmentInput) (*SegmentResult, error) {
 	ep := s.epoch.Load()
