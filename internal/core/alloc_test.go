@@ -45,21 +45,22 @@ func TestChainStateCodecAllocBudget(t *testing.T) {
 }
 
 // coldEvaluateAllocBudget bounds one warm Evaluate of the 48-edge path
-// of longChainFixture, per method. Nearly every chain step is a fused
-// convolveFold whose state and accumulator axis live in the
-// evaluation's pooled arena, products are values and the remap tables
-// of an overlap's alignment are pooled, so what is left is the first
-// step, the marginal and, under OD, the two steps that keep a dimension
-// (a folded state, its axis and position list, and a union grid each):
-// OD 13 and LB 5. With a product on the heap and a new remap table per
-// aligned side it was OD 34 and LB 6; the two-pass route, with a
-// product, a folded state, an axis and a position list per step, took
-// 185 and 195.
-var coldEvaluateAllocBudget = map[Method]float64{MethodOD: 14, MethodLB: 6}
+// of longChainFixture, per method. Every chain step builds its state
+// and accumulator axis into a slot of the evaluation's pooled two-slot
+// ring, products are values and the remap tables of an overlap's
+// alignment are pooled, so what is left is the marginal and, under OD,
+// the union grids of the two steps that keep a dimension: measured OD
+// 5 and LB 3. While only fused steps used the ring (then an arena) and
+// the first step and the steps that keep a dimension built a new
+// state, axis and position list, it was OD 13 and LB 5; with a product
+// on the heap and a new remap table per aligned side OD 34 and LB 6;
+// the two-pass route, with a product, a folded state, an axis and a
+// position list per step, took 185 and 195.
+var coldEvaluateAllocBudget = map[Method]float64{MethodOD: 6, MethodLB: 4}
 
 func TestColdEvaluateAllocBudget(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop the pooled scratch and arenas at random")
+		t.Skip("the race detector makes sync.Pool drop the pooled scratch and rings at random")
 	}
 	h, p := longChainFixture(t)
 	for _, m := range []Method{MethodOD, MethodLB} {
@@ -81,16 +82,18 @@ func TestColdEvaluateAllocBudget(t *testing.T) {
 // the memo-off first segment over edges 0–23 and a warm continuation
 // over 24–47 from the first's relayed state, each result released
 // once read, as the serving tier does. Both run the chain a cold
-// Evaluate runs, on a pooled arena, so what is left is the
-// decomposition, the steps that keep a dimension and the result.
-// Measured first 6, continuation 12 (its half holds the two steps that
-// keep a dimension); a first segment extended edge by edge through the
-// path-state evaluator took 254, and a continuation with no arena 136.
-var segmentAllocBudget = map[string]float64{"first": 7, "continuation": 13}
+// Evaluate runs, into a pooled ring, so what is left is the
+// decomposition, the union grids of the steps that keep a dimension
+// and the result. Measured first 4, continuation 6 (its half holds the
+// two steps that keep a dimension); 6 and 12 while those steps and the
+// first built new states off the arena, a first segment extended edge
+// by edge through the path-state evaluator took 254, and a
+// continuation recycling nothing 136.
+var segmentAllocBudget = map[string]float64{"first": 5, "continuation": 7}
 
 func TestSegmentAllocBudget(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop the pooled scratch and arenas at random")
+		t.Skip("the race detector makes sync.Pool drop the pooled scratch and rings at random")
 	}
 	h, p := longChainFixture(t)
 	const at = 8 * 3600

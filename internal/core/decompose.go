@@ -254,6 +254,20 @@ func (h *HybridGraph) buildCandidateArrayFrom(p graph.Path, ui0 TimeInterval) (*
 	return ca, ui, nil
 }
 
+// decomposeFrom is the one way from a path to its decomposition: opt's
+// pick over the candidate array seeded with ui0 (see
+// buildCandidateArrayFrom), built into dst when it is non-nil, and the
+// interval past the last edge.
+func (h *HybridGraph) decomposeFrom(p graph.Path, ui0 TimeInterval, opt QueryOptions, dst *Decomposition) (*Decomposition, TimeInterval, error) {
+	ca, next, err := h.buildCandidateArrayFrom(p, ui0)
+	if err != nil {
+		return nil, TimeInterval{}, err
+	}
+	defer ca.Release()
+	de, err := ca.decomposition(opt, dst)
+	return de, next, err
+}
+
 // suffixVariable reports whether a variable's path is a suffix of p of
 // two or more edges, by which a row of p[:len(p)-1]'s candidate array
 // differs from p's. None is longer than the ranks the model counts.

@@ -131,7 +131,7 @@ func (h *HybridGraph) EvaluateDense(de *Decomposition, query graph.Path) (*hist.
 			}
 		}
 		if pr > 0 {
-			joint.AddCell(idx, pr)
+			joint.SetCell(idx, pr) // each tuple is visited once
 		}
 		if !advance() {
 			break

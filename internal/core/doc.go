@@ -65,19 +65,23 @@
 //
 // Every evaluator runs one chain loop, runChain: the memo-free
 // CostDistribution and every EvaluateSegment segment the memo does not
-// serve (recycling each intermediate state through an arena; a
-// continuation starts from the relayed state, which the chain never
-// recycles), and PathState's extension (keeping each folded state for
-// its children, in its slot's state slots when it has one). A segment's
-// final state is its caller's (ChainState.Release), and so is a
-// decoded one; a memo state is never released. One switch,
-// CandidateArray.decomposition, picks the decomposition by method for
-// all of them. A chain step whose state
-// has no open dimension and whose factor shares no edge with the next
-// (nearly every step, the last factor of a PathState included) is one
-// fused convolve-and-fold, byte-identical to multiply + foldTo; see
-// chainState.convolveFold and docs/ARCHITECTURE.md ("What one chain
-// step costs").
+// serve (a continuation starts from the relayed state, which the chain
+// only reads), and PathState's extension (keeping each folded state
+// for its children). One storage rule holds for all of them: a folded
+// state lives in a slot, and taking a slot for the next state releases
+// the one it held. The slots are a PathSlot's, one per factor, or a
+// pooled two-slot ring for a chain whose intermediate states nobody
+// reads; a memo state has no slot and is never released. A ChainState
+// handle owns its state exactly when it holds that state's ring — a
+// memo-free segment's final state, or a decoded one — and Release
+// pools the ring back. One entry, decomposeFrom, builds the candidate
+// array and picks the decomposition by method for all of them.
+//
+// A chain step whose state has no open dimension and whose factor
+// shares no edge with the next (nearly every step, the last factor of
+// a PathState included) is one fused convolve-and-fold, byte-identical
+// to multiply + foldTo; see chainState.convolveFold and
+// docs/ARCHITECTURE.md ("What one chain step costs").
 //
 // Query evaluation is bit-deterministic by construction: float
 // accumulation over hyper-buckets always runs in sorted cell order,

@@ -156,18 +156,14 @@ func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query
 		return out, st, nil
 	}
 
-	ar := arenaPool.Get().(*chainArena)
-	defer arenaPool.Put(ar)
-	state, err := h.runChain(ctx, de, 0, nil, nil, &st, ar, nil)
+	ring := ringPool.Get().(*chainRing)
+	defer ring.release()
+	state, err := h.runChain(ctx, de, 0, nil, nil, &st, ring[:])
 	if err != nil {
 		return nil, st, err
 	}
 	st.mcStart = time.Now()
 	out, err := state.m.SumHistogram(h.Params.MaxResultBuckets)
-	// The chain belonged to this evaluation alone (runChain recycled
-	// every intermediate state); the final state dies here too, before
-	// the arena holding its accumulator axis.
-	hist.PutMulti(state.m)
 	if err != nil {
 		return nil, st, err
 	}
@@ -191,24 +187,20 @@ func (h *HybridGraph) singleFactorDist(v *Variable) (*hist.Histogram, error) {
 // when inter is non-nil. A non-nil ctx bounds the chain: its deadline is
 // checked before each factor multiply, so a long evaluation stops
 // burning CPU within one factor of the caller's budget expiring. Every
-// product dies with its step and is recycled. An arena is passed only
-// for a chain whose intermediate states nobody else sees (inter is
-// nil): each state the chain computes then dies as soon as the next
-// one exists, and its histogram is recycled too. The state the chain
-// was handed is never recycled: it is the caller's. own, when non-nil,
-// is where the states stored in inter are built instead: factor i's in
-// own[i], which must be released.
-func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, from int, state *chainState, inter []*chainState, st *EvalStats, ar *chainArena, own []stateSlot) (*chainState, error) {
-	recycle := ar != nil
-	handed := state
+// product dies with its step and is recycled. Factor i's folded state
+// is built into the slot own[i % len(own)], which releases the state
+// it held: own is a PathSlot's slots, one per factor, or a chainRing
+// for a chain whose intermediate states nobody reads, since a step
+// reads only the state before it. A nil own builds new states that are
+// never recycled (the memo's). The state the chain was handed is the
+// caller's, and own holds the chain's states until its owner releases
+// them.
+func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, from int, state *chainState, inter []*chainState, st *EvalStats, own []stateSlot) (*chainState, error) {
 	sc := scratchPool.Get().(*evalScratch)
 	defer scratchPool.Put(sc)
 	for i := from; i < len(de.Vars); i++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				if recycle && state != handed {
-					hist.PutMulti(state.m)
-				}
 				return nil, err
 			}
 		}
@@ -218,34 +210,25 @@ func (h *HybridGraph) runChain(ctx context.Context, de *Decomposition, from int,
 		}
 		into := slotAt(own, i)
 		keep := into.keep(de, i)
-		prev := state
-		fused := state != nil && len(state.open) == 0 && len(keep) == 0
-		if fused && ar != nil {
-			into = ar.next()
-		}
-		// The product of an unfused step dies with the step; its
-		// positions are scratch.
-		var prod chainState
-		switch {
-		case fused:
+		if state != nil && len(state.open) == 0 && len(keep) == 0 {
 			state, err = state.convolveFold(fm, st, h.Params.MaxAccBuckets, into)
-		case state == nil:
-			prod, err = initialState(fm, sc.positions(de, i))
-		default:
-			prod, err = state.multiply(fm, sc.positions(de, i), st)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if recycle && prev != handed {
-			hist.PutMulti(prev.m)
-		}
-		if !fused {
-			state, err = prod.foldTo(keep, h.Params.MaxAccBuckets, into)
-			hist.PutMulti(prod.m)
+		} else {
+			// The product of an unfused step dies with the step; its
+			// positions are scratch.
+			var prod chainState
+			if state == nil {
+				prod, err = initialState(fm, sc.positions(de, i))
+			} else {
+				prod, err = state.multiply(fm, sc.positions(de, i), st)
+			}
 			if err != nil {
 				return nil, err
 			}
+			state, err = prod.foldTo(keep, h.Params.MaxAccBuckets, into)
+			hist.PutMulti(prod.m)
+		}
+		if err != nil {
+			return nil, err
 		}
 		if inter != nil {
 			inter[i] = state
@@ -655,10 +638,11 @@ func (s *chainState) convolveFold(fm *hist.Multi, st *EvalStats, maxAcc int, int
 	return into.hold(m, nil), nil
 }
 
-// stateSlot is reusable storage for one folded chain state: the state,
-// and the accumulator axis and open positions of the last state held
-// here, whose storage the next one reuses. A state is built into a
-// slot only once the one before it there is dead.
+// stateSlot is the one owner of a folded chain state built into it:
+// the state, and the accumulator axis and open positions of the last
+// state held here, whose storage the next one reuses. Taking the slot
+// for the next state (slotAt) releases the one it held, so a state
+// lives until its slot is taken again or released.
 type stateSlot struct {
 	cs   chainState
 	axis []float64
@@ -674,12 +658,14 @@ func (sl *stateSlot) axisBuf() []float64 {
 	return sl.axis
 }
 
-// slotAt is own[i], or nil when own is.
+// slotAt is own[i % len(own)], its state released, or nil when own is.
 func slotAt(own []stateSlot, i int) *stateSlot {
 	if own == nil {
 		return nil
 	}
-	return &own[i]
+	sl := &own[i%len(own)]
+	sl.release()
+	return sl
 }
 
 // keep is overlapWithNext(de, i), in the slot's open-position storage
@@ -727,38 +713,21 @@ func (sl *stateSlot) release() {
 // recycles itself: on in test binaries only.
 var poisonReleased = testing.Testing()
 
-// chainArena is the per-step heap of one recycling evaluation (see
-// runChain). A fused step reads only the state before it, so fused
-// states and their accumulator axes alternate between two slots; the
-// evaluation pools it back once its final state is marginalized.
-type chainArena struct {
-	slots [2]stateSlot
-	turn  int
-}
+// chainRing is the storage of a chain whose intermediate states
+// nobody reads: a step reads only the state before it, so the chain's
+// states alternate between two slots. A ring from ringPool belongs to
+// one chain, then to the handle holding its final state, if any, until
+// release pools it back.
+type chainRing [2]stateSlot
 
-// next returns the slot the arena's next fused state goes in: the one
-// its state before last, dead by now, was held in.
-func (ar *chainArena) next() *stateSlot {
-	sl := &ar.slots[ar.turn]
-	ar.turn = 1 - ar.turn
-	return sl
-}
+var ringPool = sync.Pool{New: func() any { return new(chainRing) }}
 
-// holds reports whether cs is the state one of the arena's slots holds.
-func (ar *chainArena) holds(cs *chainState) bool {
-	return cs == &ar.slots[0].cs || cs == &ar.slots[1].cs
+// release recycles the ring's states and pools it.
+func (r *chainRing) release() {
+	r[0].release()
+	r[1].release()
+	ringPool.Put(r)
 }
-
-// release recycles cs, a state one of the arena's slots holds.
-func (ar *chainArena) release(cs *chainState) {
-	for i := range ar.slots {
-		if cs == &ar.slots[i].cs {
-			ar.slots[i].release()
-		}
-	}
-}
-
-var arenaPool = sync.Pool{New: func() any { return new(chainArena) }}
 
 // indexOf maps query positions to dim indexes within a factor,
 // appended to buf[:0].
@@ -783,19 +752,14 @@ type cellFold struct {
 	pr     float64
 }
 
-// foldCells folds a Multi's non-kept dims into accumulated-cost
+// foldCellsInto folds a Multi's non-kept dims into accumulated-cost
 // intervals (an existing accumulator dim, when present, is simply not
 // listed in keepIdx and its bucket bounds join the interval sums).
 // The columnar scan runs in storage order — sorted cell-key order —
 // which keeps the fold order, and therefore the float accumulation
-// downstream in accCuts/distributeFolds, reproducible.
-func foldCells(m *hist.Multi, keepIdx []int) ([]cellFold, int, error) {
-	return foldCellsInto(nil, m, keepIdx)
-}
-
-// foldCellsInto is foldCells writing into pooled scratch when sc is
-// non-nil: the folds slice and the shared index arena come from the
-// pool, so a warm fold allocates nothing.
+// downstream in accCuts/distributeFolds, reproducible. The folds slice
+// and the shared index arena are the scratch's, so a warm fold
+// allocates nothing.
 func foldCellsInto(sc *evalScratch, m *hist.Multi, keepIdx []int) ([]cellFold, int, error) {
 	keys, probs := m.Cells()
 	if len(keys) == 0 {
@@ -805,21 +769,14 @@ func foldCellsInto(sc *evalScratch, m *hist.Multi, keepIdx []int) ([]cellFold, i
 	for _, d := range keepIdx {
 		keep[d] = true
 	}
-	var folds []cellFold
-	var arena []int
 	need := len(keys) * len(keepIdx)
-	if sc != nil {
-		if cap(sc.folds) < len(keys) {
-			sc.folds = make([]cellFold, 0, len(keys))
-		}
-		if cap(sc.foldIdx) < need {
-			sc.foldIdx = make([]int, 0, need)
-		}
-		folds, arena = sc.folds[:0], sc.foldIdx[:0]
-	} else {
-		folds = make([]cellFold, 0, len(keys))
-		arena = make([]int, 0, need)
+	if cap(sc.folds) < len(keys) {
+		sc.folds = make([]cellFold, 0, len(keys))
 	}
+	if cap(sc.foldIdx) < need {
+		sc.foldIdx = make([]int, 0, need)
+	}
+	folds, arena := sc.folds[:0], sc.foldIdx[:0]
 	// arena has full capacity up front so the idx sub-slices below
 	// never dangle on growth.
 	dims := m.Dims()
@@ -839,9 +796,7 @@ func foldCellsInto(sc *evalScratch, m *hist.Multi, keepIdx []int) ([]cellFold, i
 		}
 		folds = append(folds, cellFold{lo: lo, hi: hi, idx: arena[base:len(arena):len(arena)], pr: probs[i]})
 	}
-	if sc != nil {
-		sc.folds, sc.foldIdx = folds, arena
-	}
+	sc.folds, sc.foldIdx = folds, arena
 	return folds, len(keepIdx), nil
 }
 
@@ -898,8 +853,8 @@ func accCuts(sc *evalScratch, folds []cellFold, maxAcc int, cutsBuf []float64) (
 // owned by the scratch.
 //
 // Accumulation happens immediately per emission — the same order as
-// the reference path's out.AddCell, so the per-cell float sums are
-// identical — but never into a Multi. A fold that keeps no dimension
+// the reference walk, distributeFoldsRef in the tests, so the per-cell
+// float sums are identical — but never into a Multi. A fold that keeps no dimension
 // (nKept == 0: a plain 1-D convolution, nearly every fold of a chain)
 // has the slab index as its whole key, so it accrues into a
 // slab-indexed table and the cells are read off it in order. A fold
@@ -1006,41 +961,4 @@ func distributeFoldsInto(sc *evalScratch, folds []cellFold, nKept int, cuts []fl
 	}
 	sc.keys, sc.probs = keys, probs
 	return keys, probs
-}
-
-// distributeFoldsRef is the reference fold distribution — the same
-// slab walk accumulating through Multi.AddCell immediately. It is the
-// differential oracle for distributeFoldsInto (see
-// TestDistributeFoldsMatchesReference); the float sequence per cell is
-// identical by construction.
-func distributeFoldsRef(out *hist.Multi, folds []cellFold, cuts []float64) {
-	var idxArr [hist.MaxDims]int
-	idxBuf := idxArr[:out.Dims()]
-	for _, f := range folds {
-		lo, hi := f.lo, f.hi
-		if !(hi > lo) {
-			hi = lo + 1e-9
-		}
-		w := hi - lo
-		s := sort.SearchFloat64s(cuts, lo)
-		if s > 0 {
-			s--
-		}
-		for ; s+1 < len(cuts); s++ {
-			if cuts[s] >= hi {
-				break
-			}
-			ol := math.Min(cuts[s+1], hi) - math.Max(cuts[s], lo)
-			if ol <= 0 {
-				continue
-			}
-			add := f.pr * ol / w
-			if add == 0 {
-				continue
-			}
-			idxBuf[0] = s
-			copy(idxBuf[1:], f.idx)
-			out.AddCell(idxBuf, add)
-		}
-	}
 }

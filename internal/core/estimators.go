@@ -109,12 +109,7 @@ func (h *HybridGraph) CostDistributionCtx(ctx context.Context, m *ConvMemo, p gr
 		return res, nil
 	}
 	t0 := time.Now()
-	ca, err := h.BuildCandidateArray(p, t)
-	if err != nil {
-		return nil, err
-	}
-	defer ca.Release()
-	de, err := ca.decomposition(opt, nil)
+	de, _, err := h.decomposeFrom(p, TimeInterval{Lo: t, Hi: t}, opt, nil)
 	if err != nil {
 		return nil, err
 	}

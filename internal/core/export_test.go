@@ -194,7 +194,7 @@ func (s *ChainState) Open() []int {
 // evaluated the way it was before segments ran on recycled chains. A
 // first segment runs the memo-free path-state evaluation — one
 // StartPath/ExtendPath per edge — and a continuation runs its chain
-// with no arena from the relayed state. It recycles nothing, and its
+// with no ring from the relayed state. It recycles nothing, and its
 // states are never released.
 func ScratchSegment(h *HybridGraph, in SegmentInput) (*SegmentResult, error) {
 	opt := in.Opt
@@ -213,16 +213,11 @@ func ScratchSegment(h *HybridGraph, in SegmentInput) (*SegmentResult, error) {
 			MaxRank: st.de.MaxRank(),
 		}, nil
 	}
-	ca, ui, err := h.buildCandidateArrayFrom(in.Path, in.UI)
+	de, ui, err := h.decomposeFrom(in.Path, in.UI, opt, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer ca.Release()
-	de, err := ca.decomposition(opt, nil)
-	if err != nil {
-		return nil, err
-	}
-	state, err := h.runChain(nil, de, 0, in.State.cs, nil, nil, nil, nil)
+	state, err := h.runChain(nil, de, 0, in.State.cs, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}

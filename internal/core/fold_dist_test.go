@@ -12,12 +12,51 @@ import (
 
 // Differential test for the fold distribution: distributeFoldsInto
 // (a slab-indexed table when no dimension is kept, else flat packed-key
-// arrays with tail fast paths and binary-search inserts) against distributeFoldsRef (the retained Multi.AddCell walk). The
+// arrays with tail fast paths and binary-search inserts) against distributeFoldsRef (the retained Multi cell-by-cell walk). The
 // two run the identical slab loop, so every per-cell float sum must
 // match bit for bit.
 
+// distributeFoldsRef is the reference fold distribution — the same
+// slab walk accumulating into the Multi's cell immediately: each
+// positive add is SetCell of the cell's running sum, which for an
+// absent cell is 0 + add = add exactly. It is the
+// differential oracle for distributeFoldsInto (see
+// TestDistributeFoldsMatchesReference); the float sequence per cell is
+// identical by construction.
+func distributeFoldsRef(out *hist.Multi, folds []cellFold, cuts []float64) {
+	var idxArr [hist.MaxDims]int
+	idxBuf := idxArr[:out.Dims()]
+	for _, f := range folds {
+		lo, hi := f.lo, f.hi
+		if !(hi > lo) {
+			hi = lo + 1e-9
+		}
+		w := hi - lo
+		s := sort.SearchFloat64s(cuts, lo)
+		if s > 0 {
+			s--
+		}
+		for ; s+1 < len(cuts); s++ {
+			if cuts[s] >= hi {
+				break
+			}
+			ol := math.Min(cuts[s+1], hi) - math.Max(cuts[s], lo)
+			if ol <= 0 {
+				continue
+			}
+			add := f.pr * ol / w
+			if add == 0 {
+				continue
+			}
+			idxBuf[0] = s
+			copy(idxBuf[1:], f.idx)
+			out.SetCell(idxBuf, cell(out, idxBuf)+add)
+		}
+	}
+}
+
 // randomFoldCase builds a random cuts grid, kept-dim bounds, and fold
-// list shaped like real accCuts/foldCells output — plus the edge cases
+// list shaped like real accCuts/foldCellsInto output — plus the edge cases
 // the evaluator produces: degenerate (point) folds, folds clipped at
 // either end of the cut range, folds starting or ending exactly on a
 // cut or on an earlier fold's lo, zero-mass folds (every add is

@@ -7,7 +7,7 @@ import (
 	"repro/internal/hist"
 )
 
-// Unit tests pinning foldCells' ordering invariant: folds must be
+// Unit tests pinning foldCellsInto's ordering invariant: folds must be
 // produced in sorted cell-key order, because accCuts and
 // distributeFolds accumulate floats over the fold sequence and float
 // addition is not associative — map-order iteration would make chain
@@ -60,7 +60,7 @@ func TestFoldCellsSortedOrder(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		m := foldFixtureMulti(t, rnd)
 		for _, keepIdx := range [][]int{nil, {1}, {2}, {1, 2}} {
-			folds, nKept, err := foldCells(m, keepIdx)
+			folds, nKept, err := foldCellsInto(new(evalScratch), m, keepIdx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,8 +140,8 @@ func TestFoldCellsInsertionOrderIndependent(t *testing.T) {
 			rebuilt.SetCell(cells[i].idx, cells[i].pr)
 		}
 		for _, keepIdx := range [][]int{nil, {0}, {1, 2}} {
-			fa, _, err1 := foldCells(a, keepIdx)
-			fb, _, err2 := foldCells(rebuilt, keepIdx)
+			fa, _, err1 := foldCellsInto(new(evalScratch), a, keepIdx)
+			fb, _, err2 := foldCellsInto(new(evalScratch), rebuilt, keepIdx)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}

@@ -134,10 +134,10 @@ func errText(err error) string {
 }
 
 // INVARIANT: convolveFold ≡ multiply + foldTo(nil), bit for bit, with
-// and without an arena, and neither mutates the state it reads.
+// and without a ring slot, and neither mutates the state it reads.
 func TestConvolveFoldMatchesMultiplyFold(t *testing.T) {
 	rnd := rand.New(rand.NewSource(2600))
-	ar := new(chainArena)
+	ring := new(chainRing)
 	var shapes struct{ zeroProduct, noCells, negZero, point, ok int }
 	for trial := 0; trial < 3200; trial++ {
 		s, fm := randomFusedCase(rnd)
@@ -148,20 +148,20 @@ func TestConvolveFoldMatchesMultiplyFold(t *testing.T) {
 			positions[i] = 7 + i
 		}
 
-		var stRef, stFused, stArena EvalStats
+		var stRef, stFused, stRing EvalStats
 		var ref *chainState
 		prod, errRef := s.multiply(fm, positions, &stRef)
 		if errRef == nil {
 			ref, errRef = prod.foldTo(nil, maxAcc, nil)
 		}
 		fused, errFused := s.convolveFold(fm, &stFused, maxAcc, nil)
-		inArena, errArena := s.convolveFold(fm, &stArena, maxAcc, ar.next())
+		inRing, errRing := s.convolveFold(fm, &stRing, maxAcc, slotAt(ring[:], trial))
 
-		if errText(errRef) != errText(errFused) || errText(errRef) != errText(errArena) {
-			t.Fatalf("trial %d: errors differ: two-pass %q, fused %q, arena %q", trial, errText(errRef), errText(errFused), errText(errArena))
+		if errText(errRef) != errText(errFused) || errText(errRef) != errText(errRing) {
+			t.Fatalf("trial %d: errors differ: two-pass %q, fused %q, ring %q", trial, errText(errRef), errText(errFused), errText(errRing))
 		}
-		if stRef.CellsTouched != stFused.CellsTouched || stRef.CellsTouched != stArena.CellsTouched {
-			t.Fatalf("trial %d: CellsTouched two-pass %d, fused %d, arena %d", trial, stRef.CellsTouched, stFused.CellsTouched, stArena.CellsTouched)
+		if stRef.CellsTouched != stFused.CellsTouched || stRef.CellsTouched != stRing.CellsTouched {
+			t.Fatalf("trial %d: CellsTouched two-pass %d, fused %d, ring %d", trial, stRef.CellsTouched, stFused.CellsTouched, stRing.CellsTouched)
 		}
 		sameMultiBits(t, s.m, before)
 		if _, fProbs := fm.Cells(); len(fProbs) == 0 {
@@ -175,7 +175,7 @@ func TestConvolveFoldMatchesMultiplyFold(t *testing.T) {
 			continue
 		}
 		shapes.ok++
-		for _, got := range []*chainState{fused, inArena} {
+		for _, got := range []*chainState{fused, inRing} {
 			sameMultiBits(t, got.m, ref.m)
 			if len(got.open) != 0 || len(ref.open) != 0 {
 				t.Fatalf("trial %d: open dims %v vs %v", trial, got.open, ref.open)
@@ -288,12 +288,12 @@ func decompose(t testing.TB, h *HybridGraph, p graph.Path, at float64, m Method)
 	}
 }
 
-// INVARIANT: the two cut buffers of a recycling evaluation belong to it
-// alone. Two chains whose lifetimes overlap on one goroutine hold
-// disjoint arenas and leave each other's final states untouched, and
+// INVARIANT: the two slots of a recycling evaluation's ring belong to
+// it alone. Two chains whose lifetimes overlap on one goroutine hold
+// disjoint rings and leave each other's final states untouched, and
 // evaluations on several goroutines at once (under -race, too) answer
 // exactly what one evaluation at a time answers.
-func TestChainArenaNeverShared(t *testing.T) {
+func TestChainRingNeverShared(t *testing.T) {
 	h, full := longChainFixture(t)
 	const at = 8 * 3600
 	type query struct {
@@ -317,24 +317,24 @@ func TestChainArenaNeverShared(t *testing.T) {
 	}
 
 	// One goroutine: chain A's final state stays live while chain B
-	// runs in a second arena and a whole Evaluate runs in a third.
-	arA, arB := arenaPool.Get().(*chainArena), arenaPool.Get().(*chainArena)
-	a, err := h.runChain(nil, queries[0].de, 0, nil, nil, nil, arA, nil)
+	// runs in a second ring and a whole Evaluate runs in a third.
+	ringA, ringB := ringPool.Get().(*chainRing), ringPool.Get().(*chainRing)
+	a, err := h.runChain(nil, queries[0].de, 0, nil, nil, nil, ringA[:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapA := snapshotMulti(a.m)
-	b, err := h.runChain(nil, queries[5].de, 0, nil, nil, nil, arB, nil)
+	b, err := h.runChain(nil, queries[5].de, 0, nil, nil, nil, ringB[:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &a.m.Bounds(0)[0] == &b.m.Bounds(0)[0] {
 		t.Fatal("two live evaluations share an accumulator-axis buffer")
 	}
-	for _, sx := range arA.slots {
-		for _, sy := range arB.slots {
+	for _, sx := range ringA {
+		for _, sy := range ringB {
 			if x, y := sx.axis, sy.axis; cap(x) > 0 && cap(y) > 0 && &x[:1][0] == &y[:1][0] {
-				t.Fatal("two live arenas share a cut buffer")
+				t.Fatal("two live rings share a cut buffer")
 			}
 		}
 	}
@@ -342,10 +342,8 @@ func TestChainArenaNeverShared(t *testing.T) {
 		t.Fatalf("an evaluation interleaved with two live chains diverged (err %v)", err)
 	}
 	sameMultiBits(t, a.m, snapA)
-	hist.PutMulti(a.m)
-	hist.PutMulti(b.m)
-	arenaPool.Put(arA)
-	arenaPool.Put(arB)
+	ringA.release()
+	ringB.release()
 
 	// Several goroutines, each its own order over the queries.
 	var wg sync.WaitGroup

@@ -76,14 +76,16 @@ func (s *PathState) CDF(x float64) (float64, error) {
 // PathState): a DFS keeps one slot per depth and builds each child
 // into its depth's slot, so a sibling reuses the path, decomposition,
 // chain-state list and the chain states, with their Multis and
-// accumulator axes, of the child before it. The zero value is ready
-// to use; a slot is not safe for concurrent use.
+// accumulator axes, of the child before it. Factor i's folded state,
+// when the slot's state computed it, lives in own[i], runChain's state
+// slot for that factor. The zero value is ready to use; a slot is not
+// safe for concurrent use.
 type PathSlot struct {
 	st    PathState
 	path  graph.Path
 	de    Decomposition
 	inter []*chainState
-	own   []stateSlot // own[i]: factor i's folded state, when st computed it
+	own   []stateSlot
 }
 
 // Release recycles the slot's state and every chain state it computed
@@ -310,7 +312,7 @@ func (s *PathState) recompute(prev *PathState, within float64, slot *PathSlot) e
 	}
 	// The cost marginal of s.inter[last] is derived lazily in DistErr,
 	// or read in scratch by CDF.
-	_, err := s.h.runChain(nil, s.de, from, state, s.inter, nil, nil, own)
+	_, err := s.h.runChain(nil, s.de, from, state, s.inter, nil, own)
 	return err
 }
 
@@ -349,16 +351,12 @@ func (s *PathState) decompose(prev *PathState, slot *PathSlot) error {
 		s.next = sae(prev.next, unit)
 		return nil
 	}
-	ca, next, err := h.buildCandidateArrayFrom(s.path, TimeInterval{Lo: s.t, Hi: s.t})
-	if err != nil {
-		return err
-	}
-	defer ca.Release()
-	if !memoizable(s.opt.Method) {
+	// An invalid path is reported before the method is rejected.
+	if !memoizable(s.opt.Method) && h.G.ValidPath(s.path) {
 		return fmt.Errorf("core: method %q does not support incremental evaluation", s.opt.Method)
 	}
-	s.de, err = ca.decomposition(s.opt, slot.decomposition())
-	s.next = next
+	var err error
+	s.de, s.next, err = h.decomposeFrom(s.path, TimeInterval{Lo: s.t, Hi: s.t}, s.opt, slot.decomposition())
 	return err
 }
 

@@ -26,19 +26,15 @@ import (
 // between shards. Relay states are accumulator-only (no open edges);
 // Encode/DecodeChainState accept any state shape.
 //
-// A handle either owns its state or only reads it. It owns a state
-// DecodeChainState parsed and one a memo-free EvaluateSegment computed:
-// nothing else refers to those, so Release may recycle them. A
-// memo-backed first segment's state is shared with the memo, which
-// hands it to later queries; its handle owns nothing, and Release
-// leaves it alone.
+// A handle owns its state exactly when it holds the ring whose slot
+// the state lives in: a state DecodeChainState parsed, or one a
+// memo-free EvaluateSegment computed. Release pools that ring back with
+// the state. A memo-backed first segment's state is shared with the
+// memo, which hands it to later queries; its handle holds no ring, and
+// Release leaves it alone.
 type ChainState struct {
-	cs *chainState
-	// own is set on a handle whose state nothing else refers to.
-	own bool
-	// ar, when non-nil, is the arena whose slot holds cs: the handle
-	// holds it until Release pools it back with the state.
-	ar *chainArena
+	cs   *chainState
+	ring *chainRing // the ring holding cs, on a handle that owns it
 }
 
 // Release recycles an owned state's storage for the next evaluation;
@@ -48,15 +44,10 @@ type ChainState struct {
 // done. Distributions Finalize returned stay valid. Releasing is
 // optional: an unreleased state is garbage collected.
 func (s *ChainState) Release() {
-	if s == nil || !s.own {
+	if s == nil || s.ring == nil {
 		return
 	}
-	if s.ar != nil {
-		s.ar.release(s.cs)
-		arenaPool.Put(s.ar)
-	} else {
-		hist.PutMulti(s.cs.m)
-	}
+	s.ring.release()
 	*s = ChainState{}
 }
 
@@ -122,7 +113,7 @@ type segmentOut struct {
 // seeds the candidate array with the segment's departure interval (the
 // point [depart, depart] for a first segment, the relayed one for a
 // continuation), decomposes the segment locally, and folds its factors
-// from the relayed state, or from nothing, on a recycling arena. The
+// from the relayed state, or from nothing, into a pooled ring. The
 // relayed state is only read, never recycled, and the returned state
 // is the caller's own (see ChainState).
 //
@@ -174,31 +165,21 @@ func (h *HybridGraph) EvaluateSegment(m *ConvMemo, in SegmentInput) (*SegmentRes
 			MaxRank: st.de.MaxRank(),
 		}, nil
 	}
-	ca, uiOut, err := h.buildCandidateArrayFrom(in.Path, in.UI)
-	if err != nil {
-		return nil, err
-	}
-	defer ca.Release()
-	de, err := ca.decomposition(opt, nil)
+	de, uiOut, err := h.decomposeFrom(in.Path, in.UI, opt, nil)
 	if err != nil {
 		return nil, err
 	}
 	// A relayed state has no open dims, so the first multiply is the
 	// independent outer product — the identical operation whole-path
-	// evaluation performs right after its boundary fold. runChain
-	// recycles every state it computed but the last, never the one it
-	// was handed.
-	ar := arenaPool.Get().(*chainArena)
-	state, err := h.runChain(in.Ctx, de, 0, from, nil, nil, ar, nil)
+	// evaluation performs right after its boundary fold. The chain's
+	// states live in the ring, whose handle the result holds.
+	ring := ringPool.Get().(*chainRing)
+	state, err := h.runChain(in.Ctx, de, 0, from, nil, nil, ring[:])
 	if err != nil {
-		arenaPool.Put(ar)
+		ring.release()
 		return nil, err
 	}
-	out := &segmentOut{st: ChainState{cs: state, own: true, ar: ar}}
-	if !ar.holds(state) {
-		arenaPool.Put(ar)
-		out.st.ar = nil
-	}
+	out := &segmentOut{st: ChainState{cs: state, ring: ring}}
 	out.res = SegmentResult{
 		State:   &out.st,
 		UI:      uiOut,

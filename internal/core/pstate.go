@@ -101,15 +101,18 @@ func DecodeChainState(data []byte, pathLen int) (*ChainState, error) {
 	if len(data) < stateHeader || data[stateHeader-1] != stateVersion {
 		return nil, fmt.Errorf("core: unsupported partial state version %v (this build reads %d)", data[len(stateMagic):min(len(data), stateHeader)], stateVersion)
 	}
-	cs, err := decodeStateV2(data[stateHeader:], pathLen)
+	ring := ringPool.Get().(*chainRing)
+	cs, err := decodeStateV2(data[stateHeader:], pathLen, &ring[0])
 	if err != nil {
+		ring.release()
 		return nil, fmt.Errorf("core: partial state: %w", err)
 	}
-	return &ChainState{cs: cs, own: true}, nil
+	return &ChainState{cs: cs, ring: ring}, nil
 }
 
-// decodeStateV2 parses what follows the magic and version bytes.
-func decodeStateV2(p []byte, pathLen int) (*chainState, error) {
+// decodeStateV2 parses what follows the magic and version bytes into
+// the slot.
+func decodeStateV2(p []byte, pathLen int, into *stateSlot) (*chainState, error) {
 	le := binary.LittleEndian
 	if len(p) < 1 {
 		return nil, fmt.Errorf("truncated (open-dimension count)")
@@ -206,5 +209,5 @@ func decodeStateV2(p []byte, pathLen int) (*chainState, error) {
 		hist.PutMulti(m)
 		return nil, err
 	}
-	return &chainState{m: m, open: open}, nil
+	return into.hold(m, open), nil
 }

@@ -124,7 +124,7 @@ const recycleLag = 50
 
 // TestSegmentDifferentialUnderRecycling holds memo-free segment
 // evaluation — a cold first segment on one recycled chain, a
-// continuation on an arena, every state released after its last read
+// continuation into a ring, every state released after its last read
 // — to ScratchSegment, which evaluates a first segment edge by edge
 // through the path-state evaluator and recycles nothing: for every path
 // of the sharded tier's equivalence suite, cut at every position, under

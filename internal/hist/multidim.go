@@ -138,7 +138,7 @@ func PutMulti(m *Multi) {
 // inside the grid, zero unused dimensions. The chain evaluator's
 // kernels qualify — their emission loops provably emit in sorted order
 // — so this constructor skips the per-cell validation pass entirely;
-// everyone else builds through NewMulti and SetCell/AddCell. Violating
+// everyone else builds through NewMulti and SetCell/Add. Violating
 // the contract corrupts every sorted-scan consumer downstream; the
 // kernels' tests assert it (core's checkCellContract) after every
 // kernel change. The per-dimension boundary slices are shared (treat
@@ -356,14 +356,6 @@ func (m *Multi) SetCell(idx []int, pr float64) {
 		m.insertAt(i, key, pr)
 	}
 	m.invalidateSum()
-}
-
-// AddCell accrues w to the hyper-bucket with the given indices,
-// inserting the cell when absent; indexes must be in range. Unlike
-// SetCell a zero accrual onto an absent cell creates it, mirroring the
-// += semantics the evaluator's fold assembly relies on.
-func (m *Multi) AddCell(idx []int, w float64) {
-	m.addKey(m.checkedKey(idx), w)
 }
 
 // ForEachSorted visits every occupied hyper-bucket in lexicographic
