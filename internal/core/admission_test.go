@@ -15,7 +15,7 @@ func TestCheckTrajectoryAndBatchTexts(t *testing.T) {
 	g := chainGraph(t, 3)
 	params := DefaultParams()
 	params.Domain = DomainEmissions
-	h := &HybridGraph{G: g, Params: params}
+	h := newHybrid(g, params)
 
 	ok := &gps.Matched{ID: 1, Path: graph.Path{0, 1}, EdgeCosts: []float64{1, 2}, Emissions: []float64{3, 4}}
 	broken := &gps.Matched{ID: 2, Path: graph.Path{0, 2}, EdgeCosts: []float64{1, 2}, Emissions: []float64{3, 4}}

@@ -83,6 +83,18 @@
 // to multiply + foldTo; see chainState.convolveFold and
 // docs/ARCHITECTURE.md ("What one chain step costs").
 //
+// Every model — trained (Build), loaded (ReadHybrid), filtered
+// (FilterVariables) or the next epoch (ApplyBatchExact,
+// ApplyBatchDecay) — starts from one empty graph, newHybrid, and
+// inserts each variable through one put, the only writer of the
+// variable index, the candidate rows, the rank-1 index and the
+// statistics the variables determine. An epoch starts from derive,
+// which shares every per-path record and candidate row with the
+// serving epoch; put copies one before its first write, so the serving
+// epoch never changes. A candidate row keeps insertion order: only
+// sortByRank, in buildCandidateArrayFrom, orders what a query reads of
+// it.
+//
 // Query evaluation is bit-deterministic by construction: float
 // accumulation over hyper-buckets always runs in sorted cell order,
 // and temporal-relevance ties break toward the earliest interval —

@@ -113,135 +113,6 @@ func (h *HybridGraph) validateBatch(batch []*gps.Matched) error {
 	return nil
 }
 
-// cowHybrid clones a hybrid graph's top-level indexes while sharing
-// every untouched pathVars (and its variables) by pointer, then lets
-// the caller replace individual variables; per-path structures are
-// cloned lazily on first write so the source graph is never mutated.
-type cowHybrid struct {
-	h        *HybridGraph
-	cowVars  map[string]bool       // path keys whose pathVars we own
-	cowStart map[graph.EdgeID]bool // byStart lists we own
-	resort   map[graph.EdgeID]bool // byStart lists that gained a path
-}
-
-func (h *HybridGraph) newCOW() *cowHybrid {
-	nh := &HybridGraph{
-		G:      h.G,
-		Params: h.Params,
-		vars:   make(map[string]*pathVars, len(h.vars)+16),
-		// Fallback variables are synthesized on demand under their own
-		// mutex and never serialized; each epoch gets a fresh map so
-		// epochs never contend on it.
-		unit:      append([]*pathVars(nil), h.unit...),
-		unitCount: h.unitCount,
-		byStart:   append([][]*pathVars(nil), h.byStart...),
-		fallbacks: make(map[graph.EdgeID]*Variable),
-		stats:     h.stats,
-	}
-	for k, v := range h.vars {
-		nh.vars[k] = v
-	}
-	nh.stats.VariablesByRank = append([]int(nil), h.stats.VariablesByRank...)
-	return &cowHybrid{
-		h:        nh,
-		cowVars:  make(map[string]bool),
-		cowStart: make(map[graph.EdgeID]bool),
-		resort:   make(map[graph.EdgeID]bool),
-	}
-}
-
-// ownStart ensures the byStart list of edge e is a private copy.
-func (c *cowHybrid) ownStart(e graph.EdgeID) {
-	if !c.cowStart[e] {
-		c.h.byStart[e] = append([]*pathVars(nil), c.h.byStart[e]...)
-		c.cowStart[e] = true
-	}
-}
-
-// replace installs v, cloning the owning pathVars on first write, and
-// keeps the build statistics consistent (subtract the displaced
-// variable, add the new one). Reports whether v's (path, interval)
-// slot was previously empty.
-func (c *cowHybrid) replace(v *Variable) bool {
-	h := c.h
-	key := v.Path.Key()
-	pv, ok := h.vars[key]
-	switch {
-	case !ok:
-		pv = &pathVars{path: v.Path, byIv: make(map[int]*Variable)}
-		h.vars[key] = pv
-		c.cowVars[key] = true
-		start := v.Path[0]
-		c.ownStart(start)
-		h.byStart[start] = append(h.byStart[start], pv)
-		c.resort[start] = true
-		if len(v.Path) == 1 {
-			if h.unit[start] == nil {
-				h.unitCount++
-			}
-			h.unit[start] = pv
-		}
-	case !c.cowVars[key]:
-		clone := &pathVars{
-			path:   pv.path,
-			byIv:   make(map[int]*Variable, len(pv.byIv)+1),
-			sorted: append([]*Variable(nil), pv.sorted...),
-		}
-		for iv, ov := range pv.byIv {
-			clone.byIv[iv] = ov
-		}
-		h.vars[key] = clone
-		c.cowVars[key] = true
-		start := pv.path[0]
-		c.ownStart(start)
-		list := h.byStart[start]
-		for i := range list {
-			if list[i] == pv {
-				list[i] = clone
-				break
-			}
-		}
-		if len(pv.path) == 1 {
-			h.unit[start] = clone
-		}
-		pv = clone
-	}
-	if old := pv.byIv[v.Interval]; old != nil {
-		h.stats.VariablesByRank[old.Rank()-1]--
-		h.stats.StorageFloats -= old.StorageFloats()
-		h.stats.SupportTotal -= old.Support
-	}
-	isNew := pv.byIv[v.Interval] == nil
-	pv.byIv[v.Interval] = v
-	i := sort.Search(len(pv.sorted), func(i int) bool { return pv.sorted[i].Interval >= v.Interval })
-	if i < len(pv.sorted) && pv.sorted[i].Interval == v.Interval {
-		pv.sorted[i] = v
-	} else {
-		pv.sorted = append(pv.sorted, nil)
-		copy(pv.sorted[i+1:], pv.sorted[i:])
-		pv.sorted[i] = v
-	}
-	h.stats.VariablesByRank[v.Rank()-1]++
-	h.stats.StorageFloats += v.StorageFloats()
-	h.stats.SupportTotal += v.Support
-	return isNew
-}
-
-// finish restores the byStart ordering invariant (ascending rank, ties
-// by path key — the same comparator Build uses) on every list that
-// gained a path.
-func (c *cowHybrid) finish() {
-	for e := range c.resort {
-		list := c.h.byStart[e]
-		sort.Slice(list, func(i, j int) bool {
-			if len(list[i].path) != len(list[j].path) {
-				return len(list[i].path) < len(list[j].path)
-			}
-			return list[i].path.Key() < list[j].path.Key()
-		})
-	}
-}
-
 // sortedTouched returns the touched paths in deterministic key order.
 func sortedTouched(touched map[string]*touchedPath) []string {
 	keys := make([]string, 0, len(touched))
@@ -313,7 +184,7 @@ func (h *HybridGraph) ApplyBatchExact(data *gps.Collection, batch []*gps.Matched
 	touched := h.touchedFromBatch(batch)
 	delta.TouchedPaths = len(touched)
 
-	cow := h.newCOW()
+	nh := h.derive()
 	firstIvs := make(map[graph.EdgeID][]int) // arrivalIntervals of each touched path's first edge
 	for _, k := range sortedTouched(touched) {
 		tp := touched[k]
@@ -331,24 +202,22 @@ func (h *HybridGraph) ApplyBatchExact(data *gps.Collection, batch []*gps.Matched
 			var v *Variable
 			var err error
 			if len(tp.path) == 1 {
-				v, err = cow.h.buildRank1Variable(next, tp.path, iv, ivOccs)
+				v, err = nh.buildRank1Variable(next, tp.path, iv, ivOccs)
 			} else {
-				v, err = cow.h.buildJointVariable(next, tp.path.Clone(), iv, ivOccs)
+				v, err = nh.buildJointVariable(next, tp.path.Clone(), iv, ivOccs)
 			}
 			if err != nil {
 				return nil, nil, delta, fmt.Errorf("core: path %v interval %d: %w", tp.path, iv, err)
 			}
-			if cow.replace(v) {
+			if nh.put(v) {
 				delta.NewVars++
 			} else {
 				delta.RebuiltVars++
 			}
 		}
 	}
-	cow.finish()
-	cow.h.stats.EdgesWithData = next.NumEdgesWithData()
-	cow.h.stats.CoveredEdges = cow.h.unitCount
-	return cow.h, next, delta, nil
+	nh.stats.EdgesWithData = next.NumEdgesWithData()
+	return nh, next, delta, nil
 }
 
 // ApplyBatchDecay builds the next epoch by merging the batch into the
@@ -375,11 +244,11 @@ func (h *HybridGraph) ApplyBatchDecay(batch []*gps.Matched, factor float64) (*Hy
 	touched := h.touchedFromBatch(batch)
 	delta.TouchedPaths = len(touched)
 
-	cow := h.newCOW()
+	nh := h.derive()
 	for _, k := range sortedTouched(touched) {
 		tp := touched[k]
 		occs := batchColl.OccurrencesOfPath(tp.path)
-		byIv := cow.h.groupByInterval(batchColl, tp.path, occs)
+		byIv := nh.groupByInterval(batchColl, tp.path, occs)
 		for _, iv := range sortedIvs(tp.ivs) {
 			ivOccs := byIv[iv]
 			if len(ivOccs) == 0 {
@@ -392,30 +261,26 @@ func (h *HybridGraph) ApplyBatchDecay(batch []*gps.Matched, factor float64) (*Hy
 			case old == nil && len(ivOccs) < h.Params.Beta:
 				continue
 			case old == nil && len(tp.path) == 1:
-				v, err = cow.h.buildRank1Variable(batchColl, tp.path, iv, ivOccs)
+				v, err = nh.buildRank1Variable(batchColl, tp.path, iv, ivOccs)
 			case old == nil:
-				v, err = cow.h.buildJointVariable(batchColl, tp.path.Clone(), iv, ivOccs)
+				v, err = nh.buildJointVariable(batchColl, tp.path.Clone(), iv, ivOccs)
 			default:
-				v, err = cow.h.mergeDecayVariable(old, batchColl, ivOccs, factor)
+				v, err = nh.mergeDecayVariable(old, batchColl, ivOccs, factor)
 			}
 			if err != nil {
 				return nil, delta, fmt.Errorf("core: path %v interval %d: %w", tp.path, iv, err)
 			}
-			if cow.replace(v) {
+			if nh.put(v) {
 				delta.NewVars++
 			} else {
 				delta.RebuiltVars++
 			}
 		}
 	}
-	cow.finish()
-	cow.h.stats.CoveredEdges = cow.h.unitCount
 	// Without a retained collection the exact |E″| is unknowable in
 	// decay mode; keep it monotone so Coverage stays ≤ 1.
-	if cow.h.stats.EdgesWithData < cow.h.stats.CoveredEdges {
-		cow.h.stats.EdgesWithData = cow.h.stats.CoveredEdges
-	}
-	return cow.h, delta, nil
+	nh.stats.EdgesWithData = max(nh.stats.EdgesWithData, nh.stats.CoveredEdges)
+	return nh, delta, nil
 }
 
 // mergeDecayVariable merges new qualified occurrences into an existing

@@ -4,10 +4,20 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/hist"
 )
+
+// ReverseRows reverses, in place, every list of the paths that start at
+// an edge: the rows candidate arrays are built from. No answer may
+// depend on the order put leaves them in.
+func (h *HybridGraph) ReverseRows() {
+	for _, row := range h.byStart {
+		slices.Reverse(row)
+	}
+}
 
 // stateV1Version heads the retired text relay format.
 const stateV1Version = "pstate-v1"

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/gps"
 	"repro/internal/graph"
@@ -60,6 +62,9 @@ type pathVars struct {
 	path   graph.Path
 	byIv   map[int]*Variable
 	sorted []*Variable
+	// gen is the gen of the graph whose put made this pathVars; only
+	// that graph writes it.
+	gen uint64
 }
 
 // HybridGraph is the instantiated hybrid graph: the road network plus
@@ -77,12 +82,16 @@ type HybridGraph struct {
 	// per-edge indexes are flat slices (length G.NumEdges()) — a query
 	// touches them once per row and a slice load beats a map probe.
 	unit []*pathVars
-	// unitCount counts edges with a trajectory-backed rank-1 row
-	// (non-nil unit entries); the epoch builder reads it as |E′|.
-	unitCount int
 	// byStart lists instantiated paths by their first edge, used to
-	// build candidate arrays (Section 4.1.3). Sorted by rank.
+	// build candidate arrays (Section 4.1.3), in no particular order:
+	// buildCandidateArrayFrom orders every row it builds by rank.
 	byStart [][]*pathVars
+	// gen identifies this graph among all graphs of the process, and
+	// ownStart[e] records that byStart[e] is this graph's own copy.
+	// A graph made by derive shares its parent's pathVars and byStart
+	// lists; put copies each before its first write to it.
+	gen      uint64
+	ownStart []bool
 	// fallbacks caches speed-limit rank-1 variables, built on demand;
 	// the mutex keeps concurrent queries safe.
 	fbMu      sync.Mutex
@@ -92,8 +101,29 @@ type HybridGraph struct {
 	stats BuildStats
 }
 
+// graphGen hands out HybridGraph.gen.
+var graphGen atomic.Uint64
+
+// newHybrid returns an empty hybrid graph over g: every model, trained,
+// loaded, filtered or derived, starts here and fills through put.
+func newHybrid(g *graph.Graph, params Params) *HybridGraph {
+	return &HybridGraph{
+		G:         g,
+		Params:    params,
+		vars:      make(map[string]*pathVars),
+		unit:      make([]*pathVars, g.NumEdges()),
+		byStart:   make([][]*pathVars, g.NumEdges()),
+		gen:       graphGen.Add(1),
+		ownStart:  make([]bool, g.NumEdges()),
+		fallbacks: make(map[graph.EdgeID]*Variable),
+		stats:     BuildStats{VariablesByRank: make([]int, params.MaxRank)},
+	}
+}
+
 // BuildStats summarizes an instantiation run; the Section 5.2.1
-// experiments (Figures 8–10, 12) read these.
+// experiments (Figures 8–10, 12) read these. Every field but
+// EdgesWithData, a property of the training data, counts the variables
+// put keeps.
 type BuildStats struct {
 	// VariablesByRank[r] counts instantiated (trajectory-backed)
 	// variables of rank r+1.
@@ -132,15 +162,7 @@ func Build(g *graph.Graph, data *gps.Collection, params Params) (*HybridGraph, e
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	h := &HybridGraph{
-		G:         g,
-		Params:    params,
-		vars:      make(map[string]*pathVars),
-		unit:      make([]*pathVars, g.NumEdges()),
-		byStart:   make([][]*pathVars, g.NumEdges()),
-		fallbacks: make(map[graph.EdgeID]*Variable),
-	}
-	h.stats.VariablesByRank = make([]int, params.MaxRank)
+	h := newHybrid(g, params)
 
 	type frontierEntry struct {
 		path graph.Path
@@ -150,7 +172,6 @@ func Build(g *graph.Graph, data *gps.Collection, params Params) (*HybridGraph, e
 	// parallel and merged deterministically afterwards.
 	type rank1Result struct {
 		hasData  bool
-		covered  bool
 		vars     []*Variable
 		frontier *frontierEntry
 		err      error
@@ -185,7 +206,6 @@ func Build(g *graph.Graph, data *gps.Collection, params Params) (*HybridGraph, e
 				return res
 			}
 			res.vars = append(res.vars, v)
-			res.covered = true
 		}
 		// Any edge with data enters the growth frontier; extensions
 		// re-check β per interval.
@@ -202,11 +222,8 @@ func Build(g *graph.Graph, data *gps.Collection, params Params) (*HybridGraph, e
 		if res.hasData {
 			h.stats.EdgesWithData++
 		}
-		if res.covered {
-			h.stats.CoveredEdges++
-		}
 		for _, v := range res.vars {
-			h.addVariable(v)
+			h.put(v)
 		}
 		if res.frontier != nil {
 			frontier = append(frontier, *res.frontier)
@@ -274,23 +291,11 @@ func Build(g *graph.Graph, data *gps.Collection, params Params) (*HybridGraph, e
 				return nil, res.err
 			}
 			for _, v := range res.vars {
-				h.addVariable(v)
+				h.put(v)
 			}
 			next = append(next, res.next...)
 		}
 		frontier = next
-	}
-
-	// Keep candidate rows sorted by rank (ties broken by path key so
-	// parallel builds are deterministic); Algorithm 1 takes the
-	// rightmost (highest-rank) entry per row directly.
-	for _, list := range h.byStart {
-		sort.Slice(list, func(i, j int) bool {
-			if len(list[i].path) != len(list[j].path) {
-				return len(list[i].path) < len(list[j].path)
-			}
-			return list[i].path.Key() < list[j].path.Key()
-		})
 	}
 	return h, nil
 }
@@ -391,34 +396,81 @@ func (h *HybridGraph) buildJointVariable(data *gps.Collection, path graph.Path, 
 	}, nil
 }
 
-// addVariable registers a variable in the indexes and statistics.
-func (h *HybridGraph) addVariable(v *Variable) {
+// put registers v: the one writer of the graph's indexes (vars, unit,
+// byStart) and of its per-variable statistics. A variable already held
+// for v's (path, interval) is replaced, its statistics subtracted. A
+// pathVars or byStart list still shared with the graph this one was
+// derived from is copied before the first write, so each is copied at
+// most once per graph and the parent never changes. Reports whether
+// v's (path, interval) was empty.
+func (h *HybridGraph) put(v *Variable) (isNew bool) {
 	key := v.Path.Key()
-	pv, ok := h.vars[key]
-	if !ok {
-		pv = &pathVars{path: v.Path, byIv: make(map[int]*Variable)}
-		h.vars[key] = pv
-		start := v.Path[0]
-		h.byStart[start] = append(h.byStart[start], pv)
-		if len(v.Path) == 1 {
-			if h.unit[start] == nil {
-				h.unitCount++
+	pv := h.vars[key]
+	if pv == nil || pv.gen != h.gen {
+		own := &pathVars{path: v.Path, byIv: make(map[int]*Variable), gen: h.gen}
+		if pv != nil {
+			own.path = pv.path
+			own.byIv = make(map[int]*Variable, len(pv.byIv)+1)
+			for iv, ov := range pv.byIv {
+				own.byIv[iv] = ov
 			}
-			h.unit[start] = pv
+			own.sorted = append([]*Variable(nil), pv.sorted...)
 		}
+		h.vars[key] = own
+		e := own.path[0]
+		if !h.ownStart[e] {
+			h.byStart[e] = append([]*pathVars(nil), h.byStart[e]...)
+			h.ownStart[e] = true
+		}
+		if i := slices.Index(h.byStart[e], pv); i >= 0 {
+			h.byStart[e][i] = own // the copy takes the shared pathVars' place
+		} else {
+			h.byStart[e] = append(h.byStart[e], own)
+		}
+		if len(own.path) == 1 {
+			if h.unit[e] == nil {
+				h.stats.CoveredEdges++
+			}
+			h.unit[e] = own
+		}
+		pv = own
+	}
+	old := pv.byIv[v.Interval]
+	if old != nil {
+		h.stats.VariablesByRank[old.Rank()-1]--
+		h.stats.StorageFloats -= old.StorageFloats()
+		h.stats.SupportTotal -= old.Support
 	}
 	pv.byIv[v.Interval] = v
 	i := sort.Search(len(pv.sorted), func(i int) bool { return pv.sorted[i].Interval >= v.Interval })
-	if i < len(pv.sorted) && pv.sorted[i].Interval == v.Interval {
+	if old != nil {
 		pv.sorted[i] = v
 	} else {
-		pv.sorted = append(pv.sorted, nil)
-		copy(pv.sorted[i+1:], pv.sorted[i:])
-		pv.sorted[i] = v
+		pv.sorted = slices.Insert(pv.sorted, i, v)
 	}
 	h.stats.VariablesByRank[v.Rank()-1]++
 	h.stats.StorageFloats += v.StorageFloats()
 	h.stats.SupportTotal += v.Support
+	return old == nil
+}
+
+// derive returns a graph with h's variables and statistics that shares
+// every pathVars and byStart list with h until put writes it: the
+// starting point of the next epoch, built while h keeps serving. Its
+// speed-limit fallbacks are its own, so epochs never contend on them.
+func (h *HybridGraph) derive() *HybridGraph {
+	nh := newHybrid(h.G, h.Params)
+	nh.vars = make(map[string]*pathVars, len(h.vars)+16)
+	for k, pv := range h.vars {
+		nh.vars[k] = pv
+	}
+	copy(nh.unit, h.unit)
+	copy(nh.byStart, h.byStart)
+	byRank := nh.stats.VariablesByRank
+	nh.stats = h.stats
+	nh.stats.VariablesByRank = byRank
+	copy(byRank, h.stats.VariablesByRank)
+	return nh
 }
 
 // Stats returns the build statistics.

@@ -191,33 +191,16 @@ func (h *HybridGraph) EvaluateSegment(m *ConvMemo, in SegmentInput) (*SegmentRes
 
 // FilterVariables derives a model holding exactly the trajectory-backed
 // variables keep accepts, sharing Variable pointers with the receiver.
-// Insertion follows ForEachVariable's deterministic order and rows are
-// re-sorted the way the model loader does, so a filtered model
-// serializes byte-stably. CoveredEdges is recomputed from the kept
-// rank-1 variables; EdgesWithData (a property of the training data,
-// not the variable set) carries over.
+// Its statistics are those of the kept variables, except EdgesWithData
+// (a property of the training data, not the variable set), which
+// carries over.
 func (h *HybridGraph) FilterVariables(keep func(*Variable) bool) *HybridGraph {
-	out := &HybridGraph{
-		G:         h.G,
-		Params:    h.Params,
-		vars:      make(map[string]*pathVars),
-		unit:      make([]*pathVars, h.G.NumEdges()),
-		byStart:   make([][]*pathVars, h.G.NumEdges()),
-		fallbacks: make(map[graph.EdgeID]*Variable),
-	}
-	out.stats.VariablesByRank = make([]int, len(h.stats.VariablesByRank))
-	covered := make(map[graph.EdgeID]bool)
+	out := newHybrid(h.G, h.Params)
 	h.ForEachVariable(func(v *Variable) {
-		if !keep(v) {
-			return
-		}
-		out.addVariable(v)
-		if v.Rank() == 1 && !v.SpeedLimit {
-			covered[v.Path[0]] = true
+		if keep(v) {
+			out.put(v)
 		}
 	})
-	sortRows(out)
-	out.stats.CoveredEdges = len(covered)
 	out.stats.EdgesWithData = h.stats.EdgesWithData
 	return out
 }

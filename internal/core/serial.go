@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -29,14 +30,10 @@ const normTolerance = 1e-6
 func (h *HybridGraph) WriteModel(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, serialVersion)
-	p := h.Params
-	fmt.Fprintf(bw, "params %d %d %d %g %d %d %d %d %d %g\n",
-		p.AlphaMinutes, p.Beta, p.MaxRank, p.Resolution, int(p.Domain),
-		p.MaxAccBuckets, p.MaxResultBuckets, p.StaticBuckets, p.Auto.Folds, p.GTThresholdS)
-	st := h.stats
-	fmt.Fprintf(bw, "stats %d %d %d %d", st.CoveredEdges, st.EdgesWithData, st.StorageFloats, st.SupportTotal)
-	for _, c := range st.VariablesByRank {
-		fmt.Fprintf(bw, " %d", c)
+	fmt.Fprintln(bw, ParamsLine(h.Params))
+	fmt.Fprint(bw, "stats")
+	for _, n := range h.stats.fields() {
+		fmt.Fprintf(bw, " %d", n)
 	}
 	fmt.Fprintln(bw)
 
@@ -51,6 +48,45 @@ func (h *HybridGraph) WriteModel(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// ParamsLine formats the "params" line of a model file: the ten
+// parameters a model is trained and served with. Partition files carry
+// the same line. The rest of Params (Auto's search bounds and seed,
+// Workers) is training-time tuning no reader needs; ParseParamsLine
+// restores it from DefaultParams.
+func ParamsLine(p Params) string {
+	return fmt.Sprintf("params %d %d %d %g %d %d %d %d %d %g",
+		p.AlphaMinutes, p.Beta, p.MaxRank, p.Resolution, int(p.Domain),
+		p.MaxAccBuckets, p.MaxResultBuckets, p.StaticBuckets, p.Auto.Folds, p.GTThresholdS)
+}
+
+// ParseParamsLine parses a line written by ParamsLine over
+// DefaultParams, strictly, and rejects parameters Validate rejects.
+func ParseParamsLine(line string) (Params, error) {
+	f := strings.Fields(line)
+	if len(f) != 11 || f[0] != "params" {
+		return Params{}, fmt.Errorf("core: bad params line %q", line)
+	}
+	var np numParser
+	p := DefaultParams()
+	p.AlphaMinutes = np.int(f[1])
+	p.Beta = np.int(f[2])
+	p.MaxRank = np.int(f[3])
+	p.Resolution = np.float(f[4])
+	p.Domain = CostDomain(np.int(f[5]))
+	p.MaxAccBuckets = np.int(f[6])
+	p.MaxResultBuckets = np.int(f[7])
+	p.StaticBuckets = np.int(f[8])
+	p.Auto.Folds = np.int(f[9])
+	p.GTThresholdS = np.float(f[10])
+	if np.err != nil {
+		return Params{}, fmt.Errorf("core: bad params line %q: %w", line, np.err)
+	}
+	if err := p.Validate(); err != nil {
+		return Params{}, fmt.Errorf("core: params invalid: %w", err)
+	}
+	return p, nil
 }
 
 func writeVariable(bw *bufio.Writer, v *Variable) error {
@@ -113,47 +149,22 @@ func ReadHybrid(r io.Reader, g *graph.Graph) (*HybridGraph, error) {
 	if line, ok := rd.next(); !ok || line != serialVersion {
 		return nil, fmt.Errorf("core: not a %s file", serialVersion)
 	}
-	h := &HybridGraph{
-		G:         g,
-		vars:      make(map[string]*pathVars),
-		unit:      make([]*pathVars, g.NumEdges()),
-		byStart:   make([][]*pathVars, g.NumEdges()),
-		fallbacks: make(map[graph.EdgeID]*Variable),
-	}
-	var np numParser
-	// params
 	line, ok := rd.next()
 	if !ok {
 		return nil, fmt.Errorf("core: truncated model (params)")
 	}
-	f := strings.Fields(line)
-	if len(f) != 11 || f[0] != "params" {
-		return nil, fmt.Errorf("core: bad params line %q", line)
+	p, err := ParseParamsLine(line)
+	if err != nil {
+		return nil, err
 	}
-	p := DefaultParams()
-	p.AlphaMinutes = np.int(f[1])
-	p.Beta = np.int(f[2])
-	p.MaxRank = np.int(f[3])
-	p.Resolution = np.float(f[4])
-	p.Domain = CostDomain(np.int(f[5]))
-	p.MaxAccBuckets = np.int(f[6])
-	p.MaxResultBuckets = np.int(f[7])
-	p.StaticBuckets = np.int(f[8])
-	p.Auto.Folds = np.int(f[9])
-	p.GTThresholdS = np.float(f[10])
-	if np.err != nil {
-		return nil, fmt.Errorf("core: bad params line %q: %w", line, np.err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("core: model params invalid: %w", err)
-	}
-	h.Params = p
+	h := newHybrid(g, p)
+	var np numParser
 	// stats: four totals, then one variable count per rank
 	line, ok = rd.next()
 	if !ok {
 		return nil, fmt.Errorf("core: truncated model (stats)")
 	}
-	f = strings.Fields(line)
+	f := strings.Fields(line)
 	if len(f) != 5+p.MaxRank || f[0] != "stats" {
 		return nil, fmt.Errorf("core: bad stats line %q (want four totals and %d rank counts)", line, p.MaxRank)
 	}
@@ -164,7 +175,6 @@ func ReadHybrid(r io.Reader, g *graph.Graph) (*HybridGraph, error) {
 	if np.err != nil {
 		return nil, fmt.Errorf("core: bad stats line %q: %w", line, np.err)
 	}
-	h.stats.VariablesByRank = make([]int, p.MaxRank)
 
 	// variables, up to EOF or a trailing synopsis section
 	for {
@@ -202,40 +212,29 @@ func ReadHybrid(r io.Reader, g *graph.Graph) (*HybridGraph, error) {
 		if v.Interval < 0 || v.Interval >= p.NumIntervals() {
 			return nil, fmt.Errorf("core: %v: interval %d outside [0,%d)", path, v.Interval, p.NumIntervals())
 		}
-		if h.LookupInterval(path, v.Interval) != nil {
-			return nil, fmt.Errorf("core: %v: interval %d stored twice", path, v.Interval)
-		}
 		if err := rd.readDistribution(v); err != nil {
 			return nil, err
 		}
-		h.addVariable(v)
+		if !h.put(v) {
+			return nil, fmt.Errorf("core: %v: interval %d stored twice", path, v.Interval)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	// Cross-check the variable counts; other stats fields are not
-	// recomputable without the data, so trust the file.
-	for r, n := range saved[4:] {
-		if h.stats.VariablesByRank[r] != n {
-			return nil, fmt.Errorf("core: model corrupt: rank-%d count %d, file says %d",
-				r+1, h.stats.VariablesByRank[r], n)
-		}
-	}
-	h.stats.CoveredEdges = saved[0]
+	// Every count but |E″|, a property of the training data, follows
+	// from the variables: the file must agree.
 	h.stats.EdgesWithData = saved[1]
-	h.stats.SupportTotal = saved[3]
-	sortRows(h)
+	if got := h.stats.fields(); !slices.Equal(got, saved) {
+		return nil, fmt.Errorf("core: model corrupt: its variables give stats %v, file says %v", got, saved)
+	}
 	return h, nil
 }
 
-func sortRows(h *HybridGraph) {
-	for _, list := range h.byStart {
-		for i := 1; i < len(list); i++ {
-			for j := i; j > 0 && len(list[j].path) < len(list[j-1].path); j-- {
-				list[j], list[j-1] = list[j-1], list[j]
-			}
-		}
-	}
+// fields lists the stats line's numbers: four totals, then one
+// variable count per rank.
+func (st BuildStats) fields() []int {
+	return append([]int{st.CoveredEdges, st.EdgesWithData, st.StorageFloats, st.SupportTotal}, st.VariablesByRank...)
 }
 
 type hybridReader struct {

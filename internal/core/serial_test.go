@@ -128,7 +128,7 @@ func TestReadHybridRejectsGarbage(t *testing.T) {
 	if _, err := ReadHybrid(strings.NewReader(tinyModel), g); err != nil {
 		t.Fatalf("the valid base model: %v", err)
 	}
-	if _, err := ReadHybrid(strings.NewReader(strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 3 30 1 1 0 0", 1)+"var 0,1 16 30 1 2\nm 2\nb 2 0 1\nb 3 0 1 2\nc 2\n0 0 0.5\n0 1 0.5\n"), g); err != nil {
+	if _, err := ReadHybrid(strings.NewReader(strings.Replace(tinyModel, "stats 1 1 3 30 1 0 0 0", "stats 1 1 16 60 1 1 0 0", 1)+"var 0,1 16 30 1 2\nm 2\nb 2 0 1\nb 3 0 1 2\nc 2\n0 0 0.5\n0 1 0.5\n"), g); err != nil {
 		t.Fatalf("the valid base model with a joint: %v", err)
 	}
 	for i, c := range garbageModels {
@@ -235,6 +235,30 @@ func TestModelRoundTripDetectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadHybrid(strings.NewReader(text[:idx]), g); err == nil {
 		t.Fatal("truncated model accepted")
+	}
+	// Every other count the variables determine, corrupted one at a
+	// time: covered edges, storage and support total. Edges with data
+	// (the second field) is a property of the training data and loads
+	// as written.
+	const stats = "stats 5 5 79 520 5 4 2 1\n"
+	if !strings.Contains(text, stats) {
+		t.Fatalf("table-1 model no longer carries %q", stats)
+	}
+	for _, bad := range []string{
+		"stats 4 5 79 520 5 4 2 1\n",
+		"stats 5 5 78 520 5 4 2 1\n",
+		"stats 5 5 79 521 5 4 2 1\n",
+	} {
+		if _, err := ReadHybrid(strings.NewReader(strings.Replace(text, stats, bad, 1)), g); err == nil {
+			t.Errorf("model with %q accepted", strings.TrimSpace(bad))
+		}
+	}
+	h2, err := ReadHybrid(strings.NewReader(strings.Replace(text, stats, "stats 5 6 79 520 5 4 2 1\n", 1)), g)
+	if err != nil {
+		t.Fatalf("a model with more edges with data than covered: %v", err)
+	}
+	if got := h2.Stats().EdgesWithData; got != 6 {
+		t.Fatalf("edges with data loaded as %d, file says 6", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	pathcost "repro"
+	"repro/internal/core"
 	"repro/internal/textio"
 )
 
@@ -30,7 +31,8 @@ type Partition struct {
 	// Vertex maps each vertex ID to its region in [0, K).
 	Vertex []int
 	// Params are the training parameters of the model this partition
-	// serves, copied verbatim into the partition file.
+	// serves, written as the model file's params line and validated on
+	// read like it.
 	Params pathcost.Params
 }
 
@@ -144,16 +146,13 @@ func (p *Partition) SegmentPath(g *pathcost.Graph, path pathcost.Path) []Segment
 }
 
 // Write serializes the partition. The format follows the model file's
-// conventions: a version line, the identical 10-field params line, the
-// vertex regions in fixed-width chunks, and an end marker so
-// truncation is detectable.
+// conventions: a version line, the model file's params line
+// (core.ParamsLine), the vertex regions in fixed-width chunks, and an
+// end marker so truncation is detectable.
 func (p *Partition) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%s %d %d\n", partitionVersion, p.K, len(p.Vertex))
-	pr := p.Params
-	fmt.Fprintf(bw, "params %d %d %d %g %d %d %d %d %d %g\n",
-		pr.AlphaMinutes, pr.Beta, pr.MaxRank, pr.Resolution, int(pr.Domain),
-		pr.MaxAccBuckets, pr.MaxResultBuckets, pr.StaticBuckets, pr.Auto.Folds, pr.GTThresholdS)
+	fmt.Fprintln(bw, core.ParamsLine(p.Params))
 	for i := 0; i < len(p.Vertex); i += 32 {
 		end := i + 32
 		if end > len(p.Vertex) {
@@ -199,14 +198,10 @@ func ReadPartition(r io.Reader, g *pathcost.Graph) (*Partition, error) {
 	if !ok {
 		return nil, fmt.Errorf("shard: partition file ends before params")
 	}
-	var pr pathcost.Params
-	var domain int
-	if _, err := fmt.Sscanf(line, "params %d %d %d %g %d %d %d %d %d %g",
-		&pr.AlphaMinutes, &pr.Beta, &pr.MaxRank, &pr.Resolution, &domain,
-		&pr.MaxAccBuckets, &pr.MaxResultBuckets, &pr.StaticBuckets, &pr.Auto.Folds, &pr.GTThresholdS); err != nil {
-		return nil, fmt.Errorf("shard: bad params line %q: %w", line, err)
+	pr, err := core.ParseParamsLine(line)
+	if err != nil {
+		return nil, fmt.Errorf("shard: partition %w", err)
 	}
-	pr.Domain = pathcost.CostDomain(domain)
 	out := &Partition{K: k, Vertex: make([]int, 0, nv), Params: pr}
 	for {
 		line, ok = next()

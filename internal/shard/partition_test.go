@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	pathcost "repro"
-	"repro/internal/hist"
 )
 
 func TestNewPartitionDeterministicAndComplete(t *testing.T) {
@@ -102,14 +101,30 @@ func TestPartitionWriteReadRoundTrip(t *testing.T) {
 	if got.K != part.K || !reflect.DeepEqual(got.Vertex, part.Vertex) {
 		t.Fatal("round-trip changed the region assignment")
 	}
-	// The params line carries the model file's 10 fields; Auto keeps
-	// only Folds (the rest is training-time tuning the serving tier
-	// never reads).
-	want := part.Params
-	want.Auto = hist.AutoConfig{Folds: part.Params.Auto.Folds}
-	want.Workers = 0
-	if got.Params != want {
-		t.Fatalf("round-trip changed params:\n%+v\nvs\n%+v", got.Params, want)
+	// The params line carries the model file's 10 fields and the
+	// reader restores the rest from DefaultParams, as the model
+	// reader does.
+	if got.Params != part.Params {
+		t.Fatalf("round-trip changed params:\n%+v\nvs\n%+v", got.Params, part.Params)
+	}
+}
+
+// TestReadPartitionValidatesParams: a partition's params pass the
+// model reader's checks. With α = 0 the coordinator's interval grid
+// divides by zero (IntervalOf(28800) was math.MinInt64).
+func TestReadPartitionValidatesParams(t *testing.T) {
+	sys := testSystem(t)
+	part, err := NewPartition(sys.Graph, 2, sys.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part.Params.AlphaMinutes = 0
+	var buf bytes.Buffer
+	if err := part.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadPartition(&buf, sys.Graph); err == nil || !strings.Contains(err.Error(), "α = 0") {
+		t.Fatalf("a partition with α = 0: %v, want it rejected", err)
 	}
 }
 

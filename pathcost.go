@@ -63,8 +63,6 @@ type (
 	Histogram = hist.Histogram
 	// Params are the hybrid-graph parameters (α, β, MaxRank, ...).
 	Params = core.Params
-	// CostDomain selects which travel cost distributions describe.
-	CostDomain = core.CostDomain
 	// Method selects an estimation strategy.
 	Method = core.Method
 	// Collection is an indexed set of map-matched trajectories.

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Docs gate, run by CI and runnable locally: every internal package
-# must carry a doc.go (so godoc has a package overview to show), and
-# every relative markdown link in README.md and docs/ must resolve.
+# must carry a doc.go (so godoc has a package overview to show), every
+# relative markdown link in README.md and docs/ must resolve, and every
+# test, fuzz target or benchmark the docs or CI name must exist.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,6 +31,20 @@ for f in README.md docs/*.md; do
             fail=1
         fi
     done
+done
+
+# Test-name check: a Test…, Fuzz… or Benchmark… identifier named in
+# README.md, docs/, the verify skill or CI must begin the name of a
+# function in some _test.go file. Prefixes count, so a -run alternation
+# such as 'TestHedge|TestProbe' stays valid.
+funcs=$(grep -rhoE --include='*_test.go' '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' . | sed 's/^func //' | sort -u)
+named=$(grep -ohE '\b(Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*' README.md docs/*.md \
+    .github/workflows/ci.yml $(ls .claude/skills/verify/SKILL.md 2>/dev/null) | sort -u)
+for name in $named; do
+    if ! printf '%s\n' "$funcs" | grep -q "^$name"; then
+        echo "docs gate: no test function starts with $name"
+        fail=1
+    fi
 done
 
 if [ "$fail" -ne 0 ]; then
