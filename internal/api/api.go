@@ -29,12 +29,10 @@ type Error struct {
 	Error string `json:"error"`
 }
 
-// Bucket is one histogram bucket: P(cost ∈ [Lo, Hi)) = Pr.
-type Bucket struct {
-	Lo float64 `json:"lo"`
-	Hi float64 `json:"hi"`
-	Pr float64 `json:"pr"`
-}
+// Bucket is one histogram bucket: P(cost ∈ [Lo, Hi)) = Pr. It is the
+// histogram's own type, whose tags are this shape, so an answer writes
+// the buckets of the histogram it reads without copying them.
+type Bucket = hist.Bucket
 
 // DistributionRequest asks for the cost distribution of a path.
 type DistributionRequest struct {
@@ -163,38 +161,10 @@ type StateResult struct {
 
 // --- response builders -----------------------------------------------
 
-// Buckets converts histogram buckets to their wire shape.
-func Buckets(bs []hist.Bucket) []Bucket {
-	out := make([]Bucket, len(bs))
-	for i, b := range bs {
-		out[i] = Bucket{Lo: b.Lo, Hi: b.Hi, Pr: b.Pr}
-	}
-	return out
-}
-
-// DistributionPayload shapes one evaluated cost distribution. Both the
-// single-process server and the sharded coordinator assemble their
-// distribution bodies here, from the same scalar inputs, so a
-// coordinator that reproduces the single-process histogram bit-exactly
-// also reproduces the response bytes exactly.
+// DistributionPayload is Scratch.Distribution into fresh memory, with
+// the summary computed from dist.
 func DistributionPayload(method string, interval int, dist *hist.Histogram, budget float64, decompPaths, maxRank int, evalUS int64) *DistributionResponse {
-	resp := &DistributionResponse{
-		Method:      method,
-		Interval:    interval,
-		MeanS:       dist.Mean(),
-		P10S:        dist.Quantile(0.1),
-		P50S:        dist.Quantile(0.5),
-		P90S:        dist.Quantile(0.9),
-		Buckets:     Buckets(dist.Buckets()),
-		DecompPaths: decompPaths,
-		MaxRank:     maxRank,
-		EvalUS:      evalUS,
-	}
-	if budget > 0 {
-		pw := dist.ProbWithin(budget)
-		resp.ProbWithin = &pw
-	}
-	return resp
+	return (*Scratch)(nil).Distribution(method, interval, dist, dist.Summary(), budget, decompPaths, maxRank, evalUS)
 }
 
 // EdgeIDs converts a path to its wire shape.
@@ -232,15 +202,21 @@ func ParseMethod(name string) (pathcost.Method, error) {
 	return "", fmt.Errorf("unknown method %q (want OD, RD, HP or LB)", name)
 }
 
-// ParsePath validates the edge sequence against the served graph.
+// ParsePath validates the edge sequence against the served graph into
+// a fresh path.
 func ParsePath(g *pathcost.Graph, ids []int64, maxEdges int) (pathcost.Path, error) {
+	return (*Scratch)(nil).parsePath(g, ids, maxEdges)
+}
+
+// parsePath is ParsePath into s's storage.
+func (s *Scratch) parsePath(g *pathcost.Graph, ids []int64, maxEdges int) (pathcost.Path, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("path must contain at least one edge id")
 	}
 	if len(ids) > maxEdges {
 		return nil, fmt.Errorf("path has %d edges, cap is %d", len(ids), maxEdges)
 	}
-	p := make(pathcost.Path, len(ids))
+	p := s.path(len(ids))
 	for i, id := range ids {
 		if id < 0 || int(id) >= g.NumEdges() {
 			return nil, fmt.Errorf("edge id %d out of range [0, %d)", id, g.NumEdges())
@@ -270,9 +246,9 @@ func CheckDepart(depart float64) error {
 }
 
 // CheckDistribution validates one distribution request, on either tier
-// and as a batch entry; a non-nil error means a 400 with the error's
-// message.
-func CheckDistribution(g *pathcost.Graph, req *DistributionRequest) (pathcost.Method, pathcost.Path, error) {
+// and as a batch entry, into a path in s's storage; a non-nil error
+// means a 400 with the error's message.
+func CheckDistribution(g *pathcost.Graph, req *DistributionRequest, s *Scratch) (pathcost.Method, pathcost.Path, error) {
 	m, err := ParseMethod(req.Method)
 	if err == nil {
 		err = CheckDepart(req.Depart)
@@ -283,7 +259,7 @@ func CheckDistribution(g *pathcost.Graph, req *DistributionRequest) (pathcost.Me
 	if err != nil {
 		return "", nil, err
 	}
-	p, err := ParsePath(g, req.Path, MaxPathEdges)
+	p, err := s.parsePath(g, req.Path, MaxPathEdges)
 	if err != nil {
 		return "", nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -136,18 +137,21 @@ func (g *Gate) Answer(w http.ResponseWriter, status int, msg string, resp any) {
 }
 
 // Endpoint is the query-endpoint sequence of both tiers: shed, read
-// the body into a fresh Req, derive the request's deadline, evaluate,
-// and Answer with eval's outcome. A panicking evaluation is a logged
-// 500 (evaluators release their slots by defer); http.ErrAbortHandler
+// the body into a pooled Req and Scratch, derive the request's
+// deadline, evaluate, and Answer with eval's outcome; then zero both
+// and pool them again. A panicking evaluation is a logged 500
+// (evaluators release their slots by defer); http.ErrAbortHandler
 // keeps its meaning and propagates. Answer encodes before it writes,
 // so nothing has been written when the 500 goes out.
-func Endpoint[Req, Resp any](g *Gate, eval func(context.Context, *Req) (Resp, int, string)) http.HandlerFunc {
+func Endpoint[Req, Resp any](g *Gate, eval func(context.Context, *Req, *Scratch) (Resp, int, string)) http.HandlerFunc {
+	pool := &sync.Pool{New: func() any { return new(request[Req]) }}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if g.ShedIfOverloaded(w) {
 			return
 		}
-		var req Req
-		if !g.Read(w, r, &req, MaxQueryBody) {
+		q := pool.Get().(*request[Req])
+		defer q.release(pool)
+		if !g.Read(w, r, &q.req, &q.s, MaxQueryBody) {
 			return
 		}
 		ctx, cancel, ok := g.Context(w, r, g.timeout)
@@ -164,9 +168,23 @@ func Endpoint[Req, Resp any](g *Gate, eval func(context.Context, *Req) (Resp, in
 				g.Error(w, http.StatusInternalServerError, internalError)
 			}
 		}()
-		resp, status, msg := eval(ctx, &req)
+		resp, status, msg := eval(ctx, &q.req, &q.s)
 		g.Answer(w, status, msg, resp)
 	}
+}
+
+// request is one request's pooled storage: its body and its Scratch.
+type request[Req any] struct {
+	req Req
+	s   Scratch
+}
+
+// release zeroes q and returns it to pool.
+func (q *request[Req]) release(pool *sync.Pool) {
+	var zero Req
+	q.req = zero
+	q.s.reset()
+	pool.Put(q)
 }
 
 // Batch is Endpoint for /v1/batch: an empty or oversize batch is a 400
@@ -174,23 +192,26 @@ func Endpoint[Req, Resp any](g *Gate, eval func(context.Context, *Req) (Resp, in
 // as a whole-request outcome, and the results go out in one 200
 // envelope unless the client is gone. An expired deadline is not a
 // vanished client: the caller is still listening, and every entry the
-// deadline caught carries its own 504.
-func (g *Gate) Batch(eval func(context.Context, []BatchQuery) ([]BatchResult, int, string)) http.HandlerFunc {
+// deadline caught carries its own 504. The entries, the results and
+// the envelope live in the request's pooled Scratch.
+func (g *Gate) Batch(eval func(context.Context, []BatchQuery, *Scratch) ([]BatchResult, int, string)) http.HandlerFunc {
+	pool := &sync.Pool{New: func() any { return new(request[BatchRequest]) }}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if g.ShedIfOverloaded(w) {
 			return
 		}
-		var req BatchRequest
-		if !g.Read(w, r, &req, MaxQueryBody) {
+		q := pool.Get().(*request[BatchRequest])
+		defer q.release(pool)
+		if !g.Read(w, r, &q.req, &q.s, MaxQueryBody) {
 			return
 		}
-		if len(req.Queries) == 0 {
+		if len(q.req.Queries) == 0 {
 			g.Error(w, http.StatusBadRequest, "batch must contain at least one query")
 			return
 		}
-		if len(req.Queries) > MaxBatch {
+		if len(q.req.Queries) > MaxBatch {
 			g.Error(w, http.StatusBadRequest,
-				fmt.Sprintf("batch has %d queries, cap is %d", len(req.Queries), MaxBatch))
+				fmt.Sprintf("batch has %d queries, cap is %d", len(q.req.Queries), MaxBatch))
 			return
 		}
 		ctx, cancel, ok := g.Context(w, r, g.timeout)
@@ -198,7 +219,7 @@ func (g *Gate) Batch(eval func(context.Context, []BatchQuery) ([]BatchResult, in
 			return
 		}
 		defer cancel()
-		results, status, msg := eval(ctx, req.Queries)
+		results, status, msg := eval(ctx, q.req.Queries, &q.s)
 		if status != http.StatusOK {
 			g.Answer(w, status, msg, nil)
 			return
@@ -206,7 +227,8 @@ func (g *Gate) Batch(eval func(context.Context, []BatchQuery) ([]BatchResult, in
 		if r.Context().Err() != nil {
 			return // client gone; entries already accounted their shed work
 		}
-		g.Write(w, http.StatusOK, BatchResponse{Results: results})
+		q.s.batch.Results = results
+		g.Write(w, http.StatusOK, &q.s.batch)
 	}
 }
 

@@ -28,8 +28,11 @@ import (
 // Everything else declines: null, other or differently-cased keys,
 // duplicates, fractions or exponents in a path, escapes, non-ASCII,
 // bad base64, any syntax error.
-func parsePlain(dst any, body []byte) bool {
-	p := plainParser{b: body}
+//
+// A batch's entries and every path's ids are taken from s (see
+// Scratch; nil takes fresh memory).
+func parsePlain(dst any, body []byte, s *Scratch) bool {
+	p := plainParser{b: body, s: s}
 	switch dst := dst.(type) {
 	case *DistributionRequest:
 		var q BatchQuery
@@ -42,7 +45,7 @@ func parsePlain(dst any, body []byte) bool {
 		// One '{' per entry (and the outer one) sizes the slice in one
 		// allocation; the bound keeps a body of braces from sizing it.
 		size := min(max(bytes.Count(body, []byte{'{'})-1, 0), MaxBatch)
-		queries, ok := list(&p, "queries", size, func(q *BatchQuery) bool { return p.object(q, true) })
+		queries, ok := list(&p, "queries", s.batchQueries(size), func(q *BatchQuery) bool { return p.object(q, true) })
 		if ok {
 			dst.Queries = queries
 		}
@@ -52,12 +55,11 @@ func parsePlain(dst any, body []byte) bool {
 }
 
 // list takes {"<key>":[item,...]}, the envelope of a batch and of its
-// answer, into a slice of capacity size.
-func list[T any](p *plainParser, key string, size int, item func(*T) bool) ([]T, bool) {
+// answer, appending the items to out.
+func list[T any](p *plainParser, key string, out []T, item func(*T) bool) ([]T, bool) {
 	if !p.token('{') || !p.token('"') || !p.isKey(key) || !p.token(':') || !p.token('[') {
 		return nil, false
 	}
-	out := make([]T, 0, size)
 	if !p.token(']') {
 		for more := true; more; more = p.token(',') {
 			var zero T // item fills it in place: &zero would escape
@@ -74,10 +76,12 @@ func list[T any](p *plainParser, key string, size int, item func(*T) bool) ([]T,
 }
 
 // plainParser walks a body left to right; every method reports
-// whether the plain form continues and leaves i past what it took.
+// whether the plain form continues and leaves i past what it took. Ids
+// are taken from s.
 type plainParser struct {
 	b []byte
 	i int
+	s *Scratch
 }
 
 func (p *plainParser) space() {
@@ -211,9 +215,9 @@ func (p *plainParser) ints() ([]int64, bool) {
 	if end < 0 {
 		return nil, false
 	}
-	// One allocation for any path a server accepts; a body of commas
-	// sizes nothing.
-	out := make([]int64, 0, min(bytes.Count(p.b[p.i:p.i+end], []byte{','})+1, 256))
+	// Room for any path a server accepts; a body of commas sizes
+	// nothing.
+	out := p.s.int64s(min(bytes.Count(p.b[p.i:p.i+end], []byte{','})+1, MaxPathEdges))
 	if p.token(']') {
 		return out, true
 	}
@@ -326,7 +330,7 @@ func ParseBatchResponse(data []byte, dst *BatchResponse) bool {
 	// Every plain entry has one kind: the count sizes the slice in one
 	// allocation, and a body of kinds sizes it no larger than a batch.
 	size := min(bytes.Count(data, []byte(`"kind"`)), MaxBatch)
-	results, ok := list(&p, "results", size, p.result)
+	results, ok := list(&p, "results", make([]BatchResult, 0, size), p.result)
 	if p.space(); !ok || p.i != len(data) {
 		return false
 	}

@@ -6,7 +6,8 @@
 // envelopes — and Gate, the serving chassis around it: evaluation
 // slots, MaxQueue shedding, the deadline-to-504 mapping, the endpoint
 // sequences, /healthz, the listener loop and the Prometheus writer.
-// Each tier supplies only its evaluators. One set of shapes assembled
+// Each tier supplies only its evaluators, which build their answers in
+// the request's pooled Scratch. One set of shapes assembled
 // and encoded by one set of functions is what lets the coordinator
 // emit responses byte-identical to a single process.
 //

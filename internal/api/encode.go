@@ -16,7 +16,7 @@ func appendJSON(b []byte, v any) ([]byte, error) {
 	switch v := v.(type) {
 	case *DistributionResponse:
 		e.distribution(v)
-	case BatchResponse:
+	case *BatchResponse:
 		e.batch(v)
 	default:
 		e.marshal(v)
@@ -179,7 +179,7 @@ func (e *encoder) buckets(bs []Bucket) {
 	e.raw("]")
 }
 
-func (e *encoder) batch(r BatchResponse) {
+func (e *encoder) batch(r *BatchResponse) {
 	if r.Results == nil {
 		e.raw(`{"results":null}`)
 		return

@@ -33,7 +33,9 @@ const internalError = "internal error during computation"
 var contentTypeJSON = []string{"application/json"}
 
 // Read decodes r's JSON POST body into dst, which must be zero. On
-// failure it writes the 405 or 400 itself and returns false.
+// failure it writes the 405 or 400 itself and returns false. The plain
+// form's ids and batch entries are taken from s (nil takes fresh
+// memory).
 //
 // The body is read whole into a pooled buffer under the maxBytes cap.
 // A body in the plain form (see parsePlain) is decoded without
@@ -41,7 +43,7 @@ var contentTypeJSON = []string{"application/json"}
 // is replayed through encoding/json from the same bytes followed by
 // the same read error, so which decoder ran is a property of the
 // input, and every verdict and message is encoding/json's own.
-func (wr *Wire) Read(w http.ResponseWriter, r *http.Request, dst any, maxBytes int64) bool {
+func (wr *Wire) Read(w http.ResponseWriter, r *http.Request, dst any, s *Scratch, maxBytes int64) bool {
 	if r.Method != http.MethodPost {
 		wr.Error(w, http.StatusMethodNotAllowed, "use POST with a JSON body")
 		return false
@@ -49,7 +51,7 @@ func (wr *Wire) Read(w http.ResponseWriter, r *http.Request, dst any, maxBytes i
 	buf := GetBuffer()
 	defer PutBuffer(buf)
 	_, rerr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBytes))
-	if rerr == nil && parsePlain(dst, buf.Bytes()) {
+	if rerr == nil && parsePlain(dst, buf.Bytes(), s) {
 		return true
 	}
 	var src io.Reader = buf
@@ -103,7 +105,7 @@ func (wr *Wire) Write(w http.ResponseWriter, code int, v any) {
 // WriteUncounted encodes v into a pooled buffer and only then writes
 // the status line and the body, so a payload the encoder refuses is a
 // counted 500 (reported as false), not a 200 with an empty body. The
-// bytes are encoding/json's: *DistributionResponse and BatchResponse
+// bytes are encoding/json's: *DistributionResponse and *BatchResponse
 // by the append encoders that reproduce it, everything else by
 // encoding/json itself.
 func (wr *Wire) WriteUncounted(w http.ResponseWriter, code int, v any) bool {

@@ -56,7 +56,7 @@ func checkRead[T any](t *testing.T, body []byte, maxBytes int64) {
 	wr, _, rejected := testWire()
 	var got T
 	rec := httptest.NewRecorder()
-	ok := wr.Read(rec, httptest.NewRequest("POST", "/", bytes.NewReader(body)), &got, maxBytes)
+	ok := wr.Read(rec, httptest.NewRequest("POST", "/", bytes.NewReader(body)), &got, nil, maxBytes)
 	if ok != (wantStatus == 0) {
 		t.Fatalf("%T body %q cap %d: Read ok = %v, reference status %d", want, body, maxBytes, ok, wantStatus)
 	}
@@ -77,7 +77,7 @@ func checkRead[T any](t *testing.T, body []byte, maxBytes int64) {
 	// The parser's own promise, stated without the fallback: whatever
 	// it accepts is what encoding/json makes of the same bytes.
 	var fast T
-	if parsePlain(&fast, body) && !reflect.DeepEqual(fast, want) {
+	if parsePlain(&fast, body, nil) && !reflect.DeepEqual(fast, want) {
 		t.Fatalf("%T body %q: parser decoded %#v, encoding/json %#v", want, body, fast, want)
 	}
 }
@@ -315,26 +315,26 @@ func TestEncoderMatchesJSONOnEdgeValues(t *testing.T) {
 	}
 	for _, s := range edgeStrings {
 		checkEncode(t, &DistributionResponse{Method: s})
-		checkEncode(t, BatchResponse{Results: []BatchResult{{Kind: s, Status: 400, Error: s}}})
+		checkEncode(t, &BatchResponse{Results: []BatchResult{{Kind: s, Status: 400, Error: s}}})
 	}
 	pw := 0.25
 	checkEncode(t, &DistributionResponse{ProbWithin: &pw})
 	checkEncode(t, (*DistributionResponse)(nil))
-	checkEncode(t, BatchResponse{})
-	checkEncode(t, BatchResponse{Results: []BatchResult{}})
-	checkEncode(t, BatchResponse{Results: []BatchResult{{}, {Kind: "route", Status: 200, Route: &RouteResponse{}}}})
+	checkEncode(t, &BatchResponse{})
+	checkEncode(t, &BatchResponse{Results: []BatchResult{}})
+	checkEncode(t, &BatchResponse{Results: []BatchResult{{}, {Kind: "route", Status: 200, Route: &RouteResponse{}}}})
 	state := []byte("PST\x02\x00\xff<>&")
 	for _, f := range edgeFloats {
 		q := BatchQuery{Kind: "state", Path: []int64{1, -2}, Depart: f, Budget: f, UILo: f, UIHi: -f, State: state}
 		checkMarshalRequest(t, &BatchRequest{Queries: []BatchQuery{q, {Depart: f}}})
-		checkEncode(t, BatchResponse{Results: []BatchResult{{Kind: "state", Status: 200, State: &StateResult{State: state, UILo: f, UIHi: f}}}})
+		checkEncode(t, &BatchResponse{Results: []BatchResult{{Kind: "state", Status: 200, State: &StateResult{State: state, UILo: f, UIHi: f}}}})
 	}
 	for _, s := range edgeStrings {
 		checkMarshalRequest(t, &BatchRequest{Queries: []BatchQuery{{Kind: s, Method: s}}})
 	}
 	for _, st := range [][]byte{nil, {}, {0}, {0, 1}, {0, 1, 2}, state} {
 		checkMarshalRequest(t, &BatchRequest{Queries: []BatchQuery{{State: st}}})
-		checkEncode(t, BatchResponse{Results: []BatchResult{{State: &StateResult{State: st}}}})
+		checkEncode(t, &BatchResponse{Results: []BatchResult{{State: &StateResult{State: st}}}})
 	}
 	checkMarshalRequest(t, &BatchRequest{})
 	checkMarshalRequest(t, &BatchRequest{Queries: []BatchQuery{}})
@@ -381,11 +381,11 @@ func TestEncoderCoversEveryField(t *testing.T) {
 	checkEncode(t, &d)
 	var r BatchResult // every member set: json.Marshal's entry
 	fill(reflect.ValueOf(&r).Elem())
-	checkEncode(t, BatchResponse{Results: []BatchResult{r}})
+	checkEncode(t, &BatchResponse{Results: []BatchResult{r}})
 	r.Route, r.TopK = nil, nil // the inline entry: distribution and state
-	checkEncode(t, BatchResponse{Results: []BatchResult{r}})
+	checkEncode(t, &BatchResponse{Results: []BatchResult{r}})
 	r.Distribution = nil // a relay leg's answer
-	checkEncode(t, BatchResponse{Results: []BatchResult{r}})
+	checkEncode(t, &BatchResponse{Results: []BatchResult{r}})
 	var q BatchQuery
 	fill(reflect.ValueOf(&q).Elem())
 	checkMarshalRequest(t, &BatchRequest{Queries: []BatchQuery{q}})
@@ -413,8 +413,8 @@ func TestEncoderMatchesJSONOnRandomValues(t *testing.T) {
 // encoding/json.
 func checkBatchRoundTrip(t *testing.T, r BatchResponse) {
 	t.Helper()
-	checkEncode(t, r)
-	if body, err := appendJSON(nil, r); err == nil {
+	checkEncode(t, &r)
+	if body, err := appendJSON(nil, &r); err == nil {
 		checkUnmarshalResponse(t, body)
 	}
 }
@@ -480,18 +480,18 @@ func TestPlainFormIsTaken(t *testing.T) {
 	dist, _ := json.Marshal(DistributionRequest{Path: []int64{3, 1, 4}, Depart: 28800, Method: "HP", Budget: 12.5})
 	batch, _ := json.Marshal(BatchRequest{Queries: []BatchQuery{{Path: []int64{1}, Depart: 61200}, {Kind: "distribution", Path: []int64{2, 3}, Method: "LB", Budget: 1}}})
 	var d DistributionRequest
-	if !parsePlain(&d, dist) {
+	if !parsePlain(&d, dist, nil) {
 		t.Errorf("marshalled DistributionRequest %s is not plain", dist)
 	}
 	var b BatchRequest
-	if !parsePlain(&b, batch) {
+	if !parsePlain(&b, batch, nil) {
 		t.Errorf("marshalled BatchRequest %s is not plain", batch)
 	}
-	if n := testing.AllocsPerRun(100, func() { parsePlain(&d, dist) }); n > 2 {
+	if n := testing.AllocsPerRun(100, func() { parsePlain(&d, dist, nil) }); n > 2 {
 		t.Errorf("plain distribution parse allocates %v times, want 2 (the path and the method)", n)
 	}
 	for _, body := range [][]byte{relayRequest(t), []byte(`{"queries":[{"state":""}]}`)} {
-		if !parsePlain(&b, body) {
+		if !parsePlain(&b, body, nil) {
 			t.Errorf("relay body %s is not plain", body)
 		}
 	}
@@ -518,7 +518,7 @@ func relayRequest(t *testing.T) []byte {
 // relayAnswer is a shard's one-entry answer to a relay leg.
 func relayAnswer(t *testing.T) []byte {
 	t.Helper()
-	body, err := appendJSON(nil, BatchResponse{Results: []BatchResult{{Kind: "state", Status: 200, State: &StateResult{
+	body, err := appendJSON(nil, &BatchResponse{Results: []BatchResult{{Kind: "state", Status: 200, State: &StateResult{
 		State: bytes.Repeat([]byte{0x50, 0x53, 0x02, 0xfe}, 32), UILo: 28912.5, UIHi: 29160.25, Factors: 3, MaxRank: 2,
 	}}}})
 	if err != nil {
@@ -533,7 +533,7 @@ func relayAnswer(t *testing.T) []byte {
 func TestRelayCodecAllocs(t *testing.T) {
 	req, answer := relayRequest(t), relayAnswer(t)
 	breq, bresp := new(BatchRequest), new(BatchResponse)
-	if !parsePlain(breq, req) {
+	if !parsePlain(breq, req, nil) {
 		t.Fatal("relay request is not plain")
 	}
 	for _, c := range []struct {
@@ -542,7 +542,7 @@ func TestRelayCodecAllocs(t *testing.T) {
 		f      func()
 	}{
 		// queries, path, kind, method, state
-		{"parse a relay request", 5, func() { *breq = BatchRequest{}; parsePlain(breq, req) }},
+		{"parse a relay request", 5, func() { *breq = BatchRequest{}; parsePlain(breq, req, nil) }},
 		// the body, sized once
 		{"encode a relay request", 1, func() { _, _ = MarshalBatchRequest(breq) }},
 		// results, the StateResult, its state; the kind is shared
@@ -569,7 +569,7 @@ func TestPlainFormDeclines(t *testing.T) {
 	} {
 		var d DistributionRequest
 		var b BatchRequest
-		if parsePlain(&d, []byte(body)) || parsePlain(&b, []byte(body)) {
+		if parsePlain(&d, []byte(body), nil) || parsePlain(&b, []byte(body), nil) {
 			t.Errorf("body %s was taken by the parser; it is not in the plain form", body)
 		}
 		if !reflect.DeepEqual(d, DistributionRequest{}) || b.Queries != nil {
@@ -581,7 +581,7 @@ func TestPlainFormDeclines(t *testing.T) {
 func TestWriteRefusesUnencodablePayload(t *testing.T) {
 	for _, v := range []any{
 		&DistributionResponse{MeanS: math.NaN()},
-		BatchResponse{Results: []BatchResult{{Distribution: &DistributionResponse{Buckets: []Bucket{{Hi: math.Inf(1)}}}}}},
+		&BatchResponse{Results: []BatchResult{{Distribution: &DistributionResponse{Buckets: []Bucket{{Hi: math.Inf(1)}}}}}},
 		map[string]float64{"x": math.Inf(-1)},
 	} {
 		wr, served, rejected := testWire()

@@ -82,7 +82,7 @@ func NewLRU[V any](capacity int) *LRU[V] {
 }
 
 // fnv1a hashes the key for shard selection (FNV-1a, 32-bit).
-func fnv1a(s string) uint32 {
+func fnv1a[K string | []byte](s K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
@@ -91,15 +91,18 @@ func fnv1a(s string) uint32 {
 	return h
 }
 
-func (c *LRU[V]) shardFor(key string) *shard[V] {
-	return &c.shards[fnv1a(key)&c.mask]
-}
-
 // Get returns the cached value for key, marking it most recently used.
-func (c *LRU[V]) Get(key string) (V, bool) {
-	s := c.shardFor(key)
+func (c *LRU[V]) Get(key string) (V, bool) { return get(c, key) }
+
+// GetBytes is Get for a key written into a caller's scratch buffer:
+// the probe copies nothing, so a hit allocates nothing. Only Put makes
+// a key string.
+func (c *LRU[V]) GetBytes(key []byte) (V, bool) { return get(c, key) }
+
+func get[V any, K string | []byte](c *LRU[V], key K) (V, bool) {
+	s := &c.shards[fnv1a(key)&c.mask]
 	s.mu.Lock()
-	e, ok := s.items[key]
+	e, ok := s.items[string(key)]
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
@@ -115,13 +118,14 @@ func (c *LRU[V]) Get(key string) (V, bool) {
 
 // Peek returns the cached value for key without updating recency or
 // the hit/miss counters. It backs scans that probe several keys for
-// one logical lookup — the convolution memo's longest-prefix search —
-// and then record that lookup once via Get.
-func (c *LRU[V]) Peek(key string) (V, bool) {
-	s := c.shardFor(key)
+// one logical lookup — the convolution memo's longest-prefix search,
+// which probes its prefixes as slices of one key buffer — and then
+// record that lookup once via GetBytes.
+func (c *LRU[V]) Peek(key []byte) (V, bool) {
+	s := &c.shards[fnv1a(key)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.items[key]; ok {
+	if e, ok := s.items[string(key)]; ok {
 		return e.val, true
 	}
 	var zero V
@@ -131,7 +135,7 @@ func (c *LRU[V]) Peek(key string) (V, bool) {
 // Put inserts or refreshes key, evicting the shard's least recently
 // used entry when the shard is full.
 func (c *LRU[V]) Put(key string, val V) {
-	s := c.shardFor(key)
+	s := &c.shards[fnv1a(key)&c.mask]
 	s.mu.Lock()
 	if e, ok := s.items[key]; ok {
 		e.val = val

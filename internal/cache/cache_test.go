@@ -138,3 +138,32 @@ func TestConcurrent(t *testing.T) {
 		t.Fatal("no lookups recorded")
 	}
 }
+
+// TestByteProbes pins the scratch-key probes: GetBytes and Peek find
+// what Put stored under the same bytes, count like Get (Peek not at
+// all), and allocate nothing — the caller's buffer is only read.
+func TestByteProbes(t *testing.T) {
+	c := NewLRU[int](8)
+	key := []byte("e1|12,34,56@16/OD")
+	c.Put(string(key), 7)
+	if v, ok := c.GetBytes(key); !ok || v != 7 {
+		t.Fatalf("GetBytes = %v, %v", v, ok)
+	}
+	if _, ok := c.GetBytes(key[:len(key)-1]); ok {
+		t.Fatal("GetBytes found a key that was never stored")
+	}
+	if v, ok := c.Peek(key); !ok || v != 7 {
+		t.Fatalf("Peek = %v, %v", v, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("hits %d misses %d after one hit, one miss and one peek", st.Hits, st.Misses)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		c.GetBytes(key)
+		c.Peek(key)
+		c.GetBytes(key[:3])
+	})
+	if n != 0 {
+		t.Fatalf("byte-key probes allocate %v times, want 0", n)
+	}
+}

@@ -132,13 +132,13 @@ func TestSegmentAllocBudget(t *testing.T) {
 
 // memoExtendAllocBudget bounds the memo's one write path on the Table 1
 // fixture: a query for <e0..e3> that resumes from the memoized state of
-// <e0,e1,e2> — the longest-prefix probe renders a key per depth it
-// tries, missing at 4 and hitting at 3 — extends it by one edge and
-// offers the new state under its key, the LRU entry included. Measured
-// 14; 15 while a product was a heap object. While routing also read
-// the memo, the budget bounded one memo-attached ExtendPath (probe,
-// compute, offer) at 14.
-const memoExtendAllocBudget = 15
+// <e0,e1,e2> — the longest-prefix probe, missing at 4 and hitting at 3
+// — extends it by one edge and offers the new state under its key, the
+// LRU entry included. Measured 12; 14 while the probe rendered a key
+// string per depth it tried, 15 while a product was a heap object.
+// While routing also read the memo, the budget bounded one
+// memo-attached ExtendPath (probe, compute, offer) at 14.
+const memoExtendAllocBudget = 13
 
 func TestMemoExtendAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -179,5 +179,34 @@ func TestMemoExtendAllocBudget(t *testing.T) {
 	t.Logf("a query resuming from a memoized prefix allocates %v objects", n)
 	if n > memoExtendAllocBudget {
 		t.Errorf("a query resuming from a memoized prefix allocates %v objects, budget %d", n, memoExtendAllocBudget)
+	}
+}
+
+// TestMemoProbeAllocatesNoKey pins the longest-prefix probe: it writes
+// the path's key once into a stack buffer and probes each shorter
+// prefix as a slice of it, so a probe of a 24-edge path allocates
+// nothing, whether it hits at full depth, part way down, at the first
+// edge, or misses.
+func TestMemoProbeAllocatesNoKey(t *testing.T) {
+	p := make(graph.Path, 24)
+	for i := range p {
+		p[i] = graph.EdgeID(1000 + 37*i)
+	}
+	opt := QueryOptions{Method: MethodOD}
+	const dep = 8 * 3600
+	for _, k := range []int{24, 13, 1, 0} {
+		m := NewConvMemo(64).ForEpoch(3)
+		want := new(PathState)
+		if k > 0 {
+			m.offer(p[:k], dep, opt, want)
+			m.offer(p[:k], dep+1, opt, new(PathState)) // another departure is another key
+		}
+		st, n := m.longestPrefix(p, dep, opt)
+		if n != k || (k > 0 && st != want) {
+			t.Fatalf("probe with depth %d stored found depth %d", k, n)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { m.longestPrefix(p, dep, opt) }); allocs != 0 {
+			t.Errorf("a probe of a 24-edge path answering depth %d allocates %v times, want 0", k, allocs)
+		}
 	}
 }

@@ -63,6 +63,9 @@ type QueryResult struct {
 	// Dist is the travel-cost distribution of the query path at the
 	// departure time — the paper's problem output.
 	Dist *hist.Histogram
+	// Summary is Dist's mean and deciles, computed once with it: a
+	// cached result answers every hit from it.
+	Summary hist.Summary
 	// Decomp is the decomposition that produced it.
 	Decomp *Decomposition
 	// Stats and Timing instrument the evaluation.
@@ -132,10 +135,11 @@ func (h *HybridGraph) CostDistributionCtx(ctx context.Context, m *ConvMemo, p gr
 		jc = 0
 	}
 	return &QueryResult{
-		Dist:   dist,
-		Decomp: de,
-		Stats:  stats,
-		Timing: Timing{OI: oi, JC: jc, MC: stats.MCDur},
+		Dist:    dist,
+		Summary: dist.Summary(),
+		Decomp:  de,
+		Stats:   stats,
+		Timing:  Timing{OI: oi, JC: jc, MC: stats.MCDur},
 	}, nil
 }
 

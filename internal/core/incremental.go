@@ -228,9 +228,10 @@ func (h *HybridGraph) stateResult(st *PathState) (*QueryResult, error) {
 		return nil, err
 	}
 	return &QueryResult{
-		Dist:   dist,
-		Decomp: de,
-		Stats:  EvalStats{Factors: len(de.Vars), ResultBuckets: dist.NumBuckets()},
+		Dist:    dist,
+		Summary: dist.Summary(),
+		Decomp:  de,
+		Stats:   EvalStats{Factors: len(de.Vars), ResultBuckets: dist.NumBuckets()},
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strconv"
 
 	"repro/internal/cache"
@@ -58,21 +59,25 @@ func (m *ConvMemo) ForEpoch(seq uint64) *ConvMemo {
 // Stats snapshots the memo's hit/miss/eviction counters.
 func (m *ConvMemo) Stats() cache.Stats { return m.lru.Stats() }
 
-// key renders the exact identity of path p departing at t under opt in
-// this view's key space: the epoch prefix, the path signature, then the
-// departure, formatted losslessly ('b' is exact for float64, so
-// distinct departures never alias), the method and the rank cap.
-func (m *ConvMemo) key(p graph.Path, t float64, opt QueryOptions) string {
-	var buf [memoKeyStackBytes]byte
-	b := p.AppendKey(append(buf[:0], m.prefix...))
-	b = strconv.AppendFloat(append(b, '@'), t, 'b', -1, 64)
+// key appends the exact identity of path p departing at t under opt
+// in this view's key space to b: the epoch prefix, the departure,
+// formatted losslessly ('b' is exact for float64, so distinct
+// departures never alias), the method and the rank cap, and the path
+// signature last. Edge ids are comma-separated and nothing before them
+// holds a comma, so the key of every prefix p[:n] is the first bytes
+// of p's key, ending before the n-th comma: longestPrefix probes by
+// slicing.
+func (m *ConvMemo) key(b []byte, p graph.Path, t float64, opt QueryOptions) []byte {
+	b = strconv.AppendFloat(append(b, m.prefix...), t, 'b', -1, 64)
 	b = append(append(b, '/'), opt.Method...)
-	return string(strconv.AppendInt(append(b, '#'), int64(opt.RankCap), 10))
+	b = strconv.AppendInt(append(b, '#'), int64(opt.RankCap), 10)
+	return p.AppendKey(append(b, '|'))
 }
 
 // memoKeyStackBytes sizes the stack buffer a key is rendered into, so
-// the returned string is its only allocation for paths of a few dozen
-// edges; a longer key spills to the heap and stays correct.
+// that probes allocate nothing and an offer's string is its only
+// allocation for paths of a few dozen edges; a longer key spills to
+// the heap and stays correct.
 const memoKeyStackBytes = 320
 
 // memoizable reports whether the method has an incremental (chain)
@@ -91,7 +96,8 @@ func (m *ConvMemo) active(mt Method) bool {
 
 // offer stores a freshly derived state under its exact identity.
 func (m *ConvMemo) offer(p graph.Path, t float64, opt QueryOptions, s *PathState) {
-	m.lru.Put(m.key(p, t, opt), s)
+	var buf [memoKeyStackBytes]byte
+	m.lru.Put(string(m.key(buf[:0], p, t, opt)), s)
 }
 
 // longestPrefix returns the deepest prefix state of p the memo holds
@@ -101,18 +107,19 @@ func (m *ConvMemo) offer(p graph.Path, t float64, opt QueryOptions, s *PathState
 // eviction between Peek and Get costs a stats blip, never a wrong base.
 // Callers check active first.
 func (m *ConvMemo) longestPrefix(p graph.Path, t float64, opt QueryOptions) (*PathState, int) {
-	var full string
+	var buf [memoKeyStackBytes]byte
+	full := m.key(buf[:0], p, t, opt)
+	k := full
 	for n := len(p); n >= 1; n-- {
-		k := m.key(p[:n], t, opt)
-		if n == len(p) {
-			full = k
-		}
 		if s, ok := m.lru.Peek(k); ok {
-			m.lru.Get(k)
+			m.lru.GetBytes(k)
 			return s, n
 		}
+		if n > 1 {
+			k = k[:bytes.LastIndexByte(k, ',')] // p[:n-1]'s key
+		}
 	}
-	m.lru.Get(full) // count the cold miss
+	m.lru.GetBytes(full) // count the cold miss
 	return nil, 0
 }
 

@@ -10,10 +10,13 @@ import (
 )
 
 // Bucket is a half-open cost range [Lo, Hi) carrying probability Pr.
-// Probability mass is uniformly distributed within the bucket.
+// Probability mass is uniformly distributed within the bucket. The
+// tags are the serving tiers' wire shape (api.Bucket is this type), so
+// an answer's buckets are written from the histogram's own slice.
 type Bucket struct {
-	Lo, Hi float64
-	Pr     float64
+	Lo float64 `json:"lo"`
+	Hi float64 `json:"hi"`
+	Pr float64 `json:"pr"`
 }
 
 // Width returns Hi − Lo.
@@ -157,6 +160,17 @@ func (h *Histogram) Mean() float64 {
 		m += b.Pr * (b.Lo + b.Hi) / 2
 	}
 	return m
+}
+
+// Summary is the four numbers a distribution answer reports beside
+// the buckets.
+type Summary struct {
+	Mean, P10, P50, P90 float64
+}
+
+// Summary computes the mean and the 10th, 50th and 90th percentiles.
+func (h *Histogram) Summary() Summary {
+	return Summary{Mean: h.Mean(), P10: h.Quantile(0.1), P50: h.Quantile(0.5), P90: h.Quantile(0.9)}
 }
 
 // Variance returns the variance under uniform-within-bucket.

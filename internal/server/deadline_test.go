@@ -160,7 +160,7 @@ func TestExpiredContextRejectedAtAdmission(t *testing.T) {
 	path, depart := densePath(t, sys)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, status, msg := s.evalDistribution(ctx, sys, &distributionRequest{Path: path, Depart: depart})
+	_, status, msg := s.evalDistribution(ctx, sys, &distributionRequest{Path: path, Depart: depart}, nil)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("expired-context distribution: status %d (%s), want 504", status, msg)
 	}
@@ -337,7 +337,7 @@ func TestBatchDeadlineAfterFirstEntry(t *testing.T) {
 
 	// How many times the first entry alone reads its context.
 	alone := &expiringCtx{Context: context.Background(), live: math.MaxInt64}
-	if res, _, _ := s.evalBatch(alone, []batchQuery{first}); res[0].Status != http.StatusOK {
+	if res, _, _ := s.evalBatch(alone, []batchQuery{first}, nil); res[0].Status != http.StatusOK {
 		t.Fatalf("the first entry alone: %+v", res[0])
 	}
 	ctx := &expiringCtx{Context: context.Background(), live: alone.reads.Load()}
@@ -347,7 +347,7 @@ func TestBatchDeadlineAfterFirstEntry(t *testing.T) {
 		{Kind: "route", Source: src, Dest: dst, Depart: depart, Budget: budget},
 		{Kind: "topk", Source: src, Dest: dst, Depart: depart, Budget: budget, K: 2},
 		{Kind: "state", Path: path, Depart: depart, UILo: depart, UIHi: depart},
-	})
+	}, nil)
 	if status != http.StatusOK {
 		t.Fatalf("batch status %d, want the 200 envelope", status)
 	}

@@ -93,7 +93,10 @@ func New(sys *pathcost.System, cfg Config) *Server {
 		s.pipeline = p
 	}
 	s.mux.HandleFunc("/healthz", s.gate.Healthz)
-	s.mux.HandleFunc("/v1/distribution", endpoint(s, (*Server).evalDistribution))
+	s.mux.HandleFunc("/v1/distribution", api.Endpoint(s.gate,
+		func(ctx context.Context, req *distributionRequest, sc *api.Scratch) (*distributionResponse, int, string) {
+			return s.evalDistribution(ctx, s.sys, req, sc)
+		}))
 	s.mux.HandleFunc("/v1/route", endpoint(s, (*Server).evalRoute))
 	s.mux.HandleFunc("/v1/topk", endpoint(s, (*Server).evalTopK))
 	s.mux.HandleFunc("/v1/batch", s.gate.Batch(s.evalBatch))
@@ -102,10 +105,11 @@ func New(sys *pathcost.System, cfg Config) *Server {
 	return s
 }
 
-// endpoint mounts an evaluator on the chassis's query sequence,
-// against the served system.
+// endpoint mounts an evaluator whose answer takes no request storage
+// — route and topk answers are built for encoding/json — on the
+// chassis's query sequence, against the served system.
 func endpoint[Req, Resp any](s *Server, eval func(*Server, context.Context, *pathcost.System, *Req) (Resp, int, string)) http.HandlerFunc {
-	return api.Endpoint(s.gate, func(ctx context.Context, req *Req) (Resp, int, string) {
+	return api.Endpoint(s.gate, func(ctx context.Context, req *Req, _ *api.Scratch) (Resp, int, string) {
 		return eval(s, ctx, s.sys, req)
 	})
 }
@@ -130,7 +134,6 @@ func (s *Server) RunListener(ctx context.Context, ln net.Listener, drain time.Du
 
 type (
 	errorResponse        = api.Error
-	bucketJSON           = api.Bucket
 	distributionRequest  = api.DistributionRequest
 	distributionResponse = api.DistributionResponse
 	routeRequest         = api.RouteRequest
@@ -269,11 +272,12 @@ type walStatsJSON struct {
 // entry runs against the system's current epoch, so entries after an
 // epoch publish see the new one.
 // Overlapping entries share their prefixes through the convolution
-// memo, not through the batch.
-func (s *Server) evalBatch(ctx context.Context, queries []batchQuery) ([]batchResult, int, string) {
-	results := make([]batchResult, len(queries))
+// memo, not through the batch. The results and their distribution
+// answers live in sc.
+func (s *Server) evalBatch(ctx context.Context, queries []batchQuery, sc *api.Scratch) ([]batchResult, int, string) {
+	results := sc.Results(len(queries))
 	for i := range queries {
-		results[i] = s.evalBatchEntry(ctx, s.sys, &queries[i])
+		results[i] = s.evalBatchEntry(ctx, s.sys, &queries[i], sc)
 	}
 	return results, http.StatusOK, ""
 }
@@ -282,7 +286,7 @@ func (s *Server) evalBatch(ctx context.Context, queries []batchQuery) ([]batchRe
 // evaluation is that entry's 500 and nothing more: the eval helpers
 // release their MaxInFlight slot by defer, and the panic stops here, so
 // the entries after it and the batch envelope are unaffected.
-func (s *Server) evalBatchEntry(ctx context.Context, sys *pathcost.System, q *batchQuery) (out batchResult) {
+func (s *Server) evalBatchEntry(ctx context.Context, sys *pathcost.System, q *batchQuery, sc *api.Scratch) (out batchResult) {
 	kind := strings.ToLower(strings.TrimSpace(q.Kind))
 	if kind == "" {
 		kind = "distribution"
@@ -298,7 +302,7 @@ func (s *Server) evalBatchEntry(ctx context.Context, sys *pathcost.System, q *ba
 	case "distribution":
 		resp, status, msg := s.evalDistribution(ctx, sys, &distributionRequest{
 			Path: q.Path, Depart: q.Depart, Method: q.Method, Budget: q.Budget,
-		})
+		}, sc)
 		out.Distribution, out.Status, out.Error = resp, status, msg
 	case "route":
 		resp, status, msg := s.evalRoute(ctx, sys, &routeRequest{
@@ -325,33 +329,28 @@ func (s *Server) evalBatchEntry(ctx context.Context, sys *pathcost.System, q *ba
 
 // --- query evaluation (shared by single-query handlers and batch) ----
 
-// distributionJSON shapes one evaluated distribution result. The
-// payload itself is assembled in internal/api, where the sharded
-// coordinator builds its composed answers too.
-func distributionJSON(sys *pathcost.System, m pathcost.Method, depart, budget float64, res *pathcost.QueryResult) *distributionResponse {
-	return api.DistributionPayload(string(m), sys.Params.IntervalOf(depart), res.Dist,
-		budget, res.Decomp.Cardinality(), res.Decomp.MaxRank(), res.Timing.Total().Microseconds())
-}
-
-// evalDistribution validates and answers one distribution query.
-// status 0 means the caller's client disconnected and nothing should
-// be written; any other non-200 status carries msg as the error body.
-func (s *Server) evalDistribution(ctx context.Context, sys *pathcost.System, req *distributionRequest) (*distributionResponse, int, string) {
-	m, p, err := api.CheckDistribution(sys.Graph, req)
+// evalDistribution validates and answers one distribution query, in
+// sc's storage. status 0 means the caller's client disconnected and
+// nothing should be written; any other non-200 status carries msg as
+// the error body.
+func (s *Server) evalDistribution(ctx context.Context, sys *pathcost.System, req *distributionRequest, sc *api.Scratch) (*distributionResponse, int, string) {
+	m, p, err := api.CheckDistribution(sys.Graph, req, sc)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
 	// The in-flight bound is charged per underlying computation, not
 	// per request: a query-cache hit bypasses the semaphore, and a miss
 	// holds one slot for its computation. The acquire refuses only when
-	// this request's context has ended.
+	// this request's context has ended. p is sc's: the system reads it
+	// and evaluates a copy.
 	res, err := sys.PathDistributionGated(ctx, p, req.Depart, m,
 		func() bool { return s.gate.Acquire(ctx) }, s.gate.Release)
 	if err != nil {
 		status, msg := s.queryErrorStatus(ctx, err)
 		return nil, status, msg
 	}
-	return distributionJSON(sys, m, req.Depart, req.Budget, res), http.StatusOK, ""
+	return sc.Distribution(string(m), sys.Params.IntervalOf(req.Depart), res.Dist, res.Summary,
+		req.Budget, res.Decomp.Cardinality(), res.Decomp.MaxRank(), res.Timing.Total().Microseconds()), http.StatusOK, ""
 }
 
 // evalRoute validates and answers one budget-routing query; the
@@ -501,7 +500,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
 	// Raw GPS batches are bulkier than queries: a trace is hundreds of
 	// fixes, so the body cap is 16 MiB instead of api.MaxQueryBody's 1 MiB.
-	if !s.gate.Read(w, r, &req, 16<<20) {
+	if !s.gate.Read(w, r, &req, nil, 16<<20) {
 		return
 	}
 	if len(req.Trajectories) == 0 {

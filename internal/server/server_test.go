@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	pathcost "repro"
+	"repro/internal/api"
 	"repro/internal/graph"
 )
 
@@ -279,7 +280,7 @@ func TestServerValidation(t *testing.T) {
 // envelope, for a single answer and inside a batch.
 func TestUnencodableAnswerIs500(t *testing.T) {
 	srv := New(testSystem(t), Config{})
-	bad := &distributionResponse{Method: "OD", Buckets: []bucketJSON{{Lo: 1, Hi: 2, Pr: math.NaN()}}}
+	bad := &distributionResponse{Method: "OD", Buckets: []api.Bucket{{Lo: 1, Hi: 2, Pr: math.NaN()}}}
 	for _, write := range []func(http.ResponseWriter){
 		func(w http.ResponseWriter) { srv.gate.Answer(w, http.StatusOK, "", bad) },
 		func(w http.ResponseWriter) {

@@ -336,9 +336,11 @@ type pendingQuery struct {
 	uiHi    float64
 	factors int
 	maxRank int
-	// outcome
+	// outcome; dist is a composed distribution, shaped into res once
+	// every wave has run
 	done bool
 	res  api.BatchResult
+	dist *pathcost.Histogram
 }
 
 func (p *pendingQuery) fail(status int, msg string) {
@@ -351,11 +353,13 @@ func (p *pendingQuery) fail(status int, msg string) {
 // entries relay partial states across as many waves as they have
 // segments. Within a wave, all of a shard's sub-queries travel in ONE
 // /v1/batch call, and distinct shards are called concurrently — the
-// wall-clock cost of a wave is the slowest shard, not the sum.
-func (c *Coordinator) process(ctx context.Context, queries []api.BatchQuery) []api.BatchResult {
+// wall-clock cost of a wave is the slowest shard, not the sum. The
+// validated paths, the results and the composed answers live in sc,
+// which only this goroutine touches.
+func (c *Coordinator) process(ctx context.Context, queries []api.BatchQuery, sc *api.Scratch) []api.BatchResult {
 	pend := make([]*pendingQuery, len(queries))
 	for i := range queries {
-		pend[i] = c.classify(&queries[i])
+		pend[i] = c.classify(&queries[i], sc)
 	}
 	firstWave := true
 	for {
@@ -406,7 +410,7 @@ func (c *Coordinator) process(ctx context.Context, queries []api.BatchQuery) []a
 			break
 		}
 	}
-	out := make([]api.BatchResult, len(pend))
+	out := sc.Results(len(pend))
 	for i, p := range pend {
 		if !p.done {
 			// The context died between waves, before this entry's next
@@ -418,13 +422,19 @@ func (c *Coordinator) process(ctx context.Context, queries []api.BatchQuery) []a
 			}
 			p.fail(status, msg)
 		}
+		if p.dist != nil {
+			p.res.Distribution = sc.Distribution(string(p.method),
+				c.part.Params.IntervalOf(p.q.Depart), p.dist, p.dist.Summary(), p.q.Budget,
+				p.factors, p.maxRank, 0)
+		}
 		out[i] = p.res
 	}
 	return out
 }
 
-// classify validates one entry and decides how it travels.
-func (c *Coordinator) classify(q *api.BatchQuery) *pendingQuery {
+// classify validates one entry, into sc's storage, and decides how it
+// travels.
+func (c *Coordinator) classify(q *api.BatchQuery, sc *api.Scratch) *pendingQuery {
 	kind := strings.ToLower(strings.TrimSpace(q.Kind))
 	if kind == "" {
 		kind = "distribution"
@@ -440,7 +450,7 @@ func (c *Coordinator) classify(q *api.BatchQuery) *pendingQuery {
 	case "distribution":
 		m, path, err := api.CheckDistribution(c.g, &api.DistributionRequest{
 			Path: q.Path, Depart: q.Depart, Method: q.Method, Budget: q.Budget,
-		})
+		}, sc)
 		if err != nil {
 			p.fail(http.StatusBadRequest, err.Error())
 			return p
@@ -551,8 +561,9 @@ func (c *Coordinator) applyResult(p *pendingQuery, res *api.BatchResult, region 
 	}
 	// Last segment answered: compose the final distribution exactly as
 	// Evaluate's tail does — flatten the accumulator-only state to
-	// MaxResultBuckets — and shape it through the same payload builder
-	// the single-process server uses.
+	// MaxResultBuckets. process shapes it through the same payload
+	// builder the single-process server uses, once the waves are done:
+	// concurrent waves must not share the request's Scratch.
 	cs, err := pathcost.DecodeChainState(p.state, len(p.segs[len(p.segs)-1].Path))
 	if err == nil && !cs.AccOnly() {
 		err = errors.New("state has open dimensions")
@@ -567,13 +578,8 @@ func (c *Coordinator) applyResult(p *pendingQuery, res *api.BatchResult, region 
 		return
 	}
 	p.done = true
-	p.res = api.BatchResult{
-		Kind:   "distribution",
-		Status: http.StatusOK,
-		Distribution: api.DistributionPayload(string(p.method),
-			c.part.Params.IntervalOf(p.q.Depart), dist, p.q.Budget,
-			p.factors, p.maxRank, 0),
-	}
+	p.res = api.BatchResult{Kind: "distribution", Status: http.StatusOK}
+	p.dist = dist
 }
 
 // shardBatch posts one batch to one replica of ss's group with hedged
@@ -587,11 +593,14 @@ func (c *Coordinator) applyResult(p *pendingQuery, res *api.BatchResult, region 
 // so a single replica's death costs one leg's latency, never a 503.
 func (c *Coordinator) shardBatch(ctx context.Context, ss *shardState, breq *api.BatchRequest) (*api.BatchResponse, error) {
 	// Not pooled: a hedged or losing leg may still be sending the body
-	// after this call returns.
+	// after this call returns. For the same reason a leg reads nothing
+	// of breq, whose proxied entries are the request's Scratch, but its
+	// entry count.
 	body, err := api.MarshalBatchRequest(breq)
 	if err != nil {
 		return nil, err
 	}
+	entries := len(breq.Queries)
 	type legResult struct {
 		rs   *replicaState
 		resp *api.BatchResponse
@@ -629,8 +638,8 @@ func (c *Coordinator) shardBatch(ctx context.Context, ss *shardState, breq *api.
 		if err := api.UnmarshalBatchResponse(raw, &bresp); err != nil {
 			return legResult{rs: rs, err: fmt.Errorf("undecodable shard response: %v", err)}
 		}
-		if len(bresp.Results) != len(breq.Queries) {
-			return legResult{rs: rs, err: fmt.Errorf("shard answered %d results for %d queries", len(bresp.Results), len(breq.Queries))}
+		if len(bresp.Results) != entries {
+			return legResult{rs: rs, err: fmt.Errorf("shard answered %d results for %d queries", len(bresp.Results), entries)}
 		}
 		return legResult{rs: rs, resp: &bresp}
 	}

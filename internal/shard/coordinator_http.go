@@ -14,47 +14,47 @@ import (
 // processOne is evalBatch for a single entry. An entry that never got
 // its slot carries the gate's mapping of its dead context: a 504, or
 // status 0 (write nothing) for a vanished client.
-func (c *Coordinator) processOne(ctx context.Context, q api.BatchQuery) api.BatchResult {
-	res, status, msg := c.evalBatch(ctx, []api.BatchQuery{q})
+func (c *Coordinator) processOne(ctx context.Context, q api.BatchQuery, sc *api.Scratch) api.BatchResult {
+	res, status, msg := c.evalBatch(ctx, []api.BatchQuery{q}, sc)
 	if status != http.StatusOK {
 		return api.BatchResult{Status: status, Error: msg}
 	}
 	return res[0]
 }
 
-func (c *Coordinator) evalDistribution(ctx context.Context, req *api.DistributionRequest) (*api.DistributionResponse, int, string) {
+func (c *Coordinator) evalDistribution(ctx context.Context, req *api.DistributionRequest, sc *api.Scratch) (*api.DistributionResponse, int, string) {
 	res := c.processOne(ctx, api.BatchQuery{
 		Kind: "distribution", Path: req.Path, Depart: req.Depart,
 		Method: req.Method, Budget: req.Budget,
-	})
+	}, sc)
 	return res.Distribution, res.Status, res.Error
 }
 
-func (c *Coordinator) evalRoute(ctx context.Context, req *api.RouteRequest) (*api.RouteResponse, int, string) {
+func (c *Coordinator) evalRoute(ctx context.Context, req *api.RouteRequest, sc *api.Scratch) (*api.RouteResponse, int, string) {
 	res := c.processOne(ctx, api.BatchQuery{
 		Kind: "route", Source: req.Source, Dest: req.Dest,
 		Depart: req.Depart, Budget: req.Budget, Method: req.Method,
-	})
+	}, sc)
 	return res.Route, res.Status, res.Error
 }
 
-func (c *Coordinator) evalTopK(ctx context.Context, req *api.TopKRequest) (*api.TopKResponse, int, string) {
+func (c *Coordinator) evalTopK(ctx context.Context, req *api.TopKRequest, sc *api.Scratch) (*api.TopKResponse, int, string) {
 	res := c.processOne(ctx, api.BatchQuery{
 		Kind: "topk", Source: req.Source, Dest: req.Dest,
 		Depart: req.Depart, Budget: req.Budget, Method: req.Method, K: req.K,
-	})
+	}, sc)
 	return res.TopK, res.Status, res.Error
 }
 
 // evalBatch composes a whole batch under one admission slot; a deadline
 // that expires at admission is the whole request's 504.
-func (c *Coordinator) evalBatch(ctx context.Context, queries []api.BatchQuery) ([]api.BatchResult, int, string) {
+func (c *Coordinator) evalBatch(ctx context.Context, queries []api.BatchQuery, sc *api.Scratch) ([]api.BatchResult, int, string) {
 	if !c.gate.Acquire(ctx) {
 		status, msg := c.gate.Expired(ctx)
 		return nil, status, msg
 	}
 	defer c.gate.Release()
-	return c.process(ctx, queries), http.StatusOK, ""
+	return c.process(ctx, queries, sc), http.StatusOK, ""
 }
 
 // --- stats -------------------------------------------------------------

@@ -74,7 +74,7 @@ func TestCoordinatorDefaultTimeoutAnswers504(t *testing.T) {
 	results := f.coord.process(ctx, []api.BatchQuery{
 		{Kind: "distribution", Path: edgeIDs(p), Depart: depart},
 		{Kind: "distribution", Path: edgeIDs(p), Depart: depart},
-	})
+	}, nil)
 	for i, res := range results {
 		if res.Status != http.StatusGatewayTimeout {
 			t.Errorf("process entry %d: status %d (%s), want 504", i, res.Status, res.Error)

@@ -32,6 +32,7 @@ import (
 	"log"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -417,21 +418,29 @@ func (s *System) SyntheticWorkload(n, card int, seed int64, departs []float64) (
 	return out, nil
 }
 
-// queryKey is the cache identity of a distribution query: the epoch
-// it was answered against, the path's canonical signature, the
-// departure α-interval and the method. The epoch prefix makes a
+// queryKey appends the cache identity of a distribution query to b:
+// the epoch it was answered against, the path's canonical signature,
+// the departure α-interval and the method. The epoch prefix makes a
 // publish invalidate cached answers logically — entries of older
 // epochs can no longer be looked up and age out of the LRU.
-func (s *System) queryKey(ep *ModelEpoch, p Path, depart float64, m Method) string {
-	return "e" + strconv.FormatUint(ep.Seq, 10) + "|" + p.Key() +
-		"@" + strconv.Itoa(s.Params.IntervalOf(depart)) + "/" + string(m)
+func (s *System) queryKey(b []byte, ep *ModelEpoch, p Path, depart float64, m Method) []byte {
+	b = strconv.AppendUint(append(b, 'e'), ep.Seq, 10)
+	b = p.AppendKey(append(b, '|'))
+	b = strconv.AppendInt(append(b, '@'), int64(s.Params.IntervalOf(depart)), 10)
+	return append(append(b, '/'), m...)
 }
+
+// queryKeyStackBytes sizes the stack buffer a query's key is written
+// into, so that a hit allocates no key: room for 80 edges of 5-digit
+// ids. A longer key spills to the heap and stays correct.
+const queryKeyStackBytes = 512
 
 // PathDistribution estimates the cost distribution of a path at the
 // given departure time (seconds; time-of-day or absolute). When a
 // query cache is enabled (EnableQueryCache), repeated queries for the
 // same (path, α-interval, method) are served from memory; the returned
-// result is then shared between callers and must not be mutated.
+// result is then shared between callers and must not be mutated. Like
+// PathDistributionGated it reads p and does not keep it.
 func (s *System) PathDistribution(p Path, depart float64, m Method) (*QueryResult, error) {
 	return s.PathDistributionGated(context.Background(), p, depart, m, nil, nil)
 }
@@ -455,6 +464,12 @@ var ErrGateRejected = errors.New("pathcost: computation gate rejected the query"
 // chain step (see CostDistributionCtx), and an expired budget stops it
 // and fills no cache entry. A nil ctx means context.Background, which
 // disables every deadline check.
+//
+// p is read during the call and not kept: a miss evaluates a copy,
+// because what the evaluation derives (the memo's states, the cached
+// result's decomposition) holds its path. A server may therefore pass
+// a path in storage it recycles once the answer is written, and a hit
+// allocates nothing.
 func (s *System) PathDistributionGated(ctx context.Context, p Path, depart float64, m Method,
 	acquire func() bool, release func()) (*QueryResult, error) {
 	if ctx == nil {
@@ -474,17 +489,18 @@ func (s *System) PathDistributionGated(ctx context.Context, p Path, depart float
 	if c == nil {
 		// Uncached queries stay independent on purpose: each caller
 		// owns its result and may post-process it freely.
-		return s.computeGated(ctx, ep, p, depart, opt, acquire, release)
+		return s.computeGated(ctx, ep, slices.Clone(p), depart, opt, acquire, release)
 	}
-	key := s.queryKey(ep, p, depart, m)
-	if res, ok := c.Get(key); ok {
+	var buf [queryKeyStackBytes]byte
+	key := s.queryKey(buf[:0], ep, p, depart, m)
+	if res, ok := c.GetBytes(key); ok {
 		return res, nil
 	}
-	res, err := s.computeGated(ctx, ep, p, depart, opt, acquire, release)
+	res, err := s.computeGated(ctx, ep, slices.Clone(p), depart, opt, acquire, release)
 	if err != nil {
 		return nil, err
 	}
-	c.Put(key, res)
+	c.Put(string(key), res)
 	return res, nil
 }
 
