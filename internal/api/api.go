@@ -1,6 +1,7 @@
 package api
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -205,11 +206,11 @@ func ParseMethod(name string) (pathcost.Method, error) {
 // ParsePath validates the edge sequence against the served graph into
 // a fresh path.
 func ParsePath(g *pathcost.Graph, ids []int64, maxEdges int) (pathcost.Path, error) {
-	return (*Scratch)(nil).parsePath(g, ids, maxEdges)
+	return (*Scratch)(nil).ParsePath(g, ids, maxEdges)
 }
 
-// parsePath is ParsePath into s's storage.
-func (s *Scratch) parsePath(g *pathcost.Graph, ids []int64, maxEdges int) (pathcost.Path, error) {
+// ParsePath is the package's ParsePath into s's storage.
+func (s *Scratch) ParsePath(g *pathcost.Graph, ids []int64, maxEdges int) (pathcost.Path, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("path must contain at least one edge id")
 	}
@@ -259,7 +260,7 @@ func CheckDistribution(g *pathcost.Graph, req *DistributionRequest, s *Scratch) 
 	if err != nil {
 		return "", nil, err
 	}
-	p, err := s.parsePath(g, req.Path, MaxPathEdges)
+	p, err := s.ParsePath(g, req.Path, MaxPathEdges)
 	if err != nil {
 		return "", nil, err
 	}
@@ -323,13 +324,22 @@ func ParseBudget(val string) (time.Duration, bool, error) {
 	return time.Duration(ms) * time.Millisecond, true, nil
 }
 
-// FormatBudget renders a remaining budget for BudgetHeader, rounding
-// up so a sub-millisecond remainder forwards as 1 rather than an
-// instantly-expired 0.
-func FormatBudget(d time.Duration) string {
-	ms := (d + time.Millisecond - 1) / time.Millisecond
-	if ms < 1 {
-		ms = 1
+// BudgetMillis is a remaining budget as BudgetHeader carries it,
+// rounded up so a sub-millisecond remainder forwards as 1 rather than
+// an instantly-expired 0.
+func BudgetMillis(d time.Duration) int64 {
+	return int64(max((d+time.Millisecond-1)/time.Millisecond, 1))
+}
+
+// Tighten is context.WithTimeout(ctx, d) for a deadline that may not
+// tighten ctx's: when ctx's own deadline comes no later than d from
+// now it derives nothing and returns ctx and a no-op cancel.
+// context.WithDeadline would derive only a cancelable copy of ctx
+// then, which ends with ctx, at its deadline, with its error: the same
+// context to every reader, for no allocation.
+func Tighten(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if dl, ok := ctx.Deadline(); ok && !dl.After(time.Now().Add(d)) {
+		return ctx, func() {}
 	}
-	return strconv.FormatInt(int64(ms), 10)
+	return context.WithTimeout(ctx, d)
 }

@@ -183,7 +183,7 @@ type request[Req any] struct {
 func (q *request[Req]) release(pool *sync.Pool) {
 	var zero Req
 	q.req = zero
-	q.s.reset()
+	q.s.Reset()
 	pool.Put(q)
 }
 

@@ -29,8 +29,9 @@ import (
 // duplicates, fractions or exponents in a path, escapes, non-ASCII,
 // bad base64, any syntax error.
 //
-// A batch's entries and every path's ids are taken from s (see
-// Scratch; nil takes fresh memory).
+// A batch's entries, every path's ids and every state's bytes are
+// taken from s (see Scratch; nil takes fresh memory); kinds and methods
+// that are one of names are shared, not copied.
 func parsePlain(dst any, body []byte, s *Scratch) bool {
 	p := plainParser{b: body, s: s}
 	switch dst := dst.(type) {
@@ -138,6 +139,22 @@ func (p *plainParser) str() (string, bool) {
 	return string(s), ok
 }
 
+// names are the strings a relay leg carries in every entry: the
+// methods and the kinds.
+var names = [...]string{"OD", "HP", "LB", "RD", "distribution", "route", "topk", "state"}
+
+// name is str for a method or a kind: one of names is shared, not
+// copied, and any other value is copied.
+func (p *plainParser) name() (string, bool) {
+	s, ok := p.quoted()
+	for _, n := range names {
+		if string(s) == n {
+			return n, ok
+		}
+	}
+	return string(s), ok
+}
+
 func (p *plainParser) digits() bool {
 	from := p.i
 	for p.i < len(p.b) && p.b[p.i]-'0' <= 9 {
@@ -146,17 +163,24 @@ func (p *plainParser) digits() bool {
 	return p.i > from
 }
 
-// base64 takes a string of standard padded base64 into a fresh slice,
-// as encoding/json decodes a []byte: "" is empty, not nil. Invalid
-// base64 is json's error to word.
+// base64 takes a string of standard padded base64 into the parser's
+// Scratch, as encoding/json decodes a []byte: "" is empty, not nil.
+// Invalid base64 is json's error to word.
 func (p *plainParser) base64() ([]byte, bool) {
 	s, ok := p.quoted()
 	if !ok {
 		return nil, false
 	}
-	b := make([]byte, base64.StdEncoding.DecodedLen(len(s)))
-	n, err := base64.StdEncoding.Decode(b, s)
-	return b[:n], err == nil
+	b, ok := p.s.appendBytes(func(b []byte) ([]byte, bool) {
+		n := len(b)
+		b = grow(b, base64.StdEncoding.DecodedLen(len(s)))
+		m, err := base64.StdEncoding.Decode(b[n:cap(b)], s)
+		return b[:n+m], err == nil
+	})
+	if b == nil {
+		b = []byte{} // storage that was never grown
+	}
+	return b, ok
 }
 
 // float takes one JSON-grammar number,
@@ -275,7 +299,7 @@ func (p *plainParser) object(q *BatchQuery, entry bool) bool {
 			q.Budget, ok = p.float()
 			return 4, ok
 		case "method":
-			q.Method, ok = p.str()
+			q.Method, ok = p.name()
 			return 8, ok
 		}
 		if !entry {
@@ -283,7 +307,7 @@ func (p *plainParser) object(q *BatchQuery, entry bool) bool {
 		}
 		switch string(key) {
 		case "kind":
-			q.Kind, ok = p.str()
+			q.Kind, ok = p.name()
 			return 16, ok
 		case "ui_lo":
 			q.UILo, ok = p.float()
@@ -302,10 +326,11 @@ func (p *plainParser) object(q *BatchQuery, entry bool) bool {
 // UnmarshalBatchResponse is json.Unmarshal for a /v1/batch answer, the
 // body of a relay leg's reply: the same verdict, error and struct. A
 // body in the plain form (see ParseBatchResponse) is decoded without
-// reflection; any other, a proxied distribution among its entries
-// included, is encoding/json's to decode from the same bytes.
-func UnmarshalBatchResponse(data []byte, dst *BatchResponse) error {
-	if ParseBatchResponse(data, dst) {
+// reflection into s's storage; any other, a proxied distribution among
+// its entries included, is encoding/json's to decode from the same
+// bytes into fresh memory. dst must be zero.
+func UnmarshalBatchResponse(data []byte, dst *BatchResponse, s *Scratch) error {
+	if ParseBatchResponse(data, dst, s) {
 		return nil
 	}
 	return json.Unmarshal(data, dst)
@@ -314,8 +339,9 @@ func UnmarshalBatchResponse(data []byte, dst *BatchResponse) error {
 // ParseBatchResponse decodes data into dst without reflection when
 // data is in the plain form, and reports whether it did; dst is
 // untouched otherwise. Accepting means the result is exactly what
-// json.Unmarshal yields for the same bytes. Everything the decoded
-// value holds is a copy: nothing aliases data.
+// json.Unmarshal yields for the same bytes. The results, their states
+// and the state bytes are taken from s (nil takes fresh memory), the
+// strings are copies or shared names: nothing aliases data.
 //
 // The plain form is a shard's answer to a relay leg:
 // {"results":[entry,...]} and nothing after it but JSON whitespace,
@@ -325,12 +351,12 @@ func UnmarshalBatchResponse(data []byte, dst *BatchResponse) error {
 // (distribution, route, topk), null, duplicates and anything
 // differently cased, all of which json.Unmarshal reads or ignores on
 // its own terms.
-func ParseBatchResponse(data []byte, dst *BatchResponse) bool {
-	p := plainParser{b: data}
+func ParseBatchResponse(data []byte, dst *BatchResponse, s *Scratch) bool {
+	p := plainParser{b: data, s: s}
 	// Every plain entry has one kind: the count sizes the slice in one
 	// allocation, and a body of kinds sizes it no larger than a batch.
 	size := min(bytes.Count(data, []byte(`"kind"`)), MaxBatch)
-	results, ok := list(&p, "results", make([]BatchResult, 0, size), p.result)
+	results, ok := list(&p, "results", s.batchResults(size), p.result)
 	if p.space(); !ok || p.i != len(data) {
 		return false
 	}
@@ -343,12 +369,7 @@ func (p *plainParser) result(r *BatchResult) bool {
 	return p.members(func(key []byte) (bit int, ok bool) {
 		switch string(key) {
 		case "kind":
-			var k []byte
-			k, ok = p.quoted()
-			r.Kind = "state" // every relay answer's kind: no copy
-			if string(k) != r.Kind {
-				r.Kind = string(k)
-			}
+			r.Kind, ok = p.name()
 			return 1, ok
 		case "status":
 			var v int64
@@ -368,7 +389,7 @@ func (p *plainParser) result(r *BatchResult) bool {
 
 // stateResult takes a StateResult object.
 func (p *plainParser) stateResult() (*StateResult, bool) {
-	st := new(StateResult)
+	st := p.s.state()
 	return st, p.members(func(key []byte) (bit int, ok bool) {
 		var v int64
 		switch string(key) {

@@ -17,7 +17,7 @@
 // BatchRequest in (relay legs' state entries among them),
 // DistributionResponse and BatchResponse out (distribution and state
 // entries inline); on the coordinator's side of a relay leg, the
-// BatchRequest it sends (MarshalBatchRequest) and the plain
+// BatchRequest it sends (AppendBatchRequest) and the plain
 // BatchResponse it reads back (UnmarshalBatchResponse). Everything
 // else, including every malformed body and so every error message,
 // goes through encoding/json itself.

@@ -229,11 +229,11 @@ func (e *encoder) state(s *StateResult) {
 	e.raw("}")
 }
 
-// MarshalBatchRequest is json.Marshal for the body of a relay leg, the
-// coordinator's /v1/batch call to a shard: the same bytes, written
-// without reflection, and on a refusal (a NaN or ±Inf) json.Marshal's
-// own error. The bytes are a fresh allocation the caller owns.
-func MarshalBatchRequest(r *BatchRequest) ([]byte, error) {
+// AppendBatchRequest appends json.Marshal's bytes for r, the body of a
+// relay leg — the coordinator's /v1/batch call to a shard — written
+// without reflection, to b. On a refusal (a NaN or ±Inf) it returns b
+// and json.Marshal's own error.
+func AppendBatchRequest(b []byte, r *BatchRequest) ([]byte, error) {
 	// Sized once for a relay leg: 160 bytes hold a state entry's keys
 	// and widest numbers, and the variable parts are added to that. A
 	// fuller entry (a proxied route) may cost one more allocation.
@@ -242,11 +242,12 @@ func MarshalBatchRequest(r *BatchRequest) ([]byte, error) {
 		q := &r.Queries[i]
 		n += 160 + len(q.Kind) + len(q.Method) + 20*len(q.Path) + base64.StdEncoding.EncodedLen(len(q.State))
 	}
-	e := encoder{b: make([]byte, 0, n)}
+	e := encoder{b: grow(b, n)}
 	e.batchRequest(r)
 	if e.err != nil {
-		_, err := json.Marshal(r)
-		return nil, err
+		rr := *r // for json.Marshal to word the refusal; r stays the caller's
+		_, err := json.Marshal(&rr)
+		return b, err
 	}
 	return e.b, nil
 }

@@ -73,9 +73,9 @@ type failingReader struct{ err error }
 func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 
 // Context derives the evaluation context for one request: the tighter
-// of the tier's default timeout and the caller's BudgetHeader, layered
-// on the request's own context so a client disconnect still cancels
-// immediately. ok = false means the header was garbage and a 400 was
+// of the tier's default timeout, the caller's BudgetHeader and the
+// request's own deadline, layered on the request's own context so a
+// client disconnect still cancels immediately. ok = false means the header was garbage and a 400 was
 // already written. The returned cancel must always be called.
 func (wr *Wire) Context(w http.ResponseWriter, r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc, bool) {
 	budget, hasBudget, err := ParseBudget(r.Header.Get(BudgetHeader))
@@ -89,7 +89,10 @@ func (wr *Wire) Context(w http.ResponseWriter, r *http.Request, timeout time.Dur
 	if timeout <= 0 {
 		return r.Context(), func() {}, true
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	// A request whose own context already ends first (a relay leg
+	// served in process, whose leg deadline the budget was read from)
+	// derives nothing.
+	ctx, cancel := Tighten(r.Context(), timeout)
 	return ctx, cancel, true
 }
 

@@ -101,7 +101,7 @@ func checkEncode(t *testing.T, v any) {
 func checkMarshalRequest(t *testing.T, r *BatchRequest) {
 	t.Helper()
 	want, wantErr := json.Marshal(r)
-	got, gotErr := MarshalBatchRequest(r)
+	got, gotErr := AppendBatchRequest(nil, r)
 	if (gotErr != nil) != (wantErr != nil) || (wantErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("%#v: request encoder error %v, json.Marshal error %v", r, gotErr, wantErr)
 	}
@@ -119,15 +119,24 @@ func checkUnmarshalResponse(t *testing.T, data []byte) {
 	var want BatchResponse
 	wantErr := json.Unmarshal(data, &want)
 	var got BatchResponse
-	gotErr := UnmarshalBatchResponse(data, &got)
+	gotErr := UnmarshalBatchResponse(data, &got, nil)
 	if (gotErr != nil) != (wantErr != nil) || (wantErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("body %q: decoder error %v, json.Unmarshal error %v", data, gotErr, wantErr)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("body %q: decoder gave %#v, json.Unmarshal %#v", data, got, want)
 	}
+	// Into pooled storage that already holds an answer: the same struct.
+	var sc Scratch
+	var pooled BatchResponse
+	_ = UnmarshalBatchResponse(relayAnswerBytes, &pooled, &sc)
+	sc.Reset()
+	pooled = BatchResponse{}
+	if err := UnmarshalBatchResponse(data, &pooled, &sc); (err != nil) != (wantErr != nil) || (wantErr == nil && !reflect.DeepEqual(pooled, want)) {
+		t.Fatalf("body %q: decoder into a Scratch gave %#v (%v), json.Unmarshal %#v (%v)", data, pooled, err, want, wantErr)
+	}
 	var fast BatchResponse
-	if !ParseBatchResponse(data, &fast) {
+	if !ParseBatchResponse(data, &fast, nil) {
 		if fast.Results != nil {
 			t.Fatalf("body %q: a declined parse wrote to its destination", data)
 		}
@@ -137,7 +146,7 @@ func checkUnmarshalResponse(t *testing.T, data []byte) {
 		t.Fatalf("body %q: parser decoded %#v, json.Unmarshal %#v (%v)", data, fast, want, wantErr)
 	}
 	scribble := bytes.Clone(data)
-	ParseBatchResponse(scribble, &fast)
+	ParseBatchResponse(scribble, &fast, nil)
 	for i := range scribble {
 		scribble[i] = 'x'
 	}
@@ -487,8 +496,8 @@ func TestPlainFormIsTaken(t *testing.T) {
 	if !parsePlain(&b, batch, nil) {
 		t.Errorf("marshalled BatchRequest %s is not plain", batch)
 	}
-	if n := testing.AllocsPerRun(100, func() { parsePlain(&d, dist, nil) }); n > 2 {
-		t.Errorf("plain distribution parse allocates %v times, want 2 (the path and the method)", n)
+	if n := testing.AllocsPerRun(100, func() { parsePlain(&d, dist, nil) }); n > 1 {
+		t.Errorf("plain distribution parse allocates %v times, want 1 (the path; the method is shared)", n)
 	}
 	for _, body := range [][]byte{relayRequest(t), []byte(`{"queries":[{"state":""}]}`)} {
 		if !parsePlain(&b, body, nil) {
@@ -496,7 +505,7 @@ func TestPlainFormIsTaken(t *testing.T) {
 		}
 	}
 	var r BatchResponse
-	if answer := relayAnswer(t); !ParseBatchResponse(answer, &r) {
+	if answer := relayAnswer(t); !ParseBatchResponse(answer, &r, nil) {
 		t.Errorf("relay answer %s is not plain", answer)
 	}
 }
@@ -505,7 +514,7 @@ func TestPlainFormIsTaken(t *testing.T) {
 // a continued segment, with a state to carry.
 func relayRequest(t *testing.T) []byte {
 	t.Helper()
-	body, err := MarshalBatchRequest(&BatchRequest{Queries: []BatchQuery{{
+	body, err := AppendBatchRequest(nil, &BatchRequest{Queries: []BatchQuery{{
 		Kind: "state", Path: []int64{812, 813, 1044}, Depart: 28800, Method: "OD",
 		UILo: 28912.5, UIHi: 29160.25, State: bytes.Repeat([]byte{0x50, 0x53, 0x02, 0xfe}, 32),
 	}}})
@@ -518,35 +527,40 @@ func relayRequest(t *testing.T) []byte {
 // relayAnswer is a shard's one-entry answer to a relay leg.
 func relayAnswer(t *testing.T) []byte {
 	t.Helper()
-	body, err := appendJSON(nil, &BatchResponse{Results: []BatchResult{{Kind: "state", Status: 200, State: &StateResult{
-		State: bytes.Repeat([]byte{0x50, 0x53, 0x02, 0xfe}, 32), UILo: 28912.5, UIHi: 29160.25, Factors: 3, MaxRank: 2,
-	}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
+	return relayAnswerBytes
 }
+
+var relayAnswerBytes, _ = appendJSON(nil, &BatchResponse{Results: []BatchResult{{Kind: "state", Status: 200, State: &StateResult{
+	State: bytes.Repeat([]byte{0x50, 0x53, 0x02, 0xfe}, 32), UILo: 28912.5, UIHi: 29160.25, Factors: 3, MaxRank: 2,
+}}}})
 
 // TestRelayCodecAllocs pins the allocations of a relay leg's codec
 // steps: the shard's parse of the request, the coordinator's encode of
-// it and its decode of the answer.
+// it and its decode of the answer, into fresh memory and into the
+// pooled storage each side keeps (a request's Scratch, a leg's body
+// and Scratch), which a warm leg takes from and allocates nothing.
 func TestRelayCodecAllocs(t *testing.T) {
 	req, answer := relayRequest(t), relayAnswer(t)
 	breq, bresp := new(BatchRequest), new(BatchResponse)
 	if !parsePlain(breq, req, nil) {
 		t.Fatal("relay request is not plain")
 	}
+	var sc Scratch
+	var body []byte
 	for _, c := range []struct {
 		name   string
 		budget float64
 		f      func()
 	}{
-		// queries, path, kind, method, state
-		{"parse a relay request", 5, func() { *breq = BatchRequest{}; parsePlain(breq, req, nil) }},
+		// queries, path, state; the kind and the method are shared
+		{"parse a relay request", 3, func() { *breq = BatchRequest{}; parsePlain(breq, req, nil) }},
+		{"parse a relay request into a Scratch", 0, func() { sc.Reset(); *breq = BatchRequest{}; parsePlain(breq, req, &sc) }},
 		// the body, sized once
-		{"encode a relay request", 1, func() { _, _ = MarshalBatchRequest(breq) }},
+		{"encode a relay request", 1, func() { _, _ = AppendBatchRequest(nil, breq) }},
+		{"encode a relay request into a reused body", 0, func() { body, _ = AppendBatchRequest(body[:0], breq) }},
 		// results, the StateResult, its state; the kind is shared
-		{"decode a one-entry state answer", 3, func() { *bresp = BatchResponse{}; _ = UnmarshalBatchResponse(answer, bresp) }},
+		{"decode a one-entry state answer", 3, func() { *bresp = BatchResponse{}; _ = UnmarshalBatchResponse(answer, bresp, nil) }},
+		{"decode a one-entry state answer into a Scratch", 0, func() { sc.Reset(); *bresp = BatchResponse{}; _ = UnmarshalBatchResponse(answer, bresp, &sc) }},
 	} {
 		n := testing.AllocsPerRun(200, c.f)
 		t.Logf("%s: %v allocations", c.name, n)

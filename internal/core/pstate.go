@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/hist"
 )
@@ -40,8 +41,12 @@ const (
 // bounds its cells; larger states fall back to the heap.
 const stateScratchCells = 64
 
-// Encode serializes the state as pstate-v2.
-func (s *ChainState) Encode() ([]byte, error) {
+// Encode serializes the state as pstate-v2 into a fresh slice.
+func (s *ChainState) Encode() ([]byte, error) { return s.AppendEncode(nil) }
+
+// AppendEncode appends the state's pstate-v2 encoding to dst, growing
+// it at most once. On an error dst's contents are unchanged.
+func (s *ChainState) AppendEncode(dst []byte) ([]byte, error) {
 	cs := s.cs
 	dims := cs.m.Dims()
 	if dims != 1+len(cs.open) {
@@ -53,7 +58,7 @@ func (s *ChainState) Encode() ([]byte, error) {
 		size += 2 + 8*len(cs.m.Bounds(d))
 	}
 	le := binary.LittleEndian
-	buf := make([]byte, 0, size)
+	buf := slices.Grow(dst, size)
 	buf = append(buf, stateMagic...)
 	buf = append(buf, stateVersion, byte(len(cs.open)))
 	for _, q := range cs.open {

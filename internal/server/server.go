@@ -318,7 +318,7 @@ func (s *Server) evalBatchEntry(ctx context.Context, sys *pathcost.System, q *ba
 		})
 		out.TopK, out.Status, out.Error = resp, status, msg
 	case "state":
-		resp, status, msg := s.evalState(ctx, sys, q)
+		resp, status, msg := s.evalState(ctx, sys, q, sc)
 		out.State, out.Status, out.Error = resp, status, msg
 	default:
 		out.Status = http.StatusBadRequest
@@ -421,8 +421,9 @@ func (s *Server) evalTopK(ctx context.Context, sys *pathcost.System, req *topkRe
 // untrusted wire data: a decode failure is the caller's 400, never a
 // panic. Segment evaluation is CPU-bound like any query, so it is
 // charged one MaxInFlight slot. Both states die here: the decoded one
-// after the evaluation, the answered one once encoded.
-func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *batchQuery) (*stateResult, int, string) {
+// after the evaluation, the answered one once encoded into sc, where
+// the path and the answer live too.
+func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *batchQuery, sc *api.Scratch) (*stateResult, int, string) {
 	m, err := api.ParseMethod(req.Method)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
@@ -438,7 +439,7 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *batch
 		return nil, http.StatusBadRequest,
 			fmt.Sprintf("inverted departure interval [%g, %g]", req.UILo, req.UIHi)
 	}
-	p, err := api.ParsePath(sys.Graph, req.Path, api.MaxPathEdges)
+	p, err := sc.ParsePath(sys.Graph, req.Path, api.MaxPathEdges)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
 	}
@@ -471,18 +472,12 @@ func (s *Server) evalState(ctx context.Context, sys *pathcost.System, req *batch
 		status, msg := s.queryErrorStatus(ctx, err)
 		return nil, status, msg
 	}
-	enc, err := res.State.Encode()
+	out, err := sc.State(res)
 	res.State.Release() // a memo-backed first segment's state ignores it
 	if err != nil {
 		return nil, http.StatusInternalServerError, "internal error encoding partial state"
 	}
-	return &stateResult{
-		State:   enc,
-		UILo:    res.UI.Lo,
-		UIHi:    res.UI.Hi,
-		Factors: res.Factors,
-		MaxRank: res.MaxRank,
-	}, http.StatusOK, ""
+	return out, http.StatusOK, ""
 }
 
 // handleIngest accepts a batch of raw GPS traces, map-matches it on

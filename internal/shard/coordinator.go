@@ -59,8 +59,9 @@ type Config struct {
 	// Clients tighten (never widen) the bound per request with the
 	// same header. 0 leaves requests unbounded.
 	DefaultTimeout time.Duration
-	// Transport overrides the HTTP transport (tests inject failures
-	// here). nil means http.DefaultTransport.
+	// Transport is the RoundTripper every shard leg and probe goes
+	// through (tests inject failures here). nil means
+	// http.DefaultTransport.
 	Transport http.RoundTripper
 }
 
@@ -76,7 +77,13 @@ const (
 // success, openUntil (unix nanos) fences the replica out while > now.
 // observe is the only writer of both.
 type replicaState struct {
-	base          string
+	base string
+	// batch and stats are the replica's two URLs; auth is the
+	// Authorization value its userinfo asks for, nil without one.
+	batch, stats endpoint
+	auth         []string
+	hdr          atomic.Pointer[legHeader]
+
 	probes        atomic.Uint64
 	probeFailures atomic.Uint64
 	calls         atomic.Uint64
@@ -157,12 +164,17 @@ func (ss *shardState) epoch(t time.Time) *uint64 {
 	return fenced
 }
 
-// candidates returns the breaker-admitted replicas rotated by the
-// round-robin cursor. When every breaker is open the group fails open
-// — all replicas are candidates — because refusing to try at all
-// would turn a transient outage into a permanent one.
-func (ss *shardState) candidates(t time.Time) []*replicaState {
-	admitted := make([]*replicaState, 0, len(ss.replicas))
+// candidates returns the breaker-admitted replicas, appended to dst,
+// and the round-robin cursor's offset into them: the rotation starts
+// there. When every breaker is open the group fails open — all
+// replicas are candidates — because refusing to try at all would turn
+// a transient outage into a permanent one. A group of one is its own
+// candidate list, not a copy.
+func (ss *shardState) candidates(t time.Time, dst []*replicaState) ([]*replicaState, int) {
+	if len(ss.replicas) == 1 {
+		return ss.replicas, 0
+	}
+	admitted := dst
 	for _, rs := range ss.replicas {
 		if rs.admitted(t) {
 			admitted = append(admitted, rs)
@@ -171,11 +183,11 @@ func (ss *shardState) candidates(t time.Time) []*replicaState {
 	if len(admitted) == 0 {
 		admitted = append(admitted, ss.replicas...)
 	}
+	off := 0
 	if len(admitted) > 1 {
-		off := int(ss.rr.Add(1)) % len(admitted)
-		admitted = append(admitted[off:len(admitted):len(admitted)], admitted[:off]...)
+		off = int(ss.rr.Add(1)) % len(admitted)
 	}
-	return admitted
+	return admitted, off
 }
 
 // Coordinator serves the single-process HTTP API over a fleet of
@@ -191,10 +203,12 @@ type Coordinator struct {
 	part   *Partition
 	mux    *http.ServeMux
 	gate   *api.Gate // admission, deadlines and the wire, shared with the server
-	client *http.Client
+	rt     http.RoundTripper
 	shards []*shardState
 	start  time.Time
 	hedges atomic.Uint64
+	// calls pools relay calls, comps requests' compositions.
+	calls, comps sync.Pool
 }
 
 // New builds a Coordinator over g's partition.
@@ -217,14 +231,18 @@ func New(g *pathcost.Graph, part *Partition, cfg Config) (*Coordinator, error) {
 		cfg.ProbeInterval = 2 * time.Second
 	}
 	c := &Coordinator{
-		cfg:    cfg,
-		g:      g,
-		part:   part,
-		mux:    http.NewServeMux(),
-		gate:   api.NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.DefaultTimeout, "coordinator overloaded, retry later"),
-		client: &http.Client{Transport: cfg.Transport},
-		start:  time.Now(),
+		cfg:   cfg,
+		g:     g,
+		part:  part,
+		mux:   http.NewServeMux(),
+		gate:  api.NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.DefaultTimeout, "coordinator overloaded, retry later"),
+		rt:    cfg.Transport,
+		start: time.Now(),
 	}
+	if c.rt == nil {
+		c.rt = http.DefaultTransport
+	}
+	maxLegs := 2
 	for r, group := range cfg.Shards {
 		ss := &shardState{region: r}
 		for _, base := range strings.Split(group, "|") {
@@ -232,10 +250,22 @@ func New(g *pathcost.Graph, part *Partition, cfg Config) (*Coordinator, error) {
 			if base == "" {
 				return nil, fmt.Errorf("shard: region %d has an empty replica URL in %q", r, group)
 			}
-			ss.replicas = append(ss.replicas, &replicaState{base: strings.TrimRight(base, "/")})
+			rs := &replicaState{base: strings.TrimRight(base, "/")}
+			var err error
+			if rs.batch, err = newEndpoint(rs.base + "/v1/batch"); err == nil {
+				rs.stats, err = newEndpoint(rs.base + "/v1/stats")
+			}
+			if err != nil {
+				return nil, fmt.Errorf("shard: region %d replica %q: %v", r, base, err)
+			}
+			rs.auth = basicAuth(rs.batch.url)
+			ss.replicas = append(ss.replicas, rs)
 		}
+		maxLegs = max(maxLegs, len(ss.replicas))
 		c.shards = append(c.shards, ss)
 	}
+	c.calls.New = func() any { return &call{c: c, results: make(chan *leg, maxLegs)} }
+	c.comps.New = func() any { return &composition{waves: make([][]*pendingQuery, part.K)} }
 	c.mux.HandleFunc("/healthz", c.gate.Healthz)
 	c.mux.Handle("/metrics", c.metrics())
 	c.mux.HandleFunc("/v1/distribution", api.Endpoint(c.gate, c.evalDistribution))
@@ -290,11 +320,11 @@ func (c *Coordinator) probeOnce(ctx context.Context, rs *replicaState) {
 	rs.probes.Add(1)
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, rs.base+"/v1/stats", nil)
-	var resp *http.Response
-	if err == nil {
-		resp, err = c.client.Do(req)
+	hdr := http.Header{}
+	if rs.auth != nil {
+		hdr["Authorization"] = rs.auth
 	}
+	resp, err := c.send(rs.stats.request(rctx, http.MethodGet, hdr, nil, 0, nil), &rs.stats)
 	if err == nil && resp.StatusCode != http.StatusOK {
 		resp.Body.Close()
 		err = fmt.Errorf("stats answered %d", resp.StatusCode)
@@ -329,7 +359,8 @@ type pendingQuery struct {
 	// segs is the region decomposition (state-relay entries only).
 	segs   []Segment
 	method pathcost.Method
-	// relay progress
+	// relay progress; state is the entry's copy of the last relayed
+	// state, its storage reused wave to wave
 	seg     int
 	state   []byte
 	uiLo    float64
@@ -348,6 +379,41 @@ func (p *pendingQuery) fail(status int, msg string) {
 	p.res = api.BatchResult{Kind: p.kind, Status: status, Error: msg}
 }
 
+// composition is one request's wave bookkeeping, pooled by the
+// Coordinator: its pending entries, with their segments and relayed
+// states, and the entries each region is sent in a wave. Only the
+// request's goroutine and the waves it waits for touch it.
+type composition struct {
+	pend  []pendingQuery
+	waves [][]*pendingQuery // by region
+}
+
+// newComposition takes a composition for n entries from the pool.
+func (c *Coordinator) newComposition(n int) *composition {
+	cp := c.comps.Get().(*composition)
+	if cap(cp.pend) < n {
+		cp.pend = make([]pendingQuery, n)
+	}
+	cp.pend = cp.pend[:n]
+	return cp
+}
+
+// release zeroes what cp's entries held, keeping their storage, and
+// pools it.
+func (c *Coordinator) releaseComposition(cp *composition) {
+	for i := range cp.pend {
+		p := &cp.pend[i]
+		if poisonReleased {
+			for j := range p.state {
+				p.state[j] = ^p.state[j]
+			}
+		}
+		clear(p.segs)
+		*p = pendingQuery{segs: p.segs[:0], state: p.state[:0]}
+	}
+	c.comps.Put(cp)
+}
+
 // process runs a set of batch entries to completion: proxy entries go
 // to their owning shard in the first wave; cross-region distribution
 // entries relay partial states across as many waves as they have
@@ -357,15 +423,18 @@ func (p *pendingQuery) fail(status int, msg string) {
 // validated paths, the results and the composed answers live in sc,
 // which only this goroutine touches.
 func (c *Coordinator) process(ctx context.Context, queries []api.BatchQuery, sc *api.Scratch) []api.BatchResult {
-	pend := make([]*pendingQuery, len(queries))
+	cp := c.newComposition(len(queries))
+	defer c.releaseComposition(cp)
+	pend, waves := cp.pend, cp.waves
 	for i := range queries {
-		pend[i] = c.classify(&queries[i], sc)
+		c.classify(&pend[i], &queries[i], sc)
 	}
 	firstWave := true
 	for {
 		// Gather this wave's shard calls.
-		perShard := map[int][]*pendingQuery{}
-		for _, p := range pend {
+		regions := 0
+		for i := range pend {
+			p := &pend[i]
 			if p.done {
 				continue
 			}
@@ -383,27 +452,38 @@ func (c *Coordinator) process(ctx context.Context, queries []api.BatchQuery, sc 
 			case "state":
 				region = p.segs[p.seg].Region
 			}
-			perShard[region] = append(perShard[region], p)
+			if len(waves[region]) == 0 {
+				regions++
+			}
+			waves[region] = append(waves[region], p)
 		}
-		if len(perShard) == 0 {
+		if regions == 0 {
 			break
 		}
-		if len(perShard) == 1 {
+		if regions == 1 {
 			// One shard to wait for (every leg of a relayed query is such
 			// a wave): nothing to overlap, so no goroutine to start.
-			for region, ps := range perShard {
-				c.runWave(ctx, region, ps)
+			for region, ps := range waves {
+				if len(ps) > 0 {
+					c.runWave(ctx, region, ps)
+				}
 			}
 		} else {
 			var wg sync.WaitGroup
-			for region, ps := range perShard {
+			for region, ps := range waves {
+				if len(ps) == 0 {
+					continue
+				}
 				wg.Add(1)
-				go func(region int, ps []*pendingQuery) {
+				go func() {
 					defer wg.Done()
 					c.runWave(ctx, region, ps)
-				}(region, ps)
+				}()
 			}
 			wg.Wait()
+		}
+		for region := range waves {
+			waves[region] = waves[region][:0]
 		}
 		firstWave = false
 		if ctx.Err() != nil {
@@ -411,7 +491,8 @@ func (c *Coordinator) process(ctx context.Context, queries []api.BatchQuery, sc 
 		}
 	}
 	out := sc.Results(len(pend))
-	for i, p := range pend {
+	for i := range pend {
+		p := &pend[i]
 		if !p.done {
 			// The context died between waves, before this entry's next
 			// runWave could settle it. A deadline is a definitive 504;
@@ -433,13 +514,13 @@ func (c *Coordinator) process(ctx context.Context, queries []api.BatchQuery, sc 
 }
 
 // classify validates one entry, into sc's storage, and decides how it
-// travels.
-func (c *Coordinator) classify(q *api.BatchQuery, sc *api.Scratch) *pendingQuery {
+// travels: it fills p, which is zero but for its storage.
+func (c *Coordinator) classify(p *pendingQuery, q *api.BatchQuery, sc *api.Scratch) {
 	kind := strings.ToLower(strings.TrimSpace(q.Kind))
 	if kind == "" {
 		kind = "distribution"
 	}
-	p := &pendingQuery{q: *q, kind: kind}
+	p.q, p.kind = *q, kind
 	switch kind {
 	case "route", "topk":
 		if _, err := api.CheckRoute(c.g, &api.RouteRequest{
@@ -453,15 +534,15 @@ func (c *Coordinator) classify(q *api.BatchQuery, sc *api.Scratch) *pendingQuery
 		}, sc)
 		if err != nil {
 			p.fail(http.StatusBadRequest, err.Error())
-			return p
+			return
 		}
 		p.method = m
-		p.segs = c.part.SegmentPath(c.g, path)
+		p.segs = c.part.appendSegments(p.segs, c.g, path)
 		if len(p.segs) > 1 {
 			if m == pathcost.RD {
 				p.fail(http.StatusUnprocessableEntity,
 					"method RD draws one random decomposition over the whole query; it cannot be composed across shards")
-				return p
+				return
 			}
 			p.kind = "state"
 			p.uiLo, p.uiHi = q.Depart, q.Depart
@@ -475,29 +556,17 @@ func (c *Coordinator) classify(q *api.BatchQuery, sc *api.Scratch) *pendingQuery
 		p.fail(http.StatusBadRequest,
 			fmt.Sprintf("unknown kind %q (want distribution, route or topk)", q.Kind))
 	}
-	return p
 }
 
-// runWave sends one shard its share of a wave and applies the results.
+// runWave sends one shard its share of a wave, in one pooled call, and
+// applies the results before the call is released.
 func (c *Coordinator) runWave(ctx context.Context, region int, ps []*pendingQuery) {
-	breq := &api.BatchRequest{Queries: make([]api.BatchQuery, len(ps))}
-	for i, p := range ps {
-		if p.kind == "state" {
-			seg := p.segs[p.seg]
-			breq.Queries[i] = api.BatchQuery{
-				Kind:   "state",
-				Path:   api.EdgeIDs(seg.Path),
-				Depart: p.q.Depart,
-				Method: string(p.method),
-				UILo:   p.uiLo,
-				UIHi:   p.uiHi,
-				State:  p.state,
-			}
-		} else {
-			breq.Queries[i] = p.q
-		}
+	cl := c.newCall(ctx, c.shards[region])
+	defer cl.release()
+	for _, p := range ps {
+		cl.add(p)
 	}
-	bresp, err := c.shardBatch(ctx, c.shards[region], breq)
+	bresp, err := cl.do()
 	if err != nil {
 		// The composition's own deadline expiring is the caller's 504,
 		// not a shard fault — the replicas may be perfectly healthy.
@@ -525,6 +594,11 @@ func (c *Coordinator) applyResult(p *pendingQuery, res *api.BatchResult, region 
 	if p.kind != "state" {
 		p.done = true
 		p.res = *res
+		if res.State != nil { // not asked for, but passed on: out of the call's storage
+			st := *res.State
+			st.State = bytes.Clone(st.State)
+			p.res.State = &st
+		}
 		return
 	}
 	if res.Status == http.StatusBadRequest {
@@ -549,7 +623,7 @@ func (c *Coordinator) applyResult(p *pendingQuery, res *api.BatchResult, region 
 		p.fail(http.StatusBadGateway, fmt.Sprintf("shard %d answered a state entry with an empty state", region))
 		return
 	}
-	p.state = res.State.State
+	p.state = append(p.state[:0], res.State.State...) // the call's storage dies with the wave
 	p.uiLo, p.uiHi = res.State.UILo, res.State.UIHi
 	p.factors += res.State.Factors
 	if res.State.MaxRank > p.maxRank {
@@ -580,116 +654,6 @@ func (c *Coordinator) applyResult(p *pendingQuery, res *api.BatchResult, region 
 	p.done = true
 	p.res = api.BatchResult{Kind: "distribution", Status: http.StatusOK}
 	p.dist = dist
-}
-
-// shardBatch posts one batch to one replica of ss's group with hedged
-// retry: legs race whole-call attempts — connect, send, read, decode —
-// so a replica that answers garbage counts as failed just like one
-// that answers nothing. The first leg goes to the round-robin pick
-// among breaker-admitted replicas; a leg that fails outright launches
-// the next leg immediately against the NEXT replica in rotation, and a
-// leg that is merely slow (HedgeAfter) gets raced the same way. With
-// replicas configured the call may try every sibling before giving up,
-// so a single replica's death costs one leg's latency, never a 503.
-func (c *Coordinator) shardBatch(ctx context.Context, ss *shardState, breq *api.BatchRequest) (*api.BatchResponse, error) {
-	// Not pooled: a hedged or losing leg may still be sending the body
-	// after this call returns. For the same reason a leg reads nothing
-	// of breq, whose proxied entries are the request's Scratch, but its
-	// entry count.
-	body, err := api.MarshalBatchRequest(breq)
-	if err != nil {
-		return nil, err
-	}
-	entries := len(breq.Queries)
-	type legResult struct {
-		rs   *replicaState
-		resp *api.BatchResponse
-		err  error
-	}
-	leg := func(rs *replicaState) legResult {
-		lctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-		defer cancel()
-		req, err := http.NewRequestWithContext(lctx, http.MethodPost, rs.base+"/v1/batch", bytes.NewReader(body))
-		if err != nil {
-			return legResult{rs: rs, err: err}
-		}
-		req.Header.Set("Content-Type", "application/json")
-		// Forward the leg's remaining budget so the shard stops
-		// evaluating the moment this leg's clock (which already folds
-		// in the caller's end-to-end deadline) runs out.
-		if dl, ok := lctx.Deadline(); ok {
-			req.Header.Set(api.BudgetHeader, api.FormatBudget(time.Until(dl)))
-		}
-		hresp, err := c.client.Do(req)
-		if err != nil {
-			return legResult{rs: rs, err: err}
-		}
-		defer hresp.Body.Close()
-		buf := api.GetBuffer()
-		defer api.PutBuffer(buf)
-		if _, err := buf.ReadFrom(io.LimitReader(hresp.Body, 64<<20)); err != nil {
-			return legResult{rs: rs, err: err}
-		}
-		raw := buf.Bytes() // decoded below into copies; nothing keeps raw
-		if hresp.StatusCode != http.StatusOK {
-			return legResult{rs: rs, err: fmt.Errorf("shard answered %d: %s", hresp.StatusCode, firstLine(raw))}
-		}
-		var bresp api.BatchResponse
-		if err := api.UnmarshalBatchResponse(raw, &bresp); err != nil {
-			return legResult{rs: rs, err: fmt.Errorf("undecodable shard response: %v", err)}
-		}
-		if len(bresp.Results) != entries {
-			return legResult{rs: rs, err: fmt.Errorf("shard answered %d results for %d queries", len(bresp.Results), entries)}
-		}
-		return legResult{rs: rs, resp: &bresp}
-	}
-	cands := ss.candidates(time.Now())
-	// At least two legs even with one replica (the classic same-target
-	// hedge); with more replicas, enough legs to try each sibling once.
-	maxLegs := max(2, len(cands))
-	ch := make(chan legResult, maxLegs)
-	launched := 0
-	launch := func() {
-		rs := cands[launched%len(cands)]
-		launched++
-		rs.calls.Add(1)
-		go func() { ch <- leg(rs) }()
-	}
-	launch()
-	outstanding := 1
-	next := func(hedge bool) {
-		// A retry or hedge leg draws on the caller's remaining budget;
-		// once the context is dead there is no budget left to spend.
-		if launched >= maxLegs || ctx.Err() != nil {
-			return
-		}
-		if hedge {
-			c.hedges.Add(1)
-		}
-		outstanding++
-		launch()
-	}
-	timer := time.NewTimer(c.cfg.HedgeAfter)
-	defer timer.Stop()
-	var lastErr error
-	for outstanding > 0 {
-		select {
-		case lr := <-ch:
-			outstanding--
-			lr.rs.observe(lr.err, time.Now())
-			if lr.err == nil {
-				return lr.resp, nil
-			}
-			lr.rs.callFailures.Add(1)
-			lastErr = lr.err
-			next(false) // a failed leg retries immediately on the next replica
-		case <-timer.C:
-			next(true) // a slow leg races the next replica
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return nil, lastErr
 }
 
 func firstLine(b []byte) string {

@@ -22,8 +22,8 @@ import (
 // answer and then blanks the state of every state entry ("state": ""),
 // "corrupt-state" flips the first (magic) byte of every such state,
 // "shed" answers every /v1/batch call 429 + Retry-After the way a full
-// shard's api.Gate does. "hang-once"/"kill-once" fault only the first call to the host, so the
-// hedged second leg succeeds.
+// shard's api.Gate does. "hang-once"/"kill-once"/"garbage-once" fault
+// only the first call to the host, so the hedged second leg succeeds.
 type faultTransport struct {
 	mu    sync.Mutex
 	modes map[string]string // host -> mode
@@ -62,7 +62,7 @@ func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case mode == "hang" || (mode == "hang-once" && first):
 		<-req.Context().Done()
 		return nil, req.Context().Err()
-	case mode == "garbage":
+	case mode == "garbage" || (mode == "garbage-once" && first):
 		return &http.Response{
 			Status:     "200 OK",
 			StatusCode: http.StatusOK,
@@ -183,15 +183,25 @@ func postBatch(t *testing.T, url string, queries []api.BatchQuery) []api.BatchRe
 	return resp.Results
 }
 
-// TestFaultIsolationAndRecovery kills, hangs, and garbles one shard
-// mid-batch: its entries must fail 503 without poisoning siblings, and
-// clearing the fault must restore full service with no unfencing step.
+// TestFaultIsolationAndRecovery kills, hangs, garbles and sheds one
+// shard mid-batch: its entries must fail 503 without poisoning
+// siblings, and clearing the fault must restore full service with no
+// unfencing step. The 503 texts are pinned whole: a dead or hung
+// shard's text names the call the way http.Client.Do's error did.
 func TestFaultIsolationAndRecovery(t *testing.T) {
 	f, ft := faultFleet(t)
 	queries, regions := regionQueries(t, f)
 	victim := regions[len(regions)-1]
+	base := f.shardTS[victim].URL
+	host := strings.TrimPrefix(base, "http://")
 
-	for _, mode := range []string{"kill", "garbage", "hang"} {
+	for _, c := range []struct{ mode, text string }{
+		{"kill", fmt.Sprintf(`Post "%s/v1/batch": dial tcp %s: connection refused (injected)`, base, host)},
+		{"garbage", `undecodable shard response: invalid character '<' looking for beginning of value`},
+		{"hang", fmt.Sprintf(`Post "%s/v1/batch": context deadline exceeded`, base)},
+		{"shed", `shard answered 429: {"error":"server overloaded, retry later"}`},
+	} {
+		mode := c.mode
 		t.Run(mode, func(t *testing.T) {
 			ft.set(f.shardTS[victim].URL, mode)
 			defer ft.set(f.shardTS[victim].URL, "")
@@ -203,8 +213,8 @@ func TestFaultIsolationAndRecovery(t *testing.T) {
 					if res.Status != http.StatusServiceUnavailable {
 						t.Errorf("victim entry %d = %d (%s), want 503", i, res.Status, res.Error)
 					}
-					if !strings.Contains(res.Error, fmt.Sprintf("shard %d unavailable", victim)) {
-						t.Errorf("victim entry error %q does not name the shard", res.Error)
+					if want := fmt.Sprintf("shard %d unavailable: %s", victim, c.text); res.Error != want {
+						t.Errorf("victim entry error\n%q, want\n%q", res.Error, want)
 					}
 				} else if res.Status != http.StatusOK {
 					t.Errorf("sibling entry %d (region %d) poisoned: %d (%s)",

@@ -131,7 +131,11 @@ type Segment struct {
 // SegmentPath cuts path into maximal same-region runs, in order. The
 // concatenation of the segments is the original path.
 func (p *Partition) SegmentPath(g *pathcost.Graph, path pathcost.Path) []Segment {
-	var segs []Segment
+	return p.appendSegments(nil, g, path)
+}
+
+// appendSegments is SegmentPath appending to segs.
+func (p *Partition) appendSegments(segs []Segment, g *pathcost.Graph, path pathcost.Path) []Segment {
 	start := 0
 	for i := 1; i <= len(path); i++ {
 		if i == len(path) || p.EdgeRegion(g, path[i]) != p.EdgeRegion(g, path[start]) {

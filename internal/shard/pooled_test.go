@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 )
@@ -15,16 +16,59 @@ import (
 // request storage, through the coordinator, to the union model
 // evaluated by the library with nothing reused. The shards run the
 // query cache and the memo; the coordinator validates paths, composes
-// relayed answers and writes results in its requests' Scratch, and a
-// released Scratch is scrambled in test binaries. Interleaved single
-// and batch requests over cross-region and in-region paths — misses,
-// then hits and memo resumptions — run from one client and then from
-// four at once. (The shards serve loaded models, which hold no
-// trajectories to stage, so the publish of the single-process
-// differential has no counterpart here.)
+// relayed answers and writes results in its requests' Scratch and its
+// pooled compositions, and sends each wave in a pooled call whose
+// legs decode into storage of their own; a released Scratch, call or
+// composition is scrambled in test binaries. Interleaved single and
+// batch requests over cross-region and in-region paths — misses, then
+// hits and memo resumptions — run from one client and then from four
+// at once, three ways: plainly; with a hedge after a microsecond, so
+// that every call launches a second leg that outlives it; and with a
+// shard refusing a connection and one answering garbage once before
+// every request, so that calls retry. (The shards serve loaded models,
+// which hold no trajectories to stage, so the publish of the
+// single-process differential has no counterpart here.)
 func TestCoordinatorPooledStorageDifferential(t *testing.T) {
+	t.Run("plain", func(t *testing.T) {
+		pooledDifferential(t, startFleet(t, 3, nil), nil)
+	})
+	t.Run("hedged", func(t *testing.T) {
+		f := startFleet(t, 3, func(cfg *Config) { cfg.HedgeAfter = time.Microsecond })
+		pooledDifferential(t, f, nil)
+		if f.coord.hedges.Load() == 0 {
+			t.Fatal("no hedge was launched")
+		}
+	})
+	t.Run("retried", func(t *testing.T) {
+		ft := newFaultTransport()
+		f := startFleet(t, 3, func(cfg *Config) { cfg.Transport = ft })
+		modes := [3]string{"kill-once", "garbage-once", ""}
+		pooledDifferential(t, f, func(i int) {
+			for r, ts := range f.shardTS {
+				if i < 0 {
+					ft.set(ts.URL, "")
+				} else {
+					ft.set(ts.URL, modes[(i+r)%3])
+				}
+			}
+		})
+		var failures uint64
+		for _, ss := range f.coord.shards {
+			failures += ss.replicas[0].callFailures.Load()
+		}
+		if failures == 0 {
+			t.Fatal("no leg failed: the retries are not exercised")
+		}
+	})
+}
+
+// pooledDifferential runs the differential on f. arm, when not nil,
+// sets the shards' faults before op i of the one-client pass, and
+// clears them for the four-client pass when i is -1: a fault that
+// fails only the first call after it is set would otherwise be set
+// again between another call's two legs.
+func pooledDifferential(t *testing.T, f *fleet, arm func(i int)) {
 	sys := testSystem(t)
-	f := startFleet(t, 3, nil)
 	for _, ss := range f.split.Shards {
 		ss.EnableQueryCache(256)
 		ss.EnableConvMemo(1024)
@@ -142,7 +186,13 @@ func TestCoordinatorPooledStorageDifferential(t *testing.T) {
 		}
 	}
 	for i := range ops {
+		if arm != nil {
+			arm(i)
+		}
 		serve(i)
+	}
+	if arm != nil {
+		arm(-1)
 	}
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {

@@ -256,8 +256,8 @@ func TestBreakerStateMachine(t *testing.T) {
 		if rs.healthy() != (r.fails == 0) {
 			t.Fatalf("row %d (%s): healthy = %v with %d consecutive failures", i, r.name, rs.healthy(), r.fails)
 		}
-		if got := len(ss.candidates(r.at)); got != r.cands {
-			t.Fatalf("row %d (%s): %d candidates, want %d", i, r.name, got, r.cands)
+		if got, _ := ss.candidates(r.at, nil); len(got) != r.cands {
+			t.Fatalf("row %d (%s): %d candidates, want %d", i, r.name, len(got), r.cands)
 		}
 	}
 }

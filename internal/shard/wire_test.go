@@ -149,7 +149,7 @@ func TestRelayLegsTakeThePlainCodec(t *testing.T) {
 		if err := json.Unmarshal(leg.answer, &want); err != nil {
 			t.Fatalf("relay answer %s: %v", leg.answer, err)
 		}
-		if !api.ParseBatchResponse(leg.answer, &got) {
+		if !api.ParseBatchResponse(leg.answer, &got, nil) {
 			t.Errorf("relay answer %s was left to encoding/json", leg.answer)
 		} else if !reflect.DeepEqual(got, want) {
 			t.Errorf("relay answer %s: decoded %+v, json.Unmarshal %+v", leg.answer, got, want)
