@@ -124,7 +124,7 @@ func main() {
 	flag.IntVar(&opt.alpha, "alpha", 30, "interval granularity α in minutes (synthesized training)")
 	flag.StringVar(&opt.networkFile, "network", "", "road-network file (required with -model)")
 	flag.StringVar(&opt.modelFile, "model", "", "trained model file to serve (requires -network)")
-	flag.IntVar(&opt.cacheSize, "cache", 4096, "query-distribution cache capacity in entries (0 = disabled); cached answers are shared per departure α-interval")
+	flag.IntVar(&opt.cacheSize, "cache", 4096, "query-distribution cache capacity in entries, per level (0 = disabled); answers are exact")
 	flag.IntVar(&opt.memoSize, "memo", 4096, "sub-path convolution memo capacity in prefix states (0 = disabled); exact — memoized answers are byte-identical")
 	flag.IntVar(&opt.maxInFlight, "max-inflight", 0, "max concurrently evaluated queries (0 = default)")
 	flag.IntVar(&opt.maxQueue, "max-queue", 0, "load shedding: max requests queued for an evaluation slot before new arrivals get 429 + Retry-After (0 = no shedding)")

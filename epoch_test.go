@@ -208,7 +208,7 @@ func TestEpochDecayStaysNormalized(t *testing.T) {
 
 // Queries must keep serving — and serve only consistent epochs —
 // while publishes run. Run under -race: the epoch swap, the staged
-// buffer, the memo views and the query cache all get hammered at
+// buffer, the memos and the query cache all get hammered at
 // once. Consistency check: a result obtained concurrently with
 // publishes is always byte-identical to re-asking the epoch it was
 // served from.

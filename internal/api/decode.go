@@ -326,9 +326,9 @@ func (p *plainParser) object(q *BatchQuery, entry bool) bool {
 // UnmarshalBatchResponse is json.Unmarshal for a /v1/batch answer, the
 // body of a relay leg's reply: the same verdict, error and struct. A
 // body in the plain form (see ParseBatchResponse) is decoded without
-// reflection into s's storage; any other, a proxied distribution among
-// its entries included, is encoding/json's to decode from the same
-// bytes into fresh memory. dst must be zero.
+// reflection, into s's storage but for its distributions; any other, a
+// route or top-k answer among its entries included, is encoding/json's
+// to decode from the same bytes into fresh memory. dst must be zero.
 func UnmarshalBatchResponse(data []byte, dst *BatchResponse, s *Scratch) error {
 	if ParseBatchResponse(data, dst, s) {
 		return nil
@@ -340,17 +340,21 @@ func UnmarshalBatchResponse(data []byte, dst *BatchResponse, s *Scratch) error {
 // data is in the plain form, and reports whether it did; dst is
 // untouched otherwise. Accepting means the result is exactly what
 // json.Unmarshal yields for the same bytes. The results, their states
-// and the state bytes are taken from s (nil takes fresh memory), the
+// and the state bytes are taken from s (nil takes fresh memory); a
+// distribution and its buckets are fresh memory, which the caller may
+// keep past s — a coordinator passes a proxied answer on as it is. The
 // strings are copies or shared names: nothing aliases data.
 //
-// The plain form is a shard's answer to a relay leg:
-// {"results":[entry,...]} and nothing after it but JSON whitespace,
-// each entry an object of kind, status and error — plus state, an
-// object of state, ui_lo, ui_hi, factors and max_rank — with the
-// scalar rules of parsePlain. It declines the rest: other members
-// (distribution, route, topk), null, duplicates and anything
-// differently cased, all of which json.Unmarshal reads or ignores on
-// its own terms.
+// The plain form is a shard's answer to a relay leg or to a proxied
+// distribution: {"results":[entry,...]} and nothing after it but JSON
+// whitespace, each entry an object of kind, status and error — plus
+// state, an object of state, ui_lo, ui_hi, factors and max_rank, or
+// distribution, an object of DistributionResponse's members with
+// buckets an array of objects of lo, hi and pr — with the scalar rules
+// of parsePlain (interval, decomp_paths, max_rank and eval_us are
+// integers). It declines the rest: other members (route, topk), null,
+// duplicates and anything differently cased, all of which
+// json.Unmarshal reads or ignores on its own terms.
 func ParseBatchResponse(data []byte, dst *BatchResponse, s *Scratch) bool {
 	p := plainParser{b: data, s: s}
 	// Every plain entry has one kind: the count sizes the slice in one
@@ -382,9 +386,102 @@ func (p *plainParser) result(r *BatchResult) bool {
 		case "state":
 			r.State, ok = p.stateResult()
 			return 8, ok
+		case "distribution":
+			r.Distribution, ok = p.distribution()
+			return 16, ok
 		}
 		return 0, false
 	})
+}
+
+// distribution takes a DistributionResponse object into fresh memory:
+// the answer and its prob_within in one allocation, the buckets in
+// another.
+func (p *plainParser) distribution() (*DistributionResponse, bool) {
+	a := new(distAnswer)
+	d := &a.resp
+	return d, p.members(func(key []byte) (bit int, ok bool) {
+		var v int64
+		switch string(key) {
+		case "method":
+			d.Method, ok = p.name()
+			return 1, ok
+		case "interval":
+			v, ok = p.integer()
+			d.Interval = int(v)
+			return 2, ok
+		case "mean_s":
+			d.MeanS, ok = p.float()
+			return 4, ok
+		case "p10_s":
+			d.P10S, ok = p.float()
+			return 8, ok
+		case "p50_s":
+			d.P50S, ok = p.float()
+			return 16, ok
+		case "p90_s":
+			d.P90S, ok = p.float()
+			return 32, ok
+		case "prob_within":
+			a.within, ok = p.float()
+			d.ProbWithin = &a.within
+			return 64, ok
+		case "buckets":
+			d.Buckets, ok = p.buckets()
+			return 128, ok
+		case "decomp_paths":
+			v, ok = p.integer()
+			d.DecompPaths = int(v)
+			return 256, ok
+		case "max_rank":
+			v, ok = p.integer()
+			d.MaxRank = int(v)
+			return 512, ok
+		case "eval_us":
+			d.EvalUS, ok = p.integer()
+			return 1024, ok
+		}
+		return 0, false
+	})
+}
+
+// buckets takes an array of Bucket objects. An empty array is empty,
+// not nil, as encoding/json leaves it.
+func (p *plainParser) buckets() ([]Bucket, bool) {
+	if !p.token('[') {
+		return nil, false
+	}
+	// A bucket holds no bracket: up to the first ']', one '{' per
+	// bucket sizes the slice in one allocation.
+	end := bytes.IndexByte(p.b[p.i:], ']')
+	if end < 0 {
+		return nil, false
+	}
+	out := make([]Bucket, 0, bytes.Count(p.b[p.i:p.i+end], []byte{'{'}))
+	if p.token(']') {
+		return out, true
+	}
+	for more := true; more; more = p.token(',') {
+		var b Bucket
+		if !p.members(func(key []byte) (bit int, ok bool) {
+			switch string(key) {
+			case "lo":
+				b.Lo, ok = p.float()
+				return 1, ok
+			case "hi":
+				b.Hi, ok = p.float()
+				return 2, ok
+			case "pr":
+				b.Pr, ok = p.float()
+				return 4, ok
+			}
+			return 0, false
+		}) {
+			return nil, false
+		}
+		out = append(out, b)
+	}
+	return out, p.token(']')
 }
 
 // stateResult takes a StateResult object.

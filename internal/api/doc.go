@@ -18,7 +18,8 @@
 // DistributionResponse and BatchResponse out (distribution and state
 // entries inline); on the coordinator's side of a relay leg, the
 // BatchRequest it sends (AppendBatchRequest) and the plain
-// BatchResponse it reads back (UnmarshalBatchResponse). Everything
+// BatchResponse it reads back (UnmarshalBatchResponse), state entries
+// and proxied distributions alike. Everything
 // else, including every malformed body and so every error message,
 // goes through encoding/json itself.
 package api

@@ -504,9 +504,64 @@ func TestPlainFormIsTaken(t *testing.T) {
 			t.Errorf("relay body %s is not plain", body)
 		}
 	}
-	var r BatchResponse
-	if answer := relayAnswer(t); !ParseBatchResponse(answer, &r, nil) {
-		t.Errorf("relay answer %s is not plain", answer)
+	for _, answer := range [][]byte{relayAnswer(t), proxiedAnswerBytes} {
+		var r BatchResponse
+		if !ParseBatchResponse(answer, &r, nil) {
+			t.Errorf("shard answer %s is not plain", answer)
+		}
+	}
+}
+
+// proxiedAnswerBytes is a shard's answer to a proxied distribution, as
+// its encoder writes it.
+var proxiedAnswerBytes, _ = appendJSON(nil, &BatchResponse{Results: []BatchResult{{Kind: "distribution", Status: 200,
+	Distribution: &DistributionResponse{
+		Method: "OD", Interval: 16, MeanS: 412.25, P10S: 380, P50S: 410.5, P90S: 451.75, ProbWithin: new(float64),
+		Buckets:     []Bucket{{Lo: 370, Hi: 395.5, Pr: 0.25}, {Lo: 395.5, Hi: 420, Pr: 0.5}, {Lo: 420, Hi: 470.125, Pr: 0.25}},
+		DecompPaths: 4, MaxRank: 3, EvalUS: 57,
+	}}}})
+
+// TestProxiedDistributionAnswerIsPlain pins the plain form's
+// distribution member against json.Unmarshal: every distribution
+// answer the encoder writes, with and without prob_within and buckets,
+// is taken by the parser and decodes to json.Unmarshal's struct.
+func TestProxiedDistributionAnswerIsPlain(t *testing.T) {
+	within := 0.8125
+	answers := []*DistributionResponse{
+		{Method: "HP", Interval: 34, MeanS: 1e-7, P10S: -0.5, P50S: 1e21, P90S: 123456789.125, ProbWithin: &within,
+			Buckets: []Bucket{{Lo: 0, Hi: 1, Pr: 1}}, DecompPaths: 1, MaxRank: 1, EvalUS: 1 << 40},
+		{Method: "LB", Buckets: []Bucket{}},
+		{Method: "RD", Interval: -1, Buckets: []Bucket{{Lo: -3, Hi: 2.5, Pr: 0.125}, {Lo: 2.5, Hi: 9, Pr: 0.875}}},
+	}
+	rnd := rand.New(rand.NewSource(1))
+	val := func() float64 { return math.Ldexp(rnd.NormFloat64(), rnd.Intn(140)-70) }
+	for range 200 {
+		d := &DistributionResponse{
+			Method: names[rnd.Intn(4)], Interval: rnd.Intn(48), MeanS: val(), P10S: val(), P50S: val(), P90S: val(),
+			Buckets: []Bucket{}, DecompPaths: rnd.Intn(40), MaxRank: rnd.Intn(5), EvalUS: rnd.Int63n(1 << 40),
+		}
+		if rnd.Intn(2) == 0 {
+			pw := rnd.Float64()
+			d.ProbWithin = &pw
+		}
+		lo := val()
+		for range rnd.Intn(40) {
+			hi := lo + math.Abs(val())
+			d.Buckets = append(d.Buckets, Bucket{Lo: lo, Hi: hi, Pr: rnd.Float64()})
+			lo = hi
+		}
+		answers = append(answers, d)
+	}
+	for _, d := range answers {
+		body, err := appendJSON(nil, &BatchResponse{Results: []BatchResult{{Kind: "distribution", Status: 200, Distribution: d}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r BatchResponse
+		if !ParseBatchResponse(body, &r, nil) {
+			t.Fatalf("distribution answer %s is not plain", body)
+		}
+		checkUnmarshalResponse(t, body)
 	}
 }
 
@@ -561,6 +616,14 @@ func TestRelayCodecAllocs(t *testing.T) {
 		// results, the StateResult, its state; the kind is shared
 		{"decode a one-entry state answer", 3, func() { *bresp = BatchResponse{}; _ = UnmarshalBatchResponse(answer, bresp, nil) }},
 		{"decode a one-entry state answer into a Scratch", 0, func() { sc.Reset(); *bresp = BatchResponse{}; _ = UnmarshalBatchResponse(answer, bresp, &sc) }},
+		// the results, the distribution, its buckets; the kind and method are shared
+		{"decode a proxied distribution answer", 3, func() { *bresp = BatchResponse{}; _ = UnmarshalBatchResponse(proxiedAnswerBytes, bresp, nil) }},
+		// the distribution and its buckets, which outlive the Scratch
+		{"decode a proxied distribution answer into a Scratch", 2, func() {
+			sc.Reset()
+			*bresp = BatchResponse{}
+			_ = UnmarshalBatchResponse(proxiedAnswerBytes, bresp, &sc)
+		}},
 	} {
 		n := testing.AllocsPerRun(200, c.f)
 		t.Logf("%s: %v allocations", c.name, n)
@@ -632,6 +695,15 @@ var responseSeeds = []string{
 	`{"results":[{"status":99999999999999999999}]}`, `{"results":[{"state":{"factors":-0,"ui_lo":1e999}}]}`,
 	`{"results":[{"kind":"state","kind":"state"}]}`, `{"results":[{"Kind":"state"}]}`, `{"results":[{"kind":"state","extra":1}]}`, `{"results":[],"extra":1}`,
 	`{"results":[]} `, `{"results":[]} x`, `{"results":[]}{}`, `{"results":[{"error":"a\u003cb"}]}`, `{"results":[{"error":"é"}]}`, `{"results":[{"kind":"state"},]}`,
+	// proxied distributions
+	`{"results":[{"kind":"distribution","status":200,"distribution":{"method":"OD","interval":16,"mean_s":412.25,"p10_s":380,"p50_s":410.5,"p90_s":451.75,"prob_within":0.5,"buckets":[{"lo":370,"hi":395.5,"pr":0.25},{"lo":395.5,"hi":420,"pr":0.75}],"decomp_paths":4,"max_rank":3,"eval_us":57}}]}`,
+	`{"results":[{"distribution":{"buckets":[]}}]}`, `{"results":[{"distribution":{"buckets":null}}]}`, `{"results":[{"distribution":{"prob_within":null}}]}`,
+	`{"results":[{"distribution":null}]}`, `{"results":[{"distribution":{}}]}`, `{"results":[{"distribution":{"buckets":[{}]}}]}`,
+	`{"results":[{"distribution":{"interval":1.5}}]}`, `{"results":[{"distribution":{"interval":-0,"eval_us":1e3}}]}`, `{"results":[{"distribution":{"max_rank":99999999999999999999}}]}`,
+	`{"results":[{"distribution":{"buckets":[{"lo":1,"lo":2}]}}]}`, `{"results":[{"distribution":{"buckets":[{"Lo":1}]}}]}`, `{"results":[{"distribution":{"buckets":[{"lo":1},]}}]}`,
+	`{"results":[{"distribution":{"buckets":[1]}}]}`, `{"results":[{"distribution":{"buckets":[{"lo":1}}}]}`, `{"results":[{"distribution":{"buckets":[{"pr":1e999}]}}]}`,
+	`{"results":[{"distribution":{"buckets":[{"lo":1}],"method":"]"}}]}`, `{"results":[{"distribution":{"method":"OD","method":"HP"}}]}`, `{"results":[{"distribution":{"x":1}}]}`,
+	`{"results":[{"distribution":{"method":"O\u0044"}}]}`, `{"results":[{"distribution":{"mean_s":"1"}}]}`, `{"results":[{"distribution":{},"distribution":{}}]}`,
 }
 
 // FuzzWireCodec feeds the same bytes to both halves of the codec. As a

@@ -36,6 +36,10 @@ type LRU[V any] struct {
 	mask   uint32
 	cap    int
 
+	*counters // shared with the caches Fresh derives
+}
+
+type counters struct {
 	hits, misses, evictions atomic.Uint64
 }
 
@@ -67,9 +71,10 @@ func NewLRU[V any](capacity int) *LRU[V] {
 		shards /= 2
 	}
 	c := &LRU[V]{
-		shards: make([]shard[V], shards),
-		mask:   uint32(shards - 1),
-		cap:    capacity,
+		shards:   make([]shard[V], shards),
+		mask:     uint32(shards - 1),
+		cap:      capacity,
+		counters: new(counters),
 	}
 	for i := range c.shards {
 		sc := capacity / shards
@@ -79,6 +84,16 @@ func NewLRU[V any](capacity int) *LRU[V] {
 		c.shards[i] = shard[V]{cap: sc, items: make(map[string]*entry[V], sc)}
 	}
 	return c
+}
+
+// Fresh returns an empty cache of c's capacity that counts its hits,
+// misses and evictions into c's counters, so that Stats of either
+// reads the sum over both: a store that retires all its entries at
+// once continues in a fresh one, and its counters run on.
+func (c *LRU[V]) Fresh() *LRU[V] {
+	f := NewLRU[V](c.cap)
+	f.counters = c.counters
+	return f
 }
 
 // fnv1a hashes the key for shard selection (FNV-1a, 32-bit).
@@ -134,10 +149,16 @@ func (c *LRU[V]) Peek(key []byte) (V, bool) {
 
 // Put inserts or refreshes key, evicting the shard's least recently
 // used entry when the shard is full.
-func (c *LRU[V]) Put(key string, val V) {
+func (c *LRU[V]) Put(key string, val V) { put(c, key, val) }
+
+// PutBytes is Put for a key written into a caller's scratch buffer:
+// only an insert makes a key string, so a refresh allocates nothing.
+func (c *LRU[V]) PutBytes(key []byte, val V) { put(c, key, val) }
+
+func put[V any, K string | []byte](c *LRU[V], key K, val V) {
 	s := &c.shards[fnv1a(key)&c.mask]
 	s.mu.Lock()
-	if e, ok := s.items[key]; ok {
+	if e, ok := s.items[string(key)]; ok {
 		e.val = val
 		s.moveToFront(e)
 		s.mu.Unlock()
@@ -149,8 +170,9 @@ func (c *LRU[V]) Put(key string, val V) {
 		delete(s.items, victim.key)
 		c.evictions.Add(1)
 	}
-	e := &entry[V]{key: key, val: val}
-	s.items[key] = e
+	k := string(key)
+	e := &entry[V]{key: k, val: val}
+	s.items[k] = e
 	s.pushFront(e)
 	s.mu.Unlock()
 }
@@ -167,8 +189,9 @@ func (c *LRU[V]) Len() int {
 	return n
 }
 
-// Stats snapshots the effectiveness counters. The snapshot is not
-// atomic across shards, which is fine for monitoring.
+// Stats snapshots the effectiveness counters, which caches derived
+// with Fresh share, and c's own entries. The snapshot is not atomic
+// across shards, which is fine for monitoring.
 func (c *LRU[V]) Stats() Stats {
 	return Stats{
 		Hits:      c.hits.Load(),

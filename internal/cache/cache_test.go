@@ -167,3 +167,46 @@ func TestByteProbes(t *testing.T) {
 		t.Fatalf("byte-key probes allocate %v times, want 0", n)
 	}
 }
+
+// TestPutBytes: PutBytes stores under the key's bytes as Put does, the
+// caller's buffer is not kept, and a refresh allocates nothing.
+func TestPutBytes(t *testing.T) {
+	c := NewLRU[int](8)
+	key := []byte("12,34,56@xxxxxxxx/OD")
+	c.PutBytes(key, 7)
+	copy(key, "99")
+	if _, ok := c.Get("99,34,56@xxxxxxxx/OD"); ok {
+		t.Fatal("the entry aliases the caller's buffer")
+	}
+	copy(key, "12")
+	if v, ok := c.Get(string(key)); !ok || v != 7 {
+		t.Fatalf("Get = %v, %v", v, ok)
+	}
+	n := testing.AllocsPerRun(100, func() { c.PutBytes(key, 8) })
+	if n != 0 {
+		t.Fatalf("a refresh allocates %v times, want 0", n)
+	}
+	if v, _ := c.Get(string(key)); v != 8 || c.Len() != 1 {
+		t.Fatalf("after refreshes the entry is %d and the cache holds %d", v, c.Len())
+	}
+}
+
+// TestFresh: a fresh cache holds none of its origin's entries, has its
+// capacity, and counts into the same counters.
+func TestFresh(t *testing.T) {
+	c := NewLRU[int](4)
+	c.Put("a", 1)
+	c.Get("a")
+	f := c.Fresh()
+	if _, ok := f.Get("a"); ok {
+		t.Fatal("the fresh cache holds its origin's entry")
+	}
+	f.Put("b", 2)
+	f.Get("b")
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("origin stats %+v, want 2 hits, 1 miss and its own entry", st)
+	}
+	if st := f.Stats(); st.Hits != 2 || st.Misses != 1 || st.Entries != 1 || st.Capacity != 4 {
+		t.Fatalf("fresh stats %+v, want the shared counters, its own entry and capacity 4", st)
+	}
+}

@@ -7,8 +7,8 @@
 // query workloads are heavily skewed toward a small set of popular
 // (path, departure-interval) pairs with long shared prefixes. The LRU
 // turns that skew into throughput while keeping memory use fixed; it
-// backs both the α-interval query cache (pathcost.EnableQueryCache)
-// and the exact prefix-keyed convolution memo (core.ConvMemo,
+// backs both levels of the query cache (pathcost.EnableQueryCache)
+// and the prefix-keyed convolution memo (core.ConvMemo,
 // pathcost.EnableConvMemo).
 //
 // The cache is sharded by key hash: each shard has its own lock and

@@ -152,29 +152,33 @@ func TestMemoExtendAllocBudget(t *testing.T) {
 	opt := QueryOptions{Method: MethodOD}
 	const dep = 8 * 3600
 	prefix, query := graph.Path{0, 1, 2}, graph.Path{0, 1, 2, 3}
-	parent, err := h.pathState(nil, nil, prefix, dep, opt)
+	parent, err := h.pathState(nil, nil, prefix, dep, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One epoch view per run, each holding only the depth-3 prefix, so
-	// every measured query resumes from it and offers one new state.
+	// One memo per run, each holding only the depth-3 prefix, so every
+	// measured query resumes from it and offers one new state.
 	const runs = 200
-	base := NewConvMemo(1 << 12)
+	base := NewConvMemo(256)           // 16 a shard: an offer grows no map
 	views := make([]*ConvMemo, runs+1) // AllocsPerRun warms up with one extra call
 	for i := range views {
-		views[i] = base.ForEpoch(uint64(i))
+		views[i] = base.Fresh()
 		views[i].offer(prefix, dep, opt, parent)
 	}
 	i := 0
 	n := testing.AllocsPerRun(runs, func() {
 		r := views[i]
 		i++
-		if _, err := h.pathState(nil, r, query, dep, opt); err != nil {
+		if _, err := h.pathState(nil, r, query, dep, opt, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if st := base.Stats(); st.Hits != runs+1 || st.Misses != 0 || st.Entries != 2*(runs+1) {
-		t.Fatalf("the measured queries did not each resume from the prefix and offer one state: %+v", st)
+	entries := 0
+	for _, v := range views {
+		entries += v.Stats().Entries
+	}
+	if st := base.Stats(); st.Hits != runs+1 || st.Misses != 0 || entries != 2*(runs+1) {
+		t.Fatalf("the measured queries did not each resume from the prefix and offer one state: %+v, %d entries", st, entries)
 	}
 	t.Logf("a query resuming from a memoized prefix allocates %v objects", n)
 	if n > memoExtendAllocBudget {
@@ -195,7 +199,7 @@ func TestMemoProbeAllocatesNoKey(t *testing.T) {
 	opt := QueryOptions{Method: MethodOD}
 	const dep = 8 * 3600
 	for _, k := range []int{24, 13, 1, 0} {
-		m := NewConvMemo(64).ForEpoch(3)
+		m := NewConvMemo(64)
 		want := new(PathState)
 		if k > 0 {
 			m.offer(p[:k], dep, opt, want)

@@ -65,7 +65,7 @@ func TestCutChainReleasesStorage(t *testing.T) {
 			run  func(context.Context) (string, error)
 		}{
 			{"CostDistributionCtx", func(ctx context.Context) (string, error) {
-				res, err := h.CostDistributionCtx(ctx, nil, p, at, opt)
+				res, err := h.CostDistributionCtx(ctx, nil, p, at, opt, nil)
 				if err != nil {
 					return "", err
 				}

@@ -268,6 +268,18 @@ func (h *HybridGraph) decomposeFrom(p graph.Path, ui0 TimeInterval, opt QueryOpt
 	return de, next, err
 }
 
+// Decompose chooses the decomposition of p departing at t under opt,
+// the one CostDistributionCtx evaluates for the same query (the zero
+// method is OD), into dst when it is non-nil — its columns are reused
+// — or into a new one.
+func (h *HybridGraph) Decompose(p graph.Path, t float64, opt QueryOptions, dst *Decomposition) (*Decomposition, error) {
+	if opt.Method == "" {
+		opt.Method = MethodOD
+	}
+	de, _, err := h.decomposeFrom(p, TimeInterval{Lo: t, Hi: t}, opt, dst)
+	return de, err
+}
+
 // suffixVariable reports whether a variable's path is a suffix of p of
 // two or more edges, by which a row of p[:len(p)-1]'s candidate array
 // differs from p's. None is longer than the ranks the model counts.
@@ -429,6 +441,14 @@ func reuseDecomposition(dst *Decomposition, n int) *Decomposition {
 	dst.Vars = slices.Grow(dst.Vars[:0], n)
 	dst.Pos = slices.Grow(dst.Pos[:0], n)
 	return dst
+}
+
+// clone returns a copy of d in one allocation (see newDecomposition).
+func (d *Decomposition) clone() *Decomposition {
+	c := newDecomposition(len(d.Vars))
+	c.Vars = append(c.Vars, d.Vars...)
+	c.Pos = append(c.Pos, d.Pos...)
+	return c
 }
 
 // pickRule is how a method picks one variable per candidate row: OD's

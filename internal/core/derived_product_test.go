@@ -273,7 +273,7 @@ func TestConcurrentRefoldsOfSharedState(t *testing.T) {
 	for _, method := range chainMethods {
 		opt := QueryOptions{Method: method}
 		r := NewConvMemo(64)
-		if _, err := h.pathState(nil, r, graph.Path{0, 1}, at, opt); err != nil {
+		if _, err := h.pathState(nil, r, graph.Path{0, 1}, at, opt, nil); err != nil {
 			t.Fatal(err)
 		}
 		parent, base := r.longestPrefix(graph.Path{0, 1}, at, opt)

@@ -36,8 +36,8 @@
 // the path): StartPath and ExtendPathWithin (ExtendPath is its
 // no-limit spelling) extend a parent's state by one factor, which is
 // all a routing search does. Across queries, ConvMemo stores chain
-// states keyed by the exact departure time; a model epoch holds one
-// view of it (ForEpoch). It is read in one place, the path-state
+// states keyed by the exact departure time; a model epoch holds one of
+// its own (Fresh). It is read in one place, the path-state
 // evaluator behind CostDistributionCtx (CostDistribution and
 // CostDistributionMemo are its no-memo and memo spellings) and, with
 // the memo on, the first segment of EvaluateSegment: it finds the

@@ -77,11 +77,11 @@ type QueryResult struct {
 // path p departing at absolute time t (Section 4). The zero options
 // value runs the paper's OD method.
 func (h *HybridGraph) CostDistribution(p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
-	return h.CostDistributionCtx(nil, nil, p, t, opt)
+	return h.CostDistributionCtx(nil, nil, p, t, opt, nil)
 }
 
 // CostDistributionCtx is the one cost-distribution path: bounded by
-// ctx and evaluated through the memo view m. With a memo (and a method
+// ctx and evaluated through the memo m. With a memo (and a method
 // that has a chain evaluator — RD bypasses it) the path's state
 // resumes from the deepest stored prefix (pathState); the
 // result is byte-identical to the one-shot evaluation below, because
@@ -90,17 +90,23 @@ func (h *HybridGraph) CostDistribution(p graph.Path, t float64, opt QueryOptions
 // operations. Timing then reflects only work this call did: a deep
 // prefix hit reports a near-zero JC, which is the point.
 //
+// de, when non-nil, is the decomposition Decompose chose for the same
+// (p, t, opt) on h: evaluation takes it instead of choosing again, and
+// what it keeps (the result's Decomp, the memo's states) holds a copy,
+// so the caller may reuse de once the call returns. A nil de is chosen
+// here.
+//
 // The deadline is checked before each factor multiply (each edge
 // derivation on the reuse path) and ctx's error returned once it
 // expires. ctx travels as a parameter, never inside QueryOptions or
 // any cached state. nil ctx means unbounded; nil m means no reuse.
-func (h *HybridGraph) CostDistributionCtx(ctx context.Context, m *ConvMemo, p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
+func (h *HybridGraph) CostDistributionCtx(ctx context.Context, m *ConvMemo, p graph.Path, t float64, opt QueryOptions, de *Decomposition) (*QueryResult, error) {
 	if opt.Method == "" {
 		opt.Method = MethodOD
 	}
 	if m.active(opt.Method) {
 		t0 := time.Now()
-		st, err := h.pathState(ctx, m, p, t, opt)
+		st, err := h.pathState(ctx, m, p, t, opt, de)
 		if err != nil {
 			return nil, err
 		}
@@ -112,9 +118,13 @@ func (h *HybridGraph) CostDistributionCtx(ctx context.Context, m *ConvMemo, p gr
 		return res, nil
 	}
 	t0 := time.Now()
-	de, _, err := h.decomposeFrom(p, TimeInterval{Lo: t, Hi: t}, opt, nil)
-	if err != nil {
-		return nil, err
+	if de != nil {
+		de = de.clone()
+	} else {
+		var err error
+		if de, _, err = h.decomposeFrom(p, TimeInterval{Lo: t, Hi: t}, opt, nil); err != nil {
+			return nil, err
+		}
 	}
 	t1 := time.Now()
 	oi := t1.Sub(t0)

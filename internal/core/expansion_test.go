@@ -253,7 +253,7 @@ func extendSiblingsConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, method := range chainMethods {
-		parent, err := h.pathState(nil, nil, graph.Path{0, 1}, 8*3600+300, QueryOptions{Method: method})
+		parent, err := h.pathState(nil, nil, graph.Path{0, 1}, 8*3600+300, QueryOptions{Method: method}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -212,7 +212,7 @@ func ScratchSegment(h *HybridGraph, in SegmentInput) (*SegmentResult, error) {
 		opt.Method = MethodOD
 	}
 	if in.State == nil {
-		st, err := h.pathState(nil, nil, in.Path, in.Depart, opt)
+		st, err := h.pathState(nil, nil, in.Path, in.Depart, opt, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -34,6 +34,9 @@ type Variable struct {
 	// shift-and-enlarge test (Eq. 3) always advances clock time.
 	TimeMin, TimeMax float64
 
+	// id is the variable's version identity (see ID).
+	id uint64
+
 	// multiOnce caches the Multi representation used by the Eq. 2
 	// evaluators (rank-1 histograms are lifted lazily, once).
 	multiOnce sync.Once
@@ -43,6 +46,22 @@ type Variable struct {
 
 // Rank returns the cardinality of the variable's path.
 func (v *Variable) Rank() int { return len(v.Path) }
+
+// ID names the variable's version. put gives a trajectory-backed
+// variable an even id that no other variable of the process ever had,
+// so an epoch that rebuilds or merges a variable gives its replacement
+// a new id, and one it leaves alone keeps the id with the variable. A
+// speed-limit fallback's id is odd, a function of its edge alone: every
+// epoch's fallback of an edge is the same distribution. Two
+// decompositions of one path with equal ids at equal positions
+// therefore evaluate the same factors, and have the same answer.
+func (v *Variable) ID() uint64 { return v.id }
+
+// varIDs hands out the ids of trajectory-backed variables (see ID).
+var varIDs atomic.Uint64
+
+// fallbackID is the id of edge e's speed-limit fallback (see ID).
+func fallbackID(e graph.EdgeID) uint64 { return 2*uint64(e) + 1 }
 
 // StorageFloats approximates the variable's memory footprint in float
 // counts (Figure 12).
@@ -397,13 +416,18 @@ func (h *HybridGraph) buildJointVariable(data *gps.Collection, path graph.Path, 
 }
 
 // put registers v: the one writer of the graph's indexes (vars, unit,
-// byStart) and of its per-variable statistics. A variable already held
-// for v's (path, interval) is replaced, its statistics subtracted. A
-// pathVars or byStart list still shared with the graph this one was
-// derived from is copied before the first write, so each is copied at
-// most once per graph and the parent never changes. Reports whether
-// v's (path, interval) was empty.
+// byStart) and of its per-variable statistics, and the one giver of
+// ids (see Variable.ID): v keeps an id it has, so a model filtered from
+// this one names a shared variable as this one does. A variable
+// already held for v's (path, interval) is replaced, its statistics
+// subtracted. A pathVars or byStart list still shared with the graph
+// this one was derived from is copied before the first write, so each
+// is copied at most once per graph and the parent never changes.
+// Reports whether v's (path, interval) was empty.
 func (h *HybridGraph) put(v *Variable) (isNew bool) {
+	if v.id == 0 {
+		v.id = 2 * varIDs.Add(1)
+	}
 	key := v.Path.Key()
 	pv := h.vars[key]
 	if pv == nil || pv.gen != h.gen {
@@ -527,6 +551,7 @@ func (h *HybridGraph) fallbackVariable(e graph.EdgeID) *Variable {
 		SpeedLimit: true,
 		TimeMin:    ff,
 		TimeMax:    ff,
+		id:         fallbackID(e),
 	}
 	h.fallbacks[e] = v
 	return v

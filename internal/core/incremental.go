@@ -168,7 +168,7 @@ func (h *HybridGraph) ExtendPathWithin(s *PathState, e graph.EdgeID, within floa
 }
 
 // pathState evaluates path p departing at t, resuming from the deepest
-// prefix state the memo view m holds (see ConvMemo.longestPrefix for
+// prefix state the memo m holds (see ConvMemo.longestPrefix for
 // what one query counts) and offering every state derived past that
 // base, so later queries — longer paths, other batch entries — resume
 // deeper still. It is the memo's one reader; nil m means no reuse. The
@@ -176,8 +176,9 @@ func (h *HybridGraph) ExtendPathWithin(s *PathState, e graph.EdgeID, within floa
 // within one extend of the budget expiring. ctx stays a parameter —
 // PathStates land in the memo and outlive the request, so a stored
 // context would poison every later query resuming from them. nil ctx
-// means unbounded.
-func (h *HybridGraph) pathState(ctx context.Context, m *ConvMemo, p graph.Path, t float64, opt QueryOptions) (*PathState, error) {
+// means unbounded. de, when non-nil, is p's decomposition as Decompose
+// chose it: p's own state takes a copy of it instead of choosing again.
+func (h *HybridGraph) pathState(ctx context.Context, m *ConvMemo, p graph.Path, t float64, opt QueryOptions, de *Decomposition) (*PathState, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("core: cannot evaluate an empty path")
 	}
@@ -197,9 +198,12 @@ func (h *HybridGraph) pathState(ctx context.Context, m *ConvMemo, p graph.Path, 
 			}
 		}
 		var err error
-		if st == nil {
+		switch {
+		case de != nil && i == len(p)-1:
+			st, err = h.decomposedState(st, p, t, opt, de)
+		case st == nil:
 			st, err = h.StartPath(p[0], t, opt, nil)
-		} else {
+		default:
 			st, err = h.ExtendPath(st, p[i])
 		}
 		if err != nil {
@@ -210,6 +214,30 @@ func (h *HybridGraph) pathState(ctx context.Context, m *ConvMemo, p graph.Path, 
 		}
 	}
 	return st, nil
+}
+
+// decomposedState is the state of p departing at t, extended from
+// prev, the state of p's prefix one edge shorter (nil for a one-edge
+// p), with a copy of de, p's decomposition as Decompose chose it: the
+// step StartPath and ExtendPath take, less the choice. The interval
+// past p's last edge, which a child's new row reads, is one row's pick.
+func (h *HybridGraph) decomposedState(prev *PathState, p graph.Path, t float64, opt QueryOptions, de *Decomposition) (*PathState, error) {
+	ui := TimeInterval{Lo: t, Hi: t}
+	var prefix graph.Path
+	if prev != nil {
+		ui, prefix = prev.next, prev.path
+	}
+	e := p[len(p)-1]
+	s := h.newState(nil, prefix, e, t, opt)
+	ca := caPool.Get().(*CandidateArray)
+	ca.beginRow(h.Params.NumIntervals(), ui, h.Params.IntervalSeconds())
+	unit := h.bestUnitVariable(e, ui, ca)
+	caPool.Put(ca)
+	s.de, s.next = de.clone(), sae(ui, unit)
+	if err := s.evaluate(prev, math.Inf(1), nil); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // stateResult converts a fully evaluated chain state into a
@@ -246,7 +274,11 @@ func (s *PathState) recompute(prev *PathState, within float64, slot *PathSlot) e
 	if err := s.decompose(prev, slot); err != nil {
 		return err
 	}
+	return s.evaluate(prev, within, slot)
+}
 
+// evaluate is recompute once the state's decomposition is chosen.
+func (s *PathState) evaluate(prev *PathState, within float64, slot *PathSlot) error {
 	// Longest shared factor prefix with prev.
 	shared := 0
 	for prev != nil && shared < min(len(prev.de.Vars), len(s.de.Vars)) &&

@@ -23,10 +23,9 @@ import (
 // its parent's state.
 //
 // Keys are exact: (path signature, departure time, method, rank cap).
-// Unlike the α-interval query cache, two departures in the same
-// interval do NOT share a memo entry — the shift-and-enlarge windows
-// of Eq. 3 depend on the exact departure — so memoized results are
-// byte-identical to unmemoized ones, never approximate.
+// Two departures in the same interval do NOT share a memo entry — the
+// shift-and-enlarge windows of Eq. 3 depend on the exact departure —
+// so memoized results are byte-identical to unmemoized ones.
 //
 // A ConvMemo is safe for concurrent use: the LRU shards its locks and
 // the memoized PathStates are immutable after construction (every
@@ -34,10 +33,6 @@ import (
 // number of concurrent distribution queries.
 type ConvMemo struct {
 	lru *cache.LRU[*PathState]
-	// prefix namespaces every key with the model epoch the entries
-	// were computed against (see ForEpoch). Empty for a standalone
-	// memo, whose entries then have no epoch identity.
-	prefix string
 }
 
 // NewConvMemo builds a memo holding at most capacity prefix states.
@@ -46,29 +41,28 @@ func NewConvMemo(capacity int) *ConvMemo {
 	return &ConvMemo{lru: cache.NewLRU[*PathState](capacity)}
 }
 
-// ForEpoch returns a view of the memo whose keys carry the given
-// epoch sequence number. Views share the underlying LRU — its
-// capacity, shards and statistics — but entries written through one
-// epoch's view are invisible to every other epoch: publishing a new
-// model invalidates logically, with stale entries aging out of the
-// shared LRU instead of being flushed wholesale.
-func (m *ConvMemo) ForEpoch(seq uint64) *ConvMemo {
-	return &ConvMemo{lru: m.lru, prefix: "e" + strconv.FormatUint(seq, 10) + "|"}
+// Fresh returns an empty memo of m's capacity that counts into m's
+// counters: a published model epoch's memo. A state holds its epoch's
+// variables, so no state of an earlier epoch may answer a later one;
+// the earlier epoch's memo is dropped whole with its epoch, once its
+// in-flight queries finish, rather than left to age out of a store the
+// next epoch shares.
+func (m *ConvMemo) Fresh() *ConvMemo {
+	return &ConvMemo{lru: m.lru.Fresh()}
 }
 
 // Stats snapshots the memo's hit/miss/eviction counters.
 func (m *ConvMemo) Stats() cache.Stats { return m.lru.Stats() }
 
 // key appends the exact identity of path p departing at t under opt
-// in this view's key space to b: the epoch prefix, the departure,
-// formatted losslessly ('b' is exact for float64, so distinct
-// departures never alias), the method and the rank cap, and the path
-// signature last. Edge ids are comma-separated and nothing before them
+// to b: the departure, formatted losslessly ('b' is exact for float64,
+// so distinct departures never alias), the method and the rank cap,
+// and the path signature last. Edge ids are comma-separated and nothing before them
 // holds a comma, so the key of every prefix p[:n] is the first bytes
 // of p's key, ending before the n-th comma: longestPrefix probes by
 // slicing.
 func (m *ConvMemo) key(b []byte, p graph.Path, t float64, opt QueryOptions) []byte {
-	b = strconv.AppendFloat(append(b, m.prefix...), t, 'b', -1, 64)
+	b = strconv.AppendFloat(b, t, 'b', -1, 64)
 	b = append(append(b, '/'), opt.Method...)
 	b = strconv.AppendInt(append(b, '#'), int64(opt.RankCap), 10)
 	return p.AppendKey(append(b, '|'))
@@ -126,5 +120,5 @@ func (m *ConvMemo) longestPrefix(p graph.Path, t float64, opt QueryOptions) (*Pa
 // CostDistributionMemo is CostDistribution resuming from, and feeding,
 // a standalone memo.
 func (h *HybridGraph) CostDistributionMemo(m *ConvMemo, p graph.Path, t float64, opt QueryOptions) (*QueryResult, error) {
-	return h.CostDistributionCtx(nil, m, p, t, opt)
+	return h.CostDistributionCtx(nil, m, p, t, opt, nil)
 }

@@ -84,8 +84,8 @@ func TestMemoRDFallsThrough(t *testing.T) {
 }
 
 func TestMemoExactDepartureKeys(t *testing.T) {
-	// Two departures in one α-interval must not share an entry: the
-	// memo is exact, unlike the α-interval query cache.
+	// Two departures in one α-interval must not share an entry: a
+	// state carries the exact departure's windows.
 	g, data, params := table1Fixture(t)
 	_ = g
 	h, err := Build(g, data, params)
@@ -191,14 +191,14 @@ func TestReuseOneProbe(t *testing.T) {
 	// Each operation answers with something comparable byte for byte.
 	ops := map[string]func(m *ConvMemo) any{
 		"path state": func(m *ConvMemo) any {
-			st, err := h.pathState(context.Background(), m, full, dep, opt)
+			st, err := h.pathState(context.Background(), m, full, dep, opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return distBuckets(t, st)
 		},
 		"cost distribution": func(m *ConvMemo) any {
-			res, err := h.CostDistributionCtx(nil, m, full, dep, opt)
+			res, err := h.CostDistributionCtx(nil, m, full, dep, opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +222,7 @@ func TestReuseOneProbe(t *testing.T) {
 	want := [2]probeCounts{{misses: 1, entries: 5}, {hits: 1, misses: 1, entries: 5}}
 	for opName, op := range ops {
 		plain := op(nil)
-		m := NewConvMemo(64).ForEpoch(7)
+		m := NewConvMemo(64)
 		for pass, passName := range []string{"cold", "warm"} {
 			if got := op(m); !reflect.DeepEqual(got, plain) {
 				t.Errorf("%s / %s: answer differs from plain evaluation", opName, passName)
@@ -236,9 +236,9 @@ func TestReuseOneProbe(t *testing.T) {
 	t.Run("RD bypasses both", func(t *testing.T) {
 		// Neither the probe nor the offer runs for a method with no
 		// chain evaluator.
-		m := NewConvMemo(64).ForEpoch(7)
+		m := NewConvMemo(64)
 		rd := QueryOptions{Method: MethodRD, Seed: 7}
-		got, err := h.CostDistributionCtx(nil, m, full, dep, rd)
+		got, err := h.CostDistributionCtx(nil, m, full, dep, rd, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,36 +256,36 @@ func TestReuseOneProbe(t *testing.T) {
 
 	t.Run("epoch views are disjoint", func(t *testing.T) {
 		base := NewConvMemo(64)
-		e1, e2 := base.ForEpoch(1), base.ForEpoch(2)
-		s1, err := h.pathState(nil, e1, full, dep, opt)
+		e1, e2 := base.Fresh(), base.Fresh()
+		s1, err := h.pathState(nil, e1, full, dep, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := h.pathState(nil, e2, full, dep, opt)
+		s2, err := h.pathState(nil, e2, full, dep, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s1 == s2 {
 			t.Fatal("epoch 2 was answered with epoch 1's state")
 		}
-		// The views share one LRU and its counters: two cold misses, ten
-		// entries; each view then hits its own entry.
-		if c := countsOf(e2); c != (probeCounts{misses: 2, entries: 10}) {
+		// The memos share their counters, not their entries: two cold
+		// misses, five entries each; each then hits its own entry.
+		if c := countsOf(e2); c != (probeCounts{misses: 2, entries: 5}) {
 			t.Fatalf("after one cold query per epoch: %+v", c)
 		}
 		for _, m := range []*ConvMemo{e1, e2} {
-			again, err := h.pathState(nil, m, full, dep, opt)
+			again, err := h.pathState(nil, m, full, dep, opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := map[*ConvMemo]*PathState{e1: s1, e2: s2}[m]; again != want {
-				t.Error("a view resumed from the other epoch's entry")
+				t.Error("a memo resumed from the other epoch's entry")
 			}
 		}
-		// A publish re-scopes the memo: the next epoch's view reads none
-		// of the previous epoch's entries.
-		if s3, err := h.pathState(nil, base.ForEpoch(3), full, dep, opt); err != nil || s3 == s2 {
-			t.Errorf("the next epoch's view read the previous epoch's entry (err %v)", err)
+		// A publish starts a fresh memo: the next epoch reads none of
+		// the previous epoch's entries.
+		if s3, err := h.pathState(nil, e2.Fresh(), full, dep, opt, nil); err != nil || s3 == s2 {
+			t.Errorf("the next epoch read the previous epoch's entry (err %v)", err)
 		}
 	})
 }

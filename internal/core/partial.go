@@ -105,7 +105,7 @@ type segmentOut struct {
 }
 
 // EvaluateSegment evaluates one segment of a partitioned query. With
-// the memo view m active for the method, a first segment (nil state)
+// the memo m active for the method, a first segment (nil state)
 // runs the memo's path evaluation — the memo applies only there, since
 // its keys assume evaluation from a point departure interval — and
 // hands out its final folded state, which the memo may share. Every
@@ -152,7 +152,7 @@ func (h *HybridGraph) EvaluateSegment(m *ConvMemo, in SegmentInput) (*SegmentRes
 		// [t, t], exactly what CostDistributionCtx computes — so the memo
 		// applies, and its answers are byte-identical by the
 		// store-equivalence guarantee.
-		st, err := h.pathState(in.Ctx, m, in.Path, in.Depart, opt)
+		st, err := h.pathState(in.Ctx, m, in.Path, in.Depart, opt, nil)
 		if err != nil {
 			return nil, err
 		}

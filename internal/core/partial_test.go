@@ -188,7 +188,7 @@ func TestEvaluateSegmentRejections(t *testing.T) {
 	}
 
 	// A continuation must start from an accumulator-only state.
-	st, err := h.pathState(nil, nil, graph.Path{0, 1, 2}, depart, QueryOptions{Method: MethodOD})
+	st, err := h.pathState(nil, nil, graph.Path{0, 1, 2}, depart, QueryOptions{Method: MethodOD}, nil)
 	if err != nil {
 		t.Fatalf("pathState: %v", err)
 	}

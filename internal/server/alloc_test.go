@@ -22,6 +22,14 @@ import (
 // and its copied buckets were fresh, 41 before the shared wire codec.
 const cacheHitAllocBudget = 1
 
+// decompHitAllocBudget bounds a cache hit at the second level: a
+// departure the exact level has not seen, whose decomposition an
+// earlier departure picked. On top of a hit's reader it chooses the
+// decomposition, in pooled storage, and stores the answer at the exact
+// level under the new departure: the key string and the LRU entry.
+// Measured 3.
+const decompHitAllocBudget = 3
+
 // batchHitAllocBudget bounds one POST /v1/batch of batchHitEntries
 // cached distribution entries: the entries, results, answers and the
 // envelope are the request's pooled Scratch, so a batch of hits costs
@@ -56,6 +64,15 @@ func (*resettableBody) Close() error { return nil }
 // makes sync.Pool drop what it holds at random.
 func hitAllocs(t *testing.T, sys *pathcost.System, path string, payload []byte) float64 {
 	t.Helper()
+	return servedAllocs(t, sys, path, func(int) []byte { return payload })
+}
+
+// servedAllocs serves payload(0) to path once and then measures the
+// allocations of serving payload(1), payload(2), ..., each of which
+// the cache must answer without computing, in the bytes the first
+// answer has. It skips under the race detector (see hitAllocs).
+func servedAllocs(t *testing.T, sys *pathcost.System, path string, payload func(i int) []byte) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
 	}
@@ -66,12 +83,16 @@ func hitAllocs(t *testing.T, sys *pathcost.System, path string, payload []byte) 
 		Method: http.MethodPost, URL: &url.URL{Path: path}, RequestURI: path,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 		Header: http.Header{"Content-Type": {"application/json"}}, Host: "test",
-		Body: &body, ContentLength: int64(len(payload)),
+		Body: &body,
 	}
+	served := 0
 	serve := func() {
 		clear(w.hdr)
 		w.code, w.body = 0, w.body[:0]
-		body.Reset(payload)
+		p := payload(served)
+		served++
+		body.Reset(p)
+		req.ContentLength = int64(len(p))
 		h.ServeHTTP(w, req)
 		if w.code != http.StatusOK {
 			t.Fatalf("status %d: %s", w.code, w.body)
@@ -117,6 +138,43 @@ func TestCacheHitAllocs(t *testing.T) {
 		t.Fatalf("a cache-hit POST /v1/distribution of %d edges allocates %v times, budget %d", len(p), n, cacheHitAllocBudget)
 	}
 	t.Logf("cache-hit POST /v1/distribution, %d edges: %v allocations", len(p), n)
+}
+
+// TestDecompositionHitAllocs gates a hit at the cache's second level:
+// every request departs at a second the exact level has not seen, in
+// a stretch where the path picks the variables it picks at 08:00.
+func TestDecompositionHitAllocs(t *testing.T) {
+	sys := hitSystem(t)
+	sys.EnableQueryCache(1024)
+	rnd := rand.New(rand.NewSource(5))
+	p, err := sys.RandomQueryPath(23, rnd.Intn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(i int) float64 { return 8*3600 + float64(i)/4 }
+	same := 0
+	for first, _ := sys.PathDistribution(p, at(0), pathcost.OD); same < 400; same++ {
+		if res, _ := sys.PathDistribution(p, at(same), pathcost.OD); res != first {
+			break
+		}
+	}
+	if same < 400 {
+		t.Fatalf("the path's answer moved %v s after 08:00: pick another path", at(same)-at(0))
+	}
+	sys.EnableQueryCache(1024) // empty again: every departure below is new to the exact level
+	payloads := make([][]byte, 0, same)
+	for i := range same {
+		b, err := json.Marshal(distributionRequest{Path: api.EdgeIDs(p), Depart: at(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, b)
+	}
+	n := servedAllocs(t, sys, "/v1/distribution", func(i int) []byte { return payloads[i] })
+	if n > decompHitAllocBudget {
+		t.Fatalf("a second-level cache hit of %d edges allocates %v times, budget %d", len(p), n, decompHitAllocBudget)
+	}
+	t.Logf("second-level cache hit, POST /v1/distribution, %d edges: %v allocations", len(p), n)
 }
 
 // TestBatchHitAllocs gates a batch of cached entries: distinct paths

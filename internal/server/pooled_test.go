@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -21,11 +22,12 @@ type pooledOp struct {
 }
 
 // pooledOps draws an interleaving of single and batch distribution
-// requests over the prefixes of a few trunk paths: first sightings
-// miss the cache, repeats hit it, and a prefix of an evaluated path
-// resumes from the memo. Every (path, α-interval, method) is asked at
-// one departure only, so the query cache's interval approximation
-// never shows and every answer has one right value.
+// requests over the prefixes of a few trunk paths, departing at the
+// start or at a random second of two α-intervals: first sightings miss
+// the cache, a
+// departure that picks the variables an earlier one picked is served
+// its answer, repeats hit the exact level, and a prefix of an
+// evaluated path resumes from the memo.
 func pooledOps(t *testing.T, sys *pathcost.System, seed int64) []pooledOp {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
@@ -48,6 +50,9 @@ func pooledOps(t *testing.T, sys *pathcost.System, seed int64) []pooledOp {
 			Path:   api.EdgeIDs(trunk[:1+rnd.Intn(len(trunk))]),
 			Depart: departs[rnd.Intn(len(departs))],
 			Method: methods[rnd.Intn(len(methods))],
+		}
+		if rnd.Intn(2) == 0 {
+			q.Depart += float64(1 + rnd.Intn(1799))
 		}
 		if rnd.Intn(3) == 0 {
 			q.Budget = float64(300 + rnd.Intn(1500))
@@ -202,13 +207,15 @@ func pooledDifferential(t *testing.T, h http.Handler, ref *pathcost.System, ops 
 }
 
 // TestPooledStorageDifferential holds the single-process tier's pooled
-// request storage to a system that reuses nothing. A Scratch's ids and
-// edges are scrambled when it is released (in test binaries), so a
-// path that reached core, the memo or the query cache without being
-// copied turns later answers — memo resumptions, cache hits — into
-// wrong bytes or failures. Interleaved single and batch requests,
-// misses, hits and memo resumptions run before and after an epoch
-// publish that both systems apply.
+// request storage and its query cache to a system that reuses nothing:
+// cache on against cache off. A Scratch's ids and edges are scrambled
+// when it is released (in test binaries), so a path that reached core,
+// the memo or the query cache without being copied turns later answers
+// — memo resumptions, cache hits — into wrong bytes or failures.
+// Interleaved single and batch requests, misses, hits at both cache
+// levels and memo resumptions run in four epochs, with three publishes
+// that both systems apply between them; a publish leaves the cache's
+// second level holding answers the new epoch serves.
 func TestPooledStorageDifferential(t *testing.T) {
 	cfg := pathcost.SynthesizeConfig{Preset: "test", Trips: 3000, Seed: 11}
 	served, err := pathcost.Synthesize(cfg)
@@ -235,27 +242,30 @@ func TestPooledStorageDifferential(t *testing.T) {
 	if 4*answered < 3*entries {
 		t.Fatalf("the reference answers only %d of %d entries: the differential compares mostly errors", answered, entries)
 	}
-	pooledDifferential(t, h, ref, ops, "epoch 0")
+	pooledDifferential(t, h, ref, ops, "epoch 1")
 
 	data := served.Data()
-	var batch []*pathcost.Matched
-	for i := 0; i < 200 && i < data.Len(); i++ {
-		batch = append(batch, data.Traj(i))
-	}
-	for _, sys := range []*pathcost.System{served, ref} {
-		if n, _ := sys.StageTrajectories(batch); n == 0 {
-			t.Fatal("nothing staged")
+	for epoch := 2; epoch <= 4; epoch++ {
+		var batch []*pathcost.Matched
+		for i := 100 * (epoch - 2); i < 100*(epoch-1) && i < data.Len(); i++ {
+			batch = append(batch, data.Traj(i))
 		}
-		if _, err := sys.PublishEpoch(); err != nil {
-			t.Fatal(err)
+		for _, sys := range []*pathcost.System{served, ref} {
+			if n, _ := sys.StageTrajectories(batch); n == 0 {
+				t.Fatal("nothing staged")
+			}
+			if _, err := sys.PublishEpoch(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if served.EpochStats().Seq == 0 {
-		t.Fatal("the publish did not move the epoch")
-	}
-	pooledDifferential(t, h, ref, ops, "epoch 1")
-	if st, _ := served.QueryCacheStats(); st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("query cache %+v: the workload must both hit and miss", st)
+		if seq := served.EpochStats().Seq; seq != uint64(epoch) {
+			t.Fatalf("the publish moved the epoch to %d, want %d", seq, epoch)
+		}
+		before, _ := served.QueryCacheStats()
+		pooledDifferential(t, h, ref, ops, fmt.Sprintf("epoch %d", epoch))
+		if st, _ := served.QueryCacheStats(); st.Hits == before.Hits || st.Misses == before.Misses {
+			t.Fatalf("query cache moved from %+v to %+v in epoch %d: the workload must both hit and miss", before, st, epoch)
+		}
 	}
 	if st, _ := served.ConvMemoStats(); st.Hits == 0 {
 		t.Fatalf("memo %+v: no query resumed from a prefix", st)

@@ -5,35 +5,42 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	pathcost "repro"
 	"repro/internal/api"
+	"repro/internal/traffic"
+	"repro/internal/trajgen"
 )
 
 // TestCoordinatorPooledStorageDifferential holds both tiers' pooled
-// request storage, through the coordinator, to the union model
-// evaluated by the library with nothing reused. The shards run the
-// query cache and the memo; the coordinator validates paths, composes
-// relayed answers and writes results in its requests' Scratch and its
-// pooled compositions, and sends each wave in a pooled call whose
-// legs decode into storage of their own; a released Scratch, call or
-// composition is scrambled in test binaries. Interleaved single and
-// batch requests over cross-region and in-region paths — misses, then
-// hits and memo resumptions — run from one client and then from four
-// at once, three ways: plainly; with a hedge after a microsecond, so
-// that every call launches a second leg that outlives it; and with a
-// shard refusing a connection and one answering garbage once before
-// every request, so that calls retry. (The shards serve loaded models,
-// which hold no trajectories to stage, so the publish of the
-// single-process differential has no counterpart here.)
+// request storage, through the coordinator, and the shards' query
+// caches to the union model evaluated by the library with nothing
+// reused: cache on against cache off. The shards run the query cache
+// and the memo; the coordinator validates paths, composes relayed
+// answers and writes results in its requests' Scratch and its pooled
+// compositions, and sends each wave in a pooled call whose legs decode
+// into storage of their own; a released Scratch, call or composition
+// is scrambled in test binaries. Interleaved single and batch requests
+// over cross-region and in-region paths, departing at the start or at
+// a random second of two α-intervals — misses, then hits at both cache
+// levels and memo resumptions — run from one client and then from four
+// at once, in four epochs: between them a shard and the union publish
+// the same trips, all inside the shard's region, so the union stays
+// the disjoint union of the shards (region by region, over those whose
+// shard holds variables for the trips to rebuild). Three ways: plainly; with a hedge
+// after a microsecond, so that every call launches a second leg that
+// outlives it; and with a shard refusing a connection and one
+// answering garbage once before every request, so that calls retry.
 func TestCoordinatorPooledStorageDifferential(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
-		pooledDifferential(t, startFleet(t, 3, nil), nil)
+		pooledDifferential(t, publishingFleet(t, nil), nil)
 	})
 	t.Run("hedged", func(t *testing.T) {
-		f := startFleet(t, 3, func(cfg *Config) { cfg.HedgeAfter = time.Microsecond })
+		f := publishingFleet(t, func(cfg *Config) { cfg.HedgeAfter = time.Microsecond })
 		pooledDifferential(t, f, nil)
 		if f.coord.hedges.Load() == 0 {
 			t.Fatal("no hedge was launched")
@@ -41,7 +48,7 @@ func TestCoordinatorPooledStorageDifferential(t *testing.T) {
 	})
 	t.Run("retried", func(t *testing.T) {
 		ft := newFaultTransport()
-		f := startFleet(t, 3, func(cfg *Config) { cfg.Transport = ft })
+		f := publishingFleet(t, func(cfg *Config) { cfg.Transport = ft })
 		modes := [3]string{"kill-once", "garbage-once", ""}
 		pooledDifferential(t, f, func(i int) {
 			for r, ts := range f.shardTS {
@@ -62,6 +69,65 @@ func TestCoordinatorPooledStorageDifferential(t *testing.T) {
 	})
 }
 
+// publishingFleet is startFleet over 3 regions, whose shards and union
+// are loaded with the test model's trajectories, so that they can
+// publish exactly.
+func publishingFleet(t *testing.T, extra func(*Config)) *fleet {
+	part, split := splitTestModel(t, 3)
+	withData := func(sys *pathcost.System) *pathcost.System {
+		var model bytes.Buffer
+		if err := sys.SaveModel(&model); err != nil {
+			t.Fatal(err)
+		}
+		out, err := pathcost.LoadSystem(sys.Graph, testSystem(t).Data(), &model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for r, ss := range split.Shards {
+		split.Shards[r] = withData(ss)
+	}
+	split.Union = withData(split.Union)
+	return serveFleet(t, part, split, extra)
+}
+
+// inRegionTrips deals fresh trips on the test model's city, from
+// another seed than its training trips, to the regions whose shard
+// holds variables: the batches the differential's publishes apply, in
+// order, up to 100 trips each.
+func inRegionTrips(t *testing.T, f *fleet) (regions []int, batches [][]*pathcost.Matched) {
+	sys := testSystem(t)
+	fresh := trajgen.New(sys.Graph, traffic.NewModel(traffic.Config{}), trajgen.Config{Seed: 12, NumTrips: 1500}).Generate().Collection
+	for r, ss := range f.split.Shards {
+		if ss.Stats().TotalVariables() == 0 {
+			continue
+		}
+		var batch []*pathcost.Matched
+		for i := 0; i < fresh.Len() && len(batch) < 100; i++ {
+			m := fresh.Traj(i)
+			if region, ok := f.part.PathInRegion(sys.Graph, m.Path); ok && region == r {
+				batch = append(batch, m)
+			}
+		}
+		regions, batches = append(regions, r), append(batches, batch)
+	}
+	return regions, batches
+}
+
+// publishInRegion stages batch, trips inside region r, on region r's
+// shard and on the union, and publishes both.
+func publishInRegion(t *testing.T, f *fleet, r int, batch []*pathcost.Matched) {
+	for _, target := range []*pathcost.System{f.split.Shards[r], f.split.Union} {
+		if n, _ := target.StageTrajectories(batch); n == 0 {
+			t.Fatalf("no trip of region %d staged", r)
+		}
+		if st, err := target.PublishEpoch(); err != nil || st.LastRebuiltVars+st.LastNewVars == 0 {
+			t.Fatalf("region %d's publish rebuilt nothing (%+v, %v)", r, st, err)
+		}
+	}
+}
+
 // pooledDifferential runs the differential on f. arm, when not nil,
 // sets the shards' faults before op i of the one-client pass, and
 // clears them for the four-client pass when i is -1: a fault that
@@ -76,6 +142,12 @@ func pooledDifferential(t *testing.T, f *fleet, arm func(i int)) {
 	union := f.split.Union
 	rnd := rand.New(rand.NewSource(31))
 	paths := append(queryPaths(t, sys, 10, 32), crossRegionPath(t, f, sys))
+	regions, batches := inRegionTrips(t, f)
+	for _, batch := range batches {
+		for _, m := range batch[:3] { // paths the publishes rebuild variables on
+			paths = append(paths, m.Path)
+		}
+	}
 	methods := []string{"", "OD", "HP", "LB"}
 	departs := []float64{8 * 3600, 17 * 3600}
 
@@ -114,6 +186,9 @@ func pooledDifferential(t *testing.T, f *fleet, arm func(i int)) {
 				Path:   edgeIDs(p),
 				Depart: departs[rnd.Intn(len(departs))],
 				Method: methods[rnd.Intn(len(methods))],
+			}
+			if rnd.Intn(2) == 0 {
+				q.Depart += float64(1 + rnd.Intn(1799))
 			}
 			if rnd.Intn(3) == 0 {
 				q.Budget = float64(300 + rnd.Intn(1500))
@@ -185,26 +260,48 @@ func pooledDifferential(t *testing.T, f *fleet, arm func(i int)) {
 			}
 		}
 	}
-	for i := range ops {
-		if arm != nil {
-			arm(i)
-		}
-		serve(i)
-	}
-	if arm != nil {
-		arm(-1)
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for _, i := range rand.New(rand.NewSource(int64(c))).Perm(len(ops)) {
-				serve(i)
+	moved := 0 // entries a publish changed the answer of
+	for epoch := range 4 {
+		if epoch > 0 {
+			k := (epoch - 1) % len(regions)
+			publishInRegion(t, f, regions[k], batches[k])
+			for i := range ops {
+				for j, q := range ops[i].entries {
+					if r, ok := want(q); ok || r.Status == http.StatusBadRequest {
+						if !reflect.DeepEqual(r, ops[i].want[j]) {
+							moved++
+						}
+						ops[i].want[j] = r
+					} else {
+						t.Fatalf("epoch %d: the union no longer answers %v", epoch, q)
+					}
+				}
 			}
-		}(c)
+		}
+		for i := range ops {
+			if arm != nil {
+				arm(i)
+			}
+			serve(i)
+		}
+		if arm != nil {
+			arm(-1)
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for _, i := range rand.New(rand.NewSource(int64(c))).Perm(len(ops)) {
+					serve(i)
+				}
+			}(c)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	if moved == 0 {
+		t.Fatal("no publish changed an answer: the epochs are not exercised")
+	}
 	var hits, memoHits uint64
 	for _, ss := range f.split.Shards {
 		st, _ := ss.QueryCacheStats()

@@ -54,6 +54,13 @@ type fleet struct {
 // before it is built (nil for defaults).
 func startFleet(t testing.TB, k int, extra func(*Config)) *fleet {
 	t.Helper()
+	part, split := splitTestModel(t, k)
+	return serveFleet(t, part, split, extra)
+}
+
+// splitTestModel splits the test model k ways.
+func splitTestModel(t testing.TB, k int) (*Partition, *SplitResult) {
+	t.Helper()
 	sys := testSystem(t)
 	part, err := NewPartition(sys.Graph, k, sys.Params)
 	if err != nil {
@@ -63,6 +70,14 @@ func startFleet(t testing.TB, k int, extra func(*Config)) *fleet {
 	if err != nil {
 		t.Fatalf("SplitModel: %v", err)
 	}
+	return part, split
+}
+
+// serveFleet boots the deployment of split on httptest servers (see
+// startFleet).
+func serveFleet(t testing.TB, part *Partition, split *SplitResult, extra func(*Config)) *fleet {
+	t.Helper()
+	sys := testSystem(t)
 	f := &fleet{part: part, split: split}
 	cfg := Config{ProbeInterval: -1} // handler-only tests: no probe loops
 	for r, ss := range split.Shards {
@@ -75,6 +90,7 @@ func startFleet(t testing.TB, k int, extra func(*Config)) *fleet {
 	if extra != nil {
 		extra(&cfg)
 	}
+	var err error
 	f.coord, err = New(sys.Graph, part, cfg)
 	if err != nil {
 		t.Fatalf("New coordinator: %v", err)

@@ -116,8 +116,8 @@ func TestQueryCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same interval, different second: must be served from the cache
-	// (the documented α-interval granularity), as the same pointer.
+	// A minute later the path picks the same variables: the answer is
+	// served from the cache's second level, as the same pointer.
 	again, err := sys.PathDistribution(p, lo+120, OD)
 	if err != nil {
 		t.Fatal(err)

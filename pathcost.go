@@ -26,6 +26,7 @@ package pathcost
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -33,7 +34,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,21 +111,21 @@ func DefaultParams() Params { return core.DefaultParams() }
 // without data), and a router evaluating against exactly this model.
 // The model content is immutable after publish; queries that loaded an
 // epoch keep a consistent view of it even while the next epoch is
-// being built and published. The epoch's memo view is swappable via
+// being built and published. The epoch's memo is swappable via
 // EnableConvMemo.
 type ModelEpoch struct {
-	// Seq is the monotonically increasing epoch sequence number; it
-	// namespaces every query-cache key and memo key so a publish
-	// invalidates derived state logically — stale entries of older
-	// epochs can never answer queries on this one.
+	// Seq is the monotonically increasing epoch sequence number; a
+	// first-level query-cache entry carries it, so that one answered
+	// against an older epoch never answers a query on this one.
 	Seq    uint64
 	Hybrid *core.HybridGraph
 	Data   *Collection
 	Router *routing.Router
 
-	// memo is the epoch-scoped view of the convolution memo (nil when
-	// none is enabled), read by distribution queries only. Writers hold
-	// pubMu or have not published the epoch yet.
+	// memo is the epoch's own convolution memo (nil when none is
+	// enabled), read by distribution queries only; every epoch starts
+	// an empty one (ConvMemo.Fresh). Writers hold pubMu or have not
+	// published the epoch yet.
 	memo atomic.Pointer[core.ConvMemo]
 }
 
@@ -148,11 +148,11 @@ type System struct {
 	// epoch is the currently served model snapshot; see ModelEpoch.
 	epoch atomic.Pointer[ModelEpoch]
 
-	// qcache, when non-nil, memoizes PathDistribution results per
-	// (epoch, path, α-interval, method). It is an atomic pointer so
+	// qcache, when non-nil, holds PathDistribution answers at two levels
+	// (see EnableQueryCache). It is an atomic pointer so
 	// EnableQueryCache can install, resize or remove the cache while
-	// queries are running. See EnableQueryCache.
-	qcache atomic.Pointer[cache.LRU[*QueryResult]]
+	// queries are running.
+	qcache atomic.Pointer[queryCache]
 
 	// pubMu serializes epoch publishes and attachment changes; it is
 	// never taken by queries.
@@ -263,14 +263,23 @@ func Synthesize(cfg SynthesizeConfig) (*System, error) {
 	return NewSystem(g, res.Collection, cfg.Params)
 }
 
-// EnableQueryCache puts a sharded LRU of at most capacity entries in
-// front of PathDistribution, keyed by (path signature, departure
-// α-interval, method). Cached answers are approximate in one
-// deliberate way: all departures falling in the same α-interval share
-// the distribution computed for the first of them, matching the
-// paper's premise that cost distributions are stationary within an
-// interval. Cached *QueryResult values are shared between callers and
-// must be treated as read-only. capacity ≤ 0 disables the cache.
+// EnableQueryCache puts an exact answer cache in front of
+// PathDistribution, at two levels of at most capacity entries each.
+// The first is keyed by the query as asked — path, the exact departure
+// and the method — and an entry answers only the epoch it was answered
+// against, so a repeated query is one probe. On a miss the query's
+// decomposition is chosen (Section 4.1), and the second level is keyed
+// by what the answer is a function of: the path, the method, the rank
+// cap, and the version id and position of every variable the
+// decomposition picked (core.Variable.ID). The departure
+// reaches an estimate only through those picks (Eq. 3), and a variable
+// never changes under its id, so the key needs no epoch: a departure
+// that picks the same variables shares the answer, and after a publish
+// every answer whose variables the publish did not rebuild is still
+// served. Only a miss at both levels computes, and every answer is the
+// one PathDistribution computes without a cache, byte for byte.
+// Cached *QueryResult values are shared between callers and must be
+// treated as read-only. capacity ≤ 0 disables the cache.
 //
 // EnableQueryCache is safe to call while queries are in flight: the
 // cache pointer is swapped atomically, in-flight queries finish
@@ -285,17 +294,49 @@ func (s *System) EnableQueryCache(capacity int) {
 		s.qcache.Store(nil)
 		return
 	}
-	s.qcache.Store(cache.NewLRU[*QueryResult](capacity))
+	s.qcache.Store(&queryCache{
+		exact:  cache.NewLRU[exactAnswer](capacity),
+		decomp: cache.NewLRU[*QueryResult](capacity),
+	})
 }
 
-// QueryCacheStats snapshots the query cache's hit/miss/eviction
-// counters; ok is false when no cache is enabled.
+// queryCache is the two-level answer cache (see EnableQueryCache). An
+// answer found at the second level is stored at the first as the same
+// *QueryResult.
+type queryCache struct {
+	exact  *cache.LRU[exactAnswer]
+	decomp *cache.LRU[*QueryResult]
+	// stale counts first-level entries found answered against an
+	// earlier epoch, which the query then looks up at the second level.
+	stale atomic.Uint64
+}
+
+// exactAnswer is a first-level entry: an answer and the epoch it was
+// answered against. A publish can change the variables a departure
+// picks, so an entry serves only its own epoch; the next epoch's
+// answer to the same query overwrites it in place.
+type exactAnswer struct {
+	seq uint64
+	res *QueryResult
+}
+
+// QueryCacheStats snapshots the query cache's counters; ok is false
+// when no cache is enabled. Hits counts the queries answered at either
+// level, Misses the rest, Evictions both levels' and Entries the
+// distinct answers held.
 func (s *System) QueryCacheStats() (st CacheStats, ok bool) {
 	c := s.qcache.Load()
 	if c == nil {
 		return CacheStats{}, false
 	}
-	return c.Stats(), true
+	// Read in the order a query counts in reverse, so that no
+	// difference below goes negative under concurrent queries.
+	d := c.decomp.Stats()
+	stale := c.stale.Load()
+	x := c.exact.Stats()
+	d.Hits, d.Misses = x.Hits-stale+d.Hits, x.Misses+stale-d.Hits
+	d.Evictions += x.Evictions
+	return d, true
 }
 
 // EnableConvMemo installs the incremental sub-path convolution engine:
@@ -307,11 +348,11 @@ func (s *System) QueryCacheStats() (st CacheStats, ok bool) {
 // never reads it: a search resumes each expansion from its parent's
 // state.
 //
-// Unlike the query cache (EnableQueryCache), the memo is exact:
-// results are byte-identical to unmemoized evaluation, because the
-// keys carry the exact departure time and the chain evaluator applies
-// exactly the operations the one-shot evaluator applies. Methods
-// without an incremental evaluator (RD) bypass the memo.
+// The memo is exact: results are byte-identical to unmemoized
+// evaluation, because the keys carry the exact departure time and the
+// chain evaluator applies exactly the operations the one-shot
+// evaluator applies. Methods without an incremental evaluator (RD)
+// bypass the memo.
 //
 // capacity ≤ 0 removes the memo. Safe to call while queries are in
 // flight: the pointer swaps atomically and running queries finish
@@ -323,7 +364,7 @@ func (s *System) EnableConvMemo(capacity int) {
 	ep := s.epoch.Load()
 	var view *core.ConvMemo
 	if capacity > 0 {
-		view = core.NewConvMemo(capacity).ForEpoch(ep.Seq)
+		view = core.NewConvMemo(capacity)
 	}
 	ep.memo.Store(view)
 }
@@ -372,7 +413,7 @@ func (s *System) PlanDistributions(ctx context.Context, queries []PlanQuery,
 		if q.Opt == (QueryOptions{Method: q.Opt.Method}) {
 			r.Res, r.Err = s.PathDistributionGated(ctx, q.Path, q.Depart, q.Opt.Method, acquire, release)
 		} else {
-			r.Res, r.Err = s.computeGated(ctx, s.epoch.Load(), q.Path, q.Depart, q.Opt, acquire, release)
+			r.Res, r.Err = s.computeGated(ctx, s.epoch.Load(), q.Path, q.Depart, q.Opt, nil, acquire, release)
 		}
 	}
 	return out, PlanStats{}
@@ -418,29 +459,47 @@ func (s *System) SyntheticWorkload(n, card int, seed int64, departs []float64) (
 	return out, nil
 }
 
-// queryKey appends the cache identity of a distribution query to b:
-// the epoch it was answered against, the path's canonical signature,
-// the departure α-interval and the method. The epoch prefix makes a
-// publish invalidate cached answers logically — entries of older
-// epochs can no longer be looked up and age out of the LRU.
-func (s *System) queryKey(b []byte, ep *ModelEpoch, p Path, depart float64, m Method) []byte {
-	b = strconv.AppendUint(append(b, 'e'), ep.Seq, 10)
-	b = p.AppendKey(append(b, '|'))
-	b = strconv.AppendInt(append(b, '@'), int64(s.Params.IntervalOf(depart)), 10)
+// exactKey appends the first-level cache identity of a distribution
+// query to b: the path's canonical signature, the departure's bits and
+// the method.
+func exactKey(b []byte, p Path, depart float64, m Method) []byte {
+	b = p.AppendKey(b)
+	b = binary.LittleEndian.AppendUint64(append(b, '@'), math.Float64bits(depart))
 	return append(append(b, '/'), m...)
 }
 
-// queryKeyStackBytes sizes the stack buffer a query's key is written
-// into, so that a hit allocates no key: room for 80 edges of 5-digit
-// ids. A longer key spills to the heap and stays correct.
+// decompKey appends the second-level cache identity of an answer to b:
+// the path, the method, the rank cap and the decomposition's factors,
+// each as its position and its variable's id, in varints.
+func decompKey(b []byte, p Path, opt QueryOptions, de *core.Decomposition) []byte {
+	b = binary.AppendUvarint(b, uint64(len(p)))
+	for _, e := range p {
+		b = binary.AppendUvarint(b, uint64(e))
+	}
+	b = append(binary.AppendUvarint(b, uint64(len(opt.Method))), opt.Method...)
+	b = binary.AppendVarint(b, int64(opt.RankCap))
+	for i, v := range de.Vars {
+		b = binary.AppendUvarint(b, uint64(de.Pos[i]))
+		b = binary.AppendUvarint(b, v.ID())
+	}
+	return b
+}
+
+// queryKeyStackBytes sizes the stack buffers a query's keys are
+// written into, so that a hit allocates no key: room for 80 edges of
+// 5-digit ids. A longer key spills to the heap and stays correct.
 const queryKeyStackBytes = 512
+
+// decompPool recycles the decomposition a first-level miss chooses to
+// probe the second level with; evaluation copies what it keeps.
+var decompPool = sync.Pool{New: func() any { return new(core.Decomposition) }}
 
 // PathDistribution estimates the cost distribution of a path at the
 // given departure time (seconds; time-of-day or absolute). When a
-// query cache is enabled (EnableQueryCache), repeated queries for the
-// same (path, α-interval, method) are served from memory; the returned
-// result is then shared between callers and must not be mutated. Like
-// PathDistributionGated it reads p and does not keep it.
+// query cache is enabled (EnableQueryCache), an answer the cache holds
+// is served from memory; the returned result is then shared between
+// callers and must not be mutated. Like PathDistributionGated it reads
+// p and does not keep it.
 func (s *System) PathDistribution(p Path, depart float64, m Method) (*QueryResult, error) {
 	return s.PathDistributionGated(context.Background(), p, depart, m, nil, nil)
 }
@@ -450,11 +509,11 @@ func (s *System) PathDistribution(p Path, depart float64, m Method) (*QueryResul
 var ErrGateRejected = errors.New("pathcost: computation gate rejected the query")
 
 // PathDistributionGated is PathDistribution with a concurrency gate
-// charged only for real work: a query-cache hit never touches the
-// gate, and a miss runs acquire immediately before its one underlying
-// CostDistribution computation and release after it, so a bound
-// implemented with it tracks CPU-bound computations rather than
-// requests. acquire returning false aborts the query with
+// charged only for real work: a query-cache hit, at either level,
+// never touches the gate, and a miss runs acquire immediately before
+// its one underlying CostDistribution computation and release after
+// it, so a bound implemented with it tracks CPU-bound computations
+// rather than requests. acquire returning false aborts the query with
 // ErrGateRejected and caches nothing. Either hook may be nil: a nil
 // acquire disables gating entirely, a nil release just skips the
 // post-computation call. Concurrent misses on one key each compute
@@ -481,26 +540,43 @@ func (s *System) PathDistributionGated(ctx context.Context, p Path, depart float
 		m = OD
 	}
 	// One epoch snapshot serves the whole query: the answer, and the
-	// cache entry it fills, belong to this epoch even if a publish lands
-	// mid-query.
+	// cache entries it fills, belong to this epoch even if a publish
+	// lands mid-query.
 	ep := s.epoch.Load()
 	opt := QueryOptions{Method: m}
 	c := s.qcache.Load()
 	if c == nil {
 		// Uncached queries stay independent on purpose: each caller
 		// owns its result and may post-process it freely.
-		return s.computeGated(ctx, ep, slices.Clone(p), depart, opt, acquire, release)
+		return s.computeGated(ctx, ep, slices.Clone(p), depart, opt, nil, acquire, release)
 	}
 	var buf [queryKeyStackBytes]byte
-	key := s.queryKey(buf[:0], ep, p, depart, m)
-	if res, ok := c.GetBytes(key); ok {
-		return res, nil
+	key := exactKey(buf[:0], p, depart, m)
+	if a, ok := c.exact.GetBytes(key); ok {
+		if a.seq == ep.Seq {
+			return a.res, nil
+		}
+		c.stale.Add(1)
 	}
-	res, err := s.computeGated(ctx, ep, slices.Clone(p), depart, opt, acquire, release)
+	dst := decompPool.Get().(*core.Decomposition)
+	defer func() {
+		clear(dst.Vars) // hold no variable of a retired epoch
+		decompPool.Put(dst)
+	}()
+	de, err := ep.Hybrid.Decompose(p, depart, opt, dst)
 	if err != nil {
 		return nil, err
 	}
-	c.Put(string(key), res)
+	var dbuf [queryKeyStackBytes]byte
+	dkey := decompKey(dbuf[:0], p, opt, de)
+	res, ok := c.decomp.GetBytes(dkey)
+	if !ok {
+		if res, err = s.computeGated(ctx, ep, slices.Clone(p), depart, opt, de, acquire, release); err != nil {
+			return nil, err
+		}
+		c.decomp.PutBytes(dkey, res)
+	}
+	c.exact.PutBytes(key, exactAnswer{ep.Seq, res})
 	return res, nil
 }
 
@@ -508,11 +584,13 @@ func (s *System) PathDistributionGated(ctx context.Context, p Path, depart float
 // query cache exists to avoid repeating) against one epoch snapshot,
 // charged to the caller's gate: acquire runs immediately before it and
 // release after, and acquire returning false fails the query with
-// ErrGateRejected. Either hook may be nil. Evaluation goes through the
-// epoch's memo view: it resumes from the deepest prefix of p the memo
-// holds, and the answer is byte-identical with or without one.
+// ErrGateRejected. Either hook may be nil. de is p's decomposition
+// when the caller has chosen it (see core's CostDistributionCtx), nil
+// otherwise. Evaluation goes through the epoch's memo: it
+// resumes from the deepest prefix of p the memo holds, and the answer
+// is byte-identical with or without one.
 func (s *System) computeGated(ctx context.Context, ep *ModelEpoch, p Path, depart float64, opt QueryOptions,
-	acquire func() bool, release func()) (*QueryResult, error) {
+	de *core.Decomposition, acquire func() bool, release func()) (*QueryResult, error) {
 	if acquire != nil {
 		if !acquire() {
 			return nil, ErrGateRejected
@@ -528,7 +606,7 @@ func (s *System) computeGated(ctx context.Context, ep *ModelEpoch, p Path, depar
 	if ctx == context.Background() {
 		ctx = nil
 	}
-	return ep.Hybrid.CostDistributionCtx(ctx, ep.memo.Load(), p, depart, opt)
+	return ep.Hybrid.CostDistributionCtx(ctx, ep.memo.Load(), p, depart, opt, de)
 }
 
 // GroundTruth runs the accuracy-optimal baseline (Section 2.2) on the
@@ -790,9 +868,11 @@ func (s *System) StagedCount() int {
 // batch are rebuilt (exact mode) or decayed-and-merged (decay mode);
 // everything else is shared with the previous epoch by pointer.
 // In-flight queries are never blocked — they finish on the epoch they
-// snapshotted, and the epoch-prefixed cache keys and memo views
-// guarantee no derived state computed against the old model ever
-// answers a query on the new one.
+// snapshotted. A first-level query-cache entry answers only the epoch
+// it carries and the new epoch starts an empty memo, so nothing they
+// derived from the old model answers a query on the new one; the
+// cache's second level is keyed by variable versions, so it serves the
+// new epoch exactly the answers whose variables the publish left alone.
 //
 // With nothing staged, PublishEpoch is a no-op returning current
 // stats. On a build error the staged batch is restored (ahead of
@@ -860,11 +940,12 @@ func (s *System) PublishEpoch() (EpochStats, error) {
 		return s.epochStats(ep), err
 	}
 
-	// The memo view moves to the new epoch's key space.
+	// The new epoch starts an empty memo; the old one goes with its
+	// epoch.
 	seq := ep.Seq + 1
 	nep := &ModelEpoch{Seq: seq, Hybrid: nh, Data: nd, Router: routing.New(nh)}
 	if m := ep.memo.Load(); m != nil {
-		nep.memo.Store(m.ForEpoch(seq))
+		nep.memo.Store(m.Fresh())
 	}
 	s.epoch.Store(nep)
 	s.lastPublish = time.Now()

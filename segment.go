@@ -28,7 +28,7 @@ func DecodeChainState(data []byte, pathLen int) (*ChainState, error) {
 }
 
 // EvaluateSegment evaluates one segment of a partitioned query against
-// the current epoch's model and memo view. With the memo on, a first
+// the current epoch's model and memo. With the memo on, a first
 // segment resumes from and feeds the memo, and its state is the
 // memo's; every other segment runs the chain a memo-free
 // CostDistribution runs, a continuation from the relayed state, which
