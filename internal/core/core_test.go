@@ -171,10 +171,10 @@ func TestBuildAprioriProperty(t *testing.T) {
 		}
 		prefix := v.Path[:v.Rank()-1]
 		suffix := v.Path[1:]
-		if h.vars[prefix.Key()] == nil {
+		if h.find(prefix) < 0 {
 			t.Errorf("prefix %v of %v has no variables", prefix, v.Path)
 		}
-		if h.vars[suffix.Key()] == nil {
+		if h.find(suffix) < 0 {
 			t.Errorf("suffix %v of %v has no variables", suffix, v.Path)
 		}
 	})

@@ -286,10 +286,8 @@ func (h *HybridGraph) Decompose(p graph.Path, t float64, opt QueryOptions, dst *
 func (h *HybridGraph) suffixVariable(p graph.Path) bool {
 	n := len(p)
 	for k := max(0, n-len(h.stats.VariablesByRank)); k < n-1; k++ {
-		for _, pv := range h.byStart[p[k]] {
-			if len(pv.path) == n-k && slices.Equal(pv.path, p[k:]) {
-				return true
-			}
+		if h.find(p[k:]) >= 0 {
+			return true
 		}
 	}
 	return false

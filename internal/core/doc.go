@@ -83,17 +83,21 @@
 // to multiply + foldTo; see chainState.convolveFold and
 // docs/ARCHITECTURE.md ("What one chain step costs").
 //
-// Every model — trained (Build), loaded (ReadHybrid), filtered
-// (FilterVariables) or the next epoch (ApplyBatchExact,
-// ApplyBatchDecay) — starts from one empty graph, newHybrid, and
-// inserts each variable through one put, the only writer of the
-// variable index, the candidate rows, the rank-1 index and the
-// statistics the variables determine. An epoch starts from derive,
-// which shares every per-path record and candidate row with the
-// serving epoch; put copies one before its first write, so the serving
-// epoch never changes. A candidate row keeps insertion order: only
-// sortByRank, in buildCandidateArrayFrom, orders what a query reads of
-// it.
+// Every model — trained (Build), loaded (ReadHybrid) or filtered
+// (FilterVariables) — starts from one empty graph, newHybrid, and
+// inserts each variable through one put. The per-edge candidate rows
+// (byStart) and each path's interval-sorted variables (pathVars.sorted)
+// are the one variable index: queries, put, LookupInterval and
+// ForEachVariable all read it, and put is the only writer of it and of
+// the statistics the variables determine. The next epoch
+// (ApplyBatchExact, ApplyBatchDecay) starts from derive, which shares
+// every per-path record and candidate row with the serving epoch; put
+// copies one before its first write, so the serving epoch never
+// changes. A candidate row keeps insertion order: only sortByRank, in
+// buildCandidateArrayFrom, orders what a query reads of it, and
+// ForEachVariable sorts by path key. An edge's speed-limit fallback
+// lives in a per-edge atomic slot, filled once by compare-and-swap and
+// shared by every epoch derived from the model.
 //
 // Query evaluation is bit-deterministic by construction: float
 // accumulation over hyper-buckets always runs in sorted cell order,

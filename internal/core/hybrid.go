@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -72,14 +73,13 @@ func (v *Variable) StorageFloats() int {
 	return v.Joint.StorageFloats()
 }
 
-// pathVars groups the per-interval variables of one path. sorted is
-// the same set ordered by ascending interval: temporal-relevance
-// selection must iterate it (not the map) so that overlap ties are
-// broken deterministically — map iteration order would otherwise make
-// repeated identical queries pick different variables.
+// pathVars holds the variables of one path, sorted by ascending
+// interval: put inserts and LookupInterval finds an interval by binary
+// search, and temporal-relevance selection iterates in this order so
+// that overlap ties break toward the earliest interval, the same pick
+// for every repeat of a query.
 type pathVars struct {
 	path   graph.Path
-	byIv   map[int]*Variable
 	sorted []*Variable
 	// gen is the gen of the graph whose put made this pathVars; only
 	// that graph writes it.
@@ -93,17 +93,17 @@ type HybridGraph struct {
 	G      *graph.Graph
 	Params Params
 
-	// vars indexes all instantiated variables by path key.
-	vars map[string]*pathVars
-	// unit indexes the rank-1 rows directly by edge, sparing the
-	// per-edge path-key string the temporal-relevance scan of every
-	// query would otherwise build. Edge identifiers are dense, so both
-	// per-edge indexes are flat slices (length G.NumEdges()) — a query
-	// touches them once per row and a slice load beats a map probe.
+	// unit points at each edge's rank-1 record in byStart, which the
+	// temporal-relevance scan of every query reads directly. Edge
+	// identifiers are dense, so both per-edge indexes are flat slices
+	// (length G.NumEdges()).
 	unit []*pathVars
 	// byStart lists instantiated paths by their first edge, used to
 	// build candidate arrays (Section 4.1.3), in no particular order:
-	// buildCandidateArrayFrom orders every row it builds by rank.
+	// buildCandidateArrayFrom orders every row it builds by rank. With
+	// each record's sorted variables it is the graph's one variable
+	// index: put, LookupInterval and ForEachVariable find a path in its
+	// first edge's row (find).
 	byStart [][]*pathVars
 	// gen identifies this graph among all graphs of the process, and
 	// ownStart[e] records that byStart[e] is this graph's own copy.
@@ -111,10 +111,10 @@ type HybridGraph struct {
 	// lists; put copies each before its first write to it.
 	gen      uint64
 	ownStart []bool
-	// fallbacks caches speed-limit rank-1 variables, built on demand;
-	// the mutex keeps concurrent queries safe.
-	fbMu      sync.Mutex
-	fallbacks map[graph.EdgeID]*Variable
+	// fallbacks[e] holds edge e's speed-limit rank-1 variable once a
+	// query first needs it (fallbackVariable). The slots are made with
+	// a root model and shared by every graph derived from it.
+	fallbacks []atomic.Pointer[Variable]
 
 	// Build statistics.
 	stats BuildStats
@@ -123,18 +123,18 @@ type HybridGraph struct {
 // graphGen hands out HybridGraph.gen.
 var graphGen atomic.Uint64
 
-// newHybrid returns an empty hybrid graph over g: every model, trained,
-// loaded, filtered or derived, starts here and fills through put.
+// newHybrid returns an empty hybrid graph over g: every root model,
+// trained, loaded or filtered, starts here and fills through put; an
+// epoch starts from derive.
 func newHybrid(g *graph.Graph, params Params) *HybridGraph {
 	return &HybridGraph{
 		G:         g,
 		Params:    params,
-		vars:      make(map[string]*pathVars),
 		unit:      make([]*pathVars, g.NumEdges()),
 		byStart:   make([][]*pathVars, g.NumEdges()),
 		gen:       graphGen.Add(1),
 		ownStart:  make([]bool, g.NumEdges()),
-		fallbacks: make(map[graph.EdgeID]*Variable),
+		fallbacks: make([]atomic.Pointer[Variable], g.NumEdges()),
 		stats:     BuildStats{VariablesByRank: make([]int, params.MaxRank)},
 	}
 }
@@ -415,38 +415,36 @@ func (h *HybridGraph) buildJointVariable(data *gps.Collection, path graph.Path, 
 	}, nil
 }
 
-// put registers v: the one writer of the graph's indexes (vars, unit,
-// byStart) and of its per-variable statistics, and the one giver of
-// ids (see Variable.ID): v keeps an id it has, so a model filtered from
-// this one names a shared variable as this one does. A variable
-// already held for v's (path, interval) is replaced, its statistics
-// subtracted. A pathVars or byStart list still shared with the graph
-// this one was derived from is copied before the first write, so each
-// is copied at most once per graph and the parent never changes.
-// Reports whether v's (path, interval) was empty.
+// put registers v: the one writer of the graph's indexes (byStart and
+// each record's sorted variables, unit) and of its per-variable
+// statistics, and the one giver of ids (see Variable.ID): v keeps an id
+// it has, so a model filtered from this one names a shared variable as
+// this one does. A variable already held for v's (path, interval) is
+// replaced, its statistics subtracted. A pathVars or byStart list still
+// shared with the graph this one was derived from is copied before the
+// first write, so each is copied at most once per graph and the parent
+// never changes. Reports whether v's (path, interval) was empty.
 func (h *HybridGraph) put(v *Variable) (isNew bool) {
 	if v.id == 0 {
 		v.id = 2 * varIDs.Add(1)
 	}
-	key := v.Path.Key()
-	pv := h.vars[key]
+	e := v.Path[0]
+	i := h.find(v.Path)
+	var pv *pathVars
+	if i >= 0 {
+		pv = h.byStart[e][i]
+	}
 	if pv == nil || pv.gen != h.gen {
-		own := &pathVars{path: v.Path, byIv: make(map[int]*Variable), gen: h.gen}
+		own := &pathVars{path: v.Path, gen: h.gen}
 		if pv != nil {
 			own.path = pv.path
-			own.byIv = make(map[int]*Variable, len(pv.byIv)+1)
-			for iv, ov := range pv.byIv {
-				own.byIv[iv] = ov
-			}
 			own.sorted = append([]*Variable(nil), pv.sorted...)
 		}
-		h.vars[key] = own
-		e := own.path[0]
 		if !h.ownStart[e] {
 			h.byStart[e] = append([]*pathVars(nil), h.byStart[e]...)
 			h.ownStart[e] = true
 		}
-		if i := slices.Index(h.byStart[e], pv); i >= 0 {
+		if i >= 0 {
 			h.byStart[e][i] = own // the copy takes the shared pathVars' place
 		} else {
 			h.byStart[e] = append(h.byStart[e], own)
@@ -459,41 +457,56 @@ func (h *HybridGraph) put(v *Variable) (isNew bool) {
 		}
 		pv = own
 	}
-	old := pv.byIv[v.Interval]
-	if old != nil {
+	j, held := slices.BinarySearchFunc(pv.sorted, v.Interval, byInterval)
+	if held {
+		old := pv.sorted[j]
 		h.stats.VariablesByRank[old.Rank()-1]--
 		h.stats.StorageFloats -= old.StorageFloats()
 		h.stats.SupportTotal -= old.Support
-	}
-	pv.byIv[v.Interval] = v
-	i := sort.Search(len(pv.sorted), func(i int) bool { return pv.sorted[i].Interval >= v.Interval })
-	if old != nil {
-		pv.sorted[i] = v
+		pv.sorted[j] = v
 	} else {
-		pv.sorted = slices.Insert(pv.sorted, i, v)
+		pv.sorted = slices.Insert(pv.sorted, j, v)
 	}
 	h.stats.VariablesByRank[v.Rank()-1]++
 	h.stats.StorageFloats += v.StorageFloats()
 	h.stats.SupportTotal += v.Support
-	return old == nil
+	return !held
 }
+
+// find returns the position of p's record in its first edge's row,
+// byStart[p[0]], or -1 when no variable has path p.
+func (h *HybridGraph) find(p graph.Path) int {
+	if len(p) == 0 || p[0] < 0 || int(p[0]) >= len(h.byStart) {
+		return -1
+	}
+	for i, pv := range h.byStart[p[0]] {
+		if slices.Equal(pv.path, p) {
+			return i
+		}
+	}
+	return -1
+}
+
+// byInterval orders a record's sorted variables for binary search.
+func byInterval(v *Variable, iv int) int { return cmp.Compare(v.Interval, iv) }
 
 // derive returns a graph with h's variables and statistics that shares
 // every pathVars and byStart list with h until put writes it: the
-// starting point of the next epoch, built while h keeps serving. Its
-// speed-limit fallbacks are its own, so epochs never contend on them.
+// starting point of the next epoch, built while h keeps serving. It
+// shares h's fallback slots too: a fallback is a function of its edge
+// alone, so no publish builds one again.
 func (h *HybridGraph) derive() *HybridGraph {
-	nh := newHybrid(h.G, h.Params)
-	nh.vars = make(map[string]*pathVars, len(h.vars)+16)
-	for k, pv := range h.vars {
-		nh.vars[k] = pv
+	nh := &HybridGraph{
+		G:         h.G,
+		Params:    h.Params,
+		unit:      slices.Clone(h.unit),
+		byStart:   slices.Clone(h.byStart),
+		gen:       graphGen.Add(1),
+		ownStart:  make([]bool, len(h.byStart)),
+		fallbacks: h.fallbacks,
+		stats:     h.stats,
 	}
-	copy(nh.unit, h.unit)
-	copy(nh.byStart, h.byStart)
-	byRank := nh.stats.VariablesByRank
-	nh.stats = h.stats
-	nh.stats.VariablesByRank = byRank
-	copy(byRank, h.stats.VariablesByRank)
+	nh.stats.VariablesByRank = slices.Clone(h.stats.VariablesByRank)
 	return nh
 }
 
@@ -502,40 +515,46 @@ func (h *HybridGraph) Stats() BuildStats { return h.stats }
 
 // LookupInterval returns the variable of path p for interval iv.
 func (h *HybridGraph) LookupInterval(p graph.Path, iv int) *Variable {
-	pv, ok := h.vars[p.Key()]
-	if !ok {
+	i := h.find(p)
+	if i < 0 {
 		return nil
 	}
-	return pv.byIv[iv]
+	vs := h.byStart[p[0]][i].sorted
+	if j, ok := slices.BinarySearchFunc(vs, iv, byInterval); ok {
+		return vs[j]
+	}
+	return nil
 }
 
 // ForEachVariable visits every trajectory-backed variable in a
 // deterministic order (path key, then interval), so that model
-// serialization is byte-stable across runs and across serial/parallel
-// builds of the same data.
+// serialization is byte-stable across runs, across serial/parallel
+// builds of the same data and whatever order the rows hold.
 func (h *HybridGraph) ForEachVariable(fn func(*Variable)) {
-	keys := make([]string, 0, len(h.vars))
-	for k := range h.vars {
-		keys = append(keys, k)
+	type keyed struct {
+		key string
+		pv  *pathVars
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		pv := h.vars[k]
-		ivs := make([]int, 0, len(pv.byIv))
-		for iv := range pv.byIv {
-			ivs = append(ivs, iv)
+	var all []keyed
+	for _, row := range h.byStart {
+		for _, pv := range row {
+			all = append(all, keyed{pv.path.Key(), pv})
 		}
-		sort.Ints(ivs)
-		for _, iv := range ivs {
-			fn(pv.byIv[iv])
+	}
+	slices.SortFunc(all, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	for _, k := range all {
+		for _, v := range k.pv.sorted {
+			fn(v)
 		}
 	}
 }
 
+// fallbackVariable returns edge e's speed-limit fallback, built on its
+// first use. Concurrent first uses may each build one, but only one
+// compare-and-swap fills the slot, and every caller returns its winner.
 func (h *HybridGraph) fallbackVariable(e graph.EdgeID) *Variable {
-	h.fbMu.Lock()
-	defer h.fbMu.Unlock()
-	if v, ok := h.fallbacks[e]; ok {
+	slot := &h.fallbacks[e]
+	if v := slot.Load(); v != nil {
 		return v
 	}
 	ed := h.G.Edge(e)
@@ -553,8 +572,10 @@ func (h *HybridGraph) fallbackVariable(e graph.EdgeID) *Variable {
 		TimeMax:    ff,
 		id:         fallbackID(e),
 	}
-	h.fallbacks[e] = v
-	return v
+	if slot.CompareAndSwap(nil, v) {
+		return v
+	}
+	return slot.Load()
 }
 
 // costValue returns the configured-domain cost of the n-edge sub-path

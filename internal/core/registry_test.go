@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/gps"
@@ -179,4 +180,105 @@ func firstDiff(got, want string) string {
 		}
 	}
 	return fmt.Sprintf("%d lines, want %d", len(gl), len(wl))
+}
+
+// TestOneFallbackPerEdge: eight goroutines take the first use of every
+// edge's speed-limit fallback on a fresh model at once, each walking
+// the edges from its own offset, and all get one variable per edge; an
+// exact and a decay epoch derived from that model return the same
+// variables, so no publish builds a fallback again.
+func TestOneFallbackPerEdge(t *testing.T) {
+	g, data, params := braidWorkload(5)
+	h, err := Build(g, data, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumEdges()
+	for e := range n {
+		if h.fallbacks[e].Load() != nil {
+			t.Fatalf("edge %d's fallback is built before any query", e)
+		}
+	}
+	const workers = 8
+	got := make([][]*Variable, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range workers {
+		got[w] = make([]*Variable, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := range n {
+				e := (w*n/workers + i) % n
+				got[w][e] = h.fallbackVariable(graph.EdgeID(e))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for e := range n {
+		v := got[0][e]
+		if !v.SpeedLimit || v.ID() != fallbackID(graph.EdgeID(e)) || h.fallbacks[e].Load() != v {
+			t.Fatalf("edge %d's fallback %p (id %d) is not the one in its slot", e, v, v.ID())
+		}
+		for w := 1; w < workers; w++ {
+			if got[w][e] != v {
+				t.Fatalf("edge %d: goroutines 0 and %d got different fallbacks", e, w)
+			}
+		}
+	}
+
+	batch := registryBatch(g, 1_000_000, 4*params.Beta, []graph.EdgeID{1})
+	exact, _, _, err := h.ApplyBatchExact(data, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decay, _, err := h.ApplyBatchDecay(batch, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := range n {
+		if exact.fallbackVariable(graph.EdgeID(e)) != got[0][e] || decay.fallbackVariable(graph.EdgeID(e)) != got[0][e] {
+			t.Fatalf("edge %d: a derived epoch built its own fallback", e)
+		}
+	}
+}
+
+// TestModelBytesAnyRowOrder: a model file lists its variables by path
+// key, then interval, whatever order put left a candidate row in — for
+// a trained model and for an epoch derived from it, whose rows mix the
+// parent's records with its own.
+func TestModelBytesAnyRowOrder(t *testing.T) {
+	g, data, params := table1Fixture(t)
+	h, err := Build(g, data, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// β trajectories along <e1..e4> at 17:00 add paths and intervals to
+	// rows the parent holds.
+	batch := make([]*gps.Matched, 2*params.Beta)
+	for i := range batch {
+		batch[i] = &gps.Matched{
+			ID: 1_000_000 + int64(i), Path: graph.Path{1, 2, 3, 4},
+			Depart: 17*3600 + float64(i), EdgeCosts: []float64{30, 31 + float64(i%4), 29, 32},
+		}
+	}
+	child, _, delta, err := h.ApplyBatchExact(data, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.NewVars == 0 {
+		t.Fatalf("%+v, want new variables", delta)
+	}
+	for _, m := range []struct {
+		what string
+		h    *HybridGraph
+	}{{"trained", h}, {"derived", child}} {
+		before := writeModelBytes(t, m.h)
+		m.h.ReverseRows()
+		if !bytes.Equal(writeModelBytes(t, m.h), before) {
+			t.Fatalf("the %s model's file changed with its rows' order", m.what)
+		}
+	}
 }
