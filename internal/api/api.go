@@ -63,6 +63,11 @@ type DistributionResponse struct {
 	// this answer — for a cache hit that is a prior request's
 	// computation, not work done by this request.
 	EvalUS int64 `json:"eval_us"`
+
+	// decimals is the digit record of MeanS … P90S and Buckets
+	// (hist.Decimals) when the answer is a cached result that has
+	// one: the encoder writes those numbers from it.
+	decimals hist.Decimals
 }
 
 // RouteRequest asks for the most reliable route within a budget.
@@ -165,7 +170,7 @@ type StateResult struct {
 // DistributionPayload is Scratch.Distribution into fresh memory, with
 // the summary computed from dist.
 func DistributionPayload(method string, interval int, dist *hist.Histogram, budget float64, decompPaths, maxRank int, evalUS int64) *DistributionResponse {
-	return (*Scratch)(nil).Distribution(method, interval, dist, dist.Summary(), budget, decompPaths, maxRank, evalUS)
+	return (*Scratch)(nil).Distribution(method, interval, dist, dist.Summary(), nil, budget, decompPaths, maxRank, evalUS)
 }
 
 // EdgeIDs converts a path to its wire shape.

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"strconv"
+
+	"repro/internal/hist"
 )
 
 // appendJSON appends v's JSON encoding and the newline json.Encoder
@@ -125,20 +127,21 @@ func (e *encoder) distribution(r *DistributionResponse) {
 	e.str(r.Method)
 	e.raw(`,"interval":`)
 	e.int(int64(r.Interval))
+	d := r.decimals
 	e.raw(`,"mean_s":`)
-	e.float(r.MeanS)
+	d = e.number(r.MeanS, d)
 	e.raw(`,"p10_s":`)
-	e.float(r.P10S)
+	d = e.number(r.P10S, d)
 	e.raw(`,"p50_s":`)
-	e.float(r.P50S)
+	d = e.number(r.P50S, d)
 	e.raw(`,"p90_s":`)
-	e.float(r.P90S)
-	if r.ProbWithin != nil {
+	d = e.number(r.P90S, d)
+	if r.ProbWithin != nil { // the request's budget picks it: never in a record
 		e.raw(`,"prob_within":`)
 		e.float(*r.ProbWithin)
 	}
 	e.raw(`,"buckets":`)
-	e.buckets(r.Buckets)
+	e.buckets(r.Buckets, d)
 	e.raw(`,"decomp_paths":`)
 	e.int(int64(r.DecompPaths))
 	e.raw(`,"max_rank":`)
@@ -148,15 +151,33 @@ func (e *encoder) distribution(r *DistributionResponse) {
 	e.raw("}")
 }
 
-func (e *encoder) buckets(bs []Bucket) {
+// number writes f from the first word of the digit record d, or
+// formats it when there is no record or the word packs no number (see
+// hist.Decimals), and returns the rest of the record.
+func (e *encoder) number(f float64, d hist.Decimals) hist.Decimals {
+	if len(d) == 0 {
+		e.float(f)
+		return nil
+	}
+	var ok bool
+	if e.b, ok = hist.AppendDecimal(e.b, d[0]); !ok {
+		e.float(f)
+	}
+	return d[1:]
+}
+
+// buckets writes bs, taking their numbers from the rest d of the
+// answer's digit record, which follows the same order (nil: formats).
+func (e *encoder) buckets(bs []Bucket, d hist.Decimals) {
 	if bs == nil {
 		e.raw("null")
 		return
 	}
 	e.raw("[")
 	// Adjacent buckets share a boundary: bucket i's lo is bucket i-1's
-	// hi, bit for bit, so its text is copied, not formatted again.
-	// hi0:hi1 is where the previous hi sits in e.b.
+	// hi, bit for bit, so its text is copied, not written again, and a
+	// record holds no word for it. hi0:hi1 is where the previous hi
+	// sits in e.b.
 	hi0, hi1 := 0, 0
 	for i := range bs {
 		if i > 0 {
@@ -166,14 +187,14 @@ func (e *encoder) buckets(bs []Bucket) {
 		if i > 0 && math.Float64bits(bs[i].Lo) == math.Float64bits(bs[i-1].Hi) {
 			e.b = append(e.b, e.b[hi0:hi1]...)
 		} else {
-			e.float(bs[i].Lo)
+			d = e.number(bs[i].Lo, d)
 		}
 		e.raw(`,"hi":`)
 		hi0 = len(e.b)
-		e.float(bs[i].Hi)
+		d = e.number(bs[i].Hi, d)
 		hi1 = len(e.b)
 		e.raw(`,"pr":`)
-		e.float(bs[i].Pr)
+		d = e.number(bs[i].Pr, d)
 		e.raw("}")
 	}
 	e.raw("]")

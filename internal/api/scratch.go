@@ -152,11 +152,13 @@ func (s *Scratch) State(res *pathcost.SegmentResult) (*StateResult, error) {
 
 // Distribution shapes one evaluated cost distribution: sum is dist's
 // Summary, and the buckets are dist's own, which the answer only reads.
-// Both the single-process server and the sharded coordinator assemble
-// their distribution bodies here, from the same scalar inputs, so a
-// coordinator that reproduces the single-process histogram bit-exactly
-// also reproduces the response bytes exactly.
-func (s *Scratch) Distribution(method string, interval int, dist *hist.Histogram, sum hist.Summary, budget float64, decompPaths, maxRank int, evalUS int64) *DistributionResponse {
+// dec is the digit record of sum and dist (core.QueryResult.Decimals),
+// or nil; with one, the answer's numbers are written from it, in the
+// same bytes. Both the single-process server and the sharded
+// coordinator assemble their distribution bodies here, from the same
+// scalar inputs, so a coordinator that reproduces the single-process
+// histogram bit-exactly also reproduces the response bytes exactly.
+func (s *Scratch) Distribution(method string, interval int, dist *hist.Histogram, sum hist.Summary, dec hist.Decimals, budget float64, decompPaths, maxRank int, evalUS int64) *DistributionResponse {
 	var a *distAnswer
 	if s == nil {
 		a = new(distAnswer)
@@ -174,6 +176,7 @@ func (s *Scratch) Distribution(method string, interval int, dist *hist.Histogram
 		DecompPaths: decompPaths,
 		MaxRank:     maxRank,
 		EvalUS:      evalUS,
+		decimals:    dec,
 	}
 	if budget > 0 {
 		a.within = dist.ProbWithin(budget)

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/hist"
 )
 
 // --- oracles: what the tiers did before the shared codec ---------------
@@ -236,6 +238,16 @@ func (s *source) distribution() *DistributionResponse {
 			r.Buckets = append(r.Buckets, b)
 		}
 	}
+	if kind&4 != 0 { // a cached answer's digit record
+		withDecimals(r)
+	}
+	return r
+}
+
+// withDecimals gives r the digit record of its numbers, as a cached
+// answer carries, and returns r.
+func withDecimals(r *DistributionResponse) *DistributionResponse {
+	r.decimals = hist.AppendDecimals(nil, r.Buckets, hist.Summary{Mean: r.MeanS, P10: r.P10S, P50: r.P50S, P90: r.P90S})
 	return r
 }
 
@@ -314,7 +326,80 @@ func (s *source) batch() BatchResponse {
 	return out
 }
 
+// decimalSeeds deal distribution answers that carry a digit record
+// (kind bit 4): adjacent buckets and not, numbers inside the packing
+// and outside it (-0, negatives, 'e' notation, NaN), and random bits.
+var decimalSeeds = [][]byte{
+	// kind, method, interval, mean, p10, p50, p90, prob_within, paths, rank, eval_us ×2, buckets, …
+	{0x06, 1, 3, 6, 2, 4, 5, 1, 2, 3, 9, 1, 4, 6, 2, 0, 3, 7, 4, 3, 1},
+	{0x07, 1, 3, 0, 1, 1, 24, 4, 1, 2, 9, 1, 7, 0, 24, 4, 1, 2, 19, 8, 27, 0, 21},
+	{0x04, 2, 0, 12, 13, 7, 20, 0, 0, 0, 0, 5, 1, 6, 2, 7, 3, 9, 8, 1, 4, 7, 23, 5, 22, 6},
+	{0x0e, 0, 1, 0xff, 0x40, 0x09, 0x21, 0xfb, 0x54, 0x44, 0x2d, 0x18, 3, 3, 3, 1, 1, 0, 0, 7,
+		0xff, 0, 0, 0, 0, 0, 0x40, 0x8f, 0x40, 2, 0xff, 1, 2, 3, 4, 5, 6, 0xf0, 0x3f},
+	{0x0c, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 3, 0, 1, 0, 1, 2, 0, 2, 3, 0},
+}
+
 // --- tests ---------------------------------------------------------------
+
+// TestDecimalRecordAnswersMatchJSON holds an answer written from its
+// digit record to json.Encoder on edge values and random histograms,
+// and each number so written to the encoder's own float formatting.
+func TestDecimalRecordAnswersMatchJSON(t *testing.T) {
+	for _, f := range edgeFloats {
+		for _, g := range []float64{f, -f, f * (1 + 1e-15), f / 3} {
+			checkEncode(t, withDecimals(&DistributionResponse{MeanS: g, P90S: g / 7,
+				Buckets: []Bucket{{Lo: g, Hi: g, Pr: g}, {Lo: g, Hi: 1, Pr: 0}, {Lo: 2, Hi: g * 3, Pr: 0.5}}}))
+		}
+	}
+	for _, s := range decimalSeeds {
+		checkEncode(t, (&source{b: s}).distribution())
+	}
+	rnd := rand.New(rand.NewSource(9))
+	for range 2000 {
+		r := &DistributionResponse{MeanS: 1e4 * rnd.Float64(), P10S: 1e3 * rnd.Float64(), P50S: 1e4 * rnd.Float64(), P90S: 1e5 * rnd.Float64()}
+		lo := 100 * rnd.Float64()
+		for range 1 + rnd.Intn(24) {
+			hi := lo + 1000*rnd.Float64()
+			r.Buckets = append(r.Buckets, Bucket{Lo: lo, Hi: hi, Pr: rnd.Float64()})
+			if lo = hi; rnd.Intn(4) == 0 {
+				lo = math.Nextafter(hi, math.Inf(1))
+			}
+		}
+		checkEncode(t, withDecimals(r))
+	}
+	var fromRecord, formatted encoder
+	for i := range 200_000 {
+		f := math.Float64frombits(rnd.Uint64())
+		switch i % 3 {
+		case 1:
+			f = rnd.Float64()
+		case 2:
+			f = math.Ldexp(1+rnd.Float64(), rnd.Intn(91)-21)
+		}
+		fromRecord.b, formatted.b = fromRecord.b[:0], formatted.b[:0]
+		fromRecord.number(f, hist.AppendDecimals(nil, nil, hist.Summary{Mean: f})[:1])
+		formatted.float(f)
+		if !bytes.Equal(fromRecord.b, formatted.b) || fromRecord.err != formatted.err {
+			t.Fatalf("%v: the record wrote %q (%v), the encoder %q (%v)", f, fromRecord.b, fromRecord.err, formatted.b, formatted.err)
+		}
+	}
+}
+
+// TestEncoderWritesFromTheRecord: with a record the numbers come from
+// it, so the differentials above test the record's path and not the
+// formatting it replaces. A record of other numbers shows in the text.
+func TestEncoderWritesFromTheRecord(t *testing.T) {
+	r := &DistributionResponse{MeanS: 1.5, P10S: 1, P50S: 1.5, P90S: 2, Buckets: []Bucket{{Lo: 1, Hi: 2, Pr: 1}}}
+	r.decimals = hist.AppendDecimals(nil, []Bucket{{Lo: 10, Hi: 20, Pr: 0.25}}, hist.Summary{Mean: 3, P10: 4, P50: 5, P90: 6})
+	got, err := appendJSON(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"method":"","interval":0,"mean_s":3,"p10_s":4,"p50_s":5,"p90_s":6,"buckets":[{"lo":10,"hi":20,"pr":0.25}],"decomp_paths":0,"max_rank":0,"eval_us":0}` + "\n"
+	if string(got) != want {
+		t.Fatalf("wrote\n%s\nwant\n%s", got, want)
+	}
+}
 
 func TestEncoderMatchesJSONOnEdgeValues(t *testing.T) {
 	for _, f := range edgeFloats {
@@ -363,7 +448,9 @@ func fill(v reflect.Value) {
 		fill(v.Elem())
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			fill(v.Field(i))
+			if v.Type().Field(i).IsExported() { // encoding/json writes no other
+				fill(v.Field(i))
+			}
 		}
 	case reflect.Slice:
 		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
@@ -721,6 +808,9 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(append([]byte(`{"path":[1],"depart":2}`), make([]byte, smallCap)...)) // over the cap after a whole value
 	f.Add(bytes.Repeat([]byte{0x20, 0x07, 0x15, 0x03}, 40))                     // response seeds: table indices and raw bits
 	f.Add(bytes.Repeat([]byte{0xfe, 0x1b, 0x02, 0x0a, 0x19}, 40))
+	for _, s := range decimalSeeds {
+		f.Add(s)
+	}
 	for _, s := range responseSeeds {
 		f.Add([]byte(s))
 	}

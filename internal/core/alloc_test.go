@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -212,5 +213,15 @@ func TestMemoProbeAllocatesNoKey(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { m.longestPrefix(p, dep, opt) }); allocs != 0 {
 			t.Errorf("a probe of a 24-edge path answering depth %d allocates %v times, want 0", k, allocs)
 		}
+	}
+}
+
+// TestQueryResultSize: every computed answer allocates a QueryResult,
+// and one cached answer is kept per query, so its size class is paid
+// on every cold query and in the cache's live heap. Its digit record
+// is one pointer beside the rest, and it stays within 128 bytes.
+func TestQueryResultSize(t *testing.T) {
+	if n := unsafe.Sizeof(QueryResult{}); n > 128 {
+		t.Fatalf("QueryResult is %d bytes, want ≤ 128", n)
 	}
 }

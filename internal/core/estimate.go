@@ -70,12 +70,6 @@ type EvalStats struct {
 	CellsTouched  int           // hyper-bucket operations during joint computation
 	ResultBuckets int           // buckets of the final marginal (MC output)
 	MCDur         time.Duration // time spent deriving the marginal (Fig. 17's MC)
-
-	// mcStart is the instant the chain finished and marginalization
-	// began. evaluateMode records it and leaves MCDur unset; callers
-	// finalize MCDur against their own end-of-evaluation clock read,
-	// sparing the hot path one time.Now per query.
-	mcStart time.Time
 }
 
 // evalScratch is the arena of one chain step: flat contiguous buffers
@@ -139,36 +133,40 @@ type factorRun struct {
 	div        float64
 }
 
-func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query graph.Path) (*hist.Histogram, EvalStats, error) {
+// evaluateMode also returns mcStart, the instant the chain finished and
+// marginalization began, and leaves MCDur unset: the caller settles
+// MCDur against its own end-of-evaluation clock read, sparing the hot
+// path one time.Now per query.
+func (h *HybridGraph) evaluateMode(ctx context.Context, de *Decomposition, query graph.Path) (*hist.Histogram, EvalStats, time.Time, error) {
 	var st EvalStats
 	if err := de.Validate(query); err != nil {
-		return nil, st, err
+		return nil, st, time.Time{}, err
 	}
 	st.Factors = len(de.Vars)
 
 	if len(de.Vars) == 1 {
-		st.mcStart = time.Now()
+		mcStart := time.Now()
 		out, err := h.singleFactorDist(de.Vars[0])
 		if err != nil {
-			return nil, st, err
+			return nil, st, mcStart, err
 		}
 		st.ResultBuckets = out.NumBuckets()
-		return out, st, nil
+		return out, st, mcStart, nil
 	}
 
 	ring := ringPool.Get().(*chainRing)
 	defer ring.release()
 	state, err := h.runChain(ctx, de, 0, nil, nil, &st, ring[:])
 	if err != nil {
-		return nil, st, err
+		return nil, st, time.Time{}, err
 	}
-	st.mcStart = time.Now()
+	mcStart := time.Now()
 	out, err := state.m.SumHistogram(h.Params.MaxResultBuckets)
 	if err != nil {
-		return nil, st, err
+		return nil, st, mcStart, err
 	}
 	st.ResultBuckets = out.NumBuckets()
-	return out, st, nil
+	return out, st, mcStart, nil
 }
 
 // singleFactorDist is the answer for a decomposition of one factor

@@ -71,7 +71,21 @@ type QueryResult struct {
 	// Stats and Timing instrument the evaluation.
 	Stats  EvalStats
 	Timing Timing
+
+	// decimals is the digit record of Summary and Dist, built on the
+	// answer's first exact query-cache hit (FillDecimals) and read by
+	// every hit after it (Decimals).
+	decimals hist.DecimalSlot
 }
+
+// Decimals returns the result's digit record, nil until FillDecimals
+// has built it.
+func (r *QueryResult) Decimals() hist.Decimals { return r.decimals.Load() }
+
+// FillDecimals builds the result's digit record if it has none yet.
+// Concurrent callers build at most one record each and keep the first
+// published (hist.DecimalSlot.Fill).
+func (r *QueryResult) FillDecimals() { r.decimals.Fill(r.Dist, r.Summary) }
 
 // CostDistribution estimates the travel cost distribution of query
 // path p departing at absolute time t (Section 4). The zero options
@@ -129,17 +143,15 @@ func (h *HybridGraph) CostDistributionCtx(ctx context.Context, m *ConvMemo, p gr
 	t1 := time.Now()
 	oi := t1.Sub(t0)
 
-	dist, stats, err := h.evaluateMode(ctx, de, p)
+	dist, stats, mcStart, err := h.evaluateMode(ctx, de, p)
 	if err != nil {
 		return nil, err
 	}
 	// One end-of-evaluation clock read settles both JC and MC (see
-	// EvalStats.mcStart).
+	// evaluateMode).
 	end := time.Now()
 	evalDur := end.Sub(t1)
-	if !stats.mcStart.IsZero() {
-		stats.MCDur = end.Sub(stats.mcStart)
-	}
+	stats.MCDur = end.Sub(mcStart)
 	jc := evalDur - stats.MCDur
 	if jc < 0 {
 		jc = 0

@@ -181,7 +181,8 @@ func factorPositions(de *Decomposition, i int) []int {
 // set), everything else being folded into the accumulated-cost
 // dimension.
 func (h *HybridGraph) Evaluate(de *Decomposition, query graph.Path) (*hist.Histogram, EvalStats, error) {
-	return h.evaluateMode(nil, de, query)
+	dist, st, _, err := h.evaluateMode(nil, de, query)
+	return dist, st, err
 }
 
 // Dist returns the cost distribution of the state's path, deriving it

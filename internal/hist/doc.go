@@ -23,6 +23,11 @@
 //     (SumHistogram, RearrangedCuts) and compression used when folding
 //     accumulated-cost dimensions.
 //
+// Outside the paper, decimal.go keeps a served answer's text cheap: a
+// histogram answer's numbers packed as their shortest round-trip
+// decimals (Decimals, one uint64 each), built once per cached answer
+// and written back without formatting a float (AppendDecimal).
+//
 // Histograms use uniform-within-bucket semantics throughout, exactly
 // as the paper's Figure 7 worked example assumes. Multi.ForEachSorted
 // visits cells in key order, so consumers that need reproducible

@@ -205,3 +205,80 @@ func TestBatchHitAllocs(t *testing.T) {
 	}
 	t.Logf("POST /v1/batch of %d cached entries: %v allocations", batchHitEntries, n)
 }
+
+// firstHitRuns is how many first hits TestFirstHitAllocs measures.
+const firstHitRuns = 200
+
+// TestFirstHitAllocs gates an answer's first exact-level hit, which
+// builds the answer's digit record: at most one allocation more than a
+// later hit. Every answer is cached by a miss first, and each is served
+// once as a first hit and then again as a later one, in the same bytes.
+func TestFirstHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	sys := hitSystem(t)
+	sys.EnableQueryCache(1024)
+	rnd := rand.New(rand.NewSource(8))
+	seen := make(map[string]bool)
+	var payloads [][]byte // AllocsPerRun's warm-up run is one more
+	for len(payloads) < firstHitRuns+1 {
+		p, err := sys.RandomQueryPath(5+rnd.Intn(20), rnd.Intn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(distributionRequest{Path: api.EdgeIDs(p), Depart: 8 * 3600})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[string(b)] {
+			continue
+		}
+		seen[string(b)] = true
+		if _, err := sys.PathDistribution(p, 8*3600, pathcost.OD); err != nil { // the miss that caches it
+			t.Fatal(err)
+		}
+		payloads = append(payloads, b)
+	}
+	h := New(sys, Config{}).Handler()
+	w := &reusableWriter{hdr: make(http.Header)}
+	var body resettableBody
+	req := &http.Request{
+		Method: http.MethodPost, URL: &url.URL{Path: "/v1/distribution"}, RequestURI: "/v1/distribution",
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: http.Header{"Content-Type": {"application/json"}}, Host: "test",
+		Body: &body,
+	}
+	bodies := make([][]byte, len(payloads)) // room reserved: the first hit's copy allocates nothing
+	for i := range bodies {
+		bodies[i] = make([]byte, 0, 16<<10)
+	}
+	served := 0
+	serve := func() {
+		i := served % len(payloads)
+		served++
+		clear(w.hdr)
+		w.code, w.body = 0, w.body[:0]
+		body.Reset(payloads[i])
+		req.ContentLength = int64(len(payloads[i]))
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.code, w.body)
+		}
+		if len(bodies[i]) == 0 {
+			bodies[i] = append(bodies[i], w.body...)
+		} else if !bytes.Equal(w.body, bodies[i]) {
+			t.Fatalf("a later hit answered\n%s\nthe first hit answered\n%s", w.body, bodies[i])
+		}
+	}
+	before, _ := sys.QueryCacheStats()
+	first := testing.AllocsPerRun(firstHitRuns, serve)
+	later := testing.AllocsPerRun(firstHitRuns, serve)
+	if st, _ := sys.QueryCacheStats(); st.Misses != before.Misses {
+		t.Fatalf("cache moved from %+v to %+v: the gate is not measuring hits", before, st)
+	}
+	if first > later+1 {
+		t.Fatalf("an answer's first exact hit allocates %v times, a later hit %v: the record costs more than one", first, later)
+	}
+	t.Logf("first exact hit %v allocations, later hit %v", first, later)
+}

@@ -206,9 +206,36 @@ func pooledDifferential(t *testing.T, h http.Handler, ref *pathcost.System, ops 
 	wg.Wait()
 }
 
+// recordServed reports whether some answer the epoch served for ops
+// carries a digit record: built on its first exact-level hit, and
+// written from on that hit and every one after it. It looks without
+// building one: a departure half a second after an entry's is new to
+// the exact level (the ops depart at whole seconds) and, when it picks
+// the entry's variables, the second level hands back the entry's
+// result.
+func recordServed(t *testing.T, sys *pathcost.System, ops []pooledOp) bool {
+	t.Helper()
+	probed := make(map[string]bool)
+	for _, op := range ops {
+		for _, q := range op.entries {
+			m, p, err := api.CheckDistribution(sys.Graph, &distributionRequest{Path: q.Path, Depart: q.Depart, Method: q.Method}, nil)
+			if k := fmt.Sprint(p, q.Depart, m); err != nil || probed[k] {
+				continue // a second probe would be an exact hit, which builds a record
+			} else {
+				probed[k] = true
+			}
+			if res, err := sys.PathDistribution(p, q.Depart+0.5, m); err == nil && res.Decimals() != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestPooledStorageDifferential holds the single-process tier's pooled
 // request storage and its query cache to a system that reuses nothing:
-// cache on against cache off. A Scratch's ids and edges are scrambled
+// cache on against cache off — hits written from their answers' digit
+// records included. A Scratch's ids and edges are scrambled
 // when it is released (in test binaries), so a path that reached core,
 // the memo or the query cache without being copied turns later answers
 // — memo resumptions, cache hits — into wrong bytes or failures.
@@ -243,6 +270,9 @@ func TestPooledStorageDifferential(t *testing.T) {
 		t.Fatalf("the reference answers only %d of %d entries: the differential compares mostly errors", answered, entries)
 	}
 	pooledDifferential(t, h, ref, ops, "epoch 1")
+	if !recordServed(t, served, ops) {
+		t.Fatal("epoch 1: no hit was written from a digit record")
+	}
 
 	data := served.Data()
 	for epoch := 2; epoch <= 4; epoch++ {
@@ -265,6 +295,9 @@ func TestPooledStorageDifferential(t *testing.T) {
 		pooledDifferential(t, h, ref, ops, fmt.Sprintf("epoch %d", epoch))
 		if st, _ := served.QueryCacheStats(); st.Hits == before.Hits || st.Misses == before.Misses {
 			t.Fatalf("query cache moved from %+v to %+v in epoch %d: the workload must both hit and miss", before, st, epoch)
+		}
+		if !recordServed(t, served, ops) {
+			t.Fatalf("epoch %d: no hit was written from a digit record", epoch)
 		}
 	}
 	if st, _ := served.ConvMemoStats(); st.Hits == 0 {

@@ -349,7 +349,7 @@ func (s *Server) evalDistribution(ctx context.Context, sys *pathcost.System, req
 		status, msg := s.queryErrorStatus(ctx, err)
 		return nil, status, msg
 	}
-	return sc.Distribution(string(m), sys.Params.IntervalOf(req.Depart), res.Dist, res.Summary,
+	return sc.Distribution(string(m), sys.Params.IntervalOf(req.Depart), res.Dist, res.Summary, res.Decimals(),
 		req.Budget, res.Decomp.Cardinality(), res.Decomp.MaxRank(), res.Timing.Total().Microseconds()), http.StatusOK, ""
 }
 

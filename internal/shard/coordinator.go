@@ -505,7 +505,7 @@ func (c *Coordinator) process(ctx context.Context, queries []api.BatchQuery, sc 
 		}
 		if p.dist != nil {
 			p.res.Distribution = sc.Distribution(string(p.method),
-				c.part.Params.IntervalOf(p.q.Depart), p.dist, p.dist.Summary(), p.q.Budget,
+				c.part.Params.IntervalOf(p.q.Depart), p.dist, p.dist.Summary(), nil, p.q.Budget,
 				p.factors, p.maxRank, 0)
 		}
 		out[i] = p.res

@@ -528,7 +528,9 @@ var ErrGateRejected = errors.New("pathcost: computation gate rejected the query"
 // because what the evaluation derives (the memo's states, the cached
 // result's decomposition) holds its path. A server may therefore pass
 // a path in storage it recycles once the answer is written, and a hit
-// allocates nothing.
+// allocates nothing — but an answer's first exact-level hit, which
+// builds the answer's digit record (QueryResult.Decimals) in one
+// allocation.
 func (s *System) PathDistributionGated(ctx context.Context, p Path, depart float64, m Method,
 	acquire func() bool, release func()) (*QueryResult, error) {
 	if ctx == nil {
@@ -554,6 +556,10 @@ func (s *System) PathDistributionGated(ctx context.Context, p Path, depart float
 	key := exactKey(buf[:0], p, depart, m)
 	if a, ok := c.exact.GetBytes(key); ok {
 		if a.seq == ep.Seq {
+			// From its first exact hit on, an answer keeps its
+			// numbers' digits (QueryResult.Decimals), so a server
+			// writes every later hit without formatting a float.
+			a.res.FillDecimals()
 			return a.res, nil
 		}
 		c.stale.Add(1)
